@@ -39,11 +39,13 @@ def calibrate(n: int = 2_000_000) -> float:
 
 
 def git_sha(repo_dir: str) -> str:
-    """Short commit sha of ``repo_dir``, or "unknown" outside git."""
+    """Short commit sha of ``repo_dir``, suffixed ``-dirty`` when tracked
+    files have uncommitted changes (a measurement of a change on top of
+    that commit), or "unknown" outside git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=repo_dir,
-            capture_output=True, text=True, timeout=30)
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
+            cwd=repo_dir, capture_output=True, text=True, timeout=30)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:

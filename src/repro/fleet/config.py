@@ -28,6 +28,12 @@ from ..core.gateway import GatewayConfig
 __all__ = ["FleetConfig", "FleetDemand"]
 
 
+def _require_finite(owner, name: str) -> None:
+    value = getattr(owner, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FleetDemand:
     """Analytic session demand for one region's services.
@@ -56,16 +62,18 @@ class FleetDemand:
     session_rps: float = 2.0
 
     def __post_init__(self):
+        for name in ("mean_sessions", "phase", "period_s",
+                     "session_duration_s", "session_rps"):
+            _require_finite(self, name)
         if self.mean_sessions < 0:
             raise ValueError(f"negative mean_sessions {self.mean_sessions}")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError(f"amplitude must be in [0, 1), "
                              f"got {self.amplitude}")
-        if self.period_s <= 0 or self.session_duration_s <= 0:
-            raise ValueError("period_s and session_duration_s must be > 0")
-        if self.session_rps <= 0:
-            raise ValueError(f"session_rps must be > 0, "
-                             f"got {self.session_rps}")
+        for name in ("period_s", "session_duration_s", "session_rps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
 
     def target_sessions(self, t: float) -> float:
         """Equilibrium concurrent sessions per service at time ``t``."""
@@ -106,11 +114,15 @@ class FleetConfig:
         if self.azs < 1 or self.backends_per_az < 1 or self.services < 1:
             raise ValueError("azs, backends_per_az and services "
                              "must all be >= 1")
+        _require_finite(self, "dt_s")
         if self.dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {self.dt_s}")
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, "
                              f"got {self.sample_every}")
+        if self.https_every < 1:
+            raise ValueError(f"https_every must be >= 1, "
+                             f"got {self.https_every}")
         if self.azs < self.gateway.azs_per_service:
             raise ValueError(
                 f"{self.azs} AZs cannot satisfy azs_per_service="

@@ -119,6 +119,15 @@ class FleetModel:
         self.scaler = None          # a FleetScaler attaches itself
         self.backend_water = [0.0] * n_backends
         self.backend_sessions = [0.0] * n_backends
+        #: Per-backend arrival weight, ``max(floor, 1 - water)``; refreshed
+        #: with the water levels in :meth:`_aggregate`.
+        self._headroom = [1.0] * n_backends
+        #: Healthy shard slots per service, ``None`` where a rebuild is
+        #: due. Only the fault methods change backend health, and each
+        #: drops the entries of the services it touches;
+        #: ``extend_service`` appends to a cached entry instead.
+        self._healthy_index: List[Optional[List[int]]] = \
+            [None] * config.services
         #: Effective mean session lifetime; kept as an attribute (not
         #: read from demand each step) so the validation harness can
         #: mis-parameterize the fluid tier alone to prove its gate trips.
@@ -161,11 +170,26 @@ class FleetModel:
             self.counters.admitted += scaled
 
     def _healthy_slots(self, service: int) -> List[int]:
-        topology = self.topology
-        up = topology.backend_up
-        replicas = topology.healthy_replicas
-        return [slot for slot, b in enumerate(topology.shards[service])
-                if up[b] and replicas[b] > 0]
+        """The service's healthy slots, in slot order, from the index.
+
+        The returned list is shared with the index: callers must not
+        mutate it (the index replaces entries, it never edits them).
+        """
+        healthy = self._healthy_index[service]
+        if healthy is None:
+            topology = self.topology
+            up = topology.backend_up
+            replicas = topology.healthy_replicas
+            healthy = [slot for slot, b in enumerate(topology.shards[service])
+                       if up[b] and replicas[b] > 0]
+            self._healthy_index[service] = healthy
+        return healthy
+
+    def _drop_health_of(self, backend: int) -> None:
+        """Forget the index entries of every service on ``backend``."""
+        index = self._healthy_index
+        for service, _slot in self._services_on[backend]:
+            index[service] = None
 
     #: Floor on a slot's arrival share so a saturated backend still
     #: receives a trickle (the LB never blacklists a healthy backend).
@@ -181,10 +205,9 @@ class FleetModel:
         turnover exactly like an LB weight shift at the testbed tier.
         Water is the previous flow step's aggregate, mirroring the LB's
         one-monitor-interval convergence lag."""
-        water = self.backend_water
+        headroom = self._headroom
         shard = self.topology.shards[service]
-        floor = self._MIN_HEADROOM
-        return [max(floor, 1.0 - water[shard[slot]]) for slot in healthy]
+        return [headroom[shard[slot]] for slot in healthy]
 
     # -- the flow step -----------------------------------------------------
     def _tick(self, _arg) -> None:
@@ -201,64 +224,97 @@ class FleetModel:
             self.sim.call_later(dt, self._tick, None)
 
     def _advance_flows(self, t0: float, dt: float) -> None:
-        demand = self.demand
+        # One pass per service decays each slot, adds its inflow and
+        # totals the populations before and after. It performs the same
+        # float operations in the same order as decaying every slot,
+        # then splitting the inflow, then totalling, so its results are
+        # bit-identical to that sequence's.
         decay = self._decay
-        theta = self._theta
-        base_rate = demand.arrival_rate(t0)
+        inflow_unit = self._theta * (1.0 - decay)
+        base_rate = self.demand.arrival_rate(t0)
         scale_fn = self.demand_scale
+        healthy_slots = self._healthy_slots
+        slot_weights = self._slot_weights
         counters = self.counters
-        inflow_unit = theta * (1.0 - decay)
+        attempted = counters.attempted
+        admitted = counters.admitted
+        rejected = counters.rejected
+        departed = counters.departed
+        window_attempted = self._window_attempted
+        window_admitted = self._window_admitted
         for service, sessions in enumerate(self.slot_sessions):
             rate = base_rate
             if scale_fn is not None:
                 rate = base_rate * scale_fn(service, t0)
             offered = rate * dt
-            counters.attempted += offered
-            self._window_attempted += offered
-            healthy = self._healthy_slots(service)
+            attempted += offered
+            window_attempted += offered
+            healthy = healthy_slots(service)
+            weights = slot_weights(service, healthy)
+            share = rate * inflow_unit / sum(weights) if weights else 0.0
+            if len(weights) < len(sessions):
+                # Align weights to slots; a down slot (None) gets no inflow.
+                aligned = [None] * len(sessions)
+                for slot, weight in zip(healthy, weights):
+                    aligned[slot] = weight
+                weights = aligned
             before = 0.0
-            for slot in range(len(sessions)):
-                before += sessions[slot]
-                sessions[slot] *= decay
-            if not healthy:
-                counters.rejected += offered
-                counters.departed += before - _total(sessions)
-                continue
-            counters.admitted += offered
-            self._window_admitted += offered
-            weights = self._slot_weights(service, healthy)
-            share = rate * inflow_unit / sum(weights)
-            for slot, weight in zip(healthy, weights):
-                sessions[slot] += share * weight
-            counters.departed += before + offered - _total(sessions)
+            after = 0.0
+            for slot, weight in enumerate(weights):
+                n = sessions[slot]
+                before += n
+                n *= decay
+                if weight is not None:
+                    n += share * weight
+                sessions[slot] = n
+                after += n
+            if healthy:
+                admitted += offered
+                window_admitted += offered
+                departed += before + offered - after
+            else:
+                rejected += offered
+                departed += before - after
+        counters.attempted = attempted
+        counters.admitted = admitted
+        counters.rejected = rejected
+        counters.departed = departed
+        self._window_attempted = window_attempted
+        self._window_admitted = window_admitted
 
     def _aggregate(self) -> None:
         """Fold slot populations into per-backend water levels."""
         config = self.config
+        topology = self.topology
         water = self.backend_water
         loads = self.backend_sessions
-        for b in range(len(water)):
-            water[b] = 0.0
-            loads[b] = 0.0
+        zeros = [0.0] * len(water)
+        water[:] = zeros
+        loads[:] = zeros
         cost = config.request_cost_s * self.demand.session_rps
-        for service, sessions in enumerate(self.slot_sessions):
-            shard = self.topology.shards[service]
-            weight = self._weights[service] * self.qod_factor[service]
-            for slot, backend in enumerate(shard):
-                n = sessions[slot]
+        for sessions, shard, base, qod in zip(
+                self.slot_sessions, topology.shards, self._weights,
+                self.qod_factor):
+            weight = base * qod
+            for n, backend in zip(sessions, shard):
                 if n <= 0.0:
                     continue
                 loads[backend] += n
                 water[backend] += n * weight * cost
         cores = config.cores_per_replica * self.capacity_factor
-        replicas = self.topology.healthy_replicas
-        up = self.topology.backend_up
-        for b in range(len(water)):
-            capacity = replicas[b] * cores if up[b] else 0.0
+        headroom = self._headroom
+        floor = self._MIN_HEADROOM
+        for b, (replicas, up) in enumerate(
+                zip(topology.healthy_replicas, topology.backend_up)):
+            level = water[b]
+            capacity = replicas * cores if up else 0.0
             if capacity > 0.0:
-                water[b] /= capacity
-            elif water[b] > 0.0:
-                water[b] = _WATER_SATURATED
+                level /= capacity
+                water[b] = level
+            elif level > 0.0:
+                level = water[b] = _WATER_SATURATED
+            spare = 1.0 - level
+            headroom[b] = spare if spare > floor else floor
 
     # -- sampling ----------------------------------------------------------
     def _sample(self, now: float) -> None:
@@ -312,31 +368,47 @@ class FleetModel:
         return (mean_s * 1e3, p99_s * 1e3)
 
     # -- fault interface (shared with the per-session reference) -----------
+    # Only these methods change backend health; each one drops the
+    # health-index entries of the services on the backends it flips.
     def crash_backend(self, backend: int) -> float:
         """Take a backend down, dropping its sessions; returns dropped."""
-        topology = self.topology
-        if not topology.backend_up[backend]:
+        if not self.topology.backend_up[backend]:
             return 0.0
-        topology.backend_up[backend] = 0
-        dropped = self._drop_backend_sessions(backend)
+        dropped = self._take_down(backend)
         self._aggregate()
         return dropped
 
     def recover_backend(self, backend: int) -> None:
-        topology = self.topology
-        topology.backend_up[backend] = 1
-        topology.healthy_replicas[backend] = topology.total_replicas[backend]
+        self._bring_up(backend)
         self._aggregate()
 
     def crash_az(self, az: int) -> float:
+        """Take every backend of an AZ down, then re-aggregate once."""
         dropped = 0.0
+        flipped = False
         for backend in self.topology.backends_in_az(az):
-            dropped += self.crash_backend(backend)
+            if self.topology.backend_up[backend]:
+                dropped += self._take_down(backend)
+                flipped = True
+        if flipped:
+            self._aggregate()
         return dropped
 
     def recover_az(self, az: int) -> None:
         for backend in self.topology.backends_in_az(az):
-            self.recover_backend(backend)
+            self._bring_up(backend)
+        self._aggregate()
+
+    def _take_down(self, backend: int) -> float:
+        self.topology.backend_up[backend] = 0
+        self._drop_health_of(backend)
+        return self._drop_backend_sessions(backend)
+
+    def _bring_up(self, backend: int) -> None:
+        topology = self.topology
+        topology.backend_up[backend] = 1
+        topology.healthy_replicas[backend] = topology.total_replicas[backend]
+        self._drop_health_of(backend)
 
     def crash_replica(self, backend: int) -> float:
         """Kill one replica; a backend at zero replicas drops sessions."""
@@ -346,6 +418,7 @@ class FleetModel:
         topology.healthy_replicas[backend] -= 1
         dropped = 0.0
         if topology.healthy_replicas[backend] == 0:
+            self._drop_health_of(backend)
             dropped = self._drop_backend_sessions(backend)
         self._aggregate()
         return dropped
@@ -354,6 +427,7 @@ class FleetModel:
         topology = self.topology
         if topology.healthy_replicas[backend] < topology.total_replicas[backend]:
             topology.healthy_replicas[backend] += 1
+            self._drop_health_of(backend)
         self._aggregate()
 
     def set_qod(self, service: int, factor: float) -> None:
@@ -384,14 +458,22 @@ class FleetModel:
     def on_backend_added(self, backend: int) -> None:
         self.backend_water.append(0.0)
         self.backend_sessions.append(0.0)
+        self._headroom.append(1.0)
         self._services_on.append([])
 
     def extend_service(self, service: int, backend: int) -> None:
         """Add a shard slot on ``backend`` and count the config fan-out."""
-        self.topology.extend_shard(service, backend)
+        topology = self.topology
+        topology.extend_shard(service, backend)
         self._append_slot(service)
-        self._services_on[backend].append(
-            (service, len(self.topology.shards[service]) - 1))
+        slot = len(topology.shards[service]) - 1
+        self._services_on[backend].append((service, slot))
+        healthy = self._healthy_index[service]
+        if (healthy is not None and topology.backend_up[backend]
+                and topology.healthy_replicas[backend] > 0):
+            # A new list, never an in-place append: callers may hold the
+            # old one (see _healthy_slots).
+            self._healthy_index[service] = healthy + [slot]
         # Extending a combination re-pushes the service's route config
         # to every replica of every member backend (the control-plane
         # fan-out the paper's push pipeline absorbs).

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.engine import FaultTargetError
 from repro.faults.plan import Fault, FaultPlan
@@ -57,6 +58,33 @@ class TestFleetConfig:
         config = FleetConfig()
         assert [config.service_weight(i) for i in range(4)] \
             == [3.0, 1.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_sessions", math.nan),
+        ("mean_sessions", math.inf),
+        ("phase", math.nan),
+        ("period_s", math.nan),
+        ("period_s", math.inf),
+        ("session_duration_s", math.nan),
+        ("session_duration_s", math.inf),
+        ("session_rps", math.nan),
+        ("session_rps", math.inf),
+    ])
+    def test_demand_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FleetDemand(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt_s", math.nan),
+        ("dt_s", math.inf),
+        ("https_every", 0),
+        ("https_every", -3),
+    ])
+    def test_config_rejects_bad_field(self, field, value):
+        # https_every=0 used to pass here and raise ZeroDivisionError
+        # later, in service_weight.
+        with pytest.raises(ValueError, match=field):
+            FleetConfig(**{field: value})
 
     def test_demand_diurnal_shape(self):
         demand = FleetDemand(mean_sessions=1000.0, amplitude=0.5,
@@ -332,6 +360,104 @@ class TestFleetFaultEngine:
         assert set(FLEET_FAULT_KINDS) == {
             "replica_crash", "backend_crash", "az_crash",
             "query_of_death"}
+
+
+def fresh_healthy_slots(model, service):
+    """The health index entry recomputed from the topology columns."""
+    topology = model.topology
+    return [slot for slot, b in enumerate(topology.shards[service])
+            if topology.backend_up[b] and topology.healthy_replicas[b] > 0]
+
+
+#: Operations the property below applies, each as (name, a, b) with
+#: ``a``/``b`` reduced modulo whatever the operation indexes.
+HEALTH_OPS = ("crash_backend", "recover_backend", "crash_replica",
+              "recover_replica", "crash_az", "recover_az",
+              "extend_service", "add_backend", "step")
+
+
+def apply_health_op(model, op, a, b):
+    topology = model.topology
+    backend = a % topology.n_backends
+    az = a % len(topology.az_names)
+    if op in ("crash_backend", "recover_backend", "crash_replica",
+              "recover_replica"):
+        getattr(model, op)(backend)
+    elif op in ("crash_az", "recover_az"):
+        getattr(model, op)(az)
+    elif op == "extend_service":
+        service = b % model.config.services
+        if backend not in topology.shards[service]:
+            model.extend_service(service, backend)
+    elif op == "add_backend":
+        model.on_backend_added(topology.add_backend(az))
+    else:
+        model.sim.run(until=model.sim.now + model.config.dt_s)
+
+
+class TestHealthIndex:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([FleetModel, SessionDES]),
+           st.lists(st.tuples(st.sampled_from(HEALTH_OPS),
+                              st.integers(0, 10_000),
+                              st.integers(0, 10_000)),
+                    max_size=30))
+    def test_index_matches_fresh_recompute(self, cls, ops):
+        sim, config, demand, model = small_world(
+            cls=cls, services=6, backends_per_az=4, sessions=30.0)
+        model.start(1e6)
+        floor = model._MIN_HEADROOM
+        for op, a, b in ops:
+            apply_health_op(model, op, a, b)
+            for service in range(config.services):
+                cached = model._healthy_index[service]
+                fresh = fresh_healthy_slots(model, service)
+                assert cached is None or cached == fresh, (op, service)
+                assert model._healthy_slots(service) == fresh
+            assert model._headroom == [max(floor, 1.0 - water)
+                                       for water in model.backend_water]
+            model.check_invariants(op)
+
+    @pytest.mark.parametrize("cls", [FleetModel, SessionDES])
+    def test_dropping_the_index_every_tick_changes_nothing(self, cls):
+        class Unindexed(cls):
+            def _tick(self, arg):
+                self._healthy_index = [None] * len(self._healthy_index)
+                super()._tick(arg)
+
+        plan = FaultPlan.of(
+            Fault(kind="az_crash", at=300.0, target="az:1",
+                  duration_s=200.0),
+            Fault(kind="backend_crash", at=600.0,
+                  target="service:2/backend:0", duration_s=150.0),
+            Fault(kind="replica_crash", at=700.0,
+                  target="service:0/backend:1/replica:0",
+                  duration_s=100.0),
+            Fault(kind="query_of_death", at=800.0, target="service:3",
+                  duration_s=120.0, param=4.0),
+        )
+        # The reference gets a tenth of the sessions at ten times the
+        # request rate: the same water levels from fewer session events.
+        scale = 1.0 if cls is FleetModel else 10.0
+        runs = []
+        for model_cls in (cls, Unindexed):
+            sim, config, demand, model = small_world(
+                cls=model_cls, services=6, backends_per_az=12,
+                rps=110.0 * scale, sessions=600.0 / scale)
+            scaler = FleetScaler(sim, model)
+            FleetFaultEngine(sim, model).arm(plan)
+            model.start(1200.0)
+            sim.run(until=1200.0)
+            counters = model.counters
+            runs.append((
+                counters.attempted, counters.admitted, counters.rejected,
+                counters.departed, counters.disrupted,
+                counters.config_pushes,
+                [list(series.values) for series in model.metrics.all_series()],
+                len(scaler.events)))
+        assert runs[0] == runs[1]
+        assert runs[0][4] > 0.0, "the plan must disrupt sessions"
+        assert runs[0][-1] > 0, "the scaler must grow shards"
 
 
 class TestSessionDES:
