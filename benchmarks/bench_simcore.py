@@ -34,6 +34,7 @@ against the latest committed entries and fails on >10% regression.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -151,6 +152,18 @@ SCENARIOS = {
     "timeout_chain": _scn_timeout_chain,
     "far_future_mix": _scn_far_future_mix,
 }
+
+
+def _calendar_rate(scenario, scale):
+    events, elapsed = scenario("calendar", scale)
+    return events / elapsed
+
+
+#: ``(name, rate_fn, full_scale_arg)`` per gated scenario — the
+#: ``bench_runtime.GATE_SCENARIOS`` shape the CI perf gate drives.
+GATE_SCENARIOS = tuple(
+    (f"{name}/calendar", functools.partial(_calendar_rate, scenario), 1.0)
+    for name, scenario in SCENARIOS.items())
 
 
 def bench_engines(quick):

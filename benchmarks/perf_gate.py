@@ -45,24 +45,10 @@ def gate_checks(repeats):
     """Yield ``(scenario, fresh_events_per_sec)`` for every gated
     scenario with a committed baseline."""
     root = benchlib.repo_root()
-
-    sim_baselines = benchlib.baseline_rates(
-        os.path.join(root, "BENCH_simcore.json"))
-    for name, scenario in bench_simcore.SCENARIOS.items():
-        key = f"{name}/calendar"
-        baseline = sim_baselines.get(key)
-        if baseline is None:
-            print(f"  {key}: no committed baseline, skipped")
-            continue
-        best = 0.0
-        for _ in range(repeats):
-            events, elapsed = scenario("calendar", 1.0)
-            best = max(best, events / elapsed)
-        yield key, best, baseline
-
-    # bench_runtime, bench_obs, and bench_fleet all expose the same
-    # (name, rate_fn, full_scale_arg) GATE_SCENARIOS shape.
-    for module, trajectory in ((bench_runtime, "BENCH_runtime.json"),
+    # Every bench module exposes the same (name, rate_fn, full_scale_arg)
+    # GATE_SCENARIOS shape.
+    for module, trajectory in ((bench_simcore, "BENCH_simcore.json"),
+                               (bench_runtime, "BENCH_runtime.json"),
                                (bench_obs, "BENCH_obs.json"),
                                (bench_fleet, "BENCH_fleet.json")):
         baselines = benchlib.baseline_rates(os.path.join(root, trajectory))

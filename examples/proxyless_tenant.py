@@ -12,11 +12,11 @@ Run:  python examples/proxyless_tenant.py
 
 from repro.core import EniLimitExceeded, EniRegistry, ProxylessCanalMesh
 from repro.core.canal import CanalMesh
-from repro.core.observability import TraceCollector
 from repro.experiments.testbed import build_testbed
 from repro.k8s import Cluster
 from repro.mesh import HttpRequest
 from repro.netsim import Topology
+from repro.obs.trace import TraceCollector
 from repro.simcore import Simulator
 from repro.workloads import ClosedLoopDriver
 

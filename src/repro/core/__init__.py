@@ -41,7 +41,7 @@ from .key_server import (
     RemoteKeyEngine,
 )
 from .monitoring import Alert, GatewayMonitor
-from .observability import Span, Trace, TraceCollector
+from ..obs.trace import Span, Trace, TraceCollector
 from .onnode import FlowRecord, OnNodeProxy
 from .proxyless import (
     Eni,

@@ -2,8 +2,8 @@
 
 ``EXPERIMENTS`` maps exhibit IDs ("fig11", "table5", ...) to functions
 returning :class:`ExperimentResult`; ``run(exp_id)`` executes one and
-``run_all()`` the full set. The benchmark suite under ``benchmarks/``
-calls the same functions.
+``run_all()`` the full set. The claims ledger (``tests/test_claims.py``)
+runs each through ``run`` and checks every finding against its band.
 """
 
 from typing import Callable, Dict, List

@@ -4,7 +4,7 @@ Three machine-readable views of one run:
 
 * :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto-loadable JSON
   object combining simulated-time spans (from
-  :class:`repro.core.observability.TraceCollector` traces, pid
+  :class:`repro.obs.trace.TraceCollector` traces, pid
   ``"sim-traces"``) and wall-clock profiler timelines (one pid per
   profiled simulator);
 * :func:`prometheus_text` — a text-format snapshot of a

@@ -114,7 +114,7 @@ class TestCausalModel:
 
 
 class TestCollectorMigration:
-    """The subsumed core.observability aggregates must survive."""
+    """The aggregates of the old flat-span collector must survive."""
 
     def test_pod_traffic_report_survives_eviction(self):
         collector = TraceCollector(max_traces=2)
@@ -136,7 +136,8 @@ class TestCollectorMigration:
 
     def test_legacy_shim_still_imports(self):
         from repro.core import Span as CoreSpan
-        from repro.core.observability import TraceCollector as CoreCollector
+        from repro.core import TraceCollector as CoreCollector
+        # repro.core re-exports the repro.obs.trace classes themselves.
         assert CoreSpan is Span
         assert CoreCollector is TraceCollector
 
