@@ -1,32 +1,28 @@
-"""Simcore engine benchmark: calendar-queue agenda vs the heapq oracle.
+"""Simcore engine benchmark: events/sec of the heapq event loop.
 
 Plain script (not pytest — ``testpaths`` keeps it out of tier-1)::
 
     PYTHONPATH=src python benchmarks/bench_simcore.py
     PYTHONPATH=src python benchmarks/bench_simcore.py --quick
 
-Four engine scenarios, each run on both agenda engines with a
-repeat-and-take-best loop:
+Four scenarios, each with a repeat-and-take-best loop:
 
 * ``heavy_traffic`` — the fleet-scale tier (ROADMAP item 1): hundreds
   of thousands of concurrent sessions rescheduling jittered ~1s
-  periods. The regime the calendar queue exists for; the tentpole
-  target is the calendar engine >= +30% events/sec over heapq here.
+  periods, so every push and pop sifts a deep heap.
 * ``same_instant_bursts`` — synchronized config-push / AVX-512 crypto
-  batch fan-outs: hundreds of events sharing a timestamp, exercising
-  batched same-time draining.
+  batch fan-outs: hundreds of events sharing a timestamp, drained in
+  ``seq`` order.
 * ``timeout_chain`` — one process advancing through timeouts; the
-  minimum-agenda case where C heapq wins on constant factors. This is
-  precisely why the default engine is adaptive: ``"auto"`` stays on
-  the heap below the migration threshold, so light workloads never
-  pay the calendar's pure-Python bookkeeping.
+  minimum-agenda case, where per-event loop overhead and the timeout
+  slab dominate.
 * ``far_future_mix`` — steady traffic plus cert-rotation-style timers
-  far past the horizon, exercising the sorted spill path.
+  far past the horizon, which stay pending deep in the heap.
 
 Plus a **warm-start sweep demo**: a steady-state world simulated to a
 warm-up horizon once, snapshotted, and forked per sweep point
 (``repro.runtime.warmstart``) vs. re-simulating warm-up per point; the
-tentpole target is >= 3x wall-clock reduction.
+target is >= 3x wall-clock reduction.
 
 Appends to the committed ``BENCH_simcore.json`` perf trajectory (see
 ``benchlib``); the CI ``perf-gate`` job compares fresh normalized rates
@@ -46,9 +42,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import benchlib  # noqa: E402
 from repro.runtime import warm_start  # noqa: E402
 from repro.simcore import Simulator  # noqa: E402
-
-ENGINES = ("heap", "calendar")
-
 
 # ---------------------------------------------------------------------------
 # scenario worlds — callback-driven so they are also snapshot-eligible.
@@ -72,9 +65,9 @@ class _Session:
         self.sim.timeout(delay).add_callback(self.fire)
 
 
-def _scn_heavy_traffic(engine, scale):
+def _scn_heavy_traffic(scale):
     nsessions = int(400_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     rng = random.Random(42)
     sessions = [_Session(sim, rng, 1.0) for _ in range(nsessions)]
     started = time.perf_counter()
@@ -105,9 +98,9 @@ class _Burst:
             self._arm(1.0)
 
 
-def _scn_same_instant_bursts(engine, scale):
+def _scn_same_instant_bursts(scale):
     rounds, fan = int(800 * scale), 500
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     burst = _Burst(sim, fan, rounds)
     started = time.perf_counter()
     sim.run()
@@ -115,9 +108,9 @@ def _scn_same_instant_bursts(engine, scale):
     return burst.fired, elapsed
 
 
-def _scn_timeout_chain(engine, scale):
+def _scn_timeout_chain(scale):
     n = int(400_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
 
     def ticker():
         for _ in range(n):
@@ -130,10 +123,10 @@ def _scn_timeout_chain(engine, scale):
     return sim._sequence, elapsed
 
 
-def _scn_far_future_mix(engine, scale):
+def _scn_far_future_mix(scale):
     nsessions = int(50_000 * scale)
     ntimers = int(20_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     rng = random.Random(42)
     sessions = [_Session(sim, rng, 1.0) for _ in range(nsessions)]
     fired_far = []
@@ -154,41 +147,29 @@ SCENARIOS = {
 }
 
 
-def _calendar_rate(scenario, scale):
-    events, elapsed = scenario("calendar", scale)
+def _rate(scenario, scale):
+    events, elapsed = scenario(scale)
     return events / elapsed
 
 
 #: ``(name, rate_fn, full_scale_arg)`` per gated scenario — the
 #: ``bench_runtime.GATE_SCENARIOS`` shape the CI perf gate drives.
 GATE_SCENARIOS = tuple(
-    (f"{name}/calendar", functools.partial(_calendar_rate, scenario), 1.0)
+    (name, functools.partial(_rate, scenario), 1.0)
     for name, scenario in SCENARIOS.items())
 
 
-def bench_engines(quick):
+def bench_scenarios(quick):
     scale = 0.25 if quick else 1.0
     repeats = 2 if quick else 3
     out = {}
     for name, scenario in SCENARIOS.items():
-        # Interleave engines within each repeat so noisy-neighbor
-        # slowdowns hit both engines evenly instead of biasing
-        # whichever ran second.
-        best = dict.fromkeys(ENGINES, 0.0)
-        events = dict.fromkeys(ENGINES, 0)
+        best = 0.0
         for _ in range(repeats):
-            for engine in ENGINES:
-                events[engine], elapsed = scenario(engine, scale)
-                best[engine] = max(best[engine], events[engine] / elapsed)
-        rates = {engine: {"events_per_sec": round(best[engine]),
-                          "events": events[engine]}
-                 for engine in ENGINES}
-        ratio = (rates["calendar"]["events_per_sec"]
-                 / rates["heap"]["events_per_sec"])
-        out[name] = {**rates, "calendar_vs_heap": round(ratio, 3)}
-        print(f"  {name}: heap {rates['heap']['events_per_sec']:,} ev/s, "
-              f"calendar {rates['calendar']['events_per_sec']:,} ev/s "
-              f"({ratio:.2f}x)")
+            events, elapsed = scenario(scale)
+            best = max(best, events / elapsed)
+        out[name] = {"events_per_sec": round(best), "events": events}
+        print(f"  {name}: {round(best):,} ev/s")
     return out
 
 
@@ -266,23 +247,23 @@ def main(argv=None):
 
     calib = benchlib.calibrate()
     print(f"calibration: {calib:,.0f} ops/s")
-    print("engine scenarios:")
-    engines = bench_engines(options.quick)
+    print("scenarios:")
+    scenarios = bench_scenarios(options.quick)
     print("warm-start sweep:")
     warm = bench_warmstart(options.quick)
 
     sha = benchlib.git_sha(root)
     date = benchlib.utc_date()
     entries = [
-        {"git_sha": sha, "date": date, "scenario": f"{name}/calendar",
-         "events_per_sec": result["calendar"]["events_per_sec"],
+        {"git_sha": sha, "date": date, "scenario": name,
+         "events_per_sec": result["events_per_sec"],
          "calib_ops_per_sec": round(calib)}
-        for name, result in engines.items()
+        for name, result in scenarios.items()
     ]
     last_run = {
         "git_sha": sha, "date": date, "quick": options.quick,
         "calib_ops_per_sec": round(calib),
-        "engines": engines, "warmstart": warm,
+        "scenarios": scenarios, "warmstart": warm,
     }
     if options.no_append or options.quick:
         # Quick rates are not comparable to full-scale baselines; print

@@ -6,7 +6,8 @@ calibration spin loop (see ``benchlib``), and compares against the
 latest committed entry per scenario in ``BENCH_simcore.json``,
 ``BENCH_runtime.json``, ``BENCH_obs.json``, and ``BENCH_fleet.json``.
 Exits non-zero if any scenario's normalized rate regressed by more
-than the tolerance (default 10%).
+than the tolerance (default 10%), or if a gated scenario has no
+committed baseline at all.
 
 ::
 
@@ -42,8 +43,10 @@ TOLERANCE = 0.10
 
 
 def gate_checks(repeats):
-    """Yield ``(scenario, fresh_events_per_sec)`` for every gated
-    scenario with a committed baseline."""
+    """Yield ``(scenario, fresh_events_per_sec, baseline)`` for every
+    gated scenario. ``baseline`` is ``None`` (and the scenario is not
+    run) when no committed entry matches its name: the gate fails on
+    it rather than silently skipping a renamed scenario."""
     root = benchlib.repo_root()
     # Every bench module exposes the same (name, rate_fn, full_scale_arg)
     # GATE_SCENARIOS shape.
@@ -55,7 +58,7 @@ def gate_checks(repeats):
         for name, fn, full_n in module.GATE_SCENARIOS:
             baseline = baselines.get(name)
             if baseline is None:
-                print(f"  {name}: no committed baseline, skipped")
+                yield name, None, None
                 continue
             best = max(fn(full_n) for _ in range(repeats))
             yield name, best, baseline
@@ -80,9 +83,13 @@ def main(argv=None):
         print(f"injecting {options.inject_slowdown:.0f}% slowdown "
               f"(gate self-test)")
 
-    failures = []
+    failures, missing = [], []
     compared = 0
     for name, rate, baseline in gate_checks(options.repeats):
+        if baseline is None:
+            print(f"  {name}: no committed baseline — MISSING")
+            missing.append(name)
+            continue
         normalized = rate * factor / calib
         ratio = normalized / baseline
         compared += 1
@@ -92,12 +99,13 @@ def main(argv=None):
         if verdict != "ok":
             failures.append(name)
 
-    if not compared:
-        print("perf-gate: no committed baselines found — nothing gated")
-        return 0
+    if missing:
+        print(f"perf-gate: FAIL — no committed baseline for: "
+              f"{', '.join(missing)}")
     if failures:
         print(f"perf-gate: FAIL — normalized regression > "
               f"{options.tolerance:.0%} in: {', '.join(failures)}")
+    if missing or failures:
         return 1
     print(f"perf-gate: ok ({compared} scenarios within "
           f"{options.tolerance:.0%} of committed baselines)")

@@ -15,8 +15,8 @@ flows:
 * :mod:`.queueing` — O(1) mean-field M/M/c latency proxies shared by
   both tiers;
 * :mod:`.model` — the fluid session-flow integrator, stepped as
-  direct calls on the ordinary :class:`~repro.simcore.Simulator`
-  agenda (the calendar queue carries it);
+  direct calls (``call_later``) on the ordinary
+  :class:`~repro.simcore.Simulator` agenda;
 * :mod:`.scaling` — aggregate Reuse-vs-New shard growth with the
   paper's Table 4 timing distributions;
 * :mod:`.faults` — the topology slice of :class:`~repro.faults.plan.

@@ -83,12 +83,7 @@ class WallClockRule(Rule):
     #: sim-time discipline. Causal tracing records simulated timestamps
     #: and samples from a derived seeded stream — a wall-clock read
     #: there would silently break byte-identical --jobs sweeps.
-    #: ``repro.simcore.agenda`` is pinned here explicitly (it is not
-    #: under any allowlist prefix today): the agenda engines order the
-    #: entire simulation, so they must stay wall-clock-free even if
-    #: ``repro.simcore`` ever earns an allowlist entry.
-    default_denylist: Tuple[str, ...] = ("repro.obs.trace",
-                                         "repro.simcore.agenda")
+    default_denylist: Tuple[str, ...] = ("repro.obs.trace",)
 
     _CALLS = frozenset({
         "time.time", "time.time_ns",
@@ -491,7 +486,7 @@ class DynamicImportRule(Rule):
     #: for the same reason: the trace_breakdown exhibit's findings are
     #: a function of the tracer's sampling and analytics code.
     #: ``repro.simcore`` is in because *every* exhibit's cache entry is
-    #: a function of the simulation kernel (agenda engines included):
+    #: a function of the simulation kernel (the event loop included):
     #: a dynamic import there would hide engine changes from every
     #: cache key in the repository. ``repro.fleet`` is in because the
     #: fleet_* exhibit family's results are a function of the fluid

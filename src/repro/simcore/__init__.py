@@ -19,24 +19,16 @@ from .events import (
 )
 from .metrics import Counter, Summary, TimeSeries, cdf, percentile
 from .resources import CpuResource, Request, Resource, Store
-from .agenda import CalendarAgenda, HeapAgenda
 from .rng import derived_stream
-from .sim import (
-    EmptySchedule,
-    Simulator,
-    default_agenda_kind,
-    set_default_agenda_kind,
-)
+from .sim import EmptySchedule, Simulator
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarAgenda",
     "Counter",
     "CpuResource",
     "EmptySchedule",
     "Event",
-    "HeapAgenda",
     "Interrupt",
     "PENDING",
     "Process",
@@ -49,8 +41,6 @@ __all__ = [
     "TimeSeries",
     "Timeout",
     "cdf",
-    "default_agenda_kind",
     "derived_stream",
     "percentile",
-    "set_default_agenda_kind",
 ]

@@ -222,8 +222,8 @@ class Timeout(Event):
         state, shared by ``Timeout(sim, d)`` and the
         ``Simulator.timeout()`` fast path. Does not schedule.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         slab = sim._timeout_slab
         if slab and cls is Timeout:
             timeout = slab.pop()  # callbacks: empty list, by invariant

@@ -4,39 +4,15 @@
 random number generator, so that every experiment in this repository is
 deterministic given its seed.
 
-The agenda holds ``(when, seq, call, event)`` tuples. ``seq`` is a
-strictly increasing tie-breaker, so agenda ordering never compares the
-last two fields. ``call is None`` marks an ordinary event whose
-``callbacks`` the loop drains; otherwise the entry is a *direct call*
-(``call(event)``) — the allocation-free path used for process
-bootstraps, late callbacks, and interrupts (see ``events.py``).
-
-Two interchangeable agenda engines (see ``agenda.py``) produce
-byte-identical event order:
-
-* ``"calendar"`` — a self-resizing calendar queue with a sorted
-  far-future spill list: amortized O(1) push/pop, and the open bucket
-  is a pre-sorted list, so ``run()`` drains same-timestamp batches
-  (mesh config pushes, AVX-512 crypto batches) writing ``self.now``
-  once per distinct timestamp. Fastest in the heavy-traffic regime
-  (hundreds of thousands of pending events), where heapq's O(log n)
-  sifts dominate.
-* ``"heap"`` — the ``heapq`` reference implementation: C-implemented
-  push/pop that pure-Python bucket bookkeeping cannot beat while the
-  agenda is small. Kept as the oracle for the equivalence tests and
-  the benchmark baseline.
-
-The default is ``"auto"``: start on the heap engine and migrate —
-once, irreversibly, O(n log n) — to the calendar engine the moment the
-pending count crosses the fleet-scale threshold
-(``_AUTO_MIGRATE``). Because both engines pop the exact same ``(when,
-seq)`` order, the migration point is invisible in event order: light
-exhibits keep heapq's small-agenda speed, fleet-scale runs
-(ROADMAP item 1: O(10k) replicas, O(1M) sessions) get calendar
-throughput, and all three kinds replay identically.
-
-Pick per simulator (``Simulator(seed, agenda="heap")``), per process
-(:func:`set_default_agenda_kind`), or via ``REPRO_SIM_AGENDA``.
+The agenda is a ``heapq`` binary heap (``self._heap``) of ``(when,
+seq, call, event)`` tuples. ``seq`` is a strictly increasing
+tie-breaker, so agenda ordering never compares the last two fields.
+``call is None`` marks an ordinary event whose ``callbacks`` the loop
+drains; otherwise the entry is a *direct call* (``call(event)``) — the
+allocation-free path used for process bootstraps, late callbacks, and
+interrupts (see ``events.py``). The C-implemented push/pop is the
+whole engine: the largest exhibit peaks at tens of thousands of
+pending entries, where no pure-Python structure beats it.
 
 ``run()`` inlines the event loop rather than calling :meth:`step` per
 event: the loop is the hottest code in the repository and the per-event
@@ -56,60 +32,24 @@ up steady state once and fork per point (see ``repro.runtime``).
 from __future__ import annotations
 
 import heapq
-import os
 import pickle
 import random
 import sys
 from typing import Any, Generator, Optional
 
-from .agenda import CalendarAgenda
 from .hooks import new_profiler
 from .events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
 
-__all__ = [
-    "EmptySchedule",
-    "Simulator",
-    "default_agenda_kind",
-    "set_default_agenda_kind",
-]
-
-_AGENDA_KINDS = ("auto", "calendar", "heap")
-
-#: Process-wide default agenda engine; ``REPRO_SIM_AGENDA`` overrides
-#: (CI uses it to diff heap-vs-calendar exhibit output byte-for-byte).
-_default_kind = os.environ.get("REPRO_SIM_AGENDA", "auto")
-
-#: Pending-entry count at which an ``"auto"`` simulator migrates from
-#: the heap engine to the calendar engine. Below it the C heap wins on
-#: constant factors; above it heapq's O(log n) sifts lose to the
-#: calendar's amortized O(1) bucket ops (see BENCH_simcore.json).
-_AUTO_MIGRATE = 65_536
+__all__ = ["EmptySchedule", "Simulator"]
 
 #: Max recycled Timeout objects parked per simulator.
 _SLAB_CAP = 4096
 
-# ``sys.getrefcount(event)`` at the recycle checkpoints when *nothing
-# outside the loop* references the event. Heap loop: the popped tuple
-# was freed by unpacking, so refs = the loop local + getrefcount's
-# argument. Calendar loop: the consumed entry tuple is still parked in
-# the open bucket, adding one. (Asserted empirically by the slab tests.)
-_RECYCLE_RC_HEAP = 2
-_RECYCLE_RC_CALENDAR = 3
-
-
-def default_agenda_kind() -> str:
-    """The agenda engine new :class:`Simulator` instances use."""
-    return _default_kind
-
-
-def set_default_agenda_kind(kind: str) -> str:
-    """Install ``kind`` as the process default; returns the previous."""
-    global _default_kind
-    if kind not in _AGENDA_KINDS:
-        raise ValueError(f"unknown agenda kind {kind!r}; "
-                         f"expected one of {_AGENDA_KINDS}")
-    previous, _default_kind = _default_kind, kind
-    return previous
+# ``sys.getrefcount(event)`` at the recycle checkpoint when *nothing
+# outside the loop* references the event: the popped tuple was freed by
+# unpacking, so refs = the loop local + getrefcount's argument.
+# (Asserted empirically by the slab tests.)
+_RECYCLE_RC = 2
 
 
 class EmptySchedule(Exception):
@@ -125,36 +65,17 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`. Model code
         should draw all randomness from :attr:`rng` (or generators seeded
         from it) so runs are reproducible.
-    agenda:
-        Agenda engine: ``"auto"`` (default), ``"calendar"``, or
-        ``"heap"``. All three pop the exact same ``(when, seq)`` order;
-        ``"auto"`` starts on the heap engine and migrates to the
-        calendar engine if the pending count ever crosses the
-        fleet-scale threshold.
     """
 
-    def __init__(self, seed: Optional[int] = 0,
-                 agenda: Optional[str] = None):
+    def __init__(self, seed: Optional[int] = 0):
         self.now: float = 0.0
         #: The construction seed, kept so subsystems can derive their
         #: own independent streams (rng.derived_stream) — e.g. trace
         #: sampling — without consuming draws from :attr:`rng`.
         self.seed = seed
         self.rng = random.Random(seed)
-        kind = agenda if agenda is not None else _default_kind
-        if kind == "calendar":
-            self._agenda: Optional[CalendarAgenda] = CalendarAgenda()
-            self._heap: Optional[list] = None
-            self._push = self._agenda.push
-            self._auto = False
-        elif kind in ("heap", "auto"):
-            self._agenda = None
-            self._heap = []
-            self._push = None
-            self._auto = kind == "auto"
-        else:
-            raise ValueError(f"unknown agenda kind {kind!r}; "
-                             f"expected one of {_AGENDA_KINDS}")
+        #: The agenda: a ``heapq`` heap of ``(when, seq, call, event)``.
+        self._heap: list = []
         #: Total agenda entries ever scheduled — also the agenda
         #: tie-breaker. ``benchmarks`` read this as the processed-event
         #: count after a run drains the agenda.
@@ -168,64 +89,23 @@ class Simulator:
         #: simulator was constructed, keeping the default loop hot.
         self.profiler = new_profiler()
 
-    @property
-    def agenda_kind(self) -> str:
-        """The agenda engine currently running this simulator.
-
-        ``"auto"`` simulators report ``"heap"`` until (if ever) the
-        fleet-scale migration trips, then ``"calendar"``.
-        """
-        return "heap" if self._heap is not None else "calendar"
-
     # -- scheduling --------------------------------------------------------
-    def _migrate(self) -> None:
-        """One-way heap → calendar migration (the ``"auto"`` trip point).
-
-        The heap list, sorted, *is* a clean spill list: hand it to a
-        fresh calendar agenda whose first ``_advance`` rebuilds and
-        tunes the window from the full pending distribution. Event
-        order is unchanged — both engines pop the same total order —
-        so the migration point is invisible to models.
-        """
-        agenda = CalendarAgenda()
-        heap = self._heap
-        heap.sort()
-        agenda._spill = heap[:]
-        agenda._size = len(heap)
-        agenda.spilled = len(heap)
-        # Empty the old list in place: a running ``_run_heap`` loop
-        # holds it as a local and uses emptiness as its exit signal.
-        del heap[:]
-        self._heap = None
-        self._agenda = agenda
-        self._push = agenda.push
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay}")
+        # ``not >=`` (rather than ``< 0``) also rejects NaN, which would
+        # otherwise corrupt the heap order and silently drop events.
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, None, event))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, None, event))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, None, event))
 
     def _schedule_call(self, call, event: Any, delay: float = 0.0) -> None:
         """Schedule ``call(event)`` — no Event allocated, nothing drained."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, call, event))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, call, event))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, call, event))
 
     def call_later(self, delay: float, call, arg: Any = None) -> None:
         """Schedule ``call(arg)`` at ``now + delay`` on the direct-call path.
@@ -235,8 +115,8 @@ class Simulator:
         loop invokes ``call(arg)`` directly when the entry fires. This
         is the right primitive for fixed-step model updates (the fluid
         tier in ``repro.fleet`` schedules every flow step through it)
-        and other fire-and-forget callbacks: entries are plain 4-tuples,
-        so the calendar agenda batches and drains them at full speed.
+        and other fire-and-forget callbacks: entries are plain 4-tuples
+        that the loop dispatches without touching any Event.
 
         Callbacks fire in ``(when, seq)`` order like everything else;
         exceptions propagate out of :meth:`run`/:meth:`step`. Unlike
@@ -261,14 +141,8 @@ class Simulator:
         """
         timeout = Timeout._acquire(self, delay, value)
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, None, timeout))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, None, timeout))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, None, timeout))
         return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -286,15 +160,9 @@ class Simulator:
     # -- execution -----------------------------------------------------------
     def step(self) -> None:
         """Process the single next entry on the agenda."""
-        if self._heap is not None:
-            if not self._heap:
-                raise EmptySchedule()
-            when, _seq, call, event = heapq.heappop(self._heap)
-        else:
-            try:
-                when, _seq, call, event = self._agenda.pop()
-            except IndexError:
-                raise EmptySchedule() from None
+        if not self._heap:
+            raise EmptySchedule()
+        when, _seq, call, event = heapq.heappop(self._heap)
         if call is not None:
             if self.profiler is not None:
                 self.profiler.record_call(self, when, call, event)
@@ -319,39 +187,28 @@ class Simulator:
         ``until`` even if the last event fires earlier, so utilization
         windows line up with experiment horizons.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
+        if until is not None:
+            if until != until:
+                raise ValueError(f"until must be a time, got {until!r}")
+            if until < self.now:
+                raise ValueError(
+                    f"until={until} is in the past (now={self.now})")
         if self.profiler is not None:
             # Profiled path: per-event step() so attribution stays in
             # one place; the loop overhead is noise next to the timers.
-            # Re-reads ``_heap`` every pass: an "auto" simulator may
-            # migrate engines under us.
-            while (self._heap if self._heap is not None
-                   else len(self._agenda)):
-                if until is not None and self.peek() > until:
+            heap = self._heap
+            while heap:
+                if until is not None and heap[0][0] > until:
                     break
                 self.step()
         else:
-            while True:
-                if self._heap is not None:
-                    self._run_heap(until)
-                    if self._heap is None:
-                        # An "auto" simulator migrated mid-run; resume
-                        # on the calendar loop with the same limit.
-                        continue
-                else:
-                    self._run_calendar(until)
-                break
+            self._run_heap(until)
         if until is not None:
             self.now = until
 
     def _run_heap(self, until: Optional[float]) -> None:
-        """The inlined heapq event loop (the PR 2 reference engine).
-
-        Returns when the heap is drained or the limit is passed — or
-        when an ``"auto"`` migration emptied the heap list mid-run (the
-        caller re-dispatches onto the calendar loop).
-        """
+        """The inlined heapq event loop; returns when the heap is drained
+        or the next entry lies past ``until``."""
         heap = self._heap
         limit = float("inf") if until is None else until
         slab = self._timeout_slab
@@ -374,83 +231,17 @@ class Simulator:
             # is cleared and reattached so a reused object can never
             # expose stale callbacks.
             if event.__class__ is Timeout and \
-                    getrefcount(event) == _RECYCLE_RC_HEAP and \
+                    getrefcount(event) == _RECYCLE_RC and \
                     len(slab) < _SLAB_CAP:
                 del callbacks[:]
                 event.callbacks = callbacks
                 event._value = None
                 slab.append(event)
 
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The calendar-queue event loop with batched same-time firing.
-
-        The open bucket is a pre-sorted list consumed by index, so
-        entries sharing a timestamp are adjacent: the loop writes
-        ``self.now`` once and checks ``until`` once per *distinct*
-        timestamp, then drains the whole batch. The agenda's cursor
-        (``_pos``/``_size``) is committed once per batch (try/finally,
-        so exceptions leave it consistent), not per event; pushes from
-        model callbacks stay correct regardless (``CalendarAgenda.push``
-        keys exceed every entry already consumed, so a stale ``lo``
-        bound only widens ``insort``'s search), but model callbacks must
-        not re-entrantly call ``step()``/``peek()`` mid-drain.
-        """
-        agenda = self._agenda
-        limit = float("inf") if until is None else until
-        slab = self._timeout_slab
-        getrefcount = sys.getrefcount
-        while True:
-            open_ = agenda._open
-            pos = agenda._pos
-            if pos >= len(open_):
-                if not agenda._advance():
-                    break
-                continue
-            when = open_[pos][0]
-            if when > limit:
-                break
-            self.now = when
-            start = pos
-            try:
-                while True:
-                    entry = open_[pos]
-                    pos += 1
-                    call = entry[2]
-                    event = entry[3]
-                    if call is not None:
-                        call(event)
-                    else:
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                        # Same recycle guard as the heap loop, one count
-                        # higher: the consumed entry tuple still parked
-                        # in the open bucket holds one extra reference.
-                        if event.__class__ is Timeout and \
-                                getrefcount(event) == _RECYCLE_RC_CALENDAR \
-                                and len(slab) < _SLAB_CAP:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = None
-                            slab.append(event)
-                    # Zero-delay pushes insort into the open bucket at
-                    # >= pos (their keys exceed everything consumed),
-                    # so the live length re-check picks them up.
-                    if pos < len(open_) and open_[pos][0] == when:
-                        continue
-                    break
-            finally:
-                agenda._pos = pos
-                agenda._size -= pos - start
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else float("inf")
-        return self._agenda.peek()
+        return heap[0][0] if heap else float("inf")
 
     # -- snapshot / restore --------------------------------------------------
     def snapshot(self) -> bytes:
@@ -483,10 +274,8 @@ class Simulator:
         state = self.__dict__.copy()
         state["profiler"] = None       # profilers observe one process
         state["_timeout_slab"] = []    # an allocator cache, not state
-        state.pop("_push", None)       # rebound on restore
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._push = self._agenda.push if self._agenda is not None else None
         self.profiler = new_profiler()

@@ -178,9 +178,9 @@ class TestCache001DynamicImports:
 
     def test_rule_covers_simcore_package(self):
         # Every exhibit's cache key is a function of the simulation
-        # kernel, so the agenda engines get the same scrutiny.
+        # kernel, so the event loop gets the same scrutiny.
         found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="repro.simcore.agenda")
+                             module="repro.simcore.sim")
         assert [f.line for f in found] == [7, 15]
 
 
@@ -245,24 +245,11 @@ class TestSlab001SlabRecycle:
         assert found == []
 
     def test_sim_module_in_src_is_clean(self):
-        # Both recycle sites in the simulator reattach a cleared
-        # callbacks list before the slab append.
+        # The simulator's recycle site reattaches a cleared callbacks
+        # list before the slab append.
         sim = os.path.join(SRC_REPRO, "simcore", "sim.py")
         found = [f for f in lint_files([sim]) if f.rule == "SLAB001"]
         assert found == []
-
-    def test_agenda_module_is_wallclock_denylisted(self):
-        # The agenda engines order the whole simulation; DET001 pins
-        # them on its denylist so they stay wall-clock free.
-        agenda = os.path.join(SRC_REPRO, "simcore", "agenda.py")
-        found = [f for f in lint_files([agenda]) if f.rule == "DET001"]
-        assert found == []
-        source_module = ModuleSource(fixture("det001_wallclock.py"),
-                                     module="repro.simcore.agenda")
-        rule = get_rule("DET001")
-        flagged = [f for f in rule.check(source_module, ProjectIndex())
-                   if not source_module.is_suppressed(f.line, f.rule)]
-        assert [f.line for f in flagged] == [9, 13, 17]
 
 
 class TestSuppressionAndSelection:
