@@ -19,7 +19,7 @@ the paper's hierarchy bottom-up:
 
 The plan compiles onto the simulator agenda, so the whole exhibit is a
 pure function of (plan, seed): output is byte-identical at any
-``--jobs`` level (the chaos-smoke CI job diffs exactly that). An
+``--jobs`` level (``tests/test_equivalence.py`` checks exactly that). An
 ambient plan installed via :func:`repro.faults.use_fault_plan` (e.g.
 from a serve job's ``faults`` field) replaces the default schedule.
 """

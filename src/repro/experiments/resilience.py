@@ -25,8 +25,8 @@ installed — and measures what the policies buy:
 Both halves are pure functions of (plan, seed): the jitter stream is
 derived from the seed (never ``sim.rng``), every spec is a plain
 picklable tuple through one ``sweep_map`` dispatcher, and output is
-byte-identical at any ``--jobs`` level (the resilience-smoke CI job
-diffs exactly that). The cross-check findings assert the aggregate
+byte-identical at any ``--jobs`` level (``tests/test_equivalence.py``
+checks exactly that). The cross-check findings assert the aggregate
 analogue (:func:`~repro.resilience.contained_cascade_depth`) agrees
 with the simulated cascade, so fleet-tier runs can reuse the cheap
 form with a clear conscience.

@@ -28,6 +28,7 @@ first backend" names the same *role* in every run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -88,6 +89,12 @@ class Fault:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; known: "
                 + ", ".join(FAULT_KINDS))
+        for name in ("at", "duration_s", "param"):
+            value = getattr(self, name)
+            # NaN fails both comparisons, so it is caught here too.
+            if value is not None and not -math.inf < value < math.inf:
+                raise FaultPlanError(
+                    f"{self.kind}: {name} must be finite, got {value}")
         if self.at < 0:
             raise FaultPlanError(
                 f"{self.kind}: fault time must be >= 0, got {self.at}")
@@ -148,7 +155,11 @@ class Fault:
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FaultPlanError(f"fault {name!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range
+        raise FaultPlanError(
+            f"fault {name!r} must be finite, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ class FaultPlan:
     def canonical(self) -> str:
         """Deterministic compact encoding (dedupe keys, diffs)."""
         return json.dumps(self.to_json(), sort_keys=True,
-                          separators=(",", ":"))
+                          separators=(",", ":"), allow_nan=False)
 
     def __len__(self) -> int:
         return len(self.faults)

@@ -13,7 +13,7 @@ Suppress a finding in place with a justification::
 
     started = time.perf_counter()  # simlint: ignore[DET001] CLI timing
 
-See DESIGN.md §2c for the rule catalog and rationale.
+See DESIGN.md §2c/§2h for the rule catalog and rationale.
 """
 
 from .framework import (
@@ -27,7 +27,6 @@ from .framework import (
 )
 from .runner import collect_files, lint_files, lint_paths, select_rules
 from . import rules  # noqa: F401  (imports register the rule catalog)
-from . import program_rules  # noqa: F401  (whole-program rule families)
 
 __all__ = [
     "Finding",

@@ -3,16 +3,13 @@
 Warm lint runs must stay O(changed files). Two stages cache
 independently, both keyed purely by content:
 
-* **facts** — ``facts::{path}::{sha256}::{versions}`` →
-  :class:`~repro.lint.graph.ModuleFacts`. Facts depend only on the
-  file's bytes and path, never on other files, so a cached entry is
-  valid for as long as the bytes are.
-* **findings** — ``findings::{path}::{sha256}::{rules}::{program}`` →
-  the file's final findings. The ``program`` component is a per-file
-  digest of every *global* input to that file's findings (its resolved
-  DET101/RACE001 slices and the project-wide set-attribute table), so
-  editing file A re-lints file B only when A actually changed what the
-  whole-program analysis says about B.
+* **prepass** — ``prepass::{path}::{sha256}::{version}`` → the file's
+  skip/syntax state and ``Set``-annotated attribute names. Depends only
+  on the file's bytes, so a cached entry is valid for as long as the
+  bytes are.
+* **findings** — ``findings::{path}::{sha256}::{rules}::{version}::
+  {digest}`` → the file's final findings. ``digest`` hashes the
+  project-wide set-attribute table (DET003's one cross-file input).
 
 The store is a single pickle under the cache directory (default
 ``.repro-cache/simlint``), written atomically, pruned on save to the

@@ -4,9 +4,9 @@ Exit codes: 0 clean (or every finding baselined), 1 findings, 2 usage
 error. ``--format json`` emits a machine-readable report (CI uploads it
 as an artifact), ``--format sarif`` emits SARIF 2.1.0 for GitHub code
 scanning; ``--output`` additionally writes the report to a file so the
-exit code still gates the job. ``--jobs N`` fans the two per-file
-phases out over ``runtime.sweep_map`` workers with byte-identical
-findings at any jobs level, and the content-hash incremental cache
+exit code still gates the job. ``--jobs N`` fans the per-file work
+out over ``runtime.sweep_map`` workers with byte-identical findings at
+any jobs level, and the content-hash incremental cache
 (``--cache-dir``, disable with ``--no-cache``) keeps warm re-runs
 O(changed files).
 

@@ -131,30 +131,18 @@ class ModuleSource:
 class ProjectIndex:
     """Cross-file facts shared by every rule in one lint run.
 
-    v1 carried only ``set_attributes`` (Set/FrozenSet-annotated
-    attribute names, for DET003's cross-module set detection). v2 also
-    carries the whole-program context the interprocedural rules run on:
-    the :class:`~repro.lint.graph.ProgramGraph`, the resolved taint
-    summaries, and the pre-resolved DET101/RACE001 findings grouped by
-    file path (resolution is global; the per-file rule classes just
-    format their slice).
-
-    A bare ``ProjectIndex()`` has no program (``program is None``) —
-    per-file rules still work, program rules yield nothing.
+    Currently: the names of attributes annotated as ``Set``/``FrozenSet``
+    anywhere in the linted files, so DET003 can flag iteration over
+    ``backend.configured_services`` from a *different* module than the
+    one declaring ``self.configured_services: Set[int]``.
     """
 
     _SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet",
                         "typing.Set", "typing.FrozenSet",
                         "t.Set", "t.FrozenSet"}
 
-    def __init__(self) -> None:
-        self.set_attributes: Set[str] = set()
-        self.program = None            # graph.ProgramGraph | None
-        self.summaries: Dict[str, object] = {}
-        #: path -> [dataflow.ResolvedFinding], sorted.
-        self.dataflow_findings: Dict[str, List[object]] = {}
-        #: path -> [contested-write dicts] from dataflow.race_groups.
-        self.race_findings: Dict[str, List[dict]] = {}
+    def __init__(self, set_attributes: Iterable[str] = ()) -> None:
+        self.set_attributes: Set[str] = set(set_attributes)
 
     @classmethod
     def _is_set_annotation(cls, annotation: ast.AST) -> bool:
@@ -170,34 +158,20 @@ class ProjectIndex:
         return name in cls._SET_ANNOTATIONS
 
     @classmethod
-    def from_facts(cls, facts: Iterable[object]) -> "ProjectIndex":
-        """Assemble the whole-program context from per-file facts.
-
-        ``facts`` are :class:`~repro.lint.graph.ModuleFacts` — possibly
-        loaded from the incremental cache rather than freshly
-        extracted; everything global (symbol table, SCC fixpoint,
-        DET101/RACE001 resolution) happens here, in the parent process.
-        """
-        from .dataflow import race_groups, resolve_summaries
-        from .graph import ProgramGraph
-
-        index = cls()
-        index.program = ProgramGraph(list(facts))
-        index.set_attributes = set(index.program.set_attributes)
-        index.summaries, resolved = resolve_summaries(index.program)
-        for finding in resolved:
-            index.dataflow_findings.setdefault(finding.path,
-                                               []).append(finding)
-        for path in index.dataflow_findings:
-            index.dataflow_findings[path].sort(
-                key=lambda f: (f.line, f.col, f.label, f.detail))
-        index.race_findings = race_groups(index.program)
-        return index
+    def set_attributes_of(cls, tree: ast.AST) -> Set[str]:
+        """Attribute names annotated ``Set``/``FrozenSet`` in one tree."""
+        return {node.target.attr for node in ast.walk(tree)
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Attribute)
+                and cls._is_set_annotation(node.annotation)}
 
     @classmethod
     def build(cls, modules: Iterable["ModuleSource"]) -> "ProjectIndex":
-        from .graph import extract_facts
-        return cls.from_facts(extract_facts(module) for module in modules)
+        index = cls()
+        for module in modules:
+            if module.tree is not None:
+                index.set_attributes |= cls.set_attributes_of(module.tree)
+        return index
 
 
 class Rule:

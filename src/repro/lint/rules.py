@@ -21,6 +21,18 @@ is structurally exposed to):
   resetting its ``callbacks`` lets the next ``timeout()`` hand a model
   an object that still fires its previous life's callbacks (the PR 5
   injector-idempotence bug class, applied to the simcore slab).
+* **LAYER001** — an import whose target ranks *higher* than the
+  importer in the declared layer DAG (:data:`LAYERS`) is an upward
+  dependency.
+* **LEAK001** — a value acquired via ``*._acquire()``/``*.acquire()``
+  must be released, returned, or handed off on every exit path; a held
+  name at a ``return`` (or at fall-off) leaks the slab entry.
+
+Every rule sees one file at a time. The only cross-file fact is
+:class:`~repro.lint.framework.ProjectIndex`'s set-annotated attribute
+names (DET003). Hash-order bugs that travel through helper calls are
+left to the runtime equivalence harness (``tests/test_equivalence.py``),
+which runs each exhibit under two hash seeds and compares the output.
 """
 
 from __future__ import annotations
@@ -34,11 +46,15 @@ from .framework import Finding, ModuleSource, ProjectIndex, Rule, register
 __all__ = [
     "BlockingSimProcessRule",
     "DynamicImportRule",
+    "LAYERS",
+    "LayeringRule",
+    "SlabLeakRule",
     "SlabRecycleRule",
     "UnorderedIterationRule",
     "UnpicklableSweepTargetRule",
     "UnseededRandomRule",
     "WallClockRule",
+    "layer_rank",
 ]
 
 
@@ -608,3 +624,247 @@ class SlabRecycleRule(Rule):
                 f"{recycled}.callbacks is never reset in this "
                 f"function; the next allocation from the slab will "
                 f"fire the previous life's callbacks")
+
+
+#: The declared architecture layer DAG, most-specific prefix wins.
+#: Rank 0 is the foundation; a module may import only same-or-lower
+#: ranks. The ``repro.obs`` instrumentation facade (telemetry counters,
+#: profiler, ambient runtime state, causal tracer) sits at rank 1 — the
+#: model layers call *into* it on the hot path by design — while the
+#: package root (init/export wiring) stays at rank 2 with the fault
+#: subsystem. ``repro.lint`` sits with the runtime layer because its
+#: ``--jobs`` fan-out rides ``runtime.sweep_map``. The umbrella package
+#: ``repro`` itself re-exports everything and is exempt (rank None).
+LAYERS: Tuple[Tuple[str, int], ...] = (
+    ("repro.simcore", 0),
+    ("repro.core", 1),
+    ("repro.mesh", 1),
+    ("repro.netsim", 1),
+    ("repro.crypto", 1),
+    ("repro.kernel", 1),
+    ("repro.k8s", 1),
+    ("repro.workloads", 1),
+    ("repro.obs.telemetry", 1),
+    ("repro.obs.profiler", 1),
+    ("repro.obs.runtime", 1),
+    ("repro.obs.trace", 1),
+    ("repro.resilience", 1),
+    ("repro.obs", 2),
+    ("repro.faults", 2),
+    ("repro.fleet", 2),
+    ("repro.runtime", 3),
+    ("repro.experiments", 3),
+    ("repro.lint", 3),
+    ("repro.serve", 4),
+)
+
+
+def layer_rank(module: Optional[str]) -> Optional[int]:
+    """Layer rank for a module, by most-specific declared prefix.
+
+    ``None`` for modules outside the DAG (tests, benchmarks, the
+    ``repro`` umbrella): they may import anything.
+    """
+    if not module:
+        return None
+    best: Optional[Tuple[int, int]] = None   # (prefix length, rank)
+    for prefix, rank in LAYERS:
+        if module == prefix or module.startswith(prefix + "."):
+            if best is None or len(prefix) > best[0]:
+                best = (len(prefix), rank)
+    return best[1] if best else None
+
+
+def _resolve_relative(module: str, is_package: bool, level: int,
+                      stem: str) -> str:
+    """Absolute dotted name for a ``from ...x import y`` statement."""
+    if level == 0:
+        return stem
+    parts = module.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    parts = parts[:len(parts) - level + 1]
+    return ".".join(p for p in (".".join(parts), stem) if p)
+
+
+@register
+class LayeringRule(Rule):
+    """LAYER001: upward imports against the declared layer DAG."""
+
+    id = "LAYER001"
+    severity = "error"
+    summary = ("import from a higher architecture layer (upward edge in "
+               "the declared layer DAG)")
+    fix_hint = ("invert the dependency: move the shared piece down a "
+                "layer or register a hook from the higher layer "
+                "(see repro.simcore.hooks)")
+
+    def _sites(self, module: ModuleSource) -> List[Tuple[str, int]]:
+        """(absolute imported name, line) pairs, one per imported
+        symbol. For ``from X import a, b`` the per-alias full names are
+        used (not the bare base) so importing a low-rank submodule
+        through its higher-rank package root is not a false positive.
+        """
+        is_package = module.path.endswith("__init__.py")
+        sites: List[Tuple[str, int]] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    sites.append((alias.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                base = _resolve_relative(module.module, is_package,
+                                         node.level, node.module or "")
+                if not base:
+                    continue
+                imported = [a.name for a in node.names if a.name != "*"]
+                if imported:
+                    sites.extend((f"{base}.{name}", node.lineno)
+                                 for name in imported)
+                else:
+                    sites.append((base, node.lineno))
+        return sites
+
+    def check(self, module: ModuleSource,
+              project: ProjectIndex) -> Iterable[Finding]:
+        if module.tree is None:
+            return
+        importer_rank = layer_rank(module.module)
+        if importer_rank is None:
+            return
+        #: line -> (imported rank, shortest offending name)
+        worst: Dict[int, Tuple[int, str]] = {}
+        for name, line in self._sites(module):
+            rank = layer_rank(name)
+            if rank is None or rank <= importer_rank:
+                continue
+            current = worst.get(line)
+            if current is None or rank > current[0] or \
+                    (rank == current[0] and len(name) < len(current[1])):
+                worst[line] = (rank, name)
+        for line in sorted(worst):
+            rank, name = worst[line]
+            yield Finding(
+                rule=self.id, severity=self.severity, path=module.path,
+                line=line, col=1,
+                message=(f"{module.module} (layer {importer_rank}) "
+                         f"imports {name} (layer {rank}): upward "
+                         f"dependency violates the declared layer DAG"),
+                fix_hint=self.fix_hint)
+
+
+@register
+class SlabLeakRule(Rule):
+    """LEAK001: acquired slab/pool objects must escape every exit path."""
+
+    id = "LEAK001"
+    severity = "error"
+    summary = ("value acquired via _acquire()/acquire() is not released, "
+               "returned, or handed off on some exit path")
+    fix_hint = ("release/schedule/return the acquired object on every "
+                "path, or acquire it only where it is consumed")
+
+    _ACQUIRE_ATTRS = frozenset({"_acquire", "acquire"})
+
+    def _is_acquire_call(self, node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._ACQUIRE_ATTRS)
+
+    @staticmethod
+    def _names_used(node: Optional[ast.AST]) -> Set[str]:
+        used: Set[str] = set()
+        if node is not None:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and \
+                        isinstance(sub.ctx, ast.Load):
+                    used.add(sub.id)
+        return used
+
+    def check(self, module: ModuleSource,
+              project: ProjectIndex) -> Iterable[Finding]:
+        if module.tree is None:
+            return
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_function(module, node)
+
+    def _check_function(self, module: ModuleSource,
+                        fn) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        #: held name -> (acquire line, acquire col, callee attr)
+        Held = Dict[str, Tuple[int, int, str]]
+
+        def leak(held: Held, name: str, node: ast.AST) -> None:
+            line, col, attr = held[name]
+            findings.append(Finding(
+                rule=self.id, severity=self.severity, path=module.path,
+                line=node.lineno, col=node.col_offset + 1,
+                message=(f"{name!r} acquired via {attr}() at line "
+                         f"{line} is not released, returned, or handed "
+                         f"off on this exit path"),
+                fix_hint=self.fix_hint))
+
+        def consume(held: Held, node: Optional[ast.AST]) -> None:
+            for name in self._names_used(node):
+                held.pop(name, None)
+
+        def walk(body, held: Held) -> Held:
+            """Transfer function over one statement list; mutates and
+            returns the held-set. Branches are merged pessimistically
+            (held on any path stays held); loop bodies run once."""
+            for statement in body:
+                if isinstance(statement, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef,
+                                          ast.ClassDef)):
+                    continue
+                if isinstance(statement, ast.Assign) and \
+                        self._is_acquire_call(statement.value) and \
+                        len(statement.targets) == 1 and \
+                        isinstance(statement.targets[0], ast.Name):
+                    consume(held, statement.value)
+                    held[statement.targets[0].id] = (
+                        statement.lineno, statement.col_offset + 1,
+                        statement.value.func.attr)
+                elif isinstance(statement, ast.Return):
+                    consume(held, statement.value)
+                    for name in sorted(held):
+                        leak(held, name, statement)
+                    held.clear()
+                elif isinstance(statement, ast.If):
+                    consume(held, statement.test)
+                    branch_a = walk(statement.body, dict(held))
+                    branch_b = walk(statement.orelse, dict(held))
+                    held.clear()
+                    held.update(branch_b)
+                    held.update(branch_a)
+                elif isinstance(statement, (ast.For, ast.AsyncFor)):
+                    consume(held, statement.iter)
+                    held.update(walk(statement.body, dict(held)))
+                    walk(statement.orelse, held)
+                elif isinstance(statement, ast.While):
+                    consume(held, statement.test)
+                    held.update(walk(statement.body, dict(held)))
+                    walk(statement.orelse, held)
+                elif isinstance(statement, ast.Try):
+                    walk(statement.body, held)
+                    for handler in statement.handlers:
+                        walk(handler.body, held)
+                    walk(statement.orelse, held)
+                    walk(statement.finalbody, held)
+                elif isinstance(statement, (ast.With, ast.AsyncWith)):
+                    for item in statement.items:
+                        consume(held, item.context_expr)
+                    walk(statement.body, held)
+                else:
+                    # Any other statement: every Load of a held name is
+                    # a hand-off (call argument, attribute store,
+                    # release(), yield, ...).
+                    consume(held, statement)
+            return held
+
+        remaining = walk(fn.body, {})
+        if remaining:
+            tail = fn.body[-1]
+            for name in sorted(remaining):
+                leak(remaining, name, tail)
+        return findings

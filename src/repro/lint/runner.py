@@ -1,25 +1,21 @@
-"""simlint runner: the two-phase whole-program lint pipeline.
+"""simlint runner: collect files, apply the per-file rule catalog.
 
-v1 applied per-file rules in a single loop. v2 is a map/assemble/map
-pipeline so the whole-program analysis stays cacheable per file and
-parallelizable (``--jobs N`` rides ``runtime.sweep_map``, the same
-executor the exhibits dogfood):
+Two map phases, both cached by content hash and both fanned out over
+``runtime.sweep_map`` under ``--jobs N`` (the same executor the
+exhibits dogfood):
 
-1. **Facts** (:func:`_phase1_point`, per file, pure) — parse and
-   extract a picklable :class:`~repro.lint.graph.ModuleFacts`
-   (declarations, imports, taint templates). Cached by content hash.
-2. **Assemble** (parent process) — fold all facts into a
-   :class:`~repro.lint.framework.ProjectIndex`: symbol table, call
-   graph, SCC-ordered taint summaries, resolved DET101/RACE001 slices.
-3. **Findings** (:func:`_phase2_point`, per file, pure) — re-apply the
-   rule catalog to one file given only its slice of the global
-   analysis. Cached by content hash + rule set + a digest of the
-   file's global slice, so editing one file re-lints only the files
-   whose *analysis inputs* actually changed.
+1. **Pre-pass** (:func:`_prepass_point`) — parse one file and collect
+   its ``Set``/``FrozenSet``-annotated attribute names, the single
+   cross-file fact any rule consumes (DET003). Keyed by content hash.
+2. **Findings** (:func:`_findings_point`) — apply the selected rules to
+   one file given the project-wide set-attribute table. Keyed by
+   content hash + rule ids + a digest of that table, so adding a
+   ``Set`` annotation in one file re-lints the files that may iterate
+   over it.
 
-Both map phases consume and produce picklable values only, findings are
-sorted at the end, and every cross-file table is built in sorted order —
-``--jobs 1`` and ``--jobs 4`` are byte-identical by construction.
+Both phases consume and produce picklable values only and findings are
+sorted at the end, so ``--jobs 1`` and ``--jobs 4`` are byte-identical
+by construction.
 
 Directory arguments are walked recursively; ``__pycache__``, hidden
 directories, and ``lint_fixtures`` (intentional violations used by the
@@ -60,8 +56,8 @@ DEFAULT_EXCLUDE_DIRS = frozenset({"__pycache__", "lint_fixtures",
                                   ".git", ".repro-cache", "build",
                                   "dist"})
 
-#: Bump to invalidate cached *findings* when rule logic changes.
-LINT_VERSION = 2
+#: Bump to invalidate cached entries when rule logic changes.
+LINT_VERSION = 3
 
 
 def collect_files(paths: Sequence[str]) -> List[str]:
@@ -112,52 +108,28 @@ def select_rules(select: Optional[Iterable[str]] = None,
     return rules
 
 
-# -- phase 1: per-file fact extraction (cacheable, parallelizable) -----------
-
-def _phase1_point(path: str) -> dict:
-    """Parse one file and extract its :class:`ModuleFacts`. Pure
-    function of the file's bytes — module-level so it pickles to a
-    sweep worker, dict-of-picklables so the result pickles back."""
-    from .graph import extract_facts
-
+def _prepass_point(path: str) -> dict:
+    """Parse one file; record its skip/syntax state and set-annotated
+    attribute names. Module-level so it pickles to a sweep worker."""
     module = ModuleSource(path)
-    record = {"path": path, "skip": module.skip_file,
-              "syntax_error": module.syntax_error, "facts": None}
-    if not module.skip_file and module.syntax_error is None:
-        record["facts"] = extract_facts(module)
-    return record
+    names = () if module.tree is None else tuple(
+        sorted(ProjectIndex.set_attributes_of(module.tree)))
+    return {"skip": module.skip_file, "syntax_error": module.syntax_error,
+            "set_attributes": names}
 
 
-# -- phase 2: per-file rule application (cacheable, parallelizable) ----------
-
-def _apply_rules(module: ModuleSource, project: ProjectIndex,
-                 rules: Sequence[Rule]) -> Tuple[Finding, ...]:
+def _findings_point(point: tuple) -> Tuple[Finding, ...]:
+    """Apply ``rule_ids`` to one file against the project's set table."""
+    path, rule_ids, set_attributes = point
+    module = ModuleSource(path)
+    project = ProjectIndex(set_attributes)
     findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(module, project):
+    for rule_id in rule_ids:
+        for finding in get_rule(rule_id).check(module, project):
             if not module.is_suppressed(finding.line, finding.rule):
                 findings.append(finding)
     findings.sort(key=lambda f: f.sort_key)
     return tuple(findings)
-
-
-def _phase2_point(point: tuple) -> Tuple[Finding, ...]:
-    """Lint one file against its slice of the whole-program analysis.
-
-    The point carries everything global the rules may consult — the
-    project-wide set-attribute table and this file's resolved
-    DET101/RACE001 findings — so workers never rebuild the program.
-    """
-    path, rule_ids, set_attributes, dataflow_slice, race_slice = point
-    module = ModuleSource(path)
-    if module.skip_file or module.syntax_error is not None:
-        return ()
-    project = ProjectIndex()
-    project.set_attributes = set(set_attributes)
-    project.dataflow_findings = {path: list(dataflow_slice)}
-    project.race_findings = {path: list(race_slice)}
-    rules = [get_rule(rule_id) for rule_id in rule_ids]
-    return _apply_rules(module, project, rules)
 
 
 def _map(fn, points: Sequence, jobs: int) -> List:
@@ -171,13 +143,16 @@ def _map(fn, points: Sequence, jobs: int) -> List:
     return [fn(point) for point in points]
 
 
-def _program_digest(set_attributes: Tuple[str, ...],
-                    dataflow_slice: tuple, race_slice: tuple) -> str:
-    digest = hashlib.sha256()
-    digest.update(repr(set_attributes).encode())
-    digest.update(repr(dataflow_slice).encode())
-    digest.update(repr(race_slice).encode())
-    return digest.hexdigest()[:16]
+def _cached_map(cache: LintCache, fn, keyed: Sequence[Tuple[str, object]],
+                jobs: int) -> List:
+    """``fn`` over ``(key, point)`` pairs, cache-first, in input order."""
+    results = {key: cache.get(key) for key, _point in keyed}
+    missing = [(key, point) for key, point in keyed if results[key] is None]
+    computed = _map(fn, [point for _key, point in missing], jobs)
+    for (key, _point), value in zip(missing, computed):
+        cache.put(key, value)
+        results[key] = value
+    return [results[key] for key, _point in keyed]
 
 
 def lint_files(files: Sequence[str],
@@ -186,39 +161,21 @@ def lint_files(files: Sequence[str],
                cache_dir: Optional[str] = None,
                use_cache: bool = True) -> List[Finding]:
     """Findings (sorted, suppressions applied) for explicit files."""
-    from .dataflow import DATAFLOW_VERSION
-    from .graph import FACTS_VERSION
-
     if rules is None:
         rules = select_rules()
     cache = LintCache(cache_dir, enabled=use_cache)
-    versions = f"{FACTS_VERSION}.{DATAFLOW_VERSION}.{LINT_VERSION}"
-
-    # Phase 1: per-file facts, cache-first.
     hashes: Dict[str, str] = {}
-    records: Dict[str, dict] = {}
-    missing: List[Tuple[str, str]] = []
     for path in files:
         with open(path, "rb") as handle:
             hashes[path] = content_hash(handle.read())
-        key = f"facts::{path}::{hashes[path]}::{versions}"
-        record = cache.get(key)
-        if record is None:
-            missing.append((path, key))
-        else:
-            records[path] = record
-    extracted = _map(_phase1_point,
-                     [path for path, _key in missing], jobs)
-    for (path, key), record in zip(missing, extracted):
-        cache.put(key, record)
-        records[path] = record
 
-    # Assemble the whole-program context in the parent.
+    records = _cached_map(cache, _prepass_point, [
+        (f"prepass::{path}::{hashes[path]}::{LINT_VERSION}", path)
+        for path in files], jobs)
     findings: List[Finding] = []
     lintable: List[str] = []
-    facts = []
-    for path in files:
-        record = records[path]
+    set_attributes: Set[str] = set()
+    for path, record in zip(files, records):
         if record["skip"]:
             continue
         if record["syntax_error"] is not None:
@@ -228,36 +185,16 @@ def lint_files(files: Sequence[str],
                 message=f"syntax error: {record['syntax_error']}"))
             continue
         lintable.append(path)
-        facts.append(record["facts"])
-    project = ProjectIndex.from_facts(facts)
-    set_attributes = tuple(sorted(project.set_attributes))
-    rule_ids = tuple(sorted(rule.id for rule in rules))
+        set_attributes.update(record["set_attributes"])
 
-    # Phase 2: per-file findings, cache-first.
-    pending: List[Tuple[str, tuple]] = []  # (key, point)
-    for path in lintable:
-        dataflow_slice = tuple(project.dataflow_findings.get(path, ()))
-        race_slice = tuple(
-            tuple(sorted(record.items(), key=lambda kv: kv[0]))
-            for record in project.race_findings.get(path, ()))
-        digest = _program_digest(set_attributes, dataflow_slice,
-                                 race_slice)
-        key = (f"findings::{path}::{hashes[path]}::"
-               f"{','.join(rule_ids)}::{versions}::{digest}")
-        cached = cache.get(key)
-        if cached is not None:
-            findings.extend(cached)
-        else:
-            race_dicts = tuple(
-                project.race_findings.get(path, ()))
-            pending.append((key, (path, rule_ids, set_attributes,
-                                  dataflow_slice, race_dicts)))
-    if pending:
-        results = _map(_phase2_point,
-                       [point for _key, point in pending], jobs)
-        for (key, _point), file_findings in zip(pending, results):
-            cache.put(key, file_findings)
-            findings.extend(file_findings)
+    table = tuple(sorted(set_attributes))
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()[:16]
+    rule_ids = tuple(sorted(rule.id for rule in rules))
+    for file_findings in _cached_map(cache, _findings_point, [
+            (f"findings::{path}::{hashes[path]}::{','.join(rule_ids)}::"
+             f"{LINT_VERSION}::{digest}", (path, rule_ids, table))
+            for path in lintable], jobs):
+        findings.extend(file_findings)
 
     cache.save()
     findings.sort(key=lambda f: f.sort_key)

@@ -287,7 +287,10 @@ def write_run_artifacts(directory: str, exp_id: str, result=None,
         handle.write(prometheus_text(telemetry)
                      if telemetry is not None else "")
     with open(paths["trace"], "w") as handle:
-        json.dump(chrome_trace(traces, profilers, fault_marks), handle)
+        # dumps, not dump: only the one-shot path uses the C encoder, and
+        # profiler timelines run to millions of events (same bytes).
+        handle.write(json.dumps(chrome_trace(traces, profilers,
+                                             fault_marks)))
     if traces:
         paths["traces"] = os.path.join(directory, f"{exp_id}.traces.json")
         with open(paths["traces"], "w") as handle:

@@ -26,6 +26,7 @@ real time).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -140,18 +141,16 @@ class JobSpec:
             timeout_s = _number(timeout_s, "timeout_s")
             if timeout_s <= 0:
                 raise JobSpecError("timeout_s must be > 0")
-        jobs = payload.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 0:
+        jobs = _integer(payload.get("jobs", 1), "jobs")
+        if jobs < 0:
             raise JobSpecError("jobs must be an int >= 0")
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            raise JobSpecError("priority must be an int")
         return cls(
-            kind=kind, exhibits=exhibits, priority=priority,
-            report=bool(payload.get("report", False)),
-            use_cache=bool(payload.get("use_cache", True)),
+            kind=kind, exhibits=exhibits,
+            priority=_integer(payload.get("priority", 0), "priority"),
+            report=_flag(payload.get("report", False), "report"),
+            use_cache=_flag(payload.get("use_cache", True), "use_cache"),
             jobs=jobs, timeout_s=timeout_s,
-            dedupe=bool(payload.get("dedupe", True)),
+            dedupe=_flag(payload.get("dedupe", True), "dedupe"),
             probe=probe, probe_arg=probe_arg, faults=faults)
 
     def dedupe_key(self) -> Tuple:
@@ -184,10 +183,30 @@ class JobSpec:
         }
 
 
+# JSON true/false decode to bool, a subclass of int: the int and number
+# checks below exclude it explicitly, and flags accept nothing else.
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise JobSpecError(f"{name} must be a number")
-    return float(value)
+        raise JobSpecError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise JobSpecError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value: object, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobSpecError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _flag(value: object, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise JobSpecError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _validate_faults(value: object, kind: str) -> str:

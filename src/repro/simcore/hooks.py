@@ -1,7 +1,7 @@
 """Dependency-inversion hooks: upper layers register, simcore calls.
 
 The simulation kernel sits at the bottom of the architecture layer DAG
-(see ``repro.lint.graph.LAYERS``) and must not import upward. But the
+(see ``repro.lint.rules.LAYERS``) and must not import upward. But the
 observability layer wants a profiler attached to every freshly
 constructed :class:`~repro.simcore.Simulator` while profiling is
 enabled. The inversion: simcore calls the hooks defined here, and

@@ -1,7 +1,10 @@
-"""simlint: rule fixtures, framework behavior, CLI, cache hardening."""
+"""simlint: rule fixtures, framework behavior, CLI, lint cache, cache
+hardening."""
 
 import json
 import os
+import textwrap
+import time
 import warnings
 
 import pytest
@@ -23,6 +26,7 @@ from repro.lint.astutil import (
     resolve_call_name,
 )
 from repro.lint.cli import main as lint_main
+from repro.lint.rules import layer_rank
 from repro.lint.runner import load_baseline, split_baselined, write_baseline
 from repro.runtime import cache as runtime_cache
 
@@ -252,6 +256,72 @@ class TestSlab001SlabRecycle:
         assert found == []
 
 
+class TestLayer001Fixture:
+    def test_firing_lines(self):
+        found = findings_for("layer001_upward.py", "LAYER001",
+                             module="repro.simcore.fake")
+        assert [f.line for f in found] == [7, 8, 10]
+        assert all("upward" in f.message for f in found)
+
+    def test_clean_fixture(self):
+        assert findings_for("layer001_clean.py", "LAYER001",
+                            module="repro.mesh.fake") == []
+
+    def test_layer_ranks(self):
+        assert layer_rank("repro.simcore.sim") == 0
+        assert layer_rank("repro.mesh.router") == 1
+        assert layer_rank("repro.obs.trace") == 1  # sim-time trace: kernel-adjacent
+        assert layer_rank("repro.resilience.breaker") == 1  # peer of core
+        assert layer_rank("repro.faults.plans") == 2
+        assert layer_rank("repro.fleet.model") == 2  # peer of repro.faults
+        assert layer_rank("repro.experiments.exhibits") == 3
+        assert layer_rank("repro.serve.app") == 4
+        assert layer_rank("collections.abc") is None
+        assert layer_rank(None) is None
+
+    def test_fleet_upward_imports_fire(self):
+        # rank 2 -> experiments (3) and serve (4) are both upward.
+        found = findings_for("fleet_violations.py", "LAYER001",
+                             module="repro.fleet.fixture")
+        assert [f.line for f in found] == [13, 14]
+
+    def test_fleet_same_rank_fault_import_is_legal(self):
+        # fleet's validation scenarios build FaultPlans: faults sits at
+        # the same rank, and LAYER001 only flags *upward* edges.
+        found = findings_for("layer001_clean.py", "LAYER001",
+                             module="repro.fleet.fake")
+        assert found == []
+
+    def test_resilience_upward_imports_fire(self):
+        # repro.resilience is rank 1: imports into faults (2) and
+        # experiments (3) are both upward edges.
+        found = findings_for("resilience_violations.py", "LAYER001",
+                             module="repro.resilience.fixture")
+        assert [f.line for f in found] == [12, 13]
+
+
+class TestLeak001Fixture:
+    def test_firing_lines(self):
+        found = findings_for("leak001_leak.py", "LEAK001")
+        assert [f.line for f in found] == [7, 14, 23]
+
+    def test_messages_name_the_leaked_binding(self):
+        found = findings_for("leak001_leak.py", "LEAK001")
+        assert "'timeout'" in found[0].message
+        assert "'connection'" in found[1].message
+
+    def test_clean_fixture(self):
+        assert findings_for("leak001_clean.py", "LEAK001") == []
+
+
+class TestDet003OrderInsensitiveConsumers:
+    def test_only_order_sensitive_materializations_fire(self):
+        found = findings_for("det003_consumers.py", "DET003")
+        # sum/len/any/all/sorted/set-comp/membership are all clean;
+        # the list and dict comprehensions still fire.
+        assert [f.line for f in found] == [23, 24]
+
+
 class TestSuppressionAndSelection:
     def test_same_line_and_line_above_suppression(self, tmp_path):
         target = tmp_path / "sup.py"
@@ -428,3 +498,91 @@ class TestCacheHardening:
         _second, hit2 = runtime_cache.cached_run(
             "fig17", cache_dir=str(tmp_path))
         assert (hit1, hit2) == (False, True)
+
+
+TAINTED = b'import time\n\n\ndef stamp():\n    return time.time()\n'
+CLEAN = b'def stamp():\n    return 0.0\n'
+
+
+class TestIncrementalCache:
+    def test_edit_invalidates_cached_findings(self, tmp_path):
+        target = tmp_path / "thing.py"
+        target.write_bytes(TAINTED)
+        cache_dir = str(tmp_path / "cache")
+        first = lint_files([str(target)], cache_dir=cache_dir)
+        assert [f.rule for f in first] == ["DET001"]
+
+        # Unchanged file: warm run returns identical findings.
+        warm = lint_files([str(target)], cache_dir=cache_dir)
+        assert [(f.path, f.line, f.col, f.rule, f.message) for f in warm] == \
+            [(f.path, f.line, f.col, f.rule, f.message) for f in first]
+
+        # Editing the file must bust the content-hash key.
+        target.write_bytes(CLEAN)
+        assert lint_files([str(target)], cache_dir=cache_dir) == []
+
+    def test_neighbor_edit_invalidates_program_context(self, tmp_path):
+        # Findings keys include a digest of the set-attribute table:
+        # adding a Set-annotated attribute in module B changes module
+        # A's verdict.
+        consumer = tmp_path / "consumer.py"
+        consumer.write_bytes(textwrap.dedent("""
+            def order(gateway):
+                return [s for s in gateway.services]
+            """).encode("utf-8"))
+        owner = tmp_path / "owner.py"
+        owner.write_bytes(b"class Gateway:\n    pass\n")
+        cache_dir = str(tmp_path / "cache")
+        files = [str(consumer), str(owner)]
+        assert lint_files(files, cache_dir=cache_dir) == []
+
+        owner.write_bytes(textwrap.dedent("""
+            from typing import Set
+
+
+            class Gateway:
+                def __init__(self):
+                    self.services: Set[str] = set()
+            """).encode("utf-8"))
+        found = lint_files(files, cache_dir=cache_dir)
+        assert [f.rule for f in found] == ["DET003"]
+        assert found[0].path == str(consumer)
+
+    def test_warm_run_is_at_least_3x_faster(self, tmp_path):
+        lint_pkg = os.path.normpath(
+            os.path.join(HERE, "..", "src", "repro", "lint"))
+        files = [
+            os.path.join(lint_pkg, name)
+            for name in sorted(os.listdir(lint_pkg))
+            if name.endswith(".py")]
+        cache_dir = str(tmp_path / "cache")
+
+        start = time.perf_counter()  # simlint: ignore[DET001]
+        cold = lint_files(files, cache_dir=cache_dir)
+        cold_elapsed = time.perf_counter() - start  # simlint: ignore[DET001]
+
+        start = time.perf_counter()  # simlint: ignore[DET001]
+        warm = lint_files(files, cache_dir=cache_dir)
+        warm_elapsed = time.perf_counter() - start  # simlint: ignore[DET001]
+
+        assert [(f.path, f.line, f.rule) for f in warm] == \
+            [(f.path, f.line, f.rule) for f in cold]
+        assert warm_elapsed * 3 <= cold_elapsed, (
+            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s")
+
+
+class TestJobsParity:
+    def test_jobs_1_and_4_produce_identical_json(self, tmp_path):
+        reports = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}.json"
+            code = lint_main([FIXTURES, "--format", "json",
+                              "--output", str(out),
+                              "--baseline", "",
+                              "--no-cache",
+                              "--jobs", str(jobs)])
+            assert code == 1  # the fixture dir is findings-bearing
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])
+        assert payload["findings"], "expected findings over lint_fixtures"

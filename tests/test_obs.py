@@ -318,13 +318,15 @@ class TestRunReportArtifacts:
 
     def test_cli_report_flag(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
-        code = main(["prog", "--report", str(tmp_path), "table1"])
+        code = main(["prog", "--report", str(tmp_path), "fig8_recovery"])
         assert code == 0
-        report = json.loads((tmp_path / "table1.report.json").read_text())
-        assert report["meta"]["exp_id"] == "table1"
-        json.loads((tmp_path / "table1.trace.json").read_text())
-        assert (tmp_path / "table1.prom").exists()
-        assert "table1" in capsys.readouterr().out
+        report = json.loads(
+            (tmp_path / "fig8_recovery.report.json").read_text())
+        assert report["meta"]["exp_id"] == "fig8_recovery"
+        assert report["profilers"]  # simulators ran under the profiler
+        json.loads((tmp_path / "fig8_recovery.trace.json").read_text())
+        assert (tmp_path / "fig8_recovery.prom").exists()
+        assert "fig8_recovery" in capsys.readouterr().out
 
     def test_cli_report_flag_missing_dir_errors(self, capsys):
         from repro.experiments.__main__ import main

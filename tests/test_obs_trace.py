@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.experiments.testbed import build_testbed
-from repro.experiments.trace_breakdown import _waterfall_run
 from repro.mesh import HttpRequest
 from repro.obs import (
     Span,
@@ -28,7 +27,7 @@ from repro.obs import (
 )
 from repro.obs.export import _escape_label
 from repro.obs.telemetry import Telemetry
-from repro.runtime import use_executor
+from repro.runtime import RunSpec, run_exhibit
 
 
 def _span(trace_id=1, source="a", layer="l4", start=0.0, end=1.0,
@@ -231,17 +230,6 @@ class TestSamplingDeterminism:
 
         assert run_latencies(traced=False) == run_latencies(traced=True)
 
-    def test_serial_vs_jobs_byte_identical(self):
-        """The exhibit worker returns byte-identical span sets under a
-        serial and a pooled executor."""
-        spec = ("canal", 11, 6)
-        with use_executor(jobs=1):
-            serial = _waterfall_run(spec)
-        with use_executor(jobs=2):
-            pooled = _waterfall_run(spec)
-        assert json.dumps(serial, sort_keys=True, default=str) == \
-            json.dumps(pooled, sort_keys=True, default=str)
-
 
 class TestAmbientTracer:
     def test_disabled_by_default(self):
@@ -318,3 +306,19 @@ class TestExporters:
         assert {span["name"] for span in trace["spans"]} == \
             {"request", "onnode-l4"}
         assert payload["fault_marks"][0]["kind"] == "replica_crash"
+
+    def test_trace_breakdown_artifacts(self, tmp_path):
+        """The exhibit's ``--report`` artifacts: causal spans and fault
+        instants in the Chrome trace, an end-to-end (``full``) trace and
+        fault marks in ``traces.json``."""
+        run = run_exhibit(RunSpec("trace_breakdown", use_cache=False,
+                                  report_dir=str(tmp_path)))
+        with open(run.artifact_paths["trace"]) as handle:
+            events = json.load(handle)["traceEvents"]
+        assert [e for e in events
+                if e["ph"] == "X" and "span_id" in e.get("args", {})]
+        assert [e for e in events if e["ph"] == "i"]
+        with open(run.artifact_paths["traces"]) as handle:
+            dump = json.load(handle)
+        assert "full" in {trace["coverage"] for trace in dump["traces"]}
+        assert dump["fault_marks"]

@@ -3,7 +3,6 @@ chaos coverage (every policy under at least one armed FaultPlan with
 zero invariant violations), the new auditor checks, and exhibit
 determinism."""
 
-import json
 import pickle
 
 import pytest
@@ -36,8 +35,6 @@ from repro.resilience import (
     contained_cascade_depth,
     retry_storm_arrivals,
 )
-from repro.runtime import use_executor
-from repro.runtime.sweep import sweep_map
 from repro.simcore import Simulator
 
 #: The testbed cluster's tenant (every svcN belongs to it).
@@ -692,21 +689,9 @@ class TestAuditorResilienceChecks:
 
 
 # ---------------------------------------------------------------------------
-# exhibit determinism: serial == pooled, byte for byte
+# the fig8_resilience exhibit (serial == pooled is tests/test_equivalence.py)
 # ---------------------------------------------------------------------------
 class TestExhibitDeterminism:
-    def test_serial_matches_pooled_bytes(self):
-        plan_json = resilience_plan().canonical()
-        specs = [("chaos", 53, plan_json, False),
-                 ("chaos", 53, plan_json, True),
-                 ("storm", 53, 5_000, 0.0),
-                 ("storm", 53, 5_000, 1.0)]
-        serial = [_resilience_case(spec) for spec in specs]
-        with use_executor(jobs=2):
-            pooled = sweep_map(_resilience_case, specs)
-        assert json.dumps(serial, sort_keys=True, default=str) \
-            == json.dumps(pooled, sort_keys=True, default=str)
-
     def test_unknown_case_kind_rejected(self):
         with pytest.raises(ValueError):
             _resilience_case(("nonsense",))

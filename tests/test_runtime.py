@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, exhibit_ids, run
+from repro.experiments import EXPERIMENTS, exhibit_ids
 from repro.experiments.__main__ import main as cli_main
 from repro.runtime import (
     ResultCache,
@@ -97,14 +97,6 @@ class TestSweepExecutor:
 
 
 class TestDeterminism:
-    def test_fig2_identical_serial_vs_parallel(self):
-        with use_executor(jobs=1):
-            serial = run("fig2")
-        with use_executor(jobs=4):
-            parallel = run("fig2")
-        assert serial == parallel
-        assert serial.formatted() == parallel.formatted()
-
     def test_fig17_seed_sweep_identical_and_picklable(self):
         from repro.experiments.cloud_ops import fig17_scaling_cdf
 

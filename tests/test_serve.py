@@ -8,6 +8,7 @@ probe jobs, a test-only job kind the server must opt into with
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -15,6 +16,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.runtime import cached_run
@@ -88,6 +90,27 @@ def _wait_for_state(client, job_id, state, timeout=10.0):
         time.sleep(0.02)
 
 
+def _is_flag(value):
+    return isinstance(value, bool)
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+#: Spec field -> the values ``JobSpec.from_payload`` must accept.
+_SPEC_FIELDS = {
+    "report": _is_flag,
+    "use_cache": _is_flag,
+    "dedupe": _is_flag,
+    "priority": _is_int,
+    "jobs": lambda value: _is_int(value) and value >= 0,
+    "timeout_s": lambda value: value is None or (
+        type(value) in (int, float) and math.isfinite(value)
+        and value > 0),
+}
+
+
 class TestJobSpec:
     def test_exhibit_spec_roundtrip(self):
         spec = JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
@@ -145,6 +168,42 @@ class TestJobSpec:
             JobSpec.from_payload({
                 "kind": "probe", "probe": "ok",
                 "faults": [{"kind": "serve_worker_death"}]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("use_cache", "false"), ("report", 1), ("dedupe", None),
+        ("jobs", True), ("jobs", 1.0), ("jobs", -1),
+        ("priority", False), ("priority", "9"),
+        ("timeout_s", math.nan), ("timeout_s", math.inf),
+        ("timeout_s", True), ("timeout_s", 0)])
+    def test_bad_field_value_rejected_by_name(self, field, value):
+        with pytest.raises(JobSpecError, match=field):
+            JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
+                                  field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       "1", False])
+    def test_bad_probe_arg_rejected(self, value):
+        with pytest.raises(JobSpecError, match="probe_arg"):
+            JobSpec.from_payload({"kind": "probe", "probe": "sleep",
+                                  "probe_arg": value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(sorted(_SPEC_FIELDS)),
+        st.none() | st.booleans() | st.integers(-3, 3)
+        | st.floats() | st.text(max_size=3)))
+    def test_fields_accepted_iff_well_typed(self, fields):
+        payload = {"kind": "exhibit", "exhibit": "fig17", **fields}
+        bad = sorted(name for name, value in fields.items()
+                     if not _SPEC_FIELDS[name](value))
+        if bad:
+            with pytest.raises(JobSpecError) as excinfo:
+                JobSpec.from_payload(payload)
+            assert any(name in str(excinfo.value) for name in bad)
+        else:
+            spec = JobSpec.from_payload(payload)
+            for name, value in fields.items():
+                assert getattr(spec, name) == value
 
 
 class TestLifecycle:
@@ -332,6 +391,13 @@ class TestRobustness:
             assert excinfo.value.status == 400
         finally:
             server.close()
+
+    def test_bad_spec_value_is_http_400_naming_the_field(self, server):
+        with pytest.raises(ServeError) as excinfo:
+            server.client.submit({"kind": "exhibit", "exhibit": "fig17",
+                                  "use_cache": "false"})
+        assert excinfo.value.status == 400
+        assert "use_cache" in excinfo.value.message
 
     def test_graceful_drain_finishes_inflight(self, server):
         job = server.client.submit(_sleep_spec(0.5))
