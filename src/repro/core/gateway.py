@@ -29,7 +29,7 @@ from ..resilience import (
 from ..simcore import Simulator
 from .backend import Backend
 from .redirector import DeliveryResult, DisaggregatedLB
-from .replica import Replica, ReplicaConfig
+from .replica import Replica, ReplicaConfig, require_at_least
 from .sharding import ShardingError, ShuffleSharder
 from .tenancy import TenantRegistry, TenantService
 
@@ -57,6 +57,18 @@ class GatewayConfig:
     #: replica regardless of user flow count.
     session_aggregation: bool = False
     tunnels_per_core: int = 10
+
+    def __post_init__(self):
+        for name in ("replicas_per_backend", "backends_per_service_per_az",
+                     "azs_per_service", "buckets_per_service",
+                     "tunnels_per_core"):
+            require_at_least(self, name, 1)
+        # Beamer needs a chain of at least two replicas (BucketTable).
+        require_at_least(self, "redirector_max_chain", 2)
+        require_at_least(self, "safety_threshold", 0, inclusive=False)
+        if self.safety_threshold > 1:
+            raise ValueError(f"GatewayConfig.safety_threshold must be <= 1, "
+                             f"got {self.safety_threshold!r}")
 
 
 class MeshGateway:

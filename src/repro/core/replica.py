@@ -15,6 +15,7 @@ bounded session table that typically exhausts while CPU sits at ~20 %.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -22,6 +23,18 @@ from ..mesh.costs import sample_service_time
 from ..simcore import CpuResource, Simulator
 
 __all__ = ["ReplicaConfig", "Replica"]
+
+
+def require_at_least(owner, name: str, low: float,
+                     inclusive: bool = True) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``owner.name`` is
+    finite and ``>= low`` (``> low`` when not ``inclusive``)."""
+    value = getattr(owner, name)
+    if not (math.isfinite(value)
+            and (value >= low if inclusive else value > low)):
+        bound = ">=" if inclusive else ">"
+        raise ValueError(f"{type(owner).__name__}.{name} must be finite "
+                         f"and {bound} {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,12 @@ class ReplicaConfig:
     request_cost_sigma: float = 0.35
     #: SmartNIC flow/session table capacity for this VM's slice.
     session_capacity: int = 100_000
+
+    def __post_init__(self):
+        require_at_least(self, "cores", 1)
+        require_at_least(self, "request_cost_s", 0, inclusive=False)
+        require_at_least(self, "request_cost_sigma", 0)
+        require_at_least(self, "session_capacity", 1)
 
 
 class Replica:

@@ -21,7 +21,6 @@ from .cache import (
     module_closure,
 )
 from .driver import ExhibitRun, RunSpec, run_exhibit
-from .warmstart import WarmStart, warm_start
 from .sweep import (
     SweepExecutor,
     SweepPointError,
@@ -40,7 +39,6 @@ __all__ = [
     "RunSpec",
     "SweepExecutor",
     "SweepPointError",
-    "WarmStart",
     "cached_run",
     "default_jobs",
     "exhibit_fingerprint",
@@ -51,5 +49,4 @@ __all__ = [
     "sweep_imap",
     "sweep_map",
     "use_executor",
-    "warm_start",
 ]

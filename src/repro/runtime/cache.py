@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Bump when the pickle payload or key recipe changes shape.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 #: Default cache location; overridable per call or via the environment.
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
@@ -155,7 +155,7 @@ def _cost_fingerprint() -> str:
     return repr(DEFAULT_COSTS)
 
 
-def exhibit_fingerprint(exp_id: str, extra: str = "") -> str:
+def exhibit_fingerprint(exp_id: str) -> str:
     """Digest identifying one exhibit's inputs: id + code + config."""
     from ..experiments import EXPERIMENTS
     function = EXPERIMENTS[exp_id]
@@ -165,7 +165,6 @@ def exhibit_fingerprint(exp_id: str, extra: str = "") -> str:
                   .encode())
     hasher.update(f"exp_id={exp_id}\n".encode())
     hasher.update(f"costs={_cost_fingerprint()}\n".encode())
-    hasher.update(f"extra={extra}\n".encode())
     for module in module_closure(function.__module__):
         hasher.update(f"{module}={_source_hash(module)}\n".encode())
     return hasher.hexdigest()
@@ -182,9 +181,9 @@ class ResultCache:
     def _path(self, exp_id: str, digest: str) -> str:
         return os.path.join(self.cache_dir, f"{exp_id}.{digest[:24]}.pkl")
 
-    def load(self, exp_id: str, extra: str = ""):
+    def load(self, exp_id: str):
         """The cached result for the exhibit's current inputs, or None."""
-        path = self._path(exp_id, exhibit_fingerprint(exp_id, extra))
+        path = self._path(exp_id, exhibit_fingerprint(exp_id))
         try:
             with open(path, "rb") as handle:
                 return pickle.load(handle)
@@ -192,9 +191,9 @@ class ResultCache:
                 AttributeError, ImportError):
             return None  # miss — including unreadable/stale payloads
 
-    def store(self, exp_id: str, result, extra: str = "") -> str:
+    def store(self, exp_id: str, result) -> str:
         """Atomically persist ``result``; returns the entry path."""
-        path = self._path(exp_id, exhibit_fingerprint(exp_id, extra))
+        path = self._path(exp_id, exhibit_fingerprint(exp_id))
         os.makedirs(self.cache_dir, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
@@ -227,15 +226,11 @@ class ResultCache:
 
 
 def cached_run(exp_id: str, cache_dir: Optional[str] = None,
-               refresh: bool = False, variant: str = ""):
+               refresh: bool = False):
     """Run one exhibit through the cache.
 
     Returns ``(result, hit)``. ``refresh`` skips the read (but still
     stores), for runs that must actually execute — e.g. ``--report``.
-    ``variant`` distinguishes alternate run modes of the same exhibit
-    in the cache key (it feeds ``exhibit_fingerprint``'s ``extra``) —
-    notably warm-started sweeps (``WarmStart.variant``), whose results
-    must never satisfy a cold run or vice versa.
 
     Exhibits whose import closure contains dynamic imports (CACHE001)
     bypass the cache entirely: the fingerprint cannot see what they
@@ -264,9 +259,9 @@ def cached_run(exp_id: str, cache_dir: Optional[str] = None,
         return run(exp_id), False
     cache = ResultCache(cache_dir)
     if not refresh:
-        hit = cache.load(exp_id, extra=variant)
+        hit = cache.load(exp_id)
         if hit is not None:
             return hit, True
     result = run(exp_id)
-    cache.store(exp_id, result, extra=variant)
+    cache.store(exp_id, result)
     return result, False

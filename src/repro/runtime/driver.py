@@ -20,18 +20,12 @@ __all__ = ["ExhibitRun", "RunSpec", "run_exhibit"]
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything a worker needs to run one exhibit.
-
-    ``variant`` tags alternate run modes of the same exhibit in the
-    result-cache key (e.g. ``WarmStart.variant`` for warm-started
-    sweeps); cold runs leave it empty.
-    """
+    """Everything a worker needs to run one exhibit."""
 
     exp_id: str
     report_dir: Optional[str] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    variant: str = ""
 
 
 @dataclass
@@ -58,8 +52,7 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
     started = time.perf_counter()
     if spec.report_dir is None:
         if spec.use_cache:
-            result, hit = cached_run(spec.exp_id, cache_dir=spec.cache_dir,
-                                     variant=spec.variant)
+            result, hit = cached_run(spec.exp_id, cache_dir=spec.cache_dir)
         else:
             from ..experiments import run
             result, hit = run(spec.exp_id), False
@@ -86,7 +79,7 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
     try:
         if spec.use_cache:
             result, _hit = cached_run(spec.exp_id, cache_dir=spec.cache_dir,
-                                      refresh=True, variant=spec.variant)
+                                      refresh=True)
         else:
             from ..experiments import run
             result = run(spec.exp_id)

@@ -24,21 +24,18 @@ Fired :class:`Timeout` objects that nothing else references are
 recycled onto a per-simulator slab (``_timeout_slab``) and reused by
 the next ``timeout()`` call, so steady-state scheduling allocates
 nothing; a ``sys.getrefcount`` guard keeps any timeout the model still
-holds out of the slab. :meth:`fork` snapshots the whole simulator
-(clock + rng + agenda, slab and profiler excluded) so sweeps can warm
-up steady state once and fork per point (see ``repro.runtime``).
+holds out of the slab.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 import random
 import sys
 from typing import Any, Generator, Optional
 
 from .hooks import new_profiler
-from .events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
+from .events import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["EmptySchedule", "Simulator"]
 
@@ -242,40 +239,3 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if none."""
         heap = self._heap
         return heap[0][0] if heap else float("inf")
-
-    # -- snapshot / restore --------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize the full simulator state: clock, rng, and agenda.
-
-        Everything reachable from pending agenda entries (events,
-        callbacks, the model objects behind them) is captured, so a
-        warmed-up steady state can be snapshotted once and restored per
-        sweep point (see ``repro.runtime.warmstart``). The timeout slab
-        and any attached profiler are deliberately *not* part of the
-        snapshot.
-
-        Generator-driven processes cannot be pickled; snapshot-eligible
-        worlds must schedule work through callbacks and direct calls.
-        """
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except (TypeError, AttributeError, pickle.PicklingError) as exc:
-            raise SimulationError(
-                "Simulator.snapshot() requires a picklable world: "
-                "generator-driven processes cannot be snapshotted — "
-                "schedule via callbacks/direct calls instead "
-                f"(pickle said: {exc})") from exc
-
-    def fork(self) -> "Simulator":
-        """An independent deep copy of this simulator (via snapshot)."""
-        return pickle.loads(self.snapshot())
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["profiler"] = None       # profilers observe one process
-        state["_timeout_slab"] = []    # an allocator cache, not state
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.profiler = new_profiler()

@@ -1,5 +1,7 @@
 """Tests for the multi-tenant mesh gateway."""
 
+import math
+
 import pytest
 
 from repro.core import GatewayConfig, MeshGateway, NoBackendAvailable
@@ -264,3 +266,42 @@ class TestDesDataplane:
         sid = services[0].service_id
         gateway.set_service_load(sid, 10_000_000.0)
         assert gateway.overloaded_backends()
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestConfigValidation:
+    """Bad sizing fails at construction, naming the field, instead of
+    building a gateway that divides by zero or never alerts."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("cores", 0), ("cores", -2), ("cores", NAN),
+        ("request_cost_s", 0.0), ("request_cost_s", -1e-6),
+        ("request_cost_s", NAN), ("request_cost_s", INF),
+        ("request_cost_sigma", -1.0), ("request_cost_sigma", NAN),
+        ("request_cost_sigma", INF),
+        ("session_capacity", 0), ("session_capacity", -5),
+    ])
+    def test_replica_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"ReplicaConfig.{field} "):
+            ReplicaConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("replicas_per_backend", 0),
+        ("backends_per_service_per_az", 0),
+        ("azs_per_service", 0),
+        ("buckets_per_service", 0),
+        ("redirector_max_chain", 0), ("redirector_max_chain", 1),
+        ("safety_threshold", 0.0), ("safety_threshold", 1.5),
+        ("safety_threshold", NAN), ("safety_threshold", -INF),
+        ("tunnels_per_core", 0), ("tunnels_per_core", -1),
+    ])
+    def test_gateway_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"GatewayConfig.{field} "):
+            GatewayConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        ReplicaConfig(cores=1, request_cost_sigma=0.0, session_capacity=1)
+        GatewayConfig(replicas_per_backend=1, redirector_max_chain=2,
+                      safety_threshold=1.0, tunnels_per_core=1)

@@ -23,6 +23,14 @@ from repro.fleet import (
 STEADY = DEFAULT_SCENARIOS[0]
 
 
+@pytest.fixture(scope="module")
+def validation():
+    """One run of the default suite, shared by the tests that only read
+    its reports: ``(ok, {scenario name: report})``."""
+    ok, reports = run_validation()
+    return ok, {report.scenario: report for report in reports}
+
+
 class TestAgreement:
     def test_default_suite_shape(self):
         assert len(DEFAULT_SCENARIOS) >= 3
@@ -30,15 +38,15 @@ class TestAgreement:
         names = [s.name for s in DEFAULT_SCENARIOS]
         assert len(names) == len(set(names))
 
-    def test_all_default_scenarios_agree(self):
-        ok, reports = run_validation()
-        for report in reports:
+    def test_all_default_scenarios_agree(self, validation):
+        ok, reports = validation
+        for report in reports.values():
             failing = [c.metric for c in report.checks if not c.ok]
             assert report.ok, (report.scenario, failing)
         assert ok
 
-    def test_report_serializes(self):
-        report = compare_tiers(STEADY)
+    def test_report_serializes(self, validation):
+        report = validation[1][STEADY.name]
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["scenario"] == STEADY.name
         assert payload["ok"] is True
@@ -46,9 +54,9 @@ class TestAgreement:
         assert {"availability", "steady_sessions",
                 "latency_mean_ms", "latency_p99_ms"} <= metrics
 
-    def test_chaos_scenario_compares_disruption(self):
+    def test_chaos_scenario_compares_disruption(self, validation):
         chaos = next(s for s in DEFAULT_SCENARIOS if s.plan is not None)
-        report = compare_tiers(chaos)
+        report = validation[1][chaos.name]
         assert report.ok
         disrupted = [c for c in report.checks if c.metric == "disrupted"]
         assert len(disrupted) == 1
@@ -81,10 +89,9 @@ class TestMisparameterizationTrips:
 
 
 class TestDeterminism:
-    def test_same_scenario_same_report(self):
-        first = compare_tiers(STEADY)
-        second = compare_tiers(STEADY)
-        assert first.to_json() == second.to_json()
+    def test_same_scenario_same_report(self, validation):
+        fresh = compare_tiers(STEADY)
+        assert fresh.to_json() == validation[1][STEADY.name].to_json()
 
     def test_seed_changes_reference_not_verdict(self):
         reseeded = ValidationScenario(

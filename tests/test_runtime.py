@@ -1,9 +1,8 @@
 """Tests for ``repro.runtime``: sweep determinism, the result cache,
-warm-start snapshots, and the exhibit CLI."""
+and the exhibit CLI."""
 
 import multiprocessing
 import pickle
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.runtime import (
     RunSpec,
     SweepExecutor,
     SweepPointError,
-    WarmStart,
     cached_run,
     exhibit_fingerprint,
     module_closure,
@@ -22,9 +20,7 @@ from repro.runtime import (
     sweep_imap,
     sweep_map,
     use_executor,
-    warm_start,
 )
-from repro.simcore import Simulator
 
 
 def _square(point):
@@ -127,10 +123,14 @@ class TestResultCache:
     def test_fingerprint_distinct_per_exhibit(self):
         assert exhibit_fingerprint("fig2") != exhibit_fingerprint("fig17")
 
-    def test_fingerprint_stable_and_extra_sensitive(self):
-        assert exhibit_fingerprint("fig2") == exhibit_fingerprint("fig2")
-        assert exhibit_fingerprint("fig2") != exhibit_fingerprint(
-            "fig2", extra="x")
+    def test_fingerprint_stable_and_cost_sensitive(self, monkeypatch):
+        import dataclasses
+        import repro.mesh
+        before = exhibit_fingerprint("fig2")
+        assert exhibit_fingerprint("fig2") == before
+        monkeypatch.setattr(repro.mesh, "DEFAULT_COSTS", dataclasses.replace(
+            repro.mesh.DEFAULT_COSTS, istio_sidecar_l7_s=1e-3))
+        assert exhibit_fingerprint("fig2") != before
 
     def test_closure_includes_own_and_simcore_modules(self):
         closure = module_closure("repro.experiments.cloud_ops")
@@ -242,90 +242,3 @@ class TestCLI:
         assert (report_dir / "fig17.prom").exists()
         assert (report_dir / "fig17.trace.json").exists()
 
-
-# ---------------------------------------------------------------------------
-# warm-start snapshots.
-
-
-class _WarmTicker:
-    """A picklable re-arming timer for warm-start worlds."""
-
-    def __init__(self, sim, rng):
-        self.sim = sim
-        self.rng = rng
-        self.count = 0
-        sim.timeout(rng.random()).add_callback(self.fire)
-
-    def fire(self, event):
-        self.count += 1
-        self.sim.timeout(0.5 + self.rng.random()).add_callback(self.fire)
-
-
-def _warm_world():
-    sim = Simulator(seed=5)
-    rng = random.Random(8)
-    sim._tickers = [_WarmTicker(sim, rng) for _ in range(40)]
-    return sim
-
-
-def _warm_measure(sim, point):
-    sim.run(until=sim.now + 2.0)
-    return (point, sum(ticker.count for ticker in sim._tickers))
-
-
-class TestWarmStart:
-    def test_matches_cold_sweep(self):
-        snapshot = warm_start(_warm_world, until=10.0)
-        points = [0, 1, 2]
-        warm_results = snapshot.map(_warm_measure, points)
-        cold_results = []
-        for point in points:
-            sim = _warm_world()
-            sim.run(until=10.0)
-            cold_results.append(_warm_measure(sim, point))
-        assert warm_results == cold_results
-
-    def test_parallel_map_matches_serial(self):
-        snapshot = warm_start(_warm_world, until=5.0)
-        points = list(range(4))
-        serial = snapshot.map(_warm_measure, points)
-        with use_executor(jobs=2):
-            parallel = snapshot.map(_warm_measure, points)
-        assert parallel == serial
-        assert list(snapshot.imap(_warm_measure, points)) == serial
-
-    def test_forks_are_independent(self):
-        snapshot = warm_start(_warm_world, until=3.0)
-        first, second = snapshot.fork(), snapshot.fork()
-        assert first.now == second.now == 3.0
-        first.run(until=9.0)
-        assert second.now == 3.0  # untouched by the sibling's run
-
-    def test_digest_is_stable_and_sized(self):
-        first = warm_start(_warm_world, until=4.0)
-        second = warm_start(_warm_world, until=4.0)
-        # The same warm-up computation digests identically, so cache
-        # variants are reproducible across runs. (Re-snapshotting a
-        # *fork* is a different computation: pickle's string memo keys
-        # on object identity, which an unpickle round-trip perturbs.)
-        assert first.digest == second.digest
-        assert first.variant == f"warm:{first.digest[:16]}"
-        assert first.payload_size > 0
-        assert isinstance(WarmStart(first.fork()).digest, str)
-
-    def test_variant_partitions_the_result_cache(self, tmp_path):
-        cache_dir = str(tmp_path)
-        _, hit = cached_run("fig17", cache_dir=cache_dir)
-        assert not hit
-        _, hit = cached_run("fig17", cache_dir=cache_dir)
-        assert hit
-        # A warm-started variant never satisfies (or is satisfied by)
-        # the cold entry — distinct fingerprints, distinct slots.
-        _, warm_hit = cached_run("fig17", cache_dir=cache_dir,
-                                 variant="warm:deadbeef00000000")
-        assert not warm_hit
-        _, warm_hit = cached_run("fig17", cache_dir=cache_dir,
-                                 variant="warm:deadbeef00000000")
-        assert warm_hit
-        _, hit = cached_run("fig17", cache_dir=cache_dir)
-        assert hit  # the cold slot is still intact

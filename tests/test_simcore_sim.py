@@ -1,5 +1,5 @@
 """Simulator event loop: run-until boundary, step/peek, delay
-validation, snapshot/fork, and the timeout slab."""
+validation, and the timeout slab."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.simcore import (
     EmptySchedule,
-    SimulationError,
     Simulator,
     Timeout,
 )
@@ -146,72 +145,6 @@ class TestNanRejected:
         assert sim.now == 0.0
         sim.run()
         assert sim.now == 1.0
-
-
-# ---------------------------------------------------------------------------
-# snapshot / fork.
-
-
-class _Ticker:
-    """A picklable re-arming timer (module level so pickle finds it)."""
-
-    def __init__(self, sim, rng, value):
-        self.sim = sim
-        self.rng = rng
-        self.value = value
-        self.fired = []
-        sim.timeout(rng.random(), value).add_callback(self.fire)
-
-    def fire(self, event):
-        self.fired.append((self.sim.now, event.value))
-        self.sim.timeout(0.5 + self.rng.random(),
-                         self.value).add_callback(self.fire)
-
-
-def _ticker_world():
-    sim = Simulator(seed=3)
-    rng = random.Random(17)
-    sim._tickers = [_Ticker(sim, rng, index) for index in range(30)]
-    return sim
-
-
-class TestSnapshotFork:
-    def test_fork_is_deterministic(self):
-        sim = _ticker_world()
-        sim.run(until=5.0)
-        fork = sim.fork()
-        assert fork.now == 5.0
-        sim.run(until=12.0)
-        fork.run(until=12.0)
-        assert ([t.fired for t in fork._tickers]
-                == [t.fired for t in sim._tickers])
-
-    def test_fork_diverges_after_restore(self):
-        sim = _ticker_world()
-        sim.run(until=3.0)
-        fork = sim.fork()
-        fork.run(until=6.0)
-        before = [list(t.fired) for t in sim._tickers]
-        assert [t.fired for t in sim._tickers] == before  # original untouched
-        assert sum(len(t.fired) for t in fork._tickers) > \
-            sum(len(f) for f in before)
-
-    def test_generator_world_is_not_snapshotable(self):
-        sim = Simulator(seed=0)
-
-        def proc():
-            yield sim.timeout(1.0)
-
-        sim.process(proc())
-        with pytest.raises(SimulationError, match="picklable world"):
-            sim.snapshot()
-
-    def test_snapshot_drops_slab_and_profiler(self):
-        sim = _ticker_world()
-        sim.run(until=10.0)
-        assert sim._timeout_slab  # warm: recycled timeouts present
-        fork = sim.fork()
-        assert fork._timeout_slab == []
 
 
 # ---------------------------------------------------------------------------
