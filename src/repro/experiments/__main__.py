@@ -30,11 +30,13 @@ Runs go through ``repro.runtime``:
   that (transitively) import it. ``--no-cache`` bypasses the cache.
 
 With ``--report <dir>``, every exhibit run executes with an enabled
-telemetry registry and step profiling, and drops three machine-readable
-artifacts into ``<dir>``:
+telemetry registry and a sampled per-layer wall split (the event loop
+is the plain run's), and drops three machine-readable artifacts into
+``<dir>``:
 
 * ``<exp_id>.report.json`` — tables/series/findings + telemetry snapshot
-  + per-simulator profiler attribution;
+  + the ``layers`` block: wall-time samples and each top-level
+  ``repro`` package's share of them;
 * ``<exp_id>.prom``        — Prometheus text-format metrics snapshot;
 * ``<exp_id>.trace.json``  — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` or https://ui.perfetto.dev).
@@ -92,6 +94,12 @@ def main(argv) -> int:
         options = _parser().parse_args(argv[1:])
     except SystemExit as exit_:  # argparse error (2) or --help (0)
         return 0 if exit_.code == 0 else 1
+    try:
+        executor = SweepExecutor(jobs=options.jobs)  # pools start lazily
+    except ValueError as exc:
+        print(f"python -m repro.experiments: {exc}", file=sys.stderr)
+        return 1
+
     def in_tier(exp_id: str) -> bool:
         return options.tier in ("all", exhibit_tier(exp_id))
 
@@ -118,14 +126,14 @@ def main(argv) -> int:
                      use_cache=not options.no_cache,
                      cache_dir=options.cache_dir)
              for exp_id in targets]
-    if len(specs) == 1:
-        # One exhibit: spend the workers inside it, on its own sweeps.
-        with use_executor(jobs=options.jobs):
-            _print_run(run_exhibit(specs[0]))
-        return 0
-    # Several exhibits: one exhibit per worker; inner sweeps stay serial
-    # (pool workers are daemonic and cannot nest pools).
-    with SweepExecutor(jobs=options.jobs) as executor:
+    with executor:
+        if len(specs) == 1:
+            # One exhibit: spend the workers inside it, on its own sweeps.
+            with use_executor(executor=executor):
+                _print_run(run_exhibit(specs[0]))
+            return 0
+        # Several exhibits: one exhibit per worker; inner sweeps stay
+        # serial (pool workers are daemonic and cannot nest pools).
         for run in executor.imap(run_exhibit, specs):
             _print_run(run)
     return 0

@@ -24,6 +24,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..runtime.sweep import resolve_jobs
 from .framework import Finding, all_rules
 from .runner import (
     collect_files,
@@ -126,10 +127,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
+        resolve_jobs(options.jobs)
         rules = select_rules(_split_ids(options.select),
                              _split_ids(options.ignore))
         files = collect_files(options.paths or _default_paths())
-    except (KeyError, FileNotFoundError) as exc:
+    except (KeyError, FileNotFoundError, ValueError) as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2
 

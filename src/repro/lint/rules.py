@@ -629,7 +629,7 @@ class SlabRecycleRule(Rule):
 #: The declared architecture layer DAG, most-specific prefix wins.
 #: Rank 0 is the foundation; a module may import only same-or-lower
 #: ranks. The ``repro.obs`` instrumentation facade (telemetry counters,
-#: profiler, ambient runtime state, causal tracer) sits at rank 1 — the
+#: ambient runtime state, causal tracer) sits at rank 1 — the
 #: model layers call *into* it on the hot path by design — while the
 #: package root (init/export wiring) stays at rank 2 with the fault
 #: subsystem. ``repro.lint`` sits with the runtime layer because its
@@ -645,7 +645,6 @@ LAYERS: Tuple[Tuple[str, int], ...] = (
     ("repro.k8s", 1),
     ("repro.workloads", 1),
     ("repro.obs.telemetry", 1),
-    ("repro.obs.profiler", 1),
     ("repro.obs.runtime", 1),
     ("repro.obs.trace", 1),
     ("repro.resilience", 1),
@@ -696,8 +695,8 @@ class LayeringRule(Rule):
     summary = ("import from a higher architecture layer (upward edge in "
                "the declared layer DAG)")
     fix_hint = ("invert the dependency: move the shared piece down a "
-                "layer or register a hook from the higher layer "
-                "(see repro.simcore.hooks)")
+                "layer, or have the higher layer call into the lower "
+                "one instead")
 
     def _sites(self, module: ModuleSource) -> List[Tuple[str, int]]:
         """(absolute imported name, line) pairs, one per imported

@@ -31,6 +31,9 @@ class ProxyTier:
         #: for Canal's cloud-side gateway replicas).
         self.on_user_cluster = on_user_cluster
         self.requests_processed = 0
+        #: ``(registry, requests counter, work histogram)``: the
+        #: children this tier emits into, bound per enabled registry.
+        self._metrics: Optional[tuple] = None
 
     def work(self, cpu_seconds: float, trace=None, parent_id: int = 1,
              name: str = "proxy-work", layer: str = "l4", pod: str = "",
@@ -47,9 +50,16 @@ class ProxyTier:
         self.requests_processed += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.inc("proxy_requests_total", tier=self.name)
-            telemetry.observe("proxy_work_seconds", cpu_seconds,
-                              tier=self.name)
+            metrics = self._metrics
+            if metrics is None or metrics[0] is not telemetry:
+                metrics = self._metrics = (
+                    telemetry,
+                    telemetry.metric("counter", "proxy_requests_total",
+                                     tier=self.name),
+                    telemetry.metric("histogram", "proxy_work_seconds",
+                                     tier=self.name))
+            metrics[1].inc()
+            metrics[2].observe(cpu_seconds)
         if trace is None:
             yield from self.cpu.execute(cpu_seconds)
             return None

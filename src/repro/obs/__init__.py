@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, simulator profiler, exporters.
+"""Unified telemetry: metrics registry, per-layer wall split, exporters.
 
 The observability backbone of the reproduction (§4.1.1, Appendix A of
 the paper argue a sidecar-free mesh can keep sidecar-grade telemetry;
@@ -6,8 +6,8 @@ this package is where our own run telemetry lives):
 
 * :class:`Telemetry` — labeled counters/gauges/histograms that every
   mesh layer emits into (disabled, and nearly free, by default);
-* :class:`SimProfiler` — opt-in ``Simulator.step`` attribution of
-  simulated and wall-clock time per process/event type;
+* :func:`sample_layers` — a sampled split of a run's wall time across
+  the top-level ``repro`` packages, taken off the event loop;
 * :mod:`repro.obs.trace` — deterministic, disabled-by-default causal
   tracing: :class:`Span` trees assembled by a ring-buffered
   :class:`TraceCollector`, head-sampled by an ambient :class:`Tracer`;
@@ -22,17 +22,7 @@ from .export import (
     traces_json,
     write_run_artifacts,
 )
-from .profiler import SimProfiler
-from .runtime import (
-    disable_profiling,
-    enable_profiling,
-    get_telemetry,
-    new_profiler,
-    profiling_enabled,
-    set_telemetry,
-    take_profilers,
-    use_telemetry,
-)
+from .runtime import get_telemetry, set_telemetry, use_telemetry
 from .telemetry import DEFAULT_BUCKETS, MetricFamily, Telemetry
 from .trace import (
     Span,
@@ -50,11 +40,12 @@ from .trace import (
     take_collectors,
     use_tracer,
 )
+from .wallsample import LayerSamples, sample_layers
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "LayerSamples",
     "MetricFamily",
-    "SimProfiler",
     "Span",
     "Telemetry",
     "Trace",
@@ -62,23 +53,19 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "critical_path",
-    "disable_profiling",
-    "enable_profiling",
     "fault_detection_latency",
     "get_telemetry",
     "get_tracer",
     "layer_attribution",
-    "new_profiler",
-    "profiling_enabled",
     "prometheus_text",
     "register_collector",
     "run_report",
+    "sample_layers",
     "set_telemetry",
     "set_tracer",
     "span_from_dict",
     "span_to_dict",
     "take_collectors",
-    "take_profilers",
     "traces_json",
     "use_telemetry",
     "use_tracer",

@@ -5,13 +5,13 @@ Three machine-readable views of one run:
 * :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto-loadable JSON
   object combining simulated-time spans (from
   :class:`repro.obs.trace.TraceCollector` traces, pid
-  ``"sim-traces"``) and wall-clock profiler timelines (one pid per
-  profiled simulator);
+  ``"sim-traces"``) and fault-mark instants;
 * :func:`prometheus_text` — a text-format snapshot of a
   :class:`~repro.obs.telemetry.Telemetry` registry;
 * :func:`run_report` / :func:`write_run_artifacts` — a JSON run report
   bundling an experiment's tables/series/findings with the telemetry
-  snapshot and profiler attribution, written next to the other two.
+  snapshot and the sampled per-layer wall split, written next to the
+  other two.
 
 Everything is duck-typed (spans need ``source``/``layer``/``start_s``/
 ``end_s``; results need ``tables``/``series``/``findings``/``notes``) so
@@ -89,43 +89,11 @@ def _fault_events(fault_marks: Iterable) -> List[dict]:
     } for mark in fault_marks]
 
 
-def _profiler_events(profilers: Iterable) -> List[dict]:
-    """Wall-clock timeline events, one pid per profiled simulator."""
-    events: List[dict] = []
-    for index, profiler in enumerate(profilers, start=1):
-        pid = f"sim-{index}-wall"
-        tids: Dict[str, int] = {}
-        for start_s, dur_s, key in profiler.timeline:
-            tid = tids.setdefault(key, len(tids) + 1)
-            events.append({
-                "name": key,
-                "cat": "profiler",
-                "ph": "X",
-                "ts": start_s * 1e6,
-                "dur": dur_s * 1e6,
-                "pid": pid,
-                "tid": tid,
-            })
-        for row in profiler.summary():
-            events.append({
-                "name": "attribution",
-                "cat": "profiler",
-                "ph": "C",
-                "ts": 0,
-                "pid": pid,
-                "tid": tids.get(row["key"], 0),
-                "args": {row["key"]: row["wall_s"] * 1e3},
-            })
-    return events
-
-
-def chrome_trace(traces: Iterable = (), profilers: Iterable = (),
-                 fault_marks: Iterable = ()) -> dict:
+def chrome_trace(traces: Iterable = (), fault_marks: Iterable = ()) -> dict:
     """A ``chrome://tracing``-loadable JSON object for one run."""
     return {
         "displayTimeUnit": "ms",
-        "traceEvents": (_span_events(traces) + _profiler_events(profilers)
-                        + _fault_events(fault_marks)),
+        "traceEvents": _span_events(traces) + _fault_events(fault_marks),
     }
 
 
@@ -229,15 +197,16 @@ def _result_dict(result) -> dict:
     }
 
 
-def run_report(result=None, telemetry=None, profilers: Iterable = (),
+def run_report(result=None, telemetry=None,
                meta: Optional[dict] = None,
-               faults: Iterable = ()) -> dict:
-    """The JSON run report: exhibit + metrics + profiler attribution.
+               faults: Iterable = (), layers=None) -> dict:
+    """The JSON run report: exhibit + metrics + per-layer wall split.
 
     ``faults`` is the merged fault timeline (entries with ``t`` /
     ``action`` / ``kind`` / ``target`` / ``detail``, as recorded by
     ``repro.faults.FaultEngine``); it only appears in the report when
-    the run actually injected something.
+    the run actually injected something. ``layers`` is a
+    :class:`~repro.obs.wallsample.LayerSamples` taken over the run.
     """
     report: dict = {"meta": dict(meta or {})}
     if result is not None:
@@ -247,31 +216,23 @@ def run_report(result=None, telemetry=None, profilers: Iterable = (),
     faults = [dict(entry) for entry in faults]
     if faults:
         report["faults"] = faults
-    report["profilers"] = [
-        {"steps": profiler.steps,
-         "sim_total_s": profiler.sim_total_s(),
-         "wall_total_s": profiler.wall_total_s(),
-         "dropped_timeline_events": profiler.dropped_timeline_events,
-         "attribution": profiler.summary()}
-        for profiler in profilers
-    ]
+    if layers is not None:
+        report["layers"] = layers.to_dict()
     return report
 
 
 def write_run_artifacts(directory: str, exp_id: str, result=None,
-                        telemetry=None, profilers: Iterable = (),
-                        traces: Iterable = (),
+                        telemetry=None, traces: Iterable = (),
                         meta: Optional[dict] = None,
                         faults: Iterable = (),
-                        fault_marks: Iterable = ()) -> Dict[str, str]:
+                        fault_marks: Iterable = (),
+                        layers=None) -> Dict[str, str]:
     """Write the artifacts for one run; returns name -> path.
 
     ``traces`` additionally produces a raw ``*.traces.json`` export next
-    to the Chrome ``*.trace.json`` (the latter always exists because it
-    also carries profiler timelines).
+    to the Chrome ``*.trace.json``, which is always written.
     """
     os.makedirs(directory, exist_ok=True)
-    profilers = list(profilers)
     traces = list(traces)
     fault_marks = list(fault_marks)
     paths = {
@@ -280,17 +241,16 @@ def write_run_artifacts(directory: str, exp_id: str, result=None,
         "trace": os.path.join(directory, f"{exp_id}.trace.json"),
     }
     with open(paths["report"], "w") as handle:
-        json.dump(run_report(result, telemetry, profilers, meta,
-                             faults=faults), handle,
+        json.dump(run_report(result, telemetry, meta, faults=faults,
+                             layers=layers), handle,
                   indent=2, default=str)
     with open(paths["metrics"], "w") as handle:
         handle.write(prometheus_text(telemetry)
                      if telemetry is not None else "")
     with open(paths["trace"], "w") as handle:
-        # dumps, not dump: only the one-shot path uses the C encoder, and
-        # profiler timelines run to millions of events (same bytes).
-        handle.write(json.dumps(chrome_trace(traces, profilers,
-                                             fault_marks)))
+        # dumps, not dump: only the one-shot path uses the C encoder,
+        # which matters for exhibits that trace many requests.
+        handle.write(json.dumps(chrome_trace(traces, fault_marks)))
     if traces:
         paths["traces"] = os.path.join(directory, f"{exp_id}.traces.json")
         with open(paths["traces"], "w") as handle:

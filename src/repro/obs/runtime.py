@@ -1,4 +1,4 @@
-"""Ambient telemetry/profiling state shared by every layer.
+"""Ambient telemetry state shared by every layer.
 
 Instrumentation points in the mesh stack cannot thread a registry
 through every constructor (proxies, gateways, and control planes are
@@ -10,45 +10,24 @@ runs that want measurements install an enabled one::
     with use_telemetry(Telemetry(enabled=True)) as t:
         run("fig11")
     print(t.total("mesh_requests_total"))
-
-Profiling works the same way: while enabled, every freshly constructed
-:class:`~repro.simcore.Simulator` gets its own
-:class:`~repro.obs.profiler.SimProfiler`, all of which are collected
-here for the report exporters to drain.
-
-The simulator does **not** import this module (the layer DAG forbids
-an upward simcore → obs edge); instead this module registers
-:func:`new_profiler` into ``repro.simcore.hooks`` at import time, and
-``Simulator.__init__`` calls through that hook.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
-from ..simcore.hooks import set_profiler_factory
-from .profiler import SimProfiler
 from .telemetry import Telemetry
 
 __all__ = [
     "get_telemetry",
     "set_telemetry",
     "use_telemetry",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-    "new_profiler",
-    "take_profilers",
 ]
 
 _telemetry = Telemetry(enabled=False)
-_profiling: bool = False
-_profiler_kwargs: dict = {}
-_profilers: List[SimProfiler] = []
 
 
-# -- telemetry --------------------------------------------------------------
 def get_telemetry() -> Telemetry:
     """The ambient registry every instrumentation point emits into."""
     return _telemetry
@@ -70,41 +49,3 @@ def use_telemetry(telemetry: Optional[Telemetry] = None) -> Iterator[Telemetry]:
         yield installed
     finally:
         set_telemetry(previous)
-
-
-# -- profiling --------------------------------------------------------------
-def enable_profiling(keep_timeline: bool = False, **kwargs) -> None:
-    """Attach a profiler to every Simulator constructed from now on."""
-    global _profiling, _profiler_kwargs
-    _profiling = True
-    _profiler_kwargs = dict(keep_timeline=keep_timeline, **kwargs)
-
-
-def disable_profiling() -> None:
-    global _profiling
-    _profiling = False
-
-
-def profiling_enabled() -> bool:
-    return _profiling
-
-
-def new_profiler() -> Optional[SimProfiler]:
-    """Called by ``Simulator.__init__``; ``None`` unless profiling is on."""
-    if not _profiling:
-        return None
-    profiler = SimProfiler(**_profiler_kwargs)
-    _profilers.append(profiler)
-    return profiler
-
-
-def take_profilers() -> List[SimProfiler]:
-    """Drain (return and forget) every profiler created while enabled."""
-    global _profilers
-    drained, _profilers = _profilers, []
-    return drained
-
-
-# Dependency inversion: the kernel calls simcore.hooks.new_profiler();
-# importing the observability layer is what arms it.
-set_profiler_factory(new_profiler)

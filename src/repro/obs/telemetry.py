@@ -166,6 +166,15 @@ class Telemetry:
         return [self._families[name] for name in sorted(self._families)]
 
     # -- emission ----------------------------------------------------------
+    def metric(self, kind: str, name: str,
+               buckets: Optional[Sequence[float]] = None, **labels):
+        """The child ``name{labels}`` of a ``kind`` family, created on
+        first use. A hot emitter holds it across emissions (the
+        Prometheus client's ``labels()`` idiom) instead of paying for
+        the family and label-set lookups of :meth:`inc`/:meth:`observe`
+        on every call."""
+        return self._family(name, kind, buckets=buckets).child(labels)
+
     def inc(self, name: str, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` to the counter ``name{labels}``."""
         if not self.enabled:
@@ -254,9 +263,6 @@ class Telemetry:
                     samples.append({"labels": labels, "value": child.value})
             out[family.name] = {"kind": family.kind, "samples": samples}
         return out
-
-    def clear(self) -> None:
-        self._families.clear()
 
     def __len__(self) -> int:
         return len(self._families)

@@ -542,7 +542,7 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install ``tracer`` as ambient; returns the previous one.
 
     The tracer's collector is registered for the report exporters to
-    drain (:func:`take_collectors`), mirroring the profiler flow.
+    drain (:func:`take_collectors`) after the run.
     """
     global _tracer
     previous, _tracer = _tracer, tracer

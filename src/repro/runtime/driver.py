@@ -43,8 +43,9 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
     """Run one exhibit per ``spec``; picklable both ways.
 
     With a ``report_dir``, the run executes under an enabled telemetry
-    registry + step profiling and drops the report artifacts (see
-    ``repro.obs``) — artifacts require a real execution, so the cache is
+    registry and a sampled per-layer wall split, on the same event loop
+    as a plain run, and drops the report artifacts (see ``repro.obs``) —
+    artifacts require a real execution, so the cache is
     only written, never read. Without one, the cache may satisfy the
     run outright.
     """
@@ -62,32 +63,28 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
 
     from ..obs import (
         Telemetry,
-        disable_profiling,
-        enable_profiling,
+        sample_layers,
         set_telemetry,
         take_collectors,
-        take_profilers,
         write_run_artifacts,
     )
     from ..faults import take_timelines
     telemetry = Telemetry(enabled=True)
     previous = set_telemetry(telemetry)
-    enable_profiling(keep_timeline=True)
-    take_profilers()  # drop any profilers a previous exhibit leaked
-    take_timelines()  # likewise for leaked fault timelines
-    take_collectors()  # and leaked trace collectors
+    take_timelines()  # drop fault timelines a previous exhibit leaked
+    take_collectors()  # likewise for leaked trace collectors
     try:
-        if spec.use_cache:
-            result, _hit = cached_run(spec.exp_id, cache_dir=spec.cache_dir,
-                                      refresh=True)
-        else:
-            from ..experiments import run
-            result = run(spec.exp_id)
+        with sample_layers() as layers:
+            if spec.use_cache:
+                result, _hit = cached_run(spec.exp_id,
+                                          cache_dir=spec.cache_dir,
+                                          refresh=True)
+            else:
+                from ..experiments import run
+                result = run(spec.exp_id)
     finally:
-        disable_profiling()
         set_telemetry(previous)
     elapsed = time.perf_counter() - started  # simlint: ignore[DET001] CLI timing
-    profilers = take_profilers()
     # Fault timelines from in-process engines, merged in virtual-time
     # order (pool-worker engines return their timelines inside results
     # instead; forked registries never reach this process).
@@ -104,10 +101,9 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
                          key=lambda mark: mark.get("t", 0.0))
     paths = write_run_artifacts(
         spec.report_dir, spec.exp_id, result=result, telemetry=telemetry,
-        profilers=profilers, faults=faults, traces=traces,
-        fault_marks=fault_marks,
+        faults=faults, traces=traces, fault_marks=fault_marks,
+        layers=layers,
         meta={"exp_id": spec.exp_id, "wall_clock_s": elapsed,
-              "simulators_profiled": len(profilers),
               "faults_recorded": len(faults),
               "traces_recorded": len(traces)})
     return ExhibitRun(spec.exp_id, result, elapsed, cache_hit=False,

@@ -35,6 +35,7 @@ __all__ = [
     "SweepPointError",
     "default_jobs",
     "get_executor",
+    "resolve_jobs",
     "set_executor",
     "sweep_imap",
     "sweep_map",
@@ -80,17 +81,19 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_init() -> None:
-    """Reset ambient observability state inherited by a forked worker.
+def _require_int(value: object, name: str, minimum: int) -> None:
+    """Reject a non-int (bools included) or an int below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ValueError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
 
-    Workers return plain picklable values; profilers or telemetry they
-    would accumulate can never reach the parent, so keep their event
-    loops on the unprofiled fast path. (Per-simulator profiler
-    attribution under ``--report`` covers parent-process simulators.)
-    """
-    from ..obs.runtime import disable_profiling, take_profilers
-    disable_profiling()
-    take_profilers()
+
+def resolve_jobs(jobs: int) -> int:
+    """The worker count for a ``--jobs`` value (``0`` = every core);
+    a non-int or negative value raises ``ValueError``."""
+    _require_int(jobs, "jobs", 0)
+    return jobs or default_jobs()
 
 
 class SweepExecutor:
@@ -104,10 +107,9 @@ class SweepExecutor:
     """
 
     def __init__(self, jobs: int = 1, chunksize: int = 1):
-        if jobs == 0:
-            jobs = default_jobs()
-        self.jobs = max(1, int(jobs))
-        self.chunksize = max(1, int(chunksize))
+        _require_int(chunksize, "chunksize", 1)
+        self.jobs = resolve_jobs(jobs)
+        self.chunksize = chunksize
         self._pool = None
 
     # -- pool lifecycle ----------------------------------------------------
@@ -117,7 +119,7 @@ class SweepExecutor:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
                 context = multiprocessing.get_context()
-            self._pool = context.Pool(self.jobs, initializer=_worker_init)
+            self._pool = context.Pool(self.jobs)
         return self._pool
 
     def close(self) -> None:

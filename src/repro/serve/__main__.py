@@ -62,17 +62,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _amain(options) -> int:
-    store = JobStore()
-    metrics = ServeMetrics()
-    scheduler = Scheduler(
-        store, metrics, workers=options.workers,
-        queue_depth=options.queue_depth,
-        default_timeout_s=options.job_timeout,
-        max_retries=options.max_retries,
-        cache_dir=options.cache_dir,
-        artifacts_root=options.artifacts_dir,
-        allow_probes=options.allow_probe_jobs)
+async def _amain(options, store: JobStore, metrics: ServeMetrics,
+                 scheduler: Scheduler) -> int:
     scheduler.start()
     api = ServeAPI(scheduler, store, metrics)
     server, port = await start_server(api, options.host, options.port)
@@ -114,7 +105,21 @@ def main(argv) -> int:
         options = _parser().parse_args(argv[1:])
     except SystemExit as exit_:
         return 0 if exit_.code == 0 else 1
-    return asyncio.run(_amain(options))
+    store = JobStore()
+    metrics = ServeMetrics()
+    try:
+        scheduler = Scheduler(
+            store, metrics, workers=options.workers,
+            queue_depth=options.queue_depth,
+            default_timeout_s=options.job_timeout,
+            max_retries=options.max_retries,
+            cache_dir=options.cache_dir,
+            artifacts_root=options.artifacts_dir,
+            allow_probes=options.allow_probe_jobs)
+    except ValueError as exc:  # a worker/queue/timeout flag out of range
+        print(f"python -m repro.serve: {exc}", file=sys.stderr)
+        return 1
+    return asyncio.run(_amain(options, store, metrics, scheduler))
 
 
 if __name__ == "__main__":

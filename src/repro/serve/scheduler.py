@@ -30,6 +30,7 @@ scheduler.
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import os
 import tempfile
@@ -62,6 +63,24 @@ class DrainingError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
+def _count(value: object, name: str, minimum: int) -> int:
+    """Reject a non-int (bools included) or an int below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ValueError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
+def _seconds(value: object, name: str) -> float:
+    """Reject a non-number, or one that is not finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < math.inf:
+        raise ValueError(
+            f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def _fork_context():
     try:
         return multiprocessing.get_context("fork")
@@ -82,11 +101,12 @@ class Scheduler:
                  allow_probes: bool = False):
         self.store = store
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.workers = max(1, int(workers))
-        self.queue_depth = max(1, int(queue_depth))
-        self.default_timeout_s = float(default_timeout_s)
-        self.max_retries = max(0, int(max_retries))
-        self.retry_after_s = float(retry_after_s)
+        self.workers = _count(workers, "workers", 1)
+        self.queue_depth = _count(queue_depth, "queue_depth", 1)
+        self.default_timeout_s = _seconds(default_timeout_s,
+                                          "default_timeout_s")
+        self.max_retries = _count(max_retries, "max_retries", 0)
+        self.retry_after_s = _seconds(retry_after_s, "retry_after_s")
         self.cache_dir = cache_dir
         self.allow_probes = allow_probes
         self._artifacts_root = artifacts_root

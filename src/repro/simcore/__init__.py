@@ -17,7 +17,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .metrics import Counter, Summary, TimeSeries, cdf, percentile
+from .metrics import Summary, TimeSeries, cdf, percentile
 from .resources import CpuResource, Request, Resource, Store
 from .rng import derived_stream
 from .sim import EmptySchedule, Simulator
@@ -25,7 +25,6 @@ from .sim import EmptySchedule, Simulator
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "CpuResource",
     "EmptySchedule",
     "Event",

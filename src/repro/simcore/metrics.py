@@ -15,7 +15,6 @@ __all__ = [
     "cdf",
     "Summary",
     "TimeSeries",
-    "Counter",
 ]
 
 
@@ -194,27 +193,3 @@ class TimeSeries:
             result.append((mid, value))
         return result
 
-
-class Counter:
-    """A monotonically increasing event counter with rate queries."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total = 0
-        #: (time, amount) pairs — O(1) memory per increment regardless
-        #: of the amount.
-        self._events: List[Tuple[float, int]] = []
-
-    def increment(self, time: float, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self.total += amount
-        if amount:
-            self._events.append((time, amount))
-
-    def rate(self, start: float, end: float) -> float:
-        """Events per unit time in [start, end)."""
-        if end <= start:
-            raise ValueError("rate window must have positive width")
-        hits = sum(amount for t, amount in self._events if start <= t < end)
-        return hits / (end - start)

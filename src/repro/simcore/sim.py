@@ -16,9 +16,8 @@ pending entries, where no pure-Python structure beats it.
 
 ``run()`` inlines the event loop rather than calling :meth:`step` per
 event: the loop is the hottest code in the repository and the per-event
-method call, attribute reloads, and profiler check measurably cap
-events/sec. :meth:`step` remains the single-event API (and the only
-path when a profiler is attached).
+method call and attribute reloads measurably cap events/sec.
+:meth:`step` remains the single-event API.
 
 Fired :class:`Timeout` objects that nothing else references are
 recycled onto a per-simulator slab (``_timeout_slab``) and reused by
@@ -34,7 +33,6 @@ import random
 import sys
 from typing import Any, Generator, Optional
 
-from .hooks import new_profiler
 from .events import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["EmptySchedule", "Simulator"]
@@ -81,10 +79,6 @@ class Simulator:
         #: (each parked with an *empty* callbacks list), reused by
         #: ``timeout()`` so steady-state scheduling allocates nothing.
         self._timeout_slab: list = []
-        #: Opt-in step profiler (repro.obs): ``None`` unless profiling
-        #: was enabled via ``repro.obs.enable_profiling()`` when this
-        #: simulator was constructed, keeping the default loop hot.
-        self.profiler = new_profiler()
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -160,20 +154,13 @@ class Simulator:
         if not self._heap:
             raise EmptySchedule()
         when, _seq, call, event = heapq.heappop(self._heap)
+        self.now = when
         if call is not None:
-            if self.profiler is not None:
-                self.profiler.record_call(self, when, call, event)
-            else:
-                self.now = when
-                call(event)
+            call(event)
             return
-        if self.profiler is not None:
-            self.profiler.record_step(self, when, event)
-        else:
-            self.now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
         if not event._ok and not event._defused:
             raise event._value
 
@@ -190,16 +177,7 @@ class Simulator:
             if until < self.now:
                 raise ValueError(
                     f"until={until} is in the past (now={self.now})")
-        if self.profiler is not None:
-            # Profiled path: per-event step() so attribution stays in
-            # one place; the loop overhead is noise next to the timers.
-            heap = self._heap
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                self.step()
-        else:
-            self._run_heap(until)
+        self._run_heap(until)
         if until is not None:
             self.now = until
 

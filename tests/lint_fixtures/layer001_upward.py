@@ -4,11 +4,11 @@ The simulation kernel (layer 0) importing observability (layer 1) and
 the service layer (layer 4) are upward edges in the declared DAG.
 """
 
-from repro.obs.runtime import new_profiler
+from repro.obs.runtime import get_telemetry
 from repro.serve import app
 
 import repro.experiments
 
 
 def use_them():
-    return new_profiler, app, repro.experiments
+    return get_telemetry, app, repro.experiments

@@ -7,8 +7,8 @@ registered exhibit (both tiers) ``python -m repro.experiments <id>``
 runs three times:
 
 * **A** — ``--no-cache --jobs 1 --report <tmp>`` under
-  ``PYTHONHASHSEED=0``: serial, with telemetry, step profiling and
-  trace collection switched on;
+  ``PYTHONHASHSEED=0``: serial, with telemetry, the per-layer wall
+  sampler and trace collection switched on;
 * **B** — ``--jobs 4 --cache-dir <tmp>`` under ``PYTHONHASHSEED=1``:
   the exhibit's inner sweeps fan out over a process pool, under another
   string-hash seed, into a cold result cache;
@@ -29,9 +29,9 @@ deselected by default like ``fleet``::
 
 import difflib
 import itertools
+import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 
@@ -91,7 +91,6 @@ def test_exhibit_output_equivalent(exp_id, tmp_path):
     cache_dir = str(tmp_path / "cache")
     serial = _run(exp_id, 0, "--no-cache", "--jobs", "1",
                   "--report", str(report_dir))
-    shutil.rmtree(report_dir)  # profiler timelines run to ~100 MB
     pooled = _run(exp_id, 1, "--jobs", "4", "--cache-dir", cache_dir)
     replayed = _run(exp_id, 1, "--jobs", "4", "--cache-dir", cache_dir)
     runs = [("A (serial, PYTHONHASHSEED=0, --report)", serial,
@@ -113,3 +112,18 @@ def test_exhibit_output_equivalent(exp_id, tmp_path):
                 lineterm="")
             pytest.fail(f"{exp_id}: run {left} != run {right}\n"
                         + "\n".join(itertools.islice(diff, DIFF_HEAD)))
+
+
+def test_report_stable_across_hash_seeds(tmp_path):
+    """``--report``'s ``report.json`` is the same bytes under two string
+    hash seeds once its wall-time fields are dropped."""
+    exp_id = "fig8_recovery"
+    reports = []
+    for hash_seed in (1, 2):
+        report_dir = tmp_path / f"report-{hash_seed}"
+        _run(exp_id, hash_seed, "--no-cache", "--report", str(report_dir))
+        report = json.loads(
+            (report_dir / f"{exp_id}.report.json").read_text())
+        del report["meta"]["wall_clock_s"], report["layers"]
+        reports.append(json.dumps(report, indent=2))
+    assert reports[0] == reports[1]

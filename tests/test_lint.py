@@ -67,11 +67,6 @@ class TestDet001WallClock:
         rule = get_rule("DET001")
         assert list(rule.check(source_module, ProjectIndex())) == []
 
-    def test_obs_profiler_is_allowlisted_in_src(self):
-        profiler = os.path.join(SRC_REPRO, "obs", "profiler.py")
-        found = [f for f in lint_files([profiler]) if f.rule == "DET001"]
-        assert found == []  # uses perf_counter but lives in repro.obs
-
     def test_denylist_overrides_allowlist(self):
         # repro.obs.trace sits under the repro.obs allowlist prefix but
         # records sim time, so wall-clock use there IS a finding.
@@ -393,6 +388,13 @@ class TestCLI:
         out = capsys.readouterr().out
         for rule in all_rules():
             assert rule.id in out
+
+    def test_negative_jobs_is_a_usage_error(self, capsys):
+        code = lint_main([fixture("det002_random.py"), "--jobs", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "jobs must be an int >= 0, got -1" in captured.err
+        assert captured.out == ""
 
     def test_fixture_violation_exits_nonzero(self, capsys):
         code = lint_main([fixture("det001_wallclock.py"),

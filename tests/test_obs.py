@@ -1,6 +1,7 @@
 """Tests for the unified telemetry layer (repro.obs)."""
 
 import json
+import sys
 
 import pytest
 
@@ -9,19 +10,24 @@ from repro.experiments.base import ExperimentResult, Series, Table
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
 from repro.obs import (
-    SimProfiler,
+    LayerSamples,
     Telemetry,
     chrome_trace,
-    disable_profiling,
-    enable_profiling,
     get_telemetry,
     prometheus_text,
     run_report,
-    take_profilers,
+    sample_layers,
     use_telemetry,
     write_run_artifacts,
 )
-from repro.simcore import Simulator
+from repro.obs.wallsample import _file_layer, _stack_layer
+from repro.simcore import Simulator, percentile
+from repro.simcore import metrics as simcore_metrics
+
+#: Top-level ``repro`` packages: the only layer names besides "other".
+REPRO_PACKAGES = {"core", "crypto", "experiments", "faults", "fleet", "k8s",
+                  "kernel", "lint", "mesh", "netsim", "obs", "resilience",
+                  "runtime", "serve", "simcore", "workloads"}
 
 
 class TestTelemetryRegistry:
@@ -163,66 +169,63 @@ class TestChromeTrace:
         # Distinct sources get distinct thread rows.
         assert events[0]["tid"] != events[1]["tid"]
 
-    def test_profiler_events_included(self):
-        profiler = SimProfiler(keep_timeline=True)
-        profiler._add("process:req", 0.5, 0.001, 0.0)
-        trace = chrome_trace(profilers=[profiler])
-        events = json.loads(json.dumps(trace))["traceEvents"]
-        names = {event["name"] for event in events}
-        assert "process:req" in names
+
+def _toy_simulation(seed):
+    sim = Simulator(seed=seed)
+    draws = []
+
+    def worker():
+        for _ in range(20_000):
+            yield sim.timeout(sim.rng.random())
+            draws.append((sim.now, sim.rng.random()))
+
+    def ticker():
+        for _ in range(5):
+            yield sim.timeout(4.0)
+            draws.append((sim.now, "tick"))
+
+    sim.process(worker(), name="worker-1")
+    sim.process(ticker(), name="ticker-1")
+    sim.run()
+    return draws, sim.now, sim._sequence
 
 
-class TestSimProfiler:
-    def _toy_run(self):
-        enable_profiling(keep_timeline=True)
-        try:
-            sim = Simulator(seed=1)
+class TestWallSampler:
+    @pytest.fixture(scope="class")
+    def busy(self):
+        """Samples over ~0.3 s spent in ``simcore.metrics.percentile``."""
+        values = [float((index * 7919) % 100_003) for index in range(200_000)]
+        with sample_layers() as layers:
+            for _ in range(2_000):  # bounded even if no sample ever lands
+                percentile(values, 99.0)
+                if layers.samples >= 60:
+                    break
+        return layers
 
-            def worker():
-                for _ in range(10):
-                    yield sim.timeout(1.0)
+    def test_names_busy_package(self, busy):
+        shares = busy.shares()
+        assert max(shares, key=shares.get) == "simcore"
+        assert set(shares) <= REPRO_PACKAGES | {"other"}
 
-            def ticker():
-                for _ in range(5):
-                    yield sim.timeout(4.0)
+    def test_shares_sum_to_one(self, busy):
+        assert busy.samples >= 60
+        assert sum(busy.shares().values()) == pytest.approx(1.0)
+        report = busy.to_dict()
+        assert report["samples"] == busy.samples
+        assert report["shares"] == busy.shares()
 
-            sim.process(worker(), name="worker-1")
-            sim.process(ticker(), name="ticker-1")
-            sim.run()
-            return sim
-        finally:
-            disable_profiling()
-            take_profilers()
+    def test_stack_outside_repro_counts_as_other(self):
+        assert _file_layer(simcore_metrics.__file__) == "simcore"
+        assert _file_layer(__file__) == ""
+        assert _stack_layer(sys._getframe(), {}) == "other"
+        assert _stack_layer(None, {}) == "other"
+        assert LayerSamples().shares() == {}
 
-    def test_profiler_attached_and_attributes_sim_time(self):
-        sim = self._toy_run()
-        assert sim.profiler is not None
-        records = sim.profiler.records
-        # Trailing digits are normalized away.
-        assert "process:worker" in records
-        assert "process:ticker" in records
-        total_sim = sim.profiler.sim_total_s()
-        assert total_sim == pytest.approx(sim.now)
-        assert sim.profiler.wall_total_s() >= 0.0
-        assert sim.profiler.steps > 0
-        assert sim.profiler.timeline  # keep_timeline=True
-
-    def test_summary_sorted_by_wall(self):
-        sim = self._toy_run()
-        rows = sim.profiler.summary()
-        walls = [row["wall_s"] for row in rows]
-        assert walls == sorted(walls, reverse=True)
-        assert sim.profiler.formatted()
-
-    def test_no_profiler_by_default(self):
-        assert Simulator().profiler is None
-
-    def test_key_cap_folds_into_other(self):
-        profiler = SimProfiler(max_keys=2)
-        for index in range(5):
-            profiler._add(f"key-a{index}x", 0.0, 0.0, None)
-        assert set(profiler.records) <= {"key-a0x", "key-a1x", "(other)"}
-        assert "(other)" in profiler.records
+    def test_sampling_leaves_the_simulation_unchanged(self):
+        plain = _toy_simulation(seed=3)
+        with sample_layers():
+            sampled = _toy_simulation(seed=3)
+        assert sampled == plain
 
 
 class TestMeshWiring:
@@ -294,12 +297,15 @@ class TestRunReportArtifacts:
     def test_run_report_shape(self):
         telemetry = Telemetry()
         telemetry.inc("requests_total")
-        report = run_report(self._result(), telemetry, [SimProfiler()],
-                            meta={"exp_id": "figX"})
+        layers = LayerSamples()
+        layers.counts.update(simcore=3, mesh=1)
+        report = run_report(self._result(), telemetry,
+                            meta={"exp_id": "figX"}, layers=layers)
         assert report["result"]["exp_id"] == "figX"
         assert report["result"]["tables"][0]["rows"] == [[1, 2.5]]
         assert report["telemetry"]["requests_total"]["kind"] == "counter"
-        assert report["profilers"][0]["steps"] == 0
+        assert report["layers"] == {
+            "samples": 4, "shares": {"mesh": 0.25, "simcore": 0.75}}
         json.dumps(report)  # must be JSON-serializable
 
     def test_write_run_artifacts(self, tmp_path):
@@ -323,7 +329,10 @@ class TestRunReportArtifacts:
         report = json.loads(
             (tmp_path / "fig8_recovery.report.json").read_text())
         assert report["meta"]["exp_id"] == "fig8_recovery"
-        assert report["profilers"]  # simulators ran under the profiler
+        shares = report["layers"]["shares"]
+        assert report["layers"]["samples"] > 0
+        assert set(shares) <= REPRO_PACKAGES | {"other"}
+        assert sum(shares.values()) == pytest.approx(1.0)
         json.loads((tmp_path / "fig8_recovery.trace.json").read_text())
         assert (tmp_path / "fig8_recovery.prom").exists()
         assert "fig8_recovery" in capsys.readouterr().out

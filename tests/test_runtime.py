@@ -75,6 +75,16 @@ class TestSweepExecutor:
         assert executor.jobs >= 1
         executor.close()
 
+    @pytest.mark.parametrize("jobs", [-1, -5, 2.7, "2", True, None])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            SweepExecutor(jobs=jobs)
+
+    @pytest.mark.parametrize("chunksize", [0, -1, 1.5, "4", True])
+    def test_bad_chunksize_rejected(self, chunksize):
+        with pytest.raises(ValueError, match="chunksize"):
+            SweepExecutor(chunksize=chunksize)
+
     def test_worker_exception_carries_point_repr(self):
         points = list(range(30, 45))
         with SweepExecutor(jobs=2) as executor:
@@ -189,6 +199,14 @@ class TestCLI:
         assert code == 1
         assert "bogus_id" in captured.err
         assert "fig17" in captured.err and "table1" in captured.err
+
+    def test_negative_jobs_exits_1_naming_the_field(self, capsys):
+        code = cli_main(["prog", "--jobs", "-3", "fig17"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "jobs must be an int >= 0, got -3" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing ran
 
     def test_no_args_lists_exhibits(self, capsys):
         code = cli_main(["prog"])

@@ -467,7 +467,60 @@ class TestObservability:
         assert excinfo.value.status == 404
 
 
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            Scheduler(JobStore(), workers=workers)
+
+    @pytest.mark.parametrize("queue_depth", [0, -1, 2.0, "16", False])
+    def test_bad_queue_depth_rejected(self, queue_depth):
+        with pytest.raises(ValueError, match="queue_depth"):
+            Scheduler(JobStore(), queue_depth=queue_depth)
+
+    @pytest.mark.parametrize("max_retries", [-1, 0.5, "1", True])
+    def test_bad_max_retries_rejected(self, max_retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            Scheduler(JobStore(), max_retries=max_retries)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf,
+                                         "600", True])
+    def test_bad_default_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="default_timeout_s"):
+            Scheduler(JobStore(), default_timeout_s=timeout)
+
+    @pytest.mark.parametrize("retry_after", [0, -0.5, math.nan, math.inf,
+                                             "1", True])
+    def test_bad_retry_after_rejected(self, retry_after):
+        with pytest.raises(ValueError, match="retry_after_s"):
+            Scheduler(JobStore(), retry_after_s=retry_after)
+
+    def test_edge_values_accepted(self):
+        scheduler = Scheduler(JobStore(), workers=1, queue_depth=1,
+                              max_retries=0, default_timeout_s=0.5,
+                              retry_after_s=1)
+        assert (scheduler.workers, scheduler.queue_depth,
+                scheduler.max_retries, scheduler.default_timeout_s,
+                scheduler.retry_after_s) == (1, 1, 0, 0.5, 1.0)
+
+
 class TestServeCLI:
+    def test_zero_workers_exits_1_naming_the_field(self):
+        # A subprocess with a timeout: a server that accepted the value
+        # would start listening instead of exiting.
+        src_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_root + os.pathsep + \
+            env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--workers", "0"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "workers must be an int >= 1, got 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_boot_submit_sigterm_drain(self, tmp_path):
         """The CI smoke scenario: ephemeral port, real job, clean drain."""
         src_root = os.path.dirname(os.path.dirname(

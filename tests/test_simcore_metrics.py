@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import Counter, Summary, TimeSeries, cdf, percentile
+from repro.simcore import Summary, TimeSeries, cdf, percentile
 
 
 class TestPercentile:
@@ -191,48 +191,6 @@ class TestTimeSeries:
             series.bucketed(0.0)
         with pytest.raises(ValueError):
             series.bucketed(-1.0)
-
-
-class TestCounter:
-    def test_total(self):
-        counter = Counter()
-        counter.increment(0.0)
-        counter.increment(1.0, amount=3)
-        assert counter.total == 4
-
-    def test_rate_window(self):
-        counter = Counter()
-        for t in (0.1, 0.2, 0.9, 1.5):
-            counter.increment(t)
-        assert counter.rate(0.0, 1.0) == pytest.approx(3.0)
-
-    def test_bad_window_raises(self):
-        with pytest.raises(ValueError):
-            Counter().rate(1.0, 1.0)
-
-    def test_bulk_increment_is_compact(self):
-        """A big amount stores one (time, amount) pair, not N copies."""
-        counter = Counter()
-        counter.increment(0.5, amount=10_000_000)
-        assert counter.total == 10_000_000
-        assert len(counter._events) == 1
-        assert counter.rate(0.0, 1.0) == pytest.approx(10_000_000)
-
-    def test_rate_window_half_open(self):
-        counter = Counter()
-        counter.increment(0.0, amount=2)
-        counter.increment(1.0, amount=5)  # at `end`, excluded
-        assert counter.rate(0.0, 1.0) == pytest.approx(2.0)
-
-    def test_zero_amount_records_nothing(self):
-        counter = Counter()
-        counter.increment(0.5, amount=0)
-        assert counter.total == 0
-        assert counter._events == []
-
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().increment(0.0, amount=-1)
 
 
 class TestSummaryEdgeCases:
