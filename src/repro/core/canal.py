@@ -262,8 +262,7 @@ class CanalMesh(ServiceMesh):
         client_proxy = self._proxy_for(client_pod)
         server_proxy = self._proxy_for(server_pod)
         tracer = self._trace_source()
-        trace_sink = ([] if tracer is not None and tracer.enabled
-                      else None)
+        trace_sink = [] if tracer is not None else None
         if self.mtls_enabled:
             yield from self._handshake(client_proxy, trace_sink=trace_sink)
             # The server node's channel to the gateway is long-lived:

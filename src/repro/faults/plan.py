@@ -70,8 +70,9 @@ class Fault:
     ``duration_s`` (when set) schedules the matching recovery that many
     seconds after injection; ``None`` means the fault persists to the
     end of the run. ``param`` carries a kind-specific magnitude: the
-    extra seconds for ``controlplane_push_delay``, the number of doomed
-    attempts for ``serve_worker_death`` (default 1).
+    extra seconds for ``controlplane_push_delay``, the whole number of
+    doomed attempts for ``serve_worker_death`` (``0``, the default,
+    means 1).
     """
 
     kind: str
@@ -108,6 +109,11 @@ class Fault:
             raise FaultPlanError(
                 f"{self.kind} needs a positive param "
                 f"(got {self.param})")
+        if self.kind == "serve_worker_death" and not (
+                self.param >= 0 and self.param == int(self.param)):
+            raise FaultPlanError(
+                f"{self.kind}: param must be a whole number of attempts "
+                f">= 0 (0 means 1), got {self.param}")
         if (self.kind == "replica_crash" and not self.backend
                 and "/" not in self.target):
             raise FaultPlanError(

@@ -15,8 +15,9 @@ Disrupted-session bookkeeping uses per-slot generation counters
 instead of event cancellation: a backend crash bumps the slot's
 generation, and a departure event that arrives carrying a stale
 generation is a no-op (its session was already counted as disrupted).
-This keeps the agenda append-only — the same discipline the timeout
-slab uses — and costs O(1) per fault regardless of session count.
+This keeps the agenda append-only — the same discipline ``Process``
+uses for abandoned wait targets — and costs O(1) per fault regardless
+of session count.
 """
 
 from __future__ import annotations

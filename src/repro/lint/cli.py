@@ -1,19 +1,18 @@
 """``python -m repro.lint`` — the simlint command line.
 
-Exit codes: 0 clean (or every finding baselined), 1 findings, 2 usage
-error. ``--format json`` emits a machine-readable report (CI uploads it
-as an artifact), ``--format sarif`` emits SARIF 2.1.0 for GitHub code
-scanning; ``--output`` additionally writes the report to a file so the
-exit code still gates the job. ``--jobs N`` fans the per-file work
+Exit codes: 0 clean, 1 findings, 2 usage error. ``--format json``
+emits a machine-readable report (CI uploads it as an artifact),
+``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning;
+``--output`` additionally writes the report to a file so the exit code
+still gates the job. ``--jobs N`` fans the per-file work
 out over ``runtime.sweep_map`` workers with byte-identical findings at
 any jobs level, and the content-hash incremental cache
 (``--cache-dir``, disable with ``--no-cache``) keeps warm re-runs
 O(changed files).
 
-A ``simlint-baseline.json`` in the current directory is loaded
-automatically when ``--baseline`` is not given, so the repository's
-accepted findings (intentional wall-clock timing in the benchmark
-harness) don't fail routine runs; pass ``--baseline ''`` to disable.
+An accepted finding is suppressed where it stands, with a
+``# simlint: ignore[RULE]`` comment on its line; there is no
+suppression file.
 """
 
 from __future__ import annotations
@@ -26,20 +25,10 @@ from typing import List, Optional
 
 from ..runtime.sweep import resolve_jobs
 from .framework import Finding, all_rules
-from .runner import (
-    collect_files,
-    lint_files,
-    load_baseline,
-    select_rules,
-    split_baselined,
-    write_baseline,
-)
+from .runner import collect_files, lint_files, select_rules
 from .sarif import render_sarif
 
 __all__ = ["main"]
-
-#: Auto-loaded when present and ``--baseline`` is not given.
-DEFAULT_BASELINE = "simlint-baseline.json"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -53,13 +42,6 @@ def _parser() -> argparse.ArgumentParser:
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="also write the report to FILE")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="accepted-findings file; matching findings "
-                             "don't fail the run (default: "
-                             f"{DEFAULT_BASELINE} when present; pass '' "
-                             "to disable)")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE and exit 0")
     parser.add_argument("--select", metavar="RULE,...", default=None,
                         help="only run these rule ids")
     parser.add_argument("--ignore", metavar="RULE,...", default=None,
@@ -89,8 +71,7 @@ def _default_paths() -> List[str]:
     return paths or ["."]
 
 
-def _render_json(findings: List[Finding], baselined: List[Finding],
-                 files: int) -> str:
+def _render_json(findings: List[Finding], files: int) -> str:
     by_rule: dict = {}
     for finding in findings:
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
@@ -98,20 +79,15 @@ def _render_json(findings: List[Finding], baselined: List[Finding],
         "version": 1,
         "tool": "simlint",
         "summary": {"files": files, "findings": len(findings),
-                    "baselined": len(baselined), "by_rule": by_rule},
+                    "by_rule": by_rule},
         "findings": [f.to_dict() for f in findings],
-        "baselined": [f.to_dict() for f in baselined],
     }
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _render_text(findings: List[Finding], baselined: List[Finding],
-                 files: int) -> str:
+def _render_text(findings: List[Finding], files: int) -> str:
     lines = [finding.format_text() for finding in findings]
-    summary = (f"simlint: {len(findings)} finding(s) in {files} file(s)")
-    if baselined:
-        summary += f" ({len(baselined)} baselined)"
-    lines.append(summary)
+    lines.append(f"simlint: {len(findings)} finding(s) in {files} file(s)")
     return "\n".join(lines)
 
 
@@ -139,31 +115,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                           cache_dir=options.cache_dir,
                           use_cache=not options.no_cache)
 
-    if options.write_baseline:
-        write_baseline(options.write_baseline, findings)
-        print(f"simlint: wrote {len(findings)} finding(s) to "
-              f"{options.write_baseline}")
-        return 0
-
-    baseline_path = options.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-    baselined: List[Finding] = []
-    if baseline_path:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"simlint: bad baseline {baseline_path!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings, baselined = split_baselined(findings, baseline)
-
     if options.format == "sarif":
-        report = render_sarif(findings, baselined, rules)
+        report = render_sarif(findings, rules)
     elif options.format == "json":
-        report = _render_json(findings, baselined, len(files))
+        report = _render_json(findings, len(files))
     else:
-        report = _render_text(findings, baselined, len(files))
+        report = _render_text(findings, len(files))
     print(report)
     if options.output:
         with open(options.output, "w", encoding="utf-8") as handle:

@@ -57,11 +57,6 @@ class Finding:
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
 
-    @property
-    def baseline_key(self) -> str:
-        """Identity used for ``--baseline`` matching."""
-        return f"{self.rule}::{self.path}::{self.line}"
-
     def to_dict(self) -> dict:
         return {"rule": self.rule, "severity": self.severity,
                 "path": self.path, "line": self.line, "col": self.col,

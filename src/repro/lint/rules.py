@@ -17,16 +17,9 @@ is structurally exposed to):
 * **CACHE001** — dynamic imports inside ``repro.experiments`` are
   invisible to the cache's static import-closure walker, making cache
   keys unsound.
-* **SLAB001** — recycling an event onto a slab free list without
-  resetting its ``callbacks`` lets the next ``timeout()`` hand a model
-  an object that still fires its previous life's callbacks (the PR 5
-  injector-idempotence bug class, applied to the simcore slab).
 * **LAYER001** — an import whose target ranks *higher* than the
   importer in the declared layer DAG (:data:`LAYERS`) is an upward
   dependency.
-* **LEAK001** — a value acquired via ``*._acquire()``/``*.acquire()``
-  must be released, returned, or handed off on every exit path; a held
-  name at a ``return`` (or at fall-off) leaks the slab entry.
 
 Every rule sees one file at a time. The only cross-file fact is
 :class:`~repro.lint.framework.ProjectIndex`'s set-annotated attribute
@@ -48,8 +41,6 @@ __all__ = [
     "DynamicImportRule",
     "LAYERS",
     "LayeringRule",
-    "SlabLeakRule",
-    "SlabRecycleRule",
     "UnorderedIterationRule",
     "UnpicklableSweepTargetRule",
     "UnseededRandomRule",
@@ -542,90 +533,6 @@ class DynamicImportRule(Rule):
                 fix_hint=self.fix_hint)
 
 
-@register
-class SlabRecycleRule(Rule):
-    """SLAB001: slab-recycled objects must have ``callbacks`` reset."""
-
-    id = "SLAB001"
-    severity = "error"
-    summary = ("object recycled onto a slab free list without its "
-               "callbacks being reset in the same function")
-    fix_hint = ("assign a cleared callbacks list to the object before "
-                "the slab append so the next allocation cannot fire a "
-                "previous life's callbacks")
-
-    #: Packages that maintain slab free lists. The simulator recycles
-    #: drained Timeout events through ``Simulator._timeout_slab``; an
-    #: append that skips the ``callbacks`` reset hands the *next*
-    #: ``timeout()`` caller an event that still fires its previous
-    #: life's callbacks — the PR 5 injector-idempotence bug class.
-    default_packages: Tuple[str, ...] = ("repro.simcore",)
-
-    def __init__(self, packages: Optional[Tuple[str, ...]] = None):
-        self.packages = self.default_packages if packages is None \
-            else packages
-
-    def _applies(self, module: Optional[str]) -> bool:
-        if not module:
-            return False
-        return any(module == prefix or module.startswith(prefix + ".")
-                   for prefix in self.packages)
-
-    @staticmethod
-    def _is_slab(node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id.endswith("slab")
-        if isinstance(node, ast.Attribute):
-            return node.attr.endswith("slab")
-        return False
-
-    @staticmethod
-    def _resets_callbacks(scope: ast.AST, name: str) -> bool:
-        """True if ``scope`` assigns ``<name>.callbacks`` anywhere."""
-        def hits(target: ast.expr) -> bool:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                return any(hits(element) for element in target.elts)
-            return (isinstance(target, ast.Attribute)
-                    and target.attr == "callbacks"
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == name)
-
-        for node in _walk_own(scope):
-            if isinstance(node, ast.Assign) and \
-                    any(hits(target) for target in node.targets):
-                return True
-        return False
-
-    def check(self, module: ModuleSource,
-              project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None or not self._applies(module.module):
-            return
-        parents = _parent_map(module.tree)
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "append"
-                    and self._is_slab(node.func.value)
-                    and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Name)):
-                continue
-            recycled = node.args[0].id
-            scope: Optional[ast.AST] = node
-            while scope is not None and not isinstance(
-                    scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = parents.get(scope)
-            if scope is None:
-                scope = module.tree
-            if self._resets_callbacks(scope, recycled):
-                continue
-            yield self.finding(
-                module, node,
-                f"{recycled!r} is recycled onto a slab free list but "
-                f"{recycled}.callbacks is never reset in this "
-                f"function; the next allocation from the slab will "
-                f"fire the previous life's callbacks")
-
-
 #: The declared architecture layer DAG, most-specific prefix wins.
 #: Rank 0 is the foundation; a module may import only same-or-lower
 #: ranks. The ``repro.obs`` instrumentation facade (telemetry counters,
@@ -749,121 +656,3 @@ class LayeringRule(Rule):
                          f"imports {name} (layer {rank}): upward "
                          f"dependency violates the declared layer DAG"),
                 fix_hint=self.fix_hint)
-
-
-@register
-class SlabLeakRule(Rule):
-    """LEAK001: acquired slab/pool objects must escape every exit path."""
-
-    id = "LEAK001"
-    severity = "error"
-    summary = ("value acquired via _acquire()/acquire() is not released, "
-               "returned, or handed off on some exit path")
-    fix_hint = ("release/schedule/return the acquired object on every "
-                "path, or acquire it only where it is consumed")
-
-    _ACQUIRE_ATTRS = frozenset({"_acquire", "acquire"})
-
-    def _is_acquire_call(self, node: ast.AST) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._ACQUIRE_ATTRS)
-
-    @staticmethod
-    def _names_used(node: Optional[ast.AST]) -> Set[str]:
-        used: Set[str] = set()
-        if node is not None:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and \
-                        isinstance(sub.ctx, ast.Load):
-                    used.add(sub.id)
-        return used
-
-    def check(self, module: ModuleSource,
-              project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, node)
-
-    def _check_function(self, module: ModuleSource,
-                        fn) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        #: held name -> (acquire line, acquire col, callee attr)
-        Held = Dict[str, Tuple[int, int, str]]
-
-        def leak(held: Held, name: str, node: ast.AST) -> None:
-            line, col, attr = held[name]
-            findings.append(Finding(
-                rule=self.id, severity=self.severity, path=module.path,
-                line=node.lineno, col=node.col_offset + 1,
-                message=(f"{name!r} acquired via {attr}() at line "
-                         f"{line} is not released, returned, or handed "
-                         f"off on this exit path"),
-                fix_hint=self.fix_hint))
-
-        def consume(held: Held, node: Optional[ast.AST]) -> None:
-            for name in self._names_used(node):
-                held.pop(name, None)
-
-        def walk(body, held: Held) -> Held:
-            """Transfer function over one statement list; mutates and
-            returns the held-set. Branches are merged pessimistically
-            (held on any path stays held); loop bodies run once."""
-            for statement in body:
-                if isinstance(statement, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef,
-                                          ast.ClassDef)):
-                    continue
-                if isinstance(statement, ast.Assign) and \
-                        self._is_acquire_call(statement.value) and \
-                        len(statement.targets) == 1 and \
-                        isinstance(statement.targets[0], ast.Name):
-                    consume(held, statement.value)
-                    held[statement.targets[0].id] = (
-                        statement.lineno, statement.col_offset + 1,
-                        statement.value.func.attr)
-                elif isinstance(statement, ast.Return):
-                    consume(held, statement.value)
-                    for name in sorted(held):
-                        leak(held, name, statement)
-                    held.clear()
-                elif isinstance(statement, ast.If):
-                    consume(held, statement.test)
-                    branch_a = walk(statement.body, dict(held))
-                    branch_b = walk(statement.orelse, dict(held))
-                    held.clear()
-                    held.update(branch_b)
-                    held.update(branch_a)
-                elif isinstance(statement, (ast.For, ast.AsyncFor)):
-                    consume(held, statement.iter)
-                    held.update(walk(statement.body, dict(held)))
-                    walk(statement.orelse, held)
-                elif isinstance(statement, ast.While):
-                    consume(held, statement.test)
-                    held.update(walk(statement.body, dict(held)))
-                    walk(statement.orelse, held)
-                elif isinstance(statement, ast.Try):
-                    walk(statement.body, held)
-                    for handler in statement.handlers:
-                        walk(handler.body, held)
-                    walk(statement.orelse, held)
-                    walk(statement.finalbody, held)
-                elif isinstance(statement, (ast.With, ast.AsyncWith)):
-                    for item in statement.items:
-                        consume(held, item.context_expr)
-                    walk(statement.body, held)
-                else:
-                    # Any other statement: every Load of a held name is
-                    # a hand-off (call argument, attribute store,
-                    # release(), yield, ...).
-                    consume(held, statement)
-            return held
-
-        remaining = walk(fn.body, {})
-        if remaining:
-            tail = fn.body[-1]
-            for name in sorted(remaining):
-                leak(remaining, name, tail)
-        return findings

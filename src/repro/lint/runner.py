@@ -27,7 +27,6 @@ always lints exactly that file.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -46,10 +45,7 @@ __all__ = [
     "collect_files",
     "lint_files",
     "lint_paths",
-    "load_baseline",
     "select_rules",
-    "split_baselined",
-    "write_baseline",
 ]
 
 DEFAULT_EXCLUDE_DIRS = frozenset({"__pycache__", "lint_fixtures",
@@ -212,38 +208,3 @@ def lint_paths(paths: Sequence[str],
                       rules=select_rules(select, ignore),
                       jobs=jobs, cache_dir=cache_dir,
                       use_cache=use_cache)
-
-
-# -- baselines ---------------------------------------------------------------
-
-def load_baseline(path: str) -> Set[str]:
-    """Baseline keys from a ``--write-baseline`` JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    keys: Set[str] = set()
-    for entry in payload.get("findings", []):
-        keys.add(f"{entry['rule']}::{entry['path']}::{entry['line']}")
-    return keys
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    """Persist ``findings`` as the accepted baseline."""
-    payload = {
-        "version": 1,
-        "findings": [{"rule": f.rule, "path": f.path, "line": f.line,
-                      "message": f.message} for f in findings],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def split_baselined(findings: Sequence[Finding],
-                    baseline: Set[str]
-                    ) -> Tuple[List[Finding], List[Finding]]:
-    """``(new findings, baselined findings)``."""
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for finding in findings:
-        (old if finding.baseline_key in baseline else new).append(finding)
-    return new, old

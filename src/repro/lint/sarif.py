@@ -2,9 +2,8 @@
 
 GitHub code scanning ingests SARIF; ``python -m repro.lint --format
 sarif`` renders one run with the full rule catalog in the driver
-metadata, active findings as ``results``, and baselined findings as
-suppressed results (so they stay visible in the scanning UI without
-failing the check).
+metadata and every finding as a ``results`` entry. Findings
+suppressed inline (``# simlint: ignore[...]``) never reach the report.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ _SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
 _LEVELS = {"error": "error", "warning": "warning"}
 
 
-def _result(finding: Finding, suppressed: bool) -> dict:
+def _result(finding: Finding) -> dict:
     result = {
         "ruleId": finding.rule,
         "level": _LEVELS.get(finding.severity, "warning"),
@@ -42,16 +41,10 @@ def _result(finding: Finding, suppressed: bool) -> dict:
     }
     if finding.fix_hint:
         result["message"]["text"] += f" [fix: {finding.fix_hint}]"
-    if suppressed:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "accepted in simlint baseline",
-        }]
     return result
 
 
 def to_sarif(findings: Sequence[Finding],
-             baselined: Sequence[Finding] = (),
              rules: Sequence[Rule] = ()) -> dict:
     """The SARIF log object for one lint run."""
     rule_metadata = [{
@@ -61,10 +54,7 @@ def to_sarif(findings: Sequence[Finding],
         "defaultConfiguration": {
             "level": _LEVELS.get(rule.severity, "warning")},
     } for rule in sorted(rules, key=lambda r: r.id)]
-    results: List[dict] = [
-        _result(finding, suppressed=False) for finding in findings]
-    results.extend(
-        _result(finding, suppressed=True) for finding in baselined)
+    results: List[dict] = [_result(finding) for finding in findings]
     return {
         "$schema": _SCHEMA,
         "version": _SARIF_VERSION,
@@ -81,7 +71,6 @@ def to_sarif(findings: Sequence[Finding],
 
 
 def render_sarif(findings: Sequence[Finding],
-                 baselined: Sequence[Finding] = (),
                  rules: Sequence[Rule] = ()) -> str:
-    return json.dumps(to_sarif(findings, baselined, rules), indent=2,
+    return json.dumps(to_sarif(findings, rules), indent=2,
                       sort_keys=True)

@@ -85,8 +85,7 @@ class IstioMesh(ServiceMesh):
         server_tier = self._tier_for(server_pod)
         session = None
         tracer = get_tracer()
-        trace_sink = ([] if tracer is not None and tracer.enabled
-                      else None)
+        trace_sink = [] if tracer is not None else None
         if self.mtls_enabled:
             rtt = self.latency_model.rtt(
                 self._location_of(client_pod), self._location_of(server_pod))

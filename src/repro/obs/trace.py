@@ -493,27 +493,21 @@ class Tracer:
     """
 
     def __init__(self, collector: Optional[TraceCollector] = None,
-                 enabled: bool = True, sample_rate: float = 1.0,
-                 seed: int = 0, sampler: Optional[random.Random] = None,
-                 max_traces: Optional[int] = DEFAULT_MAX_TRACES):
+                 sample_rate: float = 1.0, seed: int = 0):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], "
                              f"got {sample_rate}")
-        self.enabled = enabled
         self.collector = (collector if collector is not None
-                          else TraceCollector(max_traces=max_traces))
+                          else TraceCollector())
         self.sample_rate = sample_rate
-        self._sampler = (sampler if sampler is not None
-                         else random.Random(f"repro.obs.trace:{seed!r}"))
+        self._sampler = random.Random(f"repro.obs.trace:{seed!r}")
         self.traces_started = 0
         self.traces_sampled = 0
 
     def start(self, name: str, layer: str = "request", source: str = "",
               service: str = "", start_s: float = 0.0,
               **annotations) -> Optional[TraceHandle]:
-        """Begin a trace, or return ``None`` (disabled / sampled out)."""
-        if not self.enabled:
-            return None
+        """Begin a trace, or return ``None`` when sampled out."""
         self.traces_started += 1
         trace_id = self.collector.new_trace_id()
         if self.sample_rate < 1.0 \
@@ -553,8 +547,8 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
 
 @contextmanager
 def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope an (enabled, full-sampling by default) tracer."""
-    installed = tracer if tracer is not None else Tracer(enabled=True)
+    """Scope a tracer (a full-sampling one by default)."""
+    installed = tracer if tracer is not None else Tracer()
     previous = set_tracer(installed)
     try:
         yield installed

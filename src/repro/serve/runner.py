@@ -134,7 +134,7 @@ def execute_job(spec: JobSpec, conn, report_dir: Optional[str] = None,
         plan = spec.fault_plan()
         if plan is not None:
             for fault in plan.serve_faults():
-                if attempt <= max(int(fault.param), 1):
+                if attempt <= (int(fault.param) or 1):
                     os._exit(3)  # worker death: no message, nonzero exit
         if spec.kind == "probe":
             summaries = _run_probe(spec, conn)

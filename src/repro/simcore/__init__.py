@@ -20,13 +20,12 @@ from .events import (
 from .metrics import Summary, TimeSeries, cdf, percentile
 from .resources import CpuResource, Request, Resource, Store
 from .rng import derived_stream
-from .sim import EmptySchedule, Simulator
+from .sim import Simulator
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CpuResource",
-    "EmptySchedule",
     "Event",
     "Interrupt",
     "PENDING",

@@ -35,6 +35,7 @@ by comparing it against the process's current target.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 __all__ = [
@@ -189,60 +190,26 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    Timeouts are by far the most-scheduled event type, so construction
-    is slab-backed: a fired timeout that nothing else references is
-    recycled onto its simulator's free list (``sim._timeout_slab``) by
-    the event loop, and both construction paths — ``Timeout(sim, d)``
-    here and ``Simulator.timeout()`` — go through :meth:`_acquire`,
-    the single slab-backed constructor. Recycled instances are
-    guaranteed to arrive with an *empty* ``callbacks`` list (reset at
-    recycle time), so a reused object can never leak callbacks from
-    its previous life.
+    A timeout triggers itself: construction sets its value and pushes
+    its entry onto the agenda, ``delay`` from now.
+    ``Simulator.timeout()`` is the usual way to make one.
     """
 
     __slots__ = ("delay",)
 
-    def __new__(cls, sim: Optional["Simulator"] = None, delay: float = 0.0,
-                value: Any = None):
-        # Pickle calls this with no args and gets a bare instance;
-        # every live construction routes through ``_acquire``.
-        if sim is None:
-            timeout = object.__new__(cls)
-            timeout.callbacks = []
-            return timeout
-        return cls._acquire(sim, delay, value)
-
-    @classmethod
-    def _acquire(cls, sim: "Simulator", delay: float,
-                 value: Any) -> "Timeout":
-        """The slab-backed constructor: slab draw (or fresh allocation)
-        plus field initialization, in one frame.
-
-        The single source of truth for a scheduled timeout's field
-        state, shared by ``Timeout(sim, d)`` and the
-        ``Simulator.timeout()`` fast path. Does not schedule.
-        """
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
-        slab = sim._timeout_slab
-        if slab and cls is Timeout:
-            timeout = slab.pop()  # callbacks: empty list, by invariant
-        else:
-            timeout = object.__new__(cls)
-            timeout.callbacks = []
-        timeout.sim = sim
-        timeout._value = value
-        timeout._ok = True
-        timeout._defused = False
-        timeout.delay = delay
-        return timeout
-
-    def __init__(self, sim: Optional["Simulator"] = None,
-                 delay: float = 0.0, value: Any = None):
-        # ``__new__`` (via ``_acquire``) already set the field state;
-        # all that is left is to enter the agenda.
-        if sim is not None:
-            sim._schedule(self, delay)
+        self.sim = sim
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        # Pushed here rather than via ``sim._schedule``: timeouts are
+        # the most-scheduled event, and the delay is already checked.
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, sim._sequence, None, self))
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         raise SimulationError("Timeout events trigger themselves")

@@ -14,41 +14,20 @@ interrupts (see ``events.py``). The C-implemented push/pop is the
 whole engine: the largest exhibit peaks at tens of thousands of
 pending entries, where no pure-Python structure beats it.
 
-``run()`` inlines the event loop rather than calling :meth:`step` per
-event: the loop is the hottest code in the repository and the per-event
-method call and attribute reloads measurably cap events/sec.
-:meth:`step` remains the single-event API.
-
-Fired :class:`Timeout` objects that nothing else references are
-recycled onto a per-simulator slab (``_timeout_slab``) and reused by
-the next ``timeout()`` call, so steady-state scheduling allocates
-nothing; a ``sys.getrefcount`` guard keeps any timeout the model still
-holds out of the slab.
+``run()`` is the one place that pops the agenda. The loop is the
+hottest code in the repository, so it binds the heap and ``heappop``
+to locals and dispatches each entry inline.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-import sys
 from typing import Any, Generator, Optional
 
 from .events import AllOf, AnyOf, Event, Process, Timeout
 
-__all__ = ["EmptySchedule", "Simulator"]
-
-#: Max recycled Timeout objects parked per simulator.
-_SLAB_CAP = 4096
-
-# ``sys.getrefcount(event)`` at the recycle checkpoint when *nothing
-# outside the loop* references the event: the popped tuple was freed by
-# unpacking, so refs = the loop local + getrefcount's argument.
-# (Asserted empirically by the slab tests.)
-_RECYCLE_RC = 2
-
-
-class EmptySchedule(Exception):
-    """Raised internally when the agenda runs dry before ``until``."""
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -75,10 +54,6 @@ class Simulator:
         #: tie-breaker. ``benchmarks`` read this as the processed-event
         #: count after a run drains the agenda.
         self._sequence = 0
-        #: Free list of fired, otherwise-unreferenced Timeout objects
-        #: (each parked with an *empty* callbacks list), reused by
-        #: ``timeout()`` so steady-state scheduling allocates nothing.
-        self._timeout_slab: list = []
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -110,7 +85,7 @@ class Simulator:
         that the loop dispatches without touching any Event.
 
         Callbacks fire in ``(when, seq)`` order like everything else;
-        exceptions propagate out of :meth:`run`/:meth:`step`. Unlike
+        exceptions propagate out of :meth:`run`. Unlike
         event callbacks there is no cancellation handle — model code
         that needs to cancel should keep its own epoch/generation
         counter and no-op stale firings.
@@ -123,18 +98,8 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` time units from now.
-
-        Fast path: draws from the timeout slab via the shared
-        slab-backed constructor (``Timeout._acquire`` — the same one
-        ``Timeout(sim, d)`` routes through) and pushes the entry
-        directly, skipping ``_schedule``'s redundant delay validation.
-        """
-        timeout = Timeout._acquire(self, delay, value)
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, self._sequence, None, timeout))
-        return timeout
+        """An event that fires ``delay`` time units from now."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a process driving ``generator`` at the current time."""
@@ -149,21 +114,6 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- execution -----------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next entry on the agenda."""
-        if not self._heap:
-            raise EmptySchedule()
-        when, _seq, call, event = heapq.heappop(self._heap)
-        self.now = when
-        if call is not None:
-            call(event)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the agenda is empty or the clock passes ``until``.
 
@@ -177,17 +127,8 @@ class Simulator:
             if until < self.now:
                 raise ValueError(
                     f"until={until} is in the past (now={self.now})")
-        self._run_heap(until)
-        if until is not None:
-            self.now = until
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        """The inlined heapq event loop; returns when the heap is drained
-        or the next entry lies past ``until``."""
         heap = self._heap
         limit = float("inf") if until is None else until
-        slab = self._timeout_slab
-        getrefcount = sys.getrefcount
         pop = heapq.heappop
         while heap and heap[0][0] <= limit:
             when, _seq, call, event = pop(heap)
@@ -200,20 +141,5 @@ class Simulator:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-            # Recycle a fired timeout nothing else references: the
-            # refcount guard keeps model-held timeouts (and their
-            # values) out of the slab, and the drained callbacks list
-            # is cleared and reattached so a reused object can never
-            # expose stale callbacks.
-            if event.__class__ is Timeout and \
-                    getrefcount(event) == _RECYCLE_RC and \
-                    len(slab) < _SLAB_CAP:
-                del callbacks[:]
-                event.callbacks = callbacks
-                event._value = None
-                slab.append(event)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        heap = self._heap
-        return heap[0][0] if heap else float("inf")
+        if until is not None:
+            self.now = until

@@ -50,8 +50,12 @@ def _faults(draw):
         target = "service:0/backend:1/replica:0"
     elif kind in ("backend_crash", "az_crash", "query_of_death"):
         target = draw(st.sampled_from(["service:0", "backend-3", "az2"]))
-    param = draw(_POSITIVE if kind == "controlplane_push_delay"
-                 else st.just(0.0) | _TIMES)
+    if kind == "controlplane_push_delay":
+        param = draw(_POSITIVE)
+    elif kind == "serve_worker_death":
+        param = float(draw(st.integers(min_value=0, max_value=5)))
+    else:
+        param = draw(st.just(0.0) | _TIMES)
     return Fault(kind=kind, at=draw(_TIMES), target=target,
                  duration_s=draw(st.none() | _POSITIVE), param=param)
 
@@ -103,6 +107,14 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="must be a number"):
             Fault.from_json({"kind": "az_crash", "target": "az1",
                              "at": "noon"})
+
+    @pytest.mark.parametrize("param", [-3, 2.5])
+    def test_worker_death_param_must_be_whole_and_non_negative(self, param):
+        with pytest.raises(FaultPlanError, match="param must be a whole"):
+            Fault(kind="serve_worker_death", param=param)
+        with pytest.raises(FaultPlanError, match="param must be a whole"):
+            Fault.from_json({"kind": "serve_worker_death", "param": param})
+        Fault(kind="serve_worker_death", param=0)  # 0 means one attempt
 
     def test_sim_and_serve_fault_split(self):
         plan = FaultPlan.of(

@@ -27,7 +27,6 @@ from repro.lint.astutil import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.rules import layer_rank
-from repro.lint.runner import load_baseline, split_baselined, write_baseline
 from repro.runtime import cache as runtime_cache
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -230,27 +229,6 @@ class TestResilienceLintCoverage:
         assert lint_files(files) == []
 
 
-class TestSlab001SlabRecycle:
-    def test_positive_lines(self):
-        found = findings_for("slab001_stale_callbacks.py", "SLAB001",
-                             module="repro.simcore.fake")
-        assert [f.line for f in found] == [11, 16]
-        assert all("callbacks" in f.message for f in found)
-
-    def test_module_outside_simcore_is_exempt(self):
-        found = findings_for(
-            "slab001_stale_callbacks.py", "SLAB001",
-            module="tests.lint_fixtures.slab001_stale_callbacks")
-        assert found == []
-
-    def test_sim_module_in_src_is_clean(self):
-        # The simulator's recycle site reattaches a cleared callbacks
-        # list before the slab append.
-        sim = os.path.join(SRC_REPRO, "simcore", "sim.py")
-        found = [f for f in lint_files([sim]) if f.rule == "SLAB001"]
-        assert found == []
-
-
 class TestLayer001Fixture:
     def test_firing_lines(self):
         found = findings_for("layer001_upward.py", "LAYER001",
@@ -293,20 +271,6 @@ class TestLayer001Fixture:
         found = findings_for("resilience_violations.py", "LAYER001",
                              module="repro.resilience.fixture")
         assert [f.line for f in found] == [12, 13]
-
-
-class TestLeak001Fixture:
-    def test_firing_lines(self):
-        found = findings_for("leak001_leak.py", "LEAK001")
-        assert [f.line for f in found] == [7, 14, 23]
-
-    def test_messages_name_the_leaked_binding(self):
-        found = findings_for("leak001_leak.py", "LEAK001")
-        assert "'timeout'" in found[0].message
-        assert "'connection'" in found[1].message
-
-    def test_clean_fixture(self):
-        assert findings_for("leak001_clean.py", "LEAK001") == []
 
 
 class TestDet003OrderInsensitiveConsumers:
@@ -364,16 +328,6 @@ class TestRunnerAndBaseline:
         explicit = collect_files([fixture("det001_wallclock.py")])
         assert len(explicit) == 1
 
-    def test_baseline_roundtrip(self, tmp_path):
-        found = lint_files([fixture("det001_wallclock.py")],
-                           rules=[get_rule("DET001")])
-        assert found
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), found)
-        keys = load_baseline(str(baseline_path))
-        new, old = split_baselined(found, keys)
-        assert new == [] and len(old) == len(found)
-
     def test_src_repro_is_clean(self):
         """The tentpole gate: the shipped tree has zero findings."""
         assert lint_paths([SRC_REPRO]) == []
@@ -416,16 +370,6 @@ class TestCLI:
                    "--output", str(out_path)])
         capsys.readouterr()
         assert json.loads(out_path.read_text())["tool"] == "simlint"
-
-    def test_baseline_flag_gates_exit_code(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        target = fixture("det001_wallclock.py")
-        assert lint_main([target, "--select", "DET001",
-                          "--write-baseline", str(baseline_path)]) == 0
-        capsys.readouterr()
-        assert lint_main([target, "--select", "DET001",
-                          "--baseline", str(baseline_path)]) == 0
-        assert "baselined" in capsys.readouterr().out
 
     def test_unknown_rule_exits_two(self, capsys):
         assert lint_main(["--select", "NOPE999", FIXTURES]) == 2
@@ -580,7 +524,6 @@ class TestJobsParity:
             out = tmp_path / f"jobs{jobs}.json"
             code = lint_main([FIXTURES, "--format", "json",
                               "--output", str(out),
-                              "--baseline", "",
                               "--no-cache",
                               "--jobs", str(jobs)])
             assert code == 1  # the fixture dir is findings-bearing

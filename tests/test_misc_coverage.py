@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.__main__ import main as experiments_cli
 from repro.mesh.costs import DEFAULT_COSTS, sample_service_time
 from repro.simcore import Simulator
-from repro.simcore.sim import EmptySchedule
 
 
 class TestSampleServiceTime:
@@ -37,16 +36,6 @@ class TestSampleServiceTime:
 
 
 class TestSimulatorEdges:
-    def test_step_on_empty_raises(self):
-        with pytest.raises(EmptySchedule):
-            Simulator(0).step()
-
-    def test_peek(self):
-        sim = Simulator(0)
-        assert sim.peek() == float("inf")
-        sim.timeout(3.0)
-        assert sim.peek() == 3.0
-
     def test_run_until_past_rejected(self):
         sim = Simulator(0)
         sim.timeout(1.0)

@@ -1,16 +1,11 @@
-"""Simulator event loop: run-until boundary, step/peek, delay
-validation, and the timeout slab."""
+"""Simulator event loop: run-until boundary, firing order, delay
+validation, and timeout construction."""
 
 import random
 
 import pytest
 
-from repro.simcore import (
-    EmptySchedule,
-    Simulator,
-    Timeout,
-)
-from repro.simcore import sim as simmod
+from repro.simcore import Simulator, Timeout
 
 NAN = float("nan")
 
@@ -80,21 +75,20 @@ class TestEventLoop:
         sim.run()
         assert fired == ["a", "b", "c"]
 
-    def test_step_and_peek(self):
+    def test_run_until_fires_by_time_then_sequence(self):
         sim = Simulator()
         fired = []
-        for delay in (2.0, 1.0, 1.0):
-            sim.timeout(delay, delay).add_callback(
+        for index, delay in enumerate((2.0, 1.0, 1.0)):
+            sim.timeout(delay, (delay, index)).add_callback(
                 lambda ev: fired.append(ev.value))
-        assert sim.peek() == 1.0
-        sim.step()
-        assert sim.now == 1.0 and fired == [1.0]
-        sim.step()
-        sim.step()
-        assert fired == [1.0, 1.0, 2.0]
-        assert sim.peek() == float("inf")
-        with pytest.raises(EmptySchedule):
-            sim.step()
+        sim.run(until=1.0)
+        assert fired == [(1.0, 1), (1.0, 2)]  # both 1.0 entries, in seq order
+        assert sim.now == 1.0
+        sim.run()
+        assert [value[0] for value in fired] == [1.0, 1.0, 2.0]
+        assert sim.now == 2.0
+        sim.run()  # an empty agenda returns at once
+        assert sim.now == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +142,19 @@ class TestNanRejected:
 
 
 # ---------------------------------------------------------------------------
-# the timeout slab and the shared constructor.
+# the two ways to make a timeout.
 
 
-_TIMEOUT_FIELDS = ("sim", "_value", "_ok", "_defused", "delay")
+_TIMEOUT_FIELDS = ("_value", "_ok", "_defused", "delay", "callbacks")
 
 
-class TestTimeoutSlab:
+class TestTimeoutConstruction:
     def test_constructor_paths_identical_state(self):
         sim_a, sim_b = Simulator(seed=0), Simulator(seed=0)
         public = Timeout(sim_a, 2.5, "payload")
         fast = sim_b.timeout(2.5, "payload")
         for name in _TIMEOUT_FIELDS:
-            assert (getattr(public, name) is getattr(public, name))
+            assert getattr(public, name) == getattr(fast, name), name
         assert public.delay == fast.delay == 2.5
         assert public._value == fast._value == "payload"
         assert public._ok is fast._ok is True
@@ -174,32 +168,12 @@ class TestTimeoutSlab:
             sim.run()
             assert fired == [2.5]
 
-    def test_recycled_state_matches_fresh(self):
-        sim = Simulator(seed=0)
-        sim.timeout(1.0, "old")
-        sim.run()
-        assert len(sim._timeout_slab) == 1
-        recycled_id = id(sim._timeout_slab[0])
-        reused = sim.timeout(2.0, "new")
-        assert id(reused) == recycled_id  # the slab really was drawn
-        assert not sim._timeout_slab
-        assert reused.callbacks == []     # and carried no stale state
-        assert reused._value == "new"
-        assert reused.delay == 2.0
-
-    def test_slab_fills(self):
-        sim = Simulator(seed=0)
-        for index in range(20):
-            sim.timeout(float(index) + 1.0)
-        sim.run()
-        assert len(sim._timeout_slab) == 20
-
-    def test_model_held_timeout_is_not_recycled(self):
+    def test_held_timeout_keeps_value_after_firing(self):
         sim = Simulator(seed=0)
         held = sim.timeout(1.0, "keep")
         sim.run()
-        assert held not in sim._timeout_slab
-        assert held.value == "keep"  # value survives for the holder
+        assert held.processed
+        assert held.value == "keep"
 
     def test_negative_delay_rejected_on_both_paths(self):
         sim = Simulator(seed=0)
@@ -207,10 +181,3 @@ class TestTimeoutSlab:
             sim.timeout(-1.0)
         with pytest.raises(ValueError):
             Timeout(sim, -1.0)
-
-    def test_slab_is_capped(self):
-        sim = Simulator(seed=0)
-        for _ in range(simmod._SLAB_CAP + 50):
-            sim.timeout(1.0)
-        sim.run()
-        assert len(sim._timeout_slab) == simmod._SLAB_CAP
