@@ -68,9 +68,9 @@ def main() -> None:
     full = build_testbed("canal", mesh_kwargs={"tracing": collector})
 
     def one_traced():
-        connection = yield full.sim.process(
-            full.mesh.open_connection(full.client_pod, "svc1"))
-        yield full.sim.process(full.mesh.request(connection, HttpRequest()))
+        connection = yield from full.mesh.open_connection(
+            full.client_pod, "svc1")
+        yield from full.mesh.request(connection, HttpRequest())
 
     full.sim.process(one_traced())
     full.sim.run()

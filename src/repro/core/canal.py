@@ -412,9 +412,9 @@ class CanalMesh(ServiceMesh):
         while True:
             attempt += 1
             try:
-                result = yield self.sim.process(self.gateway.process_request(
+                result = yield from self.gateway.process_request(
                     service_id, flow, is_syn=connection.requests_sent == 0,
-                    client_az=connection.meta["client_az"], trace=handle))
+                    client_az=connection.meta["client_az"], trace=handle)
                 break
             except CircuitOpenError:
                 # Fast fail: no retries against an open breaker.

@@ -257,9 +257,9 @@ class ProxylessCanalMesh(ServiceMesh):
 
         yield self.sim.timeout(hop)
         try:
-            result = yield self.sim.process(self.gateway.process_request(
+            result = yield from self.gateway.process_request(
                 service_id, flow, is_syn=connection.requests_sent == 0,
-                client_az=connection.meta["client_az"], trace=handle))
+                client_az=connection.meta["client_az"], trace=handle)
         except (NoBackendAvailable, ResolutionError):
             if handle is not None:
                 handle.finish(self.sim.now, status=503)

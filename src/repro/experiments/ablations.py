@@ -273,7 +273,7 @@ def ablation_precise_vs_blind_scaling(seed: int = 95) -> ExperimentResult:
 
     def blind():
         for service_id in victims:
-            yield sim.process(engine.scale_service(service_id))
+            yield from engine.scale_service(service_id)
 
     start = sim.now
     sim.process(blind())

@@ -167,8 +167,7 @@ def case2_lossless_migration(seed: int = 103,
             if len(recent) >= 2 and not migrated:
                 migrated.append(sim.now)
                 yield sim.timeout(120.0)  # confirm with the customer
-                yield sim.process(
-                    sandbox.migrate_lossless(suspect.service_id))
+                yield from sandbox.migrate_lossless(suspect.service_id)
                 return
 
     def slow_growth():

@@ -237,7 +237,7 @@ def _fig17_seed_run(spec: Tuple[int, int, int]) -> Dict[str, Dict[str, list]]:
             force_new = index >= reuse_events
             set_pool_water(0.5 if force_new else 0.05)
             service = services[index % len(services)]
-            yield sim.process(scaling.scale_service(service.service_id))
+            yield from scaling.scale_service(service.service_id)
             # Return the pool to idle and strip extensions so later
             # events see a fresh pool.
             backends = gateway.service_backends[service.service_id]
@@ -344,8 +344,7 @@ def fig18_scaling_occurrences(days: int = 30, seed: int = 41
                 crunch_event = crunch_day and index == growth_events - 1
                 set_pool_water(0.5 if crunch_event else 0.05)
                 service = rng.choice(services)
-                yield sim.process(
-                    scaling.scale_service(service.service_id))
+                yield from scaling.scale_service(service.service_id)
                 backends = gateway.service_backends[service.service_id]
                 while len(backends) > 4:
                     gateway.shrink_service(service.service_id, backends[-1])

@@ -133,11 +133,11 @@ def _waterfall_run(spec: Tuple[str, int, int]) -> Dict[str, object]:
         run = _build(mesh_name, seed)
 
         def scenario():
-            connection = yield run.sim.process(
-                run.mesh.open_connection(run.client_pod, "svc1"))
+            connection = yield from run.mesh.open_connection(
+                run.client_pod, "svc1")
             for _ in range(requests):
-                response = yield run.sim.process(
-                    run.mesh.request(connection, HttpRequest()))
+                response = yield from run.mesh.request(
+                    connection, HttpRequest())
                 latencies.append(response.latency_s)
                 yield run.sim.timeout(0.01)
 
@@ -179,11 +179,11 @@ def _chaos_run(spec: Tuple[int, str]) -> Dict[str, object]:
         engine.arm(plan)
 
         def client():
-            connection = yield run.sim.process(
-                run.mesh.open_connection(run.client_pod, "svc1"))
+            connection = yield from run.mesh.open_connection(
+                run.client_pod, "svc1")
             for _ in range(_CHAOS_HORIZON_S):
-                response = yield run.sim.process(
-                    run.mesh.request(connection, HttpRequest()))
+                response = yield from run.mesh.request(
+                    connection, HttpRequest())
                 statuses.append((run.sim.now, response.status))
                 yield run.sim.timeout(1.0)
 

@@ -106,11 +106,11 @@ class AmbientMesh(ServiceMesh):
                      + self.costs.connection_setup_s)
             yield from self._ztunnel_for(client_pod).work(setup)
             yield from self._ztunnel_for(server_pod).work(setup)
-            result = yield self.sim.process(mtls_handshake(
+            result = yield from mtls_handshake(
                 self.sim, self.ca, client_cert, server_cert,
                 self._engines[client_pod.node_name],
                 self._engines[server_pod.node_name],
-                rtt_s=rtt, costs=self.costs.crypto))
+                rtt_s=rtt, costs=self.costs.crypto)
             if not result.ok:
                 raise MeshError(f"handshake failed: {result.failure_reason}")
             session = result.session

@@ -265,8 +265,7 @@ class ControlPlane:
         start = self.sim.now
         yield self.sim.timeout(self.costs.pod_startup_s
                                + self.costs.per_pod_startup_s * count)
-        report = yield self.sim.process(self.push_update(kind="pods"),
-                                        name="push")
+        report = yield from self.push_update(kind="pods")
         report.started_at = start
         report.finished_at = self.sim.now
         return report

@@ -47,10 +47,17 @@ def sample_service_time(rng: random.Random, mean_s: float,
     with complex filter chains has heavy-tailed per-request costs (which
     is what makes its latency spike far below full utilization — Fig 2),
     while an optimized single-purpose engine is near-deterministic.
-    ``sigma=0`` returns the mean exactly.
+    ``sigma=0`` returns the mean exactly, and a zero mean returns
+    ``0.0``; neither draws from ``rng``.
     """
+    if not math.isfinite(mean_s):
+        raise ValueError(f"mean_s must be finite, got {mean_s!r}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     if mean_s < 0:
-        raise ValueError(f"negative service time {mean_s}")
+        raise ValueError(f"mean_s must be >= 0, got {mean_s!r}")
+    if mean_s == 0:
+        return 0.0
     if sigma <= 0:
         return mean_s
     # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); solve for mu.

@@ -99,12 +99,12 @@ class IstioMesh(ServiceMesh):
                      + self.costs.connection_setup_s)
             yield from client_tier.work(setup)
             yield from server_tier.work(setup)
-            result = yield self.sim.process(mtls_handshake(
+            result = yield from mtls_handshake(
                 self.sim, self.ca, client_cert, server_cert,
                 self._engines[client_pod.node_name],
                 self._engines[server_pod.node_name],
                 rtt_s=rtt, costs=self.costs.crypto,
-                trace_sink=trace_sink))
+                trace_sink=trace_sink)
             if not result.ok:
                 raise MeshError(f"handshake failed: {result.failure_reason}")
             session = result.session

@@ -164,10 +164,24 @@ class CpuResource(Resource):
         return points
 
     def execute(self, service_time: float):
-        """Process generator: occupy one core for ``service_time``."""
-        with self.request() as claim:
-            yield claim
+        """Process generator: occupy one core for ``service_time``.
+
+        A free core is taken at once, with no agenda entry; only a claim
+        that has to queue waits on an event. The core (or the queue
+        slot) is given back however the generator ends, interrupts
+        included.
+        """
+        claim = Request(self)
+        try:
+            if len(self.users) < self.capacity:
+                self.users.append(claim)
+                self._on_change()
+            else:
+                self.queue.append(claim)
+                yield claim
             yield self.sim.timeout(service_time)
+        finally:
+            self.release(claim)
 
     def _busy_at(self, when: float) -> float:
         # Linear interpolation is exact when no transition happened in

@@ -71,8 +71,7 @@ class _DriverBase:
 
     def _one_request(self, connection):
         request = self.request_factory()
-        response = yield self.sim.process(
-            self.mesh.request(connection, request))
+        response = yield from self.mesh.request(connection, request)
         self.report.completed += 1
         self.report.statuses.append(response.status)
         self.report.latency.add(response.latency_s)
@@ -98,8 +97,8 @@ class OpenLoopDriver(_DriverBase):
         """Process generator: open connections, offer load, finish."""
         pool = []
         for _ in range(self.connections):
-            connection = yield self.sim.process(
-                self.mesh.open_connection(self.client_pod, self.service))
+            connection = yield from self.mesh.open_connection(
+                self.client_pod, self.service)
             pool.append(connection)
         start = self.sim.now
         end = start + self.duration_s
@@ -150,11 +149,11 @@ class ClosedLoopDriver(_DriverBase):
         return self.report
 
     def _worker(self):
-        connection = yield self.sim.process(
-            self.mesh.open_connection(self.client_pod, self.service))
+        connection = yield from self.mesh.open_connection(
+            self.client_pod, self.service)
         for _ in range(self.requests_per_connection):
             self.report.offered += 1
-            yield self.sim.process(self._one_request(connection))
+            yield from self._one_request(connection)
             if self.think_time_s > 0:
                 yield self.sim.timeout(self.think_time_s)
 
@@ -188,11 +187,10 @@ class ShortFlowDriver(_DriverBase):
 
     def _flow(self):
         opened_at = self.sim.now
-        connection = yield self.sim.process(
-            self.mesh.open_connection(self.client_pod, self.service))
+        connection = yield from self.mesh.open_connection(
+            self.client_pod, self.service)
         request = self.request_factory()
-        response = yield self.sim.process(
-            self.mesh.request(connection, request))
+        response = yield from self.mesh.request(connection, request)
         self.report.completed += 1
         self.report.statuses.append(response.status)
         # Short-flow latency includes the handshake.

@@ -34,6 +34,27 @@ class TestSampleServiceTime:
         with pytest.raises(ValueError):
             sample_service_time(random.Random(0), -1.0, 0.5)
 
+    @pytest.mark.parametrize("mean_s, sigma, field", [
+        (float("nan"), 0.5, "mean_s"),
+        (float("inf"), 0.5, "mean_s"),
+        (float("inf"), 0.0, "mean_s"),
+        (1e-3, float("nan"), "sigma"),
+        (1e-3, float("inf"), "sigma"),
+        (1e-3, float("-inf"), "sigma"),
+    ])
+    def test_non_finite_input_rejected(self, mean_s, sigma, field):
+        import random
+        with pytest.raises(ValueError, match=field):
+            sample_service_time(random.Random(0), mean_s, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.3])
+    def test_zero_mean_returns_zero_without_drawing(self, sigma):
+        import random
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert sample_service_time(rng, 0.0, sigma) == 0.0
+        assert rng.getstate() == state
+
 
 class TestSimulatorEdges:
     def test_run_until_past_rejected(self):

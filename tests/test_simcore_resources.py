@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import CpuResource, Resource, Simulator, Store
+from repro.simcore import CpuResource, Interrupt, Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -132,6 +132,79 @@ class TestCpuResource:
         cpu = CpuResource(sim, cores=1)
         with pytest.raises(ValueError):
             list(cpu.execute(-1.0))
+        assert cpu.in_use == 0
+
+    def test_free_core_grant_pushes_one_agenda_entry(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        pushed = []
+
+        def job():
+            before = sim._sequence
+            yield from cpu.execute(1.0)
+            pushed.append(sim._sequence - before)
+
+        sim.process(job())
+        sim.run()
+        # Only the service timeout: the grant itself is synchronous.
+        assert pushed == [1]
+
+    @staticmethod
+    def _logged_job(sim, cpu, log, name, service_time):
+        try:
+            yield from cpu.execute(service_time)
+            log.append((name, "done", sim.now))
+        except Interrupt:
+            log.append((name, "interrupted", sim.now))
+
+    def test_interrupt_while_queued_leaves_the_queue(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        log = []
+        sim.process(self._logged_job(sim, cpu, log, "a", 2.0))
+        queued = sim.process(self._logged_job(sim, cpu, log, "b", 1.0))
+        sim.process(self._logged_job(sim, cpu, log, "c", 1.0))
+
+        def interrupter():
+            yield sim.timeout(0.5)
+            assert cpu.queue_length == 2
+            queued.interrupt("cancel")
+            yield sim.timeout(0.1)
+            assert cpu.queue_length == 1
+
+        sim.process(interrupter())
+        sim.run()
+        assert log == [("b", "interrupted", 0.5), ("a", "done", 2.0),
+                       ("c", "done", 3.0)]
+        assert cpu.in_use == 0 and cpu.queue_length == 0
+        assert cpu.busy_time() == pytest.approx(3.0)
+
+    def test_interrupt_mid_service_frees_the_core_at_once(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        log = []
+        holder = sim.process(self._logged_job(sim, cpu, log, "a", 5.0))
+        sim.process(self._logged_job(sim, cpu, log, "b", 1.0))
+
+        def interrupter():
+            yield sim.timeout(1.0)
+            holder.interrupt("preempt")
+
+        sim.process(interrupter())
+        sim.run(until=3.0)
+        # b took the core at t=1.0, the instant a was interrupted.
+        assert log == [("a", "interrupted", 1.0), ("b", "done", 2.0)]
+        assert cpu.in_use == 0
+        assert cpu.busy_time() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_busy_time_matches_for_both_grants(self, sim, queued):
+        cpu = CpuResource(sim, cores=1)
+        if queued:
+            sim.process(cpu.execute(1.0))  # holds the core for [0, 1)
+        job = sim.process(cpu.execute(2.0))
+        sim.run(until=4.0)
+        start = 1.0 if queued else 0.0
+        assert job.processed
+        assert cpu.busy_time() == pytest.approx(start + 2.0)
+        assert cpu.utilization() == pytest.approx((start + 2.0) / 4.0)
 
 
 class TestStore:

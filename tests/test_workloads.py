@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.experiments.testbed import build_testbed
+from repro.simcore import events
 from repro.workloads import (
     ClosedLoopDriver,
     OpenLoopDriver,
@@ -88,6 +89,50 @@ class TestDrivers:
         report = run.run_driver(driver)
         report.statuses.append(503)
         assert report.error_count == 1
+
+
+class TestSimulationCost:
+    """Agenda entries and processes a simulated request costs.
+
+    A sub-step its caller only waits on runs inline (``yield from``)
+    and a free core is taken without an agenda entry, so each request
+    is one process. Re-spawning any sub-step adds about two entries
+    and one process per request and trips these ceilings.
+    """
+
+    #: mesh -> (offered rps, max events per request, max processes per
+    #: request). The rates are the e2e datapath's (~70% of each knee).
+    CEILINGS = {"canal": (7700.0, 13.0, 1.2),
+                "istio": (1000.0, 10.5, 1.2),
+                "ambient": (4200.0, 13.2, 1.2)}
+
+    def test_request_path_stays_cheap_to_simulate(self, monkeypatch):
+        constructed = [0]
+        init = events.Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(events.Process, "__init__", counting_init)
+        over = []
+        for mesh, (rps, max_events, max_processes) in self.CEILINGS.items():
+            run = build_testbed(mesh, seed=7)
+            driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod,
+                                    "svc1", rps=rps, duration_s=500 / rps,
+                                    connections=10)
+            sequence, constructed[0] = run.sim._sequence, 0
+            report = run.run_driver(driver)
+            assert report.ok_count == report.completed > 400
+            per_request = (run.sim._sequence - sequence) / report.completed
+            processes = constructed[0] / report.completed
+            if per_request > max_events:
+                over.append(f"{mesh}: {per_request:.2f} events/request "
+                            f"> {max_events}")
+            if processes > max_processes:
+                over.append(f"{mesh}: {processes:.2f} processes/request "
+                            f"> {max_processes}")
+        assert not over, "; ".join(over)
 
 
 class TestTraces:
