@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..simcore import Simulator
-from .replica import Replica, ReplicaConfig
+from .replica import Replica, ReplicaConfig, require_finite_rps
 
 __all__ = ["Backend"]
 
@@ -100,9 +100,9 @@ class Backend:
 
     def remove_service(self, service_id: int) -> None:
         self.configured_services.discard(service_id)
-        self._service_rps.pop(service_id, None)
-        self._service_weight.pop(service_id, None)
-        self._redistribute()
+        self._drop_load(service_id)
+        if self._service_sessions.pop(service_id, None) is not None:
+            self._sync_replica_sessions()
 
     def hosts_service(self, service_id: int) -> bool:
         return service_id in self.configured_services
@@ -111,19 +111,35 @@ class Backend:
     def offer_load(self, service_id: int, rps: float,
                    weight: float = 1.0) -> None:
         """Set this backend's share of a service's traffic."""
+        require_finite_rps(rps)
         if not self.hosts_service(service_id):
             raise KeyError(
                 f"service {service_id} is not configured on {self.name}")
         if rps <= 0:
-            self._service_rps.pop(service_id, None)
-            self._service_weight.pop(service_id, None)
-        else:
-            self._service_rps[service_id] = rps
-            self._service_weight[service_id] = weight
-        self._redistribute()
+            self._drop_load(service_id)
+            return
+        self._service_rps[service_id] = rps
+        self._service_weight[service_id] = weight
+        healthy = self.healthy_replicas()
+        if healthy:
+            share = rps / len(healthy)
+            for replica in healthy:
+                replica.assigned_rps[service_id] = share * weight
+
+    def _drop_load(self, service_id: int) -> None:
+        self._service_rps.pop(service_id, None)
+        self._service_weight.pop(service_id, None)
+        for replica in self.replicas:
+            replica.clear_service(service_id)
 
     def _redistribute(self) -> None:
-        """Spread offered load evenly over healthy replicas."""
+        """Spread offered load evenly over healthy replicas.
+
+        Health and replica-set changes call this. ``offer_load`` and
+        ``remove_service`` touch only their service's entry, so every
+        healthy replica's ``assigned_rps`` keeps exactly the keys of
+        ``_service_rps``, in its order, as this method would give.
+        """
         healthy = self.healthy_replicas()
         for replica in self.replicas:
             replica.assigned_rps.clear()
@@ -133,7 +149,7 @@ class Backend:
             share = rps / len(healthy)
             weight = self._service_weight.get(service_id, 1.0)
             for replica in healthy:
-                replica.set_service_rps(service_id, share, weight)
+                replica.assigned_rps[service_id] = share * weight
 
     def service_rps(self, service_id: int) -> float:
         return self._service_rps.get(service_id, 0.0)

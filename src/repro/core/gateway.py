@@ -29,7 +29,12 @@ from ..resilience import (
 from ..simcore import Simulator
 from .backend import Backend
 from .redirector import DeliveryResult, DisaggregatedLB
-from .replica import Replica, ReplicaConfig, require_at_least
+from .replica import (
+    Replica,
+    ReplicaConfig,
+    require_at_least,
+    require_finite_rps,
+)
 from .sharding import ShardingError, ShuffleSharder
 from .tenancy import TenantRegistry, TenantService
 
@@ -232,6 +237,7 @@ class MeshGateway:
         carried load at distribution time, so the full rate returns
         automatically when the throttle lifts.
         """
+        require_finite_rps(rps)
         if rps < 0:
             raise ValueError(f"negative rps {rps}")
         self.service_rps[service_id] = rps

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from ..mesh.costs import sample_service_time
 from ..simcore import CpuResource, Simulator
 
-__all__ = ["ReplicaConfig", "Replica"]
+__all__ = ["ReplicaConfig", "Replica", "require_finite_rps"]
 
 
 def require_at_least(owner, name: str, low: float,
@@ -35,6 +35,12 @@ def require_at_least(owner, name: str, low: float,
         bound = ">=" if inclusive else ">"
         raise ValueError(f"{type(owner).__name__}.{name} must be finite "
                          f"and {bound} {low}, got {value!r}")
+
+
+def require_finite_rps(rps: float) -> None:
+    """Raise a ``ValueError`` naming ``rps`` when it is NaN or ±inf."""
+    if not math.isfinite(rps):
+        raise ValueError(f"rps must be finite, got {rps!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,7 @@ class Replica:
     def set_service_rps(self, service_id: int, rps: float,
                         weight: float = 1.0) -> None:
         """Assign offered load (already weighted RPS) for one service."""
+        require_finite_rps(rps)
         if rps < 0:
             raise ValueError(f"negative rps {rps}")
         if rps == 0:

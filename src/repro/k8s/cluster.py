@@ -33,25 +33,24 @@ class SchedulingError(RuntimeError):
 
 @dataclass
 class ClusterNode:
-    """A K8s worker/master node bound to a physical host."""
+    """A K8s worker/master node bound to a physical host.
+
+    ``cpu_millicores_used``/``memory_mb_used`` are a ledger of what the
+    scheduler charged for ``pods``: the cluster adds a pod's total
+    request when it binds the pod here and subtracts it on deletion.
+    """
 
     host: HostNode
     cpu_millicores_capacity: int = 16000
     memory_mb_capacity: int = 65536
     role: str = "worker"
     pods: List[Pod] = field(default_factory=list)
+    cpu_millicores_used: int = 0
+    memory_mb_used: int = 0
 
     @property
     def name(self) -> str:
         return self.host.name
-
-    @property
-    def cpu_millicores_used(self) -> int:
-        return sum(p.total_resources.cpu_millicores for p in self.pods)
-
-    @property
-    def memory_mb_used(self) -> int:
-        return sum(p.total_resources.memory_mb for p in self.pods)
 
     def fits(self, request: ResourceRequest) -> bool:
         return (self.cpu_millicores_used + request.cpu_millicores
@@ -94,6 +93,9 @@ class Cluster:
         self._watchers: List[Callable[[WatchEvent], None]] = []
         self._admission_hooks: List[Callable[[Pod], None]] = []
         self._pod_counter = 0
+        #: service name -> its running endpoints in pod insertion order;
+        #: an entry is dropped when a pod it selects is added or deleted.
+        self._endpoints: Dict[str, List[Pod]] = {}
 
     # -- watch / admission ---------------------------------------------------
     def watch(self, callback: Callable[[WatchEvent], None]) -> None:
@@ -137,6 +139,7 @@ class Cluster:
         pod.ip = self.vpc.allocate(owner=pod.name)
         pod.phase = PodPhase.RUNNING
         self.pods[pod.name] = pod
+        self._invalidate_endpoints(pod)
         self._emit(WatchEvent("pod", "added", pod.name, pod))
         return pod
 
@@ -145,8 +148,12 @@ class Cluster:
         if pod is None:
             raise KeyError(f"no pod named {name!r}")
         pod.phase = PodPhase.TERMINATED
+        self._invalidate_endpoints(pod)
         node = self.node_by_name(pod.node_name)
         node.pods.remove(pod)
+        request = pod.total_resources
+        node.cpu_millicores_used -= request.cpu_millicores
+        node.memory_mb_used -= request.memory_mb
         self._emit(WatchEvent("pod", "deleted", pod.name, pod))
 
     def _schedule(self, pod: Pod) -> None:
@@ -158,6 +165,8 @@ class Cluster:
                 f"no node fits pod {pod.name} ({request})")
         target = min(candidates, key=lambda n: n.cpu_millicores_used)
         target.pods.append(pod)
+        target.cpu_millicores_used += request.cpu_millicores
+        target.memory_mb_used += request.memory_mb
         pod.node_name = target.name
 
     # -- services ---------------------------------------------------------------
@@ -173,12 +182,24 @@ class Cluster:
         return service
 
     def endpoints(self, service_name: str) -> List[Pod]:
-        """Running pods currently selected by a service."""
-        service = self.services[service_name]
-        return [pod for pod in self.pods.values()
-                if pod.phase is PodPhase.RUNNING
-                and pod.namespace == service.namespace
-                and pod.matches(service.selector)]
+        """Running pods currently selected by a service (a fresh list)."""
+        cached = self._endpoints.get(service_name)
+        if cached is None:
+            service = self.services[service_name]
+            cached = [pod for pod in self.pods.values()
+                      if pod.phase is PodPhase.RUNNING
+                      and pod.namespace == service.namespace
+                      and pod.matches(service.selector)]
+            self._endpoints[service_name] = cached
+        return list(cached)
+
+    def _invalidate_endpoints(self, pod: Pod) -> None:
+        """Drop the cached endpoints of every service selecting ``pod``
+        (called when it is added, deleted or changes phase)."""
+        for name in [name for name in self._endpoints
+                     if pod.namespace == self.services[name].namespace
+                     and pod.matches(self.services[name].selector)]:
+            del self._endpoints[name]
 
     # -- deployments ---------------------------------------------------------------
     def create_deployment(self, name: str, replicas: int,

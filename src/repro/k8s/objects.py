@@ -23,6 +23,13 @@ class ResourceRequest:
     cpu_millicores: int = 100
     memory_mb: int = 128
 
+    def __post_init__(self):
+        for name in ("cpu_millicores", "memory_mb"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"ResourceRequest.{name} must be an int "
+                                 f">= 0, got {value!r}")
+
     def __add__(self, other: "ResourceRequest") -> "ResourceRequest":
         return ResourceRequest(self.cpu_millicores + other.cpu_millicores,
                                self.memory_mb + other.memory_mb)

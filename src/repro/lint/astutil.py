@@ -11,18 +11,24 @@ Two consumers with the same needs live in this repository:
 
 Everything here is purely syntactic (one :func:`ast.parse` per file, no
 imports executed), so both consumers stay deterministic and cheap.
+Imports are found by one walk over statement blocks
+(:func:`import_statements`); only a file that spells ``__import__``
+gets a walk over its expressions.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 __all__ = [
+    "ImportNode",
     "collect_aliases",
     "dotted_name",
     "dynamic_import_lines",
+    "import_statements",
     "iter_module_files",
     "module_imports",
     "module_name_for_path",
@@ -84,9 +90,36 @@ def parse_file(path: str) -> Tuple[bytes, Optional[ast.AST]]:
 
 # -- static imports ----------------------------------------------------------
 
-def module_imports(tree: ast.AST, module: str, is_package: bool,
-                   known: Set[str]) -> Set[str]:
-    """Modules from ``known`` that ``module`` imports, statically.
+ImportNode = Union[ast.Import, ast.ImportFrom]
+
+#: Fields that hold statement lists. Imports are statements, and
+#: statements nest only in these blocks (never inside an expression),
+#: so a walk over them alone sees every import.
+_BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def import_statements(tree: ast.AST) -> List[ImportNode]:
+    """Every ``import``/``from`` statement in ``tree``, found by walking
+    statement blocks only, in the order :func:`ast.walk` yields them
+    (breadth first), so a later alias still overrides an earlier one."""
+    found: List[ImportNode] = []
+    todo = deque([tree])
+    while todo:
+        node = todo.popleft()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+            continue
+        for name in _BLOCK_FIELDS:
+            block = getattr(node, name, None)
+            if block:
+                todo.extend(block)
+    return found
+
+
+def module_imports(imports: Iterable[ImportNode], module: str,
+                   is_package: bool, known: Set[str]) -> Set[str]:
+    """Modules from ``known`` that ``module``'s ``imports`` (its
+    :func:`import_statements`) name.
 
     Resolves absolute and relative imports against ``known`` by longest
     known prefix, so ``from repro.core.replica import ReplicaConfig``
@@ -107,7 +140,7 @@ def module_imports(tree: ast.AST, module: str, is_package: bool,
                 return
             parts = parts[:-1]
 
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 resolve(alias.name)
@@ -130,39 +163,55 @@ def module_imports(tree: ast.AST, module: str, is_package: bool,
     return found
 
 
-def dynamic_import_lines(tree: ast.AST) -> List[int]:
+def dynamic_import_lines(tree: ast.AST,
+                         imports: Optional[List[ImportNode]] = None,
+                         source: Optional[bytes] = None) -> List[int]:
     """Line numbers of dynamic-import constructs a static walker cannot
     see through: ``import importlib`` / ``from importlib import ...``
-    and calls to ``__import__``."""
-    lines: List[int] = []
-    for node in ast.walk(tree):
+    and calls to ``__import__``.
+
+    ``imports`` is ``import_statements(tree)`` when the caller already
+    has it. Given the file's ``source``, the expression walk for
+    ``__import__`` calls runs only if that name is spelled in it.
+    """
+    if imports is None:
+        imports = import_statements(tree)
+    lines: Set[int] = set()
+    for node in imports:
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == "importlib"
                    for alias in node.names):
-                lines.append(node.lineno)
+                lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").split(".")[0] == \
                     "importlib":
-                lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and \
+                lines.add(node.lineno)
+    if source is None or b"__import__" in source:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
                     node.func.id == "__import__":
-                lines.append(node.lineno)
-    return sorted(set(lines))
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 # -- name resolution for lint rules -----------------------------------------
 
-def collect_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Local name -> dotted origin, from every import in the tree.
+def collect_aliases(tree: ast.AST,
+                    imports: Optional[List[ImportNode]] = None
+                    ) -> Dict[str, str]:
+    """Local name -> dotted origin, from every import in the tree
+    (``imports`` is ``import_statements(tree)`` when already known).
 
     ``import numpy as np`` -> ``{"np": "numpy"}``;
     ``from time import perf_counter as pc`` -> ``{"pc":
     "time.perf_counter"}``. Relative imports are skipped (they cannot
     name stdlib modules, which is all the rules resolve against).
     """
+    if imports is None:
+        imports = import_statements(tree)
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

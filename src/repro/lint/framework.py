@@ -23,7 +23,12 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Type
 
-from .astutil import collect_aliases, module_name_for_path
+from .astutil import (
+    ImportNode,
+    collect_aliases,
+    import_statements,
+    module_name_for_path,
+)
 
 __all__ = [
     "Finding",
@@ -90,8 +95,12 @@ class ModuleSource:
         except SyntaxError as exc:
             self.tree = None
             self.syntax_error = f"{exc.msg} (line {exc.lineno})"
-        self.aliases: Dict[str, str] = (
-            collect_aliases(self.tree) if self.tree is not None else {})
+        #: Every import statement (:func:`import_statements`), shared by
+        #: the alias table and the rules that inspect imports.
+        self.imports: List[ImportNode] = (
+            import_statements(self.tree) if self.tree is not None else [])
+        self.aliases: Dict[str, str] = collect_aliases(self.tree,
+                                                       self.imports)
         self.skip_file = bool(_SKIP_FILE_RE.search(self.text))
         #: line number -> None (suppress all) or the suppressed rule ids.
         self.suppressions: Dict[int, Optional[FrozenSet[str]]] = {}

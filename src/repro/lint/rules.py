@@ -522,7 +522,8 @@ class DynamicImportRule(Rule):
               project: ProjectIndex) -> Iterable[Finding]:
         if module.tree is None or not self._applies(module.module):
             return
-        for lineno in dynamic_import_lines(module.tree):
+        for lineno in dynamic_import_lines(module.tree, module.imports,
+                                           module.source):
             yield Finding(
                 rule=self.id, severity=self.severity, path=module.path,
                 line=lineno, col=1,
@@ -613,7 +614,7 @@ class LayeringRule(Rule):
         """
         is_package = module.path.endswith("__init__.py")
         sites: List[Tuple[str, int]] = []
-        for node in ast.walk(module.tree):
+        for node in module.imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     sites.append((alias.name, node.lineno))

@@ -11,8 +11,9 @@ cache key for an exhibit is therefore::
 
 The import closure comes from a static :mod:`ast` parse of every file in
 the ``repro`` package (intra-package ``import``/``from`` statements,
-including relative ones), not from ``sys.modules`` — so the fingerprint
-is stable, cheap (~one parse per file, computed once per process), and
+including relative ones, found by one walk over statement blocks), not
+from ``sys.modules`` — so the fingerprint is stable, cheap (~one parse
+per file, computed once per process), and
 conservative: editing ``mesh/proxy.py`` invalidates the testbed
 exhibits that reach it but leaves, say, ``fig3``'s pure-workload cache
 entry warm.
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..lint.astutil import (
     dynamic_import_lines,
+    import_statements,
     iter_module_files,
     module_imports,
     parse_file,
@@ -80,13 +82,14 @@ def _module_graph() -> Tuple[Dict[str, str], Dict[str, Set[str]],
         graph: Dict[str, Set[str]] = {}
         dynamic: Dict[str, List[int]] = {}
         for module, path in files.items():
-            _source, tree = parse_file(path)
+            source, tree = parse_file(path)
             if tree is None:  # pragma: no cover - repo code always parses
                 graph[module] = set()
                 continue
+            imports = import_statements(tree)
             graph[module] = module_imports(
-                tree, module, path.endswith("__init__.py"), known)
-            lines = dynamic_import_lines(tree)
+                imports, module, path.endswith("__init__.py"), known)
+            lines = dynamic_import_lines(tree, imports, source)
             if lines:
                 dynamic[module] = lines
         # A package module stands for its __init__; importing it sees

@@ -34,6 +34,17 @@ def sim():
     return Simulator(3)
 
 
+class TestLoadValidation:
+    @pytest.mark.parametrize("rps", [math.nan, math.inf, -math.inf])
+    def test_set_service_load_rejects_non_finite(self, sim, rps):
+        gateway, services = make_gateway(sim)
+        sid = services[0].service_id
+        with pytest.raises(ValueError, match="rps"):
+            gateway.set_service_load(sid, rps)
+        assert sid not in gateway.service_rps
+        assert all(b.water_level() == 0.0 for b in gateway.all_backends)
+
+
 class TestRegistration:
     def test_service_gets_shuffle_shard(self, sim):
         gateway, services = make_gateway(sim)

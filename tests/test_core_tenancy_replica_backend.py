@@ -1,9 +1,14 @@
 """Tests for tenants/services, replicas, and backends."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Backend, Replica, ReplicaConfig, TenantRegistry
 from repro.simcore import Simulator
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 @pytest.fixture
@@ -213,3 +218,76 @@ class TestBackend:
         backend = self._backend(sim)
         backend.fail_all()
         assert backend.pick_replica(0) is None
+
+    def test_remove_service_drops_its_sessions(self, sim):
+        backend = self._backend(sim)
+        for service_id, sessions in ((1, 100), (2, 50)):
+            backend.install_service(service_id)
+            backend.offer_sessions(service_id, sessions)
+        backend.remove_service(1)
+        assert backend.service_sessions(1) == 0
+        assert backend.top_services_by_sessions() == {2: 50}
+        assert [r.sessions_used for r in backend.replicas] == [25, 25]
+
+    @pytest.mark.parametrize("rps", NON_FINITE)
+    def test_offer_load_rejects_non_finite_rps(self, sim, rps):
+        backend = self._backend(sim)
+        backend.install_service(1)
+        with pytest.raises(ValueError, match="rps"):
+            backend.offer_load(1, rps)
+        assert backend.service_rps(1) == 0.0
+        assert backend.water_level() == 0.0
+
+
+class TestReplicaRpsValidation:
+    @pytest.mark.parametrize("rps", NON_FINITE)
+    def test_set_service_rps_rejects_non_finite(self, sim, rps):
+        replica = Replica(sim, "r1", "az1")
+        with pytest.raises(ValueError, match="rps"):
+            replica.set_service_rps(1, rps)
+        assert replica.assigned_rps == {}
+
+
+#: Operations the in-place load property applies, each as
+#: (name, service id, rps, weight); offers are drawn three times as
+#: often, so updates of a service that is not the newest are common.
+LOAD_OPS = ("offer", "offer", "offer", "remove", "fail", "recover",
+            "add_replica")
+
+
+def assigned_after_full_respread(backend):
+    """Each replica's (service, rps) pairs, in key order, as a full
+    ``_redistribute()`` leaves them (run on the live backend: it is
+    idempotent, so the next operation starts from the same state)."""
+    backend._redistribute()
+    return [list(r.assigned_rps.items()) for r in backend.replicas]
+
+
+class TestInPlaceLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4),
+           st.lists(st.tuples(st.sampled_from(LOAD_OPS),
+                              st.integers(0, 3),
+                              st.floats(0, 1e6),
+                              st.sampled_from([1.0, 0.5, 3.0])),
+                    max_size=40))
+    def test_matches_full_respread(self, replicas, ops):
+        backend = Backend(Simulator(0), "b", "az1", replicas=replicas)
+        for op, service_id, rps, weight in ops:
+            names = [r.name for r in backend.replicas]
+            if op == "offer":
+                backend.install_service(service_id)
+                backend.offer_load(service_id, rps, weight)
+            elif op == "remove":
+                backend.remove_service(service_id)
+            elif op == "fail":
+                backend.fail_replica(names[service_id % len(names)])
+            elif op == "recover":
+                backend.recover_replica(names[service_id % len(names)])
+            else:
+                backend.add_replica()
+            in_place = [list(r.assigned_rps.items())
+                        for r in backend.replicas]
+            offered = [r.offered_rps for r in backend.replicas]
+            assert in_place == assigned_after_full_respread(backend), op
+            assert offered == [r.offered_rps for r in backend.replicas]

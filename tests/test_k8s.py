@@ -1,15 +1,20 @@
 """Tests for the Kubernetes-like cluster substrate."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.experiments import sidecar_problems
 from repro.k8s import (
     Cluster,
     Container,
+    Pod,
     PodPhase,
     ResourceRequest,
     SchedulingError,
 )
+from repro.mesh import IstioMesh
 from repro.netsim import Topology
+from repro.simcore import Simulator
 
 
 @pytest.fixture
@@ -147,3 +152,129 @@ class TestResourceAccounting:
         total = pod.total_resources
         assert total.cpu_millicores == 600
         assert pod.app_resources.cpu_millicores == 500
+
+
+class TestResourceRequestValidation:
+    @pytest.mark.parametrize("field", ["cpu_millicores", "memory_mb"])
+    @pytest.mark.parametrize("value", [-1, 1.5, 100.0, "100", None, True])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"ResourceRequest.{field}"):
+            ResourceRequest(**{field: value})
+
+    def test_zero_is_allowed(self):
+        assert ResourceRequest(0, 0) + ResourceRequest(1, 2) == \
+            ResourceRequest(1, 2)
+
+
+def fresh_node_usage(node):
+    """A node's used resources re-summed from its pods."""
+    return (sum(p.total_resources.cpu_millicores for p in node.pods),
+            sum(p.total_resources.memory_mb for p in node.pods))
+
+
+def fresh_endpoints(cluster, service_name):
+    """A service's endpoints recomputed by a scan over every pod."""
+    service = cluster.services[service_name]
+    return [pod for pod in cluster.pods.values()
+            if pod.phase is PodPhase.RUNNING
+            and pod.namespace == service.namespace
+            and pod.matches(service.selector)]
+
+
+#: Operations the churn property applies, each as (name, a, b) with
+#: ``a``/``b`` reduced modulo whatever the operation indexes.
+CHURN_OPS = ("create_pod", "delete_pod", "scale", "create_service")
+APPS = ("web", "db", "cache")
+NAMESPACES = ("default", "prod")
+
+
+def apply_churn_op(cluster, op, a, b):
+    if op == "create_pod":
+        try:
+            cluster.create_pod(
+                labels={"app": APPS[a % len(APPS)]},
+                resources=ResourceRequest(100 + 50 * (b % 8),
+                                          64 + 32 * (a % 8)),
+                namespace=NAMESPACES[b % len(NAMESPACES)])
+        except SchedulingError:
+            pass
+    elif op == "delete_pod":
+        if cluster.pods:
+            names = list(cluster.pods)
+            cluster.delete_pod(names[a % len(names)])
+    elif op == "scale":
+        names = sorted(cluster.deployments)
+        try:
+            cluster.scale_deployment(names[a % len(names)], b % 6)
+        except SchedulingError:
+            pass
+    else:
+        app = APPS[a % len(APPS)]
+        namespace = NAMESPACES[b % len(NAMESPACES)]
+        name = f"{app}-{namespace}"
+        if name not in cluster.services:
+            cluster.create_service(name, selector={"app": app},
+                                   namespace=namespace)
+
+
+class TestIncrementalState:
+    """The node ledger and the endpoint index equal a fresh recompute."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans(),
+           st.lists(st.tuples(st.sampled_from(CHURN_OPS),
+                              st.integers(0, 10_000),
+                              st.integers(0, 10_000)),
+                    max_size=40))
+    def test_ledger_and_endpoints_match_fresh_recompute(self, istio, ops):
+        topo = Topology.single_az_testbed(worker_nodes=3)
+        cluster = Cluster("churn", topo.all_nodes(),
+                          node_cpu_millicores=2_000, node_memory_mb=4_096)
+        if istio:
+            IstioMesh(Simulator(0)).attach(cluster)
+        cluster.create_deployment("web", replicas=2)
+        cluster.create_deployment("db", replicas=1,
+                                  resources=ResourceRequest(300, 256))
+        cluster.create_service("web-default", selector={"app": "web"})
+        for op, a, b in ops:
+            apply_churn_op(cluster, op, a, b)
+            for node in cluster.nodes:
+                assert (node.cpu_millicores_used, node.memory_mb_used) \
+                    == fresh_node_usage(node), (op, node.name)
+            for name in cluster.services:
+                endpoints = cluster.endpoints(name)
+                assert endpoints == fresh_endpoints(cluster, name), \
+                    (op, name)
+                endpoints.append(None)  # callers own a fresh list
+                assert cluster.endpoints(name) == \
+                    fresh_endpoints(cluster, name)
+
+    def test_watcher_sees_updated_endpoints(self, cluster):
+        cluster.create_service("web", selector={"app": "web"})
+        assert cluster.endpoints("web") == []
+        seen = []
+        cluster.watch(lambda event: seen.append(
+            [p.name for p in cluster.endpoints("web")]))
+        cluster.create_pod("w1", labels={"app": "web"})
+        cluster.delete_pod("w1")
+        assert seen == [["w1"], []]
+
+    def test_table1_scheduling_sums_each_pod_at_most_twice(
+            self, monkeypatch):
+        """The scheduler charges a pod once, not once per comparison:
+        re-summing every node's pods made 4.4M calls for table1's
+        2,640 pods."""
+        calls = []
+        original = Pod.total_resources
+
+        def counted(pod):
+            calls.append(1)
+            return original.fget(pod)
+
+        monkeypatch.setattr(Pod, "total_resources", property(counted))
+        scale, pods = 0.1, 0
+        for row in sidecar_problems._TABLE1_CLUSTERS:
+            sidecar_problems._table1_point((row, scale, 3))
+            pods += max(4, int(row[1] * scale))
+        assert pods == 2_640
+        assert len(calls) <= 2 * pods, len(calls)

@@ -1,6 +1,7 @@
 """simlint: rule fixtures, framework behavior, CLI, lint cache, cache
 hardening."""
 
+import ast
 import json
 import os
 import textwrap
@@ -22,7 +23,11 @@ from repro.lint import (
 from repro.lint.astutil import (
     collect_aliases,
     dynamic_import_lines,
+    import_statements,
+    iter_module_files,
+    module_imports,
     module_name_for_path,
+    parse_file,
     resolve_call_name,
 )
 from repro.lint.cli import main as lint_main
@@ -408,6 +413,109 @@ class TestAstutil:
                              "x = 1\n"
                              "mod = __import__('os')\n")
         assert dynamic_import_lines(tree) == [1, 3]
+
+
+def two_walk_module_imports(tree, module, is_package, known):
+    """The import-closure edges as a walk over every node finds them."""
+    package_parts = module.split(".")
+    if not is_package:
+        package_parts = package_parts[:-1]
+    found = set()
+
+    def resolve(name):
+        parts = name.split(".")
+        while parts:
+            if ".".join(parts) in known:
+                found.add(".".join(parts))
+                return
+            parts = parts[:-1]
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                resolve(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = ".".join(
+                package_parts[:len(package_parts) - node.level + 1]) \
+                if node.level else ""
+            base_name = ".".join(
+                p for p in (prefix, node.module or "") if p)
+            if base_name:
+                resolve(base_name)
+            for alias in node.names:
+                if base_name:
+                    resolve(f"{base_name}.{alias.name}")
+                elif node.level == 0:
+                    resolve(alias.name)
+    found.discard(module)
+    return found
+
+
+def two_walk_dynamic_lines(tree):
+    """Dynamic-import lines as a second walk over every node finds them."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "importlib" for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and \
+                    (node.module or "").split(".")[0] == "importlib":
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and \
+                    node.func.id == "__import__":
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def statement_scan(tree, source, module, is_package, known):
+    imports = import_statements(tree)
+    return (module_imports(imports, module, is_package, known),
+            dynamic_import_lines(tree, imports, source))
+
+
+class TestStatementImportScan:
+    """One walk over statement blocks finds what two whole-tree walks
+    found: the cache key's import edges and CACHE001's lines."""
+
+    def _check(self, path, module, known):
+        source, tree = parse_file(path)
+        is_package = path.endswith("__init__.py")
+        scanned = statement_scan(tree, source, module, is_package, known)
+        assert scanned == (
+            two_walk_module_imports(tree, module, is_package, known),
+            two_walk_dynamic_lines(tree)), module
+        # Same nodes in ast.walk's order, so alias tables keep their
+        # last-import-wins result.
+        assert import_statements(tree) == [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))], module
+        return scanned
+
+    def test_matches_two_walks_over_every_repro_file(self):
+        files = dict(iter_module_files(SRC_REPRO))
+        assert len(files) > 100
+        for module, path in files.items():
+            self._check(path, module, set(files))
+
+    def test_nested_blocks_fixture(self):
+        known = set(dict(iter_module_files(SRC_REPRO)))
+        edges, lines = self._check(fixture("nested_imports.py"),
+                                   "repro.experiments.nested", known)
+        assert lines == [29, 45, 51, 53]
+        assert {"repro.core.backend", "repro.k8s.cluster",
+                "repro.mesh.istio", "repro.netsim.dns", "repro.simcore",
+                "repro.obs.trace", "repro.k8s.objects",
+                "repro.lint.astutil", "repro.faults.plan",
+                "repro.runtime.cache", "repro.workloads",
+                "repro.crypto"} <= edges
+
+    def test_expression_walk_only_when_source_spells_dunder_import(self):
+        tree = ast.parse("import importlib\nx = __import__('os')\n")
+        assert dynamic_import_lines(tree, source=b"import importlib\n") \
+            == [1]
+        assert dynamic_import_lines(tree) == [1, 2]
 
 
 class TestCacheHardening:
