@@ -161,11 +161,9 @@ class RemoteKeyEngine:
         return self.server.healthy
 
     def submit(self) -> Event:
-        done = self.sim.event()
-        self.sim.process(self._rpc(done), name="key-rpc")
-        return done
+        return self.sim.process(self._rpc(), name="key-rpc")
 
-    def _rpc(self, done: Event):
+    def _rpc(self):
         config = self.server.config
         rtt = config.network_rtt_s + self.extra_rtt_s
         yield self.sim.timeout(rtt / 2.0)
@@ -173,7 +171,7 @@ class RemoteKeyEngine:
         yield served
         yield self.sim.timeout(rtt / 2.0 + config.rpc_overhead_s)
         self.operations += 1
-        done.succeed(self.sim.now)
+        return self.sim.now
 
 
 class FallbackEngine:

@@ -39,18 +39,16 @@ class SoftwareAsymEngine:
 
     def submit(self) -> Event:
         """One asymmetric operation; fires when the computation ends."""
-        done = self.sim.event()
-        self.sim.process(self._run(done), name="sw-asym")
-        return done
+        return self.sim.process(self._run(), name="sw-asym")
 
-    def _run(self, done: Event):
+    def _run(self):
         if self.cpu is not None:
             yield from self.cpu.execute(self.op_cost_s)
         else:
             yield self.sim.timeout(self.op_cost_s)
         self.operations += 1
         get_telemetry().inc("crypto_asym_ops_total", engine="software")
-        done.succeed(self.sim.now)
+        return self.sim.now
 
 
 class BatchedAccelerator:

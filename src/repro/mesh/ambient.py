@@ -93,9 +93,9 @@ class AmbientMesh(ServiceMesh):
         """HBONE tunnel establishment between the two ztunnels."""
         server_pod = self.pick_endpoint(service)
         session = None
+        one_way = self.latency_model.one_way(
+            self._location_of(client_pod), self._location_of(server_pod))
         if self.mtls_enabled:
-            rtt = self.latency_model.rtt(
-                self._location_of(client_pod), self._location_of(server_pod))
             client_cert = self.ca.issue(
                 f"spiffe://{client_pod.tenant}/{client_pod.name}",
                 client_pod.tenant, self.sim.now + 86400.0)
@@ -110,13 +110,14 @@ class AmbientMesh(ServiceMesh):
                 self.sim, self.ca, client_cert, server_cert,
                 self._engines[client_pod.node_name],
                 self._engines[server_pod.node_name],
-                rtt_s=rtt, costs=self.costs.crypto)
+                rtt_s=2.0 * one_way, costs=self.costs.crypto)
             if not result.ok:
                 raise MeshError(f"handshake failed: {result.failure_reason}")
             session = result.session
         connection = Connection(client=client_pod.name, service=service,
                                 server_pod=server_pod.name,
-                                established_at=self.sim.now, session=session)
+                                established_at=self.sim.now, session=session,
+                                one_way_s=one_way)
         return connection
 
     def request(self, connection: Connection, request: HttpRequest):
@@ -133,8 +134,6 @@ class AmbientMesh(ServiceMesh):
         crypto_bytes = request.total_bytes if self.mtls_enabled else 0
         ztunnel_cost = (self.costs.ambient_ztunnel_l4_s
                         + self.costs.symmetric_cost(crypto_bytes))
-        client_loc = self._location_of(client_pod)
-        server_loc = self._location_of(server_pod)
 
         yield from self._ztunnel_for(client_pod).work(ztunnel_cost)
         if self.l7_enabled(connection.service):
@@ -151,15 +150,10 @@ class AmbientMesh(ServiceMesh):
                 self.costs.ambient_l7_sigma))
             self.waypoint_requests[connection.service] = (
                 self.waypoint_requests.get(connection.service, 0) + 1)
-            yield self.sim.timeout(self.latency_model.one_way(
-                client_loc, server_loc))
-        else:
-            yield self.sim.timeout(self.latency_model.one_way(
-                client_loc, server_loc))
+        yield self.sim.timeout(connection.one_way_s)
         yield from self._ztunnel_for(server_pod).work(ztunnel_cost)
         yield self.sim.timeout(self.costs.app_service_time_s)
-        yield self.sim.timeout(self.latency_model.one_way(
-            server_loc, client_loc))
+        yield self.sim.timeout(connection.one_way_s)
         connection.requests_sent += 1
         latency = self.sim.now - start
         self.observe_request(200, latency, connection.service)

@@ -86,9 +86,9 @@ class IstioMesh(ServiceMesh):
         session = None
         tracer = get_tracer()
         trace_sink = [] if tracer is not None else None
+        one_way = self.latency_model.one_way(
+            self._location_of(client_pod), self._location_of(server_pod))
         if self.mtls_enabled:
-            rtt = self.latency_model.rtt(
-                self._location_of(client_pod), self._location_of(server_pod))
             client_cert = self.ca.issue(
                 f"spiffe://{client_pod.tenant}/{client_pod.name}",
                 client_pod.tenant, self.sim.now + 86400.0)
@@ -103,14 +103,15 @@ class IstioMesh(ServiceMesh):
                 self.sim, self.ca, client_cert, server_cert,
                 self._engines[client_pod.node_name],
                 self._engines[server_pod.node_name],
-                rtt_s=rtt, costs=self.costs.crypto,
+                rtt_s=2.0 * one_way, costs=self.costs.crypto,
                 trace_sink=trace_sink)
             if not result.ok:
                 raise MeshError(f"handshake failed: {result.failure_reason}")
             session = result.session
         connection = Connection(client=client_pod.name, service=service,
                                 server_pod=server_pod.name,
-                                established_at=self.sim.now, session=session)
+                                established_at=self.sim.now, session=session,
+                                one_way_s=one_way)
         if trace_sink:
             connection.meta["pending_spans"] = trace_sink
         return connection
@@ -159,8 +160,7 @@ class IstioMesh(ServiceMesh):
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=client_pod.name, bytes_out=request.body_bytes,
             bytes_in=request.response_bytes)
-        yield self.sim.timeout(self.latency_model.one_way(
-            self._location_of(client_pod), self._location_of(server_pod)))
+        yield self.sim.timeout(connection.one_way_s)
         # Server sidecar: decrypt + L7 + authorization + redirect in.
         if not self.authorize(connection.service, request):
             self.observe_request(403, self.sim.now - start,
@@ -181,8 +181,7 @@ class IstioMesh(ServiceMesh):
                        pod=server_pod.name)
         # Response network hop (response-side proxy work is folded into
         # the per-side cost above).
-        yield self.sim.timeout(self.latency_model.one_way(
-            self._location_of(server_pod), self._location_of(client_pod)))
+        yield self.sim.timeout(connection.one_way_s)
         connection.requests_sent += 1
         latency = self.sim.now - start
         self.observe_request(200, latency, connection.service)

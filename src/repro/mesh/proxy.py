@@ -88,6 +88,10 @@ class Connection:
     established_at: float
     session: Optional[MtlsSession] = None
     requests_sent: int = 0
+    #: One-way network latency between the client and server pods.
+    #: Meshes that price the hop per request (Istio, Ambient) set it
+    #: once at open: neither pod moves while the connection lives.
+    one_way_s: float = 0.0
     meta: Dict[str, object] = field(default_factory=dict)
 
 

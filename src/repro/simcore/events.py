@@ -17,6 +17,15 @@ call* on the agenda so that late subscribers still observe the result.
 This makes ``yield some_event`` safe regardless of ordering, which keeps
 model code simple.
 
+A :class:`Process` whose generator returns while nothing waits on it
+(its ``callbacks`` list is empty) skips the *triggered* state: it is
+marked processed at once and takes no agenda entry. A later ``yield
+proc``, ``add_callback`` or ``all_of`` sees a processed event and gets
+a direct call at the current time. A process with a waiter still ends
+through its own entry, so the waiter wakes in that entry's ``(when,
+seq)`` slot; a process that *fails* always keeps its entry, so
+``Simulator.run`` raises an unhandled failure at the same point.
+
 Hot-path notes
 --------------
 The agenda holds ``(when, seq, call, event)`` entries.  ``call`` is
@@ -278,7 +287,14 @@ class Process(Event):
                 event._defused = True
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nothing waits: processed at once, with no agenda
+                # entry. A later subscriber gets a direct call.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:
             self.fail(exc)

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from ..core.replica import require_at_least
 from ..k8s import Pod
 from ..mesh.base import ServiceMesh
 from ..mesh.http import HttpRequest
-from ..simcore import Simulator, Summary
+from ..simcore import Event, Simulator, Summary
 
 __all__ = ["LoadReport", "OpenLoopDriver", "ClosedLoopDriver",
            "ShortFlowDriver", "default_request_factory"]
@@ -68,14 +69,31 @@ class _DriverBase:
         self.service = service
         self.request_factory = request_factory or default_request_factory
         self.report = LoadReport()
+        #: Set once arrivals end with requests still in flight; the last
+        #: completion succeeds it (see :meth:`_join`).
+        self._joined: Optional[Event] = None
 
     def _one_request(self, connection):
         request = self.request_factory()
         response = yield from self.mesh.request(connection, request)
-        self.report.completed += 1
-        self.report.statuses.append(response.status)
-        self.report.latency.add(response.latency_s)
+        self._record(response.status, response.latency_s)
         return response
+
+    def _record(self, status: int, latency_s: float) -> None:
+        report = self.report
+        report.completed += 1
+        report.statuses.append(status)
+        report.latency.add(latency_s)
+        if self._joined is not None and report.completed == report.offered:
+            self._joined.succeed()
+
+    def _join(self):
+        """Wait, once arrivals have ended, until every offered request
+        completes: a count, not a join over every request's process."""
+        report = self.report
+        if report.completed < report.offered:
+            self._joined = self.sim.event()
+            yield self._joined
 
 
 class OpenLoopDriver(_DriverBase):
@@ -86,12 +104,13 @@ class OpenLoopDriver(_DriverBase):
                  connections: int = 100, poisson: bool = True,
                  request_factory: Callable[[], HttpRequest] = None):
         super().__init__(sim, mesh, client_pod, service, request_factory)
-        if rps <= 0 or duration_s <= 0:
-            raise ValueError("rps and duration must be positive")
         self.rps = rps
         self.duration_s = duration_s
         self.connections = connections
         self.poisson = poisson
+        require_at_least(self, "rps", 0, inclusive=False)
+        require_at_least(self, "duration_s", 0, inclusive=False)
+        require_at_least(self, "connections", 1)
 
     def run(self):
         """Process generator: open connections, offer load, finish."""
@@ -102,7 +121,6 @@ class OpenLoopDriver(_DriverBase):
             pool.append(connection)
         start = self.sim.now
         end = start + self.duration_s
-        in_flight = []
         index = 0
         while self.sim.now < end:
             if self.poisson:
@@ -115,10 +133,8 @@ class OpenLoopDriver(_DriverBase):
             connection = pool[index % len(pool)]
             index += 1
             self.report.offered += 1
-            in_flight.append(self.sim.process(
-                self._one_request(connection), name="req"))
-        if in_flight:
-            yield self.sim.all_of(in_flight)
+            self.sim.process(self._one_request(connection), name="req")
+        yield from self._join()
         self.report.duration_s = self.sim.now - start
         return self.report
 
@@ -139,6 +155,9 @@ class ClosedLoopDriver(_DriverBase):
         self.connections = connections
         self.requests_per_connection = requests_per_connection
         self.think_time_s = think_time_s
+        require_at_least(self, "connections", 1)
+        require_at_least(self, "requests_per_connection", 0)
+        require_at_least(self, "think_time_s", 0)
 
     def run(self):
         start = self.sim.now
@@ -165,23 +184,21 @@ class ShortFlowDriver(_DriverBase):
                  service: str, rps: float, duration_s: float,
                  request_factory: Callable[[], HttpRequest] = None):
         super().__init__(sim, mesh, client_pod, service, request_factory)
-        if rps <= 0 or duration_s <= 0:
-            raise ValueError("rps and duration must be positive")
         self.rps = rps
         self.duration_s = duration_s
+        require_at_least(self, "rps", 0, inclusive=False)
+        require_at_least(self, "duration_s", 0, inclusive=False)
 
     def run(self):
         start = self.sim.now
         end = start + self.duration_s
-        in_flight = []
         while self.sim.now < end:
             yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
             if self.sim.now >= end:
                 break
             self.report.offered += 1
-            in_flight.append(self.sim.process(self._flow(), name="flow"))
-        if in_flight:
-            yield self.sim.all_of(in_flight)
+            self.sim.process(self._flow(), name="flow")
+        yield from self._join()
         self.report.duration_s = self.sim.now - start
         return self.report
 
@@ -191,7 +208,5 @@ class ShortFlowDriver(_DriverBase):
             self.client_pod, self.service)
         request = self.request_factory()
         response = yield from self.mesh.request(connection, request)
-        self.report.completed += 1
-        self.report.statuses.append(response.status)
         # Short-flow latency includes the handshake.
-        self.report.latency.add(self.sim.now - opened_at)
+        self._record(response.status, self.sim.now - opened_at)

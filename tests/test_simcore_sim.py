@@ -181,3 +181,102 @@ class TestTimeoutConstruction:
             sim.timeout(-1.0)
         with pytest.raises(ValueError):
             Timeout(sim, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# process ends: an unwatched end takes no agenda entry.
+
+
+class TestProcessEnd:
+    def test_unwatched_end_consumes_no_sequence(self):
+        sim = Simulator(seed=0)
+
+        def body():
+            yield sim.timeout(1.0)
+            return "done"
+
+        proc = sim.process(body())
+        sim.run()
+        assert sim._sequence == 2  # the bootstrap and the timeout only
+        assert proc.processed and proc.ok and proc.value == "done"
+        assert not proc.is_alive
+
+    def test_yield_ended_process_resumes_at_same_instant(self):
+        sim = Simulator(seed=0)
+        seen = []
+
+        def child():
+            yield sim.timeout(1.0)
+            return 42
+
+        def parent(proc):
+            yield sim.timeout(2.0)
+            assert proc.processed
+            asked_at = sim.now
+            value = yield proc
+            seen.append((asked_at, sim.now, value))
+
+        sim.process(parent(sim.process(child())))
+        sim.run()
+        assert seen == [(2.0, 2.0, 42)]
+
+    def test_unwatched_failure_still_raises(self):
+        sim = Simulator(seed=0)
+
+        def body():
+            yield sim.timeout(1.0)
+            raise KeyError("boom")
+
+        proc = sim.process(body())
+        with pytest.raises(KeyError, match="boom"):
+            sim.run()
+        assert sim.now == 1.0
+        assert proc.processed and not proc.ok
+
+    def test_all_of_over_ended_and_running_processes(self):
+        sim = Simulator(seed=0)
+        got = []
+
+        def child(delay, value):
+            yield sim.timeout(delay)
+            return value
+
+        def parent(children):
+            yield sim.timeout(2.0)
+            assert [c.processed for c in children] == [True, False, True,
+                                                        False]
+            got.append((yield sim.all_of(children)))
+
+        children = [sim.process(child(delay, value))
+                    for delay, value in ((1.0, "a"), (3.0, "b"),
+                                         (0.5, "c"), (4.0, "d"))]
+        sim.process(parent(children))
+        sim.run()
+        assert got == [["a", "b", "c", "d"]]
+        assert sim.now == 4.0
+
+    def test_watched_end_wakes_waiter_in_its_entry_slot(self):
+        """A waited-on process ends through its own ``(when, seq)``
+        entry: after entries already queued for that instant, before
+        entries pushed later at that instant."""
+        sim = Simulator(seed=0)
+        log = []
+
+        def child():
+            yield sim.timeout(1.0)
+            log.append("child-ends")
+
+        def waiter(proc):
+            yield proc
+            log.append("waiter")
+
+        def bystander():
+            yield sim.timeout(1.0)
+            log.append("bystander")
+            sim.call_later(0.0, log.append, "bystander-later")
+
+        sim.process(waiter(sim.process(child())))
+        sim.process(bystander())
+        sim.run()
+        assert log == ["child-ends", "bystander", "waiter",
+                       "bystander-later"]

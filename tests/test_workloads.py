@@ -1,5 +1,6 @@
 """Tests for load drivers and trace generators."""
 
+import gc
 import random
 
 import pytest
@@ -81,6 +82,40 @@ class TestDrivers:
             ShortFlowDriver(run.sim, run.mesh, run.client_pod, "svc1",
                             rps=10.0, duration_s=-1.0)
 
+    @pytest.mark.parametrize("driver, kwargs, field", [
+        (OpenLoopDriver, {"rps": float("nan"), "duration_s": 1.0}, "rps"),
+        (OpenLoopDriver, {"rps": float("inf"), "duration_s": 1.0}, "rps"),
+        (OpenLoopDriver, {"rps": 10.0, "duration_s": float("nan")},
+         "duration_s"),
+        (OpenLoopDriver, {"rps": 10.0, "duration_s": float("inf")},
+         "duration_s"),
+        (OpenLoopDriver, {"rps": 10.0, "duration_s": 1.0, "connections": 0},
+         "connections"),
+        (ShortFlowDriver, {"rps": float("nan"), "duration_s": 1.0}, "rps"),
+        (ShortFlowDriver, {"rps": 10.0, "duration_s": float("nan")},
+         "duration_s"),
+        (ClosedLoopDriver, {"connections": -2}, "connections"),
+        (ClosedLoopDriver, {"connections": 0}, "connections"),
+        (ClosedLoopDriver, {"requests_per_connection": -1},
+         "requests_per_connection"),
+        (ClosedLoopDriver, {"think_time_s": -1.0}, "think_time_s"),
+        (ClosedLoopDriver, {"think_time_s": float("nan")}, "think_time_s"),
+        (ClosedLoopDriver, {"think_time_s": float("inf")}, "think_time_s"),
+    ])
+    def test_bad_input_rejected_by_name(self, driver, kwargs, field):
+        run = build_testbed("no-mesh")
+        with pytest.raises(ValueError,
+                           match=rf"^{driver.__name__}\.{field} must be"):
+            driver(run.sim, run.mesh, run.client_pod, "svc1", **kwargs)
+
+    def test_edge_inputs_accepted(self):
+        run = build_testbed("no-mesh")
+        driver = ClosedLoopDriver(run.sim, run.mesh, run.client_pod, "svc1",
+                                  connections=1, requests_per_connection=0,
+                                  think_time_s=0.0)
+        report = run.run_driver(driver)
+        assert report.offered == report.completed == 0
+
     def test_error_count(self):
         run = build_testbed("no-mesh")
         driver = ClosedLoopDriver(run.sim, run.mesh, run.client_pod,
@@ -96,15 +131,22 @@ class TestSimulationCost:
 
     A sub-step its caller only waits on runs inline (``yield from``)
     and a free core is taken without an agenda entry, so each request
-    is one process. Re-spawning any sub-step adds about two entries
-    and one process per request and trips these ceilings.
+    is one process. A process nothing waits on ends without an entry,
+    and the drivers join by count, not over every request's process.
+    Re-spawning any sub-step adds about two entries and one process
+    per request and trips these ceilings.
     """
 
-    #: mesh -> (offered rps, max events per request, max processes per
-    #: request). The rates are the e2e datapath's (~70% of each knee).
-    CEILINGS = {"canal": (7700.0, 13.0, 1.2),
-                "istio": (1000.0, 10.5, 1.2),
-                "ambient": (4200.0, 13.2, 1.2)}
+    #: (driver, mesh) -> (offered rps, max events per request, max
+    #: processes per request). The open-loop rates are the e2e
+    #: datapath's (~70% of each knee); short flows run at the e2e
+    #: shortflow rate, each with a fresh mTLS handshake.
+    CEILINGS = {(OpenLoopDriver, "canal"): (7700.0, 11.0, 1.2),
+                (OpenLoopDriver, "istio"): (1000.0, 8.5, 1.2),
+                (OpenLoopDriver, "ambient"): (4200.0, 11.2, 1.2),
+                (ShortFlowDriver, "canal"): (200.0, 27.0, 5.2),
+                (ShortFlowDriver, "istio"): (200.0, 20.0, 3.2),
+                (ShortFlowDriver, "ambient"): (200.0, 23.8, 3.2)}
 
     def test_request_path_stays_cheap_to_simulate(self, monkeypatch):
         constructed = [0]
@@ -116,23 +158,50 @@ class TestSimulationCost:
 
         monkeypatch.setattr(events.Process, "__init__", counting_init)
         over = []
-        for mesh, (rps, max_events, max_processes) in self.CEILINGS.items():
+        for (driver_cls, mesh), (rps, max_events,
+                                 max_processes) in self.CEILINGS.items():
             run = build_testbed(mesh, seed=7)
-            driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod,
-                                    "svc1", rps=rps, duration_s=500 / rps,
-                                    connections=10)
+            kwargs = ({"connections": 10}
+                      if driver_cls is OpenLoopDriver else {})
+            driver = driver_cls(run.sim, run.mesh, run.client_pod, "svc1",
+                                rps=rps, duration_s=500 / rps, **kwargs)
             sequence, constructed[0] = run.sim._sequence, 0
             report = run.run_driver(driver)
             assert report.ok_count == report.completed > 400
             per_request = (run.sim._sequence - sequence) / report.completed
             processes = constructed[0] / report.completed
+            name = f"{driver_cls.__name__}/{mesh}"
             if per_request > max_events:
-                over.append(f"{mesh}: {per_request:.2f} events/request "
+                over.append(f"{name}: {per_request:.2f} events/request "
                             f"> {max_events}")
             if processes > max_processes:
-                over.append(f"{mesh}: {processes:.2f} processes/request "
+                over.append(f"{name}: {processes:.2f} processes/request "
                             f"> {max_processes}")
         assert not over, "; ".join(over)
+
+    def test_live_processes_bounded_by_in_flight(self):
+        """Midway through an open-loop run, the Process objects still in
+        memory are the requests in flight plus the driver and the probe,
+        not every request offered so far."""
+        run = build_testbed("istio", seed=7)
+        driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod, "svc1",
+                                rps=1000.0, duration_s=0.6, connections=10)
+        seen = []
+
+        def probe():
+            while driver.report.offered < 300:
+                yield run.sim.timeout(0.005)
+            report = driver.report
+            live = sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, events.Process)
+                       and obj.sim is run.sim)
+            seen.append((report.offered - report.completed, live))
+
+        run.sim.process(probe(), name="probe")
+        report = run.run_driver(driver)
+        assert report.completed == report.offered >= 500
+        [(in_flight, live)] = seen
+        assert live <= in_flight + 2, seen
 
 
 class TestTraces:
