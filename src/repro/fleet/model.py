@@ -38,7 +38,10 @@ from ..faults.audit import InvariantViolation
 from ..obs.runtime import get_telemetry
 from ..simcore import Simulator, TimeSeries
 from .config import FleetConfig, FleetDemand
-from .queueing import sojourn_mean_s, sojourn_p99_s, weighted_percentile
+from .queueing import _sojourn_s, weighted_percentile
+# Still bound here: benchmarks/e2e/test_e2e.py checks that the span
+# recorder restores this module's binding by identity.
+from .queueing import sojourn_mean_s  # noqa: F401
 from .topology import FleetTopology
 
 __all__ = ["FleetCounters", "FleetMetrics", "FleetModel"]
@@ -120,7 +123,7 @@ class FleetModel:
         self.backend_water = [0.0] * n_backends
         self.backend_sessions = [0.0] * n_backends
         #: Per-backend arrival weight, ``max(floor, 1 - water)``; refreshed
-        #: with the water levels in :meth:`_aggregate`.
+        #: with the water levels in :meth:`_level_water`.
         self._headroom = [1.0] * n_backends
         #: Healthy shard slots per service, ``None`` where a rebuild is
         #: due. Only the fault methods change backend health, and each
@@ -142,6 +145,8 @@ class FleetModel:
     # -- lifecycle ---------------------------------------------------------
     def start(self, horizon_s: float) -> None:
         """Schedule flow updates up to ``horizon_s`` on the agenda."""
+        if not math.isfinite(horizon_s):
+            raise ValueError(f"horizon_s must be finite, got {horizon_s}")
         if horizon_s < self.config.dt_s:
             raise ValueError(
                 f"horizon {horizon_s}s is shorter than one flow step "
@@ -214,7 +219,6 @@ class FleetModel:
         now = self.sim.now
         dt = self.config.dt_s
         self._advance_flows(now - dt, dt)
-        self._aggregate()
         self._tick_index += 1
         if self._tick_index % self.config.sample_every == 0:
             self._sample(now)
@@ -224,17 +228,28 @@ class FleetModel:
             self.sim.call_later(dt, self._tick, None)
 
     def _advance_flows(self, t0: float, dt: float) -> None:
-        # One pass per service decays each slot, adds its inflow and
-        # totals the populations before and after. It performs the same
-        # float operations in the same order as decaying every slot,
-        # then splitting the inflow, then totalling, so its results are
-        # bit-identical to that sequence's.
+        """Advance every slot one flow step and fold it into its backend.
+
+        One pass per service decays each slot, adds its inflow, totals
+        the populations before and after, and adds the new population
+        to its backend's load and water. The fold is :meth:`_aggregate`'s,
+        in the same service-major, slot-minor order, so the water levels
+        are bit-identical to running that after the step. Nothing reads
+        water during the step: the arrival split reads ``_headroom``,
+        which only :meth:`_level_water` writes, after the pass."""
         decay = self._decay
         inflow_unit = self._theta * (1.0 - decay)
         base_rate = self.demand.arrival_rate(t0)
         scale_fn = self.demand_scale
-        healthy_slots = self._healthy_slots
-        slot_weights = self._slot_weights
+        healthy_index = self._healthy_index
+        headroom = self._headroom
+        get_headroom = headroom.__getitem__
+        water = self.backend_water
+        loads = self.backend_sessions
+        zeros = [0.0] * len(water)
+        water[:] = zeros
+        loads[:] = zeros
+        cost = self.config.request_cost_s * self.demand.session_rps
         counters = self.counters
         attempted = counters.attempted
         admitted = counters.admitted
@@ -242,32 +257,52 @@ class FleetModel:
         departed = counters.departed
         window_attempted = self._window_attempted
         window_admitted = self._window_admitted
-        for service, sessions in enumerate(self.slot_sessions):
+        for service, (sessions, shard, base, qod) in enumerate(zip(
+                self.slot_sessions, self.topology.shards, self._weights,
+                self.qod_factor)):
             rate = base_rate
             if scale_fn is not None:
                 rate = base_rate * scale_fn(service, t0)
             offered = rate * dt
             attempted += offered
             window_attempted += offered
-            healthy = healthy_slots(service)
-            weights = slot_weights(service, healthy)
-            share = rate * inflow_unit / sum(weights) if weights else 0.0
-            if len(weights) < len(sessions):
-                # Align weights to slots; a down slot (None) gets no inflow.
-                aligned = [None] * len(sessions)
-                for slot, weight in zip(healthy, weights):
-                    aligned[slot] = weight
-                weights = aligned
+            healthy = healthy_index[service]
+            if healthy is None:
+                healthy = self._healthy_slots(service)
+            weight = base * qod
             before = 0.0
             after = 0.0
-            for slot, weight in enumerate(weights):
-                n = sessions[slot]
-                before += n
-                n *= decay
-                if weight is not None:
-                    n += share * weight
-                sessions[slot] = n
-                after += n
+            if len(healthy) == len(shard):
+                share = (rate * inflow_unit / sum(map(get_headroom, shard))
+                         if shard else 0.0)
+                for slot, backend in enumerate(shard):
+                    n = sessions[slot]
+                    before += n
+                    n = n * decay + share * headroom[backend]
+                    sessions[slot] = n
+                    after += n
+                    if n > 0.0:
+                        loads[backend] += n
+                        water[backend] += n * weight * cost
+            else:
+                # Align weights to slots; a down slot (None) gets no inflow.
+                live = self._slot_weights(service, healthy)
+                share = rate * inflow_unit / sum(live) if live else 0.0
+                weights = [None] * len(shard)
+                for slot, slot_weight in zip(healthy, live):
+                    weights[slot] = slot_weight
+                for slot, backend in enumerate(shard):
+                    n = sessions[slot]
+                    before += n
+                    n *= decay
+                    slot_weight = weights[slot]
+                    if slot_weight is not None:
+                        n += share * slot_weight
+                    sessions[slot] = n
+                    after += n
+                    if n > 0.0:
+                        loads[backend] += n
+                        water[backend] += n * weight * cost
             if healthy:
                 admitted += offered
                 window_admitted += offered
@@ -281,19 +316,22 @@ class FleetModel:
         counters.departed = departed
         self._window_attempted = window_attempted
         self._window_admitted = window_admitted
+        self._level_water()
 
     def _aggregate(self) -> None:
-        """Fold slot populations into per-backend water levels."""
-        config = self.config
-        topology = self.topology
+        """Fold slot populations into per-backend water levels.
+
+        The flow step folds as it advances; this standalone fold serves
+        the callers between steps whose changes move water: ``start``,
+        the fault methods and the QoD methods."""
         water = self.backend_water
         loads = self.backend_sessions
         zeros = [0.0] * len(water)
         water[:] = zeros
         loads[:] = zeros
-        cost = config.request_cost_s * self.demand.session_rps
+        cost = self.config.request_cost_s * self.demand.session_rps
         for sessions, shard, base, qod in zip(
-                self.slot_sessions, topology.shards, self._weights,
+                self.slot_sessions, self.topology.shards, self._weights,
                 self.qod_factor):
             weight = base * qod
             for n, backend in zip(sessions, shard):
@@ -301,7 +339,13 @@ class FleetModel:
                     continue
                 loads[backend] += n
                 water[backend] += n * weight * cost
-        cores = config.cores_per_replica * self.capacity_factor
+        self._level_water()
+
+    def _level_water(self) -> None:
+        """Turn folded CPU-seconds into water levels and headroom."""
+        topology = self.topology
+        water = self.backend_water
+        cores = self.config.cores_per_replica * self.capacity_factor
         headroom = self._headroom
         floor = self._MIN_HEADROOM
         for b, (replicas, up) in enumerate(
@@ -356,10 +400,10 @@ class FleetModel:
             c = replicas[b] * cores
             if c < 1:
                 continue
-            rho = self.backend_water[b]
-            mean_acc += sessions * sojourn_mean_s(rho, c, service_s)
+            mean_s, p99_s = _sojourn_s(self.backend_water[b], c, service_s)
+            mean_acc += sessions * mean_s
             total_weight += sessions
-            p99s.append(sojourn_p99_s(rho, c, service_s))
+            p99s.append(p99_s)
             weights.append(sessions)
         if total_weight <= 0.0:
             return (service_s * 1e3, service_s * 1e3)
@@ -370,8 +414,20 @@ class FleetModel:
     # -- fault interface (shared with the per-session reference) -----------
     # Only these methods change backend health; each one drops the
     # health-index entries of the services on the backends it flips.
+    # Each rejects an index outside [0, n) by name: a negative one would
+    # otherwise hit the last backend, AZ or service.
+    def _check_backend(self, backend: int) -> None:
+        _check_index("backend", backend, self.topology.n_backends)
+
+    def _check_az(self, az: int) -> None:
+        _check_index("az", az, len(self.topology.az_names))
+
+    def _check_service(self, service: int) -> None:
+        _check_index("service", service, self.config.services)
+
     def crash_backend(self, backend: int) -> float:
         """Take a backend down, dropping its sessions; returns dropped."""
+        self._check_backend(backend)
         if not self.topology.backend_up[backend]:
             return 0.0
         dropped = self._take_down(backend)
@@ -379,11 +435,13 @@ class FleetModel:
         return dropped
 
     def recover_backend(self, backend: int) -> None:
+        self._check_backend(backend)
         self._bring_up(backend)
         self._aggregate()
 
     def crash_az(self, az: int) -> float:
         """Take every backend of an AZ down, then re-aggregate once."""
+        self._check_az(az)
         dropped = 0.0
         flipped = False
         for backend in self.topology.backends_in_az(az):
@@ -395,6 +453,7 @@ class FleetModel:
         return dropped
 
     def recover_az(self, az: int) -> None:
+        self._check_az(az)
         for backend in self.topology.backends_in_az(az):
             self._bring_up(backend)
         self._aggregate()
@@ -412,6 +471,7 @@ class FleetModel:
 
     def crash_replica(self, backend: int) -> float:
         """Kill one replica; a backend at zero replicas drops sessions."""
+        self._check_backend(backend)
         topology = self.topology
         if topology.healthy_replicas[backend] <= 0:
             return 0.0
@@ -424,6 +484,7 @@ class FleetModel:
         return dropped
 
     def recover_replica(self, backend: int) -> None:
+        self._check_backend(backend)
         topology = self.topology
         if topology.healthy_replicas[backend] < topology.total_replicas[backend]:
             topology.healthy_replicas[backend] += 1
@@ -432,12 +493,15 @@ class FleetModel:
 
     def set_qod(self, service: int, factor: float) -> None:
         """Query-of-death: multiply the service's request weight."""
-        if factor <= 0:
-            raise ValueError(f"qod factor must be > 0, got {factor}")
+        self._check_service(service)
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(
+                f"factor must be a finite number > 0, got {factor}")
         self.qod_factor[service] = factor
         self._aggregate()
 
     def clear_qod(self, service: int) -> None:
+        self._check_service(service)
         self.qod_factor[service] = 1.0
         self._aggregate()
 
@@ -463,6 +527,8 @@ class FleetModel:
 
     def extend_service(self, service: int, backend: int) -> None:
         """Add a shard slot on ``backend`` and count the config fan-out."""
+        self._check_service(service)
+        self._check_backend(backend)
         topology = self.topology
         topology.extend_shard(service, backend)
         self._append_slot(service)
@@ -555,6 +621,11 @@ class FleetModel:
                       self.active_sessions(), **labels)
         telemetry.set("fleet_replicas_provisioned",
                       float(self.topology.replicas_provisioned()), **labels)
+
+
+def _check_index(name: str, value: int, n: int) -> None:
+    if not 0 <= value < n:
+        raise ValueError(f"{name} must be in [0, {n}), got {value}")
 
 
 def _total(values) -> float:

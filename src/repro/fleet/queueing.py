@@ -54,7 +54,7 @@ def mm_c_wait_s(rho: float, c: int, service_s: float) -> float:
 
 def sojourn_mean_s(rho: float, c: int, service_s: float) -> float:
     """Mean request sojourn (service + queueing), seconds."""
-    return service_s + mm_c_wait_s(rho, c, service_s)
+    return _sojourn_s(rho, c, service_s)[0]
 
 
 def sojourn_p99_s(rho: float, c: int, service_s: float) -> float:
@@ -65,15 +65,21 @@ def sojourn_p99_s(rho: float, c: int, service_s: float) -> float:
     ``Wq = Pw S / (c (1 - rho))``. When ``Pw <= 0.01`` fewer than 1%%
     of requests queue at all and the p99 is pure service time.
     """
+    return _sojourn_s(rho, c, service_s)[1]
+
+
+def _sojourn_s(rho: float, c: int, service_s: float) -> Tuple[float, float]:
+    """``(mean, p99)`` sojourn in seconds from one queueing-delay call."""
     wait = mm_c_wait_s(rho, c, service_s)
+    mean = service_s + wait
     if wait <= 0.0:
-        return service_s
+        return mean, service_s
     rho = min(rho, RHO_CAP)
     scale = service_s / (c * (1.0 - rho))      # mean of the exp tail
     p_wait = wait / scale                      # implied P(Wq > 0)
     if p_wait <= 0.01:
-        return service_s
-    return service_s + scale * math.log(100.0 * p_wait)
+        return mean, service_s
+    return mean, service_s + scale * math.log(100.0 * p_wait)
 
 
 def weighted_percentile(values: Sequence[float], weights: Sequence[float],

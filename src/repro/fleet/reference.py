@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from itertools import accumulate
 from typing import List
 
 from ..simcore import Simulator
@@ -79,8 +80,9 @@ class SessionDES(FleetModel):
                 self.counters.rejected += count
                 continue
             self.counters.admitted += count
+            cum_weights = self._cum_weights(service, healthy)
             for _ in range(count):
-                self._admit(service, healthy)
+                self._admit(service, healthy, cum_weights)
 
     def _advance_flows(self, t0: float, dt: float) -> None:
         rng = self.sim.rng
@@ -102,10 +104,19 @@ class SessionDES(FleetModel):
                 continue
             counters.admitted += arrivals
             self._window_admitted += arrivals
+            cum_weights = self._cum_weights(service, healthy)
             for _ in range(arrivals):
-                self._admit(service, healthy)
+                self._admit(service, healthy, cum_weights)
+        self._aggregate()
 
-    def _admit(self, service: int, healthy: List[int]) -> None:
+    def _cum_weights(self, service: int, healthy: List[int]) -> List[float]:
+        """Running sums of the service's LB weights. Headroom changes
+        only when water is levelled, never while sessions are placed, so
+        one list serves every session a step or the warm start admits."""
+        return list(accumulate(self._slot_weights(service, healthy)))
+
+    def _admit(self, service: int, healthy: List[int],
+               cum_weights: List[float]) -> None:
         """Place one session by the same headroom-weighted LB split the
         fluid tier integrates (``FleetModel._slot_weights``), drawn
         discretely from the shared seeded RNG."""
@@ -113,8 +124,7 @@ class SessionDES(FleetModel):
         if len(healthy) == 1:
             slot = healthy[0]
         else:
-            weights = self._slot_weights(service, healthy)
-            slot = rng.choices(healthy, weights=weights)[0]
+            slot = rng.choices(healthy, cum_weights=cum_weights)[0]
         self.slot_sessions[service][slot] += 1.0
         lifetime = rng.expovariate(1.0 / self.demand.session_duration_s)
         self.sim.call_later(

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.engine import FaultTargetError
 from repro.faults.plan import Fault, FaultPlan
@@ -172,7 +172,38 @@ class TestQueueing:
         assert weighted_percentile([1.0, 99.0], [1.0, 0.0], 100.0) == 1.0
 
 
+#: ``(method, args, name)``: each call must raise a ValueError naming
+#: ``name``. Indexes are for small_world's 12 services, 3 AZs and 24
+#: backends; a negative one would otherwise hit the last of its kind.
+BAD_INPUTS = [
+    ("start", (math.nan,), "horizon_s"),
+    ("start", (math.inf,), "horizon_s"),
+    ("set_qod", (0, math.nan), "factor"),
+    ("set_qod", (0, math.inf), "factor"),
+    ("set_qod", (-1, 2.0), "service"),
+    ("set_qod", (12, 2.0), "service"),
+    ("clear_qod", (-1,), "service"),
+    ("crash_backend", (-1,), "backend"),
+    ("crash_backend", (24,), "backend"),
+    ("recover_backend", (24,), "backend"),
+    ("crash_replica", (-1,), "backend"),
+    ("recover_replica", (24,), "backend"),
+    ("crash_az", (-1,), "az"),
+    ("crash_az", (3,), "az"),
+    ("recover_az", (-1,), "az"),
+    ("extend_service", (12, 0), "service"),
+    ("extend_service", (0, -1), "backend"),
+    ("extend_service", (0, 24), "backend"),
+]
+
+
 class TestFleetModel:
+    @pytest.mark.parametrize("method, args, name", BAD_INPUTS)
+    def test_bad_input_rejected_by_name(self, method, args, name):
+        sim, config, demand, model = small_world()
+        with pytest.raises(ValueError, match=f"^{name} "):
+            getattr(model, method)(*args)
+
     def test_warm_start_holds_equilibrium(self):
         sim, config, demand, model = small_world()
         model.start(300.0)
@@ -402,6 +433,9 @@ class TestHealthIndex:
                               st.integers(0, 10_000),
                               st.integers(0, 10_000)),
                     max_size=30))
+    # Always step with some slots down: the step's fold for a partly
+    # healthy shard is a separate loop.
+    @example(FleetModel, [("crash_az", 0, 0), ("step", 0, 0)])
     def test_index_matches_fresh_recompute(self, cls, ops):
         sim, config, demand, model = small_world(
             cls=cls, services=6, backends_per_az=4, sessions=30.0)
@@ -416,6 +450,13 @@ class TestHealthIndex:
                 assert model._healthy_slots(service) == fresh
             assert model._headroom == [max(floor, 1.0 - water)
                                        for water in model.backend_water]
+            # The flow step folds as it advances; the standalone fold
+            # must land on exactly the same levels.
+            folded = (list(model.backend_water),
+                      list(model.backend_sessions), list(model._headroom))
+            model._aggregate()
+            assert (model.backend_water, model.backend_sessions,
+                    model._headroom) == folded, op
             model.check_invariants(op)
 
     @pytest.mark.parametrize("cls", [FleetModel, SessionDES])
