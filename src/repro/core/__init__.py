@@ -8,7 +8,7 @@
 * the control loops: monitoring, root-cause analysis, precise scaling
   (Reuse/New), anomaly-triggered sandbox migration and throttling;
 * operations machinery: health-check aggregation, in-phase traffic
-  migration, full-mesh probing, deployment-cost economics.
+  migration, deployment-cost economics.
 """
 
 from .anomaly import (
@@ -52,7 +52,6 @@ from .proxyless import (
 from .upgrade import RollingUpgrade, UpgradeReport
 from .phase import DailyProfile, MigrationPlan, PhaseMonitor, hwhm_window
 from .prober import AppEndpoint, HealthCheckProxy, ProbeRecord
-from .probing import APP_TYPES, ProbeMesh, ProbeResult
 from .rca import RcaResult, RootCauseAnalyzer, pearson
 from .redirector import (
     BucketTable,
@@ -63,12 +62,11 @@ from .redirector import (
 from .replica import Replica, ReplicaConfig
 from .sandbox import MigrationRecord, SandboxManager
 from .scaling import ScalingEngine, ScalingEvent, ScalingTimings
-from .session_aggregation import Disaggregator, MtuError, SessionAggregator
+from .session_aggregation import MtuError, SessionAggregator
 from .sharding import ShardingError, ShuffleSharder
 from .tenancy import Tenant, TenantRegistry, TenantService
 
 __all__ = [
-    "APP_TYPES",
     "AccessDenied",
     "Alert",
     "AnomalySignals",
@@ -79,7 +77,6 @@ __all__ = [
     "CanalMesh",
     "DailyProfile",
     "DeliveryResult",
-    "Disaggregator",
     "DisaggregatedLB",
     "Eni",
     "EniLimitExceeded",
@@ -104,9 +101,7 @@ __all__ = [
     "NoBackendAvailable",
     "OnNodeProxy",
     "PhaseMonitor",
-    "ProbeMesh",
     "ProbeRecord",
-    "ProbeResult",
     "ProxylessCanalMesh",
     "RapidResponder",
     "RollingUpgrade",

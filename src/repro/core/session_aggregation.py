@@ -21,7 +21,7 @@ from typing import Dict, List
 from ..netsim import FiveTuple, Packet, VXLAN_OVERHEAD_BYTES, VxlanHeader
 from .replica import Replica
 
-__all__ = ["SessionAggregator", "Disaggregator", "MtuError"]
+__all__ = ["SessionAggregator", "MtuError"]
 
 
 class MtuError(ValueError):
@@ -93,22 +93,3 @@ class SessionAggregator:
             # only varying field, so model core choice as sport mod cores.
             counts[(self.OUTER_SPORT_BASE + index) % cores] += 1
         return counts
-
-
-class Disaggregator:
-    """Replica-side decapsulation in front of the redirector."""
-
-    #: CPU cost of stripping one outer header in the VM (the paper
-    #: measured the impact on CPU utilization as "insignificant").
-    DECAP_CPU_S = 1.5e-6
-
-    def __init__(self):
-        self.packets_decapsulated = 0
-
-    def decapsulate(self, packet: Packet) -> Packet:
-        inner = packet.decapsulate()
-        self.packets_decapsulated += 1
-        return inner
-
-    def cpu_cost_s(self, packets: int = 1) -> float:
-        return packets * self.DECAP_CPU_S

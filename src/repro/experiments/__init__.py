@@ -123,8 +123,7 @@ EXPERIMENTS.update(FLEET_EXPERIMENTS)
 
 #: Exhibit tiers: "testbed" = per-session DES at testbed scale (the
 #: default everywhere), "fleet" = the fluid scale tier. One registry
-#: so the CLI filter, ``--list`` annotations, and the serve job specs
-#: all agree.
+#: so the CLI's ``--tier`` choices and ``--list`` annotations agree.
 TIERS = ("testbed", "fleet")
 
 
@@ -139,9 +138,8 @@ def exhibit_tier(exp_id: str) -> str:
 def exhibit_ids() -> List[str]:
     """The sorted catalog of known exhibit ids.
 
-    One listing shared by the CLI (``--list``), job-spec validation in
-    ``repro.serve``, and error messages — so every surface agrees on
-    what exists.
+    One listing shared by the CLI (``--list``) and error messages — so
+    every surface agrees on what exists.
     """
     return sorted(EXPERIMENTS)
 

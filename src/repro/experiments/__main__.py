@@ -49,7 +49,7 @@ import argparse
 import sys
 
 from ..runtime import RunSpec, SweepExecutor, run_exhibit, use_executor
-from . import EXPERIMENTS, exhibit_ids, exhibit_tier
+from . import EXPERIMENTS, TIERS, exhibit_ids, exhibit_tier
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -61,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", dest="list_exhibits",
                         help="print the sorted known exhibit ids (with "
                              "their tier) and exit")
-    parser.add_argument("--tier", choices=("testbed", "fleet", "all"),
+    parser.add_argument("--tier", choices=TIERS + ("all",),
                         default="testbed",
                         help="which tier 'all' and --list cover: the "
                              "per-session testbed exhibits (default), "

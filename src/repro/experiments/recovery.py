@@ -19,9 +19,7 @@ the paper's hierarchy bottom-up:
 
 The plan compiles onto the simulator agenda, so the whole exhibit is a
 pure function of (plan, seed): output is byte-identical at any
-``--jobs`` level (``tests/test_equivalence.py`` checks exactly that). An
-ambient plan installed via :func:`repro.faults.use_fault_plan` (e.g.
-from a serve job's ``faults`` field) replaces the default schedule.
+``--jobs`` level (``tests/test_equivalence.py`` checks exactly that).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto import CertificateAuthority
-from ..faults import Fault, FaultEngine, FaultPlan, get_fault_plan
+from ..faults import Fault, FaultEngine, FaultPlan
 from ..k8s import Cluster
 from ..kernel.redirection import EbpfRedirect
 from ..mesh import IstioControlPlane
@@ -71,9 +69,8 @@ def fig8_plan() -> FaultPlan:
 def _fig8_seed_run(spec: Tuple[int, str]) -> Dict[str, object]:
     """One chaos run at one seed → plain picklable samples.
 
-    The plan travels as its canonical JSON string (not an ambient
-    global), so pooled sweep workers see exactly the plan the parent
-    resolved.
+    The plan travels as its canonical JSON string, so pooled sweep
+    workers see exactly the plan the parent built.
     """
     seed, plan_json = spec
     plan = FaultPlan.from_json(json.loads(plan_json))
@@ -139,7 +136,7 @@ def _window(run: Dict[str, object], plan: FaultPlan, kind: str,
     ``sid=None`` pools every service's bits (for the AZ window, where
     the claim is fleet-wide).
     """
-    fault = next(f for f in plan.sim_faults() if f.kind == kind)
+    fault = next(f for f in plan.faults if f.kind == kind)
     lo, hi = fault.at, fault.at + (fault.duration_s or 0.0)
     up_bits: Dict[int, List[int]] = run["up_bits"]
     targets = [sid] if sid is not None else sorted(up_bits)
@@ -150,23 +147,16 @@ def _window(run: Dict[str, object], plan: FaultPlan, kind: str,
             if lo < second < hi]
 
 
-def fig8_recovery(seed: int = 53,
-                  seeds: Optional[List[int]] = None,
-                  plan: Optional[FaultPlan] = None) -> ExperimentResult:
-    """Availability through the recovery hierarchy under a fault plan.
-
-    ``plan`` (or the ambient :func:`~repro.faults.get_fault_plan`)
-    replaces the default schedule; hierarchy findings are only computed
-    for the default plan, whose windows they describe.
+def fig8_recovery(seed: int = 53) -> ExperimentResult:
+    """Availability through the recovery hierarchy under
+    :func:`fig8_plan`, over seeds ``seed``, ``seed + 1`` and ``seed + 2``.
     """
     result = ExperimentResult(
         "fig8_recovery", "Recovery hierarchy under a deterministic "
                          "fault plan")
-    ambient = get_fault_plan()
-    custom = plan if plan is not None else ambient
-    active_plan = custom if custom is not None else fig8_plan()
-    plan_json = active_plan.canonical()
-    seed_grid = list(seeds) if seeds else [seed, seed + 1, seed + 2]
+    plan = fig8_plan()
+    plan_json = plan.canonical()
+    seed_grid = [seed, seed + 1, seed + 2]
     runs = sweep_map(_fig8_seed_run,
                      [(one_seed, plan_json) for one_seed in seed_grid])
 
@@ -200,39 +190,34 @@ def fig8_recovery(seed: int = 53,
         result.findings[f"sessions_disrupted_{scope}"] = float(
             sum(run["disrupted"].get(scope, 0) for run in runs))
 
-    if custom is None:
-        # Hierarchy claims, each the min over every seed (a single
-        # counter-example run falsifies the claim).
-        result.findings["replica_fault_victim_up"] = float(min(
-            min(_window(run, active_plan, "replica_crash",
-                        run["victims"]["replica"])) for run in runs))
-        result.findings["backend_fault_victim_up"] = float(min(
-            min(_window(run, active_plan, "backend_crash",
-                        run["victims"]["backend"])) for run in runs))
-        result.findings["az_fault_all_up"] = float(min(
-            min(_window(run, active_plan, "az_crash")) for run in runs))
-        result.findings["qod_victim_up"] = float(max(
-            max(_window(run, active_plan, "query_of_death",
-                        run["victims"]["qod"])) for run in runs))
-        result.findings["qod_peers_up"] = float(min(
-            min(bit for sid, bits in run["up_bits"].items()
-                if sid != run["victims"]["qod"]
-                for bit in _window(run, active_plan, "query_of_death", sid))
-            for run in runs))
-        result.findings["cert_rejected_during_fault"] = float(min(
-            1 - min(_window_series(run, active_plan,
-                                   "cert_rotation_failure"))
-            for run in runs))
-        result.findings["cert_ok_after_recovery"] = float(min(
-            run["cert_ok"][-1] for run in runs))
-        result.notes.append(
-            "paper Fig 8: replica failure disrupts only its own sessions; "
-            "backend failure survives via shuffle-shard siblings; AZ "
-            "failure survives via cross-AZ DNS; a query-of-death takes "
-            "down only the poisoned service")
-    else:
-        result.notes.append("custom fault plan supplied; hierarchy "
-                            "findings skipped")
+    # Hierarchy claims, each the min over every seed (a single
+    # counter-example run falsifies the claim).
+    result.findings["replica_fault_victim_up"] = float(min(
+        min(_window(run, plan, "replica_crash",
+                    run["victims"]["replica"])) for run in runs))
+    result.findings["backend_fault_victim_up"] = float(min(
+        min(_window(run, plan, "backend_crash",
+                    run["victims"]["backend"])) for run in runs))
+    result.findings["az_fault_all_up"] = float(min(
+        min(_window(run, plan, "az_crash")) for run in runs))
+    result.findings["qod_victim_up"] = float(max(
+        max(_window(run, plan, "query_of_death",
+                    run["victims"]["qod"])) for run in runs))
+    result.findings["qod_peers_up"] = float(min(
+        min(bit for sid, bits in run["up_bits"].items()
+            if sid != run["victims"]["qod"]
+            for bit in _window(run, plan, "query_of_death", sid))
+        for run in runs))
+    result.findings["cert_rejected_during_fault"] = float(min(
+        1 - min(_window_series(run, plan, "cert_rotation_failure"))
+        for run in runs))
+    result.findings["cert_ok_after_recovery"] = float(min(
+        run["cert_ok"][-1] for run in runs))
+    result.notes.append(
+        "paper Fig 8: replica failure disrupts only its own sessions; "
+        "backend failure survives via shuffle-shard siblings; AZ "
+        "failure survives via cross-AZ DNS; a query-of-death takes "
+        "down only the poisoned service")
     result.notes.append(
         f"invariant auditor: {int(result.findings['invariant_checks'])} "
         f"checks, {int(result.findings['invariant_violations'])} "
@@ -243,7 +228,7 @@ def fig8_recovery(seed: int = 53,
 def _window_series(run: Dict[str, object], plan: FaultPlan,
                    kind: str) -> List[int]:
     """``cert_ok`` samples strictly inside ``kind``'s fault window."""
-    fault = next(f for f in plan.sim_faults() if f.kind == kind)
+    fault = next(f for f in plan.faults if f.kind == kind)
     lo, hi = fault.at, fault.at + (fault.duration_s or 0.0)
     samples: List[int] = run["cert_ok"]
     return [value for second, value in enumerate(samples) if lo < second < hi]

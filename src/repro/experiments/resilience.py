@@ -113,7 +113,7 @@ def _chaos_run(seed: int, plan_json: str,
     engine.arm(plan)
 
     service_ids = sorted(gateway.service_backends)
-    qod_fault = next(f for f in plan.sim_faults()
+    qod_fault = next(f for f in plan.faults
                      if f.kind == "query_of_death")
     qod_victim = service_ids[2]
     horizon = int(plan.horizon() + _TAIL_S)
@@ -181,7 +181,7 @@ def _resilience_case(spec: Tuple) -> Dict[str, object]:
 
 
 def _qod_window(plan: FaultPlan) -> Tuple[float, float]:
-    fault = next(f for f in plan.sim_faults()
+    fault = next(f for f in plan.faults
                  if f.kind == "query_of_death")
     return fault.at, fault.at + (fault.duration_s or 0.0)
 

@@ -5,8 +5,7 @@ The subsystem has three moving parts:
 * :class:`FaultPlan` (``plan.py``) — a declarative, JSON-serializable
   schedule of typed faults: replica/backend/AZ crashes and recoveries,
   the query-of-death cascade, control-plane push delay and partition,
-  cert-rotation failure, Nagle misconfiguration, and serve worker
-  death;
+  cert-rotation failure and Nagle misconfiguration;
 * :class:`FaultEngine` (``engine.py``) — compiles a plan onto a
   :class:`~repro.simcore.Simulator` agenda so faults fire at exact
   virtual times (byte-identical under ``sweep_map`` at any ``--jobs``
@@ -16,20 +15,14 @@ The subsystem has three moving parts:
   counter monotonicity from first principles and raises
   :class:`InvariantViolation` on the first inconsistency.
 
-``runtime.py`` holds the ambient plan (for serve chaos jobs) and the
-timeline registry the run-report exporter drains.
+``runtime.py`` holds the timeline registry the run-report exporter
+drains.
 """
 
 from .audit import InvariantAuditor, InvariantViolation
 from .engine import FaultEngine, FaultTargetError
 from .plan import FAULT_KINDS, Fault, FaultPlan, FaultPlanError
-from .runtime import (
-    get_fault_plan,
-    register_timeline,
-    set_fault_plan,
-    take_timelines,
-    use_fault_plan,
-)
+from .runtime import register_timeline, take_timelines
 
 __all__ = [
     "FAULT_KINDS",
@@ -40,9 +33,6 @@ __all__ = [
     "FaultTargetError",
     "InvariantAuditor",
     "InvariantViolation",
-    "get_fault_plan",
     "register_timeline",
-    "set_fault_plan",
     "take_timelines",
-    "use_fault_plan",
 ]

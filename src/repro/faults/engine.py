@@ -90,18 +90,14 @@ class FaultEngine:
 
     # -- arming --------------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
-        """Schedule every sim-scoped fault in ``plan``; returns how many.
-
-        ``serve_worker_death`` entries are skipped here — they belong
-        to the serve worker layer, not the simulation.
-        """
-        for fault in plan.sim_faults():
+        """Schedule every fault in ``plan``; returns how many."""
+        for fault in plan.faults:
             component = _REQUIRES[fault.kind]
             if getattr(self, component) is None:
                 raise FaultPlanError(
                     f"{fault.kind} needs a {component!r} wired into the "
                     f"FaultEngine")
-        for fault in plan.sim_faults():
+        for fault in plan.faults:
             delay = fault.at - self.sim.now
             if delay < 0:
                 raise FaultPlanError(

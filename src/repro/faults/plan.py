@@ -9,9 +9,9 @@ or process interleaving: the same plan over the same seed is
 byte-identical at any ``--jobs`` level.
 
 Plans round-trip through JSON (``to_json``/``from_json``) so they can
-travel in ``repro.serve`` job specs, be committed next to an exhibit,
-or be diffed across runs; :meth:`FaultPlan.canonical` is the sorted,
-whitespace-free encoding used for job dedupe keys.
+be committed next to an exhibit or diffed across runs;
+:meth:`FaultPlan.canonical` is the sorted, whitespace-free encoding
+that carries a plan into pooled sweep workers.
 
 Targets may be literal object names (``backend-3``, ``az2``) or
 *symbolic* paths resolved against the gateway topology at fire time::
@@ -39,10 +39,7 @@ class FaultPlanError(ValueError):
     """A fault entry or plan failed validation."""
 
 
-#: Every fault kind the engine knows how to inject. ``serve_worker_death``
-#: is special: it is consumed by the ``repro.serve`` worker layer (kill
-#: the forked job process on its first ``param`` attempts) rather than
-#: compiled onto the simulator agenda.
+#: Every fault kind the engine knows how to inject.
 FAULT_KINDS = (
     "replica_crash",
     "backend_crash",
@@ -52,7 +49,6 @@ FAULT_KINDS = (
     "controlplane_partition",
     "cert_rotation_failure",
     "nagle_misconfig",
-    "serve_worker_death",
 )
 
 #: Kinds that need a target; the rest act on a singleton component.
@@ -70,9 +66,7 @@ class Fault:
     ``duration_s`` (when set) schedules the matching recovery that many
     seconds after injection; ``None`` means the fault persists to the
     end of the run. ``param`` carries a kind-specific magnitude: the
-    extra seconds for ``controlplane_push_delay``, the whole number of
-    doomed attempts for ``serve_worker_death`` (``0``, the default,
-    means 1).
+    extra seconds for ``controlplane_push_delay``.
     """
 
     kind: str
@@ -109,11 +103,6 @@ class Fault:
             raise FaultPlanError(
                 f"{self.kind} needs a positive param "
                 f"(got {self.param})")
-        if self.kind == "serve_worker_death" and not (
-                self.param >= 0 and self.param == int(self.param)):
-            raise FaultPlanError(
-                f"{self.kind}: param must be a whole number of attempts "
-                f">= 0 (0 means 1), got {self.param}")
         if (self.kind == "replica_crash" and not self.backend
                 and "/" not in self.target):
             raise FaultPlanError(
@@ -213,19 +202,9 @@ class FaultPlan:
     def of_kind(self, *kinds: str) -> "FaultPlan":
         return FaultPlan(tuple(f for f in self.faults if f.kind in kinds))
 
-    def sim_faults(self) -> Tuple[Fault, ...]:
-        """Faults the engine compiles onto the simulator agenda."""
-        return tuple(f for f in self.faults
-                     if f.kind != "serve_worker_death")
-
-    def serve_faults(self) -> Tuple[Fault, ...]:
-        """Faults consumed by the serve worker layer."""
-        return tuple(f for f in self.faults
-                     if f.kind == "serve_worker_death")
-
     def horizon(self) -> float:
         """Virtual time by which every fault and recovery has fired."""
         edge = 0.0
-        for fault in self.sim_faults():
+        for fault in self.faults:
             edge = max(edge, fault.at + (fault.duration_s or 0.0))
         return edge

@@ -1,60 +1,20 @@
-"""Ambient fault-plan state, mirroring ``repro.obs.runtime``.
+"""Fault-timeline registry, mirroring ``repro.obs.runtime``.
 
-Two pieces of cross-cutting state live here:
-
-* the **ambient fault plan** — installed by the serve worker (from a
-  job spec's ``faults`` field) or a caller's ``use_fault_plan`` block,
-  and honored by chaos-aware exhibits (``fig8_recovery``) so one
-  exhibit body serves both its default schedule and externally
-  supplied plans. ``repro.runtime.cache`` treats an installed plan as
-  a cache disqualifier: a faulted run must never satisfy (or poison)
-  the clean-result cache.
-* **timeline registration** — every :class:`~repro.faults.engine.\
-FaultEngine` registers its timeline list here at construction;
-  ``repro.runtime.driver`` drains them after a run and folds them into
-  the JSON run report.
-
-This module must stay import-light (no simcore/core imports): the
-result cache imports it on its hot path.
+Every :class:`~repro.faults.engine.FaultEngine` registers its timeline
+list here at construction; ``repro.runtime.driver`` drains them after a
+run and folds them into the JSON run report.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 __all__ = [
-    "get_fault_plan",
-    "set_fault_plan",
-    "use_fault_plan",
     "register_timeline",
     "take_timelines",
 ]
 
-_plan = None
 _timelines: List[List[Dict[str, object]]] = []
-
-
-def get_fault_plan():
-    """The ambient plan, or ``None`` when no chaos is requested."""
-    return _plan
-
-
-def set_fault_plan(plan) -> Optional[object]:
-    """Install ``plan`` (may be ``None``); returns the previous plan."""
-    global _plan
-    previous, _plan = _plan, plan
-    return previous
-
-
-@contextmanager
-def use_fault_plan(plan) -> Iterator[object]:
-    """Scope an ambient fault plan over a ``with`` block."""
-    previous = set_fault_plan(plan)
-    try:
-        yield plan
-    finally:
-        set_fault_plan(previous)
 
 
 def register_timeline(timeline: List[Dict[str, object]]) -> None:

@@ -60,7 +60,7 @@ class FleetFaultEngine:
     # -- compilation -------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
         """Schedule every fault (and recovery); returns entries armed."""
-        faults = plan.sim_faults()
+        faults = plan.faults
         for fault in faults:
             if fault.kind not in FLEET_FAULT_KINDS:
                 raise FaultPlanError(

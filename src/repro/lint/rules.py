@@ -81,10 +81,8 @@ class WallClockRule(Rule):
                 "repro.obs, or suppress with a reason")
 
     #: Modules whose whole point is measuring wall time: the
-    #: observability layer, and the service layer (queue deadlines,
-    #: Retry-After arithmetic, and job wall-clock accounting all live
-    #: in real time, outside any simulation).
-    default_allowlist: Tuple[str, ...] = ("repro.obs", "repro.serve")
+    #: observability layer.
+    default_allowlist: Tuple[str, ...] = ("repro.obs",)
 
     #: Carve-outs *inside* allowlisted packages that must still obey
     #: sim-time discipline. Causal tracing records simulated timestamps
@@ -562,7 +560,6 @@ LAYERS: Tuple[Tuple[str, int], ...] = (
     ("repro.runtime", 3),
     ("repro.experiments", 3),
     ("repro.lint", 3),
-    ("repro.serve", 4),
 )
 
 

@@ -1,9 +1,9 @@
-"""Network substrate: addressing, packets, topology, ECMP, vSwitch, DNS.
+"""Network substrate: addressing, packets, topology, ECMP, service IDs, DNS.
 
 Provides the virtual-network world the meshes run in: multi-AZ
 topologies with a calibrated latency model, VPCs with overlapping
 address space, VXLAN encapsulation, stateless ECMP routing, the
-VNI→service-ID stamping vSwitch, and AZ-aware DNS.
+VNI→service-ID mapping the vSwitch stamps, and AZ-aware DNS.
 """
 
 from .addressing import Cidr, Vpc, int_to_ip, ip_to_int
@@ -26,7 +26,7 @@ from .topology import (
     Region,
     Topology,
 )
-from .vswitch import SERVICE_ID_META_KEY, ServiceIdMapper, VSwitch
+from .vswitch import ServiceIdMapper
 
 __all__ = [
     "AvailabilityZone",
@@ -42,12 +42,10 @@ __all__ = [
     "Packet",
     "Region",
     "ResolutionError",
-    "SERVICE_ID_META_KEY",
     "ServiceIdMapper",
     "TCP",
     "Topology",
     "UDP",
-    "VSwitch",
     "VXLAN_OVERHEAD_BYTES",
     "Vpc",
     "VxlanHeader",

@@ -1,22 +1,18 @@
-"""The vSwitch under gateway VMs: VXLAN stripping + service-ID stamping.
+"""Global service IDs for the vSwitch under gateway VMs.
 
 From §4.2: the mesh gateway runs in VMs above the vSwitch, and the
 vSwitch removes the outer VXLAN header before packets reach the VM — so
 the VNI (the only tenant discriminator, given overlapping VPC address
-spaces) would be lost. Canal's fix, reproduced here: before stripping,
-map the VNI (plus inner destination) to a *globally unique service ID*
-and attach it to the inner header metadata.
+spaces) would be lost. Canal's fix: before stripping, map the VNI (plus
+inner destination) to a *globally unique service ID*. This module holds
+that mapping.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .packet import Packet
-
-__all__ = ["ServiceIdMapper", "VSwitch", "SERVICE_ID_META_KEY"]
-
-SERVICE_ID_META_KEY = "service_id"
+__all__ = ["ServiceIdMapper"]
 
 
 class ServiceIdMapper:
@@ -45,33 +41,3 @@ class ServiceIdMapper:
 
     def __len__(self) -> int:
         return len(self._table)
-
-
-class VSwitch:
-    """Per-host virtual switch in front of gateway VMs."""
-
-    def __init__(self, mapper: ServiceIdMapper):
-        self.mapper = mapper
-        self.delivered = 0
-        self.dropped_unknown_service = 0
-
-    def deliver_to_vm(self, packet: Packet) -> Optional[Packet]:
-        """Strip VXLAN, stamping the service ID into the inner metadata.
-
-        Returns the inner packet, or ``None`` when the (VNI, dst) pair is
-        unknown — an unregistered tenant service must not reach any VM.
-        Packets that arrive unencapsulated (e.g. intra-gateway traffic)
-        pass through untouched.
-        """
-        if packet.vxlan is None:
-            self.delivered += 1
-            return packet
-        service_id = self.mapper.lookup(packet.vxlan.vni,
-                                        packet.five_tuple.dst_ip)
-        if service_id is None:
-            self.dropped_unknown_service += 1
-            return None
-        inner = packet.decapsulate()
-        inner.meta[SERVICE_ID_META_KEY] = service_id
-        self.delivered += 1
-        return inner

@@ -120,8 +120,7 @@ def traces_json(traces: Iterable = (), fault_marks: Iterable = ()) -> dict:
     """The raw-trace JSON export: spans grouped per trace + fault marks.
 
     This is the machine-readable companion of :func:`chrome_trace` — the
-    view ``repro.serve``'s ``GET /jobs/{id}/trace`` returns and the
-    ``*.traces.json`` artifact stores.
+    view the ``*.traces.json`` artifact stores.
     """
     return {
         "traces": [{

@@ -226,24 +226,6 @@ class Telemetry:
             raise ValueError(f"{name!r} is a histogram")
         return sum(child.value for child in family)
 
-    def scalar_totals(self) -> Dict[str, float]:
-        """Compact ``{family: total}`` view across all label sets.
-
-        Counters and gauges sum their children's values; histograms
-        report total observation count. This is the payload progress
-        streams want — one number per family, cheap to serialize —
-        where :meth:`snapshot` is the full-fidelity dump.
-        """
-        out: Dict[str, float] = {}
-        for family in self.families():
-            if family.kind == "histogram":
-                out[family.name] = float(sum(
-                    child.count for child in family))
-            else:
-                out[family.name] = float(sum(
-                    child.value for child in family))
-        return out
-
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready dump of every family and child."""
         out: Dict[str, object] = {}

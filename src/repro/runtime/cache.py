@@ -20,9 +20,9 @@ entry warm.
 
 Entries are pickled :class:`~repro.experiments.base.ExperimentResult`
 objects named ``<exp_id>.<digest>.pkl``; a stale digest simply never
-matches again (old entries are inert files, prunable with
-:meth:`ResultCache.prune`). Writes are atomic (tmp + rename) so
-parallel exhibit workers can share a cache directory.
+matches again (old entries are inert files). Writes are atomic
+(tmp + rename) so parallel exhibit workers can share a cache
+directory.
 """
 
 from __future__ import annotations
@@ -211,22 +211,6 @@ class ResultCache:
             raise
         return path
 
-    def prune(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        try:
-            entries = sorted(os.listdir(self.cache_dir))
-        except OSError:
-            return 0
-        for name in entries:
-            if name.endswith(".pkl") or name.endswith(".tmp"):
-                try:
-                    os.unlink(os.path.join(self.cache_dir, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
 
 def cached_run(exp_id: str, cache_dir: Optional[str] = None,
                refresh: bool = False):
@@ -237,19 +221,9 @@ def cached_run(exp_id: str, cache_dir: Optional[str] = None,
 
     Exhibits whose import closure contains dynamic imports (CACHE001)
     bypass the cache entirely: the fingerprint cannot see what they
-    load, so an entry could go stale without its key changing. An
-    ambient fault plan (``repro.faults.use_fault_plan``) bypasses it
-    too — a chaos run must neither satisfy nor poison the clean cache,
-    and the plan is not part of the key.
+    load, so an entry could go stale without its key changing.
     """
     from ..experiments import EXPERIMENTS, run
-    from ..faults.runtime import get_fault_plan
-    if get_fault_plan() is not None:
-        warnings.warn(
-            f"result cache bypassed for {exp_id!r}: an ambient fault "
-            f"plan is installed, so this run's result is not the "
-            f"exhibit's clean result", RuntimeWarning, stacklevel=2)
-        return run(exp_id), False
     dynamic = closure_dynamic_imports(EXPERIMENTS[exp_id].__module__)
     if dynamic:
         sites = "; ".join(

@@ -11,7 +11,7 @@ import random
 import time
 
 from repro.experiments.base import ExperimentResult  # LAYER001: line 13
-from repro.serve import app  # LAYER001 positive: line 14
+from repro.lint import rules  # LAYER001 positive: line 14
 
 
 def bad_wall_clock():
@@ -27,4 +27,4 @@ def bad_dynamic_physics(name):
 
 
 def use_upward():
-    return ExperimentResult, app
+    return ExperimentResult, rules

@@ -1,4 +1,4 @@
-"""Tests for failure injection/recovery and full-mesh probing."""
+"""Tests for failure injection and recovery."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.core import (
     FailureInjector,
     GatewayConfig,
     MeshGateway,
-    ProbeMesh,
     availability_report,
 )
-from repro.core.probing import APP_TYPES
 from repro.core.replica import ReplicaConfig
 from repro.simcore import Simulator
 
@@ -173,68 +171,3 @@ class TestFailureInjector:
                 assert report[service.service_id] == has_live
         # One whole AZ back → every service is reachable again.
         assert all(availability_report(gateway).values())
-
-
-class TestProbeMesh:
-    def test_deploys_probes_per_az_and_type(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        assert len(probes._probe_services) == 2 * len(APP_TYPES)
-
-    def test_full_mesh_round_size(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        results = probes.run_round()
-        assert len(results) == 2 * 2 * len(APP_TYPES)
-
-    def test_healthy_matrix_proves_innocence(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        probes.run_round()
-        assert probes.matrix_ok()
-        assert probes.innocence_proof("az1", "https")
-
-    def test_outage_breaks_innocence(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        https_az1 = probes._probe_services[("az1", "https")]
-        for backend in gateway.service_backends[https_az1.service_id]:
-            gateway.fail_backend(backend.name)
-        probes.run_round()
-        assert not probes.matrix_ok()
-        assert not probes.innocence_proof("az1", "https")
-
-    def test_failure_matrix_localizes(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        grpc_az2 = probes._probe_services[("az2", "grpc")]
-        for backend in gateway.service_backends[grpc_az2.service_id]:
-            gateway.fail_backend(backend.name)
-        probes.run_round()
-        matrix = probes.failure_matrix()
-        assert matrix[("az1", "az2", "grpc")] == 1.0
-        assert matrix[("az1", "az2", "http")] == 0.0
-
-    def test_periodic_probing(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1"])
-        sim.process(probes.run_periodic(interval_s=10.0, rounds=3))
-        sim.run()
-        assert len(probes.results) == 3 * len(APP_TYPES)
-
-    def test_latency_reflects_water_level(self, sim):
-        gateway, services = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1", "az2"])
-        calm = probes.probe_once("az1", "az2", "http")
-        target = probes._probe_services[("az2", "http")]
-        # Overload the probe target's backends.
-        gateway.set_service_load(target.service_id, 1_000_000.0)
-        busy = probes.probe_once("az1", "az2", "http")
-        assert busy.latency_s > calm.latency_s
-
-    def test_window_filters_old_results(self, sim):
-        gateway, _ = make_gateway(sim)
-        probes = ProbeMesh(sim, gateway, azs=["az1"])
-        probes.run_round()
-        sim.now = 1000.0
-        assert not probes.matrix_ok(window_s=10.0)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    Disaggregator,
     MtuError,
     RegionDemand,
     Replica,
@@ -77,21 +76,6 @@ class TestSessionAggregator:
         aggregator.encapsulate(packet(1), "10.8.8.8", replica)
         index = aggregator.tunnel_index(packet(1).five_tuple, replica)
         assert aggregator.stats[index].packets == 2
-
-
-class TestDisaggregator:
-    def test_decapsulate(self, replica):
-        aggregator = SessionAggregator("9.9.9.1", vni=100)
-        wrapped = aggregator.encapsulate(packet(), "10.8.8.8", replica)
-        disaggregator = Disaggregator()
-        inner = disaggregator.decapsulate(wrapped)
-        assert inner.vxlan is None
-        assert disaggregator.packets_decapsulated == 1
-
-    def test_cpu_cost_small(self):
-        """Decap cost was measured 'insignificant' — a microsecond-scale
-        per-packet cost."""
-        assert Disaggregator().cpu_cost_s(1000) < 0.01
 
 
 class TestEconomics:

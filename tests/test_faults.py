@@ -18,9 +18,7 @@ from repro.faults import (
     FaultTargetError,
     InvariantAuditor,
     InvariantViolation,
-    get_fault_plan,
     take_timelines,
-    use_fault_plan,
 )
 from repro.simcore import Simulator
 
@@ -52,8 +50,6 @@ def _faults(draw):
         target = draw(st.sampled_from(["service:0", "backend-3", "az2"]))
     if kind == "controlplane_push_delay":
         param = draw(_POSITIVE)
-    elif kind == "serve_worker_death":
-        param = float(draw(st.integers(min_value=0, max_value=5)))
     else:
         param = draw(st.just(0.0) | _TIMES)
     return Fault(kind=kind, at=draw(_TIMES), target=target,
@@ -72,9 +68,12 @@ class TestFaultPlan:
         assert plan.canonical() == \
             '[{"at":3.0,"kind":"az_crash","target":"az1"}]'
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["disk_melt", "serve_worker_death"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(FaultPlanError, match="unknown fault kind"):
-            Fault(kind="disk_melt", target="x")
+            Fault(kind=kind, target="x")
+        with pytest.raises(FaultPlanError, match="unknown fault kind"):
+            Fault.from_json({"kind": kind, "target": "x"})
 
     def test_negative_time_and_duration_rejected(self):
         with pytest.raises(FaultPlanError, match="must be >= 0"):
@@ -107,22 +106,6 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="must be a number"):
             Fault.from_json({"kind": "az_crash", "target": "az1",
                              "at": "noon"})
-
-    @pytest.mark.parametrize("param", [-3, 2.5])
-    def test_worker_death_param_must_be_whole_and_non_negative(self, param):
-        with pytest.raises(FaultPlanError, match="param must be a whole"):
-            Fault(kind="serve_worker_death", param=param)
-        with pytest.raises(FaultPlanError, match="param must be a whole"):
-            Fault.from_json({"kind": "serve_worker_death", "param": param})
-        Fault(kind="serve_worker_death", param=0)  # 0 means one attempt
-
-    def test_sim_and_serve_fault_split(self):
-        plan = FaultPlan.of(
-            Fault(kind="serve_worker_death", param=2),
-            Fault(kind="az_crash", at=5.0, target="az1"))
-        assert [f.kind for f in plan.sim_faults()] == ["az_crash"]
-        assert [f.kind for f in plan.serve_faults()] == \
-            ["serve_worker_death"]
 
     def test_horizon_covers_recoveries(self):
         plan = FaultPlan.of(
@@ -354,17 +337,7 @@ class TestInvariantAuditor:
         assert violation.invariant == "dns-consistency"
 
 
-class TestAmbientPlan:
-    def test_use_fault_plan_scopes_and_restores(self):
-        plan = fig8_plan()
-        assert get_fault_plan() is None
-        with use_fault_plan(plan):
-            assert get_fault_plan() is plan
-            with use_fault_plan(None):
-                assert get_fault_plan() is None
-            assert get_fault_plan() is plan
-        assert get_fault_plan() is None
-
+class TestTimelineRegistry:
     def test_engine_timelines_drain_once(self):
         take_timelines()  # drop anything a prior test leaked
         sim, gateway, _ = make_chaos_gateway()
@@ -375,12 +348,3 @@ class TestAmbientPlan:
         drained = take_timelines()
         assert engine.timeline in drained
         assert take_timelines() == []
-
-    def test_ambient_plan_bypasses_result_cache(self, tmp_path):
-        from repro.runtime import cached_run
-        with use_fault_plan(fig8_plan()):
-            with pytest.warns(RuntimeWarning, match="fault plan"):
-                result, hit = cached_run("fig19",
-                                         cache_dir=str(tmp_path / "cache"))
-        assert not hit
-        assert result.exp_id == "fig19"

@@ -304,12 +304,11 @@ class TestFleetModel:
         telemetry = Telemetry(enabled=True)
         with use_telemetry(telemetry):
             model.publish_telemetry()
-        totals = telemetry.scalar_totals()
-        assert totals["fleet_sessions_admitted_total"] \
+        assert telemetry.total("fleet_sessions_admitted_total") \
             == pytest.approx(model.counters.admitted)
-        assert totals["fleet_active_sessions"] \
+        assert telemetry.total("fleet_active_sessions") \
             == pytest.approx(model.active_sessions())
-        assert totals["fleet_replicas_provisioned"] \
+        assert telemetry.total("fleet_replicas_provisioned") \
             == model.topology.replicas_provisioned()
 
 

@@ -253,12 +253,12 @@ class TestLayer001Fixture:
         assert layer_rank("repro.faults.plans") == 2
         assert layer_rank("repro.fleet.model") == 2  # peer of repro.faults
         assert layer_rank("repro.experiments.exhibits") == 3
-        assert layer_rank("repro.serve.app") == 4
+        assert layer_rank("repro.lint.rules") == 3
         assert layer_rank("collections.abc") is None
         assert layer_rank(None) is None
 
     def test_fleet_upward_imports_fire(self):
-        # rank 2 -> experiments (3) and serve (4) are both upward.
+        # rank 2 -> experiments (3) and lint (3) are both upward.
         found = findings_for("fleet_violations.py", "LAYER001",
                              module="repro.fleet.fixture")
         assert [f.line for f in found] == [13, 14]

@@ -6,22 +6,11 @@ import pytest
 
 from repro.netsim import (
     AzAwareResolver,
-    FiveTuple,
     Link,
-    Packet,
     ResolutionError,
-    SERVICE_ID_META_KEY,
     ServiceIdMapper,
-    VSwitch,
-    VxlanHeader,
 )
 from repro.simcore import Simulator
-
-
-def encapsulated_packet(vni=100, dst="10.0.0.5"):
-    flow = FiveTuple("10.0.0.1", 40_000, dst, 80)
-    return Packet(flow, size_bytes=200).encapsulate(
-        VxlanHeader(vni, "9.9.9.1", "9.9.9.2"))
 
 
 class TestServiceIdMapper:
@@ -46,26 +35,6 @@ class TestServiceIdMapper:
 
     def test_lookup_unknown_is_none(self):
         assert ServiceIdMapper().lookup(1, "1.1.1.1") is None
-
-
-class TestVSwitch:
-    def test_strips_vxlan_and_stamps_service_id(self):
-        mapper = ServiceIdMapper()
-        service_id = mapper.register(100, "10.0.0.5")
-        vswitch = VSwitch(mapper)
-        inner = vswitch.deliver_to_vm(encapsulated_packet())
-        assert inner.vxlan is None
-        assert inner.meta[SERVICE_ID_META_KEY] == service_id
-
-    def test_unknown_service_dropped(self):
-        vswitch = VSwitch(ServiceIdMapper())
-        assert vswitch.deliver_to_vm(encapsulated_packet()) is None
-        assert vswitch.dropped_unknown_service == 1
-
-    def test_plain_packet_passes_through(self):
-        vswitch = VSwitch(ServiceIdMapper())
-        packet = Packet(FiveTuple("1.1.1.1", 1, "2.2.2.2", 2), 10)
-        assert vswitch.deliver_to_vm(packet) is packet
 
 
 class TestAzAwareResolver:

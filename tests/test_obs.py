@@ -27,7 +27,7 @@ from repro.simcore import metrics as simcore_metrics
 #: Top-level ``repro`` packages: the only layer names besides "other".
 REPRO_PACKAGES = {"core", "crypto", "experiments", "faults", "fleet", "k8s",
                   "kernel", "lint", "mesh", "netsim", "obs", "resilience",
-                  "runtime", "serve", "simcore", "workloads"}
+                  "runtime", "simcore", "workloads"}
 
 
 class TestTelemetryRegistry:

@@ -607,7 +607,7 @@ class TestBreakerContainment:
             < baseline["qod_backends_crashed"]
         # The victim keeps its surviving shuffle-shard backends: it
         # never goes dark inside the query-of-death window.
-        lo = int(next(f.at for f in resilience_plan().sim_faults()
+        lo = int(next(f.at for f in resilience_plan().faults
                       if f.kind == "query_of_death"))
         hi = lo + 20
         assert all(protected["victim_up"][lo + 1:hi])

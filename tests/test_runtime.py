@@ -221,7 +221,7 @@ class TestCLI:
         lines = captured.out.splitlines()
         listed = [line.split()[0] for line in lines]
         assert listed == sorted(EXPERIMENTS)
-        assert listed == exhibit_ids()  # the listing serve validates with
+        assert listed == exhibit_ids()  # the one shared catalog
         # Every id carries its scheduling tier annotation.
         assert all(line.split()[1] in ("[testbed]", "[fleet]")
                    for line in lines)
