@@ -33,8 +33,7 @@ class Backend:
         self.az = az
         self.replica_config = replica_config
         self.replicas: List[Replica] = [
-            Replica(sim, f"{name}-r{i + 1}", az, replica_config,
-                    backend=name)
+            Replica(sim, f"{name}-r{i + 1}", az, replica_config)
             for i in range(replicas)
         ]
         #: Services configured on this backend (service_id set).
@@ -60,8 +59,7 @@ class Backend:
 
     def add_replica(self) -> Replica:
         replica = Replica(self.sim, f"{self.name}-r{len(self.replicas) + 1}",
-                          self.az, self.replica_config,
-                          backend=self.name)
+                          self.az, self.replica_config)
         self.replicas.append(replica)
         self._redistribute()
         return replica

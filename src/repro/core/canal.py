@@ -24,7 +24,7 @@ from ..mesh.http import HttpRequest, HttpResponse
 from ..mesh.proxy import Connection, ProxyTier
 from ..netsim import FiveTuple, ResolutionError
 from ..obs.trace import TraceCollector, Tracer, get_tracer
-from ..resilience import BulkheadRejected, CircuitOpenError
+from ..resilience import CircuitOpenError
 from ..simcore import Simulator
 from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
 from .key_server import FallbackEngine, KeyServerFleet
@@ -376,30 +376,7 @@ class CanalMesh(ServiceMesh):
             self._finish_trace(handle, 403)
             return HttpResponse(status=403, latency_s=self.sim.now - start)
 
-        # Resilience admission (when a policy set is installed):
-        # graceful degradation sheds low-priority tenants, then the
-        # load leveler smooths or sheds the burst.
         policies = self.gateway.resilience
-        if policies is not None:
-            policies.degradation_tick(self.sim.now)
-            service = self.gateway.registry.services.get(service_id)
-            tenant = service.tenant.name if service is not None else ""
-            if not policies.tenant_allowed(tenant):
-                self.observe_request(503, self.sim.now - start,
-                                     connection.service)
-                self._finish_trace(handle, 503, shed="degradation")
-                return HttpResponse(status=503,
-                                    latency_s=self.sim.now - start)
-            wait = policies.leveler_reserve(self.sim.now)
-            if wait is None:
-                self.observe_request(429, self.sim.now - start,
-                                     connection.service)
-                self._finish_trace(handle, 429, shed="leveler")
-                return HttpResponse(status=429,
-                                    latency_s=self.sim.now - start)
-            if wait > 0:
-                yield self.sim.timeout(wait)
-
         yield from client_proxy.process_message(
             client_pod.name, connection.service,
             request.body_bytes, request.response_bytes,
@@ -423,13 +400,6 @@ class CanalMesh(ServiceMesh):
                 self._finish_trace(
                     handle, 503, breaker="open", attempts=attempt)
                 return HttpResponse(status=503,
-                                    latency_s=self.sim.now - start)
-            except BulkheadRejected:
-                # The tenant hit its own cap: back off, don't retry.
-                self.observe_request(429, self.sim.now - start,
-                                     connection.service)
-                self._finish_trace(handle, 429, shed="bulkhead")
-                return HttpResponse(status=429,
                                     latency_s=self.sim.now - start)
             except (NoBackendAvailable, ResolutionError):
                 if retry is None or not retry.should_retry(attempt):

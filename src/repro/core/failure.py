@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..resilience import QOD_FAILURES_PER_CRASH
 from ..simcore import Simulator
 from .gateway import MeshGateway
 
@@ -181,7 +182,7 @@ class FailureInjector:
             if policies is not None:
                 policies.record_dispatch(
                     service_id, self.sim.now, ok=False,
-                    count=policies.config.qod_failures_per_backend)
+                    count=QOD_FAILURES_PER_CRASH)
         return events
 
     def recover_service(self, service_id: int) -> None:

@@ -21,11 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..mesh.policy import RateLimiter
 from ..netsim import AzAwareResolver, FiveTuple, ResolutionError
 from ..obs.runtime import get_telemetry
-from ..resilience import (
-    BulkheadRejected,
-    CircuitOpenError,
-    ResiliencePolicies,
-)
+from ..resilience import CircuitOpenError, ResiliencePolicies
 from ..simcore import Simulator
 from .backend import Backend
 from .redirector import DeliveryResult, DisaggregatedLB
@@ -109,15 +105,8 @@ class MeshGateway:
         self._backend_counter = 0
 
     def install_resilience(self, policies: ResiliencePolicies) -> None:
-        """Attach a policy set and feed it the gateway's water levels."""
-        policies.water_source = self._max_water_level
+        """Attach a policy set to every later dispatch."""
         self.resilience = policies
-
-    def _max_water_level(self) -> float:
-        """Worst backend water level — the degradation input signal."""
-        levels = [backend.water_level() for backend in self.all_backends
-                  if backend.is_healthy]
-        return max(levels) if levels else 0.0
 
     # -- deployment -----------------------------------------------------------
     def deploy_backend(self, az: str,
@@ -405,8 +394,6 @@ class MeshGateway:
                 f"service {service_id}'s circuit breaker is "
                 f"{policies.breaker_state(service_id)}")
         l7_id = trace.reserve_id() if trace is not None else 0
-        service = self.registry.services.get(service_id)
-        tenant = service.tenant.name if service is not None else ""
         try:
             result = self.deliver(service_id, flow, is_syn, client_az)
             if result.is_new_flow:
@@ -417,19 +404,10 @@ class MeshGateway:
                 policies.record_dispatch(service_id, self.sim.now,
                                          ok=False)
             raise
+        service = self.registry.services.get(service_id)
         weight = service.request_weight if service is not None else 1.0
-        backend_name = result.replica.backend_name
-        if policies is not None and not policies.acquire_slot(
-                tenant, backend_name):
-            raise BulkheadRejected(
-                f"tenant {tenant!r} is at its concurrency cap on "
-                f"{backend_name}")
-        try:
-            yield from result.replica.process_request(weight, trace=trace,
-                                                      parent_id=l7_id)
-        finally:
-            if policies is not None:
-                policies.release_slot(tenant, backend_name)
+        yield from result.replica.process_request(weight, trace=trace,
+                                                  parent_id=l7_id)
         if policies is not None:
             policies.record_dispatch(service_id, self.sim.now, ok=True)
         get_telemetry().inc("gateway_requests_total",

@@ -10,7 +10,7 @@ saturation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..simcore import Simulator, TimeSeries
@@ -155,11 +155,6 @@ class GatewayMonitor:
     # -- query helpers ----------------------------------------------------------
     def backend_water(self, backend_name: str) -> TimeSeries:
         return self.backend_series[backend_name]
-
-    def service_rps_on_backend(self, service_id: int,
-                               backend_name: str) -> float:
-        backend = self.gateway.backend_by_name(backend_name)
-        return backend.service_rps(service_id)
 
     def recent_values(self, series: TimeSeries, window_s: float) -> List[float]:
         start = self.sim.now - window_s

@@ -14,8 +14,8 @@ racing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from ..simcore import Simulator
 
@@ -80,9 +80,6 @@ class HealthCheckProxy:
         self.targets.append(endpoint)
         self.view[endpoint.address] = True
         self._streak[endpoint.address] = 0
-
-    def healthy_addresses(self) -> Set[str]:
-        return {address for address, up in self.view.items() if up}
 
     def start(self) -> None:
         if self._running:

@@ -22,7 +22,7 @@ Packet semantics (Appendix C, Fig 26):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..netsim import EcmpRouter, FiveTuple
 from .replica import Replica
@@ -259,6 +259,3 @@ class DisaggregatedLB:
 
     def close_flow(self, flow: FiveTuple) -> None:
         self.flows.remove(flow)
-
-    def flows_remaining_on(self, name: str) -> int:
-        return len(self.flows.flows_on(name))

@@ -16,7 +16,7 @@ bounded session table that typically exhausts while CPU sits at ~20 %.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..mesh.costs import sample_service_time
@@ -67,15 +67,11 @@ class Replica:
     """One gateway VM."""
 
     def __init__(self, sim: Simulator, name: str, az: str,
-                 config: ReplicaConfig = ReplicaConfig(),
-                 backend: str = ""):
+                 config: ReplicaConfig = ReplicaConfig()):
         self.sim = sim
         self.name = name
         self.az = az
         self.config = config
-        #: Name of the backend (replica group) this VM belongs to —
-        #: the bulkhead's compartment key at replica admission.
-        self.backend_name = backend
         self.healthy = True
         #: Set when the replica is draining (scheduled to go offline):
         #: it still serves existing flows but must not accept new ones.
@@ -85,9 +81,6 @@ class Replica:
         # Session accounting (underlay sessions on the SmartNIC).
         self.sessions_used = 0
         self.requests_served = 0
-        #: DES-mode requests currently executing (or queued) on the
-        #: CPU — what the bulkhead's compartments cap.
-        self.inflight = 0
         self._cpu: Optional[CpuResource] = None
 
     # -- DES mode ------------------------------------------------------------
@@ -111,11 +104,7 @@ class Replica:
                                    self.config.request_cost_s * weight,
                                    self.config.request_cost_sigma)
         start = self.sim.now
-        self.inflight += 1
-        try:
-            yield from self.cpu.execute(cost)
-        finally:
-            self.inflight -= 1
+        yield from self.cpu.execute(cost)
         if trace is not None:
             trace.add("replica-exec", "l7", start, self.sim.now,
                       parent_id=parent_id, source=f"replica/{self.name}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .backend import Backend
 
@@ -79,9 +79,6 @@ class ShuffleSharder:
             return sum(len(b.configured_services) for b in backends_by_az[az])
         ordered = sorted(backends_by_az, key=az_load)
         return ordered[:self.azs_per_service]
-
-    def combination_of(self, service_id: int) -> Tuple[str, ...]:
-        return self._assigned[service_id]
 
     def release(self, service_id: int) -> None:
         key = self._assigned.pop(service_id, None)

@@ -80,10 +80,6 @@ class BatchedAccelerator:
         self.batches = 0
         self.full_batches = 0
 
-    @property
-    def pending_ops(self) -> int:
-        return len(self._pending)
-
     def submit(self) -> Event:
         """Queue one asymmetric op; fires when its batch completes."""
         done = self.sim.event()

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults import Fault, FaultEngine, FaultPlan
 from ..resilience import (
+    QOD_FAILURES_PER_CRASH,
     BreakerConfig,
     ResilienceConfig,
     ResiliencePolicies,
@@ -103,7 +104,7 @@ def _chaos_run(seed: int, plan_json: str,
         sim, backends_per_az=6, services=6)
     if protected:
         policies = ResiliencePolicies(
-            ResilienceConfig(breaker=_BREAKER, qod_failures_per_backend=3),
+            ResilienceConfig(breaker=_BREAKER),
             seed=seed, name="fig8-resilience")
         gateway.install_resilience(policies)
     for service in services:
@@ -274,7 +275,7 @@ def fig8_resilience(seed: int = 53,
         min(run["availability"]) for run in protecteds)
     predicted = contained_cascade_depth(
         backends=int(protecteds[0]["victim_backends"]),
-        failures_per_backend=3, config=_BREAKER)
+        failures_per_backend=QOD_FAILURES_PER_CRASH, config=_BREAKER)
     result.findings["containment_matches_analytic"] = float(
         all(run["qod_backends_crashed"] == predicted
             for run in protecteds))

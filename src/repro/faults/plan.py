@@ -199,9 +199,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.faults)
 
-    def of_kind(self, *kinds: str) -> "FaultPlan":
-        return FaultPlan(tuple(f for f in self.faults if f.kind in kinds))
-
     def horizon(self) -> float:
         """Virtual time by which every fault and recovery has fired."""
         edge = 0.0

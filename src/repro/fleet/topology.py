@@ -118,15 +118,6 @@ class FleetTopology:
     def replicas_provisioned(self) -> int:
         return sum(self.total_replicas)
 
-    def backend_capacity_rps(self, backend: int) -> float:
-        """Unweighted RPS capacity of a backend's healthy replicas."""
-        return (self.healthy_replicas[backend]
-                * self.config.replica_capacity_rps)
-
-    def healthy_backends_of(self, service: int) -> List[int]:
-        return [b for b in self.shards[service]
-                if self.backend_up[b] and self.healthy_replicas[b] > 0]
-
     def backends_in_az(self, az: int) -> List[int]:
         return self._az_backends[az]
 

@@ -60,14 +60,6 @@ class NagleBuffer:
         self.flushes = 0
         self.messages_flushed = 0
 
-    @property
-    def pending_messages(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
     def offer(self, message_bytes: int) -> bool:
         """Add a message; returns True when the buffer is flush-worthy."""
         if message_bytes < 0:

@@ -496,9 +496,8 @@ class DynamicImportRule(Rule):
     #: cache key in the repository. ``repro.fleet`` is in because the
     #: fleet_* exhibit family's results are a function of the fluid
     #: tier's physics. ``repro.resilience`` is in because installed
-    #: policies (breaker trips, retry jitter, shed decisions) steer
-    #: every protected exhibit's output the same way the fault plans
-    #: do.
+    #: policies (breaker trips and retry jitter) steer every protected
+    #: exhibit's output the same way the fault plans do.
     default_packages: Tuple[str, ...] = ("repro.experiments",
                                          "repro.faults",
                                          "repro.fleet",

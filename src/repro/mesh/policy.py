@@ -8,8 +8,8 @@ secrets), which is why they stay in the on-node proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .http import HttpRequest
 
@@ -39,9 +39,6 @@ class AuthorizationTable:
 
     def add(self, policy: AuthorizationPolicy) -> None:
         self._policies.setdefault(policy.service, []).append(policy)
-
-    def services_with_rules(self) -> Set[str]:
-        return set(self._policies)
 
     def check(self, service: str, request: HttpRequest) -> bool:
         """True if allowed. Services without rules are open (K8s default)."""

@@ -110,7 +110,3 @@ class Vpc:
     def owner_of(self, address: str) -> Optional[str]:
         """Who an address was allocated to, or None if unallocated."""
         return self._allocated.get(address)
-
-    @property
-    def allocated_count(self) -> int:
-        return len(self._allocated)

@@ -420,10 +420,6 @@ class TraceHandle:
         self._next_span_id = ROOT_SPAN_ID + 1
         self.finished = False
 
-    @property
-    def root_id(self) -> int:
-        return ROOT_SPAN_ID
-
     def reserve_id(self) -> int:
         """Allocate a span id to record later (parents whose children
         must reference them before the parent's interval closes)."""

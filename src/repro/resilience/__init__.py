@@ -4,7 +4,7 @@ The consolidated gateway must *contain* failures, not merely survive
 them (query-of-death blast radius §7, health-check explosion §6.1).
 ``repro.faults`` injects chaos; this package is the other half — the
 defensive mechanisms a production Canal deployment layers onto the
-gateway and its replicas:
+gateway:
 
 * :class:`CircuitBreaker` (``breaker.py``) — closed/open/half-open on
   a rolling error rate; an open breaker fast-fails dispatch so a
@@ -12,19 +12,10 @@ gateway and its replicas:
 * :class:`RetryPolicy` (``retry.py``) — exponential backoff with
   deterministic jitter drawn from a dedicated seeded stream (never
   ``sim.rng``: retry timing must not perturb the model, the same
-  discipline as trace sampling);
-* :class:`Bulkhead` (``bulkhead.py``) — per-tenant concurrent-capacity
-  caps at replica admission, so one tenant cannot monopolize a
-  backend's execution slots;
-* :class:`LoadLeveler` (``leveling.py``) — queue-based load leveling
-  at the gateway: bursts are smoothed to a drain rate, and arrivals
-  that would overflow the virtual queue are shed early;
-* :class:`DegradationController` (``degradation.py``) — graceful
-  degradation: shed the lowest-priority tenants first when water
-  levels climb, restore them with hysteresis.
+  discipline as trace sampling).
 
-:class:`ResiliencePolicies` (``policy.py``) composes any subset of the
-five and attaches at the gateway (``MeshGateway.install_resilience``).
+:class:`ResiliencePolicies` (``policy.py``) composes either or both
+and attaches at the gateway (``MeshGateway.install_resilience``).
 Policies emit ``repro.obs`` metrics and trace annotations, and are
 audited by :class:`~repro.faults.InvariantAuditor` checks (breaker
 state-machine legality, retry-amplification cap). Every mechanism is a
@@ -34,37 +25,22 @@ stay byte-identical at any ``--jobs`` level.
 
 from .breaker import (
     BREAKER_STATES,
+    QOD_FAILURES_PER_CRASH,
     BreakerConfig,
     BreakerIllegalTransition,
     CircuitBreaker,
     contained_cascade_depth,
 )
-from .bulkhead import Bulkhead, BulkheadConfig
-from .degradation import DegradationConfig, DegradationController
-from .leveling import LevelerConfig, LoadLeveler
-from .policy import (
-    BulkheadRejected,
-    CircuitOpenError,
-    RequestShed,
-    ResilienceConfig,
-    ResiliencePolicies,
-)
+from .policy import CircuitOpenError, ResilienceConfig, ResiliencePolicies
 from .retry import RetryConfig, RetryPolicy, retry_storm_arrivals
 
 __all__ = [
     "BREAKER_STATES",
     "BreakerConfig",
     "BreakerIllegalTransition",
-    "Bulkhead",
-    "BulkheadConfig",
-    "BulkheadRejected",
     "CircuitBreaker",
     "CircuitOpenError",
-    "DegradationConfig",
-    "DegradationController",
-    "LevelerConfig",
-    "LoadLeveler",
-    "RequestShed",
+    "QOD_FAILURES_PER_CRASH",
     "ResilienceConfig",
     "ResiliencePolicies",
     "RetryConfig",

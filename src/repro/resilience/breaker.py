@@ -36,6 +36,7 @@ __all__ = [
     "BreakerConfig",
     "BreakerIllegalTransition",
     "CircuitBreaker",
+    "QOD_FAILURES_PER_CRASH",
     "contained_cascade_depth",
 ]
 
@@ -199,6 +200,14 @@ class CircuitBreaker:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CircuitBreaker {self.name or '?'} state={self.state} "
                 f"error_rate={self.error_rate():.2f}>")
+
+
+#: Windowed failures one crashed backend feeds its service's breaker
+#: during a query-of-death cascade: the DES injector
+#: (``FailureInjector.query_of_death``) records this many dispatch
+#: errors per poisoned backend, and :func:`contained_cascade_depth`
+#: must be given the same count to predict the cascade's depth.
+QOD_FAILURES_PER_CRASH = 3
 
 
 def contained_cascade_depth(backends: int, failures_per_backend: int,

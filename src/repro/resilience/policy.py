@@ -1,11 +1,10 @@
 """Composable resilience policy sets for one gateway.
 
-:class:`ResiliencePolicies` bundles any subset of the five mechanisms
-behind one attach point (``MeshGateway.install_resilience``): circuit
-breakers are per-service (lazily created on first dispatch), the
-retry policy's jitter stream is derived from the simulation seed, the
-bulkhead ledgers (tenant, backend) compartments, and the leveler and
-degradation controller guard the gateway as a whole.
+:class:`ResiliencePolicies` bundles a circuit breaker, a retry policy
+or both behind one attach point (``MeshGateway.install_resilience``):
+circuit breakers are per-service (lazily created on first dispatch),
+and the retry policy's jitter stream is derived from the simulation
+seed.
 
 Nothing here is consulted unless a policy set is installed — the
 ambient default is ``None`` and every integration point in
@@ -22,19 +21,14 @@ shows *why* a request fast-failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..obs.runtime import get_telemetry
 from .breaker import BreakerConfig, CircuitBreaker
-from .bulkhead import Bulkhead, BulkheadConfig
-from .degradation import DegradationConfig, DegradationController
-from .leveling import LevelerConfig, LoadLeveler
 from .retry import RetryConfig, RetryPolicy
 
 __all__ = [
-    "BulkheadRejected",
     "CircuitOpenError",
-    "RequestShed",
     "ResilienceConfig",
     "ResiliencePolicies",
 ]
@@ -44,27 +38,12 @@ class CircuitOpenError(RuntimeError):
     """Dispatch fast-failed: the service's circuit breaker is open."""
 
 
-class BulkheadRejected(RuntimeError):
-    """Replica admission rejected: the tenant's compartment is full."""
-
-
-class RequestShed(RuntimeError):
-    """The gateway shed this request (leveler overflow or degradation)."""
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Which mechanisms to install, and their tuning. ``None`` = off."""
 
     breaker: Optional[BreakerConfig] = None
     retry: Optional[RetryConfig] = None
-    bulkhead: Optional[BulkheadConfig] = None
-    leveler: Optional[LevelerConfig] = None
-    degradation: Optional[DegradationConfig] = None
-    #: Windowed failures one crashed backend contributes during a
-    #: query-of-death cascade (the fluid-mode coupling: each poisoned
-    #: backend's death is observed as this many dispatch errors).
-    qod_failures_per_backend: int = 3
 
 
 class ResiliencePolicies:
@@ -79,18 +58,6 @@ class ResiliencePolicies:
             RetryPolicy(config.retry, seed=seed,
                         label=f"repro.resilience.retry:{name}")
             if config.retry is not None else None)
-        self.bulkhead: Optional[Bulkhead] = (
-            Bulkhead(config.bulkhead)
-            if config.bulkhead is not None else None)
-        self.leveler: Optional[LoadLeveler] = (
-            LoadLeveler(config.leveler)
-            if config.leveler is not None else None)
-        self.degradation: Optional[DegradationController] = (
-            DegradationController(config.degradation)
-            if config.degradation is not None else None)
-        #: Pull-based water-level source for the degradation
-        #: controller; installed by ``MeshGateway.install_resilience``.
-        self.water_source: Optional[Callable[[], float]] = None
 
     # -- circuit breaker -----------------------------------------------------
     def breaker_for(self, service_id: int) -> Optional[CircuitBreaker]:
@@ -146,57 +113,6 @@ class ResiliencePolicies:
             telemetry.inc("resilience_retries_total",
                           service=str(service_id))
 
-    # -- bulkhead ------------------------------------------------------------
-    def acquire_slot(self, tenant: str, backend: str) -> bool:
-        """Reserve one replica-admission slot; counts rejections."""
-        if self.bulkhead is None:
-            return True
-        if self.bulkhead.try_acquire(tenant, backend):
-            return True
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.inc("resilience_bulkhead_rejected_total",
-                          tenant=tenant)
-        return False
-
-    def release_slot(self, tenant: str, backend: str) -> None:
-        if self.bulkhead is not None:
-            self.bulkhead.release(tenant, backend)
-
-    # -- leveling ------------------------------------------------------------
-    def leveler_reserve(self, now: float) -> Optional[float]:
-        """Wait seconds for the next drain slot, or ``None`` = shed.
-
-        0.0 when no leveler is installed (pass-through).
-        """
-        if self.leveler is None:
-            return 0.0
-        wait = self.leveler.reserve(now)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            if wait is None:
-                telemetry.inc("resilience_leveler_shed_total")
-            elif wait > 0:
-                telemetry.inc("resilience_leveler_delayed_total")
-        return wait
-
-    # -- degradation ---------------------------------------------------------
-    def degradation_tick(self, now: float) -> None:
-        """Refresh the shed cutoff from the installed water source."""
-        if self.degradation is None or self.water_source is None:
-            return
-        self.degradation.update(now, self.water_source())
-
-    def tenant_allowed(self, tenant: str) -> bool:
-        if self.degradation is None:
-            return True
-        if self.degradation.allows(tenant):
-            return True
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.inc("resilience_shed_total", tenant=tenant)
-        return False
-
     # -- inspection ----------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Plain-data snapshot for exhibits and tests (picklable)."""
@@ -213,17 +129,4 @@ class ResiliencePolicies:
             out["retry"] = {"first_attempts": self.retry.first_attempts,
                             "retries": self.retry.retries,
                             "bound": self.retry.amplification_bound()}
-        if self.bulkhead is not None:
-            out["bulkhead"] = {"admitted": self.bulkhead.admitted,
-                               "rejected": self.bulkhead.rejected,
-                               "inflight": self.bulkhead.total_inflight()}
-        if self.leveler is not None:
-            out["leveler"] = {"admitted": self.leveler.admitted,
-                              "delayed": self.leveler.delayed,
-                              "shed": self.leveler.shed}
-        if self.degradation is not None:
-            out["degradation"] = {
-                "cutoff": self.degradation.cutoff,
-                "requests_shed": self.degradation.requests_shed,
-                "escalations": list(self.degradation.escalations)}
         return out

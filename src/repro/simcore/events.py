@@ -181,11 +181,6 @@ class Event:
         else:
             self.sim._schedule_call(callback, self)
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback if still pending."""
-        if self.callbacks is not None and callback in self.callbacks:
-            self.callbacks.remove(callback)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the simulator won't raise."""
         self._defused = True

@@ -230,7 +230,7 @@ class TestResilienceLintCoverage:
         files = [os.path.join(resilience_dir, name)
                  for name in sorted(os.listdir(resilience_dir))
                  if name.endswith(".py")]
-        assert len(files) >= 7
+        assert len(files) >= 4
         assert lint_files(files) == []
 
 

@@ -1,6 +1,7 @@
-"""Tests for ``repro.resilience``: the five policy mechanisms, their
-chaos coverage (every policy under at least one armed FaultPlan with
-zero invariant violations), the new auditor checks, and exhibit
+"""Tests for ``repro.resilience``: the circuit breaker and retry
+policy, their chaos coverage (each under at least one armed FaultPlan
+with zero invariant violations), the equivalence of an installed but
+idle policy set with none, the auditor checks, and exhibit
 determinism."""
 
 import pickle
@@ -19,15 +20,10 @@ from repro.faults import Fault, FaultEngine, FaultPlan, InvariantAuditor, \
     InvariantViolation
 from repro.mesh import HttpRequest
 from repro.resilience import (
+    QOD_FAILURES_PER_CRASH,
     BreakerConfig,
     BreakerIllegalTransition,
-    Bulkhead,
-    BulkheadConfig,
     CircuitBreaker,
-    DegradationConfig,
-    DegradationController,
-    LevelerConfig,
-    LoadLeveler,
     ResilienceConfig,
     ResiliencePolicies,
     RetryConfig,
@@ -36,9 +32,6 @@ from repro.resilience import (
     retry_storm_arrivals,
 )
 from repro.simcore import Simulator
-
-#: The testbed cluster's tenant (every svcN belongs to it).
-TESTBED_TENANT = "tenant1"
 
 
 # ---------------------------------------------------------------------------
@@ -235,118 +228,6 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# unit: bulkhead, leveler, degradation
-# ---------------------------------------------------------------------------
-class TestBulkhead:
-    def test_cap_per_compartment(self):
-        bulkhead = Bulkhead(BulkheadConfig(max_concurrent_per_backend=2))
-        assert bulkhead.try_acquire("t1", "b1")
-        assert bulkhead.try_acquire("t1", "b1")
-        assert not bulkhead.try_acquire("t1", "b1")
-        # A full compartment does not starve neighbors.
-        assert bulkhead.try_acquire("t2", "b1")
-        assert bulkhead.try_acquire("t1", "b2")
-        assert bulkhead.admitted == 4
-        assert bulkhead.rejected == 1
-
-    def test_release_frees_a_slot(self):
-        bulkhead = Bulkhead(BulkheadConfig(max_concurrent_per_backend=1))
-        assert bulkhead.try_acquire("t", "b")
-        assert not bulkhead.try_acquire("t", "b")
-        bulkhead.release("t", "b")
-        assert bulkhead.inflight("t", "b") == 0
-        assert bulkhead.try_acquire("t", "b")
-
-    def test_release_without_acquire_raises(self):
-        with pytest.raises(ValueError):
-            Bulkhead().release("t", "b")
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BulkheadConfig(max_concurrent_per_backend=0)
-
-
-class TestLoadLeveler:
-    def test_idle_queue_passes_through(self):
-        leveler = LoadLeveler(LevelerConfig(drain_rate_per_s=2.0))
-        assert leveler.reserve(5.0) == 0.0
-        assert leveler.delayed == 0
-
-    def test_burst_is_smoothed_then_shed(self):
-        leveler = LoadLeveler(LevelerConfig(drain_rate_per_s=2.0,
-                                            max_queue=1))
-        assert leveler.reserve(0.0) == pytest.approx(0.0)
-        assert leveler.reserve(0.0) == pytest.approx(0.5)
-        assert leveler.reserve(0.0) is None  # backlog would exceed 1
-        assert (leveler.admitted, leveler.delayed, leveler.shed) == (2, 1, 1)
-
-    def test_queue_drains_with_virtual_time(self):
-        leveler = LoadLeveler(LevelerConfig(drain_rate_per_s=2.0,
-                                            max_queue=1))
-        leveler.reserve(0.0)
-        leveler.reserve(0.0)
-        assert leveler.queue_depth(0.0) == 2  # undrained reservations
-        assert leveler.reserve(10.0) == 0.0  # backlog long gone
-        assert leveler.queue_depth(10.5) == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LevelerConfig(drain_rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            LevelerConfig(max_queue=-1)
-
-
-class TestDegradation:
-    def _controller(self, **kwargs):
-        defaults = dict(shed_water_level=0.9, restore_water_level=0.7,
-                        tenant_priorities={"free": 0, "paid": 1},
-                        max_shed_priority=1, check_interval_s=1.0)
-        defaults.update(kwargs)
-        return DegradationController(DegradationConfig(**defaults))
-
-    def test_escalates_and_sheds_lowest_priority_first(self):
-        controller = self._controller()
-        controller.update(0.0, 0.95)
-        assert controller.cutoff == 1
-        assert not controller.allows("free")
-        assert controller.allows("paid")
-        assert controller.requests_shed == 1
-        assert controller.shed_tenants() == {"free": 0}
-
-    def test_hysteresis_band_holds_state(self):
-        controller = self._controller()
-        controller.update(0.0, 0.95)
-        controller.update(2.0, 0.8)  # between restore and shed levels
-        assert controller.cutoff == 1
-        controller.update(4.0, 0.6)
-        assert controller.cutoff == 0
-        assert controller.allows("free")
-
-    def test_updates_are_rate_limited(self):
-        controller = self._controller()
-        controller.update(0.0, 0.95)
-        controller.update(0.5, 0.95)  # inside check_interval_s: ignored
-        assert controller.cutoff == 1
-
-    def test_never_sheds_past_max_priority(self):
-        controller = self._controller()
-        for second in range(5):
-            controller.update(float(second), 1.0)
-        assert controller.cutoff == 2  # max_shed_priority + 1
-        assert controller.allows("vip-not-in-map") is False  # default 0
-        assert controller.shedding
-        assert controller.escalations == [(0.0, 1), (1.0, 2)]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DegradationConfig(shed_water_level=0.0)
-        with pytest.raises(ValueError):
-            DegradationConfig(restore_water_level=0.95)
-        with pytest.raises(ValueError):
-            DegradationConfig(check_interval_s=0.0)
-
-
-# ---------------------------------------------------------------------------
 # unit: the composed policy set
 # ---------------------------------------------------------------------------
 class TestResiliencePolicies:
@@ -354,10 +235,10 @@ class TestResiliencePolicies:
         policies = ResiliencePolicies(ResilienceConfig())
         assert policies.breaker_for(1) is None
         assert policies.allow_dispatch(1, 0.0)
-        assert policies.acquire_slot("t", "b")
-        assert policies.leveler_reserve(0.0) == 0.0
-        assert policies.tenant_allowed("t")
-        policies.degradation_tick(0.0)  # no source installed: no-op
+        policies.record_dispatch(1, 0.0, ok=False)  # no breaker: no-op
+        assert policies.breakers == {}
+        assert policies.retry is None
+        assert policies.stats() == {"breakers": {}}
 
     def test_breakers_are_lazy_and_per_service(self):
         policies = ResiliencePolicies(ResilienceConfig(
@@ -373,46 +254,16 @@ class TestResiliencePolicies:
     def test_stats_snapshot_is_picklable(self):
         policies = ResiliencePolicies(ResilienceConfig(
             breaker=BreakerConfig(min_requests=1),
-            retry=RetryConfig(),
-            bulkhead=BulkheadConfig(),
-            leveler=LevelerConfig(),
-            degradation=DegradationConfig()))
+            retry=RetryConfig()))
         policies.record_dispatch(1, 0.0, ok=False)
-        policies.acquire_slot("t", "b")
         stats = pickle.loads(pickle.dumps(policies.stats()))
+        assert sorted(stats) == ["breakers", "retry"]
         assert stats["breakers"][1]["state"] == "open"
-        assert stats["bulkhead"]["inflight"] == 1
         assert stats["retry"]["retries"] == 0
-
-    def test_degradation_pulls_from_real_water_levels(self):
-        """install_resilience wires the gateway's fluid water levels."""
-        sim = Simulator(3)
-        config = GatewayConfig(
-            replicas_per_backend=2, backends_per_service_per_az=2,
-            azs_per_service=2,
-            replica=ReplicaConfig(cores=8, request_cost_s=100e-6,
-                                  request_cost_sigma=0.0))
-        gateway = MeshGateway(sim, config)
-        gateway.deploy_initial(["az1", "az2"], 2)
-        tenant = gateway.registry.add_tenant("t1")
-        service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
-        gateway.register_service(service)
-        policies = ResiliencePolicies(ResilienceConfig(
-            degradation=DegradationConfig(shed_water_level=0.9,
-                                          restore_water_level=0.7)))
-        gateway.install_resilience(policies)
-        # Per-backend capacity 2 * 8 / 100e-6 = 160k rps; 600k over 4
-        # backends puts each at water 0.9375 >= the shed level.
-        gateway.set_service_load(service.service_id, 600_000.0)
-        policies.degradation_tick(1.0)
-        assert not policies.tenant_allowed("t1")
-        gateway.set_service_load(service.service_id, 0.0)
-        policies.degradation_tick(2.5)
-        assert policies.tenant_allowed("t1")
 
 
 # ---------------------------------------------------------------------------
-# chaos coverage: every policy under an armed FaultPlan, zero violations
+# chaos coverage: each policy under an armed FaultPlan, zero violations
 # ---------------------------------------------------------------------------
 def _protected_testbed(config, seed=7):
     run = build_testbed("canal", seed=seed)
@@ -507,81 +358,46 @@ class TestChaosUnderPolicy:
         assert engine.auditor.check("final") > 0
         assert engine.auditor.violations == []
 
-    def test_bulkhead_rejects_when_compartment_full(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            bulkhead=BulkheadConfig(max_concurrent_per_backend=1)))
-        gateway = run.mesh.gateway
-        engine = FaultEngine(run.sim, gateway=gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="replica_crash", at=3.0,
-            target="service:1/backend:0/replica:0", duration_s=1.0)))
-        sid = run.mesh.tenant_service("svc1").service_id
-        backend = gateway.service_backends[sid][0].name
-        # Occupy the tenant's single slot for the first request's window.
-        assert policies.acquire_slot(TESTBED_TENANT, backend)
-        responses = {}
-        _request_at(run, 0.0, responses)
-        run.sim.run(until=1.0)
-        assert responses[0.0].status == 429
-        assert policies.bulkhead.rejected == 1
-        policies.release_slot(TESTBED_TENANT, backend)
-        _request_at(run, 6.0, responses)  # after the replica recovers
-        run.sim.run()
-        assert responses[6.0].ok
-        assert policies.bulkhead.total_inflight() == 0
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
 
-    def test_leveler_smooths_and_sheds_a_burst(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            leveler=LevelerConfig(drain_rate_per_s=2.0, max_queue=1)))
-        engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="backend_crash", at=10.0, target="service:1/backend:0",
-            duration_s=2.0)))
-        responses = {}
-        for index in range(4):
-            _request_at(run, 0.001 * index, responses)
-        run.sim.run()
-        statuses = sorted(r.status for r in responses.values())
-        assert statuses == [200, 200, 429, 429]
-        assert policies.leveler.admitted == 2
-        assert policies.leveler.delayed == 1
-        assert policies.leveler.shed == 2
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
+# ---------------------------------------------------------------------------
+# equivalence: an installed policy set that never acts moves nothing
+# ---------------------------------------------------------------------------
+def _request_outcomes(policies, requests=30):
+    """Send ``requests`` overlapping requests through the fault-free
+    Canal testbed; return each one's ``(status, latency_s, served_by)``
+    in send order."""
+    run = build_testbed("canal", seed=11)
+    if policies is not None:
+        run.mesh.gateway.install_resilience(policies)
+    responses = {}
+    for index in range(requests):
+        _request_at(run, 0.0005 * index, responses,
+                    service=f"svc{1 + index % 2}")
+    run.sim.run()
+    return [(response.status, response.latency_s, response.served_by)
+            for _at, response in sorted(responses.items())]
 
-    def test_degradation_sheds_then_restores(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            degradation=DegradationConfig(shed_water_level=0.9,
-                                          restore_water_level=0.7,
-                                          check_interval_s=0.5)))
-        engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="backend_crash", at=0.2, target="service:1/backend:0",
-            duration_s=0.3)))
-        # Drive the water source directly so the test controls the
-        # overload window (install_resilience wired the real one).
-        water = {"level": 0.95}
-        policies.water_source = lambda: water["level"]
-        responses = {}
-        _request_at(run, 0.0, responses)   # shed at cutoff 1
-        _request_at(run, 1.0, responses)   # capacity back: admitted
 
-        def cool_down():
-            yield run.sim.timeout(0.6)
-            water["level"] = 0.1
-
-        run.sim.process(cool_down())
-        run.sim.run()
-        assert responses[0.0].status == 503
-        assert responses[1.0].ok
-        assert policies.degradation.requests_shed >= 1
-        assert policies.degradation.cutoff == 0
-        assert [cut for _t, cut in policies.degradation.escalations] \
-            == [1, 0]
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
+class TestIdlePoliciesLeaveModelUnchanged:
+    def test_request_outcomes_identical_with_and_without_policies(self):
+        bare = _request_outcomes(None)
+        empty = _request_outcomes(ResiliencePolicies(ResilienceConfig()))
+        idle = ResiliencePolicies(
+            ResilienceConfig(breaker=BreakerConfig(), retry=RetryConfig()),
+            seed=11, name="testbed")
+        armed = _request_outcomes(idle)
+        assert len(bare) == 30
+        assert {status for status, _latency, _by in bare} == {200}
+        assert len({by for _status, _latency, by in bare}) > 1
+        assert empty == bare
+        assert armed == bare
+        # The armed set really sat on the request path, and never acted.
+        stats = idle.stats()
+        assert stats["retry"]["first_attempts"] == 30
+        assert stats["retry"]["retries"] == 0
+        assert len(stats["breakers"]) == 2
+        assert all(breaker["times_opened"] == 0
+                   for breaker in stats["breakers"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +436,7 @@ class TestBreakerContainment:
                                open_duration_s=30.0, close_after=2)
         predicted = contained_cascade_depth(
             backends=protected["victim_backends"],
-            failures_per_backend=3, config=config)
+            failures_per_backend=QOD_FAILURES_PER_CRASH, config=config)
         assert protected["qod_backends_crashed"] == predicted
         opened = [sid for sid, breaker in stats["breakers"].items()
                   if breaker["times_opened"] > 0]
