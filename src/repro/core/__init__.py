@@ -6,9 +6,9 @@
   hierarchical failure recovery, disaggregated LB (Beamer-style
   redirectors), session aggregation;
 * the control loops: monitoring, root-cause analysis, precise scaling
-  (Reuse/New), anomaly-triggered sandbox migration and throttling;
-* operations machinery: health-check aggregation, in-phase traffic
-  migration, deployment-cost economics.
+  (Reuse/New), anomaly-triggered sandbox migration;
+* operations machinery: the health-check aggregation plan, in-phase
+  traffic migration, deployment-cost economics.
 """
 
 from .anomaly import (
@@ -51,7 +51,6 @@ from .proxyless import (
 )
 from .upgrade import RollingUpgrade, UpgradeReport
 from .phase import DailyProfile, MigrationPlan, PhaseMonitor, hwhm_window
-from .prober import AppEndpoint, HealthCheckProxy, ProbeRecord
 from .rca import RcaResult, RootCauseAnalyzer, pearson
 from .redirector import (
     BucketTable,
@@ -70,7 +69,6 @@ __all__ = [
     "AccessDenied",
     "Alert",
     "AnomalySignals",
-    "AppEndpoint",
     "Backend",
     "BucketTable",
     "CanalControlPlane",
@@ -89,7 +87,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayMonitor",
     "HealthCheckPlan",
-    "HealthCheckProxy",
     "HealthCheckReduction",
     "KeyServer",
     "KeyServerConfig",
@@ -101,7 +98,6 @@ __all__ = [
     "NoBackendAvailable",
     "OnNodeProxy",
     "PhaseMonitor",
-    "ProbeRecord",
     "ProxylessCanalMesh",
     "RapidResponder",
     "RollingUpgrade",

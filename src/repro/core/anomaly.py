@@ -11,15 +11,14 @@ undetermined, then responds:
   lossless sandbox migration;
 * undetermined → sandbox as well (protect the other tenants first).
 
-Tenant-level alerts (user cluster near saturation) trigger gateway
-throttling and auto-scaling suspension until the customer's own scaling
-catches up.
+Service-level alerts (an auto-scaling tenant near resource depletion)
+trigger precise scaling directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..simcore import Simulator
 from .gateway import MeshGateway
@@ -77,13 +76,12 @@ class ResponseRecord:
 
 
 class RapidResponder:
-    """Wires monitor alerts to RCA, scaling, sandboxing, and throttling."""
+    """Wires monitor alerts to RCA, scaling and sandboxing."""
 
     def __init__(self, sim: Simulator, gateway: MeshGateway,
                  monitor: GatewayMonitor, scaling: ScalingEngine,
-                 sandbox: SandboxManager,
-                 analyzer: Optional[RootCauseAnalyzer] = None,
-                 signal_provider=None):
+                 sandbox: SandboxManager, signal_provider,
+                 analyzer: Optional[RootCauseAnalyzer] = None):
         self.sim = sim
         self.gateway = gateway
         self.monitor = monitor
@@ -92,26 +90,9 @@ class RapidResponder:
         self.analyzer = analyzer or RootCauseAnalyzer(gateway, monitor)
         #: Callable(service_id) -> AnomalySignals; experiments inject the
         #: trace-derived signals here.
-        self.signal_provider = signal_provider or self._default_signals
+        self.signal_provider = signal_provider
         self.responses: List[ResponseRecord] = []
-        #: Tenants whose gateway auto-scaling is suspended (tenant alert).
-        self.autoscaling_suspended: Dict[str, bool] = {}
         monitor.subscribe(self.on_alert)
-
-    # -- signal derivation -----------------------------------------------------
-    def _default_signals(self, service_id: int) -> AnomalySignals:
-        """Derive growth ratios from monitored series when no provider."""
-        series = self.monitor.service_series.get(service_id)
-        if series is None or len(series) < 4:
-            return AnomalySignals(rps_growth=1.0, session_growth=1.0,
-                                  water_growth=1.0)
-        values = series.values
-        half = len(values) // 2
-        early = sum(values[:half]) / half
-        late = sum(values[half:]) / (len(values) - half)
-        growth = late / early if early > 0 else float("inf")
-        return AnomalySignals(rps_growth=growth, session_growth=growth,
-                              water_growth=growth)
 
     # -- alert handling ------------------------------------------------------------
     def on_alert(self, alert: Alert) -> None:
@@ -119,8 +100,6 @@ class RapidResponder:
             self._on_backend_alert(alert)
         elif alert.level == "service":
             self._on_service_alert(alert)
-        elif alert.level == "tenant":
-            self._on_tenant_alert(alert)
 
     def _on_backend_alert(self, alert: Alert) -> None:
         backend = self.gateway.backend_by_name(alert.subject)
@@ -137,13 +116,9 @@ class RapidResponder:
         signals = self.signal_provider(service_id)
         classification = classify(signals)
         if classification == NORMAL_GROWTH:
-            tenant = self._tenant_of(service_id)
-            if tenant is not None and self.autoscaling_suspended.get(tenant):
-                action = "suppressed"
-            else:
-                action = "scale"
-                self.sim.process(self.scaling.scale_service(service_id),
-                                 name=f"scale-{service_id}")
+            action = "scale"
+            self.sim.process(self.scaling.scale_service(service_id),
+                             name=f"scale-{service_id}")
         elif classification == DDOS:
             action = "sandbox_lossy"
             self.sim.process(self.sandbox.migrate_lossy(service_id),
@@ -163,39 +138,8 @@ class RapidResponder:
     def _on_service_alert(self, alert: Alert) -> None:
         """Auto-scaling tenants get scaled before resources deplete."""
         service_id = int(alert.subject)
-        tenant = self._tenant_of(service_id)
-        if tenant is not None and self.autoscaling_suspended.get(tenant):
-            self.responses.append(ResponseRecord(
-                alert=alert, classification=NORMAL_GROWTH,
-                action="suppressed", service_id=service_id))
-            return
         self.sim.process(self.scaling.scale_service(service_id),
                          name=f"scale-{service_id}")
         self.responses.append(ResponseRecord(
             alert=alert, classification=NORMAL_GROWTH, action="scale",
             service_id=service_id))
-
-    def _on_tenant_alert(self, alert: Alert) -> None:
-        """User cluster saturating: throttle inbound, pause auto-scaling."""
-        tenant = alert.subject
-        self.autoscaling_suspended[tenant] = True
-        for service in self.gateway.registry.services_of(tenant):
-            current = self.gateway.service_rps.get(service.service_id, 0.0)
-            if current > 0:
-                self.sandbox.throttle(service.service_id, current * 0.8)
-        self.responses.append(ResponseRecord(
-            alert=alert, classification=NORMAL_GROWTH, action="throttle"))
-
-    def resume_tenant(self, tenant: str, target_rates: Dict[int, float],
-                      steps: int = 4, interval_s: float = 60.0) -> None:
-        """Customer finished scaling: relax throttles, resume auto-scaling."""
-        self.autoscaling_suspended.pop(tenant, None)
-        for service_id, rate in target_rates.items():
-            if service_id in self.gateway.throttles:
-                self.sim.process(self.sandbox.relax_throttle(
-                    service_id, rate, steps=steps, interval_s=interval_s),
-                    name=f"relax-{service_id}")
-
-    def _tenant_of(self, service_id: int) -> Optional[str]:
-        service = self.gateway.registry.services.get(service_id)
-        return service.tenant.name if service is not None else None

@@ -29,7 +29,6 @@ from ..simcore import Simulator
 from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
 from .key_server import FallbackEngine, KeyServerFleet
 from .onnode import OnNodeProxy
-from .prober import AppEndpoint, HealthCheckProxy, ProbeRecord
 from .replica import ReplicaConfig
 from .tenancy import TenantService
 
@@ -89,11 +88,6 @@ class CanalMesh(ServiceMesh):
         self._server_channels: Set[str] = set()
         self._gateway_engine = None
         self._port_counter = 20000
-        #: Health-check machinery (§6.1): one aggregated prober per
-        #: gateway backend, built by enable_health_checks().
-        self.probers: Dict[str, HealthCheckProxy] = {}
-        self._app_endpoints: Dict[str, AppEndpoint] = {}
-        self._app_health: Dict[str, bool] = {}
 
     def _testbed_gateway(self) -> MeshGateway:
         """A §5.1-scale gateway: one backend, 2 cores, in one AZ."""
@@ -184,63 +178,6 @@ class CanalMesh(ServiceMesh):
         if service_name not in self._services:
             raise MeshError(f"service {service_name!r} not registered")
         return self._services[service_name]
-
-    # -- health checks (§6.1) ---------------------------------------------------
-    def enable_health_checks(self, interval_s: float = 1.0,
-                             failure_threshold: int = 3) -> None:
-        """Start one aggregated health-check prober per gateway backend.
-
-        Each prober covers the *union* of app endpoints of the services
-        configured on its backend (the service-level aggregation), on
-        behalf of all replicas and cores (the core/replica levels).
-        Detected transitions steer ``pick_endpoint`` away from dead apps.
-        """
-        if self.probers:
-            raise MeshError("health checks already enabled")
-        for backend in self.gateway.all_backends:
-            addresses: Set[str] = set()
-            for service in self._services.values():
-                if backend.hosts_service(service.service_id):
-                    addresses.update(service.app_endpoints)
-            targets = [self._endpoint_for(address)
-                       for address in sorted(addresses)]
-            prober = HealthCheckProxy(
-                self.sim, backend.name, targets, interval_s=interval_s,
-                failure_threshold=failure_threshold)
-            prober.subscribe(self._on_health_transition)
-            prober.start()
-            self.probers[backend.name] = prober
-
-    def _endpoint_for(self, address: str) -> AppEndpoint:
-        endpoint = self._app_endpoints.get(address)
-        if endpoint is None:
-            endpoint = AppEndpoint(address)
-            self._app_endpoints[address] = endpoint
-            self._app_health[address] = True
-        return endpoint
-
-    def _on_health_transition(self, record: ProbeRecord) -> None:
-        self._app_health[record.address] = record.healthy
-
-    def set_app_health(self, pod_name: str, healthy: bool) -> None:
-        """Fail/recover a user app (what the probes are there to catch)."""
-        pod = self._require_cluster().pods[pod_name]
-        if pod.ip is None:
-            raise MeshError(f"pod {pod_name} has no IP")
-        self._endpoint_for(pod.ip).healthy = healthy
-
-    def pick_endpoint(self, service: str, request=None):
-        """Prefer endpoints the health checks currently believe in."""
-        pod = super().pick_endpoint(service, request)
-        if not self.probers:
-            return pod
-        healthy = [p for p in self._require_cluster().endpoints(service)
-                   if self._app_health.get(p.ip, True)]
-        if not healthy:
-            return pod  # all look dead: fall through rather than fail
-        if self._app_health.get(pod.ip, True):
-            return pod
-        return self.sim.rng.choice(healthy)
 
     # -- dataplane ------------------------------------------------------------
     def _proxy_for(self, pod: Pod) -> OnNodeProxy:
@@ -363,13 +300,7 @@ class CanalMesh(ServiceMesh):
         flow: FiveTuple = connection.meta["flow"]
         hop = self.costs.canal_gateway_hop_s
 
-        # Gateway-side admission: throttle (early drop) and authz.
-        throttle = self.gateway.throttles.get(service_id)
-        if throttle is not None and not throttle.allow(self.sim.now):
-            self.observe_request(429, self.sim.now - start,
-                                 connection.service)
-            self._finish_trace(handle, 429)
-            return HttpResponse(status=429, latency_s=self.sim.now - start)
+        # Gateway-side admission: authz.
         if not self.authorize(connection.service, request):
             self.observe_request(403, self.sim.now - start,
                                  connection.service)

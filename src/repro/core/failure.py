@@ -57,29 +57,7 @@ class FailureInjector:
         self.gateway = gateway
         self.events: List[FailureEvent] = []
 
-    # -- plan-driven dispatch ------------------------------------------------
-    def fail(self, scope: str, target: str,
-             backend: str = "") -> FailureEvent:
-        """Inject one failure by scope name (the fault-plan entry point)."""
-        if scope == "replica":
-            return self.fail_replica(backend, target)
-        if scope == "backend":
-            return self.fail_backend(target)
-        if scope == "az":
-            return self.fail_az(target)
-        raise ValueError(f"unknown failure scope {scope!r}")
-
-    def recover(self, scope: str, target: str, backend: str = "") -> None:
-        """Recover one failure by scope name (the fault-plan exit point)."""
-        if scope == "replica":
-            self.recover_replica(backend, target)
-        elif scope == "backend":
-            self.recover_backend(target)
-        elif scope == "az":
-            self.recover_az(target)
-        else:
-            raise ValueError(f"unknown failure scope {scope!r}")
-
+    # -- event log -----------------------------------------------------------
     def open_event(self, scope: str, target: str) -> Optional[FailureEvent]:
         """The not-yet-recovered event for a target, if one exists."""
         for event in reversed(self.events):

@@ -9,8 +9,7 @@ One logical gateway per region serves every tenant's services:
 * a disaggregated load balancer (ECMP + Beamer redirectors) per
   (service, AZ) instead of dedicated LB VMs;
 * fluid-mode load assignment for the production-scale experiments and
-  DES-mode per-request processing for the testbed experiments;
-* per-service throttles (the redirector-level early drop of §6.2).
+  DES-mode per-request processing for the testbed experiments.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..mesh.policy import RateLimiter
 from ..netsim import AzAwareResolver, FiveTuple, ResolutionError
 from ..obs.runtime import get_telemetry
 from ..resilience import CircuitOpenError, ResiliencePolicies
@@ -94,7 +92,6 @@ class MeshGateway:
         self.service_rps: Dict[int, float] = {}
         #: Fluid-mode concurrent sessions per service.
         self.service_sessions: Dict[int, int] = {}
-        self.throttles: Dict[int, RateLimiter] = {}
         #: Services currently quarantined (their load leaves the shared
         #: backends; see sandbox.py).
         self.sandboxed: Dict[int, Backend] = {}
@@ -220,12 +217,7 @@ class MeshGateway:
 
     # -- fluid-mode load -----------------------------------------------------------
     def set_service_load(self, service_id: int, rps: float) -> None:
-        """Assign a service's current offered RPS and spread it.
-
-        The stored value is the *offered* load; any throttle caps the
-        carried load at distribution time, so the full rate returns
-        automatically when the throttle lifts.
-        """
+        """Assign a service's current offered RPS and spread it."""
         require_finite_rps(rps)
         if rps < 0:
             raise ValueError(f"negative rps {rps}")
@@ -241,9 +233,6 @@ class MeshGateway:
 
     def _redistribute(self, service_id: int) -> None:
         rps = self.service_rps.get(service_id, 0.0)
-        throttle = self.throttles.get(service_id)
-        if throttle is not None:
-            rps = min(rps, throttle.rate_per_s)
         service = self.registry.services.get(service_id)
         weight = service.request_weight if service is not None else 1.0
         targets = self._available_backends(service_id)
@@ -287,17 +276,6 @@ class MeshGateway:
             self._redistribute(service_id)
         for service_id, sessions in list(self.service_sessions.items()):
             self.set_service_sessions(service_id, sessions)
-
-    # -- throttling (redirector-level early drop, §6.2) ---------------------------
-    def throttle_service(self, service_id: int, rate_per_s: float) -> None:
-        self.throttles[service_id] = RateLimiter(rate_per_s)
-        get_telemetry().inc("gateway_throttles_installed_total",
-                            service=str(service_id))
-        self._redistribute(service_id)
-
-    def unthrottle_service(self, service_id: int) -> None:
-        self.throttles.pop(service_id, None)
-        self._redistribute(service_id)
 
     # -- failure handling -------------------------------------------------------------
     def fail_backend(self, name: str) -> None:

@@ -18,7 +18,7 @@ Table 7 reports ≥ 99.6 % reduction end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 __all__ = ["ServicePlacement", "HealthCheckPlan", "HealthCheckReduction"]
@@ -53,12 +53,6 @@ class HealthCheckReduction:
         if self.base <= 0:
             return 0.0
         return 1.0 - self.replica_level / self.base
-
-    def rows(self) -> List[Tuple[str, float]]:
-        return [("Base", self.base),
-                ("Service-", self.service_level),
-                ("Core-", self.core_level),
-                ("Replica-", self.replica_level)]
 
 
 class HealthCheckPlan:

@@ -125,18 +125,6 @@ class KeyServer:
         self.requests_served += 1
         return self._engine.submit()
 
-    @property
-    def batches(self) -> int:
-        if isinstance(self._engine, BatchedAccelerator):
-            return self._engine.batches
-        return self._engine.operations
-
-    @property
-    def fill_ratio(self) -> float:
-        if isinstance(self._engine, BatchedAccelerator):
-            return self._engine.fill_ratio
-        return 1.0
-
 
 class RemoteKeyEngine:
     """Asym-engine adapter: RPC to a key server over the shared channel.

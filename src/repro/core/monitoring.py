@@ -2,10 +2,9 @@
 
 A DES process samples every backend's water level, every service's RPS,
 session counts, and error codes on a fixed tick, keeping the time
-series RCA needs and raising the three alert levels of the paper:
-backend (water level over threshold), service (resources near
-depletion for auto-scaling tenants), and tenant (user-cluster
-saturation).
+series RCA needs and raising two of the paper's alert levels:
+backend (water level over threshold) and service (resources near
+depletion for auto-scaling tenants).
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..simcore import Simulator, TimeSeries
 from .gateway import MeshGateway
+from .replica import require_at_least
 
 __all__ = ["Alert", "GatewayMonitor"]
 
@@ -23,8 +23,8 @@ __all__ = ["Alert", "GatewayMonitor"]
 class Alert:
     """One monitoring alert."""
 
-    level: str        # "backend" | "service" | "tenant"
-    subject: str      # backend name / service id / tenant name
+    level: str        # "backend" | "service"
+    subject: str      # backend name / service id
     time: float
     value: float
     message: str = ""
@@ -37,11 +37,11 @@ class GatewayMonitor:
                  interval_s: float = 1.0,
                  backend_alert_threshold: Optional[float] = None,
                  session_alert_threshold: float = 0.8,
-                 service_alert_utilization: float = 0.85,
-                 user_cluster_alert_utilization: float = 0.95):
+                 service_alert_utilization: float = 0.85):
         self.sim = sim
         self.gateway = gateway
         self.interval_s = interval_s
+        require_at_least(self, "interval_s", 0, inclusive=False)
         self.backend_alert_threshold = (
             backend_alert_threshold
             if backend_alert_threshold is not None
@@ -50,16 +50,12 @@ class GatewayMonitor:
         #: backend sessions, triggering a backend-level alert".
         self.session_alert_threshold = session_alert_threshold
         self.service_alert_utilization = service_alert_utilization
-        self.user_cluster_alert_utilization = user_cluster_alert_utilization
         self.backend_series: Dict[str, TimeSeries] = {}
         self.session_series: Dict[str, TimeSeries] = {}
         self.service_series: Dict[int, TimeSeries] = {}
         self.service_session_series: Dict[int, TimeSeries] = {}
         self.alerts: List[Alert] = []
         self._subscribers: List[Callable[[Alert], None]] = []
-        #: External feed of user-cluster utilization per tenant (set by
-        #: experiments that host the user cluster on our cloud).
-        self.user_cluster_utilization: Dict[str, float] = {}
         self._alert_armed: Dict[str, bool] = {}
         self._running = False
 
@@ -121,12 +117,6 @@ class GatewayMonitor:
                             f"{self.session_alert_threshold:.2f}"))
         for service_id in self.gateway.service_rps:
             self._evaluate_service_alert(service_id, now)
-        for tenant, utilization in self.user_cluster_utilization.items():
-            self._edge_alert(
-                key=f"tenant:{tenant}",
-                firing=utilization >= self.user_cluster_alert_utilization,
-                alert=Alert("tenant", tenant, now, utilization,
-                            "user cluster near saturation"))
 
     def _evaluate_service_alert(self, service_id: int, now: float) -> None:
         service = self.gateway.registry.services.get(service_id)
@@ -153,9 +143,6 @@ class GatewayMonitor:
                 subscriber(alert)
 
     # -- query helpers ----------------------------------------------------------
-    def backend_water(self, backend_name: str) -> TimeSeries:
-        return self.backend_series[backend_name]
-
     def recent_values(self, series: TimeSeries, window_s: float) -> List[float]:
         start = self.sim.now - window_s
         return [v for t, v in zip(series.times, series.values) if t >= start]

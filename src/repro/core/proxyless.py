@@ -22,7 +22,7 @@ removes it entirely:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..k8s import Cluster, Pod
@@ -245,11 +245,6 @@ class ProxylessCanalMesh(ServiceMesh):
         flow: FiveTuple = connection.meta["flow"]
         hop = self.costs.canal_gateway_hop_s
 
-        throttle = self.gateway.throttles.get(service_id)
-        if throttle is not None and not throttle.allow(self.sim.now):
-            if handle is not None:
-                handle.finish(self.sim.now, status=429)
-            return HttpResponse(status=429, latency_s=self.sim.now - start)
         if not self.authorize(connection.service, request):
             if handle is not None:
                 handle.finish(self.sim.now, status=403)

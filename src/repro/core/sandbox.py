@@ -1,4 +1,4 @@
-"""Rapid intervention: sandbox migration and throttling (§6.2).
+"""Rapid intervention: sandbox migration (§6.2).
 
 * **Lossy migration** (gateway protection, Case #1): reset every session
   of the anomalous service and rebuild it inside a sandbox backend —
@@ -6,14 +6,15 @@
 * **Lossless migration** (Case #2): steer *new* sessions to the sandbox
   while existing sessions drain naturally; completion tracks the flow
   timeout, median ≈ 20 minutes.
-* **Throttling** (user-app protection, Case #3): rate limit at the
-  redirector, then relax gradually as the customer's cluster scales.
+
+Case #3's throttling is modelled analytically by the ``case3`` exhibit
+(``experiments/cases.py``), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..simcore import Simulator
 from ..simcore.rng import lognormal_from_median
@@ -40,7 +41,7 @@ class MigrationRecord:
 
 
 class SandboxManager:
-    """Quarantine backends + the two migration modes + throttling."""
+    """Quarantine backends + the two migration modes."""
 
     #: Lossy migration rebuilds sessions in the sandbox "within seconds".
     LOSSY_MEDIAN_S = 3.0
@@ -135,24 +136,3 @@ class SandboxManager:
         if sandbox is not None:
             sandbox.remove_service(service_id)
         self.gateway.refresh_loads()
-
-    # -- throttling ------------------------------------------------------------------
-    def throttle(self, service_id: int, rate_per_s: float) -> None:
-        self.gateway.throttle_service(service_id, rate_per_s)
-
-    def relax_throttle(self, service_id: int, target_rate_per_s: float,
-                       steps: int = 4, interval_s: float = 60.0):
-        """Process generator: gradually raise the limit (§6.2 Case #3)."""
-        throttle = self.gateway.throttles.get(service_id)
-        if throttle is None:
-            raise KeyError(f"service {service_id} is not throttled")
-        start = throttle.rate_per_s
-        if target_rate_per_s < start:
-            raise ValueError("relaxation target below the current limit")
-        for step in range(1, steps + 1):
-            yield self.sim.timeout(interval_s)
-            rate = start + (target_rate_per_s - start) * step / steps
-            throttle.set_rate(rate)
-            self.gateway.set_service_load(
-                service_id, self.gateway.service_rps.get(service_id, 0.0))
-        self.gateway.unthrottle_service(service_id)

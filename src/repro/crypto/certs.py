@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["Certificate", "CertificateAuthority", "PrivateKey"]
@@ -68,11 +68,6 @@ class CertificateAuthority:
 
     def _sign(self, payload: bytes) -> str:
         return hmac.new(self._secret, payload, hashlib.sha256).hexdigest()
-
-    @property
-    def generation(self) -> int:
-        """How many times the CA secret has been rotated."""
-        return self._generation
 
     def rotate_secret(self) -> int:
         """Rotate to a fresh (deterministically derived) CA secret.

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from ..crypto import CertificateAuthority
 from ..faults import Fault, FaultEngine, FaultPlan
 from ..k8s import Cluster
-from ..kernel.redirection import EbpfRedirect
 from ..mesh import IstioControlPlane
 from ..netsim import Topology
 from ..runtime.sweep import sweep_map
@@ -88,7 +87,7 @@ def _fig8_seed_run(spec: Tuple[int, str]) -> Dict[str, object]:
     cluster.create_service("svc0", selector={"app": "svc0"})
     controlplane = IstioControlPlane(sim, cluster)
     engine = FaultEngine(sim, gateway=gateway, controlplane=controlplane,
-                         ca=ca, redirector=EbpfRedirect())
+                         ca=ca)
     engine.arm(plan)
 
     service_ids = sorted(gateway.service_backends)

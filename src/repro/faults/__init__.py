@@ -4,8 +4,7 @@ The subsystem has three moving parts:
 
 * :class:`FaultPlan` (``plan.py``) — a declarative, JSON-serializable
   schedule of typed faults: replica/backend/AZ crashes and recoveries,
-  the query-of-death cascade, control-plane push delay and partition,
-  cert-rotation failure and Nagle misconfiguration;
+  the query-of-death cascade and cert-rotation failure;
 * :class:`FaultEngine` (``engine.py``) — compiles a plan onto a
   :class:`~repro.simcore.Simulator` agenda so faults fire at exact
   virtual times (byte-identical under ``sweep_map`` at any ``--jobs``

@@ -55,7 +55,7 @@ on :attr:`InvariantAuditor.violations` for later inspection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..obs.runtime import get_telemetry
 from ..resilience import BreakerIllegalTransition
@@ -262,10 +262,10 @@ class InvariantAuditor:
                 f"push totals went backwards "
                 f"({prev_pushed}/{prev_bytes} -> {pushed}/{total_bytes})",
                 context)
-        if pushed < 0 or total_bytes < 0 or cp.push_delay_s < 0:
+        if pushed < 0 or total_bytes < 0:
             self._violate(
                 "controlplane-counters",
                 f"negative control-plane counter (pushes={pushed}, "
-                f"bytes={total_bytes}, delay={cp.push_delay_s})", context)
+                f"bytes={total_bytes})", context)
         self._cp_totals = (pushed, total_bytes)
         return 1

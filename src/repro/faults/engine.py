@@ -16,15 +16,15 @@ counters, and — unless auditing was disabled — runs the
 :class:`~repro.faults.audit.InvariantAuditor` so a conservation bug
 surfaces at the exact step that introduced it.
 
-Wiring is by component: pass whichever of ``gateway`` /
-``controlplane`` / ``ca`` / ``redirector`` the plan's fault kinds
-touch; :meth:`arm` rejects a plan that needs a component the engine
-was not given, at arm time rather than mid-run.
+Wiring is by component: pass ``gateway`` and/or ``ca`` as the plan's
+fault kinds need them (``controlplane`` only adds its counters to the
+audit); :meth:`arm` rejects a plan that needs a component the engine
+was not given, or that sets a ``param`` (the DES cascade takes no
+magnitude), at arm time rather than mid-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..core.failure import FailureInjector
@@ -48,10 +48,7 @@ _REQUIRES = {
     "backend_crash": "gateway",
     "az_crash": "gateway",
     "query_of_death": "gateway",
-    "controlplane_push_delay": "controlplane",
-    "controlplane_partition": "controlplane",
     "cert_rotation_failure": "ca",
-    "nagle_misconfig": "redirector",
 }
 
 
@@ -59,19 +56,13 @@ class FaultEngine:
     """Executes fault plans against the wired components."""
 
     def __init__(self, sim: Simulator, gateway=None, controlplane=None,
-                 ca=None, redirector=None,
+                 ca=None,
                  auditor: Optional[InvariantAuditor] = None,
                  audit: bool = True, reissue_ttl_s: float = 1e6):
         self.sim = sim
         self.gateway = gateway
         self.controlplane = controlplane
         self.ca = ca
-        #: Current redirector config; ``nagle_misconfig`` swaps in a
-        #: degraded copy here, recovery restores the pristine one.
-        #: Consumers that want the fault to bite must read the
-        #: redirector through this attribute.
-        self.redirector = redirector
-        self._pristine_redirector = redirector
         self.reissue_ttl_s = reissue_ttl_s
         self.injector = (FailureInjector(sim, gateway)
                          if gateway is not None else None)
@@ -97,6 +88,10 @@ class FaultEngine:
                 raise FaultPlanError(
                     f"{fault.kind} needs a {component!r} wired into the "
                     f"FaultEngine")
+            if fault.param:
+                raise FaultPlanError(
+                    f"{fault.kind}: the FaultEngine takes no param "
+                    f"(got {fault.param})")
         for fault in plan.faults:
             delay = fault.at - self.sim.now
             if delay < 0:
@@ -184,19 +179,9 @@ class FaultEngine:
             events = self.injector.query_of_death(service_id)
             return (f"service {service_id} "
                     f"({len(events)} backends cascaded)")
-        if kind == "controlplane_push_delay":
-            self.controlplane.inject_push_delay(fault.param)
-            return f"+{fault.param:g}s southbound"
-        if kind == "controlplane_partition":
-            self.controlplane.partition()
-            return "controller partitioned"
         if kind == "cert_rotation_failure":
             generation = self.ca.rotate_secret()
             return f"CA secret rotated to gen{generation}, certs orphaned"
-        if kind == "nagle_misconfig":
-            self.redirector = replace(self._pristine_redirector,
-                                      nagle_enabled=False)
-            return "nagle aggregation lost"
         raise FaultPlanError(f"unhandled fault kind {kind!r}")
 
     def _recover(self, fault: Fault) -> str:
@@ -216,18 +201,9 @@ class FaultEngine:
             service_id = self._resolve_service(fault.target)
             self.injector.recover_service(service_id)
             return f"service {service_id}"
-        if kind == "controlplane_push_delay":
-            self.controlplane.clear_push_delay()
-            return "southbound delay cleared"
-        if kind == "controlplane_partition":
-            self.controlplane.heal_partition()
-            return "partition healed"
         if kind == "cert_rotation_failure":
             reissued = self.ca.reissue_all(self.sim.now + self.reissue_ttl_s)
             return f"{len(reissued)} certs reissued"
-        if kind == "nagle_misconfig":
-            self.redirector = self._pristine_redirector
-            return "nagle restored"
         raise FaultPlanError(f"unhandled fault kind {kind!r}")
 
     def _note(self, action: str, fault: Fault, detail: str) -> None:

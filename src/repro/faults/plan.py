@@ -45,18 +45,12 @@ FAULT_KINDS = (
     "backend_crash",
     "az_crash",
     "query_of_death",
-    "controlplane_push_delay",
-    "controlplane_partition",
     "cert_rotation_failure",
-    "nagle_misconfig",
 )
 
 #: Kinds that need a target; the rest act on a singleton component.
 _TARGETED_KINDS = ("replica_crash", "backend_crash", "az_crash",
                    "query_of_death")
-
-#: Kinds whose ``param`` must be positive (it carries the magnitude).
-_PARAM_KINDS = ("controlplane_push_delay",)
 
 
 @dataclass(frozen=True)
@@ -65,8 +59,9 @@ class Fault:
 
     ``duration_s`` (when set) schedules the matching recovery that many
     seconds after injection; ``None`` means the fault persists to the
-    end of the run. ``param`` carries a kind-specific magnitude: the
-    extra seconds for ``controlplane_push_delay``.
+    end of the run. ``param`` is the request-weight factor of a
+    ``query_of_death`` on the fleet tier (0 takes the default); it must
+    be >= 0, and 0 on every other kind.
     """
 
     kind: str
@@ -99,10 +94,13 @@ class Fault:
                 f"{self.duration_s}")
         if self.kind in _TARGETED_KINDS and not self.target:
             raise FaultPlanError(f"{self.kind} needs a target")
-        if self.kind in _PARAM_KINDS and self.param <= 0:
+        if self.param < 0:
             raise FaultPlanError(
-                f"{self.kind} needs a positive param "
-                f"(got {self.param})")
+                f"{self.kind}: param must be >= 0, got {self.param}")
+        if self.param and self.kind != "query_of_death":
+            raise FaultPlanError(
+                f"{self.kind} takes no param (got {self.param}); only "
+                f"query_of_death has a magnitude")
         if (self.kind == "replica_crash" and not self.backend
                 and "/" not in self.target):
             raise FaultPlanError(
@@ -192,12 +190,6 @@ class FaultPlan:
         """Deterministic compact encoding (dedupe keys, diffs)."""
         return json.dumps(self.to_json(), sort_keys=True,
                           separators=(",", ":"), allow_nan=False)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self):
-        return iter(self.faults)
 
     def horizon(self) -> float:
         """Virtual time by which every fault and recovery has fired."""

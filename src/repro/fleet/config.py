@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
 
 from ..core.gateway import GatewayConfig
 
@@ -164,16 +163,7 @@ class FleetConfig:
         """HTTPS request weight, mirroring the per-session registry."""
         return 3.0 if service_index % self.https_every == 0 else 1.0
 
-    @property
-    def total_replicas(self) -> int:
-        return self.azs * self.backends_per_az * self.replicas_per_backend
-
     def shard_slots(self) -> int:
         """Backends in one service's shuffle-shard combination."""
         return (self.gateway.azs_per_service
                 * self.gateway.backends_per_service_per_az)
-
-    def describe(self) -> Tuple[int, int, int]:
-        """(azs, backends, replicas) — the fleet's headline shape."""
-        backends = self.azs * self.backends_per_az
-        return (self.azs, backends, backends * self.replicas_per_backend)

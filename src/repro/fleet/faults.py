@@ -7,8 +7,8 @@ timeline/telemetry/trace side channels — but injections resolve to
 entity-array mutations (decrement a replica column, zero a backend's
 session slots) instead of per-object state flips. Only the four
 topology fault kinds have a fleet-scale analogue; :meth:`arm` rejects
-a plan needing the control-plane/CA/redirector components at arm time,
-mirroring the per-session engine's fail-fast wiring checks.
+a plan needing the CA at arm time, mirroring the per-session engine's
+fail-fast wiring checks.
 
 Targets accept the symbolic forms the per-session engine defines
 (``service:i/backend:j``, ``service:i/backend:j/replica:k``,
@@ -20,7 +20,7 @@ fault that leaks sessions fails at the exact step that introduced it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..faults.plan import Fault, FaultPlan, FaultPlanError
 from ..faults.engine import FaultTargetError
@@ -174,7 +174,7 @@ class FleetFaultEngine:
                       f"{dropped:.1f} sessions dropped)")
         else:  # query_of_death
             service = self._resolve_service(fault.target)
-            factor = fault.param if fault.param > 0 else _QOD_DEFAULT_FACTOR
+            factor = fault.param or _QOD_DEFAULT_FACTOR
             model.set_qod(service, factor)
             detail = f"service {service} request weight x{factor:g}"
         self._note("inject", fault, detail)

@@ -100,10 +100,6 @@ class Service:
     port: int = 80
     cluster_ip: Optional[str] = None
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.namespace}/{self.name}"
-
 
 @dataclass
 class Deployment:

@@ -32,7 +32,7 @@ from .http import (
 )
 from .istio import IstioMesh
 from .noop import NoMesh
-from .policy import AuthorizationPolicy, AuthorizationTable, RateLimiter
+from .policy import AuthorizationPolicy, AuthorizationTable
 from .proxy import Connection, ConnectionPool, ProxyTier
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "NoMesh",
     "ProxyTier",
     "PushReport",
-    "RateLimiter",
     "RouteError",
     "RouteRule",
     "RouteTable",

@@ -20,7 +20,7 @@ Fig 15 ratios: Istio 9.8×, Ambient 4.6× Canal's southbound bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..k8s import Cluster
@@ -118,40 +118,6 @@ class ControlPlane:
         self._distributor = Resource(sim, capacity=1)
         self.updates_pushed = 0
         self.bytes_pushed_total = 0
-        #: Fault point: extra southbound latency per target (slow xDS
-        #: distribution under load or packet loss).
-        self.push_delay_s = 0.0
-        #: Fault point: while set, southbound pushes block on this event
-        #: (controller partitioned from its proxies).
-        self._partition_heal = None
-
-    # -- fault points (driven by repro.faults) -------------------------------
-    def inject_push_delay(self, extra_s: float) -> None:
-        """Add ``extra_s`` of southbound delay to every in-flight and
-        future target configuration until :meth:`clear_push_delay`."""
-        if extra_s < 0:
-            raise ValueError(f"negative push delay {extra_s}")
-        self.push_delay_s = extra_s
-
-    def clear_push_delay(self) -> None:
-        self.push_delay_s = 0.0
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_heal is not None
-
-    def partition(self) -> None:
-        """Cut the controller off from its proxies: target
-        configurations stall before their southbound transfer until
-        :meth:`heal_partition`. Idempotent."""
-        if self._partition_heal is None:
-            self._partition_heal = self.sim.event()
-
-    def heal_partition(self) -> None:
-        """End the partition; every stalled configuration resumes."""
-        heal, self._partition_heal = self._partition_heal, None
-        if heal is not None:
-            heal.succeed()
 
     # -- config sizing ------------------------------------------------------
     def full_config_bytes(self) -> int:
@@ -230,10 +196,6 @@ class ControlPlane:
         push_s = target.config_bytes * costs.push_cpu_per_byte_s
         yield from self.controller_cpu.execute(build_s)
         yield from self.controller_cpu.execute(push_s)
-        if self._partition_heal is not None:
-            yield self._partition_heal
-        if self.push_delay_s > 0.0:
-            yield self.sim.timeout(self.push_delay_s)
         yield from self.southbound.transfer(target.config_bytes)
         with self._distributor.request() as claim:
             yield claim

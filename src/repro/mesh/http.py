@@ -137,9 +137,6 @@ class RouteTable:
             f"no route in {self.service!r} matches {request.method} "
             f"{request.path}")
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def config_size_bytes(self) -> int:
         """Wire size of this table when pushed southbound.
 

@@ -70,13 +70,6 @@ class ProxyTier:
                          bytes_out=bytes_out, bytes_in=bytes_in,
                          cpu_s=cpu_seconds)
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self.cpu.utilization(since)
-
-    @property
-    def cores(self) -> int:
-        return self.cpu.cores
-
 
 @dataclass
 class Connection:
@@ -121,9 +114,6 @@ class ConnectionPool:
 
     def put(self, connection: Connection) -> None:
         self._connections[(connection.client, connection.service)] = connection
-
-    def invalidate(self, client: str, service: str) -> None:
-        self._connections.pop((client, service), None)
 
     def invalidate_server(self, server_pod: str) -> int:
         """Drop every connection pinned to a failed server pod."""

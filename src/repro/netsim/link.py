@@ -48,8 +48,3 @@ class Link:
             yield self.sim.timeout(self.serialization_delay(nbytes))
         self.bytes_carried += nbytes
         yield self.sim.timeout(self.latency_s)
-
-    @property
-    def queue_length(self) -> int:
-        """Transfers currently waiting behind the head of line."""
-        return self._channel.queue_length

@@ -84,11 +84,6 @@ class AvailabilityZone:
         self.nodes.append(node)
         return node
 
-    @property
-    def location(self) -> NetLocation:
-        """A representative location for AZ-level services."""
-        return NetLocation(self.region.name, self.name, f"{self.name}-infra")
-
 
 @dataclass
 class Region:

@@ -38,6 +38,3 @@ class ServiceIdMapper:
 
     def name_of(self, service_id: int) -> str:
         return self._names.get(service_id, f"svc-{service_id}")
-
-    def __len__(self) -> int:
-        return len(self._table)

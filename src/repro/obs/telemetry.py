@@ -77,9 +77,6 @@ class GaugeMetric:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class HistogramMetric:
     """One bucketed-distribution child of a histogram family."""

@@ -459,10 +459,6 @@ class TraceHandle:
             self.add_tree(child, parent_id=span_id)
         return span_id
 
-    def annotate(self, key: str, value: object) -> None:
-        """Attach a root-span annotation (applied at finish)."""
-        self._annotations[key] = value
-
     def finish(self, end_s: float, **annotations) -> None:
         """Close the trace: record the root span. Idempotent."""
         if self.finished:

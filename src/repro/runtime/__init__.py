@@ -25,7 +25,6 @@ from .sweep import (
     SweepExecutor,
     SweepPointError,
     default_jobs,
-    get_executor,
     set_executor,
     sweep_imap,
     sweep_map,
@@ -42,7 +41,6 @@ __all__ = [
     "cached_run",
     "default_jobs",
     "exhibit_fingerprint",
-    "get_executor",
     "module_closure",
     "run_exhibit",
     "set_executor",

@@ -34,7 +34,6 @@ __all__ = [
     "SweepExecutor",
     "SweepPointError",
     "default_jobs",
-    "get_executor",
     "resolve_jobs",
     "set_executor",
     "sweep_imap",
@@ -160,11 +159,6 @@ class SweepExecutor:
 
 #: The ambient executor exhibit code maps through (serial by default).
 _executor = SweepExecutor(jobs=1)
-
-
-def get_executor() -> SweepExecutor:
-    """The ambient executor all ``sweep_map``/``sweep_imap`` calls use."""
-    return _executor
 
 
 def set_executor(executor: SweepExecutor) -> SweepExecutor:

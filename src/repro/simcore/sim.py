@@ -25,7 +25,7 @@ import heapq
 import random
 from typing import Any, Generator, Optional
 
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, Process, Timeout
 
 __all__ = ["Simulator"]
 
@@ -108,10 +108,6 @@ class Simulator:
     def all_of(self, events) -> AllOf:
         """An event that fires when every event in ``events`` succeeds."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """An event that fires when the first event in ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- execution -----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:

@@ -115,49 +115,3 @@ class TestRapidResponder:
         overload(sim, gateway, monitor, services[0])
         assert any(r.action == "sandbox_lossless"
                    for r in responder.responses)
-
-    def test_tenant_alert_throttles_and_suspends(self):
-        sim = Simulator(14)
-        signal = AnomalySignals(rps_growth=3.0, session_growth=3.0,
-                                water_growth=2.0)
-        gateway, services, monitor, scaling, sandbox, responder = \
-            make_stack(sim, signal)
-        gateway.set_service_load(services[0].service_id, 50_000.0)
-        monitor.user_cluster_utilization["t1"] = 0.99
-        monitor.sample()
-        sim.run(until=2.0)
-        assert responder.autoscaling_suspended.get("t1")
-        assert services[0].service_id in gateway.throttles
-
-    def test_resume_tenant_relaxes(self):
-        sim = Simulator(15)
-        signal = AnomalySignals(rps_growth=3.0, session_growth=3.0,
-                                water_growth=2.0)
-        gateway, services, monitor, scaling, sandbox, responder = \
-            make_stack(sim, signal)
-        sid = services[0].service_id
-        gateway.set_service_load(sid, 50_000.0)
-        monitor.user_cluster_utilization["t1"] = 0.99
-        monitor.sample()
-        sim.run(until=2.0)
-        responder.resume_tenant("t1", {sid: 50_000.0}, steps=2,
-                                interval_s=5.0)
-        sim.run(until=60.0)
-        assert not responder.autoscaling_suspended.get("t1", False)
-        assert sid not in gateway.throttles
-
-    def test_suspended_tenant_not_scaled(self):
-        sim = Simulator(16)
-        signal = AnomalySignals(rps_growth=3.0, session_growth=3.0,
-                                water_growth=2.0)
-        gateway, services, monitor, scaling, sandbox, responder = \
-            make_stack(sim, signal)
-        responder.autoscaling_suspended["t1"] = True
-        overload(sim, gateway, monitor, services[0])
-        suppressed = [r for r in responder.responses
-                      if r.action == "suppressed"]
-        scaled_t1 = [r for r in responder.responses
-                     if r.action == "scale"
-                     and r.service_id == services[0].service_id]
-        assert suppressed
-        assert not scaled_t1

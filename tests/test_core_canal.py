@@ -77,26 +77,6 @@ class TestCanalDataplane:
         _conn, response = run_one_request(run)
         assert response.status == 403
 
-    def test_throttle_returns_429(self):
-        run = build_testbed("canal")
-        sid = run.mesh.tenant_service("svc1").service_id
-        run.mesh.gateway.throttle_service(sid, 0.001)
-
-        def scenario():
-            connection = yield run.sim.process(
-                run.mesh.open_connection(run.client_pod, "svc1"))
-            # Exhaust the near-zero budget.
-            first = yield run.sim.process(
-                run.mesh.request(connection, HttpRequest()))
-            second = yield run.sim.process(
-                run.mesh.request(connection, HttpRequest()))
-            return first, second
-
-        process = run.sim.process(scenario())
-        run.sim.run()
-        statuses = {r.status for r in process.value}
-        assert 429 in statuses
-
     def test_gateway_outage_returns_503(self):
         run = build_testbed("canal")
         for backend in run.mesh.gateway.all_backends:
@@ -158,66 +138,6 @@ class TestCryptoOffloadModes:
         assert response.ok
         client_proxy = run.mesh.onnode[run.client_pod.node_name]
         assert client_proxy.asym_engine.fallbacks_used > 0
-
-
-class TestHealthCheckIntegration:
-    def test_probers_one_per_backend(self):
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks()
-        assert len(run.mesh.probers) == len(
-            run.mesh.gateway.all_backends)
-
-    def test_double_enable_rejected(self):
-        from repro.mesh.base import MeshError
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks()
-        with pytest.raises(MeshError):
-            run.mesh.enable_health_checks()
-
-    def test_prober_covers_service_union(self):
-        """Service-level aggregation: each backend probes the union of
-        its services' app endpoints, once each."""
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks()
-        all_addresses = []
-        for prober in run.mesh.probers.values():
-            addresses = [t.address for t in prober.targets]
-            assert len(addresses) == len(set(addresses))  # no duplicates
-            all_addresses.extend(addresses)
-        # Every app endpoint of every registered service is covered.
-        assert len(set(all_addresses)) == 30
-
-    def test_dead_app_avoided_after_detection(self):
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks(interval_s=0.5,
-                                      failure_threshold=2)
-        victim = run.mesh.pick_endpoint("svc1")
-        run.mesh.set_app_health(victim.name, healthy=False)
-        run.sim.run(until=5.0)  # detection: <= 2 x 0.5 s
-        picks = [run.mesh.pick_endpoint("svc1").name for _ in range(30)]
-        assert victim.name not in picks
-
-    def test_recovered_app_returns(self):
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks(interval_s=0.5,
-                                      failure_threshold=2)
-        victim = run.mesh.pick_endpoint("svc1")
-        run.mesh.set_app_health(victim.name, healthy=False)
-        run.sim.run(until=5.0)
-        run.mesh.set_app_health(victim.name, healthy=True)
-        run.sim.run(until=10.0)
-        picks = {run.mesh.pick_endpoint("svc1").name for _ in range(60)}
-        assert victim.name in picks
-
-    def test_probe_volume_is_aggregated(self):
-        """Far fewer probes than the per-core fan-out would send."""
-        run = build_testbed("canal")
-        run.mesh.enable_health_checks(interval_s=1.0)
-        run.sim.run(until=10.0)
-        total = sum(p.probes_sent for p in run.mesh.probers.values())
-        # One backend x 30 apps x 11 rounds = 330; the unaggregated
-        # fan-out (replicas x cores per probe target) would be >> that.
-        assert total <= 400
 
 
 class TestSessionLifecycle:

@@ -161,22 +161,6 @@ class TestFluidLoad:
         with pytest.raises(ValueError):
             gateway.shrink_service(sid, backends[-1])
 
-    def test_throttle_caps_offered_load(self, sim):
-        """Redirector-level early drop (§6.2)."""
-        gateway, services = make_gateway(sim)
-        sid = services[0].service_id
-        gateway.throttle_service(sid, 10_000.0)
-        gateway.set_service_load(sid, 100_000.0)
-        total = sum(b.service_rps(sid)
-                    for b in gateway.service_backends[sid])
-        assert total == pytest.approx(10_000.0)
-        gateway.unthrottle_service(sid)
-        gateway.set_service_load(sid, 100_000.0)
-        total = sum(b.service_rps(sid)
-                    for b in gateway.service_backends[sid])
-        assert total == pytest.approx(100_000.0)
-
-
 class TestHierarchicalFailure:
     def test_backend_failure_shifts_load(self, sim):
         """Level 2: other shuffle-shard backends absorb the failure."""

@@ -136,25 +136,6 @@ class TestProxylessDataplane:
         with pytest.raises(MeshError, match="ENI"):
             sim.run()
 
-    def test_throttle_applies(self):
-        sim, cluster, mesh = build_proxyless()
-        sid = mesh.tenant_service("svc1").service_id
-        mesh.gateway.throttle_service(sid, 0.001)
-        client = cluster.pods["svc0-1"]
-
-        def scenario():
-            connection = yield sim.process(
-                mesh.open_connection(client, "svc1"))
-            first = yield sim.process(
-                mesh.request(connection, HttpRequest()))
-            second = yield sim.process(
-                mesh.request(connection, HttpRequest()))
-            return [first.status, second.status]
-
-        process = sim.process(scenario())
-        sim.run()
-        assert 429 in process.value
-
     def test_gateway_outage_503(self):
         sim, cluster, mesh = build_proxyless()
         for backend in mesh.gateway.all_backends:

@@ -189,29 +189,3 @@ class TestSandboxManager:
         shared_total = sum(b.service_rps(sid)
                            for b in gateway.service_backends[sid])
         assert shared_total == pytest.approx(30_000.0)
-
-    def test_throttle_then_gradual_relaxation(self, sim):
-        """§6.2 Case #3: throttle, then relax step by step."""
-        gateway, services = make_gateway(sim)
-        sandbox = SandboxManager(sim, gateway)
-        sid = services[0].service_id
-        gateway.set_service_load(sid, 100_000.0)
-        sandbox.throttle(sid, 20_000.0)
-        carried = sum(b.service_rps(sid)
-                      for b in gateway.service_backends[sid])
-        assert carried == pytest.approx(20_000.0)
-        sim.process(sandbox.relax_throttle(sid, 100_000.0, steps=4,
-                                           interval_s=10.0))
-        sim.run()
-        carried = sum(b.service_rps(sid)
-                      for b in gateway.service_backends[sid])
-        assert carried == pytest.approx(100_000.0)
-        assert sid not in gateway.throttles
-
-    def test_relax_requires_existing_throttle(self, sim):
-        gateway, services = make_gateway(sim)
-        sandbox = SandboxManager(sim, gateway)
-        with pytest.raises(KeyError):
-            sim.process(sandbox.relax_throttle(
-                services[0].service_id, 100.0))
-            sim.run()

@@ -48,10 +48,8 @@ def _faults(draw):
         target = "service:0/backend:1/replica:0"
     elif kind in ("backend_crash", "az_crash", "query_of_death"):
         target = draw(st.sampled_from(["service:0", "backend-3", "az2"]))
-    if kind == "controlplane_push_delay":
-        param = draw(_POSITIVE)
-    else:
-        param = draw(st.just(0.0) | _TIMES)
+    # Only a query_of_death carries a magnitude (the fleet weight factor).
+    param = draw(st.just(0.0) | _TIMES) if kind == "query_of_death" else 0.0
     return Fault(kind=kind, at=draw(_TIMES), target=target,
                  duration_s=draw(st.none() | _POSITIVE), param=param)
 
@@ -85,9 +83,17 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="needs a target"):
             Fault(kind="backend_crash")
 
-    def test_push_delay_needs_positive_param(self):
-        with pytest.raises(FaultPlanError, match="positive param"):
-            Fault(kind="controlplane_push_delay", at=1.0)
+    def test_negative_param_rejected(self):
+        with pytest.raises(FaultPlanError, match="param must be >= 0"):
+            Fault(kind="query_of_death", target="service:0", param=-1.0)
+
+    @pytest.mark.parametrize("kind", ["az_crash", "cert_rotation_failure"])
+    def test_param_rejected_off_query_of_death(self, kind):
+        target = "az1" if kind == "az_crash" else ""
+        with pytest.raises(FaultPlanError, match="takes no param"):
+            Fault(kind=kind, target=target, param=2.0)
+        with pytest.raises(FaultPlanError, match="takes no param"):
+            Fault.from_json({"kind": kind, "target": target, "param": 2.0})
 
     def test_literal_replica_needs_owning_backend(self):
         with pytest.raises(FaultPlanError, match="owning 'backend'"):
@@ -120,15 +126,13 @@ class TestFaultPlan:
                         "query_of_death"):
                 kwargs["target"] = "service:0/backend:0/replica:0" \
                     if kind == "replica_crash" else "service:0"
-            if kind == "controlplane_push_delay":
-                kwargs["param"] = 1.0
             Fault(**kwargs)
 
     @pytest.mark.parametrize("field", ["at", "duration_s", "param"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_fields_rejected_by_name(self, field, value):
-        fields = {"kind": "controlplane_push_delay", "at": 1.0,
-                  "param": 1.0, field: value}
+        fields = {"kind": "query_of_death", "target": "service:0",
+                  "at": 1.0, "param": 1.0, field: value}
         with pytest.raises(FaultPlanError, match=f"{field} must be finite"):
             Fault(**fields)
         with pytest.raises(FaultPlanError, match=f"{field} must be finite"):
@@ -156,6 +160,16 @@ class TestFaultEngine:
         plan = FaultPlan.of(Fault(kind="az_crash", at=1.0, target="az1"))
         with pytest.raises(FaultPlanError, match="gateway"):
             engine.arm(plan)
+
+    def test_arm_rejects_param(self):
+        """The DES cascade takes no magnitude: a param would be ignored."""
+        sim, gateway, _ = make_chaos_gateway()
+        engine = FaultEngine(sim, gateway=gateway)
+        plan = FaultPlan.of(Fault(kind="query_of_death", at=1.0,
+                                  target="service:0", param=3.0))
+        with pytest.raises(FaultPlanError, match="takes no param"):
+            engine.arm(plan)
+        assert engine.armed_faults == 0
 
     def test_arm_rejects_faults_in_the_past(self):
         sim, gateway, _ = make_chaos_gateway()
@@ -246,18 +260,6 @@ class TestFaultEngine:
             Fault(kind="az_crash", at=5.0, target="az2")))
         sim.run(until=6.0)
         assert [e["target"] for e in engine.timeline] == ["az1", "az2"]
-
-    def test_nagle_misconfig_swaps_and_restores(self):
-        from repro.kernel.redirection import EbpfRedirect
-        sim = Simulator(3)
-        pristine = EbpfRedirect()
-        engine = FaultEngine(sim, redirector=pristine, audit=False)
-        engine.arm(FaultPlan.of(
-            Fault(kind="nagle_misconfig", at=1.0, duration_s=2.0)))
-        sim.run(until=1.5)
-        assert engine.redirector.nagle_enabled is False
-        sim.run(until=5.0)
-        assert engine.redirector is pristine
 
     def test_cert_rotation_failure_and_reissue(self):
         from repro.crypto import CertificateAuthority

@@ -2,11 +2,11 @@
 
 Random interleavings of the operations a production gateway sees —
 load changes, backend/AZ failures and recoveries, service extension and
-shrinking, throttling, sandbox quarantine — must preserve the
-invariants the paper's availability story rests on:
+shrinking, sandbox quarantine — must preserve the invariants the
+paper's availability story rests on:
 
-* load conservation: carried RPS equals offered RPS (capped by any
-  throttle) whenever the service has a healthy carrier;
+* load conservation: carried RPS equals offered RPS whenever the
+  service has a healthy carrier;
 * availability: a service is in outage only when *every* carrier
   backend is down;
 * replica-level balance: every healthy replica of a backend carries the
@@ -49,7 +49,6 @@ class GatewayMachine(RuleBasedStateMachine):
             self.gateway.set_service_load(service.service_id, 10_000.0)
             self.services.append(service)
         self.offered = {s.service_id: 10_000.0 for s in self.services}
-        self.throttles = {}
 
     # -- operations --------------------------------------------------------
     @rule(index=st.integers(0, 3),
@@ -95,19 +94,6 @@ class GatewayMachine(RuleBasedStateMachine):
         if len(backends) > 1:
             self.gateway.shrink_service(sid, backends[-1])
 
-    @rule(index=st.integers(0, 3),
-          rate=st.floats(min_value=1_000, max_value=50_000))
-    def throttle(self, index, rate):
-        sid = self.services[index].service_id
-        self.gateway.throttle_service(sid, rate)
-        self.throttles[sid] = rate
-
-    @rule(index=st.integers(0, 3))
-    def unthrottle(self, index):
-        sid = self.services[index].service_id
-        self.gateway.unthrottle_service(sid)
-        self.throttles.pop(sid, None)
-
     @rule(index=st.integers(0, 3))
     def quarantine(self, index):
         sid = self.services[index].service_id
@@ -126,9 +112,7 @@ class GatewayMachine(RuleBasedStateMachine):
     def load_is_conserved(self):
         for service in getattr(self, "services", []):
             sid = service.service_id
-            offered = self.offered[sid]
-            limit = self.throttles.get(sid)
-            expected = min(offered, limit) if limit is not None else offered
+            expected = self.offered[sid]
             carriers = list(self.gateway.service_backends[sid])
             quarantine = self.gateway.sandboxed.get(sid)
             if quarantine is not None:

@@ -9,7 +9,6 @@ from repro.mesh import (
     AuthorizationTable,
     HttpMatch,
     HttpRequest,
-    RateLimiter,
     RouteError,
     RouteRule,
     RouteTable,
@@ -129,37 +128,3 @@ class TestAuthorization:
 
     def test_config_size(self):
         assert self._table().config_size_bytes() > 0
-
-
-class TestRateLimiter:
-    def test_admits_within_rate(self):
-        limiter = RateLimiter(rate_per_s=10.0)
-        assert all(limiter.allow(now=0.0) for _ in range(10))
-
-    def test_drops_beyond_burst(self):
-        limiter = RateLimiter(rate_per_s=10.0)
-        for _ in range(10):
-            limiter.allow(0.0)
-        assert not limiter.allow(0.0)
-        assert limiter.dropped == 1
-
-    def test_refills_over_time(self):
-        limiter = RateLimiter(rate_per_s=10.0)
-        for _ in range(10):
-            limiter.allow(0.0)
-        assert limiter.allow(1.0)  # 10 tokens refilled after 1 s
-
-    def test_time_must_advance(self):
-        limiter = RateLimiter(rate_per_s=1.0)
-        limiter.allow(5.0)
-        with pytest.raises(ValueError):
-            limiter.allow(4.0)
-
-    def test_set_rate_relaxes(self):
-        limiter = RateLimiter(rate_per_s=1.0)
-        limiter.set_rate(100.0)
-        assert limiter.rate_per_s == 100.0
-
-    def test_positive_rate_required(self):
-        with pytest.raises(ValueError):
-            RateLimiter(rate_per_s=0.0)

@@ -201,32 +201,6 @@ class TestLognormalProperties:
         assert lognormal_from_median(rng, median, sigma) > 0
 
 
-class TestRateLimiterProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=1.0, max_value=1000.0),
-           st.lists(st.floats(min_value=0.0, max_value=0.05),
-                    min_size=1, max_size=300))
-    def test_admissions_bounded_by_rate(self, rate, gaps):
-        """Token bucket invariant: admitted <= burst + rate x elapsed."""
-        from repro.mesh import RateLimiter
-        limiter = RateLimiter(rate_per_s=rate)
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            limiter.allow(now)
-        assert limiter.admitted <= limiter.burst + rate * now + 1e-6
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=1.0, max_value=1000.0),
-           st.integers(min_value=1, max_value=500))
-    def test_all_accounted(self, rate, attempts):
-        from repro.mesh import RateLimiter
-        limiter = RateLimiter(rate_per_s=rate)
-        for _ in range(attempts):
-            limiter.allow(0.0)
-        assert limiter.admitted + limiter.dropped == attempts
-
-
 class TestEconomicsProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=2000),
