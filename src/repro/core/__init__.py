@@ -42,7 +42,7 @@ from .key_server import (
 )
 from .monitoring import Alert, GatewayMonitor
 from ..obs.trace import Span, Trace, TraceCollector
-from .onnode import FlowRecord, OnNodeProxy
+from .onnode import OnNodeProxy
 from .proxyless import (
     Eni,
     EniLimitExceeded,
@@ -61,7 +61,7 @@ from .redirector import (
 from .replica import Replica, ReplicaConfig
 from .sandbox import MigrationRecord, SandboxManager
 from .scaling import ScalingEngine, ScalingEvent, ScalingTimings
-from .session_aggregation import MtuError, SessionAggregator
+from .session_aggregation import SessionAggregator
 from .sharding import ShardingError, ShuffleSharder
 from .tenancy import Tenant, TenantRegistry, TenantService
 
@@ -82,7 +82,6 @@ __all__ = [
     "FailureEvent",
     "FailureInjector",
     "FallbackEngine",
-    "FlowRecord",
     "FlowStore",
     "GatewayConfig",
     "GatewayMonitor",
@@ -94,7 +93,6 @@ __all__ = [
     "MeshGateway",
     "MigrationPlan",
     "MigrationRecord",
-    "MtuError",
     "NoBackendAvailable",
     "OnNodeProxy",
     "PhaseMonitor",

@@ -7,9 +7,10 @@ The functional-equivalence analysis keeps exactly three things local:
 * the local half of zero-trust — mTLS origination with certificates
   that never leave the node, asymmetric crypto offloaded to the key
   server;
-* L4 observability — per-pod traffic labeling and flow records
-  (Appendix A: the on-node proxy must label traffic per pod, which a
-  per-pod sidecar got for free).
+* L4 observability — per-pod traffic labeling, counted as the
+  ``onnode_bytes_total{pod}`` telemetry counter (Appendix A: the
+  on-node proxy must label traffic per pod, which a per-pod sidecar
+  got for free).
 
 Everything else (traffic control, L7 policy, L7 observability) lives in
 the remote gateway.
@@ -17,27 +18,13 @@ the remote gateway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
 from ..kernel import EbpfRedirect
 from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
 from ..mesh.proxy import ProxyTier
 from ..obs.runtime import get_telemetry
 from ..simcore import Simulator
 
-__all__ = ["FlowRecord", "OnNodeProxy"]
-
-
-@dataclass
-class FlowRecord:
-    """One L4 observability record (per-pod labeled)."""
-
-    pod: str
-    service: str
-    bytes_out: int
-    bytes_in: int
-    time: float
+__all__ = ["OnNodeProxy"]
 
 
 class OnNodeProxy:
@@ -53,8 +40,6 @@ class OnNodeProxy:
         self.tier = ProxyTier(sim, cores=cores, name=f"onnode@{node_name}")
         self.redirect = EbpfRedirect(costs.kernel,
                                      nagle_enabled=nagle_enabled)
-        self.flow_records: List[FlowRecord] = []
-        self.pod_bytes: Dict[str, int] = {}
         #: Asym engine installed by CanalMesh (remote/local/software).
         self.asym_engine = None
 
@@ -72,8 +57,7 @@ class OnNodeProxy:
         """Process generator: redirect + L4 + crypto + observability.
 
         With a ``trace`` handle, the pass becomes an ``l4`` span under
-        ``parent_id``, carrying the per-pod byte labels — the causal
-        version of the flow records below.
+        ``parent_id``, carrying the per-pod byte labels.
         """
         cost = self.data_path_cost_s(bytes_out + bytes_in, mtls=mtls)
         yield from self.tier.work(cost, trace=trace, parent_id=parent_id,
@@ -84,11 +68,6 @@ class OnNodeProxy:
     def record_flow(self, pod: str, service: str, bytes_out: int,
                     bytes_in: int) -> None:
         """Per-pod labeling for fine-grained statistics (Appendix A)."""
-        self.flow_records.append(FlowRecord(
-            pod=pod, service=service, bytes_out=bytes_out,
-            bytes_in=bytes_in, time=self.sim.now))
-        self.pod_bytes[pod] = (self.pod_bytes.get(pod, 0)
-                               + bytes_out + bytes_in)
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.inc("onnode_messages_total", node=self.node_name,
@@ -102,7 +81,3 @@ class OnNodeProxy:
         (TCP accept + TLS record machinery + session install)."""
         yield from self.tier.work(self.costs.handshake_base_s
                                   + self.costs.connection_setup_s)
-
-    def pod_traffic_report(self) -> Dict[str, int]:
-        """Bytes per pod — the observability output users consume."""
-        return dict(self.pod_bytes)

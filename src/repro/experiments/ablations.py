@@ -313,15 +313,14 @@ def ablation_tunnel_count(user_sessions: int = 300_000) -> ExperimentResult:
                   ["tunnels_per_core", "underlay_sessions",
                    "core_imbalance"])
     for tunnels_per_core in (1, 2, 5, 10, 50):
-        aggregator = SessionAggregator("9.9.9.1", vni=1,
-                                       tunnels_per_core=tunnels_per_core)
+        aggregator = SessionAggregator(tunnels_per_core=tunnels_per_core)
         sessions = aggregator.underlay_sessions(replica, user_sessions)
         spread = aggregator.core_spread(replica)
         imbalance = (max(spread) - min(spread)) / max(spread)
         table.add_row(tunnels_per_core, sessions, imbalance)
     result.tables.append(table)
     result.findings["sessions_at_10x"] = float(
-        SessionAggregator("9.9.9.1", vni=1, tunnels_per_core=10)
+        SessionAggregator(tunnels_per_core=10)
         .underlay_sessions(replica, user_sessions))
     result.findings["session_reduction_at_10x"] = (
         1 - result.findings["sessions_at_10x"] / user_sessions)

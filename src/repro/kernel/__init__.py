@@ -7,14 +7,13 @@ inside the per-request DES paths (Figs 10–13).
 """
 
 from .costs import KernelCosts, PathCost
-from .nagle import NagleBuffer, NagleConfig, batch_factor
+from .nagle import NagleConfig, batch_factor
 from .redirection import EbpfRedirect, IptablesRedirect
 
 __all__ = [
     "EbpfRedirect",
     "IptablesRedirect",
     "KernelCosts",
-    "NagleBuffer",
     "NagleConfig",
     "PathCost",
     "batch_factor",

@@ -10,10 +10,10 @@ kernel's aggregation and the eBPF re-implementation use this model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List
 
-__all__ = ["NagleConfig", "NagleBuffer", "batch_factor"]
+__all__ = ["NagleConfig", "batch_factor"]
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,14 @@ class NagleConfig:
     #: which with delayed ACKs gives an effective ~1 ms window; a fixed
     #: delay is the standard fluid approximation.
     flush_delay_s: float = 1e-3
+
+    def __post_init__(self):
+        if self.mss_bytes < 1:
+            raise ValueError(
+                f"NagleConfig.mss_bytes must be >= 1, got {self.mss_bytes!r}")
+        if not (math.isfinite(self.flush_delay_s) and self.flush_delay_s >= 0):
+            raise ValueError(f"NagleConfig.flush_delay_s must be finite and "
+                             f">= 0, got {self.flush_delay_s!r}")
 
 
 def batch_factor(message_bytes: int, message_rate_per_s: float,
@@ -43,43 +51,3 @@ def batch_factor(message_bytes: int, message_rate_per_s: float,
     by_size = max(1.0, config.mss_bytes / message_bytes)
     by_time = 1.0 + message_rate_per_s * config.flush_delay_s
     return max(1.0, min(by_size, by_time))
-
-
-class NagleBuffer:
-    """Event-level aggregation buffer for per-message simulations.
-
-    Messages are appended; :meth:`offer` reports whether the buffer
-    should flush now (full) — the time-based flush is driven by the
-    caller's timer process calling :meth:`flush`.
-    """
-
-    def __init__(self, config: NagleConfig):
-        self.config = config
-        self._pending: List[int] = []
-        self._pending_bytes = 0
-        self.flushes = 0
-        self.messages_flushed = 0
-
-    def offer(self, message_bytes: int) -> bool:
-        """Add a message; returns True when the buffer is flush-worthy."""
-        if message_bytes < 0:
-            raise ValueError("negative message size")
-        self._pending.append(message_bytes)
-        self._pending_bytes += message_bytes
-        return self._pending_bytes >= self.config.mss_bytes
-
-    def flush(self) -> List[int]:
-        """Drain the buffer, returning the coalesced message sizes."""
-        drained, self._pending = self._pending, []
-        self._pending_bytes = 0
-        if drained:
-            self.flushes += 1
-            self.messages_flushed += len(drained)
-        return drained
-
-    @property
-    def average_batch(self) -> float:
-        """Observed mean messages per flush (1.0 before any flush)."""
-        if self.flushes == 0:
-            return 1.0
-        return self.messages_flushed / self.flushes

@@ -1,8 +1,7 @@
 """``python -m repro.lint`` — the simlint command line.
 
 Exit codes: 0 clean, 1 findings, 2 usage error. ``--format json``
-emits a machine-readable report (CI uploads it as an artifact),
-``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning;
+emits a machine-readable report (CI uploads it as an artifact);
 ``--output`` additionally writes the report to a file so the exit code
 still gates the job. ``--jobs N`` fans the per-file work
 out over ``runtime.sweep_map`` workers with byte-identical findings at
@@ -26,7 +25,6 @@ from typing import List, Optional
 from ..runtime.sweep import resolve_jobs
 from .framework import Finding, all_rules
 from .runner import collect_files, lint_files, select_rules
-from .sarif import render_sarif
 
 __all__ = ["main"]
 
@@ -38,7 +36,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", metavar="path",
                         help="files or directories to lint "
                              "(default: src and tests if present)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="also write the report to FILE")
@@ -115,9 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           cache_dir=options.cache_dir,
                           use_cache=not options.no_cache)
 
-    if options.format == "sarif":
-        report = render_sarif(findings, rules)
-    elif options.format == "json":
+    if options.format == "json":
         report = _render_json(findings, len(files))
     else:
         report = _render_text(findings, len(files))

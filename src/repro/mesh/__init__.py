@@ -33,7 +33,7 @@ from .http import (
 from .istio import IstioMesh
 from .noop import NoMesh
 from .policy import AuthorizationPolicy, AuthorizationTable
-from .proxy import Connection, ConnectionPool, ProxyTier
+from .proxy import Connection, ProxyTier
 
 __all__ = [
     "AmbientControlPlane",
@@ -42,7 +42,6 @@ __all__ = [
     "AuthorizationTable",
     "ConfigTarget",
     "Connection",
-    "ConnectionPool",
     "ControlPlane",
     "ControlPlaneCosts",
     "DEFAULT_COSTS",

@@ -9,13 +9,13 @@ emerges from contention rather than being scripted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..crypto.tls import MtlsSession
 from ..obs.runtime import get_telemetry
 from ..simcore import CpuResource, Simulator
 
-__all__ = ["ProxyTier", "Connection", "ConnectionPool"]
+__all__ = ["ProxyTier", "Connection"]
 
 
 class ProxyTier:
@@ -86,42 +86,3 @@ class Connection:
     #: once at open: neither pod moves while the connection lives.
     one_way_s: float = 0.0
     meta: Dict[str, object] = field(default_factory=dict)
-
-
-class ConnectionPool:
-    """Per-(client, service) connection reuse.
-
-    Persistent-connection workloads (Fig 11's wrk with 100 connections)
-    open once and reuse; short-flow workloads (the HTTPS handshake
-    experiments, Figs 27/28) skip the pool entirely.
-    """
-
-    def __init__(self):
-        self._connections: Dict[Tuple[str, str], Connection] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, client: str, service: str) -> Optional[Connection]:
-        connection = self._connections.get((client, service))
-        if connection is None:
-            self.misses += 1
-            get_telemetry().inc("connection_pool_lookups_total",
-                                result="miss")
-        else:
-            self.hits += 1
-            get_telemetry().inc("connection_pool_lookups_total", result="hit")
-        return connection
-
-    def put(self, connection: Connection) -> None:
-        self._connections[(connection.client, connection.service)] = connection
-
-    def invalidate_server(self, server_pod: str) -> int:
-        """Drop every connection pinned to a failed server pod."""
-        doomed = [key for key, conn in self._connections.items()
-                  if conn.server_pod == server_pod]
-        for key in doomed:
-            del self._connections[key]
-        return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._connections)

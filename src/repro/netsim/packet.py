@@ -1,32 +1,19 @@
-"""Packets, flows, and VXLAN encapsulation.
+"""Flow identifiers: the five-tuple that ECMP and bucket tables hash.
 
-Packets here are simulation records, not byte buffers: they carry the
-fields the mesh dataplane dispatches on (five-tuple, L7 request
-metadata, tenant VNI) plus a size used for bandwidth/aggregation
-accounting. The header stack supports one level of VXLAN encapsulation,
-which is all the paper's session-aggregation design needs (§4.4).
+Flows here are simulation records, not byte buffers. A
+:class:`FiveTuple` names a connection, and :meth:`FiveTuple.flow_hash`
+gives the deterministic hash that the stateless ECMP router and the
+Beamer bucket tables dispatch on.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
 
-__all__ = [
-    "FiveTuple",
-    "VxlanHeader",
-    "Packet",
-    "VXLAN_OVERHEAD_BYTES",
-    "TCP",
-    "UDP",
-]
+__all__ = ["FiveTuple", "TCP"]
 
 TCP = "tcp"
-UDP = "udp"
-
-#: VXLAN adds outer Ethernet + IP + UDP + VXLAN headers.
-VXLAN_OVERHEAD_BYTES = 50
 
 
 @dataclass(frozen=True)
@@ -44,11 +31,6 @@ class FiveTuple:
             if not 0 <= port <= 65535:
                 raise ValueError(f"port out of range: {port}")
 
-    def reversed(self) -> "FiveTuple":
-        """The return-direction five-tuple."""
-        return FiveTuple(self.dst_ip, self.dst_port,
-                         self.src_ip, self.src_port, self.protocol)
-
     def flow_hash(self, salt: int = 0) -> int:
         """Deterministic 32-bit hash, stable across runs and processes.
 
@@ -58,62 +40,3 @@ class FiveTuple:
         key = (f"{self.src_ip}:{self.src_port}>"
                f"{self.dst_ip}:{self.dst_port}/{self.protocol}#{salt}")
         return zlib.crc32(key.encode("ascii"))
-
-
-@dataclass(frozen=True)
-class VxlanHeader:
-    """Outer VXLAN encapsulation header."""
-
-    vni: int
-    outer_src_ip: str
-    outer_dst_ip: str
-    outer_src_port: int = 4789
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.vni < (1 << 24):
-            raise ValueError(f"VNI out of 24-bit range: {self.vni}")
-
-
-@dataclass
-class Packet:
-    """A simulated packet/request unit.
-
-    ``meta`` carries L7 attributes (url, headers, method) and dataplane
-    annotations (e.g. the global service ID stamped by the vSwitch).
-    """
-
-    five_tuple: FiveTuple
-    size_bytes: int
-    meta: Dict[str, Any] = field(default_factory=dict)
-    vxlan: Optional[VxlanHeader] = None
-    is_syn: bool = False
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative packet size: {self.size_bytes}")
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire including any VXLAN overhead."""
-        if self.vxlan is not None:
-            return self.size_bytes + VXLAN_OVERHEAD_BYTES
-        return self.size_bytes
-
-    def encapsulate(self, header: VxlanHeader) -> "Packet":
-        """Return a copy wrapped in a VXLAN outer header."""
-        if self.vxlan is not None:
-            raise ValueError("packet is already encapsulated")
-        return replace(self, vxlan=header)
-
-    def decapsulate(self) -> "Packet":
-        """Return a copy with the VXLAN outer header removed."""
-        if self.vxlan is None:
-            raise ValueError("packet is not encapsulated")
-        return replace(self, vxlan=None)
-
-    def outer_five_tuple(self) -> FiveTuple:
-        """The five-tuple the underlay sees (tunnel endpoints)."""
-        if self.vxlan is None:
-            return self.five_tuple
-        return FiveTuple(self.vxlan.outer_src_ip, self.vxlan.outer_src_port,
-                         self.vxlan.outer_dst_ip, 4789, UDP)

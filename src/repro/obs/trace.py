@@ -18,8 +18,8 @@ Design rules, in order of importance:
   and trace sets are byte-identical at any ``--jobs`` level (sweeps
   parallelize whole simulations, so per-sim tracer state never races).
 * **Bounded.** The collector is a ring buffer: beyond ``max_traces``
-  assembled traces the oldest is evicted, while aggregate statistics
-  (per-pod bytes, coverage counts) are preserved.
+  assembled traces the oldest is evicted, while its coverage level is
+  folded into the aggregate counts.
 * **Import-light.** Nothing here imports simcore or mesh code — the
   simulator's own observability hooks sit below this module.
 """
@@ -320,15 +320,17 @@ class TraceCollector:
 
     A ring buffer over assembled traces: recording a span for a new
     trace id beyond ``max_traces`` evicts the oldest trace, folding its
-    coverage level into the aggregate counts first (per-pod byte totals
-    are aggregated at record time and never lost to eviction).
+    coverage level into the aggregate counts first. ``None`` keeps
+    every trace.
     """
 
     def __init__(self, max_traces: Optional[int] = DEFAULT_MAX_TRACES):
+        if max_traces is not None and max_traces < 1:
+            raise ValueError(f"TraceCollector.max_traces must be >= 1 or "
+                             f"None, got {max_traces!r}")
         self._spans: "OrderedDict[int, List[Span]]" = OrderedDict()
         self._next_trace_id = 1
         self.max_traces = max_traces
-        self.pod_bytes: Dict[str, int] = {}
         #: Fault inject/recover events overlapping the collected traces
         #: (annotated by repro.faults.FaultEngine while tracing is on).
         self.fault_marks: List[Dict[str, object]] = []
@@ -351,9 +353,6 @@ class TraceCollector:
                 self._evict_oldest()
         spans.append(span)
         self.spans_recorded += 1
-        if span.pod:
-            self.pod_bytes[span.pod] = (self.pod_bytes.get(span.pod, 0)
-                                        + span.bytes_out + span.bytes_in)
 
     def _evict_oldest(self) -> None:
         oldest_id = next(iter(self._spans))
@@ -386,12 +385,6 @@ class TraceCollector:
         for trace in self.traces():
             report[trace.coverage] += 1
         return report
-
-    def pod_traffic_report(self) -> Dict[str, int]:
-        """Per-pod byte totals — the sidecar-equivalent statistic that
-        the on-node proxy reconstructs by labeling traffic."""
-        return dict(self.pod_bytes)
-
 
 class TraceHandle:
     """Builder for one sampled trace: allocates span ids, records spans.

@@ -2,14 +2,13 @@
 
 A minimal, dependency-free engine in the simpy tradition: a
 :class:`Simulator` with an event agenda, generator-driven processes,
-capacity resources with utilization accounting, and measurement
+capacity resources with busy-time accounting, and measurement
 primitives. Every higher layer of the Canal Mesh reproduction runs on
 top of this package.
 """
 
 from .events import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     PENDING,
@@ -18,13 +17,12 @@ from .events import (
     Timeout,
 )
 from .metrics import Summary, TimeSeries, cdf, percentile
-from .resources import CpuResource, Request, Resource, Store
+from .resources import CpuResource, Request, Resource
 from .rng import derived_stream
 from .sim import Simulator
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CpuResource",
     "Event",
     "Interrupt",
@@ -34,7 +32,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Summary",
     "TimeSeries",
     "Timeout",

@@ -53,7 +53,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "SimulationError",
 ]
@@ -335,30 +334,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([event._value for event in self._events])
-
-
-class AnyOf(Event):
-    """Fires when the first child event triggers.
-
-    Value is a ``(event, value)`` tuple identifying the winner. A failing
-    first child fails this condition.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events):
-        super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for child in self._events:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child._ok:
-            self.succeed((child, child._value))
-        else:
-            child._defused = True
-            self.fail(child._value)

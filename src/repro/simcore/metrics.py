@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "percentile",
@@ -111,7 +111,7 @@ class Summary:
 
 
 class TimeSeries:
-    """(time, value) samples with windowing and bucketing helpers."""
+    """(time, value) samples recorded in time order."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -127,69 +127,3 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Samples with ``start <= t < end``."""
-        return [(t, v) for t, v in zip(self.times, self.values)
-                if start <= t < end]
-
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return self.times[-1], self.values[-1]
-
-    def bucketed(self, bucket: float, agg: str = "mean",
-                 start: Optional[float] = None,
-                 end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Aggregate samples into fixed-width buckets.
-
-        ``agg`` is one of ``mean``, ``sum``, ``max``, ``min``, ``count``,
-        ``rate`` (count per unit time).
-
-        An explicit ``end`` is *exclusive* (``start <= t < end``, the
-        same right-open convention as :meth:`window`), so adjacent
-        ``bucketed`` calls never count a boundary sample twice. Without
-        ``end`` the whole remaining series is included. ``rate`` divides
-        by each bucket's *covered* width, clamping the final partial
-        bucket to the window (or series) extent instead of the full
-        bucket width.
-        """
-        if bucket <= 0:
-            raise ValueError("bucket width must be positive")
-        if not self.times:
-            return []
-        lo = self.times[0] if start is None else start
-        buckets: Dict[int, List[float]] = {}
-        for t, v in zip(self.times, self.values):
-            if t < lo or (end is not None and t >= end):
-                continue
-            buckets.setdefault(int((t - lo) // bucket), []).append(v)
-        # The window extent caps the last bucket's width for ``rate``;
-        # with no explicit end the series' own last sample bounds it.
-        extent = (end if end is not None else self.times[-1]) - lo
-        result = []
-        for index in sorted(buckets):
-            samples = buckets[index]
-            mid = lo + (index + 0.5) * bucket
-            if agg == "mean":
-                value = sum(samples) / len(samples)
-            elif agg == "sum":
-                value = sum(samples)
-            elif agg == "max":
-                value = max(samples)
-            elif agg == "min":
-                value = min(samples)
-            elif agg == "count":
-                value = float(len(samples))
-            elif agg == "rate":
-                width = min(bucket, extent - index * bucket)
-                if width <= 0:
-                    # A lone sample exactly on the series' final
-                    # boundary: no covered span, use the full bucket.
-                    width = bucket
-                value = len(samples) / width
-            else:
-                raise ValueError(f"unknown aggregation {agg!r}")
-            result.append((mid, value))
-        return result
-

@@ -1,21 +1,18 @@
-"""Seeded distribution helpers used across the workload models.
+"""Seeded randomness helpers shared by the models.
 
-Everything draws from a :class:`random.Random` owned by the simulator so
-that experiments are reproducible end to end.
+Everything draws from a :class:`random.Random` owned by the simulator,
+or from a stream derived from its seed, so that experiments are
+reproducible end to end. Models draw exponential and uniform samples
+inline with ``rng.expovariate`` and ``rng.uniform``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable
 
 __all__ = [
-    "exponential",
     "lognormal_from_median",
-    "pareto_bounded",
-    "jittered",
-    "make_sampler",
     "derived_stream",
 ]
 
@@ -33,13 +30,6 @@ def derived_stream(seed, label: str) -> random.Random:
     return random.Random(f"{label}:{seed!r}")
 
 
-def exponential(rng: random.Random, mean: float) -> float:
-    """Exponential sample with the given mean (inter-arrival times)."""
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    return rng.expovariate(1.0 / mean)
-
-
 def lognormal_from_median(rng: random.Random, median: float,
                           sigma: float) -> float:
     """Lognormal sample parameterized by its median.
@@ -50,44 +40,3 @@ def lognormal_from_median(rng: random.Random, median: float,
     if median <= 0:
         raise ValueError(f"median must be positive, got {median}")
     return rng.lognormvariate(math.log(median), sigma)
-
-
-def pareto_bounded(rng: random.Random, alpha: float, minimum: float,
-                   maximum: float) -> float:
-    """Bounded Pareto sample (heavy-tailed sizes like response bodies)."""
-    if not 0 < minimum < maximum:
-        raise ValueError("need 0 < minimum < maximum")
-    u = rng.random()
-    ha = maximum ** alpha
-    la = minimum ** alpha
-    return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
-
-def jittered(rng: random.Random, value: float, fraction: float) -> float:
-    """``value`` perturbed uniformly by ±``fraction`` of itself."""
-    if fraction < 0:
-        raise ValueError("jitter fraction must be non-negative")
-    return value * (1.0 + rng.uniform(-fraction, fraction))
-
-
-def make_sampler(rng: random.Random, spec: dict) -> Callable[[], float]:
-    """Build a no-argument sampler from a distribution spec dict.
-
-    Supported kinds: ``constant`` (value), ``exponential`` (mean),
-    ``lognormal`` (median, sigma), ``uniform`` (low, high).
-    """
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        value = float(spec["value"])
-        return lambda: value
-    if kind == "exponential":
-        mean = float(spec["mean"])
-        return lambda: exponential(rng, mean)
-    if kind == "lognormal":
-        median = float(spec["median"])
-        sigma = float(spec.get("sigma", 0.5))
-        return lambda: lognormal_from_median(rng, median, sigma)
-    if kind == "uniform":
-        low, high = float(spec["low"]), float(spec["high"])
-        return lambda: rng.uniform(low, high)
-    raise ValueError(f"unknown distribution kind {kind!r}")

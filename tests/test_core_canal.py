@@ -6,6 +6,7 @@ from repro.core.canal import OFFLOAD_LOCAL, OFFLOAD_NONE, OFFLOAD_REMOTE
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
 from repro.mesh.policy import AuthorizationPolicy
+from repro.obs import Telemetry, use_telemetry
 
 
 def run_one_request(run, service="svc1", request=None):
@@ -63,12 +64,12 @@ class TestCanalDataplane:
     def test_observability_flow_records_per_pod(self):
         """Functional equivalence: L4 observability with per-pod labels
         survives the move off the node (§4.1.1, Appendix A)."""
-        run = build_testbed("canal")
-        connection, _resp = run_one_request(run)
-        client_proxy = run.mesh.onnode[run.client_pod.node_name]
-        report = client_proxy.pod_traffic_report()
-        assert run.client_pod.name in report
-        assert report[run.client_pod.name] > 0
+        with use_telemetry(Telemetry(enabled=True)) as telemetry:
+            run = build_testbed("canal")
+            run_one_request(run)
+        assert telemetry.value("onnode_bytes_total",
+                               node=run.client_pod.node_name,
+                               pod=run.client_pod.name) > 0
 
     def test_authorization_enforced_at_gateway(self):
         run = build_testbed("canal")

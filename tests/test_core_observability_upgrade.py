@@ -6,6 +6,7 @@ from repro.core import RollingUpgrade, Span, TraceCollector
 from repro.experiments.cloud_ops import build_production_gateway
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
+from repro.obs import Telemetry, use_telemetry
 from repro.simcore import Simulator
 
 
@@ -37,13 +38,6 @@ class TestTraceCollector:
     def test_unknown_trace_raises(self):
         with pytest.raises(KeyError):
             TraceCollector().trace(99)
-
-    def test_pod_bytes_accumulate(self):
-        collector = TraceCollector()
-        collector.record(self._span(pod="p1", bytes_out=100, bytes_in=50))
-        collector.record(self._span(trace_id=2, pod="p1", bytes_out=10,
-                                    bytes_in=0))
-        assert collector.pod_traffic_report() == {"p1": 160}
 
     def test_critical_path_gap(self):
         collector = TraceCollector()
@@ -120,20 +114,22 @@ class TestCanalTracing:
         assert trace.critical_path_gap_s() < trace.duration_s
 
     def test_per_pod_metrics_from_spans(self):
-        collector = TraceCollector()
-        run = build_testbed("canal", mesh_kwargs={"tracing": collector})
+        with use_telemetry(Telemetry(enabled=True)) as telemetry:
+            run = build_testbed("canal",
+                                mesh_kwargs={"tracing": TraceCollector()})
 
-        def scenario():
-            connection = yield run.sim.process(
-                run.mesh.open_connection(run.client_pod, "svc1"))
-            for _ in range(3):
-                yield run.sim.process(
-                    run.mesh.request(connection, HttpRequest()))
+            def scenario():
+                connection = yield run.sim.process(
+                    run.mesh.open_connection(run.client_pod, "svc1"))
+                for _ in range(3):
+                    yield run.sim.process(
+                        run.mesh.request(connection, HttpRequest()))
 
-        run.sim.process(scenario())
-        run.sim.run()
-        report = collector.pod_traffic_report()
-        assert report[run.client_pod.name] == 3 * (128 + 1024)
+            run.sim.process(scenario())
+            run.sim.run()
+        assert telemetry.value("onnode_bytes_total",
+                               node=run.client_pod.node_name,
+                               pod=run.client_pod.name) == 3 * (128 + 1024)
 
     def test_tracing_off_by_default(self):
         run = build_testbed("canal")

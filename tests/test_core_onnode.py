@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import OnNodeProxy
 from repro.mesh import DEFAULT_COSTS
+from repro.obs import Telemetry, use_telemetry
 from repro.simcore import Simulator
 
 
@@ -46,20 +47,21 @@ class TestDataPath:
 
 class TestObservability:
     def test_flow_records_labeled_per_pod(self, sim, proxy):
-        sim.process(proxy.process_message("pod-1", "svc-a", 100, 900))
-        sim.process(proxy.process_message("pod-2", "svc-b", 50, 50))
-        sim.run()
-        assert len(proxy.flow_records) == 2
-        report = proxy.pod_traffic_report()
-        assert report["pod-1"] == 1000
-        assert report["pod-2"] == 100
+        with use_telemetry(Telemetry(enabled=True)) as telemetry:
+            sim.process(proxy.process_message("pod-1", "svc-a", 100, 900))
+            sim.process(proxy.process_message("pod-2", "svc-b", 50, 50))
+            sim.run()
+        assert telemetry.value("onnode_bytes_total",
+                               node="worker1", pod="pod-1") == 1000
+        assert telemetry.value("onnode_bytes_total",
+                               node="worker1", pod="pod-2") == 100
 
-    def test_records_carry_service_and_time(self, sim, proxy):
-        sim.process(proxy.process_message("pod-1", "svc-a", 10, 10))
-        sim.run()
-        record = proxy.flow_records[0]
-        assert record.service == "svc-a"
-        assert record.time >= 0.0
+    def test_messages_counted_per_service(self, sim, proxy):
+        with use_telemetry(Telemetry(enabled=True)) as telemetry:
+            sim.process(proxy.process_message("pod-1", "svc-a", 10, 10))
+            sim.run()
+        assert telemetry.value("onnode_messages_total",
+                               node="worker1", service="svc-a") == 1
 
 
 class TestHandshakeWork:

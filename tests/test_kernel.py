@@ -6,7 +6,6 @@ from repro.kernel import (
     EbpfRedirect,
     IptablesRedirect,
     KernelCosts,
-    NagleBuffer,
     NagleConfig,
     PathCost,
     batch_factor,
@@ -55,30 +54,18 @@ class TestBatchFactor:
             batch_factor(16, -1.0, self.config)
 
 
-class TestNagleBuffer:
-    def test_flush_on_mss(self):
-        buffer = NagleBuffer(NagleConfig(mss_bytes=100))
-        assert not buffer.offer(60)
-        assert buffer.offer(60)  # 120 >= 100 → flush-worthy
-        assert buffer.flush() == [60, 60]
+class TestNagleConfig:
+    def test_zero_mss_rejected_by_name(self):
+        with pytest.raises(ValueError, match="mss_bytes"):
+            NagleConfig(mss_bytes=0)
 
-    def test_average_batch(self):
-        buffer = NagleBuffer(NagleConfig(mss_bytes=100))
-        buffer.offer(10)
-        buffer.offer(10)
-        buffer.flush()
-        buffer.offer(10)
-        buffer.flush()
-        assert buffer.average_batch == pytest.approx(1.5)
+    def test_negative_flush_delay_rejected_by_name(self):
+        with pytest.raises(ValueError, match="flush_delay_s"):
+            NagleConfig(flush_delay_s=-1.0)
 
-    def test_empty_flush_not_counted(self):
-        buffer = NagleBuffer(NagleConfig())
-        assert buffer.flush() == []
-        assert buffer.flushes == 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            NagleBuffer(NagleConfig()).offer(-1)
+    def test_nan_flush_delay_rejected_by_name(self):
+        with pytest.raises(ValueError, match="flush_delay_s"):
+            NagleConfig(flush_delay_s=float("nan"))
 
 
 class TestRedirects:

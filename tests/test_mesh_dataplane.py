@@ -6,7 +6,6 @@ from repro.experiments.testbed import build_testbed
 from repro.k8s import ResourceRequest
 from repro.mesh import (
     AuthorizationPolicy,
-    ConnectionPool,
     HttpRequest,
     RouteRule,
     RouteTable,
@@ -174,23 +173,3 @@ class TestNoMeshBaseline:
         istio = build_testbed("istio")
         _c, istio_resp = run_one_request(istio)
         assert base_resp.latency_s < istio_resp.latency_s
-
-
-class TestConnectionPool:
-    def test_hit_and_miss_accounting(self):
-        pool = ConnectionPool()
-        assert pool.get("c", "svc") is None
-        assert pool.misses == 1
-        from repro.mesh import Connection
-        pool.put(Connection("c", "svc", "pod-1", established_at=0.0))
-        assert pool.get("c", "svc") is not None
-        assert pool.hits == 1
-
-    def test_invalidate_server_drops_pinned(self):
-        from repro.mesh import Connection
-        pool = ConnectionPool()
-        pool.put(Connection("a", "svc", "pod-1", 0.0))
-        pool.put(Connection("b", "svc", "pod-2", 0.0))
-        dropped = pool.invalidate_server("pod-1")
-        assert dropped == 1
-        assert len(pool) == 1

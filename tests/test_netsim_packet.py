@@ -1,15 +1,8 @@
-"""Tests for packets, five-tuples, and VXLAN encapsulation."""
+"""Tests for flow five-tuples and their hash."""
 
 import pytest
 
-from repro.netsim import (
-    FiveTuple,
-    Packet,
-    TCP,
-    UDP,
-    VXLAN_OVERHEAD_BYTES,
-    VxlanHeader,
-)
+from repro.netsim import FiveTuple
 
 
 def make_flow(sport=12345):
@@ -20,13 +13,6 @@ class TestFiveTuple:
     def test_port_range_validated(self):
         with pytest.raises(ValueError):
             FiveTuple("1.1.1.1", 70000, "2.2.2.2", 80)
-
-    def test_reversed_swaps_endpoints(self):
-        flow = make_flow()
-        back = flow.reversed()
-        assert back.src_ip == flow.dst_ip
-        assert back.dst_port == flow.src_port
-        assert back.protocol == flow.protocol
 
     def test_hash_deterministic(self):
         assert make_flow().flow_hash() == make_flow().flow_hash()
@@ -41,62 +27,3 @@ class TestFiveTuple:
     def test_hashable_as_dict_key(self):
         mapping = {make_flow(): "value"}
         assert mapping[make_flow()] == "value"
-
-
-class TestVxlanHeader:
-    def test_vni_range(self):
-        with pytest.raises(ValueError):
-            VxlanHeader(vni=1 << 24, outer_src_ip="1.1.1.1",
-                        outer_dst_ip="2.2.2.2")
-
-    def test_valid(self):
-        header = VxlanHeader(vni=100, outer_src_ip="1.1.1.1",
-                             outer_dst_ip="2.2.2.2", outer_src_port=40001)
-        assert header.outer_src_port == 40001
-
-
-class TestPacket:
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(make_flow(), size_bytes=-1)
-
-    def test_wire_size_plain(self):
-        packet = Packet(make_flow(), size_bytes=100)
-        assert packet.wire_size == 100
-
-    def test_encapsulation_adds_overhead(self):
-        packet = Packet(make_flow(), size_bytes=100)
-        header = VxlanHeader(100, "1.1.1.1", "2.2.2.2")
-        wrapped = packet.encapsulate(header)
-        assert wrapped.wire_size == 100 + VXLAN_OVERHEAD_BYTES
-        assert packet.vxlan is None  # original untouched
-
-    def test_double_encapsulation_rejected(self):
-        packet = Packet(make_flow(), size_bytes=100).encapsulate(
-            VxlanHeader(100, "1.1.1.1", "2.2.2.2"))
-        with pytest.raises(ValueError):
-            packet.encapsulate(VxlanHeader(101, "3.3.3.3", "4.4.4.4"))
-
-    def test_decapsulate_roundtrip(self):
-        packet = Packet(make_flow(), size_bytes=100)
-        wrapped = packet.encapsulate(VxlanHeader(100, "1.1.1.1", "2.2.2.2"))
-        inner = wrapped.decapsulate()
-        assert inner.vxlan is None
-        assert inner.five_tuple == packet.five_tuple
-
-    def test_decapsulate_plain_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(make_flow(), size_bytes=1).decapsulate()
-
-    def test_outer_five_tuple_is_tunnel(self):
-        packet = Packet(make_flow(), size_bytes=100).encapsulate(
-            VxlanHeader(100, "9.9.9.1", "9.9.9.2", outer_src_port=40005))
-        outer = packet.outer_five_tuple()
-        assert outer.src_ip == "9.9.9.1"
-        assert outer.dst_port == 4789
-        assert outer.protocol == UDP
-
-    def test_outer_five_tuple_plain_is_inner(self):
-        packet = Packet(make_flow(), size_bytes=100)
-        assert packet.outer_five_tuple() == packet.five_tuple
-        assert packet.five_tuple.protocol == TCP

@@ -115,14 +115,23 @@ class TestCausalModel:
 class TestCollectorMigration:
     """The aggregates of the old flat-span collector must survive."""
 
-    def test_pod_traffic_report_survives_eviction(self):
+    def test_eviction_keeps_newest_traces(self):
         collector = TraceCollector(max_traces=2)
         for trace_id in (1, 2, 3):
-            collector.record(_span(trace_id=trace_id, pod="p1",
-                                   bytes_out=10, bytes_in=5))
+            collector.record(_span(trace_id=trace_id))
         assert collector.traces_evicted == 1
-        assert len(collector.traces()) == 2
-        assert collector.pod_traffic_report() == {"p1": 45}
+        assert [trace.trace_id for trace in collector.traces()] == [2, 3]
+
+    @pytest.mark.parametrize("max_traces", [0, -1])
+    def test_non_positive_max_traces_rejected_by_name(self, max_traces):
+        with pytest.raises(ValueError, match="max_traces"):
+            TraceCollector(max_traces=max_traces)
+
+    def test_unbounded_keeps_every_trace(self):
+        collector = TraceCollector(max_traces=None)
+        for trace_id in (1, 2, 3):
+            collector.record(_span(trace_id=trace_id))
+        assert len(collector.traces()) == 3
 
     def test_coverage_report_folds_evicted(self):
         collector = TraceCollector(max_traces=1)

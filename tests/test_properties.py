@@ -42,10 +42,6 @@ class TestFlowHashProperties:
     def test_hash_stable(self, flow):
         assert flow.flow_hash(7) == flow.flow_hash(7)
 
-    @given(five_tuples())
-    def test_reversal_is_involution(self, flow):
-        assert flow.reversed().reversed() == flow
-
     @given(five_tuples(), st.integers(min_value=1, max_value=16))
     def test_ecmp_selection_in_range(self, flow, hops):
         router = EcmpRouter(list(range(hops)))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Simulator,
@@ -278,22 +277,6 @@ class TestConditions:
         sim.run()
         assert process.value == "failed"
 
-    def test_any_of_returns_first(self, sim):
-        slow = sim.timeout(10.0, value="slow")
-        fast = sim.timeout(1.0, value="fast")
-
-        def waiter():
-            winner, value = yield AnyOf(sim, [slow, fast])
-            return value
-
-        process = sim.process(waiter())
-        sim.run()
-        assert process.value == "fast"
-
-    def test_any_of_requires_events(self, sim):
-        with pytest.raises(ValueError):
-            AnyOf(sim, [])
-
 
 class TestWaitTargetBookkeeping:
     """The lazy O(1) stale-wakeup path: abandoned wait targets still
@@ -318,22 +301,27 @@ class TestWaitTargetBookkeeping:
         assert causes == ["first", "second"]
         assert process.value == "done"
 
-    def test_anyof_loser_wakeup_is_stale(self, sim):
+    def test_abandoned_timeout_wakeup_is_stale(self, sim):
         trace = []
 
-        def racer():
-            winner, value = yield AnyOf(
-                sim, [sim.timeout(1.0, value="fast"),
-                      sim.timeout(5.0, value="slow")])
-            trace.append(("won", value, sim.now))
+        def sleeper():
+            try:
+                yield sim.timeout(5.0)
+            except Interrupt:
+                trace.append(("interrupted", sim.now))
             yield sim.timeout(10.0)
             trace.append(("slept", sim.now))
 
-        sim.process(racer())
+        def interrupter(target):
+            yield sim.timeout(1.0)
+            target.interrupt()
+
+        process = sim.process(sleeper())
+        sim.process(interrupter(process))
         sim.run()
-        # The losing 5.0 timeout fires at t=5 while the racer waits on
-        # the 10.0 sleep; a non-stale delivery would cut the sleep short.
-        assert trace == [("won", "fast", 1.0), ("slept", 11.0)]
+        # The abandoned 5.0 timeout fires at t=5 while the sleeper waits
+        # on the 10.0 sleep; a non-stale delivery would cut it short.
+        assert trace == [("interrupted", 1.0), ("slept", 11.0)]
 
     def test_interrupt_after_wait_target_triggered(self, sim):
         """Interrupt lands between the wait target triggering and its

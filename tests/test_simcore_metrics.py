@@ -73,124 +73,19 @@ class TestSummary:
 
 
 class TestTimeSeries:
-    def test_record_and_window(self):
+    def test_record_appends_in_order(self):
         series = TimeSeries()
         for t in range(5):
             series.record(float(t), t * 10.0)
-        assert series.window(1.0, 3.0) == [(1.0, 10.0), (2.0, 20.0)]
+        assert len(series) == 5
+        assert series.times[1:3] == [1.0, 2.0]
+        assert series.values[1:3] == [10.0, 20.0]
 
     def test_out_of_order_rejected(self):
         series = TimeSeries()
         series.record(1.0, 0.0)
         with pytest.raises(ValueError):
             series.record(0.5, 0.0)
-
-    def test_last(self):
-        series = TimeSeries()
-        series.record(1.0, 5.0)
-        series.record(2.0, 6.0)
-        assert series.last() == (2.0, 6.0)
-
-    def test_empty_last_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
-    def test_bucketed_mean(self):
-        series = TimeSeries()
-        for t, v in [(0.0, 1.0), (0.5, 3.0), (1.0, 10.0)]:
-            series.record(t, v)
-        buckets = series.bucketed(1.0, agg="mean")
-        assert buckets[0][1] == pytest.approx(2.0)
-        assert buckets[1][1] == pytest.approx(10.0)
-
-    def test_bucketed_rate(self):
-        series = TimeSeries()
-        for t in (0.0, 0.1, 0.2, 1.5):
-            series.record(t, 1.0)
-        buckets = series.bucketed(1.0, agg="rate")
-        assert buckets[0][1] == pytest.approx(3.0)
-        # The final bucket only covers [1.0, 1.5]: one event over half a
-        # second is 2/s, not 1/s (the old full-width division).
-        assert buckets[1][1] == pytest.approx(2.0)
-
-    def test_bucketed_rate_clamps_partial_bucket_with_end(self):
-        series = TimeSeries()
-        for t in (0.0, 0.5, 1.0, 1.1):
-            series.record(t, 1.0)
-        buckets = series.bucketed(1.0, agg="rate", start=0.0, end=1.25)
-        assert buckets[0][1] == pytest.approx(2.0)
-        # Bucket 1 covers [1.0, 1.25): 2 events / 0.25 s.
-        assert buckets[1][1] == pytest.approx(8.0)
-
-    def test_bucketed_rate_sample_on_final_boundary(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(1.0, 1.0)
-        buckets = series.bucketed(1.0, agg="rate")
-        # The boundary sample lands in a zero-extent final bucket; the
-        # rate falls back to the full bucket width instead of dividing
-        # by zero.
-        assert buckets[1][1] == pytest.approx(1.0)
-
-    def test_bucketed_unknown_agg(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.bucketed(1.0, agg="wat")
-
-    def test_bucketed_empty(self):
-        assert TimeSeries().bucketed(1.0) == []
-
-    def test_bucketed_sum_max_min_count(self):
-        series = TimeSeries()
-        for t, v in [(0.0, 1.0), (0.5, 3.0), (1.2, -2.0), (1.8, 7.0)]:
-            series.record(t, v)
-        assert series.bucketed(1.0, agg="sum")[0][1] == pytest.approx(4.0)
-        assert series.bucketed(1.0, agg="max")[1][1] == pytest.approx(7.0)
-        assert series.bucketed(1.0, agg="min")[1][1] == pytest.approx(-2.0)
-        assert series.bucketed(1.0, agg="count")[0][1] == pytest.approx(2.0)
-
-    def test_bucketed_respects_start_end_window(self):
-        series = TimeSeries()
-        for t in range(5):
-            series.record(float(t), 1.0)
-        buckets = series.bucketed(1.0, agg="count", start=1.0, end=3.0)
-        # end is exclusive (same right-open convention as window()):
-        # only the samples at t=1.0 and t=2.0 count.
-        assert sum(count for _, count in buckets) == 2
-
-    def test_bucketed_adjacent_windows_never_double_count(self):
-        series = TimeSeries()
-        for t in range(5):
-            series.record(float(t), 1.0)
-        first = series.bucketed(1.0, agg="count", start=0.0, end=2.0)
-        second = series.bucketed(1.0, agg="count", start=2.0, end=4.0)
-        # The sample at t=2.0 belongs to exactly one of the two calls.
-        total = sum(c for _, c in first) + sum(c for _, c in second)
-        assert total == 4
-
-    def test_bucketed_default_end_includes_last_sample(self):
-        series = TimeSeries()
-        for t in (0.0, 1.0, 2.0):
-            series.record(t, 1.0)
-        buckets = series.bucketed(1.0, agg="count")
-        assert sum(count for _, count in buckets) == 3
-
-    def test_bucketed_midpoints(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(2.5, 1.0)
-        buckets = series.bucketed(1.0, agg="count")
-        assert buckets[0][0] == pytest.approx(0.5)
-        assert buckets[1][0] == pytest.approx(2.5)
-
-    def test_bucketed_nonpositive_width_raises(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.bucketed(0.0)
-        with pytest.raises(ValueError):
-            series.bucketed(-1.0)
 
 
 class TestSummaryEdgeCases:

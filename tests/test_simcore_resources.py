@@ -1,8 +1,8 @@
-"""Tests for resources: semaphores, CPU accounting, stores."""
+"""Tests for resources: semaphores and CPU accounting."""
 
 import pytest
 
-from repro.simcore import CpuResource, Interrupt, Resource, Simulator, Store
+from repro.simcore import CpuResource, Interrupt, Resource, Simulator
 
 
 @pytest.fixture
@@ -60,16 +60,6 @@ class TestResource:
         assert resource.in_use == 0
         assert resource.queue_length == 0
 
-    def test_resize_grants_waiters(self, sim):
-        resource = Resource(sim, capacity=1)
-        resource.request()
-        waiting = resource.request()
-        sim.run()
-        assert not waiting.triggered
-        resource.resize(2)
-        sim.run()
-        assert waiting.processed
-
 
 class TestCpuResource:
     def test_busy_time_single_job(self, sim):
@@ -103,30 +93,33 @@ class TestCpuResource:
         for _ in range(4):
             sim.process(cpu.execute(1.0))
         sim.run()
-        assert cpu.utilization() == pytest.approx(1.0)
+        assert sim.now == pytest.approx(2.0)
+        assert cpu.busy_time() / (sim.now * 2) == pytest.approx(1.0)
 
     def test_utilization_partial(self, sim):
         cpu = CpuResource(sim, cores=1)
         sim.process(cpu.execute(1.0))
         sim.run(until=4.0)
-        assert cpu.utilization() == pytest.approx(0.25)
+        assert cpu.busy_time() / sim.now == pytest.approx(0.25)
 
     def test_utilization_between_marks(self, sim):
         cpu = CpuResource(sim, cores=1)
+        marks = []
 
         def scenario():
-            cpu.mark()
+            marks.append((sim.now, cpu.busy_time()))
             yield from cpu.execute(1.0)
             yield sim.timeout(1.0)
-            cpu.mark()
+            marks.append((sim.now, cpu.busy_time()))
             yield from cpu.execute(2.0)
-            cpu.mark()
+            marks.append((sim.now, cpu.busy_time()))
 
         sim.process(scenario())
         sim.run()
-        windows = cpu.utilization_between_marks()
-        assert windows[0][1] == pytest.approx(0.5)   # busy 1 of 2 s
-        assert windows[1][1] == pytest.approx(1.0)   # busy 2 of 2 s
+        windows = [(b1 - b0) / (t1 - t0)
+                   for (t0, b0), (t1, b1) in zip(marks, marks[1:])]
+        assert windows[0] == pytest.approx(0.5)   # busy 1 of 2 s
+        assert windows[1] == pytest.approx(1.0)   # busy 2 of 2 s
 
     def test_negative_work_rejected(self, sim):
         cpu = CpuResource(sim, cores=1)
@@ -204,45 +197,3 @@ class TestCpuResource:
         start = 1.0 if queued else 0.0
         assert job.processed
         assert cpu.busy_time() == pytest.approx(start + 2.0)
-        assert cpu.utilization() == pytest.approx((start + 2.0) / 4.0)
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        claim = store.get()
-        sim.run()
-        assert claim.value == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        results = []
-
-        def consumer():
-            value = yield store.get()
-            results.append((sim.now, value))
-
-        def producer():
-            yield sim.timeout(2.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert results == [(2.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        first = store.get()
-        second = store.get()
-        sim.run()
-        assert (first.value, second.value) == (1, 2)
-
-    def test_len_reflects_contents(self, sim):
-        store = Store(sim)
-        assert len(store) == 0
-        store.put("x")
-        assert len(store) == 1

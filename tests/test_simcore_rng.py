@@ -1,36 +1,15 @@
-"""Tests for the seeded distribution helpers."""
+"""Tests for the seeded randomness helpers."""
 
 import random
 
 import pytest
 
-from repro.simcore.rng import (
-    exponential,
-    jittered,
-    lognormal_from_median,
-    make_sampler,
-    pareto_bounded,
-)
+from repro.simcore.rng import lognormal_from_median
 
 
 @pytest.fixture
 def rng():
     return random.Random(42)
-
-
-class TestExponential:
-    def test_mean_converges(self, rng):
-        samples = [exponential(rng, 2.0) for _ in range(20_000)]
-        assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.05)
-
-    def test_positive_mean_required(self, rng):
-        with pytest.raises(ValueError):
-            exponential(rng, 0.0)
-
-    def test_deterministic_given_seed(self):
-        a = [exponential(random.Random(7), 1.0) for _ in range(5)]
-        b = [exponential(random.Random(7), 1.0) for _ in range(5)]
-        assert a == b
 
 
 class TestLognormal:
@@ -43,50 +22,3 @@ class TestLognormal:
     def test_positive_median_required(self, rng):
         with pytest.raises(ValueError):
             lognormal_from_median(rng, -1.0, 0.5)
-
-
-class TestParetoBounded:
-    def test_within_bounds(self, rng):
-        for _ in range(1000):
-            value = pareto_bounded(rng, alpha=1.2, minimum=100, maximum=10_000)
-            assert 100 <= value <= 10_000
-
-    def test_bounds_validated(self, rng):
-        with pytest.raises(ValueError):
-            pareto_bounded(rng, 1.2, minimum=10, maximum=5)
-
-
-class TestJittered:
-    def test_within_fraction(self, rng):
-        for _ in range(100):
-            value = jittered(rng, 100.0, 0.1)
-            assert 90.0 <= value <= 110.0
-
-    def test_zero_fraction_identity(self, rng):
-        assert jittered(rng, 5.0, 0.0) == 5.0
-
-    def test_negative_fraction_rejected(self, rng):
-        with pytest.raises(ValueError):
-            jittered(rng, 1.0, -0.1)
-
-
-class TestMakeSampler:
-    def test_constant(self, rng):
-        sampler = make_sampler(rng, {"kind": "constant", "value": 3})
-        assert sampler() == 3.0
-
-    def test_uniform_bounds(self, rng):
-        sampler = make_sampler(rng, {"kind": "uniform", "low": 1, "high": 2})
-        assert all(1.0 <= sampler() <= 2.0 for _ in range(100))
-
-    def test_exponential_kind(self, rng):
-        sampler = make_sampler(rng, {"kind": "exponential", "mean": 1.0})
-        assert sampler() > 0
-
-    def test_lognormal_kind(self, rng):
-        sampler = make_sampler(rng, {"kind": "lognormal", "median": 1.0})
-        assert sampler() > 0
-
-    def test_unknown_kind_rejected(self, rng):
-        with pytest.raises(ValueError):
-            make_sampler(rng, {"kind": "zipf"})
