@@ -16,7 +16,7 @@ from repro.experiments.testbed import build_testbed
 from repro.k8s import Cluster
 from repro.mesh import HttpRequest
 from repro.netsim import Topology
-from repro.obs.trace import TraceCollector
+from repro.obs.trace import TraceCollector, Tracer, use_tracer
 from repro.simcore import Simulator
 from repro.workloads import ClosedLoopDriver
 
@@ -65,15 +65,16 @@ def main() -> None:
 
     print("\n--- the trade-off: observability coverage ---")
     collector = TraceCollector()
-    full = build_testbed("canal", mesh_kwargs={"tracing": collector})
+    full = build_testbed("canal")
 
     def one_traced():
         connection = yield from full.mesh.open_connection(
             full.client_pod, "svc1")
         yield from full.mesh.request(connection, HttpRequest())
 
-    full.sim.process(one_traced())
-    full.sim.run()
+    with use_tracer(Tracer(collector=collector)):
+        full.sim.process(one_traced())
+        full.sim.run()
     trace = collector.traces()[0]
     print(f"  full Canal trace layers: {trace.layers()} → coverage "
           f"{trace.coverage!r}")

@@ -23,7 +23,7 @@ from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
 from ..mesh.http import HttpRequest, HttpResponse
 from ..mesh.proxy import Connection, ProxyTier
 from ..netsim import FiveTuple, ResolutionError
-from ..obs.trace import TraceCollector, Tracer, get_tracer
+from ..obs.trace import get_tracer
 from ..resilience import CircuitOpenError
 from ..simcore import Simulator
 from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
@@ -51,9 +51,7 @@ class CanalMesh(ServiceMesh):
                  onnode_cores_per_node: int = 1,
                  gateway_az: str = "az1",
                  crypto_offload: str = OFFLOAD_REMOTE,
-                 software_new_cpu: bool = True,
-                 mtls_enabled: bool = True,
-                 tracing: Optional[TraceCollector] = None):
+                 software_new_cpu: bool = True):
         super().__init__(sim, costs)
         if crypto_offload not in (OFFLOAD_REMOTE, OFFLOAD_LOCAL,
                                   OFFLOAD_NONE):
@@ -63,26 +61,12 @@ class CanalMesh(ServiceMesh):
         self.software_new_cpu = software_new_cpu
         self.gateway_az = gateway_az
         self.crypto_offload = crypto_offload
-        self.mtls_enabled = mtls_enabled
         self.onnode_cores_per_node = onnode_cores_per_node
         self.gateway = gateway or self._testbed_gateway()
         self.key_fleet = key_fleet or KeyServerFleet(sim, costs.crypto)
         if (crypto_offload == OFFLOAD_REMOTE
                 and self.key_fleet.server_in(gateway_az) is None):
             self.key_fleet.deploy(gateway_az)
-        #: Optional end-to-end trace collection (repro.obs.trace): a
-        #: TraceCollector (every request traced into it) or a Tracer
-        #: (sampling applies). Without either, the *ambient* tracer —
-        #: installed by runs via repro.obs.use_tracer() — is consulted
-        #: per request; the common disabled case costs one None check.
-        self.tracing: Optional[TraceCollector] = None
-        self._tracer: Optional[Tracer] = None
-        if isinstance(tracing, Tracer):
-            self._tracer = tracing
-            self.tracing = tracing.collector
-        elif tracing is not None:
-            self.tracing = tracing
-            self._tracer = Tracer(collector=tracing, sample_rate=1.0)
         self.onnode: Dict[str, OnNodeProxy] = {}
         self._services: Dict[str, TenantService] = {}
         self._server_channels: Set[str] = set()
@@ -186,28 +170,19 @@ class CanalMesh(ServiceMesh):
             raise MeshError(f"pod {pod.name} is on an unmanaged node")
         return proxy
 
-    def _trace_source(self) -> Optional[Tracer]:
-        """The explicit per-mesh tracer, else the ambient one (if any)."""
-        if self._tracer is not None:
-            return self._tracer
-        return get_tracer()
-
     def open_connection(self, client_pod: Pod, service: str):
         """Establish the on-node↔gateway mTLS channel for this client."""
         tenant_service = self.tenant_service(service)
         server_pod = self.pick_endpoint(service)
         client_proxy = self._proxy_for(client_pod)
         server_proxy = self._proxy_for(server_pod)
-        tracer = self._trace_source()
-        trace_sink = [] if tracer is not None else None
-        if self.mtls_enabled:
-            yield from self._handshake(client_proxy, trace_sink=trace_sink)
-            # The server node's channel to the gateway is long-lived:
-            # establish it the first time any connection lands there.
-            if server_proxy.node_name not in self._server_channels:
-                self._server_channels.add(server_proxy.node_name)
-                yield from self._handshake(server_proxy,
-                                           trace_sink=trace_sink)
+        trace_sink = [] if get_tracer() is not None else None
+        yield from self._handshake(client_proxy, trace_sink=trace_sink)
+        # The server node's channel to the gateway is long-lived:
+        # establish it the first time any connection lands there.
+        if server_proxy.node_name not in self._server_channels:
+            self._server_channels.add(server_proxy.node_name)
+            yield from self._handshake(server_proxy, trace_sink=trace_sink)
         self._port_counter += 1
         flow = FiveTuple(src_ip=client_pod.ip or "10.0.0.1",
                          src_port=self._port_counter,
@@ -258,7 +233,7 @@ class CanalMesh(ServiceMesh):
     def _start_trace(self, connection: Connection):
         """Begin one request trace (or ``None``), adopting any deferred
         TLS handshake spans from the connection's setup."""
-        tracer = self._trace_source()
+        tracer = get_tracer()
         if tracer is None:
             return None
         handle = tracer.start(
@@ -310,8 +285,7 @@ class CanalMesh(ServiceMesh):
         policies = self.gateway.resilience
         yield from client_proxy.process_message(
             client_pod.name, connection.service,
-            request.body_bytes, request.response_bytes,
-            mtls=self.mtls_enabled, trace=handle)
+            request.body_bytes, request.response_bytes, trace=handle)
         yield self.sim.timeout(hop)
         retry = policies.retry if policies is not None else None
         if retry is not None:
@@ -351,8 +325,7 @@ class CanalMesh(ServiceMesh):
         yield self.sim.timeout(hop)
         yield from server_proxy.process_message(
             server_pod.name, connection.service,
-            request.response_bytes, request.body_bytes,
-            mtls=self.mtls_enabled, trace=handle)
+            request.response_bytes, request.body_bytes, trace=handle)
         segment_start = self.sim.now
         yield self.sim.timeout(self.costs.app_service_time_s)
         if handle is not None:

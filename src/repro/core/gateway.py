@@ -51,16 +51,10 @@ class GatewayConfig:
     redirector_max_chain: int = 4
     #: Water-level safety threshold that trips backend alerts (§4.2).
     safety_threshold: float = 0.7
-    #: Session aggregation via tunneling (§4.4): when on, the SmartNIC
-    #: tracks at most tunnels_per_core × cores underlay sessions per
-    #: replica regardless of user flow count.
-    session_aggregation: bool = False
-    tunnels_per_core: int = 10
 
     def __post_init__(self):
         for name in ("replicas_per_backend", "backends_per_service_per_az",
-                     "azs_per_service", "buckets_per_service",
-                     "tunnels_per_core"):
+                     "azs_per_service", "buckets_per_service"):
             require_at_least(self, name, 1)
         # Beamer needs a chain of at least two replicas (BucketTable).
         require_at_least(self, "redirector_max_chain", 2)
@@ -395,8 +389,7 @@ class MeshGateway:
             annotations = dict(
                 replica=result.replica.name,
                 redirection_hops=result.redirection_hops,
-                new_flow=result.is_new_flow,
-                tunneled=self.config.session_aggregation)
+                new_flow=result.is_new_flow)
             if policies is not None:
                 annotations["breaker"] = policies.breaker_state(service_id)
             trace.add("gateway-l7", "l7", start, self.sim.now,
@@ -406,24 +399,19 @@ class MeshGateway:
         return result
 
     def _track_session(self, replica: Replica) -> None:
-        """Account the underlay session state of one new flow (§3.2/§4.4).
+        """Account the SmartNIC session entry of one new flow (§3.2).
 
-        Without tunneling, every user flow is a SmartNIC entry and the
-        table can fill while CPU idles. With tunneling, at most
-        tunnels_per_core × cores entries exist per replica.
+        Every user flow is one entry, so the table can fill while CPU
+        idles. The §4.4 fix, tunneling that caps entries per replica, is
+        modeled by :class:`~repro.core.session_aggregation.SessionAggregator`
+        and by :mod:`repro.core.economics`' ``tunneling`` switch.
         """
-        if self.config.session_aggregation:
-            cap = self.config.tunnels_per_core * replica.config.cores
-            if replica.sessions_used < cap:
-                replica.add_sessions(1)
-            return
         if not replica.add_sessions(1):
             get_telemetry().inc("gateway_session_exhaustion_total",
                                 replica=replica.name)
             raise NoBackendAvailable(
                 f"replica {replica.name}'s session table is exhausted "
-                f"({replica.config.session_capacity} entries) — scale "
-                f"out or enable session aggregation")
+                f"({replica.config.session_capacity} entries) — scale out")
 
     def close_flow(self, service_id: int, flow: FiveTuple) -> None:
         """Tear down one user flow's state (connection close)."""
@@ -434,8 +422,7 @@ class MeshGateway:
             if owner is None:
                 continue
             lb.close_flow(flow)
-            if not self.config.session_aggregation:
-                lb.replica(owner).remove_sessions(1)
+            lb.replica(owner).remove_sessions(1)
             return
 
     # -- monitoring views --------------------------------------------------------------

@@ -18,7 +18,6 @@ the remote gateway.
 
 from __future__ import annotations
 
-from ..kernel import EbpfRedirect
 from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
 from ..mesh.proxy import ProxyTier
 from ..obs.runtime import get_telemetry
@@ -31,35 +30,29 @@ class OnNodeProxy:
     """The lightweight per-node proxy of the Canal architecture."""
 
     def __init__(self, sim: Simulator, node_name: str, az: str,
-                 cores: int = 1, costs: MeshCostModel = DEFAULT_COSTS,
-                 nagle_enabled: bool = True):
+                 cores: int = 1, costs: MeshCostModel = DEFAULT_COSTS):
         self.sim = sim
         self.node_name = node_name
         self.az = az
         self.costs = costs
         self.tier = ProxyTier(sim, cores=cores, name=f"onnode@{node_name}")
-        self.redirect = EbpfRedirect(costs.kernel,
-                                     nagle_enabled=nagle_enabled)
         #: Asym engine installed by CanalMesh (remote/local/software).
         self.asym_engine = None
 
-    def data_path_cost_s(self, nbytes: int, mtls: bool = True) -> float:
+    def data_path_cost_s(self, nbytes: int) -> float:
         """CPU of moving one message through the on-node proxy."""
-        cost = (self.costs.ebpf_redirect_cpu_s()
-                + self.costs.canal_onnode_l4_s)
-        if mtls:
-            cost += self.costs.symmetric_cost(nbytes)
-        return cost
+        return (self.costs.ebpf_redirect_cpu_s()
+                + self.costs.canal_onnode_l4_s
+                + self.costs.symmetric_cost(nbytes))
 
     def process_message(self, pod: str, service: str, bytes_out: int,
-                        bytes_in: int, mtls: bool = True, trace=None,
-                        parent_id: int = 1):
+                        bytes_in: int, trace=None, parent_id: int = 1):
         """Process generator: redirect + L4 + crypto + observability.
 
         With a ``trace`` handle, the pass becomes an ``l4`` span under
         ``parent_id``, carrying the per-pod byte labels.
         """
-        cost = self.data_path_cost_s(bytes_out + bytes_in, mtls=mtls)
+        cost = self.data_path_cost_s(bytes_out + bytes_in)
         yield from self.tier.work(cost, trace=trace, parent_id=parent_id,
                                   name="onnode-l4", layer="l4", pod=pod,
                                   bytes_out=bytes_out, bytes_in=bytes_in)

@@ -7,11 +7,11 @@ removes it entirely:
 * **redirection** — with the user's permission, the cloud configures the
   tenant's DNS so service names resolve to the mesh gateway;
 * **authentication** — through per-container virtual network interfaces
-  (ENIs) whose embedded provenance the fabric verifies. Two issues the
-  paper calls out are modeled:每 ENI consumes node memory and an IP, so
-  the per-node interface limit is easily hit; and open-source CNIs don't
-  guarantee only the attached container uses the interface, so the
-  protection mechanism is explicit here;
+  (ENIs) whose embedded provenance the fabric verifies. Each ENI
+  consumes node memory and an IP, so the per-node interface limit the
+  paper calls out is easily hit. Authentication is token equality: like
+  the open-source CNIs the paper mentions, nothing here guarantees that
+  only the attached container presents the interface's token;
 * **encryption** — semi-managed: either the user manages certificates
   (equivalent protection) or they trust the cloud and let the gateway
   terminate TLS;
@@ -56,20 +56,18 @@ class Eni:
 
 
 class EniRegistry:
-    """Per-node ENI allocation with the paper's two caveats modeled.
+    """Per-node ENI allocation.
 
     ``max_per_node`` is the interface limit "easily hit" as containers
-    grow; ``protected`` enables the attachment check that open-source
-    CNIs (Flannel/Calico) lack.
+    grow; each interface costs ``memory_mb_per_eni`` of node memory.
     """
 
     def __init__(self, max_per_node: int = 20,
-                 memory_mb_per_eni: int = 16, protected: bool = True):
+                 memory_mb_per_eni: int = 16):
         if max_per_node < 1:
             raise ValueError("need at least one ENI per node")
         self.max_per_node = max_per_node
         self.memory_mb_per_eni = memory_mb_per_eni
-        self.protected = protected
         self._by_pod: Dict[str, Eni] = {}
         self._per_node: Dict[str, int] = {}
         self._counter = 0
@@ -103,9 +101,9 @@ class EniRegistry:
     def authenticate(self, claimed_pod: str, presented_token: str) -> bool:
         """Verify traffic provenance via the interface's embedded token.
 
-        With ``protected=False`` (the Flannel/Calico situation), any
-        co-resident workload that learned the token passes — the check
-        degenerates to token equality with no attachment guarantee.
+        The check is token equality only: any co-resident workload that
+        learned the token passes, as with Flannel/Calico, which do not
+        guarantee that only the attached container uses the interface.
         """
         eni = self._by_pod.get(claimed_pod)
         if eni is None:
@@ -121,15 +119,11 @@ class ProxylessCanalMesh(ServiceMesh):
     def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
                  gateway: Optional[MeshGateway] = None,
                  gateway_az: str = "az1",
-                 eni_registry: Optional[EniRegistry] = None,
-                 #: Whether the tenant entrusts TLS to the gateway
-                 #: (fully managed) or manages certificates themselves.
-                 gateway_managed_tls: bool = True):
+                 eni_registry: Optional[EniRegistry] = None):
         super().__init__(sim, costs)
         self.gateway_az = gateway_az
         self.gateway = gateway or self._testbed_gateway()
         self.enis = eni_registry or EniRegistry()
-        self.gateway_managed_tls = gateway_managed_tls
         self._services: Dict[str, TenantService] = {}
         self._port_counter = 30000
         #: DNS names the cloud rewrote in the tenant's resolver.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .replica import Replica
+from .replica import Replica, require_at_least
 
 __all__ = ["SessionAggregator"]
 
@@ -31,9 +31,8 @@ class SessionAggregator:
     OUTER_SPORT_BASE = 40000
 
     def __init__(self, tunnels_per_core: int = 10):
-        if tunnels_per_core < 1:
-            raise ValueError("need at least one tunnel per core")
         self.tunnels_per_core = tunnels_per_core
+        require_at_least(self, "tunnels_per_core", 1)
 
     def tunnel_count(self, replica: Replica) -> int:
         return self.tunnels_per_core * replica.config.cores

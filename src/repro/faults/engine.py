@@ -12,20 +12,21 @@ independent of wall clock, worker count, or process interleaving.
 After every injection and recovery the engine appends a timeline entry
 (drained into run reports via :mod:`repro.faults.runtime`), bumps the
 ``faults_injected_total`` / ``faults_recovered_total`` telemetry
-counters, and — unless auditing was disabled — runs the
-:class:`~repro.faults.audit.InvariantAuditor` so a conservation bug
-surfaces at the exact step that introduced it.
+counters, and runs the :class:`~repro.faults.audit.InvariantAuditor`
+so a conservation bug surfaces at the exact step that introduced it.
 
 Wiring is by component: pass ``gateway`` and/or ``ca`` as the plan's
 fault kinds need them (``controlplane`` only adds its counters to the
-audit); :meth:`arm` rejects a plan that needs a component the engine
-was not given, or that sets a ``param`` (the DES cascade takes no
-magnitude), at arm time rather than mid-run.
+audit). :meth:`arm` checks every fault before it schedules any, so a
+plan it rejects schedules nothing. It rejects a plan that needs a
+component the engine was not given, sets a ``param`` (the DES cascade
+takes no magnitude), starts in the past, or names a target the gateway
+cannot resolve. Targets are resolved again when each fault fires.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.failure import FailureInjector
 from ..obs.runtime import get_telemetry
@@ -51,28 +52,24 @@ _REQUIRES = {
     "cert_rotation_failure": "ca",
 }
 
+#: Lifetime of the certificates a cert_rotation_failure recovery
+#: reissues: long enough to outlive any run.
+_REISSUE_TTL_S = 1e6
+
 
 class FaultEngine:
     """Executes fault plans against the wired components."""
 
     def __init__(self, sim: Simulator, gateway=None, controlplane=None,
-                 ca=None,
-                 auditor: Optional[InvariantAuditor] = None,
-                 audit: bool = True, reissue_ttl_s: float = 1e6):
+                 ca=None):
         self.sim = sim
         self.gateway = gateway
         self.controlplane = controlplane
         self.ca = ca
-        self.reissue_ttl_s = reissue_ttl_s
         self.injector = (FailureInjector(sim, gateway)
                          if gateway is not None else None)
-        if auditor is not None:
-            self.auditor = auditor
-        elif audit:
-            self.auditor = InvariantAuditor(gateway=gateway,
-                                            controlplane=controlplane)
-        else:
-            self.auditor = None
+        self.auditor = InvariantAuditor(gateway=gateway,
+                                        controlplane=controlplane)
         #: Chronological record of every injection/recovery, drained
         #: into run reports by ``repro.runtime.driver``.
         self.timeline: List[Dict[str, object]] = []
@@ -81,7 +78,7 @@ class FaultEngine:
 
     # -- arming --------------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
-        """Schedule every fault in ``plan``; returns how many."""
+        """Check every fault, then schedule them all; returns how many."""
         for fault in plan.faults:
             component = _REQUIRES[fault.kind]
             if getattr(self, component) is None:
@@ -92,12 +89,13 @@ class FaultEngine:
                 raise FaultPlanError(
                     f"{fault.kind}: the FaultEngine takes no param "
                     f"(got {fault.param})")
-        for fault in plan.faults:
-            delay = fault.at - self.sim.now
-            if delay < 0:
+            if fault.at < self.sim.now:
                 raise FaultPlanError(
                     f"{fault.kind} at t={fault.at} is in the past "
                     f"(sim.now={self.sim.now})")
+            self._resolve(fault)
+        for fault in plan.faults:
+            delay = fault.at - self.sim.now
             self.sim._schedule_call(self._fire, fault, delay)
             if fault.duration_s is not None:
                 self.sim._schedule_call(self._heal, fault,
@@ -106,28 +104,53 @@ class FaultEngine:
         return self.armed_faults
 
     # -- target resolution ---------------------------------------------------
+    def _resolve(self, fault: Fault) -> None:
+        """Raise :class:`FaultTargetError` unless ``fault``'s target
+        names a component the gateway has now."""
+        kind = fault.kind
+        if kind == "replica_crash":
+            self._resolve_replica(fault)
+        elif kind == "backend_crash":
+            self._resolve_backend(fault.target)
+        elif kind == "az_crash":
+            if fault.target not in self.gateway.backends_by_az:
+                raise FaultTargetError(
+                    f"{fault.target}: the gateway has no AZ of that name")
+        elif kind == "query_of_death":
+            self._resolve_service(fault.target)
+
     def _service_ids(self) -> List[int]:
         return sorted(self.gateway.service_backends)
 
     def _resolve_service(self, token: str) -> int:
+        services = self._service_ids()
         if token.startswith("service:"):
             index = _index(token, "service")
-            services = self._service_ids()
             if index >= len(services):
                 raise FaultTargetError(
                     f"{token}: only {len(services)} services registered")
             return services[index]
         try:
-            return int(token)
+            service_id = int(token)
         except ValueError:
             raise FaultTargetError(
                 f"service target must be 'service:<i>' or a service id, "
                 f"got {token!r}") from None
+        if service_id not in services:
+            raise FaultTargetError(f"{token}: no service with that id")
+        return service_id
+
+    def _backend(self, name: str):
+        try:
+            return self.gateway.backend_by_name(name)
+        except KeyError:
+            raise FaultTargetError(
+                f"{name}: the gateway has no backend of that name") from None
 
     def _resolve_backend(self, target: str) -> str:
         """``service:i/backend:j`` or a literal name → backend name."""
         if "/" not in target:
-            return target
+            return self._backend(target).name
         service_token, backend_token = target.split("/", 1)
         service_id = self._resolve_service(service_token)
         backends = self.gateway.service_backends[service_id]
@@ -141,10 +164,15 @@ class FaultEngine:
     def _resolve_replica(self, fault: Fault):
         """→ (backend_name, replica_name) for a replica_crash fault."""
         if "/" not in fault.target:
-            return fault.backend, fault.target
+            backend = self._backend(fault.backend)
+            if fault.target not in {r.name for r in backend.replicas}:
+                raise FaultTargetError(
+                    f"{fault.target}: backend {backend.name} has no "
+                    f"replica of that name")
+            return backend.name, fault.target
         prefix, replica_token = fault.target.rsplit("/", 1)
         backend_name = self._resolve_backend(prefix)
-        backend = self.gateway.backend_by_name(backend_name)
+        backend = self._backend(backend_name)
         index = _index(replica_token, "replica")
         if index >= len(backend.replicas):
             raise FaultTargetError(
@@ -202,7 +230,7 @@ class FaultEngine:
             self.injector.recover_service(service_id)
             return f"service {service_id}"
         if kind == "cert_rotation_failure":
-            reissued = self.ca.reissue_all(self.sim.now + self.reissue_ttl_s)
+            reissued = self.ca.reissue_all(self.sim.now + _REISSUE_TTL_S)
             return f"{len(reissued)} certs reissued"
         raise FaultPlanError(f"unhandled fault kind {kind!r}")
 
@@ -219,9 +247,8 @@ class FaultEngine:
             # line up injections with the first degraded trace.
             tracer.collector.mark_fault(self.sim.now, action, fault.kind,
                                         fault.target, detail)
-        if self.auditor is not None:
-            self.auditor.check(
-                context=f"{action}:{fault.kind}:{fault.target or '-'}")
+        self.auditor.check(
+            context=f"{action}:{fault.kind}:{fault.target or '-'}")
 
 
 def _index(token: str, label: str) -> int:

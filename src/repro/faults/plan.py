@@ -14,7 +14,10 @@ be committed next to an exhibit or diffed across runs;
 that carries a plan into pooled sweep workers.
 
 Targets may be literal object names (``backend-3``, ``az2``) or
-*symbolic* paths resolved against the gateway topology at fire time::
+*symbolic* paths. The engine checks each one against the gateway
+topology when it arms the plan, so a plan naming a component that does
+not exist is rejected before anything is scheduled, and resolves it
+again when the fault fires::
 
     service:0                    # the first registered service
     service:0/backend:1          # its second shuffle-shard backend

@@ -49,11 +49,9 @@ _QOD_DEFAULT_FACTOR = 3.0
 class FleetFaultEngine:
     """Executes the topology slice of a fault plan against a FleetModel."""
 
-    def __init__(self, sim: Simulator, model: FleetModel,
-                 audit: bool = True):
+    def __init__(self, sim: Simulator, model: FleetModel):
         self.sim = sim
         self.model = model
-        self.audit = audit
         self.timeline: List[Dict[str, object]] = []
         register_timeline(self.timeline)
 
@@ -212,9 +210,8 @@ class FleetFaultEngine:
         if tracer is not None and tracer.collector is not None:
             tracer.collector.mark_fault(self.sim.now, action, fault.kind,
                                         fault.target, detail)
-        if self.audit:
-            self.model.check_invariants(
-                context=f"{action}:{fault.kind}:{fault.target or '-'}")
+        self.model.check_invariants(
+            context=f"{action}:{fault.kind}:{fault.target or '-'}")
 
 
 def _index(token: str, label: str) -> int:

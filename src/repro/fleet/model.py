@@ -92,13 +92,11 @@ class FleetModel:
     """
 
     def __init__(self, sim: Simulator, config: FleetConfig,
-                 demand: FleetDemand, region: str = "region-1",
-                 warm_start: bool = True):
+                 demand: FleetDemand, region: str = "region-1"):
         self.sim = sim
         self.config = config
         self.demand = demand
         self.region = region
-        self.warm_start = warm_start
         self.topology = FleetTopology(config, sim.rng)
         n_backends = self.topology.n_backends
         #: Expected concurrent sessions per (service, shard slot).
@@ -152,8 +150,7 @@ class FleetModel:
                 f"horizon {horizon_s}s is shorter than one flow step "
                 f"({self.config.dt_s}s)")
         self._horizon_s = horizon_s
-        if self.warm_start:
-            self._seed_equilibrium()
+        self._seed_equilibrium()
         self._aggregate()
         self._sample(self.sim.now)
         self.sim.call_later(self.config.dt_s, self._tick, None)

@@ -58,10 +58,8 @@ class SessionDES(FleetModel):
     """The fluid model's discrete twin: one event per session."""
 
     def __init__(self, sim: Simulator, config: FleetConfig,
-                 demand: FleetDemand, region: str = "region-1",
-                 warm_start: bool = True):
-        super().__init__(sim, config, demand, region=region,
-                         warm_start=warm_start)
+                 demand: FleetDemand, region: str = "region-1"):
+        super().__init__(sim, config, demand, region=region)
         #: Generation per (service, slot): stale departures no-op.
         self._slot_gen: List[array] = [
             array("i", [0] * len(shard)) for shard in self.topology.shards]

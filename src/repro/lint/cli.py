@@ -3,9 +3,7 @@
 Exit codes: 0 clean, 1 findings, 2 usage error. ``--format json``
 emits a machine-readable report (CI uploads it as an artifact);
 ``--output`` additionally writes the report to a file so the exit code
-still gates the job. ``--jobs N`` fans the per-file work
-out over ``runtime.sweep_map`` workers with byte-identical findings at
-any jobs level, and the content-hash incremental cache
+still gates the job. The content-hash incremental cache
 (``--cache-dir``, disable with ``--no-cache``) keeps warm re-runs
 O(changed files).
 
@@ -22,7 +20,6 @@ import os
 import sys
 from typing import List, Optional
 
-from ..runtime.sweep import resolve_jobs
 from .framework import Finding, all_rules
 from .runner import collect_files, lint_files, select_rules
 
@@ -44,10 +41,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="only run these rule ids")
     parser.add_argument("--ignore", metavar="RULE,...", default=None,
                         help="skip these rule ids")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint files on N sweep workers "
-                             "(0 = all cores); findings are "
-                             "byte-identical at any level")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="incremental cache directory "
                              "(default: .repro-cache/simlint)")
@@ -101,16 +94,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        resolve_jobs(options.jobs)
         rules = select_rules(_split_ids(options.select),
                              _split_ids(options.ignore))
         files = collect_files(options.paths or _default_paths())
-    except (KeyError, FileNotFoundError, ValueError) as exc:
+    except (KeyError, FileNotFoundError) as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2
 
-    findings = lint_files(files, rules=rules, jobs=options.jobs,
-                          cache_dir=options.cache_dir,
+    findings = lint_files(files, rules=rules, cache_dir=options.cache_dir,
                           use_cache=not options.no_cache)
 
     if options.format == "json":

@@ -1,8 +1,6 @@
 """simlint runner: collect files, apply the per-file rule catalog.
 
-Two map phases, both cached by content hash and both fanned out over
-``runtime.sweep_map`` under ``--jobs N`` (the same executor the
-exhibits dogfood):
+Two per-file phases, both cached by content hash:
 
 1. **Pre-pass** (:func:`_prepass_point`) — parse one file and collect
    its ``Set``/``FrozenSet``-annotated attribute names, the single
@@ -13,9 +11,8 @@ exhibits dogfood):
    ``Set`` annotation in one file re-lints the files that may iterate
    over it.
 
-Both phases consume and produce picklable values only and findings are
-sorted at the end, so ``--jobs 1`` and ``--jobs 4`` are byte-identical
-by construction.
+Findings are sorted at the end, so their order does not depend on
+which files the cache already held.
 
 Directory arguments are walked recursively; ``__pycache__``, hidden
 directories, and ``lint_fixtures`` (intentional violations used by the
@@ -106,7 +103,7 @@ def select_rules(select: Optional[Iterable[str]] = None,
 
 def _prepass_point(path: str) -> dict:
     """Parse one file; record its skip/syntax state and set-annotated
-    attribute names. Module-level so it pickles to a sweep worker."""
+    attribute names."""
     module = ModuleSource(path)
     names = () if module.tree is None else tuple(
         sorted(ProjectIndex.set_attributes_of(module.tree)))
@@ -128,32 +125,19 @@ def _findings_point(point: tuple) -> Tuple[Finding, ...]:
     return tuple(findings)
 
 
-def _map(fn, points: Sequence, jobs: int) -> List:
-    if jobs != 1 and len(points) > 1:
-        # Dogfood the runtime layer: the same ambient executor the
-        # paper exhibits sweep through (lazy import keeps plain
-        # ``import repro.lint`` light).
-        from ..runtime.sweep import sweep_map, use_executor
-        with use_executor(jobs=jobs):
-            return sweep_map(fn, list(points))
-    return [fn(point) for point in points]
-
-
-def _cached_map(cache: LintCache, fn, keyed: Sequence[Tuple[str, object]],
-                jobs: int) -> List:
+def _cached_map(cache: LintCache, fn,
+                keyed: Sequence[Tuple[str, object]]) -> List:
     """``fn`` over ``(key, point)`` pairs, cache-first, in input order."""
     results = {key: cache.get(key) for key, _point in keyed}
-    missing = [(key, point) for key, point in keyed if results[key] is None]
-    computed = _map(fn, [point for _key, point in missing], jobs)
-    for (key, _point), value in zip(missing, computed):
-        cache.put(key, value)
-        results[key] = value
+    for key, point in keyed:
+        if results[key] is None:
+            results[key] = fn(point)
+            cache.put(key, results[key])
     return [results[key] for key, _point in keyed]
 
 
 def lint_files(files: Sequence[str],
                rules: Optional[Sequence[Rule]] = None,
-               jobs: int = 1,
                cache_dir: Optional[str] = None,
                use_cache: bool = True) -> List[Finding]:
     """Findings (sorted, suppressions applied) for explicit files."""
@@ -167,7 +151,7 @@ def lint_files(files: Sequence[str],
 
     records = _cached_map(cache, _prepass_point, [
         (f"prepass::{path}::{hashes[path]}::{LINT_VERSION}", path)
-        for path in files], jobs)
+        for path in files])
     findings: List[Finding] = []
     lintable: List[str] = []
     set_attributes: Set[str] = set()
@@ -189,7 +173,7 @@ def lint_files(files: Sequence[str],
     for file_findings in _cached_map(cache, _findings_point, [
             (f"findings::{path}::{hashes[path]}::{','.join(rule_ids)}::"
              f"{LINT_VERSION}::{digest}", (path, rule_ids, table))
-            for path in lintable], jobs):
+            for path in lintable]):
         findings.extend(file_findings)
 
     cache.save()
@@ -200,11 +184,10 @@ def lint_files(files: Sequence[str],
 def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
                ignore: Optional[Iterable[str]] = None,
-               jobs: int = 1,
                cache_dir: Optional[str] = None,
                use_cache: bool = True) -> List[Finding]:
     """Lint files/directories with the selected rule set."""
     return lint_files(collect_files(paths),
                       rules=select_rules(select, ignore),
-                      jobs=jobs, cache_dir=cache_dir,
+                      cache_dir=cache_dir,
                       use_cache=use_cache)

@@ -37,13 +37,11 @@ class AmbientMesh(ServiceMesh):
     def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
                  latency_model: Optional[LatencyModel] = None,
                  ztunnel_cores_per_node: int = 1,
-                 waypoint_pool_cores: int = 2,
-                 mtls_enabled: bool = True):
+                 waypoint_pool_cores: int = 2):
         super().__init__(sim, costs)
         self.latency_model = latency_model or LatencyModel()
         self.ztunnel_cores_per_node = ztunnel_cores_per_node
         self.waypoint_pool_cores = waypoint_pool_cores
-        self.mtls_enabled = mtls_enabled
         self.ca = CertificateAuthority("ambient-ca")
         self._ztunnels: Dict[str, ProxyTier] = {}
         self._engines: Dict[str, SoftwareAsymEngine] = {}
@@ -92,31 +90,28 @@ class AmbientMesh(ServiceMesh):
     def open_connection(self, client_pod: Pod, service: str):
         """HBONE tunnel establishment between the two ztunnels."""
         server_pod = self.pick_endpoint(service)
-        session = None
         one_way = self.latency_model.one_way(
             self._location_of(client_pod), self._location_of(server_pod))
-        if self.mtls_enabled:
-            client_cert = self.ca.issue(
-                f"spiffe://{client_pod.tenant}/{client_pod.name}",
-                client_pod.tenant, self.sim.now + 86400.0)
-            server_cert = self.ca.issue(
-                f"spiffe://{server_pod.tenant}/{server_pod.name}",
-                server_pod.tenant, self.sim.now + 86400.0)
-            setup = (self.costs.handshake_base_s
-                     + self.costs.connection_setup_s)
-            yield from self._ztunnel_for(client_pod).work(setup)
-            yield from self._ztunnel_for(server_pod).work(setup)
-            result = yield from mtls_handshake(
-                self.sim, self.ca, client_cert, server_cert,
-                self._engines[client_pod.node_name],
-                self._engines[server_pod.node_name],
-                rtt_s=2.0 * one_way, costs=self.costs.crypto)
-            if not result.ok:
-                raise MeshError(f"handshake failed: {result.failure_reason}")
-            session = result.session
+        client_cert = self.ca.issue(
+            f"spiffe://{client_pod.tenant}/{client_pod.name}",
+            client_pod.tenant, self.sim.now + 86400.0)
+        server_cert = self.ca.issue(
+            f"spiffe://{server_pod.tenant}/{server_pod.name}",
+            server_pod.tenant, self.sim.now + 86400.0)
+        setup = self.costs.handshake_base_s + self.costs.connection_setup_s
+        yield from self._ztunnel_for(client_pod).work(setup)
+        yield from self._ztunnel_for(server_pod).work(setup)
+        result = yield from mtls_handshake(
+            self.sim, self.ca, client_cert, server_cert,
+            self._engines[client_pod.node_name],
+            self._engines[server_pod.node_name],
+            rtt_s=2.0 * one_way, costs=self.costs.crypto)
+        if not result.ok:
+            raise MeshError(f"handshake failed: {result.failure_reason}")
         connection = Connection(client=client_pod.name, service=service,
                                 server_pod=server_pod.name,
-                                established_at=self.sim.now, session=session,
+                                established_at=self.sim.now,
+                                session=result.session,
                                 one_way_s=one_way)
         return connection
 
@@ -131,9 +126,8 @@ class AmbientMesh(ServiceMesh):
                                  connection.service)
             return HttpResponse(status=503, latency_s=self.sim.now - start)
 
-        crypto_bytes = request.total_bytes if self.mtls_enabled else 0
         ztunnel_cost = (self.costs.ambient_ztunnel_l4_s
-                        + self.costs.symmetric_cost(crypto_bytes))
+                        + self.costs.symmetric_cost(request.total_bytes))
 
         yield from self._ztunnel_for(client_pod).work(ztunnel_cost)
         if self.l7_enabled(connection.service):

@@ -40,13 +40,11 @@ class IstioMesh(ServiceMesh):
     def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
                  latency_model: Optional[LatencyModel] = None,
                  sidecar_cores_per_node: int = 2,
-                 sidecar_resources: ResourceRequest = SIDECAR_RESOURCES,
-                 mtls_enabled: bool = True):
+                 sidecar_resources: ResourceRequest = SIDECAR_RESOURCES):
         super().__init__(sim, costs)
         self.latency_model = latency_model or LatencyModel()
         self.sidecar_cores_per_node = sidecar_cores_per_node
         self.sidecar_resources = sidecar_resources
-        self.mtls_enabled = mtls_enabled
         self.ca = CertificateAuthority("istio-ca")
         self._tiers: Dict[str, ProxyTier] = {}
         self._engines: Dict[str, SoftwareAsymEngine] = {}
@@ -83,34 +81,31 @@ class IstioMesh(ServiceMesh):
         server_pod = self.pick_endpoint(service)
         client_tier = self._tier_for(client_pod)
         server_tier = self._tier_for(server_pod)
-        session = None
         tracer = get_tracer()
         trace_sink = [] if tracer is not None else None
         one_way = self.latency_model.one_way(
             self._location_of(client_pod), self._location_of(server_pod))
-        if self.mtls_enabled:
-            client_cert = self.ca.issue(
-                f"spiffe://{client_pod.tenant}/{client_pod.name}",
-                client_pod.tenant, self.sim.now + 86400.0)
-            server_cert = self.ca.issue(
-                f"spiffe://{server_pod.tenant}/{server_pod.name}",
-                server_pod.tenant, self.sim.now + 86400.0)
-            setup = (self.costs.handshake_base_s
-                     + self.costs.connection_setup_s)
-            yield from client_tier.work(setup)
-            yield from server_tier.work(setup)
-            result = yield from mtls_handshake(
-                self.sim, self.ca, client_cert, server_cert,
-                self._engines[client_pod.node_name],
-                self._engines[server_pod.node_name],
-                rtt_s=2.0 * one_way, costs=self.costs.crypto,
-                trace_sink=trace_sink)
-            if not result.ok:
-                raise MeshError(f"handshake failed: {result.failure_reason}")
-            session = result.session
+        client_cert = self.ca.issue(
+            f"spiffe://{client_pod.tenant}/{client_pod.name}",
+            client_pod.tenant, self.sim.now + 86400.0)
+        server_cert = self.ca.issue(
+            f"spiffe://{server_pod.tenant}/{server_pod.name}",
+            server_pod.tenant, self.sim.now + 86400.0)
+        setup = self.costs.handshake_base_s + self.costs.connection_setup_s
+        yield from client_tier.work(setup)
+        yield from server_tier.work(setup)
+        result = yield from mtls_handshake(
+            self.sim, self.ca, client_cert, server_cert,
+            self._engines[client_pod.node_name],
+            self._engines[server_pod.node_name],
+            rtt_s=2.0 * one_way, costs=self.costs.crypto,
+            trace_sink=trace_sink)
+        if not result.ok:
+            raise MeshError(f"handshake failed: {result.failure_reason}")
         connection = Connection(client=client_pod.name, service=service,
                                 server_pod=server_pod.name,
-                                established_at=self.sim.now, session=session,
+                                established_at=self.sim.now,
+                                session=result.session,
                                 one_way_s=one_way)
         if trace_sink:
             connection.meta["pending_spans"] = trace_sink
@@ -144,9 +139,8 @@ class IstioMesh(ServiceMesh):
                 handle.finish(self.sim.now, status=503)
             return HttpResponse(status=503, latency_s=self.sim.now - start)
 
-        crypto_bytes = request.total_bytes if self.mtls_enabled else 0
         fixed_cost = (2 * self.costs.iptables_redirect_cpu_s()
-                      + self.costs.symmetric_cost(crypto_bytes))
+                      + self.costs.symmetric_cost(request.total_bytes))
 
         def side_cost() -> float:
             return fixed_cost + sample_service_time(

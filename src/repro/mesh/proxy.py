@@ -21,15 +21,10 @@ __all__ = ["ProxyTier", "Connection"]
 class ProxyTier:
     """A named pool of proxy cores with request accounting."""
 
-    def __init__(self, sim: Simulator, cores: int, name: str,
-                 on_user_cluster: bool = True):
+    def __init__(self, sim: Simulator, cores: int, name: str):
         self.sim = sim
         self.cpu = CpuResource(sim, cores=cores, name=name)
         self.name = name
-        #: Whether this tier consumes resources the user purchased
-        #: (true for sidecars/ztunnels/waypoints/on-node proxies; false
-        #: for Canal's cloud-side gateway replicas).
-        self.on_user_cluster = on_user_cluster
         self.requests_processed = 0
         #: ``(registry, requests counter, work histogram)``: the
         #: children this tier emits into, bound per enabled registry.

@@ -75,9 +75,6 @@ class AvailabilityZone:
     name: str
     region: "Region"
     nodes: List[HostNode] = field(default_factory=list)
-    #: Whether this AZ's host CPUs support crypto acceleration
-    #: (QAT/AVX-512). The paper notes <5 % of AZs lack it (§4.1.3).
-    has_crypto_acceleration: bool = True
 
     def add_node(self, name: str) -> HostNode:
         node = HostNode(name, self)
@@ -92,10 +89,8 @@ class Region:
     name: str
     azs: List[AvailabilityZone] = field(default_factory=list)
 
-    def add_az(self, name: str,
-               has_crypto_acceleration: bool = True) -> AvailabilityZone:
-        az = AvailabilityZone(name, self,
-                              has_crypto_acceleration=has_crypto_acceleration)
+    def add_az(self, name: str) -> AvailabilityZone:
+        az = AvailabilityZone(name, self)
         self.azs.append(az)
         return az
 

@@ -80,18 +80,11 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _require_int(value: object, name: str, minimum: int) -> None:
-    """Reject a non-int (bools included) or an int below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or value < minimum:
-        raise ValueError(
-            f"{name} must be an int >= {minimum}, got {value!r}")
-
-
 def resolve_jobs(jobs: int) -> int:
     """The worker count for a ``--jobs`` value (``0`` = every core);
-    a non-int or negative value raises ``ValueError``."""
-    _require_int(jobs, "jobs", 0)
+    a non-int (bools included) or negative value raises ``ValueError``."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
+        raise ValueError(f"jobs must be an int >= 0, got {jobs!r}")
     return jobs or default_jobs()
 
 
@@ -105,10 +98,8 @@ class SweepExecutor:
     call :meth:`close` to reap the pool.
     """
 
-    def __init__(self, jobs: int = 1, chunksize: int = 1):
-        _require_int(chunksize, "chunksize", 1)
+    def __init__(self, jobs: int = 1):
         self.jobs = resolve_jobs(jobs)
-        self.chunksize = chunksize
         self._pool = None
 
     # -- pool lifecycle ----------------------------------------------------
@@ -148,8 +139,8 @@ class SweepExecutor:
         points = list(points)
         if self.jobs == 1 or len(points) <= 1:
             return (fn(point) for point in points)
-        return self._ensure_pool().imap(_PointCall(fn), list(enumerate(points)),
-                                        chunksize=self.chunksize)
+        return self._ensure_pool().imap(_PointCall(fn),
+                                        list(enumerate(points)))
 
     def map(self, fn: Callable[[Any], Any],
             points: Iterable[Any]) -> List[Any]:

@@ -97,17 +97,17 @@ class _DriverBase:
 
 
 class OpenLoopDriver(_DriverBase):
-    """Fixed-rate arrivals over a pool of persistent connections."""
+    """Poisson arrivals at a fixed mean rate over a pool of persistent
+    connections."""
 
     def __init__(self, sim: Simulator, mesh: ServiceMesh, client_pod: Pod,
                  service: str, rps: float, duration_s: float,
-                 connections: int = 100, poisson: bool = True,
+                 connections: int = 100,
                  request_factory: Callable[[], HttpRequest] = None):
         super().__init__(sim, mesh, client_pod, service, request_factory)
         self.rps = rps
         self.duration_s = duration_s
         self.connections = connections
-        self.poisson = poisson
         require_at_least(self, "rps", 0, inclusive=False)
         require_at_least(self, "duration_s", 0, inclusive=False)
         require_at_least(self, "connections", 1)
@@ -123,11 +123,7 @@ class OpenLoopDriver(_DriverBase):
         end = start + self.duration_s
         index = 0
         while self.sim.now < end:
-            if self.poisson:
-                gap = self.sim.rng.expovariate(self.rps)
-            else:
-                gap = 1.0 / self.rps
-            yield self.sim.timeout(gap)
+            yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
             if self.sim.now >= end:
                 break
             connection = pool[index % len(pool)]

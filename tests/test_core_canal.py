@@ -85,11 +85,6 @@ class TestCanalDataplane:
         _conn, response = run_one_request(run)
         assert response.status == 503
 
-    def test_mtls_disabled_path(self):
-        run = build_testbed("canal", mesh_kwargs={"mtls_enabled": False})
-        _conn, response = run_one_request(run)
-        assert response.ok
-
     def test_invalid_offload_mode_rejected(self):
         with pytest.raises(ValueError):
             build_testbed("canal", mesh_kwargs={"crypto_offload": "bogus"})
@@ -142,17 +137,9 @@ class TestCryptoOffloadModes:
 
 
 class TestSessionLifecycle:
-    def _short_flows(self, count, aggregation, capacity=100_000,
-                     close=False):
-        from repro.core import GatewayConfig, MeshGateway
-        from repro.core.replica import ReplicaConfig
-        kwargs = {}
-        run = build_testbed("canal", mesh_kwargs=kwargs)
+    def _short_flows(self, count, close=False):
+        run = build_testbed("canal")
         gateway = run.mesh.gateway
-        gateway.config = GatewayConfig(
-            replicas_per_backend=1, backends_per_service_per_az=1,
-            azs_per_service=1, session_aggregation=aggregation,
-            replica=gateway.config.replica)
 
         def scenario():
             for index in range(count):
@@ -169,21 +156,12 @@ class TestSessionLifecycle:
         return run, sum(r.sessions_used for r in replicas)
 
     def test_each_flow_consumes_a_session(self):
-        _run, sessions = self._short_flows(20, aggregation=False)
+        _run, sessions = self._short_flows(20)
         assert sessions == 20
 
     def test_closing_connections_releases_sessions(self):
-        _run, sessions = self._short_flows(20, aggregation=False,
-                                           close=True)
+        _run, sessions = self._short_flows(20, close=True)
         assert sessions == 0
-
-    def test_aggregation_caps_underlay_sessions(self):
-        """§4.4: with tunneling, the SmartNIC tracks tunnels, not flows."""
-        run, sessions = self._short_flows(50, aggregation=True)
-        replica = run.mesh.gateway.all_backends[0].replicas[0]
-        cap = (run.mesh.gateway.config.tunnels_per_core
-               * replica.config.cores)
-        assert sessions <= cap < 50
 
     def test_exhausted_table_rejects_new_connections(self):
         """§3.2 Issue #4 made visible: the table fills while CPU idles."""

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import GatewayConfig, MeshGateway, NoBackendAvailable
+from repro.core import (GatewayConfig, MeshGateway, NoBackendAvailable,
+                        SessionAggregator)
 from repro.core.replica import ReplicaConfig
 from repro.netsim import FiveTuple
 from repro.simcore import Simulator
@@ -293,10 +294,15 @@ class TestConfigValidation:
         ("tunnels_per_core", 0), ("tunnels_per_core", -1),
     ])
     def test_gateway_config_rejects(self, field, value):
-        with pytest.raises(ValueError, match=f"GatewayConfig.{field} "):
-            GatewayConfig(**{field: value})
+        # The gateway's §4.4 tunnel count is set on the router-side
+        # SessionAggregator; every other field is GatewayConfig's.
+        owner = (SessionAggregator if field == "tunnels_per_core"
+                 else GatewayConfig)
+        with pytest.raises(ValueError, match=f"{owner.__name__}.{field} "):
+            owner(**{field: value})
 
     def test_edge_values_accepted(self):
         ReplicaConfig(cores=1, request_cost_sigma=0.0, session_capacity=1)
         GatewayConfig(replicas_per_backend=1, redirector_max_chain=2,
-                      safety_threshold=1.0, tunnels_per_core=1)
+                      safety_threshold=1.0)
+        SessionAggregator(tunnels_per_core=1)

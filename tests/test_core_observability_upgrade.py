@@ -6,7 +6,7 @@ from repro.core import RollingUpgrade, Span, TraceCollector
 from repro.experiments.cloud_ops import build_production_gateway
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
-from repro.obs import Telemetry, use_telemetry
+from repro.obs import Telemetry, Tracer, get_tracer, use_telemetry, use_tracer
 from repro.simcore import Simulator
 
 
@@ -73,7 +73,7 @@ class TestCanalTracing:
         """Canal's split observability reassembles end to end: node L4
         spans + gateway L7 span + app span."""
         collector = TraceCollector()
-        run = build_testbed("canal", mesh_kwargs={"tracing": collector})
+        run = build_testbed("canal")
 
         def scenario():
             connection = yield run.sim.process(
@@ -82,8 +82,9 @@ class TestCanalTracing:
                 run.mesh.request(connection, HttpRequest()))
             return response
 
-        process = run.sim.process(scenario())
-        run.sim.run()
+        with use_tracer(Tracer(collector=collector)):
+            process = run.sim.process(scenario())
+            run.sim.run()
         assert process.value.ok
         traces = collector.traces()
         assert len(traces) == 1
@@ -114,9 +115,9 @@ class TestCanalTracing:
         assert trace.critical_path_gap_s() < trace.duration_s
 
     def test_per_pod_metrics_from_spans(self):
-        with use_telemetry(Telemetry(enabled=True)) as telemetry:
-            run = build_testbed("canal",
-                                mesh_kwargs={"tracing": TraceCollector()})
+        with use_telemetry(Telemetry(enabled=True)) as telemetry, \
+                use_tracer(Tracer(collector=TraceCollector())):
+            run = build_testbed("canal")
 
             def scenario():
                 connection = yield run.sim.process(
@@ -132,8 +133,9 @@ class TestCanalTracing:
                                pod=run.client_pod.name) == 3 * (128 + 1024)
 
     def test_tracing_off_by_default(self):
-        run = build_testbed("canal")
-        assert run.mesh.tracing is None
+        """Canal consults only the ambient tracer, which is unset."""
+        build_testbed("canal")
+        assert get_tracer() is None
 
 
 class TestRollingUpgrade:

@@ -20,16 +20,20 @@ def proxy(sim):
 
 class TestDataPath:
     def test_cost_includes_ebpf_and_l4(self, proxy):
-        cost = proxy.data_path_cost_s(1000, mtls=False)
+        cost = proxy.data_path_cost_s(1000)
         expected = (DEFAULT_COSTS.ebpf_redirect_cpu_s()
-                    + DEFAULT_COSTS.canal_onnode_l4_s)
+                    + DEFAULT_COSTS.canal_onnode_l4_s
+                    + DEFAULT_COSTS.symmetric_cost(1000))
         assert cost == pytest.approx(expected)
 
     def test_mtls_adds_symmetric_crypto(self, proxy):
-        plain = proxy.data_path_cost_s(10_000, mtls=False)
-        encrypted = proxy.data_path_cost_s(10_000, mtls=True)
-        assert encrypted - plain == pytest.approx(
-            DEFAULT_COSTS.symmetric_cost(10_000))
+        """Only the symmetric-crypto term grows with the message."""
+        small = proxy.data_path_cost_s(1000)
+        large = proxy.data_path_cost_s(10_000)
+        assert large - small == pytest.approx(
+            DEFAULT_COSTS.symmetric_cost(10_000)
+            - DEFAULT_COSTS.symmetric_cost(1000))
+        assert large > small
 
     def test_process_message_consumes_cpu(self, sim, proxy):
         sim.process(proxy.process_message("pod-1", "svc", 100, 1000))
@@ -39,7 +43,7 @@ class TestDataPath:
     def test_cheaper_than_a_sidecar_pass(self, proxy):
         """The architectural claim: the on-node proxy is far lighter
         than a sidecar's L7 pass."""
-        onnode = proxy.data_path_cost_s(1152, mtls=True)
+        onnode = proxy.data_path_cost_s(1152)
         sidecar = (DEFAULT_COSTS.istio_sidecar_l7_s
                    + 2 * DEFAULT_COSTS.iptables_redirect_cpu_s())
         assert onnode < sidecar / 5
@@ -71,7 +75,3 @@ class TestHandshakeWork:
         expected = (DEFAULT_COSTS.handshake_base_s
                     + DEFAULT_COSTS.connection_setup_s)
         assert proxy.tier.cpu.busy_time() == pytest.approx(expected)
-
-    def test_nagle_enabled_by_default(self, proxy):
-        """Canal's fix for the eBPF small-packet problem (§4.1.2)."""
-        assert proxy.redirect.nagle_enabled

@@ -179,21 +179,61 @@ class TestFaultEngine:
             engine.arm(FaultPlan.of(
                 Fault(kind="az_crash", at=5.0, target="az1")))
 
-    def test_symbolic_target_out_of_range(self):
+    @staticmethod
+    def _assert_rejected(fault, match, error=FaultTargetError):
+        """``arm`` raises ``error`` and schedules nothing."""
         sim, gateway, _ = make_chaos_gateway()
+        sim.run(until=10.0)
         engine = FaultEngine(sim, gateway=gateway)
-        engine.arm(FaultPlan.of(
-            Fault(kind="backend_crash", at=1.0, target="service:0/backend:99")))
-        with pytest.raises(FaultTargetError, match="only"):
-            sim.run(until=2.0)
+        agenda = list(sim._heap)
+        plan = FaultPlan.of(
+            Fault(kind="az_crash", at=20.0, target="az1"), fault)
+        with pytest.raises(error, match=match):
+            engine.arm(plan)
+        assert engine.armed_faults == 0
+        assert sim._heap == agenda
+        sim.run(until=40.0)
+        assert engine.timeline == []
+        assert all(backend.is_healthy
+                   for backend in gateway.backends_by_az["az1"])
+
+    def test_rejected_plan_schedules_nothing(self):
+        """A fault in the past rejects the whole plan, including the
+        valid fault ahead of it."""
+        self._assert_rejected(Fault(kind="az_crash", at=5.0, target="az2"),
+                              "in the past", error=FaultPlanError)
+
+    def test_unknown_az_rejected_at_arm(self):
+        self._assert_rejected(Fault(kind="az_crash", at=30.0, target="az9"),
+                              "az9")
+
+    @pytest.mark.parametrize("kind, target", [
+        ("backend_crash", "service:99/backend:0"),
+        ("query_of_death", "99"),
+    ])
+    def test_unknown_service_rejected_at_arm(self, kind, target):
+        self._assert_rejected(Fault(kind=kind, at=30.0, target=target),
+                              target.split("/")[0])
+
+    def test_unknown_replica_rejected_at_arm(self):
+        self._assert_rejected(
+            Fault(kind="replica_crash", at=30.0,
+                  target="service:0/backend:0/replica:99"), "replica:99")
+
+    def test_unknown_literal_backend_rejected_at_arm(self):
+        self._assert_rejected(
+            Fault(kind="backend_crash", at=30.0, target="backend-999"),
+            "backend-999")
+
+    def test_symbolic_target_out_of_range(self):
+        self._assert_rejected(
+            Fault(kind="backend_crash", at=30.0,
+                  target="service:0/backend:99"), "only")
 
     def test_symbolic_target_bad_syntax(self):
-        sim, gateway, _ = make_chaos_gateway()
-        engine = FaultEngine(sim, gateway=gateway)
-        engine.arm(FaultPlan.of(
-            Fault(kind="query_of_death", at=1.0, target="svc-first")))
-        with pytest.raises(FaultTargetError):
-            sim.run(until=2.0)
+        self._assert_rejected(
+            Fault(kind="query_of_death", at=30.0, target="svc-first"),
+            "svc-first")
 
     def test_replica_crash_and_recovery(self):
         sim, gateway, services = make_chaos_gateway()
@@ -266,7 +306,7 @@ class TestFaultEngine:
         sim = Simulator(4)
         ca = CertificateAuthority("test-ca")
         cert = ca.issue("spiffe://t/s", "t", not_after=1e9)
-        engine = FaultEngine(sim, ca=ca, audit=False)
+        engine = FaultEngine(sim, ca=ca)
         engine.arm(FaultPlan.of(
             Fault(kind="cert_rotation_failure", at=1.0, duration_s=2.0)))
         sim.run(until=2.0)

@@ -102,12 +102,6 @@ class TestIstioDataplane:
         connection, _resp = run_one_request(run)
         assert connection.session is not None
 
-    def test_mtls_disabled_skips_session(self):
-        run = build_testbed("istio", mesh_kwargs={"mtls_enabled": False})
-        connection, response = run_one_request(run)
-        assert connection.session is None
-        assert response.ok
-
 
 class TestAmbientDataplane:
     def test_request_succeeds(self):

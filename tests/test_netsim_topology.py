@@ -66,9 +66,3 @@ class TestTopology:
         location = node.location
         assert location.region == "region1"
         assert location.az == "az1"
-
-    def test_az_crypto_acceleration_flag(self):
-        topo = Topology()
-        region = topo.add_region("r1")
-        az = region.add_az("az-old", has_crypto_acceleration=False)
-        assert not az.has_crypto_acceleration

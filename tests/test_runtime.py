@@ -80,11 +80,6 @@ class TestSweepExecutor:
         with pytest.raises(ValueError, match="jobs"):
             SweepExecutor(jobs=jobs)
 
-    @pytest.mark.parametrize("chunksize", [0, -1, 1.5, "4", True])
-    def test_bad_chunksize_rejected(self, chunksize):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(chunksize=chunksize)
-
     def test_worker_exception_carries_point_repr(self):
         points = list(range(30, 45))
         with SweepExecutor(jobs=2) as executor:
