@@ -296,7 +296,8 @@ class CanalMesh(ServiceMesh):
             try:
                 result = yield from self.gateway.process_request(
                     service_id, flow, is_syn=connection.requests_sent == 0,
-                    client_az=connection.meta["client_az"], trace=handle)
+                    client_az=connection.meta["client_az"], trace=handle,
+                    route_cache=connection.meta)
                 break
             except CircuitOpenError:
                 # Fast fail: no retries against an open breaker.

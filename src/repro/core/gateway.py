@@ -321,8 +321,15 @@ class MeshGateway:
 
     # -- DES-mode dataplane ----------------------------------------------------------
     def deliver(self, service_id: int, flow: FiveTuple, is_syn: bool,
-                client_az: str) -> DeliveryResult:
-        """Steer one packet to a replica (DNS → AZ → redirectors)."""
+                client_az: str,
+                route_cache: Optional[dict] = None) -> DeliveryResult:
+        """Steer one packet to a replica (DNS → AZ → redirectors).
+
+        ``route_cache`` is a dict owned by the flow's connection. An
+        established flow's result is kept there under ``"route"`` with
+        its LB and that LB's epoch, and later non-SYN packets reuse it
+        while both still match. DNS still resolves on every packet.
+        """
         telemetry = get_telemetry()
         record = self.dns.resolve(self._dns_name(service_id), client_az)
         lb = self.service_lbs.get((service_id, record.az))
@@ -331,14 +338,21 @@ class MeshGateway:
                           service=str(service_id))
             raise NoBackendAvailable(
                 f"service {service_id} has no LB in {record.az}")
-        try:
-            result = lb.deliver(flow, is_syn)
-        except RuntimeError as exc:
-            # DNS may lag replica health (e.g. failures injected below
-            # the gateway API); an empty chain is still a 503.
-            telemetry.inc("gateway_no_backend_total",
-                          service=str(service_id))
-            raise NoBackendAvailable(str(exc)) from exc
+        route = route_cache.get("route") if route_cache is not None else None
+        if (route is not None and not is_syn and route[0] is lb
+                and route[1] == lb.epoch):
+            result = lb.redeliver(route[2])
+        else:
+            try:
+                result = lb.deliver(flow, is_syn)
+            except RuntimeError as exc:
+                # DNS may lag replica health (e.g. failures injected
+                # below the gateway API); an empty chain is still a 503.
+                telemetry.inc("gateway_no_backend_total",
+                              service=str(service_id))
+                raise NoBackendAvailable(str(exc)) from exc
+            if route_cache is not None and not result.is_new_flow:
+                route_cache["route"] = (lb, lb.epoch, result)
         if telemetry.enabled:
             telemetry.inc("gateway_deliveries_total",
                           service=str(service_id), az=record.az)
@@ -350,13 +364,14 @@ class MeshGateway:
 
     def process_request(self, service_id: int, flow: FiveTuple,
                         is_syn: bool, client_az: str, trace=None,
-                        parent_id: int = 1):
+                        parent_id: int = 1,
+                        route_cache: Optional[dict] = None):
         """Process generator: deliver + execute one request's L7 work.
 
         With a ``trace`` handle, the whole gateway pass becomes an
         ``l7`` span under ``parent_id`` — annotated with the LB pick
         (replica, redirection hops) — enclosing the replica-execution
-        child span.
+        child span. ``route_cache`` is passed on to :meth:`deliver`.
         """
         start = self.sim.now
         policies = self.resilience
@@ -367,7 +382,8 @@ class MeshGateway:
                 f"{policies.breaker_state(service_id)}")
         l7_id = trace.reserve_id() if trace is not None else 0
         try:
-            result = self.deliver(service_id, flow, is_syn, client_az)
+            result = self.deliver(service_id, flow, is_syn, client_az,
+                                  route_cache)
             if result.is_new_flow:
                 self._track_session(result.replica)
         except (NoBackendAvailable, ResolutionError):

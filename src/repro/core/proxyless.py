@@ -248,7 +248,8 @@ class ProxylessCanalMesh(ServiceMesh):
         try:
             result = yield from self.gateway.process_request(
                 service_id, flow, is_syn=connection.requests_sent == 0,
-                client_az=connection.meta["client_az"], trace=handle)
+                client_az=connection.meta["client_az"], trace=handle,
+                route_cache=connection.meta)
         except (NoBackendAvailable, ResolutionError):
             if handle is not None:
                 handle.finish(self.sim.now, status=503)

@@ -144,7 +144,7 @@ class BucketTable:
         return max((len(chain) for chain in self._chains), default=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeliveryResult:
     """Where a packet ended up and what it cost to get there."""
 
@@ -168,6 +168,10 @@ class DisaggregatedLB:
                                  max_chain=max_chain)
         self.table.build([r.name for r in replicas])
         self.flows = FlowStore()
+        #: Bumped by every change to the router, bucket table or flow
+        #: store, so a caller may reuse an established flow's
+        #: :class:`DeliveryResult` while the epoch it saw still holds.
+        self.epoch = 0
         self.packets_delivered = 0
         self.packets_redirected = 0
 
@@ -184,6 +188,7 @@ class DisaggregatedLB:
         self._replicas[replica.name] = replica
         self.router.add_next_hop(replica.name)
         self.table.add_replica(replica.name)
+        self.epoch += 1
 
     def drain_replica(self, name: str) -> None:
         """Begin taking a replica offline (Fig 26's IP2 scenario)."""
@@ -198,6 +203,7 @@ class DisaggregatedLB:
         # The router stops hashing to it; the redirectors still know it.
         if name in self.router.next_hops:
             self.router.remove_next_hop(name)
+        self.epoch += 1
 
     def retire_replica(self, name: str) -> int:
         """Finish the drain once the replica's flows have aged out."""
@@ -207,6 +213,7 @@ class DisaggregatedLB:
                 f"replica {name} still owns {remaining} flows")
         self.table.remove_replica(name)
         del self._replicas[name]
+        self.epoch += 1
         return remaining
 
     # -- dataplane --------------------------------------------------------------
@@ -224,10 +231,8 @@ class DisaggregatedLB:
 
         if is_syn:
             target_name = self._first_accepting(chain)
-            self.flows.install(flow, target_name)
-            self.packets_delivered += 1
-            if hops:
-                self.packets_redirected += 1
+            self._install(flow, target_name)
+            self._count(hops)
             return DeliveryResult(self._replicas[target_name], hops, True)
 
         owner = self.flows.owner(flow)
@@ -235,18 +240,29 @@ class DisaggregatedLB:
             # Chase the chain down to the owner; each position visited
             # past the head is one redirection hop.
             hops += chain.index(owner)
-            self.packets_delivered += 1
-            if hops:
-                self.packets_redirected += 1
+            self._count(hops)
             return DeliveryResult(self._replicas[owner], hops, False)
 
         # Unknown flow (e.g. owner already retired): treat as new.
         target_name = self._first_accepting(chain)
-        self.flows.install(flow, target_name)
+        self._install(flow, target_name)
+        self._count(hops)
+        return DeliveryResult(self._replicas[target_name], hops, True)
+
+    def redeliver(self, result: DeliveryResult) -> DeliveryResult:
+        """Route one more packet of an established flow along ``result``.
+
+        The caller vouches that ``result`` came from :meth:`deliver` for
+        this flow at the current :attr:`epoch`, so the chain walk would
+        land on the same replica; only the packet counters move.
+        """
+        self._count(result.redirection_hops)
+        return result
+
+    def _count(self, hops: int) -> None:
         self.packets_delivered += 1
         if hops:
             self.packets_redirected += 1
-        return DeliveryResult(self._replicas[target_name], hops, True)
 
     def _first_accepting(self, chain: List[str]) -> str:
         for name in chain:
@@ -257,5 +273,10 @@ class DisaggregatedLB:
             f"no accepting replica in chain {chain} for service "
             f"{self.service_id}")
 
+    def _install(self, flow: FiveTuple, replica_name: str) -> None:
+        self.flows.install(flow, replica_name)
+        self.epoch += 1
+
     def close_flow(self, flow: FiveTuple) -> None:
         self.flows.remove(flow)
+        self.epoch += 1

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import (GatewayConfig, MeshGateway, NoBackendAvailable,
                         SessionAggregator)
-from repro.core.replica import ReplicaConfig
+from repro.core.replica import Replica, ReplicaConfig
 from repro.netsim import FiveTuple
 from repro.simcore import Simulator
 
@@ -262,6 +262,118 @@ class TestDesDataplane:
         sid = services[0].service_id
         gateway.set_service_load(sid, 10_000_000.0)
         assert gateway.overloaded_backends()
+
+
+class TestRouteCache:
+    """A connection's cached route must equal an uncached LB delivery.
+
+    Two gateways built from one seed take the same steps; one passes
+    each flow's route cache and the other none, so every delivery of
+    the second runs the full ECMP, bucket-chain and flow-table walk.
+    """
+
+    FLOWS = [FiveTuple("10.0.0.1", 40_000 + i, "10.9.9.9", 443)
+             for i in range(32)]
+
+    @staticmethod
+    def _gateway():
+        config = GatewayConfig(
+            replicas_per_backend=2, backends_per_service_per_az=2,
+            azs_per_service=1,
+            replica=ReplicaConfig(cores=8, request_cost_s=100e-6,
+                                  request_cost_sigma=0.0))
+        gateway = MeshGateway(Simulator(5), config)
+        gateway.deploy_initial(["az1"], 2)
+        tenant = gateway.registry.add_tenant("t1")
+        service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
+        gateway.register_service(service)
+        return gateway, service.service_id
+
+    @staticmethod
+    def _lb(gateway, sid):
+        return gateway.service_lbs[(sid, "az1")]
+
+    def _deliver_all(self, gateway, sid, caches, is_syn=False):
+        """Per flow: (replica, hops, new flow, delivered, redirected)."""
+        seen = []
+        for flow, cache in zip(self.FLOWS, caches):
+            result = gateway.deliver(sid, flow, is_syn, "az1",
+                                     route_cache=cache)
+            lb = self._lb(gateway, sid)
+            seen.append((result.replica.name, result.redirection_hops,
+                         result.is_new_flow, lb.packets_delivered,
+                         lb.packets_redirected))
+        return seen
+
+    @staticmethod
+    def _routes(seen):
+        return [entry[:3] for entry in seen]
+
+    def _step_add(self, gateway, sid, _caches):
+        self._lb(gateway, sid).add_replica(
+            Replica(gateway.sim, "extra", "az1", gateway.config.replica))
+
+    def _step_drain(self, gateway, sid, _caches):
+        lb = self._lb(gateway, sid)
+        lb.drain_replica(lb.flows.owner(self.FLOWS[0]))
+
+    def _step_retire(self, gateway, sid, _caches):
+        self._lb(gateway, sid).retire_replica("extra")
+
+    def _step_close(self, gateway, sid, _caches):
+        gateway.close_flow(sid, self.FLOWS[1])
+
+    def _step_syn(self, gateway, sid, caches):
+        result = gateway.deliver(sid, self.FLOWS[2], True, "az1",
+                                 route_cache=caches[2])
+        assert result.is_new_flow
+
+    def _step_extend(self, gateway, sid, _caches):
+        gateway.extend_service(sid, gateway.deploy_backend("az1"))
+
+    def _step_shrink(self, gateway, sid, _caches):
+        gateway.shrink_service(sid, gateway.service_backends[sid][0])
+
+    # extend/shrink rebuild the LB from the backends' replicas. After
+    # the drain that would keep the drained replica alone in some fresh
+    # chains, where a re-established flow finds no accepting replica,
+    # so they run first.
+    STEPS = ["extend", "shrink", "add", "drain", "retire", "close", "syn"]
+
+    def test_every_lb_change_invalidates_the_cached_route(self):
+        cached_gw, sid = self._gateway()
+        plain_gw, plain_sid = self._gateway()
+        caches = [{} for _ in self.FLOWS]
+        plain = [None] * len(self.FLOWS)
+        assert (self._deliver_all(cached_gw, sid, caches, is_syn=True)
+                == self._deliver_all(plain_gw, plain_sid, plain,
+                                     is_syn=True))
+        before = self._deliver_all(cached_gw, sid, caches)
+        assert before == self._deliver_all(plain_gw, plain_sid, plain)
+        for name in self.STEPS:
+            step = getattr(self, f"_step_{name}")
+            step(cached_gw, sid, caches)
+            step(plain_gw, plain_sid, plain)
+            # The first delivery after the change must see it; the
+            # second reuses whatever the first cached.
+            first, second = (
+                self._deliver_all(cached_gw, sid, caches) for _ in "12")
+            assert first == self._deliver_all(plain_gw, plain_sid, plain)
+            assert second == self._deliver_all(plain_gw, plain_sid, plain)
+            assert self._routes(first) != self._routes(before), (
+                f"step {name!r} changed no flow's route")
+            before = second
+
+    def test_established_flow_reuses_its_route(self):
+        gateway, sid = self._gateway()
+        flow, cache = self.FLOWS[0], {}
+        gateway.deliver(sid, flow, True, "az1", route_cache=cache)
+        first = gateway.deliver(sid, flow, False, "az1", route_cache=cache)
+        lb = self._lb(gateway, sid)
+        assert cache["route"] == (lb, lb.epoch, first)
+        again = gateway.deliver(sid, flow, False, "az1", route_cache=cache)
+        assert again is first
+        assert lb.packets_delivered == 3
 
 
 NAN, INF = math.nan, math.inf
