@@ -319,21 +319,20 @@ class CanalMesh(ServiceMesh):
                                         latency_s=self.sim.now - start)
                 policies.note_retry(service_id)
                 yield self.sim.timeout(retry.backoff_s(attempt))
-        # Each redirection hop in the replica chain is one more intra-
-        # gateway hop.
-        if result.redirection_hops:
-            yield self.sim.timeout(result.redirection_hops * hop)
-        yield self.sim.timeout(hop)
+        # The hop on to the server node, plus one intra-gateway hop per
+        # redirection hop in the replica chain.
+        yield self.sim.timeout((result.redirection_hops + 1) * hop)
         yield from server_proxy.process_message(
             server_pod.name, connection.service,
             request.response_bytes, request.body_bytes, trace=handle)
-        segment_start = self.sim.now
-        yield self.sim.timeout(self.costs.app_service_time_s)
+        # The app, then the response back through the gateway.
+        app_start = self.sim.now
+        yield self.sim.timeout(self.costs.app_service_time_s + 2 * hop)
         if handle is not None:
-            handle.add("app-exec", "app", segment_start, self.sim.now,
+            handle.add("app-exec", "app", app_start,
+                       app_start + self.costs.app_service_time_s,
                        source=f"app/{server_pod.name}",
                        pod=server_pod.name)
-        yield self.sim.timeout(2 * hop)  # response back through the gateway
         connection.requests_sent += 1
         latency = self.sim.now - start
         self.observe_request(200, latency, connection.service)

@@ -146,8 +146,9 @@ class AmbientMesh(ServiceMesh):
                 self.waypoint_requests.get(connection.service, 0) + 1)
         yield self.sim.timeout(connection.one_way_s)
         yield from self._ztunnel_for(server_pod).work(ztunnel_cost)
-        yield self.sim.timeout(self.costs.app_service_time_s)
-        yield self.sim.timeout(connection.one_way_s)
+        # The app, then the response hop.
+        yield self.sim.timeout(self.costs.app_service_time_s
+                               + connection.one_way_s)
         connection.requests_sent += 1
         latency = self.sim.now - start
         self.observe_request(200, latency, connection.service)

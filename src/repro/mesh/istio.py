@@ -166,16 +166,17 @@ class IstioMesh(ServiceMesh):
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=server_pod.name, bytes_out=request.response_bytes,
             bytes_in=request.body_bytes)
-        # The application itself.
+        # The application itself, then the response network hop
+        # (response-side proxy work is folded into the per-side cost
+        # above).
         app_start = self.sim.now
-        yield self.sim.timeout(self.costs.app_service_time_s)
+        yield self.sim.timeout(self.costs.app_service_time_s
+                               + connection.one_way_s)
         if handle is not None:
-            handle.add("app-exec", "app", app_start, self.sim.now,
+            handle.add("app-exec", "app", app_start,
+                       app_start + self.costs.app_service_time_s,
                        source=f"app/{server_pod.name}",
                        pod=server_pod.name)
-        # Response network hop (response-side proxy work is folded into
-        # the per-side cost above).
-        yield self.sim.timeout(connection.one_way_s)
         connection.requests_sent += 1
         latency = self.sim.now - start
         self.observe_request(200, latency, connection.service)
