@@ -338,9 +338,9 @@ class MeshGateway:
                           service=str(service_id))
             raise NoBackendAvailable(
                 f"service {service_id} has no LB in {record.az}")
-        route = route_cache.get("route") if route_cache is not None else None
-        if (route is not None and not is_syn and route[0] is lb
-                and route[1] == lb.epoch):
+        route = (None if is_syn or route_cache is None
+                 else route_cache.get("route"))
+        if route is not None and route[0] is lb and route[1] == lb.epoch:
             result = lb.redeliver(route[2])
         else:
             try:
