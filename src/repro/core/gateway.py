@@ -321,14 +321,14 @@ class MeshGateway:
 
     # -- DES-mode dataplane ----------------------------------------------------------
     def deliver(self, service_id: int, flow: FiveTuple, is_syn: bool,
-                client_az: str,
-                route_cache: Optional[dict] = None) -> DeliveryResult:
+                client_az: str, route_cache: dict) -> DeliveryResult:
         """Steer one packet to a replica (DNS → AZ → redirectors).
 
         ``route_cache`` is a dict owned by the flow's connection. An
         established flow's result is kept there under ``"route"`` with
         its LB and that LB's epoch, and later non-SYN packets reuse it
-        while both still match. DNS still resolves on every packet.
+        while both still match; a new-flow result drops it. DNS still
+        resolves on every packet.
         """
         telemetry = get_telemetry()
         record = self.dns.resolve(self._dns_name(service_id), client_az)
@@ -338,8 +338,7 @@ class MeshGateway:
                           service=str(service_id))
             raise NoBackendAvailable(
                 f"service {service_id} has no LB in {record.az}")
-        route = (None if is_syn or route_cache is None
-                 else route_cache.get("route"))
+        route = None if is_syn else route_cache.get("route")
         if route is not None and route[0] is lb and route[1] == lb.epoch:
             result = lb.redeliver(route[2])
         else:
@@ -351,7 +350,9 @@ class MeshGateway:
                 telemetry.inc("gateway_no_backend_total",
                               service=str(service_id))
                 raise NoBackendAvailable(str(exc)) from exc
-            if route_cache is not None and not result.is_new_flow:
+            if result.is_new_flow:
+                route_cache.pop("route", None)
+            else:
                 route_cache["route"] = (lb, lb.epoch, result)
         if telemetry.enabled:
             telemetry.inc("gateway_deliveries_total",
@@ -363,9 +364,8 @@ class MeshGateway:
         return result
 
     def process_request(self, service_id: int, flow: FiveTuple,
-                        is_syn: bool, client_az: str, trace=None,
-                        parent_id: int = 1,
-                        route_cache: Optional[dict] = None):
+                        is_syn: bool, client_az: str, route_cache: dict,
+                        trace=None, parent_id: int = 1):
         """Process generator: deliver + execute one request's L7 work.
 
         With a ``trace`` handle, the whole gateway pass becomes an

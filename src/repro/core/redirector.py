@@ -168,9 +168,11 @@ class DisaggregatedLB:
                                  max_chain=max_chain)
         self.table.build([r.name for r in replicas])
         self.flows = FlowStore()
-        #: Bumped by every change to the router, bucket table or flow
-        #: store, so a caller may reuse an established flow's
-        #: :class:`DeliveryResult` while the epoch it saw still holds.
+        #: Bumped by every change that can move an established flow:
+        #: the router, the bucket table, the replica set, or a closed
+        #: flow. A caller may reuse an established flow's
+        #: :class:`DeliveryResult` while the epoch it saw still holds,
+        #: until that flow itself is delivered as new.
         self.epoch = 0
         self.packets_delivered = 0
         self.packets_redirected = 0
@@ -231,7 +233,7 @@ class DisaggregatedLB:
 
         if is_syn:
             target_name = self._first_accepting(chain)
-            self._install(flow, target_name)
+            self.flows.install(flow, target_name)
             self._count(hops)
             return DeliveryResult(self._replicas[target_name], hops, True)
 
@@ -245,7 +247,7 @@ class DisaggregatedLB:
 
         # Unknown flow (e.g. owner already retired): treat as new.
         target_name = self._first_accepting(chain)
-        self._install(flow, target_name)
+        self.flows.install(flow, target_name)
         self._count(hops)
         return DeliveryResult(self._replicas[target_name], hops, True)
 
@@ -253,8 +255,9 @@ class DisaggregatedLB:
         """Route one more packet of an established flow along ``result``.
 
         The caller vouches that ``result`` came from :meth:`deliver` for
-        this flow at the current :attr:`epoch`, so the chain walk would
-        land on the same replica; only the packet counters move.
+        this flow at the current :attr:`epoch`, and that the flow has
+        not been delivered as new since, so the chain walk would land on
+        the same replica; only the packet counters move.
         """
         self._count(result.redirection_hops)
         return result
@@ -272,10 +275,6 @@ class DisaggregatedLB:
         raise RuntimeError(
             f"no accepting replica in chain {chain} for service "
             f"{self.service_id}")
-
-    def _install(self, flow: FiveTuple, replica_name: str) -> None:
-        self.flows.install(flow, replica_name)
-        self.epoch += 1
 
     def close_flow(self, flow: FiveTuple) -> None:
         self.flows.remove(flow)

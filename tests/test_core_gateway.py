@@ -230,7 +230,7 @@ class TestDesDataplane:
         sid = services[0].service_id
         flow = FiveTuple("10.0.0.1", 12345, "10.9.9.9", 443)
         process = sim.process(gateway.process_request(
-            sid, flow, is_syn=True, client_az="az1"))
+            sid, flow, is_syn=True, client_az="az1", route_cache={}))
         sim.run()
         result = process.value
         assert result.replica.requests_served == 1
@@ -240,15 +240,17 @@ class TestDesDataplane:
         sid = services[0].service_id
         result = gateway.deliver(
             sid, FiveTuple("10.0.0.1", 1, "10.9.9.9", 443),
-            is_syn=True, client_az="az2")
+            is_syn=True, client_az="az2", route_cache={})
         assert result.replica.az == "az2"
 
     def test_flow_stickiness_through_gateway(self, sim):
         gateway, services = make_gateway(sim)
         sid = services[0].service_id
         flow = FiveTuple("10.0.0.1", 777, "10.9.9.9", 443)
-        first = gateway.deliver(sid, flow, is_syn=True, client_az="az1")
-        again = gateway.deliver(sid, flow, is_syn=False, client_az="az1")
+        first = gateway.deliver(sid, flow, is_syn=True, client_az="az1",
+                                route_cache={})
+        again = gateway.deliver(sid, flow, is_syn=False, client_az="az1",
+                                route_cache={})
         assert again.replica.name == first.replica.name
 
     def test_water_levels_view(self, sim):
@@ -267,9 +269,10 @@ class TestDesDataplane:
 class TestRouteCache:
     """A connection's cached route must equal an uncached LB delivery.
 
-    Two gateways built from one seed take the same steps; one passes
-    each flow's route cache and the other none, so every delivery of
-    the second runs the full ECMP, bucket-chain and flow-table walk.
+    Two gateways built from one seed take the same steps; one keeps
+    each flow's route cache and the other passes a fresh one on every
+    delivery, so every delivery of the second runs the full ECMP,
+    bucket-chain and flow-table walk.
     """
 
     FLOWS = [FiveTuple("10.0.0.1", 40_000 + i, "10.9.9.9", 443)
@@ -293,12 +296,17 @@ class TestRouteCache:
     def _lb(gateway, sid):
         return gateway.service_lbs[(sid, "az1")]
 
+    @staticmethod
+    def _cache(caches, index):
+        """Flow ``index``'s route cache; ``caches=None`` means uncached."""
+        return {} if caches is None else caches[index]
+
     def _deliver_all(self, gateway, sid, caches, is_syn=False):
         """Per flow: (replica, hops, new flow, delivered, redirected)."""
         seen = []
-        for flow, cache in zip(self.FLOWS, caches):
+        for index, flow in enumerate(self.FLOWS):
             result = gateway.deliver(sid, flow, is_syn, "az1",
-                                     route_cache=cache)
+                                     route_cache=self._cache(caches, index))
             lb = self._lb(gateway, sid)
             seen.append((result.replica.name, result.redirection_hops,
                          result.is_new_flow, lb.packets_delivered,
@@ -325,7 +333,7 @@ class TestRouteCache:
 
     def _step_syn(self, gateway, sid, caches):
         result = gateway.deliver(sid, self.FLOWS[2], True, "az1",
-                                 route_cache=caches[2])
+                                 route_cache=self._cache(caches, 2))
         assert result.is_new_flow
 
     def _step_extend(self, gateway, sid, _caches):
@@ -344,7 +352,7 @@ class TestRouteCache:
         cached_gw, sid = self._gateway()
         plain_gw, plain_sid = self._gateway()
         caches = [{} for _ in self.FLOWS]
-        plain = [None] * len(self.FLOWS)
+        plain = None
         assert (self._deliver_all(cached_gw, sid, caches, is_syn=True)
                 == self._deliver_all(plain_gw, plain_sid, plain,
                                      is_syn=True))
@@ -371,9 +379,14 @@ class TestRouteCache:
         first = gateway.deliver(sid, flow, False, "az1", route_cache=cache)
         lb = self._lb(gateway, sid)
         assert cache["route"] == (lb, lb.epoch, first)
+        # Another flow's SYN installs a flow but moves no established one.
+        gateway.deliver(sid, self.FLOWS[1], True, "az1", route_cache={})
         again = gateway.deliver(sid, flow, False, "az1", route_cache=cache)
         assert again is first
-        assert lb.packets_delivered == 3
+        assert lb.packets_delivered == 4
+        # Its own SYN drops the route: the flow may land elsewhere now.
+        gateway.deliver(sid, flow, True, "az1", route_cache=cache)
+        assert "route" not in cache
 
 
 NAN, INF = math.nan, math.inf
