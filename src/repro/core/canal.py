@@ -20,7 +20,7 @@ from ..k8s import Cluster, Pod
 from ..mesh.base import MeshError, ServiceMesh
 from ..mesh.controlplane import ConfigTarget, ControlPlane
 from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
-from ..mesh.http import HttpRequest, HttpResponse
+from ..mesh.http import HttpRequest
 from ..mesh.proxy import Connection, ProxyTier
 from ..netsim import FiveTuple, ResolutionError
 from ..obs.trace import get_tracer
@@ -32,7 +32,7 @@ from .onnode import OnNodeProxy
 from .replica import ReplicaConfig
 from .tenancy import TenantService
 
-__all__ = ["CanalMesh", "CanalControlPlane"]
+__all__ = ["CanalMesh", "CanalControlPlane", "GatewayMesh"]
 
 #: Crypto-offload modes for the on-node proxies.
 OFFLOAD_REMOTE = "remote"     # key server (the Canal default)
@@ -40,38 +40,21 @@ OFFLOAD_LOCAL = "local"       # AVX-512 batch engine on the node CPU
 OFFLOAD_NONE = "software"     # plain software asymmetric crypto
 
 
-class CanalMesh(ServiceMesh):
-    """The paper's architecture, end to end."""
+class GatewayMesh(ServiceMesh):
+    """What Canal and proxyless Canal share: tenancy at the mesh gateway.
 
-    name = "canal"
+    Attaching registers the cluster as a gateway tenant, and each of its
+    services, present and future, as a tenant service the gateway
+    routes. Connections carry the flow the gateway sees; subclasses set
+    ``_port_counter``, the last source port handed out.
+    """
 
-    def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
-                 gateway: Optional[MeshGateway] = None,
-                 key_fleet: Optional[KeyServerFleet] = None,
-                 onnode_cores_per_node: int = 1,
-                 gateway_az: str = "az1",
-                 crypto_offload: str = OFFLOAD_REMOTE,
-                 software_new_cpu: bool = True):
+    def __init__(self, sim: Simulator, costs: MeshCostModel,
+                 gateway: Optional[MeshGateway], gateway_az: str):
         super().__init__(sim, costs)
-        if crypto_offload not in (OFFLOAD_REMOTE, OFFLOAD_LOCAL,
-                                  OFFLOAD_NONE):
-            raise ValueError(f"unknown offload mode {crypto_offload!r}")
-        #: In software mode, whether the node CPU is a new model (the
-        #: testbed's 8269CY) or an old one ("no offloading", Fig 23).
-        self.software_new_cpu = software_new_cpu
         self.gateway_az = gateway_az
-        self.crypto_offload = crypto_offload
-        self.onnode_cores_per_node = onnode_cores_per_node
         self.gateway = gateway or self._testbed_gateway()
-        self.key_fleet = key_fleet or KeyServerFleet(sim, costs.crypto)
-        if (crypto_offload == OFFLOAD_REMOTE
-                and self.key_fleet.server_in(gateway_az) is None):
-            self.key_fleet.deploy(gateway_az)
-        self.onnode: Dict[str, OnNodeProxy] = {}
         self._services: Dict[str, TenantService] = {}
-        self._server_channels: Set[str] = set()
-        self._gateway_engine = None
-        self._port_counter = 20000
 
     def _testbed_gateway(self) -> MeshGateway:
         """A §5.1-scale gateway: one backend, 2 cores, in one AZ."""
@@ -90,6 +73,102 @@ class CanalMesh(ServiceMesh):
         registry = self.gateway.registry
         if cluster.tenant not in registry.tenants:
             registry.add_tenant(cluster.tenant)
+        for service_name in list(cluster.services):
+            self._register_service(service_name)
+        cluster.watch(self._on_event)
+
+    def _on_event(self, event) -> None:
+        if event.kind == "service" and event.action == "added":
+            self._register_service(event.name)
+
+    def _register_service(self, service_name: str) -> TenantService:
+        cluster = self._require_cluster()
+        if service_name in self._services:
+            return self._services[service_name]
+        k8s_service = cluster.services[service_name]
+        registry = self.gateway.registry
+        tenant = registry.tenants[cluster.tenant]
+        tenant_service = registry.add_service(
+            tenant, name=service_name,
+            vpc_ip=k8s_service.cluster_ip or "0.0.0.0",
+            port=k8s_service.port)
+        self.gateway.register_service(tenant_service)
+        self._services[service_name] = tenant_service
+        return tenant_service
+
+    def tenant_service(self, service_name: str) -> TenantService:
+        if service_name not in self._services:
+            raise MeshError(f"service {service_name!r} not registered")
+        return self._services[service_name]
+
+    # -- dataplane ------------------------------------------------------------
+    def _flow_connection(self, client_pod: Pod, server_pod: Pod,
+                         tenant_service: TenantService,
+                         client_az: str) -> Connection:
+        """A connection from the client pod's next source port to the
+        service's VIP, with the flow and service ID the gateway routes."""
+        self._port_counter += 1
+        connection = Connection(client=client_pod.name,
+                                service=tenant_service.name,
+                                server_pod=server_pod.name,
+                                established_at=self.sim.now)
+        connection.meta["flow"] = FiveTuple(
+            src_ip=client_pod.ip or "10.0.0.1", src_port=self._port_counter,
+            dst_ip=tenant_service.vpc_ip, dst_port=tenant_service.port)
+        connection.meta["service_id"] = tenant_service.service_id
+        connection.meta["client_az"] = client_az
+        return connection
+
+    def close_connection(self, connection: Connection) -> None:
+        """Release the connection's gateway-side flow/session state."""
+        flow = connection.meta.get("flow")
+        service_id = connection.meta.get("service_id")
+        if flow is not None and service_id is not None:
+            self.gateway.close_flow(service_id, flow)
+
+    # -- accounting ---------------------------------------------------------
+    def infra_cpu_seconds(self) -> float:
+        """Gateway-side CPU (not the user's resources)."""
+        total = 0.0
+        for backend in self.gateway.all_backends:
+            for replica in backend.replicas:
+                if replica._cpu is not None:
+                    total += replica._cpu.busy_time()
+        return total
+
+
+class CanalMesh(GatewayMesh):
+    """The paper's architecture, end to end."""
+
+    name = "canal"
+
+    def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
+                 gateway: Optional[MeshGateway] = None,
+                 key_fleet: Optional[KeyServerFleet] = None,
+                 onnode_cores_per_node: int = 1,
+                 gateway_az: str = "az1",
+                 crypto_offload: str = OFFLOAD_REMOTE,
+                 software_new_cpu: bool = True):
+        super().__init__(sim, costs, gateway, gateway_az)
+        if crypto_offload not in (OFFLOAD_REMOTE, OFFLOAD_LOCAL,
+                                  OFFLOAD_NONE):
+            raise ValueError(f"unknown offload mode {crypto_offload!r}")
+        #: In software mode, whether the node CPU is a new model (the
+        #: testbed's 8269CY) or an old one ("no offloading", Fig 23).
+        self.software_new_cpu = software_new_cpu
+        self.crypto_offload = crypto_offload
+        self.onnode_cores_per_node = onnode_cores_per_node
+        self.key_fleet = key_fleet or KeyServerFleet(sim, costs.crypto)
+        if (crypto_offload == OFFLOAD_REMOTE
+                and self.key_fleet.server_in(gateway_az) is None):
+            self.key_fleet.deploy(gateway_az)
+        self.onnode: Dict[str, OnNodeProxy] = {}
+        self._server_channels: Set[str] = set()
+        self._gateway_engine = None
+        self._port_counter = 20000
+
+    # -- lifecycle -----------------------------------------------------------
+    def attach(self, cluster: Cluster) -> None:
         for node in cluster.worker_nodes:
             proxy = OnNodeProxy(self.sim, node.name, node.host.az.name,
                                 cores=self.onnode_cores_per_node,
@@ -97,9 +176,7 @@ class CanalMesh(ServiceMesh):
             proxy.asym_engine = self._build_engine(proxy)
             self.onnode[node.name] = proxy
         self._gateway_engine = self._build_gateway_engine()
-        for service_name in list(cluster.services):
-            self._register_service(service_name)
-        cluster.watch(self._on_event)
+        super().attach(cluster)
 
     def _build_engine(self, proxy: OnNodeProxy):
         """The on-node asymmetric-crypto engine for the offload mode."""
@@ -137,32 +214,6 @@ class CanalMesh(ServiceMesh):
                                       new_cpu=True)
         return FallbackEngine(remote, fallback)
 
-    def _on_event(self, event) -> None:
-        if event.kind == "service" and event.action == "added":
-            self._register_service(event.name)
-
-    def _register_service(self, service_name: str) -> TenantService:
-        cluster = self._require_cluster()
-        if service_name in self._services:
-            return self._services[service_name]
-        k8s_service = cluster.services[service_name]
-        registry = self.gateway.registry
-        tenant = registry.tenants[cluster.tenant]
-        tenant_service = registry.add_service(
-            tenant, name=service_name,
-            vpc_ip=k8s_service.cluster_ip or "0.0.0.0",
-            port=k8s_service.port)
-        tenant_service.app_endpoints = [
-            pod.ip for pod in cluster.endpoints(service_name) if pod.ip]
-        self.gateway.register_service(tenant_service)
-        self._services[service_name] = tenant_service
-        return tenant_service
-
-    def tenant_service(self, service_name: str) -> TenantService:
-        if service_name not in self._services:
-            raise MeshError(f"service {service_name!r} not registered")
-        return self._services[service_name]
-
     # -- dataplane ------------------------------------------------------------
     def _proxy_for(self, pod: Pod) -> OnNodeProxy:
         proxy = self.onnode.get(pod.node_name or "")
@@ -183,17 +234,8 @@ class CanalMesh(ServiceMesh):
         if server_proxy.node_name not in self._server_channels:
             self._server_channels.add(server_proxy.node_name)
             yield from self._handshake(server_proxy, trace_sink=trace_sink)
-        self._port_counter += 1
-        flow = FiveTuple(src_ip=client_pod.ip or "10.0.0.1",
-                         src_port=self._port_counter,
-                         dst_ip=tenant_service.vpc_ip,
-                         dst_port=tenant_service.port)
-        connection = Connection(client=client_pod.name, service=service,
-                                server_pod=server_pod.name,
-                                established_at=self.sim.now)
-        connection.meta["flow"] = flow
-        connection.meta["service_id"] = tenant_service.service_id
-        connection.meta["client_az"] = client_proxy.az
+        connection = self._flow_connection(client_pod, server_pod,
+                                           tenant_service, client_proxy.az)
         if trace_sink:
             # Deferred TLS spans: adopted by the first request's trace.
             connection.meta["pending_spans"] = trace_sink
@@ -230,33 +272,6 @@ class CanalMesh(ServiceMesh):
                      "start_s": asym_end, "end_s": self.sim.now},
                 ]})
 
-    def _start_trace(self, connection: Connection):
-        """Begin one request trace (or ``None``), adopting any deferred
-        TLS handshake spans from the connection's setup."""
-        tracer = get_tracer()
-        if tracer is None:
-            return None
-        handle = tracer.start(
-            "request", layer="request",
-            source=f"client/{connection.client}",
-            service=connection.service, start_s=self.sim.now,
-            mesh=self.name)
-        if handle is None:
-            return None
-        pending = connection.meta.pop("pending_spans", None)
-        if pending:
-            # The handshake predates the request: widen the root so it
-            # covers connection setup end to end.
-            handle.start_s = min(handle.start_s,
-                                 min(spec["start_s"] for spec in pending))
-            for spec in pending:
-                handle.add_tree(spec)
-        return handle
-
-    def _finish_trace(self, handle, status: int, **annotations) -> None:
-        if handle is not None:
-            handle.finish(self.sim.now, status=status, **annotations)
-
     def request(self, connection: Connection, request: HttpRequest):
         """on-node → gateway L7 → on-node → app exchange."""
         cluster = self._require_cluster()
@@ -265,10 +280,7 @@ class CanalMesh(ServiceMesh):
         client_pod = cluster.pods[connection.client]
         server_pod = cluster.pods.get(connection.server_pod)
         if server_pod is None:
-            self.observe_request(503, self.sim.now - start,
-                                 connection.service)
-            self._finish_trace(handle, 503)
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
+            return self._respond(503, start, connection, handle)
         client_proxy = self._proxy_for(client_pod)
         server_proxy = self._proxy_for(server_pod)
         service_id = connection.meta["service_id"]
@@ -277,10 +289,7 @@ class CanalMesh(ServiceMesh):
 
         # Gateway-side admission: authz.
         if not self.authorize(connection.service, request):
-            self.observe_request(403, self.sim.now - start,
-                                 connection.service)
-            self._finish_trace(handle, 403)
-            return HttpResponse(status=403, latency_s=self.sim.now - start)
+            return self._respond(403, start, connection, handle)
 
         policies = self.gateway.resilience
         yield from client_proxy.process_message(
@@ -301,22 +310,14 @@ class CanalMesh(ServiceMesh):
                 break
             except CircuitOpenError:
                 # Fast fail: no retries against an open breaker.
-                self.observe_request(503, self.sim.now - start,
-                                     connection.service)
-                self._finish_trace(
-                    handle, 503, breaker="open", attempts=attempt)
-                return HttpResponse(status=503,
-                                    latency_s=self.sim.now - start)
+                return self._respond(503, start, connection, handle,
+                                     breaker="open", attempts=attempt)
             except (NoBackendAvailable, ResolutionError):
-                if retry is None or not retry.should_retry(attempt):
-                    self.observe_request(503, self.sim.now - start,
-                                         connection.service)
-                    if retry is not None:
-                        self._finish_trace(handle, 503, attempts=attempt)
-                    else:
-                        self._finish_trace(handle, 503)
-                    return HttpResponse(status=503,
-                                        latency_s=self.sim.now - start)
+                if retry is None:
+                    return self._respond(503, start, connection, handle)
+                if not retry.should_retry(attempt):
+                    return self._respond(503, start, connection, handle,
+                                         attempts=attempt)
                 policies.note_retry(service_id)
                 yield self.sim.timeout(retry.backoff_s(attempt))
         # The hop on to the server node, plus one intra-gateway hop per
@@ -333,32 +334,13 @@ class CanalMesh(ServiceMesh):
                        app_start + self.costs.app_service_time_s,
                        source=f"app/{server_pod.name}",
                        pod=server_pod.name)
-        connection.requests_sent += 1
-        latency = self.sim.now - start
-        self.observe_request(200, latency, connection.service)
-        self._finish_trace(handle, 200, replica=result.replica.name)
-        return HttpResponse(status=200, latency_s=latency,
-                            served_by=result.replica.name)
-
-    def close_connection(self, connection: Connection) -> None:
-        """Release the connection's gateway-side flow/session state."""
-        flow = connection.meta.get("flow")
-        service_id = connection.meta.get("service_id")
-        if flow is not None and service_id is not None:
-            self.gateway.close_flow(service_id, flow)
+        return self._respond(200, start, connection, handle,
+                             served_by=result.replica.name,
+                             replica=result.replica.name)
 
     # -- accounting ---------------------------------------------------------
     def user_tiers(self) -> List[ProxyTier]:
         return [proxy.tier for proxy in self.onnode.values()]
-
-    def infra_cpu_seconds(self) -> float:
-        """Gateway-side CPU (not the user's resources)."""
-        total = 0.0
-        for backend in self.gateway.all_backends:
-            for replica in backend.replicas:
-                if replica._cpu is not None:
-                    total += replica._cpu.busy_time()
-        return total
 
     def proxy_count(self) -> int:
         """Configurable proxies from the user's perspective: on-node

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..k8s import Cluster, Pod
-from ..mesh.base import MeshError, ServiceMesh
+from ..mesh.base import MeshError
 from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
-from ..mesh.http import HttpRequest, HttpResponse
+from ..mesh.http import HttpRequest
 from ..mesh.proxy import Connection, ProxyTier
-from ..netsim import FiveTuple, ResolutionError
-from ..obs.trace import get_tracer
+from ..netsim import ResolutionError
 from ..simcore import Simulator
-from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
-from .replica import ReplicaConfig
+from .canal import GatewayMesh
+from .gateway import MeshGateway, NoBackendAvailable
 from .tenancy import TenantService
 
 __all__ = ["Eni", "EniRegistry", "EniLimitExceeded", "ProxylessCanalMesh"]
@@ -111,7 +110,7 @@ class EniRegistry:
         return presented_token == eni.auth_token
 
 
-class ProxylessCanalMesh(ServiceMesh):
+class ProxylessCanalMesh(GatewayMesh):
     """Canal without the on-node proxy: DNS redirection + ENI authn."""
 
     name = "canal-proxyless"
@@ -120,69 +119,33 @@ class ProxylessCanalMesh(ServiceMesh):
                  gateway: Optional[MeshGateway] = None,
                  gateway_az: str = "az1",
                  eni_registry: Optional[EniRegistry] = None):
-        super().__init__(sim, costs)
-        self.gateway_az = gateway_az
-        self.gateway = gateway or self._testbed_gateway()
+        super().__init__(sim, costs, gateway, gateway_az)
         self.enis = eni_registry or EniRegistry()
-        self._services: Dict[str, TenantService] = {}
         self._port_counter = 30000
         #: DNS names the cloud rewrote in the tenant's resolver.
         self.dns_redirections: Dict[str, str] = {}
         self.authn_failures = 0
 
-    def _testbed_gateway(self) -> MeshGateway:
-        config = GatewayConfig(
-            replicas_per_backend=1, backends_per_service_per_az=1,
-            azs_per_service=1,
-            replica=ReplicaConfig(cores=2,
-                                  request_cost_s=self.costs.canal_gateway_l7_s))
-        gateway = MeshGateway(self.sim, config)
-        gateway.deploy_backend(self.gateway_az)
-        return gateway
-
     # -- lifecycle -----------------------------------------------------------
     def attach(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        registry = self.gateway.registry
-        if cluster.tenant not in registry.tenants:
-            registry.add_tenant(cluster.tenant)
         for pod in cluster.pods.values():
             self.enis.allocate(pod)
-        for service_name in list(cluster.services):
-            self._register_service(service_name)
-        cluster.watch(self._on_event)
+        super().attach(cluster)
 
     def _on_event(self, event) -> None:
-        if event.kind == "service" and event.action == "added":
-            self._register_service(event.name)
-        elif event.kind == "pod" and event.action == "added":
+        super()._on_event(event)
+        if event.kind == "pod" and event.action == "added":
             self.enis.allocate(event.obj)
         elif event.kind == "pod" and event.action == "deleted":
             self.enis.release(event.name)
 
     def _register_service(self, service_name: str) -> TenantService:
-        cluster = self._require_cluster()
-        if service_name in self._services:
-            return self._services[service_name]
-        k8s_service = cluster.services[service_name]
-        registry = self.gateway.registry
-        tenant = registry.tenants[cluster.tenant]
-        tenant_service = registry.add_service(
-            tenant, name=service_name,
-            vpc_ip=k8s_service.cluster_ip or "0.0.0.0",
-            port=k8s_service.port)
-        self.gateway.register_service(tenant_service)
-        self._services[service_name] = tenant_service
+        tenant_service = super()._register_service(service_name)
         # The DNS-redirection step: the service's cluster name now
         # resolves to the gateway instead of the cluster IP.
         self.dns_redirections[service_name] = (
             f"svc-{tenant_service.service_id}.mesh.gateway")
         return tenant_service
-
-    def tenant_service(self, service_name: str) -> TenantService:
-        if service_name not in self._services:
-            raise MeshError(f"service {service_name!r} not registered")
-        return self._services[service_name]
 
     # -- dataplane ------------------------------------------------------------
     def open_connection(self, client_pod: Pod, service: str):
@@ -202,17 +165,8 @@ class ProxylessCanalMesh(ServiceMesh):
         # User-managed certificates behave the same on the wire (the
         # crypto cost lands in the user's own app, outside the mesh).
         yield self.sim.timeout(2 * self.costs.canal_gateway_hop_s)
-        self._port_counter += 1
-        flow = FiveTuple(src_ip=client_pod.ip or "10.0.0.1",
-                         src_port=self._port_counter,
-                         dst_ip=tenant_service.vpc_ip,
-                         dst_port=tenant_service.port)
-        connection = Connection(client=client_pod.name, service=service,
-                                server_pod=server_pod.name,
-                                established_at=self.sim.now)
-        connection.meta["flow"] = flow
-        connection.meta["service_id"] = tenant_service.service_id
-        connection.meta["client_az"] = self.gateway_az
+        connection = self._flow_connection(client_pod, server_pod,
+                                           tenant_service, self.gateway_az)
         connection.meta["eni"] = eni
         return connection
 
@@ -220,65 +174,39 @@ class ProxylessCanalMesh(ServiceMesh):
         """app → gateway (L7 + authz + TLS) → server app, no node proxy."""
         cluster = self._require_cluster()
         start = self.sim.now
-        tracer = get_tracer()
-        handle = None
-        if tracer is not None:
-            # Nothing can be collected on the user node, so the trace
-            # only ever sees the gateway's L7 view — the "partial"
-            # observability coverage of Appendix B, made visible.
-            handle = tracer.start("request", layer="request",
-                                  source="gateway-only",
-                                  service=connection.service,
-                                  start_s=start, mesh=self.name)
+        # Nothing can be collected on the user node, so the trace only
+        # ever sees the gateway's L7 view — the "partial" observability
+        # coverage of Appendix B, made visible.
+        handle = self._start_trace(connection, source="gateway-only")
         server_pod = cluster.pods.get(connection.server_pod)
         if server_pod is None:
-            if handle is not None:
-                handle.finish(self.sim.now, status=503)
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
-        service_id = connection.meta["service_id"]
-        flow: FiveTuple = connection.meta["flow"]
+            return self._respond(503, start, connection, handle)
         hop = self.costs.canal_gateway_hop_s
 
         if not self.authorize(connection.service, request):
-            if handle is not None:
-                handle.finish(self.sim.now, status=403)
-            return HttpResponse(status=403, latency_s=self.sim.now - start)
+            return self._respond(403, start, connection, handle)
 
         yield self.sim.timeout(hop)
         try:
             result = yield from self.gateway.process_request(
-                service_id, flow, is_syn=connection.requests_sent == 0,
+                connection.meta["service_id"], connection.meta["flow"],
+                is_syn=connection.requests_sent == 0,
                 client_az=connection.meta["client_az"], trace=handle,
                 route_cache=connection.meta)
         except (NoBackendAvailable, ResolutionError):
-            if handle is not None:
-                handle.finish(self.sim.now, status=503)
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
+            return self._respond(503, start, connection, handle)
         if result.redirection_hops:
             yield self.sim.timeout(result.redirection_hops * hop)
         yield self.sim.timeout(hop)
         yield self.sim.timeout(self.costs.app_service_time_s)
         yield self.sim.timeout(2 * hop)
-        connection.requests_sent += 1
-        latency = self.sim.now - start
-        self.latency.add(latency)
-        if handle is not None:
-            handle.finish(self.sim.now, status=200)
-        return HttpResponse(status=200, latency_s=latency,
-                            served_by=result.replica.name)
+        return self._respond(200, start, connection, handle,
+                             served_by=result.replica.name)
 
     # -- accounting ---------------------------------------------------------
     def user_tiers(self) -> List[ProxyTier]:
         """No proxies on the user cluster at all."""
         return []
-
-    def infra_cpu_seconds(self) -> float:
-        total = 0.0
-        for backend in self.gateway.all_backends:
-            for replica in backend.replicas:
-                if replica._cpu is not None:
-                    total += replica._cpu.busy_time()
-        return total
 
     @property
     def observability_coverage(self) -> str:

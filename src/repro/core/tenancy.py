@@ -8,7 +8,7 @@ headers so overlapping VPC addresses never collide (§4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..netsim import ServiceIdMapper
@@ -38,9 +38,6 @@ class TenantService:
     name: str
     vpc_ip: str
     port: int = 80
-    #: Application endpoints behind this service (pod IPs in the user
-    #: cluster) — the health-check targets.
-    app_endpoints: List[str] = field(default_factory=list)
     #: Relative CPU weight of one request (HTTPS requests cost about 3×
     #: an HTTP request, §6.3).
     https: bool = False

@@ -1,9 +1,9 @@
 """One experiment per paper table and figure.
 
 ``EXPERIMENTS`` maps exhibit IDs ("fig11", "table5", ...) to functions
-returning :class:`ExperimentResult`; ``run(exp_id)`` executes one and
-``run_all()`` the full set. The claims ledger (``tests/test_claims.py``)
-runs each through ``run`` and checks every finding against its band.
+returning :class:`ExperimentResult`; ``run(exp_id)`` executes one. The
+claims ledger (``tests/test_claims.py``) runs each through ``run`` and
+checks every finding against its band.
 """
 
 from typing import Callable, Dict, List
@@ -152,11 +152,6 @@ def run(exp_id: str) -> ExperimentResult:
     return EXPERIMENTS[exp_id]()
 
 
-def run_all() -> List[ExperimentResult]:
-    """Run every experiment in exhibit order."""
-    return [EXPERIMENTS[exp_id]() for exp_id in EXPERIMENTS]
-
-
 __all__ = [
     "ABLATIONS",
     "CASES_EXPERIMENTS",
@@ -178,5 +173,4 @@ __all__ = [
     "light_load_latency",
     "resilience_plan",
     "run",
-    "run_all",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple, Type
 
-from ..core import CanalMesh
+from ..core import CanalMesh, ProxylessCanalMesh
 from ..k8s import Cluster
 from ..mesh import AmbientMesh, DEFAULT_COSTS, IstioMesh, MeshCostModel, NoMesh
 from ..mesh.base import ServiceMesh
@@ -21,11 +21,11 @@ from ..workloads import ClosedLoopDriver, LoadReport, OpenLoopDriver
 __all__ = ["TestbedRun", "build_testbed", "light_load_latency",
            "latency_at_rps", "find_knee_rps", "MESH_CLASSES"]
 
+#: Every architecture, keyed by its ``ServiceMesh.name``.
 MESH_CLASSES = {
-    "no-mesh": NoMesh,
-    "istio": IstioMesh,
-    "ambient": AmbientMesh,
-    "canal": CanalMesh,
+    mesh_cls.name: mesh_cls
+    for mesh_cls in (NoMesh, IstioMesh, AmbientMesh, CanalMesh,
+                     ProxylessCanalMesh)
 }
 
 #: The §5.1 testbed shape.

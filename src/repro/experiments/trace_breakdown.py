@@ -32,9 +32,7 @@ import json
 from typing import Dict, List, Tuple
 
 from ..faults import Fault, FaultEngine, FaultPlan
-from ..k8s import Cluster
 from ..mesh import HttpRequest
-from ..netsim import Topology
 from ..obs.trace import (
     Trace,
     TraceCollector,
@@ -49,15 +47,8 @@ from ..obs.trace import (
     take_collectors,
 )
 from ..runtime.sweep import sweep_map
-from ..simcore import Simulator
 from .base import ExperimentResult, Series, Table
-from .testbed import (
-    PODS_PER_SERVICE,
-    SERVICES,
-    TestbedRun,
-    WORKER_NODES,
-    build_testbed,
-)
+from .testbed import build_testbed
 
 __all__ = ["trace_breakdown", "trace_breakdown_chaos"]
 
@@ -67,24 +58,6 @@ _MESHES = ("istio", "canal", "canal-proxyless")
 #: Layers in waterfall display order (request = uninstrumented root
 #: residue, i.e. network propagation and queueing between spans).
 _LAYERS = ("tls", "l4", "l7", "app", "request", "unattributed")
-
-
-def _build(mesh_name: str, seed: int) -> TestbedRun:
-    """The §5.1 testbed, extended with the proxyless variant."""
-    if mesh_name != "canal-proxyless":
-        return build_testbed(mesh_name, seed=seed)
-    from ..core.proxyless import ProxylessCanalMesh
-    sim = Simulator(seed)
-    topology = Topology.single_az_testbed(worker_nodes=WORKER_NODES)
-    cluster = Cluster("testbed", topology.all_nodes())
-    mesh = ProxylessCanalMesh(sim)
-    mesh.attach(cluster)
-    for index in range(SERVICES):
-        name = f"svc{index}"
-        cluster.create_deployment(name, replicas=PODS_PER_SERVICE,
-                                  labels={"app": name})
-        cluster.create_service(name, selector={"app": name})
-    return TestbedRun(sim, cluster, mesh)
 
 
 def _scoped_tracer(seed: int) -> Tuple[Tracer, object]:
@@ -130,7 +103,7 @@ def _waterfall_run(spec: Tuple[str, int, int]) -> Dict[str, object]:
     tracer, previous = _scoped_tracer(seed)
     latencies: List[float] = []
     try:
-        run = _build(mesh_name, seed)
+        run = build_testbed(mesh_name, seed=seed)
 
         def scenario():
             connection = yield from run.mesh.open_connection(

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..crypto import CertificateAuthority, SoftwareAsymEngine, mtls_handshake
 from ..k8s import Cluster, Pod
 from ..netsim import LatencyModel
 from ..simcore import Simulator
-from .base import MeshError, ServiceMesh
 from .costs import DEFAULT_COSTS, MeshCostModel, sample_service_time
-from .http import HttpRequest, HttpResponse
+from .http import HttpRequest
+from .istio import SoftwareMtlsMesh
 from .proxy import Connection, ProxyTier
 
 __all__ = ["AmbientMesh"]
 
 
-class AmbientMesh(ServiceMesh):
+class AmbientMesh(SoftwareMtlsMesh):
     """Per-node L4 + per-service L7 architecture."""
 
     name = "ambient"
@@ -38,13 +37,9 @@ class AmbientMesh(ServiceMesh):
                  latency_model: Optional[LatencyModel] = None,
                  ztunnel_cores_per_node: int = 1,
                  waypoint_pool_cores: int = 2):
-        super().__init__(sim, costs)
-        self.latency_model = latency_model or LatencyModel()
+        super().__init__(sim, costs, latency_model, "ambient-ca")
         self.ztunnel_cores_per_node = ztunnel_cores_per_node
         self.waypoint_pool_cores = waypoint_pool_cores
-        self.ca = CertificateAuthority("ambient-ca")
-        self._ztunnels: Dict[str, ProxyTier] = {}
-        self._engines: Dict[str, SoftwareAsymEngine] = {}
         self._waypoint_pool: Optional[ProxyTier] = None
         self._l7_services: Set[str] = set()
         self.waypoint_requests: Dict[str, int] = {}
@@ -53,11 +48,8 @@ class AmbientMesh(ServiceMesh):
     def attach(self, cluster: Cluster) -> None:
         self.cluster = cluster
         for node in cluster.worker_nodes:
-            tier = ProxyTier(self.sim, cores=self.ztunnel_cores_per_node,
-                             name=f"ztunnel@{node.name}")
-            self._ztunnels[node.name] = tier
-            self._engines[node.name] = SoftwareAsymEngine(
-                self.sim, self.costs.crypto, new_cpu=True, cpu=tier.cpu)
+            self._add_node_tier(node.name, self.ztunnel_cores_per_node,
+                                f"ztunnel@{node.name}")
         self._waypoint_pool = ProxyTier(
             self.sim, cores=self.waypoint_pool_cores, name="waypoints")
         # Every pre-existing and future service gets L7 by default; call
@@ -81,83 +73,54 @@ class AmbientMesh(ServiceMesh):
         return service in self._l7_services
 
     # -- dataplane ------------------------------------------------------------
-    def _ztunnel_for(self, pod: Pod) -> ProxyTier:
-        tier = self._ztunnels.get(pod.node_name or "")
-        if tier is None:
-            raise MeshError(f"pod {pod.name} is on an unmanaged node")
-        return tier
-
     def open_connection(self, client_pod: Pod, service: str):
         """HBONE tunnel establishment between the two ztunnels."""
-        server_pod = self.pick_endpoint(service)
-        one_way = self.latency_model.one_way(
-            self._location_of(client_pod), self._location_of(server_pod))
-        client_cert = self.ca.issue(
-            f"spiffe://{client_pod.tenant}/{client_pod.name}",
-            client_pod.tenant, self.sim.now + 86400.0)
-        server_cert = self.ca.issue(
-            f"spiffe://{server_pod.tenant}/{server_pod.name}",
-            server_pod.tenant, self.sim.now + 86400.0)
-        setup = self.costs.handshake_base_s + self.costs.connection_setup_s
-        yield from self._ztunnel_for(client_pod).work(setup)
-        yield from self._ztunnel_for(server_pod).work(setup)
-        result = yield from mtls_handshake(
-            self.sim, self.ca, client_cert, server_cert,
-            self._engines[client_pod.node_name],
-            self._engines[server_pod.node_name],
-            rtt_s=2.0 * one_way, costs=self.costs.crypto)
-        if not result.ok:
-            raise MeshError(f"handshake failed: {result.failure_reason}")
-        connection = Connection(client=client_pod.name, service=service,
-                                server_pod=server_pod.name,
-                                established_at=self.sim.now,
-                                session=result.session,
-                                one_way_s=one_way)
-        return connection
+        return (yield from self._mtls_connect(client_pod, service))
 
     def request(self, connection: Connection, request: HttpRequest):
         """ztunnel → (waypoint) → ztunnel → app exchange."""
         cluster = self._require_cluster()
         start = self.sim.now
+        handle = self._start_trace(connection)
         client_pod = cluster.pods[connection.client]
         server_pod = cluster.pods.get(connection.server_pod)
         if server_pod is None:
-            self.observe_request(503, self.sim.now - start,
-                                 connection.service)
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
+            return self._respond(503, start, connection, handle)
 
         ztunnel_cost = (self.costs.ambient_ztunnel_l4_s
                         + self.costs.symmetric_cost(request.total_bytes))
 
-        yield from self._ztunnel_for(client_pod).work(ztunnel_cost)
+        yield from self._tier_for(client_pod).work(
+            ztunnel_cost, trace=handle, name="ztunnel-l4",
+            pod=client_pod.name, bytes_out=request.body_bytes,
+            bytes_in=request.response_bytes)
         if self.l7_enabled(connection.service):
             # One intermediate hop to the waypoint (placed on a cluster
             # node, so an intra-AZ hop) and one onwards to the server.
             yield self.sim.timeout(self.latency_model.intra_az)
             if not self.authorize(connection.service, request):
-                self.observe_request(403, self.sim.now - start,
-                                     connection.service)
-                return HttpResponse(status=403, latency_s=self.sim.now - start)
+                return self._respond(403, start, connection, handle)
             assert self._waypoint_pool is not None
             yield from self._waypoint_pool.work(sample_service_time(
                 self.sim.rng, self.costs.ambient_waypoint_l7_s,
-                self.costs.ambient_l7_sigma))
+                self.costs.ambient_l7_sigma), trace=handle,
+                name="waypoint-l7", layer="l7")
             self.waypoint_requests[connection.service] = (
                 self.waypoint_requests.get(connection.service, 0) + 1)
         yield self.sim.timeout(connection.one_way_s)
-        yield from self._ztunnel_for(server_pod).work(ztunnel_cost)
+        yield from self._tier_for(server_pod).work(
+            ztunnel_cost, trace=handle, name="ztunnel-l4",
+            pod=server_pod.name, bytes_out=request.response_bytes,
+            bytes_in=request.body_bytes)
         # The app, then the response hop.
         yield self.sim.timeout(self.costs.app_service_time_s
                                + connection.one_way_s)
-        connection.requests_sent += 1
-        latency = self.sim.now - start
-        self.observe_request(200, latency, connection.service)
-        return HttpResponse(status=200, latency_s=latency,
-                            served_by=server_pod.name)
+        return self._respond(200, start, connection, handle,
+                             served_by=server_pod.name)
 
     # -- accounting ---------------------------------------------------------
     def user_tiers(self) -> List[ProxyTier]:
-        tiers = list(self._ztunnels.values())
+        tiers = list(self._node_tiers.values())
         if self._waypoint_pool is not None:
             tiers.append(self._waypoint_pool)
         return tiers
@@ -167,7 +130,3 @@ class AmbientMesh(ServiceMesh):
         L7-enabled service."""
         cluster = self._require_cluster()
         return len(cluster.worker_nodes) + len(self._l7_services)
-
-    def _location_of(self, pod: Pod):
-        node = self._require_cluster().node_by_name(pod.node_name)
-        return node.host.location

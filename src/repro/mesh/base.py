@@ -1,4 +1,4 @@
-"""The common service-mesh interface all three architectures implement.
+"""The common service-mesh interface every architecture implements.
 
 A mesh attaches to a (single-tenant) K8s cluster, and then serves the
 two dataplane verbs the workload drivers use:
@@ -8,7 +8,12 @@ two dataplane verbs the workload drivers use:
 * ``request(connection, http_request)`` — a process that carries one
   request/response exchange and returns an :class:`HttpResponse`.
 
-It also exposes its CPU tiers split into *user-cluster* and *infra*
+Every ``request`` has the same skeleton: ``_start_trace`` opens the
+root span, the architecture's own path spends its proxy work and hops,
+and every outcome, any status, returns through ``_respond``. So the
+meshes differ only in *where* each per-request component runs.
+
+It also exposes its CPU split into *user-cluster* and *infra*
 resources — the split that the paper's intrusion/cost analysis (Figs 5,
 13) is all about.
 """
@@ -20,6 +25,7 @@ from typing import Dict, List, Optional
 
 from ..k8s import Cluster, Pod
 from ..obs.runtime import get_telemetry
+from ..obs.trace import get_tracer
 from ..simcore import Simulator, Summary
 from .costs import DEFAULT_COSTS, MeshCostModel
 from .http import HttpRequest, HttpResponse, RouteTable
@@ -45,7 +51,6 @@ class ServiceMesh(abc.ABC):
         self.route_tables: Dict[str, RouteTable] = {}
         self.authorization = AuthorizationTable()
         self.latency = Summary(f"{self!r}-latency")
-        self.errors = Summary(f"{self!r}-errors")
 
     # -- lifecycle ---------------------------------------------------------
     @abc.abstractmethod
@@ -61,40 +66,68 @@ class ServiceMesh(abc.ABC):
     def request(self, connection: Connection, request: HttpRequest):
         """Process generator → :class:`HttpResponse`."""
 
-    # -- observability -------------------------------------------------------
-    def observe_request(self, status: int, latency_s: float,
-                        service: str = "") -> None:
-        """Record one completed exchange (any status) at the mesh level.
+    # -- one exchange's bookkeeping ------------------------------------------
+    def _start_trace(self, connection: Connection, source: str = ""):
+        """Begin one request trace (or ``None``), adopting any deferred
+        TLS handshake spans from the connection's setup."""
+        tracer = get_tracer()
+        if tracer is None:
+            return None
+        handle = tracer.start(
+            "request", layer="request",
+            source=source or f"client/{connection.client}",
+            service=connection.service, start_s=self.sim.now,
+            mesh=self.name)
+        if handle is None:
+            return None
+        pending = connection.meta.pop("pending_spans", None)
+        if pending:
+            # The handshake predates the request: widen the root so it
+            # covers connection setup end to end.
+            handle.start_s = min(handle.start_s,
+                                 min(spec["start_s"] for spec in pending))
+            for spec in pending:
+                handle.add_tree(spec)
+        return handle
 
-        Successful requests keep feeding the local latency summary the
-        experiments read; every outcome additionally lands in the
-        ambient telemetry registry with per-mesh/per-result labels.
+    def _respond(self, status: int, start: float, connection: Connection,
+                 handle, served_by: str = "", **annotations) -> HttpResponse:
+        """Close one exchange begun at ``start``, with any status.
+
+        A 200 counts toward the connection's ``requests_sent`` and the
+        local latency summary the experiments read; every outcome lands
+        in the ambient telemetry registry with per-mesh/per-result
+        labels, and finishes the trace (``annotations`` go on its root).
         """
+        now = self.sim.now
+        latency = now - start
         if status == 200:
-            self.latency.add(latency_s)
+            connection.requests_sent += 1
+            self.latency.add(latency)
         telemetry = get_telemetry()
         if telemetry.enabled:
             result = "ok" if status == 200 else str(status)
             telemetry.inc("mesh_requests_total", mesh=self.name,
-                          result=result, service=service)
-            telemetry.observe("mesh_request_latency_seconds", latency_s,
+                          result=result, service=connection.service)
+            telemetry.observe("mesh_request_latency_seconds", latency,
                               mesh=self.name)
+        if handle is not None:
+            handle.finish(now, status=status, **annotations)
+        return HttpResponse(status=status, latency_s=latency,
+                            served_by=served_by)
 
     # -- resource accounting ---------------------------------------------------
     @abc.abstractmethod
     def user_tiers(self) -> List[ProxyTier]:
         """Proxy tiers consuming the user's purchased cluster resources."""
 
-    def infra_tiers(self) -> List[ProxyTier]:
-        """Proxy tiers on provider infrastructure (Canal's gateway)."""
-        return []
-
     def user_cpu_seconds(self) -> float:
         """Total user-cluster proxy CPU consumed so far."""
         return sum(tier.cpu.busy_time() for tier in self.user_tiers())
 
     def infra_cpu_seconds(self) -> float:
-        return sum(tier.cpu.busy_time() for tier in self.infra_tiers())
+        """Provider-infrastructure CPU consumed so far (Canal's gateway)."""
+        return 0.0
 
     # -- configuration ------------------------------------------------------------
     def set_route_table(self, table: RouteTable) -> None:
@@ -103,11 +136,10 @@ class ServiceMesh(abc.ABC):
     def pick_endpoint(self, service: str,
                       request: Optional[HttpRequest] = None) -> Pod:
         """Resolve a service (through its route table, if any) to a pod."""
-        if self.cluster is None:
-            raise MeshError(f"{self.name} is not attached to a cluster")
-        if service not in self.cluster.services:
+        cluster = self._require_cluster()
+        if service not in cluster.services:
             raise MeshError(f"unknown service {service!r}")
-        endpoints = self.cluster.endpoints(service)
+        endpoints = cluster.endpoints(service)
         table = self.route_tables.get(service)
         if table is not None and request is not None:
             subset = table.route(request, self.sim.rng)
@@ -126,3 +158,8 @@ class ServiceMesh(abc.ABC):
         if self.cluster is None:
             raise MeshError(f"{self.name} is not attached to a cluster")
         return self.cluster
+
+    def _location_of(self, pod: Pod):
+        """Where ``pod``'s node sits in the topology."""
+        node = self._require_cluster().node_by_name(pod.node_name)
+        return node.host.location

@@ -22,67 +22,53 @@ from ..obs.trace import get_tracer
 from ..simcore import Simulator
 from .base import MeshError, ServiceMesh
 from .costs import DEFAULT_COSTS, MeshCostModel, sample_service_time
-from .http import HttpRequest, HttpResponse
+from .http import HttpRequest
 from .proxy import Connection, ProxyTier
 
-__all__ = ["IstioMesh"]
+__all__ = ["IstioMesh", "SoftwareMtlsMesh"]
 
 #: Default sidecar resource request, matching Table 1's production
 #: averages (~100 millicores and ~340 MB per pod).
 SIDECAR_RESOURCES = ResourceRequest(cpu_millicores=100, memory_mb=340)
 
 
-class IstioMesh(ServiceMesh):
-    """Sidecar-per-pod architecture."""
+class SoftwareMtlsMesh(ServiceMesh):
+    """A mesh whose per-node proxy pools run mTLS in software on their
+    own cores: Istio's sidecars and Ambient's ztunnels.
 
-    name = "istio"
+    Subclasses add one pool per worker node in ``attach``
+    (:meth:`_add_node_tier`); both open connections the same way.
+    """
 
-    def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
-                 latency_model: Optional[LatencyModel] = None,
-                 sidecar_cores_per_node: int = 2,
-                 sidecar_resources: ResourceRequest = SIDECAR_RESOURCES):
+    def __init__(self, sim: Simulator, costs: MeshCostModel,
+                 latency_model: Optional[LatencyModel], ca_name: str):
         super().__init__(sim, costs)
         self.latency_model = latency_model or LatencyModel()
-        self.sidecar_cores_per_node = sidecar_cores_per_node
-        self.sidecar_resources = sidecar_resources
-        self.ca = CertificateAuthority("istio-ca")
-        self._tiers: Dict[str, ProxyTier] = {}
+        self.ca = CertificateAuthority(ca_name)
+        self._node_tiers: Dict[str, ProxyTier] = {}
         self._engines: Dict[str, SoftwareAsymEngine] = {}
-        self.sidecars_injected = 0
 
-    # -- lifecycle -----------------------------------------------------------
-    def attach(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        cluster.add_admission_hook(self._inject_sidecar)
-        for node in cluster.worker_nodes:
-            tier = ProxyTier(self.sim, cores=self.sidecar_cores_per_node,
-                             name=f"istio-sidecars@{node.name}")
-            self._tiers[node.name] = tier
-            # Sidecars do their asymmetric crypto in software on the
-            # sidecar CPU pool (Istio does not use QAT/AVX by default).
-            self._engines[node.name] = SoftwareAsymEngine(
-                self.sim, self.costs.crypto, new_cpu=True, cpu=tier.cpu)
-
-    def _inject_sidecar(self, pod: Pod) -> None:
-        pod.containers.append(Container(
-            name="istio-proxy", resources=self.sidecar_resources,
-            is_sidecar=True))
-        self.sidecars_injected += 1
+    def _add_node_tier(self, node_name: str, cores: int, name: str) -> None:
+        """One proxy pool on the node. Its asymmetric crypto runs in
+        software on the pool's own CPU (no QAT/AVX by default)."""
+        tier = ProxyTier(self.sim, cores=cores, name=name)
+        self._node_tiers[node_name] = tier
+        self._engines[node_name] = SoftwareAsymEngine(
+            self.sim, self.costs.crypto, new_cpu=True, cpu=tier.cpu)
 
     def _tier_for(self, pod: Pod) -> ProxyTier:
-        tier = self._tiers.get(pod.node_name or "")
+        tier = self._node_tiers.get(pod.node_name or "")
         if tier is None:
             raise MeshError(f"pod {pod.name} is on an unmanaged node")
         return tier
 
-    # -- dataplane ------------------------------------------------------------
-    def open_connection(self, client_pod: Pod, service: str):
-        """Pick an endpoint and run the sidecar-to-sidecar mTLS handshake."""
+    def _mtls_connect(self, client_pod: Pod, service: str):
+        """Pick an endpoint and run the mTLS handshake between the two
+        pods' node pools; the connection prices its one-way hop once."""
         server_pod = self.pick_endpoint(service)
         client_tier = self._tier_for(client_pod)
         server_tier = self._tier_for(server_pod)
-        tracer = get_tracer()
-        trace_sink = [] if tracer is not None else None
+        trace_sink = [] if get_tracer() is not None else None
         one_way = self.latency_model.one_way(
             self._location_of(client_pod), self._location_of(server_pod))
         client_cert = self.ca.issue(
@@ -111,33 +97,49 @@ class IstioMesh(ServiceMesh):
             connection.meta["pending_spans"] = trace_sink
         return connection
 
+
+class IstioMesh(SoftwareMtlsMesh):
+    """Sidecar-per-pod architecture."""
+
+    name = "istio"
+
+    def __init__(self, sim: Simulator, costs: MeshCostModel = DEFAULT_COSTS,
+                 latency_model: Optional[LatencyModel] = None,
+                 sidecar_cores_per_node: int = 2,
+                 sidecar_resources: ResourceRequest = SIDECAR_RESOURCES):
+        super().__init__(sim, costs, latency_model, "istio-ca")
+        self.sidecar_cores_per_node = sidecar_cores_per_node
+        self.sidecar_resources = sidecar_resources
+        self.sidecars_injected = 0
+
+    # -- lifecycle -----------------------------------------------------------
+    def attach(self, cluster: Cluster) -> None:
+        self.cluster = cluster
+        cluster.add_admission_hook(self._inject_sidecar)
+        for node in cluster.worker_nodes:
+            self._add_node_tier(node.name, self.sidecar_cores_per_node,
+                                f"istio-sidecars@{node.name}")
+
+    def _inject_sidecar(self, pod: Pod) -> None:
+        pod.containers.append(Container(
+            name="istio-proxy", resources=self.sidecar_resources,
+            is_sidecar=True))
+        self.sidecars_injected += 1
+
+    # -- dataplane ------------------------------------------------------------
+    def open_connection(self, client_pod: Pod, service: str):
+        """Pick an endpoint and run the sidecar-to-sidecar mTLS handshake."""
+        return (yield from self._mtls_connect(client_pod, service))
+
     def request(self, connection: Connection, request: HttpRequest):
         """One request/response exchange through both sidecars."""
         cluster = self._require_cluster()
         start = self.sim.now
-        tracer = get_tracer()
-        handle = None
-        if tracer is not None:
-            handle = tracer.start("request", layer="request",
-                                  source=f"client/{connection.client}",
-                                  service=connection.service,
-                                  start_s=start, mesh=self.name)
-        if handle is not None:
-            pending = connection.meta.pop("pending_spans", None)
-            if pending:
-                handle.start_s = min(
-                    handle.start_s,
-                    min(spec["start_s"] for spec in pending))
-                for spec in pending:
-                    handle.add_tree(spec)
+        handle = self._start_trace(connection)
         client_pod = cluster.pods[connection.client]
         server_pod = cluster.pods.get(connection.server_pod)
         if server_pod is None:
-            self.observe_request(503, self.sim.now - start,
-                                 connection.service)
-            if handle is not None:
-                handle.finish(self.sim.now, status=503)
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
+            return self._respond(503, start, connection, handle)
 
         fixed_cost = (2 * self.costs.iptables_redirect_cpu_s()
                       + self.costs.symmetric_cost(request.total_bytes))
@@ -157,11 +159,7 @@ class IstioMesh(ServiceMesh):
         yield self.sim.timeout(connection.one_way_s)
         # Server sidecar: decrypt + L7 + authorization + redirect in.
         if not self.authorize(connection.service, request):
-            self.observe_request(403, self.sim.now - start,
-                                 connection.service)
-            if handle is not None:
-                handle.finish(self.sim.now, status=403)
-            return HttpResponse(status=403, latency_s=self.sim.now - start)
+            return self._respond(403, start, connection, handle)
         yield from self._tier_for(server_pod).work(
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=server_pod.name, bytes_out=request.response_bytes,
@@ -177,22 +175,13 @@ class IstioMesh(ServiceMesh):
                        app_start + self.costs.app_service_time_s,
                        source=f"app/{server_pod.name}",
                        pod=server_pod.name)
-        connection.requests_sent += 1
-        latency = self.sim.now - start
-        self.observe_request(200, latency, connection.service)
-        if handle is not None:
-            handle.finish(self.sim.now, status=200)
-        return HttpResponse(status=200, latency_s=latency,
-                            served_by=server_pod.name)
+        return self._respond(200, start, connection, handle,
+                             served_by=server_pod.name)
 
     # -- accounting ---------------------------------------------------------
     def user_tiers(self) -> List[ProxyTier]:
-        return list(self._tiers.values())
+        return list(self._node_tiers.values())
 
     def proxy_count(self) -> int:
         """Number of managed proxies = number of sidecars = pods."""
         return self._require_cluster().pod_count
-
-    def _location_of(self, pod: Pod):
-        node = self._require_cluster().node_by_name(pod.node_name)
-        return node.host.location

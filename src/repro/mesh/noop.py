@@ -13,7 +13,7 @@ from ..k8s import Cluster, Pod
 from ..simcore import Simulator
 from .base import ServiceMesh
 from .costs import DEFAULT_COSTS, MeshCostModel
-from .http import HttpRequest, HttpResponse
+from .http import HttpRequest
 from .proxy import Connection, ProxyTier
 
 __all__ = ["NoMesh"]
@@ -35,29 +35,26 @@ class NoMesh(ServiceMesh):
 
     def open_connection(self, client_pod: Pod, service: str):
         server_pod = self.pick_endpoint(service)
-        connection = Connection(client=client_pod.name, service=service,
-                                server_pod=server_pod.name,
-                                established_at=self.sim.now)
-        return connection
+        return Connection(client=client_pod.name, service=service,
+                          server_pod=server_pod.name,
+                          established_at=self.sim.now,
+                          one_way_s=self.latency_model.one_way(
+                              self._location_of(client_pod),
+                              self._location_of(server_pod)))
         yield  # pragma: no cover - makes this a generator
 
     def request(self, connection: Connection, request: HttpRequest):
         cluster = self._require_cluster()
         start = self.sim.now
-        client_pod = cluster.pods[connection.client]
+        handle = self._start_trace(connection)
         server_pod = cluster.pods.get(connection.server_pod)
         if server_pod is None:
-            return HttpResponse(status=503, latency_s=self.sim.now - start)
-        src = cluster.node_by_name(client_pod.node_name).host.location
-        dst = cluster.node_by_name(server_pod.node_name).host.location
-        yield self.sim.timeout(self.latency_model.one_way(src, dst))
+            return self._respond(503, start, connection, handle)
+        yield self.sim.timeout(connection.one_way_s)
         yield self.sim.timeout(self.costs.app_service_time_s)
-        yield self.sim.timeout(self.latency_model.one_way(dst, src))
-        connection.requests_sent += 1
-        latency = self.sim.now - start
-        self.observe_request(200, latency, connection.service)
-        return HttpResponse(status=200, latency_s=latency,
-                            served_by=server_pod.name)
+        yield self.sim.timeout(connection.one_way_s)
+        return self._respond(200, start, connection, handle,
+                             served_by=server_pod.name)
 
     def user_tiers(self) -> List[ProxyTier]:
         return []

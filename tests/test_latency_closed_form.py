@@ -18,7 +18,6 @@ import math
 
 import pytest
 
-from repro.core import ProxylessCanalMesh
 from repro.experiments import testbed
 from repro.mesh import DEFAULT_COSTS, HttpRequest
 from repro.netsim import LatencyModel
@@ -84,7 +83,7 @@ PATHS = {
     "istio": istio_latency,
     "ambient": ambient_latency,
     "canal": canal_latency,
-    "proxyless": proxyless_latency,
+    "canal-proxyless": proxyless_latency,
 }
 
 
@@ -97,14 +96,12 @@ def _path_latency(run, connection):
                                   locate(pods[connection.server_pod]))
 
 
-def _probe(mesh_name, monkeypatch):
+def _probe(mesh_name):
     """Fig 10's probe on a sigma-0 testbed.
 
     Returns the run and one ``(connection, response, end time)`` per
     request.
     """
-    monkeypatch.setitem(testbed.MESH_CLASSES, "proxyless",
-                        ProxylessCanalMesh)
     run = testbed.build_testbed(mesh_name, costs=COSTS)
     gateway = getattr(run.mesh, "gateway", None)
     if gateway is not None:
@@ -131,8 +128,8 @@ def _probe(mesh_name, monkeypatch):
 
 
 @pytest.mark.parametrize("mesh_name", sorted(PATHS))
-def test_latency_is_the_closed_form_sum(mesh_name, monkeypatch):
-    run, exchanges = _probe(mesh_name, monkeypatch)
+def test_latency_is_the_closed_form_sum(mesh_name):
+    run, exchanges = _probe(mesh_name)
     assert len(exchanges) == REQUESTS
     for connection, response, end_s in exchanges:
         assert response.status == 200

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import Span, TraceCollector
 from repro.experiments.base import ExperimentResult, Series, Table
-from repro.experiments.testbed import build_testbed
-from repro.mesh import HttpRequest
+from repro.experiments.testbed import MESH_CLASSES, build_testbed
+from repro.mesh import AuthorizationPolicy, HttpRequest
 from repro.obs import (
     LayerSamples,
     Telemetry,
@@ -256,6 +256,42 @@ class TestMeshWiring:
         assert telemetry.total("proxy_requests_total") >= 2
         latency = telemetry.get("mesh_request_latency_seconds", mesh="canal")
         assert latency.count == 1
+
+    @pytest.mark.parametrize("mesh_name,outcome", [
+        (mesh_name, outcome) for mesh_name in sorted(MESH_CLASSES)
+        for outcome in ("ok", "403", "503")
+        # No mesh has no authorization to deny a request.
+        if (mesh_name, outcome) != ("no-mesh", "403")])
+    def test_every_outcome_is_recorded(self, mesh_name, outcome):
+        """Each mesh counts every outcome it returns, by status."""
+        with use_telemetry() as telemetry:
+            run = build_testbed(mesh_name)
+            if outcome == "403":
+                run.mesh.authorization.add(AuthorizationPolicy(
+                    service="svc1", allowed_identities=("nobody",)))
+
+            def scenario():
+                connection = yield run.sim.process(
+                    run.mesh.open_connection(run.client_pod, "svc1"))
+                if outcome == "503":
+                    run.cluster.delete_pod(connection.server_pod)
+                response = yield run.sim.process(
+                    run.mesh.request(connection, HttpRequest()))
+                return connection, response
+
+            process = run.sim.process(scenario())
+            run.sim.run()
+        connection, response = process.value
+        assert response.status == (200 if outcome == "ok" else int(outcome))
+        assert telemetry.value("mesh_requests_total", mesh=mesh_name,
+                               result=outcome, service="svc1") == 1
+        assert telemetry.total("mesh_requests_total") == 1
+        latency = telemetry.get("mesh_request_latency_seconds",
+                                mesh=mesh_name)
+        assert latency.count == 1
+        succeeded = int(outcome == "ok")
+        assert connection.requests_sent == succeeded
+        assert len(run.mesh.latency) == succeeded
 
     def test_disabled_registry_collects_nothing(self):
         telemetry = Telemetry(enabled=False)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.testbed import build_testbed
+from repro.experiments.testbed import MESH_CLASSES, build_testbed
 from repro.mesh import HttpRequest
 from repro.obs import (
     Span,
@@ -213,11 +213,12 @@ class TestSamplingDeterminism:
         assert tracer.traces_sampled == 0
         assert tracer.collector.new_trace_id() == 6
 
-    def test_tracing_does_not_perturb_simulation(self):
+    @pytest.mark.parametrize("mesh_name", sorted(MESH_CLASSES))
+    def test_tracing_does_not_perturb_simulation(self, mesh_name):
         """The central determinism rule: toggling tracing must not
         change model behavior (the sampler never touches sim.rng)."""
         def run_latencies(traced):
-            run = build_testbed("canal", seed=19)
+            run = build_testbed(mesh_name, seed=19)
             latencies = []
 
             def scenario():
@@ -238,6 +239,31 @@ class TestSamplingDeterminism:
             return latencies
 
         assert run_latencies(traced=False) == run_latencies(traced=True)
+
+    def test_ambient_traces_its_path(self):
+        """Ambient adopts its HBONE handshake spans and records both
+        ztunnel L4 passes and the waypoint L7 pass."""
+        run = build_testbed("ambient", seed=19)
+
+        def scenario():
+            connection = yield run.sim.process(
+                run.mesh.open_connection(run.client_pod, "svc1"))
+            yield run.sim.process(
+                run.mesh.request(connection, HttpRequest()))
+
+        run.sim.process(scenario())
+        with use_tracer(Tracer()) as tracer:
+            run.sim.run()
+        take_collectors()
+        (trace,) = tracer.collector.traces()
+        root = trace.root()
+        assert root.annotation("status") == "200"
+        tls = [span for span in trace.spans if span.layer == "tls"]
+        assert tls and root.start_s == min(span.start_s for span in tls)
+        assert [span.name for span in trace.children(root.span_id)
+                if span.layer != "tls"] == ["ztunnel-l4", "waypoint-l7",
+                                            "ztunnel-l4"]
+        assert trace.coverage == "full"
 
 
 class TestAmbientTracer:
