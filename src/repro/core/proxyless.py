@@ -195,11 +195,11 @@ class ProxylessCanalMesh(GatewayMesh):
                 route_cache=connection.meta)
         except (NoBackendAvailable, ResolutionError):
             return self._respond(503, start, connection, handle)
-        if result.redirection_hops:
-            yield self.sim.timeout(result.redirection_hops * hop)
-        yield self.sim.timeout(hop)
-        yield self.sim.timeout(self.costs.app_service_time_s)
-        yield self.sim.timeout(2 * hop)
+        # One intra-gateway hop per redirection hop in the replica chain,
+        # the hop on to the server app, the app, then the response back
+        # through the gateway.
+        yield self.sim.timeout((result.redirection_hops + 3) * hop
+                               + self.costs.app_service_time_s)
         return self._respond(200, start, connection, handle,
                              served_by=result.replica.name)
 
