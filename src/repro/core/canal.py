@@ -32,7 +32,7 @@ from .onnode import OnNodeProxy
 from .replica import ReplicaConfig
 from .tenancy import TenantService
 
-__all__ = ["CanalMesh", "CanalControlPlane", "GatewayMesh"]
+__all__ = ["CanalMesh", "CanalControlPlane"]
 
 #: Crypto-offload modes for the on-node proxies.
 OFFLOAD_REMOTE = "remote"     # key server (the Canal default)

@@ -126,7 +126,8 @@ class ServiceMesh(abc.ABC):
         return sum(tier.cpu.busy_time() for tier in self.user_tiers())
 
     def infra_cpu_seconds(self) -> float:
-        """Provider-infrastructure CPU consumed so far (Canal's gateway)."""
+        """Provider-infrastructure CPU consumed so far: none, unless the
+        mesh runs on a provider gateway (Canal, proxyless Canal)."""
         return 0.0
 
     # -- configuration ------------------------------------------------------------
@@ -136,10 +137,11 @@ class ServiceMesh(abc.ABC):
     def pick_endpoint(self, service: str,
                       request: Optional[HttpRequest] = None) -> Pod:
         """Resolve a service (through its route table, if any) to a pod."""
-        cluster = self._require_cluster()
-        if service not in cluster.services:
+        if self.cluster is None:
+            raise MeshError(f"{self.name} is not attached to a cluster")
+        if service not in self.cluster.services:
             raise MeshError(f"unknown service {service!r}")
-        endpoints = cluster.endpoints(service)
+        endpoints = self.cluster.endpoints(service)
         table = self.route_tables.get(service)
         if table is not None and request is not None:
             subset = table.route(request, self.sim.rng)

@@ -25,7 +25,7 @@ from .costs import DEFAULT_COSTS, MeshCostModel, sample_service_time
 from .http import HttpRequest
 from .proxy import Connection, ProxyTier
 
-__all__ = ["IstioMesh", "SoftwareMtlsMesh"]
+__all__ = ["IstioMesh"]
 
 #: Default sidecar resource request, matching Table 1's production
 #: averages (~100 millicores and ~340 MB per pod).
@@ -37,7 +37,8 @@ class SoftwareMtlsMesh(ServiceMesh):
     own cores: Istio's sidecars and Ambient's ztunnels.
 
     Subclasses add one pool per worker node in ``attach``
-    (:meth:`_add_node_tier`); both open connections the same way.
+    (:meth:`_add_node_tier`) and open connections with
+    :meth:`_mtls_connect`.
     """
 
     def __init__(self, sim: Simulator, costs: MeshCostModel,

@@ -240,6 +240,8 @@ class TestSamplingDeterminism:
 
         assert run_latencies(traced=False) == run_latencies(traced=True)
 
+
+class TestMeshPaths:
     def test_ambient_traces_its_path(self):
         """Ambient adopts its HBONE handshake spans and records both
         ztunnel L4 passes and the waypoint L7 pass."""
