@@ -41,7 +41,6 @@ from .key_server import (
     RemoteKeyEngine,
 )
 from .monitoring import Alert, GatewayMonitor
-from ..obs.trace import Span, Trace, TraceCollector
 from .onnode import OnNodeProxy
 from .proxyless import (
     Eni,
@@ -114,10 +113,7 @@ __all__ = [
     "SessionAggregator",
     "ShardingError",
     "ShuffleSharder",
-    "Span",
     "Tenant",
-    "Trace",
-    "TraceCollector",
     "UpgradeReport",
     "TenantRegistry",
     "TenantService",

@@ -31,15 +31,23 @@ Runs go through ``repro.runtime``:
 
 With ``--report <dir>``, every exhibit run executes with an enabled
 telemetry registry and a sampled per-layer wall split (the event loop
-is the plain run's), and drops three machine-readable artifacts into
+is the plain run's), and drops its machine-readable artifacts into
 ``<dir>``:
 
 * ``<exp_id>.report.json`` — tables/series/findings + telemetry snapshot
   + the ``layers`` block: wall-time samples and each top-level
-  ``repro`` package's share of them;
+  ``repro`` package's share of them; + a ``faults`` section when the
+  run armed a fault plan;
 * ``<exp_id>.prom``        — Prometheus text-format metrics snapshot;
 * ``<exp_id>.trace.json``  — Chrome ``trace_event`` JSON (open in
-  ``chrome://tracing`` or https://ui.perfetto.dev).
+  ``chrome://tracing`` or https://ui.perfetto.dev): the run's causal
+  spans, and one instant per fault injection or recovery;
+* ``<exp_id>.traces.json`` — the raw causal traces, when the run traced.
+
+Faults and traces come from the exhibit's result (its ``faults`` and
+``traces`` fields). The fault engines' timeline is the one fault
+record, and sweep points return it with their results, so all three
+JSON artifacts are the same at any ``--jobs``.
 
 Artifacts require a real execution, so ``--report`` refreshes the cache
 instead of reading it.

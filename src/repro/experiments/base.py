@@ -87,6 +87,12 @@ class ExperimentResult:
     #: Scalar findings keyed by name (the numbers EXPERIMENTS.md quotes).
     findings: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    #: Fault-timeline entries of every engine the run armed, in run
+    #: order; ``--report`` writes them. Not printed.
+    faults: List[Dict[str, object]] = field(default_factory=list)
+    #: Causal traces the run collected (``repro.obs.trace.Trace``);
+    #: ``--report`` writes them. Not printed.
+    traces: List[object] = field(default_factory=list)
 
     def series_named(self, name: str) -> Series:
         for series in self.series:

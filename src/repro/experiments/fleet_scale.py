@@ -308,6 +308,7 @@ def fleet_fig19_sharding_at_scale(seed: int = 7) -> ExperimentResult:
     sizes = [250, 500, 1000, 2000]
     points = sweep_map(_fleet_shard_point,
                        [{"seed": seed, "services": size} for size in sizes])
+    result.faults = [entry for point in points for entry in point["timeline"]]
     table = Table("Shuffle-shard isolation vs tenant count "
                   "(4 AZ x 640 backends)",
                   ["services", "identical_pairs", "max_overlap",
@@ -370,6 +371,8 @@ def fleet_fig20_daily_operations_at_scale(seed: int = 7) -> ExperimentResult:
     } for index, (region, phase) in enumerate(
         [("us-east", 0.58), ("eu-central", 0.33)])]
     regions = sweep_map(_fleet_region_run, specs)
+    result.faults = [entry for region in regions
+                     for entry in region["timeline"]]
 
     table = Table("Daily operations per region (fluid tier)",
                   ["region", "replicas", "availability", "peak_sessions",
@@ -412,7 +415,7 @@ def fleet_fig20_daily_operations_at_scale(seed: int = 7) -> ExperimentResult:
     faults = Table("Fault timeline (both regions)",
                    ["region", "t", "action", "kind", "target"])
     for region in regions:
-        for entry in region.get("timeline", []):
+        for entry in region["timeline"]:
             faults.add_row(region["region"], entry["t"], entry["action"],
                            entry["kind"], entry["target"])
     result.tables.append(faults)

@@ -159,6 +159,7 @@ def fig8_recovery(seed: int = 53) -> ExperimentResult:
     runs = sweep_map(_fig8_seed_run,
                      [(one_seed, plan_json) for one_seed in seed_grid])
 
+    result.faults = [entry for run in runs for entry in run["timeline"]]
     first = runs[0]
     availability = Series("availability_fraction", x_label="seconds",
                           y_label="services up / total")

@@ -207,6 +207,7 @@ def fig8_resilience(seed: int = 53,
                    for one_seed in seed_grid
                    for protected in (False, True)]
     chaos_runs = sweep_map(_resilience_case, chaos_specs)
+    result.faults = [entry for run in chaos_runs for entry in run["timeline"]]
     baselines = chaos_runs[0::2]
     protecteds = chaos_runs[1::2]
 

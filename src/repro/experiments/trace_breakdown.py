@@ -13,21 +13,23 @@ where each request's latency goes, straight from the causal traces:
   gateway's L7 view exists, every trace is ``coverage == "partial"``.
 
 The chaos variant overlays a Fig 8-style fault window on *trace-derived*
-availability: a backend crash is annotated onto the trace stream by the
-fault engine, per-second availability is computed from root-span status
-annotations alone, and :func:`~repro.obs.trace.fault_detection_latency`
-reports how long until the first degraded trace surfaced the fault —
-the RCA loop a sidecar-free mesh must still close.
+availability: the fault engine's timeline records a backend crash,
+per-second availability is computed from root-span status annotations
+alone, and :func:`~repro.obs.trace.fault_detection_latency` reports how
+long until the first degraded trace surfaced the fault — the RCA loop
+a sidecar-free mesh must still close.
 
 Every worker is a whole simulation, so the exhibit is byte-identical at
-any ``--jobs`` level; the workers' spans are re-recorded (with offset
-trace ids) into a collector registered for the ``--report`` exporters,
-so the Chrome trace artifact shows all three architectures side by side
-with the fault markers.
+any ``--jobs`` level. Each worker returns its
+:class:`~repro.obs.trace.Trace` objects. The exhibit offsets their
+trace ids so the four runs coexist, and puts them in its result with
+the chaos run's fault timeline. The ``--report`` artifacts then show
+all three architectures side by side with the fault markers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Tuple
 
@@ -35,16 +37,11 @@ from ..faults import Fault, FaultEngine, FaultPlan
 from ..mesh import HttpRequest
 from ..obs.trace import (
     Trace,
-    TraceCollector,
     Tracer,
     critical_path,
     fault_detection_latency,
     layer_attribution,
-    register_collector,
-    set_tracer,
-    span_from_dict,
-    span_to_dict,
-    take_collectors,
+    use_tracer,
 )
 from ..runtime.sweep import sweep_map
 from .base import ExperimentResult, Series, Table
@@ -60,49 +57,20 @@ _MESHES = ("istio", "canal", "canal-proxyless")
 _LAYERS = ("tls", "l4", "l7", "app", "request", "unattributed")
 
 
-def _scoped_tracer(seed: int) -> Tuple[Tracer, object]:
-    """An ambient full-sampling tracer whose collector is *not* left in
-    the report-drain registry (the parent re-records the spans it gets
-    back, so a leaked worker collector would double-count under serial
-    sweeps)."""
-    tracer = Tracer(sample_rate=1.0, seed=seed)
-    previous = set_tracer(tracer)
-    return tracer, previous
-
-
-def _unscope_tracer(tracer: Tracer, previous) -> None:
-    set_tracer(previous)
-    for collector in take_collectors():
-        if collector is not tracer.collector:
-            register_collector(collector)
-
-
-def _packed_traces(collector: TraceCollector) -> List[List[dict]]:
-    return [[span_to_dict(span) for span in trace.spans]
-            for trace in collector.traces()]
-
-
-def _unpack_traces(packed: List[List[dict]], id_offset: int = 0
-                   ) -> List[Trace]:
-    traces = []
-    for spans in packed:
-        if not spans:
-            continue
-        spans = [span_from_dict(dict(data, trace_id=(int(data["trace_id"])
-                                                     + id_offset)))
-                 for data in spans]
-        traces.append(Trace(trace_id=spans[0].trace_id,
-                            spans=sorted(spans, key=lambda s: (s.start_s,
-                                                               s.span_id))))
-    return traces
+def _offset(traces: List[Trace], id_offset: int) -> List[Trace]:
+    """``traces`` with every trace id shifted by ``id_offset``."""
+    return [Trace(trace_id=trace.trace_id + id_offset,
+                  spans=[dataclasses.replace(
+                      span, trace_id=span.trace_id + id_offset)
+                      for span in trace.spans])
+            for trace in traces]
 
 
 def _waterfall_run(spec: Tuple[str, int, int]) -> Dict[str, object]:
-    """One traced testbed run → plain picklable span dicts."""
+    """One traced testbed run → latencies and its traces."""
     mesh_name, seed, requests = spec
-    tracer, previous = _scoped_tracer(seed)
     latencies: List[float] = []
-    try:
+    with use_tracer(Tracer(sample_rate=1.0, seed=seed)) as tracer:
         run = build_testbed(mesh_name, seed=seed)
 
         def scenario():
@@ -116,13 +84,10 @@ def _waterfall_run(spec: Tuple[str, int, int]) -> Dict[str, object]:
 
         run.sim.process(scenario(), name="trace-client")
         run.sim.run()
-    finally:
-        _unscope_tracer(tracer, previous)
     return {
         "mesh": mesh_name,
         "latencies": latencies,
-        "traces": _packed_traces(tracer.collector),
-        "traces_sampled": tracer.traces_sampled,
+        "traces": tracer.collector.traces(),
     }
 
 
@@ -144,9 +109,7 @@ def _chaos_run(spec: Tuple[int, str]) -> Dict[str, object]:
     """Canal under a fault plan, one request per virtual second."""
     seed, plan_json = spec
     plan = FaultPlan.from_json(json.loads(plan_json))
-    tracer, previous = _scoped_tracer(seed)
-    statuses: List[Tuple[float, int]] = []
-    try:
+    with use_tracer(Tracer(sample_rate=1.0, seed=seed)) as tracer:
         run = build_testbed("canal", seed=seed)
         engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
         engine.arm(plan)
@@ -155,19 +118,13 @@ def _chaos_run(spec: Tuple[int, str]) -> Dict[str, object]:
             connection = yield from run.mesh.open_connection(
                 run.client_pod, "svc1")
             for _ in range(_CHAOS_HORIZON_S):
-                response = yield from run.mesh.request(
-                    connection, HttpRequest())
-                statuses.append((run.sim.now, response.status))
+                yield from run.mesh.request(connection, HttpRequest())
                 yield run.sim.timeout(1.0)
 
         run.sim.process(client(), name="chaos-client")
         run.sim.run()
-    finally:
-        _unscope_tracer(tracer, previous)
     return {
-        "statuses": statuses,
-        "traces": _packed_traces(tracer.collector),
-        "fault_marks": list(tracer.collector.fault_marks),
+        "traces": tracer.collector.traces(),
         "timeline": list(engine.timeline),
     }
 
@@ -207,18 +164,13 @@ def trace_breakdown(seed: int = 11, requests: int = 24) -> ExperimentResult:
     runs = sweep_map(_waterfall_run,
                      [(mesh, seed, requests) for mesh in _MESHES])
 
-    # Re-record every worker's spans (offset ids, so the three meshes
-    # coexist) into a collector the --report exporters drain.
-    exhibit_collector = TraceCollector()
-    register_collector(exhibit_collector)
+    # Offset each run's trace ids so the three meshes coexist.
     id_offset = 0
     traces_by_mesh: Dict[str, List[Trace]] = {}
     for run in runs:
-        traces = _unpack_traces(run["traces"], id_offset=id_offset)
+        traces = _offset(run["traces"], id_offset)
         traces_by_mesh[run["mesh"]] = traces
-        for trace in traces:
-            for span in trace.spans:
-                exhibit_collector.record(span)
+        result.traces.extend(traces)
         id_offset += len(run["traces"]) + 1
 
     waterfall = Table("Per-layer latency attribution (mean ms/request)",
@@ -272,38 +224,32 @@ def trace_breakdown(seed: int = 11, requests: int = 24) -> ExperimentResult:
         "proxyless traces are gateway-only (coverage=partial): the "
         "Appendix B observability trade-off")
 
-    chaos = trace_breakdown_chaos(seed=seed, collector=exhibit_collector,
-                                  id_offset=id_offset)
+    chaos = trace_breakdown_chaos(seed=seed, id_offset=id_offset)
     result.tables.extend(chaos.tables)
     result.series.extend(chaos.series)
     result.findings.update(chaos.findings)
     result.notes.extend(chaos.notes)
+    result.faults.extend(chaos.faults)
+    result.traces.extend(chaos.traces)
     return result
 
 
 def trace_breakdown_chaos(seed: int = 11,
-                          collector: TraceCollector = None,
                           id_offset: int = 0) -> ExperimentResult:
     """Fault timeline overlaid on trace-derived availability.
 
-    ``collector``, when given, receives the chaos run's spans and fault
-    marks (with trace ids shifted by ``id_offset``) for the ``--report``
-    exporters.
+    The result carries the chaos run's fault timeline and its traces,
+    with trace ids shifted by ``id_offset``.
     """
     result = ExperimentResult(
         "trace_breakdown_chaos",
         "Trace-derived availability and fault-detection latency")
     plan = _chaos_plan()
     run = sweep_map(_chaos_run, [(seed, plan.canonical())])[0]
-    traces = _unpack_traces(run["traces"], id_offset=id_offset)
-    marks = run["fault_marks"]
-    if collector is not None:
-        for trace in traces:
-            for span in trace.spans:
-                collector.record(span)
-        for mark in marks:
-            collector.mark_fault(mark["t"], mark["action"], mark["kind"],
-                                 mark["target"], mark.get("detail", ""))
+    traces = _offset(run["traces"], id_offset)
+    timeline = run["timeline"]
+    result.faults.extend(timeline)
+    result.traces.extend(traces)
 
     # Per-second availability from root-span status annotations only —
     # no side channel back into the simulator's truth.
@@ -324,12 +270,12 @@ def trace_breakdown_chaos(seed: int = 11,
 
     fault_table = Table("Fault marks on the trace stream",
                         ["t", "action", "kind", "target"])
-    for mark in marks:
-        fault_table.add_row(mark["t"], mark["action"], mark["kind"],
-                            mark["target"])
+    for entry in timeline:
+        fault_table.add_row(entry["t"], entry["action"], entry["kind"],
+                            entry["target"])
     result.tables.append(fault_table)
 
-    detections = fault_detection_latency(traces, marks)
+    detections = fault_detection_latency(traces, timeline)
     detected = [entry for entry in detections
                 if entry["latency_s"] is not None]
     result.findings["chaos_faults_injected"] = float(len(detections))

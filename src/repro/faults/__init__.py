@@ -14,14 +14,14 @@ The subsystem has three moving parts:
   counter monotonicity from first principles and raises
   :class:`InvariantViolation` on the first inconsistency.
 
-``runtime.py`` holds the timeline registry the run-report exporter
-drains.
+An engine's ``timeline`` is the one record of what it injected: the
+exhibits that arm a plan return it from their sweep points and put it
+in their result's ``faults``, from which ``--report`` writes it.
 """
 
 from .audit import InvariantAuditor, InvariantViolation
 from .engine import FaultEngine, FaultTargetError
 from .plan import FAULT_KINDS, Fault, FaultPlan, FaultPlanError
-from .runtime import register_timeline, take_timelines
 
 __all__ = [
     "FAULT_KINDS",
@@ -32,6 +32,4 @@ __all__ = [
     "FaultTargetError",
     "InvariantAuditor",
     "InvariantViolation",
-    "register_timeline",
-    "take_timelines",
 ]

@@ -9,8 +9,10 @@ tie-broken by plan order through the agenda's monotone sequence
 numbers, so a plan's effect is a pure function of (plan, seed) —
 independent of wall clock, worker count, or process interleaving.
 
-After every injection and recovery the engine appends a timeline entry
-(drained into run reports via :mod:`repro.faults.runtime`), bumps the
+After every injection and recovery the engine appends an entry to its
+``timeline``, the run's one fault record: sweep points return it,
+exhibits put it in their result's ``faults``, and ``--report`` writes
+it to all three JSON artifacts at any ``--jobs``. It also bumps the
 ``faults_injected_total`` / ``faults_recovered_total`` telemetry
 counters, and runs the :class:`~repro.faults.audit.InvariantAuditor`
 so a conservation bug surfaces at the exact step that introduced it.
@@ -30,11 +32,9 @@ from typing import Dict, List
 
 from ..core.failure import FailureInjector
 from ..obs.runtime import get_telemetry
-from ..obs.trace import get_tracer
 from ..simcore import Simulator
 from .audit import InvariantAuditor
 from .plan import Fault, FaultPlan, FaultPlanError
-from .runtime import register_timeline
 
 __all__ = ["FaultEngine", "FaultTargetError"]
 
@@ -70,10 +70,8 @@ class FaultEngine:
                          if gateway is not None else None)
         self.auditor = InvariantAuditor(gateway=gateway,
                                         controlplane=controlplane)
-        #: Chronological record of every injection/recovery, drained
-        #: into run reports by ``repro.runtime.driver``.
+        #: Chronological record of every injection/recovery.
         self.timeline: List[Dict[str, object]] = []
-        register_timeline(self.timeline)
         self.armed_faults = 0
 
     # -- arming --------------------------------------------------------------
@@ -241,12 +239,6 @@ class FaultEngine:
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.inc(f"faults_{action}ed_total", kind=fault.kind)
-        tracer = get_tracer()
-        if tracer is not None and tracer.collector is not None:
-            # Annotate the fault onto the trace stream so analytics can
-            # line up injections with the first degraded trace.
-            tracer.collector.mark_fault(self.sim.now, action, fault.kind,
-                                        fault.target, detail)
         self.auditor.check(
             context=f"{action}:{fault.kind}:{fault.target or '-'}")
 

@@ -3,7 +3,9 @@
 The same :class:`~repro.faults.plan.FaultPlan` documents that drive
 the per-session :class:`~repro.faults.engine.FaultEngine` also drive
 the fleet tier — same JSON schema, same virtual-time semantics, same
-timeline/telemetry/trace side channels — but injections resolve to
+telemetry counters, and the same ``timeline`` as the one fault record
+that exhibits return in their result's ``faults`` for ``--report`` —
+but injections resolve to
 entity-array mutations (decrement a replica column, zero a backend's
 session slots) instead of per-object state flips. Only the four
 topology fault kinds have a fleet-scale analogue; :meth:`arm` rejects
@@ -23,10 +25,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..faults.plan import Fault, FaultPlan, FaultPlanError
-from ..faults.engine import FaultTargetError
-from ..faults.runtime import register_timeline
+from ..faults.engine import FaultTargetError, _index
 from ..obs.runtime import get_telemetry
-from ..obs.trace import get_tracer
 from ..simcore import Simulator
 from .model import FleetModel
 
@@ -53,7 +53,6 @@ class FleetFaultEngine:
         self.sim = sim
         self.model = model
         self.timeline: List[Dict[str, object]] = []
-        register_timeline(self.timeline)
 
     # -- compilation -------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
@@ -206,23 +205,5 @@ class FleetFaultEngine:
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.inc(f"faults_{action}ed_total", kind=fault.kind)
-        tracer = get_tracer()
-        if tracer is not None and tracer.collector is not None:
-            tracer.collector.mark_fault(self.sim.now, action, fault.kind,
-                                        fault.target, detail)
         self.model.check_invariants(
             context=f"{action}:{fault.kind}:{fault.target or '-'}")
-
-
-def _index(token: str, label: str) -> int:
-    prefix = f"{label}:"
-    if not token.startswith(prefix):
-        raise FaultTargetError(
-            f"expected '{label}:<index>' in target, got {token!r}")
-    try:
-        value = int(token[len(prefix):])
-    except ValueError:
-        raise FaultTargetError(f"non-integer index in {token!r}") from None
-    if value < 0:
-        raise FaultTargetError(f"negative index in {token!r}")
-    return value

@@ -537,9 +537,8 @@ class DynamicImportRule(Rule):
 #: ambient runtime state, causal tracer) sits at rank 1 — the
 #: model layers call *into* it on the hot path by design — while the
 #: package root (init/export wiring) stays at rank 2 with the fault
-#: subsystem. ``repro.lint`` sits with the runtime layer because its
-#: ``--jobs`` fan-out rides ``runtime.sweep_map``. The umbrella package
-#: ``repro`` itself re-exports everything and is exempt (rank None).
+#: subsystem. The umbrella package ``repro`` itself re-exports
+#: everything and is exempt (rank None).
 LAYERS: Tuple[Tuple[str, int], ...] = (
     ("repro.simcore", 0),
     ("repro.core", 1),

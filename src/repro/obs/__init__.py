@@ -13,6 +13,11 @@ this package is where our own run telemetry lives):
   :class:`TraceCollector`, head-sampled by an ambient :class:`Tracer`;
 * exporters — Chrome ``trace_event`` JSON, Prometheus text snapshots,
   and JSON run reports (``python -m repro.experiments --report <dir>``).
+
+Nothing here keeps a registry of faults or traces. A run's fault
+record is its fault engines' ``timeline``, and an exhibit returns that
+and its :class:`Trace` objects in its result, which ``--report`` hands
+to the exporters, at any ``--jobs``.
 """
 
 from .export import (
@@ -33,11 +38,7 @@ from .trace import (
     fault_detection_latency,
     get_tracer,
     layer_attribution,
-    register_collector,
     set_tracer,
-    span_from_dict,
-    span_to_dict,
-    take_collectors,
     use_tracer,
 )
 from .wallsample import LayerSamples, sample_layers
@@ -58,14 +59,10 @@ __all__ = [
     "get_tracer",
     "layer_attribution",
     "prometheus_text",
-    "register_collector",
     "run_report",
     "sample_layers",
     "set_telemetry",
     "set_tracer",
-    "span_from_dict",
-    "span_to_dict",
-    "take_collectors",
     "traces_json",
     "use_telemetry",
     "use_tracer",

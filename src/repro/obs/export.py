@@ -4,14 +4,18 @@ Three machine-readable views of one run:
 
 * :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto-loadable JSON
   object combining simulated-time spans (from
-  :class:`repro.obs.trace.TraceCollector` traces, pid
-  ``"sim-traces"``) and fault-mark instants;
+  :class:`repro.obs.trace.Trace` objects, pid ``"sim-traces"``) and
+  one instant per fault-timeline entry;
 * :func:`prometheus_text` — a text-format snapshot of a
   :class:`~repro.obs.telemetry.Telemetry` registry;
 * :func:`run_report` / :func:`write_run_artifacts` — a JSON run report
   bundling an experiment's tables/series/findings with the telemetry
   snapshot and the sampled per-layer wall split, written next to the
   other two.
+
+One fault record feeds all three: the fault-timeline entries
+(``t`` / ``action`` / ``kind`` / ``target`` / ``detail``) a fault
+engine appends, which an exhibit returns in its result's ``faults``.
 
 Everything is duck-typed (spans need ``source``/``layer``/``start_s``/
 ``end_s``; results need ``tables``/``series``/``findings``/``notes``) so
@@ -70,30 +74,30 @@ def _span_events(traces: Iterable) -> List[dict]:
     return events
 
 
-def _fault_events(fault_marks: Iterable) -> List[dict]:
+def _fault_events(faults: Iterable) -> List[dict]:
     """Instant ("ph": "i") events for fault injections/recoveries.
 
     Rendered as global vertical markers on the trace timeline so the
     fault lines up visually with the spans it degraded.
     """
     return [{
-        "name": f"{mark['action']}:{mark['kind']}",
+        "name": f"{entry['action']}:{entry['kind']}",
         "cat": "fault",
         "ph": "i",
         "s": "g",
-        "ts": mark["t"] * 1e6,
+        "ts": entry["t"] * 1e6,
         "pid": "sim-traces",
         "tid": 0,
-        "args": {"target": mark.get("target", ""),
-                 "detail": mark.get("detail", "")},
-    } for mark in fault_marks]
+        "args": {"target": entry.get("target", ""),
+                 "detail": entry.get("detail", "")},
+    } for entry in faults]
 
 
-def chrome_trace(traces: Iterable = (), fault_marks: Iterable = ()) -> dict:
+def chrome_trace(traces: Iterable = (), faults: Iterable = ()) -> dict:
     """A ``chrome://tracing``-loadable JSON object for one run."""
     return {
         "displayTimeUnit": "ms",
-        "traceEvents": _span_events(traces) + _fault_events(fault_marks),
+        "traceEvents": _span_events(traces) + _fault_events(faults),
     }
 
 
@@ -116,8 +120,9 @@ def _span_dict(span) -> dict:
     return record
 
 
-def traces_json(traces: Iterable = (), fault_marks: Iterable = ()) -> dict:
-    """The raw-trace JSON export: spans grouped per trace + fault marks.
+def traces_json(traces: Iterable = (), faults: Iterable = ()) -> dict:
+    """The raw-trace JSON export: spans grouped per trace, plus the
+    fault-timeline entries under ``fault_marks``.
 
     This is the machine-readable companion of :func:`chrome_trace` — the
     view the ``*.traces.json`` artifact stores.
@@ -131,7 +136,7 @@ def traces_json(traces: Iterable = (), fault_marks: Iterable = ()) -> dict:
             "layers": trace.layers(),
             "spans": [_span_dict(span) for span in trace.spans],
         } for trace in traces],
-        "fault_marks": [dict(mark) for mark in fault_marks],
+        "fault_marks": [dict(entry) for entry in faults],
     }
 
 
@@ -224,16 +229,16 @@ def write_run_artifacts(directory: str, exp_id: str, result=None,
                         telemetry=None, traces: Iterable = (),
                         meta: Optional[dict] = None,
                         faults: Iterable = (),
-                        fault_marks: Iterable = (),
                         layers=None) -> Dict[str, str]:
     """Write the artifacts for one run; returns name -> path.
 
-    ``traces`` additionally produces a raw ``*.traces.json`` export next
-    to the Chrome ``*.trace.json``, which is always written.
+    ``faults`` go to all three JSON artifacts. ``traces`` additionally
+    produces a raw ``*.traces.json`` export next to the Chrome
+    ``*.trace.json``, which is always written.
     """
     os.makedirs(directory, exist_ok=True)
     traces = list(traces)
-    fault_marks = list(fault_marks)
+    faults = list(faults)
     paths = {
         "report": os.path.join(directory, f"{exp_id}.report.json"),
         "metrics": os.path.join(directory, f"{exp_id}.prom"),
@@ -249,9 +254,9 @@ def write_run_artifacts(directory: str, exp_id: str, result=None,
     with open(paths["trace"], "w") as handle:
         # dumps, not dump: only the one-shot path uses the C encoder,
         # which matters for exhibits that trace many requests.
-        handle.write(json.dumps(chrome_trace(traces, fault_marks)))
+        handle.write(json.dumps(chrome_trace(traces, faults)))
     if traces:
         paths["traces"] = os.path.join(directory, f"{exp_id}.traces.json")
         with open(paths["traces"], "w") as handle:
-            json.dump(traces_json(traces, fault_marks), handle, indent=2)
+            json.dump(traces_json(traces, faults), handle, indent=2)
     return paths

@@ -196,6 +196,25 @@ class Telemetry:
         self._family(name, "histogram", buckets=buckets) \
             .child(labels).observe(value)
 
+    def merge(self, other: "Telemetry") -> None:
+        """Add every sample of ``other`` (one sweep point's registry)
+        into this one: counters and histograms add, gauges take
+        ``other``'s value. Integer-valued sums come out exact; float
+        sums may differ from one shared registry's in the last bits."""
+        for family in other.families():
+            mine = self._family(family.name, family.kind, family.buckets)
+            for child in family:
+                target = mine.child(dict(child.labels))
+                if family.kind == "counter":
+                    target.value += child.value
+                elif family.kind == "gauge":
+                    target.value = child.value
+                else:
+                    target.counts = [mine_count + count for mine_count, count
+                                     in zip(target.counts, child.counts)]
+                    target.sum += child.sum
+                    target.count += child.count
+
     # -- queries -----------------------------------------------------------
     def get(self, name: str, **labels):
         """The child metric object for ``name{labels}``, or ``None``."""

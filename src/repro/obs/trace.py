@@ -4,8 +4,10 @@
 still instrument "critical points in the traffic path". This module is
 that backbone: every layer of the reproduction (gateway L7 routing,
 on-node L4 segments, app execution, TLS handshakes, control-plane
-pushes, fault injections) emits :class:`Span` records that assemble
-into causal :class:`Trace` trees.
+pushes) emits :class:`Span` records that assemble into causal
+:class:`Trace` trees. Faults are not spans: a fault engine's
+``timeline`` is the one fault record, and :func:`fault_detection_latency`
+and the exporters line its entries up with the traces.
 
 Design rules, in order of importance:
 
@@ -16,7 +18,9 @@ Design rules, in order of importance:
   ``random.Random`` derived from the run's seed — never from the live
   ``sim.rng`` — so toggling tracing cannot perturb simulation results,
   and trace sets are byte-identical at any ``--jobs`` level (sweeps
-  parallelize whole simulations, so per-sim tracer state never races).
+  parallelize whole simulations, so per-sim tracer state never races;
+  a sweep point returns its :class:`Trace` objects, and pickle carries
+  them back from a pool worker).
 * **Bounded.** The collector is a ring buffer: beyond ``max_traces``
   assembled traces the oldest is evicted, while its coverage level is
   folded into the aggregate counts.
@@ -41,13 +45,9 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    "register_collector",
-    "take_collectors",
     "critical_path",
     "layer_attribution",
     "fault_detection_latency",
-    "span_to_dict",
-    "span_from_dict",
 ]
 
 #: Default ring-buffer capacity of a collector (assembled traces kept).
@@ -254,10 +254,12 @@ def _default_degraded(trace: Trace) -> bool:
 
 
 def fault_detection_latency(traces: Sequence[Trace],
-                            fault_marks: Sequence[Dict[str, object]],
+                            faults: Sequence[Dict[str, object]],
                             degraded=None) -> List[Dict[str, object]]:
     """Per injection: when did the first degraded trace surface it?
 
+    ``faults`` are fault-timeline entries (``t`` / ``action`` /
+    ``kind`` / ``target``), as a fault engine records them.
     ``degraded`` is a predicate over :class:`Trace` (default: root span
     status annotation is neither ``200`` nor ``ok``). Detection happens
     when a degraded trace *completes* at or after the injection time,
@@ -268,51 +270,21 @@ def fault_detection_latency(traces: Sequence[Trace],
     completed = sorted(traces, key=lambda trace: (trace.end_s,
                                                   trace.trace_id))
     report: List[Dict[str, object]] = []
-    for mark in fault_marks:
-        if mark.get("action") != "inject":
+    for entry in faults:
+        if entry.get("action") != "inject":
             continue
-        injected_at = float(mark.get("t", 0.0))
+        injected_at = float(entry.get("t", 0.0))
         hit = next((trace for trace in completed
                     if trace.end_s >= injected_at and degraded(trace)), None)
         report.append({
-            "kind": mark.get("kind", ""),
-            "target": mark.get("target", ""),
+            "kind": entry.get("kind", ""),
+            "target": entry.get("target", ""),
             "t": injected_at,
             "detected_at": None if hit is None else hit.end_s,
             "latency_s": None if hit is None else hit.end_s - injected_at,
             "trace_id": None if hit is None else hit.trace_id,
         })
     return report
-
-
-# -- serialization (picklable sweep transport) -------------------------------
-def span_to_dict(span: Span) -> Dict[str, object]:
-    """A plain-dict view of one span (JSON- and pickle-friendly)."""
-    return {
-        "trace_id": span.trace_id, "source": span.source,
-        "layer": span.layer, "start_s": span.start_s, "end_s": span.end_s,
-        "pod": span.pod, "service": span.service,
-        "bytes_out": span.bytes_out, "bytes_in": span.bytes_in,
-        "span_id": span.span_id, "parent_id": span.parent_id,
-        "name": span.name,
-        "annotations": [list(pair) for pair in span.annotations],
-    }
-
-
-def span_from_dict(data: Dict[str, object]) -> Span:
-    return Span(
-        trace_id=int(data["trace_id"]), source=str(data["source"]),
-        layer=str(data["layer"]), start_s=float(data["start_s"]),
-        end_s=float(data["end_s"]), pod=str(data.get("pod", "")),
-        service=str(data.get("service", "")),
-        bytes_out=int(data.get("bytes_out", 0)),
-        bytes_in=int(data.get("bytes_in", 0)),
-        span_id=int(data.get("span_id", 0)),
-        parent_id=int(data.get("parent_id", 0)),
-        name=str(data.get("name", "")),
-        annotations=tuple((str(key), str(value)) for key, value
-                          in data.get("annotations", ())),
-    )
 
 
 class TraceCollector:
@@ -331,9 +303,6 @@ class TraceCollector:
         self._spans: "OrderedDict[int, List[Span]]" = OrderedDict()
         self._next_trace_id = 1
         self.max_traces = max_traces
-        #: Fault inject/recover events overlapping the collected traces
-        #: (annotated by repro.faults.FaultEngine while tracing is on).
-        self.fault_marks: List[Dict[str, object]] = []
         self.spans_recorded = 0
         self.traces_evicted = 0
         self._evicted_coverage: Dict[str, int] = {
@@ -360,12 +329,6 @@ class TraceCollector:
         coverage = Trace(trace_id=oldest_id, spans=spans).coverage
         self._evicted_coverage[coverage] += 1
         self.traces_evicted += 1
-
-    def mark_fault(self, t: float, action: str, kind: str, target: str,
-                   detail: str = "") -> None:
-        """Annotate a fault inject/recover event onto the trace stream."""
-        self.fault_marks.append({"t": t, "action": action, "kind": kind,
-                                 "target": target, "detail": detail})
 
     def trace(self, trace_id: int) -> Trace:
         spans = self._spans.get(trace_id)
@@ -505,7 +468,6 @@ class Tracer:
 
 # -- ambient tracer (the disabled-by-default hot-path hook) ------------------
 _tracer: Optional[Tracer] = None
-_collectors: List[TraceCollector] = []
 
 
 def get_tracer() -> Optional[Tracer]:
@@ -518,15 +480,9 @@ def get_tracer() -> Optional[Tracer]:
 
 
 def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` as ambient; returns the previous one.
-
-    The tracer's collector is registered for the report exporters to
-    drain (:func:`take_collectors`) after the run.
-    """
+    """Install ``tracer`` as ambient; returns the previous one."""
     global _tracer
     previous, _tracer = _tracer, tracer
-    if tracer is not None:
-        register_collector(tracer.collector)
     return previous
 
 
@@ -539,17 +495,3 @@ def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
         yield installed
     finally:
         set_tracer(previous)
-
-
-def register_collector(collector: TraceCollector) -> TraceCollector:
-    """Queue a collector for the run-report exporters to drain."""
-    if collector not in _collectors:
-        _collectors.append(collector)
-    return collector
-
-
-def take_collectors() -> List[TraceCollector]:
-    """Drain (return and forget) every registered collector."""
-    global _collectors
-    drained, _collectors = _collectors, []
-    return drained

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Bump when the pickle payload or key recipe changes shape.
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 
 #: Default cache location; overridable per call or via the environment.
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")

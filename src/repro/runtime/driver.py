@@ -65,14 +65,10 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
         Telemetry,
         sample_layers,
         set_telemetry,
-        take_collectors,
         write_run_artifacts,
     )
-    from ..faults import take_timelines
     telemetry = Telemetry(enabled=True)
     previous = set_telemetry(telemetry)
-    take_timelines()  # drop fault timelines a previous exhibit leaked
-    take_collectors()  # likewise for leaked trace collectors
     try:
         with sample_layers() as layers:
             if spec.use_cache:
@@ -85,26 +81,15 @@ def run_exhibit(spec: RunSpec) -> ExhibitRun:
     finally:
         set_telemetry(previous)
     elapsed = time.perf_counter() - started  # simlint: ignore[DET001] CLI timing
-    # Fault timelines from in-process engines, merged in virtual-time
-    # order (pool-worker engines return their timelines inside results
-    # instead; forked registries never reach this process).
-    faults = sorted((entry for timeline in take_timelines()
-                     for entry in timeline),
-                    key=lambda entry: entry.get("t", 0.0))
-    # Trace collectors registered during the run (exhibits that trace
-    # re-record pool-worker spans into a collector they register here).
-    collectors = take_collectors()
-    traces = [trace for collector in collectors
-              for trace in collector.traces()]
-    fault_marks = sorted((mark for collector in collectors
-                          for mark in collector.fault_marks),
-                         key=lambda mark: mark.get("t", 0.0))
+    # The result carries the run's one fault record and its traces, so
+    # the artifacts are the same whether sweep points ran in this
+    # process or in pool workers. Faults merge in virtual-time order.
+    faults = sorted(result.faults, key=lambda entry: entry["t"])
     paths = write_run_artifacts(
         spec.report_dir, spec.exp_id, result=result, telemetry=telemetry,
-        faults=faults, traces=traces, fault_marks=fault_marks,
-        layers=layers,
+        faults=faults, traces=result.traces, layers=layers,
         meta={"exp_id": spec.exp_id, "wall_clock_s": elapsed,
               "faults_recorded": len(faults),
-              "traces_recorded": len(traces)})
+              "traces_recorded": len(result.traces)})
     return ExhibitRun(spec.exp_id, result, elapsed, cache_hit=False,
                       artifact_paths=paths)

@@ -21,6 +21,11 @@ early-exit sweeps stop computing). ``python -m repro.experiments
 
 Point functions must be module-level (picklable) and point specs must be
 picklable values; both travel to ``multiprocessing`` workers.
+
+While the ambient :class:`~repro.obs.Telemetry` is enabled (``--report``),
+a pooled point runs under a fresh registry of its own and returns it
+with its result; the parent merges it in point order, so the report's
+telemetry holds every point's samples at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ import multiprocessing
 import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional
+
+from ..obs.runtime import get_telemetry, use_telemetry
+from ..obs.telemetry import Telemetry
 
 __all__ = [
     "SweepExecutor",
@@ -57,17 +65,24 @@ class SweepPointError(RuntimeError):
 
 
 class _PointCall:
-    """Picklable wrapper running one ``(index, point)`` pair in a worker."""
+    """Picklable wrapper running one ``(index, point)`` pair in a worker.
 
-    __slots__ = ("fn",)
+    With ``telemetry`` set it returns ``(result, the point's Telemetry)``.
+    """
 
-    def __init__(self, fn: Callable[[Any], Any]):
+    __slots__ = ("fn", "telemetry")
+
+    def __init__(self, fn: Callable[[Any], Any], telemetry: bool):
         self.fn = fn
+        self.telemetry = telemetry
 
     def __call__(self, indexed_point):
         index, point = indexed_point
         try:
-            return self.fn(point)
+            if not self.telemetry:
+                return self.fn(point)
+            with use_telemetry(Telemetry()) as telemetry:
+                return self.fn(point), telemetry
         except Exception as exc:
             name = getattr(self.fn, "__name__", None) or repr(self.fn)
             raise SweepPointError(
@@ -139,13 +154,23 @@ class SweepExecutor:
         points = list(points)
         if self.jobs == 1 or len(points) <= 1:
             return (fn(point) for point in points)
-        return self._ensure_pool().imap(_PointCall(fn),
-                                        list(enumerate(points)))
+        telemetry = get_telemetry()
+        results = self._ensure_pool().imap(
+            _PointCall(fn, telemetry.enabled), list(enumerate(points)))
+        return _merged(results, telemetry) if telemetry.enabled else results
 
     def map(self, fn: Callable[[Any], Any],
             points: Iterable[Any]) -> List[Any]:
         """``list(imap(...))`` — the whole sweep, in point order."""
         return list(self.imap(fn, points))
+
+
+def _merged(results: Iterator, telemetry: Telemetry) -> Iterator[Any]:
+    """Unwrap ``(result, point telemetry)`` pairs, merging each point's
+    samples into ``telemetry`` as its result is consumed."""
+    for result, point_telemetry in results:
+        telemetry.merge(point_telemetry)
+        yield result
 
 
 #: The ambient executor exhibit code maps through (serial by default).

@@ -2,11 +2,19 @@
 
 import pytest
 
-from repro.core import RollingUpgrade, Span, TraceCollector
+from repro.core import RollingUpgrade
 from repro.experiments.cloud_ops import build_production_gateway
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
-from repro.obs import Telemetry, Tracer, get_tracer, use_telemetry, use_tracer
+from repro.obs import (
+    Span,
+    Telemetry,
+    TraceCollector,
+    Tracer,
+    get_tracer,
+    use_telemetry,
+    use_tracer,
+)
 from repro.simcore import Simulator
 
 

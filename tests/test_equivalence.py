@@ -116,14 +116,21 @@ def test_exhibit_output_equivalent(exp_id, tmp_path):
 
 def test_report_stable_across_hash_seeds(tmp_path):
     """``--report``'s ``report.json`` is the same bytes under two string
-    hash seeds once its wall-time fields are dropped."""
+    hash seeds and with its sweep points in pool workers, once its
+    wall-time fields are dropped; its ``trace.json`` marks every fault
+    the three seed runs injected."""
     exp_id = "fig8_recovery"
     reports = []
-    for hash_seed in (1, 2):
-        report_dir = tmp_path / f"report-{hash_seed}"
-        _run(exp_id, hash_seed, "--no-cache", "--report", str(report_dir))
+    for hash_seed, jobs in ((1, "1"), (2, "1"), (1, "2")):
+        report_dir = tmp_path / f"report-{hash_seed}-{jobs}"
+        _run(exp_id, hash_seed, "--no-cache", "--jobs", jobs,
+             "--report", str(report_dir))
         report = json.loads(
             (report_dir / f"{exp_id}.report.json").read_text())
         del report["meta"]["wall_clock_s"], report["layers"]
         reports.append(json.dumps(report, indent=2))
+        events = json.loads(
+            (report_dir / f"{exp_id}.trace.json").read_text())["traceEvents"]
+        assert sum(1 for event in events if event["ph"] == "i") == 30, jobs
     assert reports[0] == reports[1]
+    assert reports[0] == reports[2], "--jobs 2 report differs from serial"

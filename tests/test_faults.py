@@ -18,7 +18,6 @@ from repro.faults import (
     FaultTargetError,
     InvariantAuditor,
     InvariantViolation,
-    take_timelines,
 )
 from repro.simcore import Simulator
 
@@ -377,16 +376,3 @@ class TestInvariantAuditor:
                                        context="inject:az_crash:az1")
         assert "inject:az_crash:az1" in str(violation)
         assert violation.invariant == "dns-consistency"
-
-
-class TestTimelineRegistry:
-    def test_engine_timelines_drain_once(self):
-        take_timelines()  # drop anything a prior test leaked
-        sim, gateway, _ = make_chaos_gateway()
-        engine = FaultEngine(sim, gateway=gateway)
-        engine.arm(FaultPlan.of(
-            Fault(kind="az_crash", at=1.0, target="az1", duration_s=1.0)))
-        sim.run(until=3.0)
-        drained = take_timelines()
-        assert engine.timeline in drained
-        assert take_timelines() == []

@@ -173,8 +173,8 @@ class TestCache001DynamicImports:
         assert [f.line for f in found] == [7, 15]
 
     def test_rule_covers_trace_module(self):
-        # Traces ride the cached report path too (write_run_artifacts
-        # serializes them), so repro.obs.trace gets the same scrutiny.
+        # Traces ride the cached result too (an exhibit's ``traces``),
+        # so repro.obs.trace gets the same scrutiny.
         found = findings_for("cache001_dynamic.py", "CACHE001",
                              module="repro.obs.trace")
         assert [f.line for f in found] == [7, 15]

@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from repro.core import Span, TraceCollector
 from repro.experiments.base import ExperimentResult, Series, Table
 from repro.experiments.testbed import MESH_CLASSES, build_testbed
 from repro.mesh import AuthorizationPolicy, HttpRequest
 from repro.obs import (
     LayerSamples,
+    Span,
     Telemetry,
+    TraceCollector,
     chrome_trace,
     get_telemetry,
     prometheus_text,
@@ -100,6 +101,23 @@ class TestTelemetryRegistry:
         sample = snapshot["requests_total"]["samples"][0]
         assert sample == {"labels": {"mesh": "canal"}, "value": 1.0}
         assert snapshot["latency"]["samples"][0]["count"] == 1
+
+    def test_merge_adds_counters_and_histograms_and_takes_gauges(self):
+        merged, point = Telemetry(), Telemetry()
+        merged.inc("requests_total", mesh="canal")
+        merged.set("water_level", 0.4)
+        merged.observe("latency", 0.5, buckets=(1.0,))
+        point.inc("requests_total", amount=2, mesh="canal")
+        point.inc("requests_total", mesh="istio")
+        point.set("water_level", 0.7)
+        point.observe("latency", 1.5, buckets=(1.0,))
+        merged.merge(point)
+        assert merged.value("requests_total", mesh="canal") == 3
+        assert merged.value("requests_total", mesh="istio") == 1
+        assert merged.value("water_level") == 0.7
+        histogram = merged.get("latency")
+        assert histogram.counts == [1, 1]
+        assert (histogram.count, histogram.sum) == (2, 2.0)
 
     def test_ambient_registry_swap(self):
         before = get_telemetry()
@@ -365,6 +383,9 @@ class TestRunReportArtifacts:
         report = json.loads(
             (tmp_path / "fig8_recovery.report.json").read_text())
         assert report["meta"]["exp_id"] == "fig8_recovery"
+        # The result's fault timeline: 3 seeds x 5 faults x inject/recover.
+        assert report["meta"]["faults_recorded"] == len(report["faults"]) \
+            == 30
         shares = report["layers"]["shares"]
         assert report["layers"]["samples"] > 0
         assert set(shares) <= REPRO_PACKAGES | {"other"}

@@ -18,10 +18,6 @@ from repro.obs import (
     get_tracer,
     layer_attribution,
     prometheus_text,
-    set_tracer,
-    span_from_dict,
-    span_to_dict,
-    take_collectors,
     traces_json,
     use_tracer,
 )
@@ -35,6 +31,12 @@ def _span(trace_id=1, source="a", layer="l4", start=0.0, end=1.0,
     return Span(trace_id=trace_id, source=source, layer=layer,
                 start_s=start, end_s=end, span_id=span_id,
                 parent_id=parent_id, name=name, **kw)
+
+
+def _fault(t, action, kind, target, detail=""):
+    """A fault-timeline entry, shaped as a fault engine's ``_note``."""
+    return {"t": t, "action": action, "kind": kind, "target": target,
+            "detail": detail}
 
 
 class TestEmptyTraceRegression:
@@ -106,11 +108,6 @@ class TestCausalModel:
         assert len(trace.spans) == 1
         assert trace.root().annotation("status") == "200"
 
-    def test_span_roundtrips_through_dict(self):
-        span = _span(span_id=3, parent_id=1, name="x",
-                     annotations=(("k", "v"),))
-        assert span_from_dict(span_to_dict(span)) == span
-
 
 class TestCollectorMigration:
     """The aggregates of the old flat-span collector must survive."""
@@ -141,13 +138,6 @@ class TestCollectorMigration:
         report = collector.coverage_report()
         assert report["full"] == 1      # evicted at full coverage
         assert report["partial"] == 1   # the live gateway-only trace
-
-    def test_legacy_shim_still_imports(self):
-        from repro.core import Span as CoreSpan
-        from repro.core import TraceCollector as CoreCollector
-        # repro.core re-exports the repro.obs.trace classes themselves.
-        assert CoreSpan is Span
-        assert CoreCollector is TraceCollector
 
 
 class TestAnalytics:
@@ -182,10 +172,11 @@ class TestAnalytics:
         ok.finish(1.0, status=200)
         bad = tracer.start("request", start_s=4.5)
         bad.finish(5.5, status=503)
-        collector.mark_fault(4.0, "inject", "backend_crash", "b0")
-        collector.mark_fault(90.0, "inject", "az_crash", "az9")
-        report = fault_detection_latency(collector.traces(),
-                                         collector.fault_marks)
+        faults = [_fault(4.0, "inject", "backend_crash", "b0"),
+                  _fault(6.0, "recover", "backend_crash", "b0"),
+                  _fault(90.0, "inject", "az_crash", "az9")]
+        report = fault_detection_latency(collector.traces(), faults)
+        assert len(report) == 2  # injections only
         assert report[0]["latency_s"] == pytest.approx(1.5)
         assert report[0]["trace_id"] == bad.trace_id
         assert report[1]["latency_s"] is None  # never detected
@@ -233,7 +224,6 @@ class TestSamplingDeterminism:
             if traced:
                 with use_tracer(Tracer(sample_rate=0.5, seed=19)):
                     run.sim.run()
-                take_collectors()
             else:
                 run.sim.run()
             return latencies
@@ -256,7 +246,6 @@ class TestMeshPaths:
         run.sim.process(scenario())
         with use_tracer(Tracer()) as tracer:
             run.sim.run()
-        take_collectors()
         (trace,) = tracer.collector.traces()
         root = trace.root()
         assert root.annotation("status") == "200"
@@ -276,17 +265,6 @@ class TestAmbientTracer:
         with use_tracer() as tracer:
             assert get_tracer() is tracer
         assert get_tracer() is None
-        drained = take_collectors()
-        assert tracer.collector in drained
-
-    def test_set_tracer_registers_collector(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-        finally:
-            set_tracer(previous)
-        assert tracer.collector in take_collectors()
 
 
 class TestPrometheusEscaping:
@@ -310,6 +288,10 @@ class TestPrometheusEscaping:
 
 
 class TestExporters:
+    #: One fault-timeline entry, as a fault engine records it.
+    FAULTS = [_fault(0.25, "inject", "replica_crash", "r1",
+                     "r1 down")]
+
     def _collector(self):
         collector = TraceCollector()
         tracer = Tracer(collector=collector)
@@ -317,13 +299,11 @@ class TestExporters:
         handle.add("onnode-l4", "l4", 0.0, 0.5, pod="p1", bytes_out=64,
                    bytes_in=32)
         handle.finish(1.0, status=200)
-        collector.mark_fault(0.25, "inject", "replica_crash", "r1")
         return collector
 
     def test_chrome_trace_carries_causality_and_faults(self):
         collector = self._collector()
-        payload = chrome_trace(collector.traces(),
-                               fault_marks=collector.fault_marks)
+        payload = chrome_trace(collector.traces(), faults=self.FAULTS)
         blob = json.dumps(payload)  # must be valid JSON
         events = payload["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -332,17 +312,19 @@ class TestExporters:
         assert root["args"]["a.status"] == "200"
         instants = [e for e in events if e["ph"] == "i"]
         assert instants and instants[0]["name"] == "inject:replica_crash"
+        assert instants[0]["args"] == {"target": "r1",
+                                       "detail": "r1 down"}
         assert "replica_crash" in blob
 
     def test_traces_json_shape(self):
         collector = self._collector()
-        payload = traces_json(collector.traces(), collector.fault_marks)
+        payload = traces_json(collector.traces(), self.FAULTS)
         assert len(payload["traces"]) == 1
         trace = payload["traces"][0]
         assert trace["coverage"] == "none"  # l4 only, no l7
         assert {span["name"] for span in trace["spans"]} == \
             {"request", "onnode-l4"}
-        assert payload["fault_marks"][0]["kind"] == "replica_crash"
+        assert payload["fault_marks"] == self.FAULTS
 
     def test_trace_breakdown_artifacts(self, tmp_path):
         """The exhibit's ``--report`` artifacts: causal spans and fault

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.experiments import EXPERIMENTS, exhibit_ids
+from repro.obs import get_telemetry, use_telemetry
 from repro.experiments.__main__ import main as cli_main
 from repro.runtime import (
     ResultCache,
@@ -24,6 +25,13 @@ from repro.runtime import (
 
 
 def _square(point):
+    return point * point
+
+
+def _counted_square(point):
+    """``_square`` that also counts into the ambient telemetry."""
+    get_telemetry().inc("points_total", parity=point % 2)
+    get_telemetry().set("last_point", point)
     return point * point
 
 
@@ -95,6 +103,18 @@ class TestSweepExecutor:
         points = list(range(20))
         with SweepExecutor(jobs=2) as executor:
             assert executor.map(_square, points) == [p * p for p in points]
+
+    def test_pooled_points_return_their_telemetry(self):
+        """With telemetry on, a pooled sweep leaves the same samples in
+        the ambient registry as a serial one."""
+        points = list(range(9))
+        with use_telemetry() as serial:
+            serial_results = sweep_map(_counted_square, points)
+        with SweepExecutor(jobs=2) as executor, use_telemetry() as pooled:
+            assert executor.map(_counted_square, points) == serial_results
+        assert pooled.snapshot() == serial.snapshot()
+        assert pooled.value("points_total", parity=0) == 5
+        assert pooled.value("last_point") == 8
 
 
 class TestDeterminism:
