@@ -67,19 +67,20 @@ class SweepPointError(RuntimeError):
 class _PointCall:
     """Picklable wrapper running one ``(index, point)`` pair in a worker.
 
-    With ``telemetry`` set it returns ``(result, the point's Telemetry)``.
+    With ``collect_telemetry`` set it returns ``(result, the point's
+    Telemetry)``.
     """
 
-    __slots__ = ("fn", "telemetry")
+    __slots__ = ("fn", "collect_telemetry")
 
-    def __init__(self, fn: Callable[[Any], Any], telemetry: bool):
+    def __init__(self, fn: Callable[[Any], Any], collect_telemetry: bool):
         self.fn = fn
-        self.telemetry = telemetry
+        self.collect_telemetry = collect_telemetry
 
     def __call__(self, indexed_point):
         index, point = indexed_point
         try:
-            if not self.telemetry:
+            if not self.collect_telemetry:
                 return self.fn(point)
             with use_telemetry(Telemetry()) as telemetry:
                 return self.fn(point), telemetry
