@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 from ..crypto import BatchedAccelerator, CryptoCosts, DEFAULT_CRYPTO_COSTS
 from ..crypto.accelerator import SoftwareAsymEngine
@@ -149,17 +150,34 @@ class RemoteKeyEngine:
         return self.server.healthy
 
     def submit(self) -> Event:
-        return self.sim.process(self._rpc(), name="key-rpc")
+        """One remote op; fires with its completion time.
 
-    def _rpc(self):
+        Three agenda callbacks, no process: the request reaches the
+        server after half the RTT, the server's op fires, and the reply
+        is scheduled half the RTT plus the RPC overhead later. If the
+        server refuses the op (down, or the channel fails
+        verification), the event fails with the server's error.
+        """
+        done = self.sim.event()
+        rtt = self.server.config.network_rtt_s + self.extra_rtt_s
+        self.sim.call_later(rtt / 2.0, self._arrive, done)
+        return done
+
+    def _arrive(self, done: Event) -> None:
+        try:
+            served = self.server.serve(self.requester, self.token,
+                                       self.identity)
+        except (RuntimeError, AccessDenied) as exc:
+            done.fail(exc)
+            return
+        served.add_callback(partial(self._reply, done))
+
+    def _reply(self, done: Event, _served: Event) -> None:
         config = self.server.config
-        rtt = config.network_rtt_s + self.extra_rtt_s
-        yield self.sim.timeout(rtt / 2.0)
-        served = self.server.serve(self.requester, self.token, self.identity)
-        yield served
-        yield self.sim.timeout(rtt / 2.0 + config.rpc_overhead_s)
+        delay = (config.network_rtt_s + self.extra_rtt_s) / 2.0 \
+            + config.rpc_overhead_s
         self.operations += 1
-        return self.sim.now
+        done.succeed(self.sim.now + delay, delay=delay)
 
 
 class FallbackEngine:
@@ -191,7 +209,8 @@ class KeyServerFleet:
         self.costs = costs
         self.config = config
         self._by_az: Dict[str, KeyServer] = {}
-        self._keyless: Dict[str, KeyServer] = {}
+        #: tenant → (its on-prem key server, the extra RTT to reach it).
+        self._keyless: Dict[str, Tuple[KeyServer, float]] = {}
 
     def deploy(self, az: str, hardware_accelerated: bool = True) -> KeyServer:
         if az in self._by_az:
@@ -206,8 +225,7 @@ class KeyServerFleet:
         """Tenant-hosted key server (on-prem: extra cross-site RTT)."""
         server = KeyServer(self.sim, az=f"onprem-{tenant}", costs=self.costs,
                            config=self.config, name=f"keyserver-{tenant}")
-        server.extra_rtt_s = extra_rtt_s  # type: ignore[attr-defined]
-        self._keyless[tenant] = server
+        self._keyless[tenant] = (server, extra_rtt_s)
         return server
 
     def server_in(self, az: str) -> Optional[KeyServer]:
@@ -220,10 +238,9 @@ class KeyServerFleet:
         if keyless:
             if tenant is None or tenant not in self._keyless:
                 raise KeyError(f"tenant {tenant!r} has no keyless server")
-            server = self._keyless[tenant]
-            extra = getattr(server, "extra_rtt_s", 4e-3)
+            server, extra_rtt_s = self._keyless[tenant]
             return RemoteKeyEngine(self.sim, server, requester, identity,
-                                   extra_rtt_s=extra)
+                                   extra_rtt_s=extra_rtt_s)
         server = self._by_az.get(az)
         if server is None:
             raise KeyError(f"no key server deployed in AZ {az!r}")

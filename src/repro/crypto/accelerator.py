@@ -9,6 +9,19 @@ AVX-512 processes 8 operations per batch and waits up to a configurable
 timeout (minimum 1 ms) for the batch to fill, so with fewer than 8
 concurrent new connections, operations eat the flush timeout and
 performance drops below plain software on the same CPU.
+
+The batcher runs on agenda callbacks (``Simulator.call_later``), not
+processes. The flush timer is cancelled by an epoch that every flush
+bumps: a timer that fires under an older epoch does nothing. A batch
+without a CPU completes through one callback; with a CPU (the local
+engine) it stays a process around ``CpuResource.execute``.
+
+The deadline-slot rule: the timer is armed through a zero-delay call
+after the batch's first submit, not at the submit itself. Its deadline
+entry is therefore pushed one zero-delay step later, so an op whose
+own wait was scheduled in the submit's step and ends exactly at the
+deadline still joins the batch (Fig 12's local mode does this). Arming
+directly would flush such a batch one op short.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..obs.runtime import get_telemetry
-from ..simcore import CpuResource, Event, Interrupt, Simulator
+from ..simcore import CpuResource, Event, Simulator
 from .primitives import CryptoCosts, DEFAULT_CRYPTO_COSTS
 
 __all__ = ["SoftwareAsymEngine", "BatchedAccelerator"]
@@ -75,7 +88,9 @@ class BatchedAccelerator:
         self.cpu = cpu
         self.name = name
         self._pending: List[Event] = []
-        self._timer = None
+        #: Bumped by every flush; a flush timer armed under an older
+        #: epoch fires as a no-op.
+        self._epoch = 0
         self.operations = 0
         self.batches = 0
         self.full_batches = 0
@@ -87,22 +102,21 @@ class BatchedAccelerator:
         if len(self._pending) >= self.batch_size:
             self._flush()
         elif len(self._pending) == 1:
-            self._timer = self.sim.process(self._flush_timer(), name="flush")
+            self.sim.call_later(0.0, self._arm, self._epoch)
         return done
 
-    def _flush_timer(self):
-        try:
-            yield self.sim.timeout(self.flush_timeout_s)
-        except Interrupt:
-            return
-        self._timer = None
-        if self._pending:
+    def _arm(self, epoch: int) -> None:
+        # One zero-delay step after the first submit: the deadline-slot
+        # rule in the module docstring.
+        if epoch == self._epoch:
+            self.sim.call_later(self.flush_timeout_s, self._expire, epoch)
+
+    def _expire(self, epoch: int) -> None:
+        if epoch == self._epoch:
             self._flush()
 
     def _flush(self) -> None:
-        if self._timer is not None and self._timer.is_alive:
-            self._timer.interrupt("flushing")
-        self._timer = None
+        self._epoch += 1
         batch = self._pending[:self.batch_size]
         del self._pending[:len(batch)]
         self.batches += 1
@@ -115,25 +129,29 @@ class BatchedAccelerator:
             telemetry.observe("crypto_batch_fill", len(batch),
                               buckets=tuple(range(1, self.batch_size + 1)),
                               engine=self.name)
-        self.sim.process(self._process_batch(batch), name="asym-batch")
+        if self.cpu is not None:
+            self.sim.process(self._run_on_cpu(batch), name="asym-batch")
+        else:
+            self.sim.call_later(self.costs.asym_accelerated_s,
+                                self._complete, batch)
         if self._pending:
             # Left-over ops start a fresh wait window.
             if len(self._pending) >= self.batch_size:
                 self._flush()
             else:
-                self._timer = self.sim.process(self._flush_timer(),
-                                               name="flush")
+                self.sim.call_later(0.0, self._arm, self._epoch)
 
-    def _process_batch(self, batch: List[Event]):
-        if self.cpu is not None:
-            yield from self.cpu.execute(self.costs.asym_accelerated_s)
-        else:
-            yield self.sim.timeout(self.costs.asym_accelerated_s)
+    def _run_on_cpu(self, batch: List[Event]):
+        yield from self.cpu.execute(self.costs.asym_accelerated_s)
+        self._complete(batch)
+
+    def _complete(self, batch: List[Event]) -> None:
         self.operations += len(batch)
         get_telemetry().inc("crypto_asym_ops_total", amount=len(batch),
                             engine=self.name)
+        now = self.sim.now
         for done in batch:
-            done.succeed(self.sim.now)
+            done.succeed(now)
 
     @property
     def fill_ratio(self) -> float:

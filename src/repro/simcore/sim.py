@@ -88,7 +88,15 @@ class Simulator:
         exceptions propagate out of :meth:`run`. Unlike
         event callbacks there is no cancellation handle — model code
         that needs to cancel should keep its own epoch/generation
-        counter and no-op stale firings.
+        counter and no-op stale firings, as
+        ``crypto.accelerator.BatchedAccelerator``'s flush timer does.
+
+        ``seq`` is taken when the entry is pushed. A process that
+        starts and then waits a timeout pushes that timeout one
+        zero-delay step later than a direct ``call_later`` would, so
+        entries pushed in between win a tie at the deadline. Code that
+        replaces such a process and must keep its tie-breaks arms the
+        timer through a ``call_later(0.0, …)`` first.
         """
         self._schedule_call(call, arg, delay)
 

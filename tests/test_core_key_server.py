@@ -101,6 +101,44 @@ class TestRemoteKeyEngine:
         assert done_far.value - done_near.value == pytest.approx(
             4e-3, rel=0.2)
 
+    def test_solitary_op_agenda_entries(self, sim):
+        server = KeyServer(sim, "az1")
+        server.store_private_key("id", "secret")
+        engine = RemoteKeyEngine(sim, server, "node1", "id")
+        pushed = []
+
+        def waiter():
+            before = sim._sequence
+            value = yield engine.submit()
+            pushed.append((sim._sequence - before, value))
+
+        sim.process(waiter())
+        sim.run()
+        # The arrival, the batcher's timer arm, its timer, the batch
+        # completion, the server's op and the reply: no process.
+        assert pushed == [(6, pytest.approx(2.55e-3))]
+
+    def test_server_down_on_arrival_fails_the_op(self, sim):
+        """A key server that goes down while the RPC is in flight fails
+        the op, and the requester sees the server's error."""
+        server = KeyServer(sim, "az1")
+        server.store_private_key("id", "secret")
+        engine = RemoteKeyEngine(sim, server, "node1", "id")
+        caught = []
+
+        def requester():
+            try:
+                yield engine.submit()
+            except RuntimeError as exc:
+                caught.append((sim.now, str(exc)))
+
+        sim.process(requester())
+        server.healthy = False
+        sim.run()
+        assert caught == [(server.config.network_rtt_s / 2,
+                           "keyserver-az1 is down")]
+        assert engine.operations == 0
+
     def test_channel_established_on_creation(self, sim):
         server = KeyServer(sim, "az1")
         server.store_private_key("id", "secret")

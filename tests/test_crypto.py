@@ -132,6 +132,44 @@ class TestBatchedAccelerator:
         with pytest.raises(ValueError):
             BatchedAccelerator(sim, batch_size=0)
 
+    def test_op_at_the_flush_deadline_joins_the_batch(self, sim):
+        """The flush timer is armed one zero-delay step after the first
+        submit, so an op whose wait was scheduled in that first step
+        arrives ahead of the deadline's entry and joins the batch."""
+        accelerator = BatchedAccelerator(sim)
+        events = []
+
+        def client():
+            events.append(accelerator.submit())
+            yield sim.timeout(accelerator.flush_timeout_s)
+            events.append(accelerator.submit())
+
+        sim.process(client())
+        sim.run()
+        assert accelerator.batches == 1
+        assert accelerator.operations == 2
+        expected = (accelerator.flush_timeout_s
+                    + DEFAULT_CRYPTO_COSTS.asym_accelerated_s)
+        assert [done.value for done in events] == [expected, expected]
+
+    def test_full_batch_agenda_entries(self, sim):
+        accelerator = BatchedAccelerator(sim)
+        events = [accelerator.submit() for _ in range(8)]
+        sim.run()
+        # One timer arm (stale by the time it fires, so it pushes no
+        # timer), one batch completion and one entry per op.
+        assert sim._sequence == 10
+        assert [done.value for done in events] == [
+            DEFAULT_CRYPTO_COSTS.asym_accelerated_s] * 8
+
+    def test_timer_flushed_batch_agenda_entries(self, sim):
+        accelerator = BatchedAccelerator(sim)
+        done = accelerator.submit()
+        sim.run()
+        # The timer arm, the timer, the batch completion and the op.
+        assert sim._sequence == 4
+        assert done.value == pytest.approx(1.25e-3)
+
 
 class TestMtlsHandshake:
     def _run(self, sim, client_ok=True, rtt=1e-3):

@@ -96,12 +96,7 @@ def _path_latency(run, connection):
                                   locate(pods[connection.server_pod]))
 
 
-def _probe(mesh_name):
-    """Fig 10's probe on a sigma-0 testbed.
-
-    Returns the run and one ``(connection, response, end time)`` per
-    request.
-    """
+def _sigma0_testbed(mesh_name):
     run = testbed.build_testbed(mesh_name, costs=COSTS)
     gateway = getattr(run.mesh, "gateway", None)
     if gateway is not None:
@@ -109,6 +104,16 @@ def _probe(mesh_name):
             for replica in backend.replicas:
                 replica.config = dataclasses.replace(
                     replica.config, request_cost_sigma=0.0)
+    return run
+
+
+def _probe(mesh_name):
+    """Fig 10's probe on a sigma-0 testbed.
+
+    Returns the run and one ``(connection, response, end time)`` per
+    request.
+    """
+    run = _sigma0_testbed(mesh_name)
     exchanges = []
     inner = run.mesh.request
 
@@ -138,3 +143,81 @@ def test_latency_is_the_closed_form_sum(mesh_name):
         clock_slack = len(terms) * math.ulp(end_s) / 2
         assert response.latency_s == pytest.approx(
             sum(terms), rel=REL, abs=clock_slack)
+
+
+# -- short flows: a fresh mTLS handshake before each request -----------------
+
+FLOWS = 20
+
+
+def canal_handshake(c, key_server_config):
+    """One on-node proxy's mTLS handshake with the gateway.
+
+    Both asymmetric ops, the proxy's and the gateway's, go to the one
+    key server, so they share a batch that nothing else fills: both
+    wait out the flush timer, and the longer op is either of them.
+    """
+    k = key_server_config
+    return [c.handshake_base_s + c.connection_setup_s,  # setup
+            k.network_rtt_s / 2,            # the op's RPC to the server
+            k.flush_timeout_s,              # batch wait
+            c.crypto.asym_accelerated_s,    # accelerated op
+            k.network_rtt_s / 2 + k.rpc_overhead_s,  # reply
+            4 * c.canal_gateway_hop_s]      # two round trips
+
+
+def _short_flows():
+    """Canal short flows on a sigma-0 testbed, one flow at a time.
+
+    Each flow opens a connection (handshake), sends one request and
+    ends; the next opens a second later. Returns the run and one
+    ``(connection, response, open time, end time)`` per flow.
+    """
+    run = _sigma0_testbed("canal")
+    flows = []
+
+    def one_at_a_time():
+        for _ in range(FLOWS):
+            opened_at = run.sim.now
+            connection = yield from run.mesh.open_connection(
+                run.client_pod, "svc1")
+            response = yield from run.mesh.request(connection,
+                                                   HttpRequest())
+            flows.append((connection, response, opened_at, run.sim.now))
+            yield run.sim.timeout(1.0)
+
+    run.sim.process(one_at_a_time())
+    run.sim.run()
+    assert len(flows) == FLOWS
+    return run, flows
+
+
+def test_short_flow_is_the_closed_form_sum():
+    run, flows = _short_flows()
+    key_server = run.mesh.key_fleet.server_in(run.mesh.gateway_az)
+    batch = key_server._engine
+    handshake = canal_handshake(COSTS, key_server.config)
+    # The longer asymmetric op, today 2.55 ms.
+    assert sum(handshake[1:5]) == pytest.approx(2.55e-3)
+    server_nodes = set()
+    extra_handshakes = 0
+    for connection, response, opened_at, end_s in flows:
+        assert response.status == 200
+        # The first flow to land on a server node also establishes
+        # that node's long-lived channel to the gateway: a second
+        # handshake, after the client's.
+        node = run.cluster.pods[connection.server_pod].node_name
+        handshakes = 1 if node in server_nodes else 2
+        server_nodes.add(node)
+        extra_handshakes += handshakes - 1
+        request = canal_latency(COSTS, HttpRequest(), None)
+        terms = handshake * handshakes + request
+        clock_slack = len(terms) * math.ulp(end_s) / 2
+        assert end_s - opened_at == pytest.approx(
+            sum(terms), rel=REL, abs=clock_slack)
+        assert response.latency_s == pytest.approx(
+            sum(request), rel=REL, abs=clock_slack)
+    assert extra_handshakes >= 1
+    # Each handshake's two ops filled one batch of two.
+    assert batch.batches == FLOWS + extra_handshakes
+    assert batch.operations == 2 * batch.batches
