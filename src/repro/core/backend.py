@@ -21,7 +21,11 @@ __all__ = ["Backend"]
 
 
 class Backend:
-    """A group of replica VMs behind one share of the gateway VIP."""
+    """A group of replica VMs behind one share of the gateway VIP.
+
+    The healthy-replica list is cached; a replica's ``healthy`` setter
+    and :meth:`add_replica` drop it (:meth:`forget_health`).
+    """
 
     def __init__(self, sim: Simulator, name: str, az: str,
                  replicas: int = 2,
@@ -33,9 +37,10 @@ class Backend:
         self.az = az
         self.replica_config = replica_config
         self.replicas: List[Replica] = [
-            Replica(sim, f"{name}-r{i + 1}", az, replica_config)
+            Replica(sim, f"{name}-r{i + 1}", az, replica_config, self)
             for i in range(replicas)
         ]
+        self._healthy: Optional[List[Replica]] = None
         #: Services configured on this backend (service_id set).
         self.configured_services: Set[int] = set()
         #: Fluid-mode per-service RPS offered to this backend.
@@ -45,8 +50,21 @@ class Backend:
         self._service_sessions: Dict[int, int] = {}
 
     # -- replica management ---------------------------------------------------
+    def _healthy_list(self) -> List[Replica]:
+        """The cached healthy replicas, in replica order (not to be
+        handed out: callers may hold it across a health change)."""
+        healthy = self._healthy
+        if healthy is None:
+            healthy = self._healthy = [r for r in self.replicas
+                                       if r.healthy]
+        return healthy
+
+    def forget_health(self) -> None:
+        """Drop the cached healthy list (a replica's health changed)."""
+        self._healthy = None
+
     def healthy_replicas(self) -> List[Replica]:
-        return [r for r in self.replicas if r.healthy]
+        return list(self._healthy_list())
 
     def accepting_replicas(self) -> List[Replica]:
         """Replicas that may take *new* flows (healthy and not draining)."""
@@ -55,12 +73,13 @@ class Backend:
     @property
     def is_healthy(self) -> bool:
         """A backend is up while at least one replica is up."""
-        return bool(self.healthy_replicas())
+        return bool(self._healthy_list())
 
     def add_replica(self) -> Replica:
         replica = Replica(self.sim, f"{self.name}-r{len(self.replicas) + 1}",
-                          self.az, self.replica_config)
+                          self.az, self.replica_config, self)
         self.replicas.append(replica)
+        self.forget_health()
         self._redistribute()
         return replica
 
@@ -98,7 +117,7 @@ class Backend:
 
     def remove_service(self, service_id: int) -> None:
         self.configured_services.discard(service_id)
-        self._drop_load(service_id)
+        self.drop_load(service_id)
         if self._service_sessions.pop(service_id, None) is not None:
             self._sync_replica_sessions()
 
@@ -114,18 +133,26 @@ class Backend:
             raise KeyError(
                 f"service {service_id} is not configured on {self.name}")
         if rps <= 0:
-            self._drop_load(service_id)
+            self.drop_load(service_id)
             return
+        self.place_load(service_id, rps, weight)
+
+    def place_load(self, service_id: int, rps: float,
+                   weight: float = 1.0) -> None:
+        """:meth:`offer_load` without its checks: the caller guarantees
+        a hosted service and a finite ``rps > 0``."""
         self._service_rps[service_id] = rps
         self._service_weight[service_id] = weight
-        healthy = self.healthy_replicas()
+        healthy = self._healthy_list()
         if healthy:
             share = rps / len(healthy)
             for replica in healthy:
-                replica.assigned_rps[service_id] = share * weight
+                replica.place_rps(service_id, share * weight)
 
-    def _drop_load(self, service_id: int) -> None:
-        self._service_rps.pop(service_id, None)
+    def drop_load(self, service_id: int) -> None:
+        """Remove one service's load from this backend."""
+        if self._service_rps.pop(service_id, None) is None:
+            return  # no replica carries a service the backend does not
         self._service_weight.pop(service_id, None)
         for replica in self.replicas:
             replica.clear_service(service_id)
@@ -138,23 +165,23 @@ class Backend:
         healthy replica's ``assigned_rps`` keeps exactly the keys of
         ``_service_rps``, in its order, as this method would give.
         """
-        healthy = self.healthy_replicas()
+        healthy = self._healthy_list()
         for replica in self.replicas:
-            replica.assigned_rps.clear()
+            replica.clear_load()
         if not healthy:
             return
         for service_id, rps in self._service_rps.items():
             share = rps / len(healthy)
             weight = self._service_weight.get(service_id, 1.0)
             for replica in healthy:
-                replica.assigned_rps[service_id] = share * weight
+                replica.place_rps(service_id, share * weight)
 
     def service_rps(self, service_id: int) -> float:
         return self._service_rps.get(service_id, 0.0)
 
     def water_level(self) -> float:
         """Backend CPU utilization = mean over healthy replicas."""
-        healthy = self.healthy_replicas()
+        healthy = self._healthy_list()
         if not healthy:
             return 0.0
         return sum(r.water_level() for r in healthy) / len(healthy)
@@ -166,11 +193,11 @@ class Backend:
         return dict(ranked[:count])
 
     def capacity_rps(self) -> float:
-        return sum(r.capacity_rps for r in self.healthy_replicas())
+        return sum(r.capacity_rps for r in self._healthy_list())
 
     def session_utilization(self) -> float:
         """Mean SmartNIC session-table occupancy over healthy replicas."""
-        healthy = self.healthy_replicas()
+        healthy = self._healthy_list()
         if not healthy:
             return 0.0
         return sum(r.session_utilization() for r in healthy) / len(healthy)
@@ -201,7 +228,7 @@ class Backend:
         (spread evenly over healthy replicas), service-agnostic."""
         if total_sessions < 0:
             raise ValueError(f"negative session count {total_sessions}")
-        healthy = self.healthy_replicas()
+        healthy = self._healthy_list()
         if not healthy:
             return
         share = total_sessions // len(healthy)

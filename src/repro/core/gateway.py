@@ -194,7 +194,7 @@ class MeshGateway:
             self.dns.register(dns_name,
                               address=f"vip-{service_id}-{backend.az}",
                               az=backend.az)
-        self._redistribute(service_id)
+        self._respread(service_id)
 
     def shrink_service(self, service_id: int, backend: Backend) -> None:
         """Remove one backend from a service's set (migration/scale-in)."""
@@ -207,7 +207,15 @@ class MeshGateway:
         backends.remove(backend)
         backend.remove_service(service_id)
         self._rebuild_lbs(service_id)
+        self._respread(service_id)
+
+    def _respread(self, service_id: int) -> None:
+        """Re-spread a service's load and sessions after its backend
+        set changed."""
         self._redistribute(service_id)
+        sessions = self.service_sessions.get(service_id)
+        if sessions is not None:
+            self.set_service_sessions(service_id, sessions)
 
     # -- fluid-mode load -----------------------------------------------------------
     def set_service_load(self, service_id: int, rps: float) -> None:
@@ -225,25 +233,30 @@ class MeshGateway:
         return [b for b in self.service_backends.get(service_id, ())
                 if b.is_healthy]
 
-    def _redistribute(self, service_id: int) -> None:
-        rps = self.service_rps.get(service_id, 0.0)
-        service = self.registry.services.get(service_id)
-        weight = service.request_weight if service is not None else 1.0
-        targets = self._available_backends(service_id)
-        # Clear the service's load from every backend that might carry
-        # it, then spread over the available set.
+    def _carriers(self, service_id: int) -> List[Backend]:
+        """Every backend that may hold the service's load or sessions:
+        its shuffle-shard set plus its sandbox, if quarantined."""
         carriers = list(self.service_backends.get(service_id, ()))
         sandbox = self.sandboxed.get(service_id)
         if sandbox is not None and sandbox not in carriers:
             carriers.append(sandbox)
-        for backend in carriers:
-            if backend.hosts_service(service_id):
-                backend.offer_load(service_id, 0.0)
+        return carriers
+
+    def _redistribute(self, service_id: int) -> None:
+        """Drop the service's load from every carrier, then place it
+        evenly on the available ones (every carrier hosts the service,
+        and the stored ``rps`` was checked on the way in)."""
+        rps = self.service_rps.get(service_id, 0.0)
+        service = self.registry.services.get(service_id)
+        weight = service.request_weight if service is not None else 1.0
+        targets = self._available_backends(service_id)
+        for backend in self._carriers(service_id):
+            backend.drop_load(service_id)
         if rps <= 0 or not targets:
             return
         share = rps / len(targets)
         for backend in targets:
-            backend.offer_load(service_id, share, weight)
+            backend.place_load(service_id, share, weight)
 
     def set_service_sessions(self, service_id: int, sessions: int) -> None:
         """Assign a service's concurrent session count and spread it."""
@@ -251,11 +264,7 @@ class MeshGateway:
             raise ValueError(f"negative session count {sessions}")
         self.service_sessions[service_id] = sessions
         targets = self._available_backends(service_id)
-        carriers = list(self.service_backends.get(service_id, ()))
-        sandbox = self.sandboxed.get(service_id)
-        if sandbox is not None and sandbox not in carriers:
-            carriers.append(sandbox)
-        for backend in carriers:
+        for backend in self._carriers(service_id):
             if backend.hosts_service(service_id):
                 backend.offer_sessions(service_id, 0)
         if sessions <= 0 or not targets:

@@ -10,7 +10,7 @@ depletion for auto-scaling tenants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..simcore import Simulator, TimeSeries
 from .gateway import MeshGateway
@@ -28,6 +28,14 @@ class Alert:
     time: float
     value: float
     message: str = ""
+
+
+def _series(table: Dict, key, prefix: str) -> TimeSeries:
+    """The series stored under ``key``, created on first use."""
+    series = table.get(key)
+    if series is None:
+        series = table[key] = TimeSeries(f"{prefix}-{key}")
+    return series
 
 
 class GatewayMonitor:
@@ -56,7 +64,7 @@ class GatewayMonitor:
         self.service_session_series: Dict[int, TimeSeries] = {}
         self.alerts: List[Alert] = []
         self._subscribers: List[Callable[[Alert], None]] = []
-        self._alert_armed: Dict[str, bool] = {}
+        self._alert_armed: Dict[Tuple[str, object], bool] = {}
         self._running = False
 
     def subscribe(self, callback: Callable[[Alert], None]) -> None:
@@ -80,41 +88,34 @@ class GatewayMonitor:
         their RCA) always see series that include the current tick.
         """
         now = self.sim.now
-        backend_levels = {}
-        backend_sessions = {}
+        levels = []
+        sessions = []
         for backend in self.gateway.all_backends:
+            name = backend.name
             level = backend.water_level()
-            backend_levels[backend.name] = level
-            self.backend_series.setdefault(
-                backend.name,
-                TimeSeries(f"water-{backend.name}")).record(now, level)
-            sessions = backend.session_utilization()
-            backend_sessions[backend.name] = sessions
-            self.session_series.setdefault(
-                backend.name,
-                TimeSeries(f"sessions-{backend.name}")).record(now, sessions)
+            levels.append((name, level))
+            _series(self.backend_series, name, "water").record(now, level)
+            used = backend.session_utilization()
+            sessions.append((name, used))
+            _series(self.session_series, name, "sessions").record(now, used)
         for service_id, rps in self.gateway.service_rps.items():
-            self.service_series.setdefault(
-                service_id, TimeSeries(f"rps-{service_id}")).record(now, rps)
-        for service_id, sessions in self.gateway.service_sessions.items():
-            self.service_session_series.setdefault(
-                service_id,
-                TimeSeries(f"sess-{service_id}")).record(now, float(sessions))
+            _series(self.service_series, service_id, "rps").record(now, rps)
+        for service_id, count in self.gateway.service_sessions.items():
+            _series(self.service_session_series, service_id,
+                    "sess").record(now, float(count))
 
-        for name, level in backend_levels.items():
-            self._edge_alert(
-                key=f"backend:{name}",
-                firing=level > self.backend_alert_threshold,
-                alert=Alert("backend", name, now, level,
-                            f"water level {level:.2f} over "
-                            f"{self.backend_alert_threshold:.2f}"))
-        for name, sessions in backend_sessions.items():
-            self._edge_alert(
-                key=f"sessions:{name}",
-                firing=sessions > self.session_alert_threshold,
-                alert=Alert("backend", name, now, sessions,
-                            f"session table {sessions:.2f} over "
-                            f"{self.session_alert_threshold:.2f}"))
+        threshold = self.backend_alert_threshold
+        for name, level in levels:
+            if self._rising(("backend", name), level > threshold):
+                self._raise(Alert("backend", name, now, level,
+                                  f"water level {level:.2f} over "
+                                  f"{threshold:.2f}"))
+        threshold = self.session_alert_threshold
+        for name, used in sessions:
+            if self._rising(("sessions", name), used > threshold):
+                self._raise(Alert("backend", name, now, used,
+                                  f"session table {used:.2f} over "
+                                  f"{threshold:.2f}"))
         for service_id in self.gateway.service_rps:
             self._evaluate_service_alert(service_id, now)
 
@@ -127,20 +128,23 @@ class GatewayMonitor:
         if not healthy:
             return
         utilization = max(b.water_level() for b in healthy)
-        self._edge_alert(
-            key=f"service:{service_id}",
-            firing=utilization >= self.service_alert_utilization,
-            alert=Alert("service", str(service_id), now, utilization,
-                        "auto-scaling service near resource depletion"))
+        if self._rising(("service", service_id),
+                        utilization >= self.service_alert_utilization):
+            self._raise(Alert("service", str(service_id), now, utilization,
+                              "auto-scaling service near resource "
+                              "depletion"))
 
-    def _edge_alert(self, key: str, firing: bool, alert: Alert) -> None:
-        """Raise on the rising edge only (no alert storms)."""
+    def _rising(self, key: Tuple[str, object], firing: bool) -> bool:
+        """Record one check; True on its rising edge only (no alert
+        storms)."""
         was_firing = self._alert_armed.get(key, False)
         self._alert_armed[key] = firing
-        if firing and not was_firing:
-            self.alerts.append(alert)
-            for subscriber in list(self._subscribers):
-                subscriber(alert)
+        return firing and not was_firing
+
+    def _raise(self, alert: Alert) -> None:
+        self.alerts.append(alert)
+        for subscriber in list(self._subscribers):
+            subscriber(alert)
 
     # -- query helpers ----------------------------------------------------------
     def recent_values(self, series: TimeSeries, window_s: float) -> List[float]:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..mesh.costs import sample_service_time
 from ..simcore import CpuResource, Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .backend import Backend
 
 __all__ = ["ReplicaConfig", "Replica", "require_finite_rps"]
 
@@ -64,24 +67,44 @@ class ReplicaConfig:
 
 
 class Replica:
-    """One gateway VM."""
+    """One gateway VM.
+
+    The replica is the only writer of its ``assigned_rps`` and keeps
+    its fluid water level cached until one of its load methods drops
+    it. Setting ``healthy`` tells the owning backend (if any) to drop
+    its cached healthy-replica list.
+    """
 
     def __init__(self, sim: Simulator, name: str, az: str,
-                 config: ReplicaConfig = ReplicaConfig()):
+                 config: ReplicaConfig = ReplicaConfig(),
+                 backend: Optional["Backend"] = None):
         self.sim = sim
         self.name = name
         self.az = az
         self.config = config
-        self.healthy = True
+        self._backend = backend
+        self._healthy = True
         #: Set when the replica is draining (scheduled to go offline):
         #: it still serves existing flows but must not accept new ones.
         self.draining = False
-        # Fluid-mode state: offered load per service id.
+        # Fluid-mode state: offered load per service id, and the water
+        # level it gives (None until read after a write).
         self.assigned_rps: Dict[int, float] = {}
+        self._water: Optional[float] = None
         # Session accounting (underlay sessions on the SmartNIC).
         self.sessions_used = 0
         self.requests_served = 0
         self._cpu: Optional[CpuResource] = None
+
+    @property
+    def healthy(self) -> bool:
+        return self._healthy
+
+    @healthy.setter
+    def healthy(self, value: bool) -> None:
+        self._healthy = value
+        if self._backend is not None:
+            self._backend.forget_health()
 
     # -- DES mode ------------------------------------------------------------
     @property
@@ -118,12 +141,24 @@ class Replica:
         if rps < 0:
             raise ValueError(f"negative rps {rps}")
         if rps == 0:
-            self.assigned_rps.pop(service_id, None)
+            self.clear_service(service_id)
         else:
-            self.assigned_rps[service_id] = rps * weight
+            self.place_rps(service_id, rps * weight)
+
+    def place_rps(self, service_id: int, rps: float) -> None:
+        """Assign already-weighted, already-checked load (a backend's
+        spread of a validated offer)."""
+        self.assigned_rps[service_id] = rps
+        self._water = None
 
     def clear_service(self, service_id: int) -> None:
-        self.assigned_rps.pop(service_id, None)
+        if self.assigned_rps.pop(service_id, None) is not None:
+            self._water = None
+
+    def clear_load(self) -> None:
+        """Drop every service's load (before a backend re-spread)."""
+        self.assigned_rps.clear()
+        self._water = None
 
     @property
     def offered_rps(self) -> float:
@@ -135,7 +170,11 @@ class Replica:
 
     def water_level(self) -> float:
         """CPU utilization in fluid mode, clamped to 1.0."""
-        return min(1.0, self.offered_rps / self.capacity_rps)
+        level = self._water
+        if level is None:
+            level = self._water = min(1.0,
+                                      self.offered_rps / self.capacity_rps)
+        return level
 
     def top_services(self, count: int = 5) -> Dict[int, float]:
         """The heaviest services on this replica (RCA's sampling input)."""

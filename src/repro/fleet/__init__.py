@@ -37,7 +37,8 @@ from .reference import SessionDES, poisson
 from .scaling import FleetScaler, FleetScalingEvent
 from .topology import FleetTopology, ShardStats
 from .validate import (DEFAULT_SCENARIOS, Tolerances, ValidationReport,
-                       ValidationScenario, compare_tiers, run_validation)
+                       ValidationScenario, check_tiers, compare_tiers,
+                       run_tier, run_validation)
 
 __all__ = [
     "FLEET_FAULT_KINDS",
@@ -56,9 +57,11 @@ __all__ = [
     "Tolerances",
     "ValidationReport",
     "ValidationScenario",
+    "check_tiers",
     "compare_tiers",
     "mm_c_wait_s",
     "poisson",
+    "run_tier",
     "run_validation",
     "sojourn_mean_s",
     "sojourn_p99_s",

@@ -39,7 +39,9 @@ __all__ = [
     "ValidationScenario",
     "MetricCheck",
     "ValidationReport",
+    "check_tiers",
     "compare_tiers",
+    "run_tier",
     "run_validation",
     "DEFAULT_SCENARIOS",
 ]
@@ -143,9 +145,11 @@ class ValidationReport:
 _FLUID_OVERRIDE_KEYS = ("arrival_rate_factor", "session_duration_factor")
 
 
-def _run_tier(scenario: ValidationScenario, tier: str,
-              fluid_overrides: Optional[Dict[str, float]] = None
-              ) -> Dict[str, float]:
+def run_tier(scenario: ValidationScenario, tier: str,
+             fluid_overrides: Optional[Dict[str, float]] = None
+             ) -> Dict[str, float]:
+    """Run one tier (``"fluid"`` or the ``"sessions"`` reference) on a
+    scenario and summarize the metrics :func:`check_tiers` compares."""
     sim = Simulator(seed=scenario.seed)
     config = scenario.config()
     demand = scenario.demand()
@@ -223,8 +227,15 @@ def compare_tiers(scenario: ValidationScenario,
                   fluid_overrides: Optional[Dict[str, float]] = None
                   ) -> ValidationReport:
     """Run both tiers on one scenario and check every tolerance."""
-    fluid = _run_tier(scenario, "fluid", fluid_overrides)
-    reference = _run_tier(scenario, "sessions")
+    return check_tiers(scenario,
+                       run_tier(scenario, "fluid", fluid_overrides),
+                       run_tier(scenario, "sessions"))
+
+
+def check_tiers(scenario: ValidationScenario, fluid: Dict[str, float],
+                reference: Dict[str, float]) -> ValidationReport:
+    """Check two :func:`run_tier` summaries of one scenario against its
+    tolerances."""
     tol = scenario.tolerances
     checks = [
         _abs_check("availability", fluid, reference, tol.availability_abs),

@@ -11,6 +11,7 @@ from repro.core import (
     RootCauseAnalyzer,
     pearson,
 )
+from repro.core import monitoring
 from repro.core.replica import ReplicaConfig
 from repro.simcore import Simulator
 
@@ -113,6 +114,112 @@ class TestGatewayMonitor:
         monitor.start()
         with pytest.raises(RuntimeError):
             monitor.start()
+
+
+#: The alerts the scripted run below raised before the monitor read
+#: cached water levels: (level, subject, time, value, message).
+SCRIPTED_ALERTS = [
+    ("backend", "backend-4", 0.0, 0.703125, "water level 0.70 over 0.70"),
+    ("backend", "backend-7", 0.0, 0.78125, "water level 0.78 over 0.70"),
+    ("backend", "backend-1", 3.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-3", 3.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-5", 3.0, 0.9375, "water level 0.94 over 0.70"),
+    ("backend", "backend-6", 3.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-8", 3.0, 1.0, "water level 1.00 over 0.70"),
+    ("service", "1", 3.0, 1.0,
+     "auto-scaling service near resource depletion"),
+    ("service", "3", 3.0, 1.0,
+     "auto-scaling service near resource depletion"),
+    ("backend", "backend-3", 12.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-7", 12.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-8", 12.0, 1.0, "water level 1.00 over 0.70"),
+    ("backend", "backend-3", 12.0, 0.875, "session table 0.88 over 0.80"),
+    ("backend", "backend-4", 12.0, 0.875, "session table 0.88 over 0.80"),
+    ("backend", "backend-7", 12.0, 0.875, "session table 0.88 over 0.80"),
+    ("backend", "backend-8", 12.0, 0.875, "session table 0.88 over 0.80"),
+]
+
+
+class TestMonitorSemantics:
+    def test_scripted_alerts_pinned(self, sim):
+        """Load, session and failure steps on a ticking monitor raise
+        exactly the pinned alerts, in order, with exact values."""
+        gateway, services, monitor = make_setup(sim)
+        services[1].tenant.auto_scaling = False
+        s0, s1, s2, _s3 = (s.service_id for s in services)
+        victim = gateway.service_backends[s0][0].name
+        steps = {
+            0: lambda: (gateway.set_service_load(s0, 400_000.0),
+                        gateway.set_service_load(s1, 100_000.0),
+                        gateway.set_service_load(s2, 50_000.0),
+                        gateway.set_service_sessions(s0, 200_000)),
+            3: lambda: (gateway.set_service_load(s0, 2_000_000.0),
+                        gateway.set_service_load(s2, 600_000.0)),
+            6: lambda: gateway.fail_backend(victim),
+            9: lambda: (gateway.set_service_load(s0, 50_000.0),
+                        gateway.recover_backend(victim)),
+            12: lambda: (gateway.set_service_load(s0, 2_000_000.0),
+                         gateway.set_service_sessions(s0, 700_000)),
+        }
+
+        def script():
+            for tick in range(16):
+                if tick in steps:
+                    steps[tick]()
+                yield sim.timeout(1.0)
+
+        sim.process(script())
+        monitor.start()
+        sim.run(until=16.0)
+        assert [(a.level, a.subject, a.time, a.value, a.message)
+                for a in monitor.alerts] == SCRIPTED_ALERTS
+
+    def test_service_alert_sees_load_a_subscriber_raised(self, sim):
+        """A backend-alert subscriber that adds load changes what a
+        service alert later in the same sample reads."""
+        gateway, services, monitor = make_setup(sim)
+        sid = services[0].service_id
+        # 480k RPS over 4 backends x 2 replicas of 80k RPS: water 0.75,
+        # over the backend threshold (0.7), under the service one (0.85).
+        gateway.set_service_load(sid, 480_000.0)
+
+        def flood(alert):
+            if alert.level == "backend":
+                gateway.set_service_load(sid, 2_000_000.0)
+
+        monitor.subscribe(flood)
+        monitor.sample()
+        assert any(a.level == "backend" and a.value == 0.75
+                   for a in monitor.alerts)
+        assert ("service", str(sid), 0.0, 1.0) in [
+            (a.level, a.subject, a.time, a.value) for a in monitor.alerts]
+
+    def test_series_created_once_and_kept(self, sim, monkeypatch):
+        built = []
+
+        class CountingSeries(monitoring.TimeSeries):
+            def __init__(self, name):
+                super().__init__(name)
+                built.append(name)
+
+        monkeypatch.setattr(monitoring, "TimeSeries", CountingSeries)
+        gateway, services, monitor = make_setup(sim)
+        for service in services:
+            gateway.set_service_load(service.service_id, 10_000.0)
+            gateway.set_service_sessions(service.service_id, 1_000)
+        tables = (monitor.backend_series, monitor.session_series,
+                  monitor.service_series, monitor.service_session_series)
+        monitor.sample()
+        first = [dict(table) for table in tables]
+        for _ in range(4):
+            sim.run(until=sim.now + 1.0)
+            monitor.sample()
+        assert len(built) == len(set(built)) == sum(map(len, first))
+        for before, table in zip(first, tables):
+            assert list(table) == list(before)
+            for key, series in table.items():
+                assert series is before[key]
+                assert len(series) == 5
 
 
 class TestRootCauseAnalysis:

@@ -360,6 +360,24 @@ class TestInvariantAuditor:
         with pytest.raises(InvariantViolation, match="session-conservation"):
             auditor.check("lost-sessions")
 
+    def test_shrink_and_extend_keep_sessions(self):
+        """Moving a service between backends re-spreads its sessions
+        with its load: none are lost, and the new backend carries its
+        share."""
+        _sim, gateway, _ = make_chaos_gateway()
+        sid = sorted(gateway.service_backends)[0]
+        auditor = InvariantAuditor(gateway=gateway)
+        leaving = gateway.service_backends[sid][-1]
+        gateway.shrink_service(sid, leaving)
+        auditor.check("shrink")
+        carriers = gateway.service_backends[sid]
+        assert len(carriers) == 3
+        assert sum(b.service_sessions(sid) for b in carriers) == 12_000
+        gateway.extend_service(sid, leaving)
+        auditor.check("extend")
+        assert leaving.service_sessions(sid) == 12_000 // 4
+        assert auditor.violations == []
+
     def test_collect_mode_accumulates_instead_of_raising(self):
         _sim, gateway, _ = make_chaos_gateway()
         replica = gateway.all_backends[0].replicas[0]

@@ -13,8 +13,9 @@ import pytest
 from repro.fleet import (
     DEFAULT_SCENARIOS,
     ValidationScenario,
+    check_tiers,
     compare_tiers,
-    run_validation,
+    run_tier,
 )
 
 
@@ -26,9 +27,23 @@ STEADY = DEFAULT_SCENARIOS[0]
 @pytest.fixture(scope="module")
 def validation():
     """One run of the default suite, shared by the tests that only read
-    its reports: ``(ok, {scenario name: report})``."""
-    ok, reports = run_validation()
-    return ok, {report.scenario: report for report in reports}
+    its results: ``(ok, {scenario name: report}, {scenario name:
+    reference summary})``. The per-session reference is most of the
+    cost, so the trip-wire tests reuse it."""
+    reports, references = {}, {}
+    for scenario in DEFAULT_SCENARIOS:
+        reference = references[scenario.name] = run_tier(scenario,
+                                                         "sessions")
+        reports[scenario.name] = check_tiers(
+            scenario, run_tier(scenario, "fluid"), reference)
+    return all(r.ok for r in reports.values()), reports, references
+
+
+def mistuned_steady(validation, overrides):
+    """STEADY's report for a mis-parameterized fluid tier, checked
+    against the reference the suite already ran."""
+    return check_tiers(STEADY, run_tier(STEADY, "fluid", overrides),
+                       validation[2][STEADY.name])
 
 
 class TestAgreement:
@@ -39,7 +54,7 @@ class TestAgreement:
         assert len(names) == len(set(names))
 
     def test_all_default_scenarios_agree(self, validation):
-        ok, reports = validation
+        ok, reports, _references = validation
         for report in reports.values():
             failing = [c.metric for c in report.checks if not c.ok]
             assert report.ok, (report.scenario, failing)
@@ -69,16 +84,15 @@ class TestAgreement:
 class TestMisparameterizationTrips:
     """A wrong fluid model must fail validation — both knobs."""
 
-    def test_doubled_arrival_rate_fails(self):
-        report = compare_tiers(
-            STEADY, fluid_overrides={"arrival_rate_factor": 2.0})
+    def test_doubled_arrival_rate_fails(self, validation):
+        report = mistuned_steady(validation, {"arrival_rate_factor": 2.0})
         assert not report.ok
         failing = {c.metric for c in report.checks if not c.ok}
         assert "steady_sessions" in failing
 
-    def test_halved_session_duration_fails(self):
-        report = compare_tiers(
-            STEADY, fluid_overrides={"session_duration_factor": 0.5})
+    def test_halved_session_duration_fails(self, validation):
+        report = mistuned_steady(validation,
+                                 {"session_duration_factor": 0.5})
         assert not report.ok
         failing = {c.metric for c in report.checks if not c.ok}
         assert "steady_sessions" in failing

@@ -11,6 +11,9 @@ paper's availability story rests on:
   backend is down;
 * replica-level balance: every healthy replica of a backend carries the
   same share;
+* cache coherence: every cached fluid-mode read (healthy replicas,
+  health, water levels, capacity, session occupancy) equals its
+  from-scratch formula exactly, whichever path changed health or load;
 * no operation sequence crashes the control plane.
 """
 
@@ -47,6 +50,7 @@ class GatewayMachine(RuleBasedStateMachine):
                 tenant, "web", f"10.0.0.{index + 1}")
             self.gateway.register_service(service)
             self.gateway.set_service_load(service.service_id, 10_000.0)
+            self.gateway.set_service_sessions(service.service_id, 40_000)
             self.services.append(service)
         self.offered = {s.service_id: 10_000.0 for s in self.services}
 
@@ -93,6 +97,43 @@ class GatewayMachine(RuleBasedStateMachine):
         backends = self.gateway.service_backends[sid]
         if len(backends) > 1:
             self.gateway.shrink_service(sid, backends[-1])
+
+    def _replica(self, backend_index, replica_index):
+        backends = self.gateway.all_backends
+        backend = backends[backend_index % len(backends)]
+        return backend, backend.replicas[replica_index % len(backend.replicas)]
+
+    def _replica_health_changed(self, backend):
+        """What a replica-scoped fault does after the backend call."""
+        self.gateway.update_dns_health(backend.az)
+        self.gateway.refresh_loads()
+
+    @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2))
+    def fail_replica(self, backend_index, replica_index):
+        backend, replica = self._replica(backend_index, replica_index)
+        backend.fail_replica(replica.name)
+        self._replica_health_changed(backend)
+
+    @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2))
+    def recover_replica(self, backend_index, replica_index):
+        backend, replica = self._replica(backend_index, replica_index)
+        backend.recover_replica(replica.name)
+        self._replica_health_changed(backend)
+
+    @rule(backend_index=st.integers(0, 9))
+    def add_replica(self, backend_index):
+        backends = self.gateway.all_backends
+        backend = backends[backend_index % len(backends)]
+        backend.add_replica()
+        self._replica_health_changed(backend)
+
+    @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2),
+          healthy=st.booleans())
+    def set_replica_health(self, backend_index, replica_index, healthy):
+        """Health flipped by plain assignment, below every API."""
+        backend, replica = self._replica(backend_index, replica_index)
+        replica.healthy = healthy
+        self._replica_health_changed(backend)
 
     @rule(index=st.integers(0, 3))
     def quarantine(self, index):
@@ -146,6 +187,37 @@ class GatewayMachine(RuleBasedStateMachine):
                 continue
             loads = [r.offered_rps for r in healthy]
             assert max(loads) - min(loads) < 1e-6 * max(1.0, max(loads))
+
+    @invariant()
+    def cached_reads_match_formulas(self):
+        if not hasattr(self, "gateway"):
+            return
+        # Sandboxes leave the AZ pools, so add the ones in use.
+        for backend in (self.gateway.all_backends
+                        + list(self.gateway.sandboxed.values())):
+            healthy = [r for r in backend.replicas if r.healthy]
+            levels = {}
+            for replica in backend.replicas:
+                capacity = (replica.config.cores
+                            / replica.config.request_cost_s)
+                levels[replica.name] = min(
+                    1.0, sum(replica.assigned_rps.values()) / capacity)
+                assert replica.water_level() == levels[replica.name]
+                for service_id in replica.assigned_rps:
+                    assert backend.service_rps(service_id) > 0
+            assert backend.healthy_replicas() == healthy
+            assert backend.is_healthy == bool(healthy)
+            if healthy:
+                water = sum(levels[r.name] for r in healthy) / len(healthy)
+                sessions = sum(
+                    r.sessions_used / r.config.session_capacity
+                    for r in healthy) / len(healthy)
+            else:
+                water = sessions = 0.0
+            assert backend.water_level() == water
+            assert backend.session_utilization() == sessions
+            assert backend.capacity_rps() == sum(
+                r.config.cores / r.config.request_cost_s for r in healthy)
 
 
 GatewayMachine.TestCase.settings = settings(
