@@ -255,6 +255,10 @@ class MeshGateway:
         if rps <= 0 or not targets:
             return
         share = rps / len(targets)
+        if share == 0:
+            # A subnormal rps split over backends underflows to zero,
+            # and ``place_load`` needs a positive share.
+            return
         for backend in targets:
             backend.place_load(service_id, share, weight)
 

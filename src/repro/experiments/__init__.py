@@ -61,7 +61,7 @@ from .sidecar_problems import (
     table2_update_frequency,
     table3_l7_adoption,
 )
-from .testbed import build_testbed, find_knee_rps, light_load_latency
+from .testbed import build_testbed, find_knee_rps
 from .trace_breakdown import trace_breakdown
 
 EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
@@ -170,7 +170,6 @@ __all__ = [
     "fig8_recovery",
     "fig8_resilience",
     "find_knee_rps",
-    "light_load_latency",
     "resilience_plan",
     "run",
 ]

@@ -17,10 +17,11 @@ from ..crypto import BatchedAccelerator, SoftwareAsymEngine
 from ..kernel import EbpfRedirect, IptablesRedirect, KernelCosts
 from ..mesh import DEFAULT_COSTS, MeshCostModel
 from ..netsim import FiveTuple
+from ..runtime.sweep import sweep_map
 from ..simcore import Simulator, Summary, percentile
-from ..workloads import ShortFlowDriver, production_latency_samples
+from ..workloads import production_latency_samples
 from .base import ExperimentResult, Series, Table
-from .testbed import build_testbed
+from .testbed import TestbedPoint, run_point
 
 __all__ = [
     "fig21_iptables_path",
@@ -366,49 +367,40 @@ def fig27_28_offload_performance(seed: int = 71,
         "remote": Series("remote_throughput", x_label="cores",
                          y_label="rps"),
     }
-    for cores in (1, 2):
-        for mode, kwargs in (
-                ("software", {"crypto_offload": "software"}),
-                ("remote", {"crypto_offload": "remote"})):
-            run = build_testbed(
-                "canal", seed=seed,
-                mesh_kwargs=dict(onnode_cores_per_node=cores, **kwargs))
-            # Offer load beyond capacity; the run extends until the
-            # backlog drains, so completions / actual duration measures
-            # the proxy's short-flow capacity.
-            offered = 5000.0 * cores
-            driver = ShortFlowDriver(run.sim, run.mesh, run.client_pod,
-                                     "svc1", rps=offered,
-                                     duration_s=duration_s)
-            report = run.run_driver(driver)
-            throughput[mode].add(cores, report.throughput_rps)
+    # Fig 27 offers load beyond capacity; the run extends until the
+    # backlog drains, so completions / actual duration measures the
+    # proxy's short-flow capacity. Fig 28: P90 latency at rising RPS
+    # under 1 core. The software baseline saturates near ~530 flows/s,
+    # so the sweep approaches it from below — the reduction grows with
+    # RPS, as in the paper.
+    capacity_runs = [(cores, mode, 5000.0 * cores)
+                     for cores in (1, 2) for mode in ("software", "remote")]
+    latency_runs = [(1, mode, rps) for rps in (250.0, 350.0, 450.0)
+                    for mode in ("software", "remote")]
+    points = [TestbedPoint("canal", "short",
+                           dict(rps=rps, duration_s=duration_s), seed=seed,
+                           mesh_kwargs=dict(onnode_cores_per_node=cores,
+                                            crypto_offload=mode))
+              for cores, mode, rps in capacity_runs + latency_runs]
+    reports = [point_run.report for point_run in sweep_map(run_point, points)]
+    for (cores, mode, _rps), report in zip(capacity_runs, reports):
+        throughput[mode].add(cores, report.throughput_rps)
     result.series.extend(throughput.values())
     ratios = [r / s for (_c, r), (_d, s) in zip(
         throughput["remote"].points, throughput["software"].points)]
     result.findings["throughput_ratio_min"] = min(ratios)
     result.findings["throughput_ratio_max"] = max(ratios)
 
-    # Fig 28: P90 latency at rising RPS under 1 core. The software
-    # baseline saturates near ~530 flows/s, so the sweep approaches it
-    # from below — the reduction grows with RPS, as in the paper.
     latency = {
         "software": Series("software_p90_ms", x_label="rps", y_label="ms"),
         "remote": Series("remote_p90_ms", x_label="rps", y_label="ms"),
     }
-    reductions = []
-    for rps in (250.0, 350.0, 450.0):
-        p90 = {}
-        for mode in ("software", "remote"):
-            run = build_testbed(
-                "canal", seed=seed,
-                mesh_kwargs=dict(onnode_cores_per_node=1,
-                                 crypto_offload=mode))
-            driver = ShortFlowDriver(run.sim, run.mesh, run.client_pod,
-                                     "svc1", rps=rps, duration_s=duration_s)
-            report = run.run_driver(driver)
-            p90[mode] = report.latency.percentile(90)
-            latency[mode].add(rps, p90[mode] * 1e3)
-        reductions.append(1 - p90["remote"] / p90["software"])
+    p90 = [report.latency.percentile(90)
+           for report in reports[len(capacity_runs):]]
+    for (_cores, mode, rps), value in zip(latency_runs, p90):
+        latency[mode].add(rps, value * 1e3)
+    reductions = [1 - remote / software
+                  for software, remote in zip(p90[0::2], p90[1::2])]
     result.series.extend(latency.values())
     result.findings["latency_reduction_min"] = min(reductions)
     result.findings["latency_reduction_max"] = max(reductions)

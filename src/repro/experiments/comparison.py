@@ -18,9 +18,8 @@ from ..mesh import (
 )
 from ..runtime.sweep import sweep_map
 from ..simcore import Simulator, percentile
-from ..workloads import OpenLoopDriver, ShortFlowDriver
 from .base import ExperimentResult, Series, Table
-from .testbed import build_testbed, find_knee_rps, light_load_latency
+from .testbed import TestbedPoint, find_knee_rps, run_point
 
 __all__ = [
     "fig10_latency_light_workloads",
@@ -30,6 +29,10 @@ __all__ = [
     "fig14_config_completion",
     "fig15_southbound_bandwidth",
 ]
+
+
+def _mean_ratio(a: List[float], b: List[float]) -> float:
+    return sum(x / y for x, y in zip(a, b)) / len(a)
 
 
 # --------------------------------------------------------------------------
@@ -44,9 +47,11 @@ def fig10_latency_light_workloads(seed: int = 7,
     table = Table("Mean end-to-end latency",
                   ["architecture", "mean_ms", "p90_ms"])
     means: Dict[str, float] = {}
+    probe = dict(connections=1, requests_per_connection=requests,
+                 think_time_s=1.0)
     for mesh_name in ("no-mesh", "canal", "ambient", "istio"):
-        report = light_load_latency(mesh_name, seed=seed, costs=costs,
-                                    requests=requests)
+        report = run_point(TestbedPoint(mesh_name, "closed", probe, seed,
+                                        costs)).report
         mean = report.latency.mean
         means[mesh_name] = mean
         table.add_row(mesh_name, mean * 1e3,
@@ -110,18 +115,6 @@ def fig11_latency_vs_rps(grids: Optional[Dict[str, List[float]]] = None,
 # Fig 12 — on-node proxy CPU saving from crypto offloading
 # --------------------------------------------------------------------------
 
-def _fig12_point(spec: Tuple[dict, float, int, MeshCostModel, float]
-                 ) -> float:
-    """One (crypto mode, rps) testbed run → on-node CPU cores."""
-    kwargs, rps, seed, costs, duration_s = spec
-    run = build_testbed("canal", seed=seed, costs=costs,
-                        mesh_kwargs=dict(kwargs))
-    driver = ShortFlowDriver(run.sim, run.mesh, run.client_pod,
-                             "svc1", rps=rps, duration_s=duration_s)
-    run.run_driver(driver)
-    return run.mesh.user_cpu_seconds() / duration_s
-
-
 def fig12_crypto_cpu_saving(rps_levels: Optional[List[float]] = None,
                             seed: int = 7,
                             costs: MeshCostModel = DEFAULT_COSTS,
@@ -140,9 +133,12 @@ def fig12_crypto_cpu_saving(rps_levels: Optional[List[float]] = None,
                       "software_new_cpu": False}),
         ("local", {"crypto_offload": "local"}),
         ("remote", {"crypto_offload": "remote"}))
-    specs = [(kwargs, rps, seed, costs, duration_s)
-             for _mode, kwargs in modes for rps in levels]
-    usages_flat = sweep_map(_fig12_point, specs)
+    points = [TestbedPoint("canal", "short",
+                           dict(rps=rps, duration_s=duration_s), seed,
+                           costs, mesh_kwargs=kwargs)
+              for _mode, kwargs in modes for rps in levels]
+    usages_flat = [point_run.user_cpu_s / duration_s
+                   for point_run in sweep_map(run_point, points)]
     cpu_by_mode: Dict[str, List[float]] = {}
     for index, (mode, _kwargs) in enumerate(modes):
         usages = usages_flat[index * len(levels):(index + 1) * len(levels)]
@@ -174,19 +170,6 @@ def fig12_crypto_cpu_saving(rps_levels: Optional[List[float]] = None,
 # Fig 13 — CPU usage of Istio, Ambient, and Canal
 # --------------------------------------------------------------------------
 
-def _fig13_point(spec: Tuple[str, float, int, MeshCostModel, float]
-                 ) -> Tuple[float, float]:
-    """One (mesh, rps) testbed run → (user cores, infra cores)."""
-    mesh_name, rps, seed, costs, duration_s = spec
-    run = build_testbed(mesh_name, seed=seed, costs=costs)
-    driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod,
-                            "svc1", rps=rps, duration_s=duration_s,
-                            connections=50)
-    run.run_driver(driver)
-    return (run.mesh.user_cpu_seconds() / duration_s,
-            run.mesh.infra_cpu_seconds() / duration_s)
-
-
 def fig13_cpu_usage(rps_levels: Optional[List[float]] = None, seed: int = 7,
                     costs: MeshCostModel = DEFAULT_COSTS,
                     duration_s: float = 3.0) -> ExperimentResult:
@@ -195,9 +178,13 @@ def fig13_cpu_usage(rps_levels: Optional[List[float]] = None, seed: int = 7,
     result = ExperimentResult("fig13", "CPU usage of Istio, Ambient, Canal")
     levels = rps_levels or [200, 500, 1000]
     meshes = ("istio", "ambient", "canal")
-    specs = [(mesh_name, rps, seed, costs, duration_s)
-             for mesh_name in meshes for rps in levels]
-    points = sweep_map(_fig13_point, specs)
+    points = [TestbedPoint(mesh_name, "open",
+                           dict(rps=rps, duration_s=duration_s,
+                                connections=50), seed, costs)
+              for mesh_name in meshes for rps in levels]
+    cores = [(point_run.user_cpu_s / duration_s,
+              point_run.infra_cpu_s / duration_s)
+             for point_run in sweep_map(run_point, points)]
     user_cores: Dict[str, List[float]] = {}
     total_cores: Dict[str, List[float]] = {}
     for index, mesh_name in enumerate(meshes):
@@ -206,7 +193,7 @@ def fig13_cpu_usage(rps_levels: Optional[List[float]] = None, seed: int = 7,
         user_cores[mesh_name] = []
         total_cores[mesh_name] = []
         for rps, (user, infra) in zip(
-                levels, points[index * len(levels):(index + 1) * len(levels)]):
+                levels, cores[index * len(levels):(index + 1) * len(levels)]):
             user_cores[mesh_name].append(user)
             total_cores[mesh_name].append(user + infra)
             user_series.add(rps, user)
@@ -216,12 +203,9 @@ def fig13_cpu_usage(rps_levels: Optional[List[float]] = None, seed: int = 7,
         canal_total.add(rps, cores)
     result.series.append(canal_total)
 
-    def mean_ratio(a: List[float], b: List[float]) -> float:
-        return sum(x / y for x, y in zip(a, b)) / len(a)
-
-    result.findings["istio_over_canal_cpu"] = mean_ratio(
+    result.findings["istio_over_canal_cpu"] = _mean_ratio(
         user_cores["istio"], user_cores["canal"])
-    result.findings["ambient_over_canal_cpu"] = mean_ratio(
+    result.findings["ambient_over_canal_cpu"] = _mean_ratio(
         user_cores["ambient"], user_cores["canal"])
     result.notes.append(
         "paper: Canal consumes 12-19x / 4.6-7.2x less user CPU than "
@@ -288,12 +272,9 @@ def fig14_config_completion(pod_counts: Optional[List[int]] = None,
             series.add(count, value)
         result.series.append(series)
 
-    def mean_ratio(a: List[float], b: List[float]) -> float:
-        return sum(x / y for x, y in zip(a, b)) / len(a)
-
-    result.findings["istio_over_canal_time"] = mean_ratio(
+    result.findings["istio_over_canal_time"] = _mean_ratio(
         p90["istio"], p90["canal"])
-    result.findings["ambient_over_canal_time"] = mean_ratio(
+    result.findings["ambient_over_canal_time"] = _mean_ratio(
         p90["ambient"], p90["canal"])
     result.notes.append(
         "paper: Canal completes configuration 1.5-2.1x / 1.2-1.5x faster "

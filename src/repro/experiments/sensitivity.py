@@ -16,67 +16,78 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from ..mesh import DEFAULT_COSTS
 from ..netsim import LatencyModel
+from ..runtime.sweep import sweep_map
 from ..simcore import Summary
-from .base import ExperimentResult, Series, Table
-from .testbed import build_testbed, light_load_latency
+from .base import ExperimentResult, Table
+from .testbed import TestbedPoint, run_point
 
 __all__ = ["sensitivity_cost_calibration", "lb_disaggregation_latency",
            "SENSITIVITY"]
 
 
-def _measure(costs) -> Dict[str, float]:
-    """Light-load latency + user CPU for the three architectures."""
-    out = {}
-    for mesh_name in ("istio", "ambient", "canal"):
-        report = light_load_latency(mesh_name, costs=costs, requests=40)
-        run_cpu = None
-        # light_load_latency rebuilds internally; re-run for CPU.
-        run = build_testbed(mesh_name, costs=costs)
-        from ..workloads import OpenLoopDriver
-        driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod, "svc1",
-                                rps=300.0, duration_s=1.5, connections=20)
-        run.run_driver(driver)
-        out[f"{mesh_name}_latency"] = report.latency.mean
-        out[f"{mesh_name}_cpu"] = run.mesh.user_cpu_seconds()
-    return out
+#: The perturbed constants each mesh's request path reads. A mesh's
+#: cost is the sum of the components on its own path, so Istio never
+#: reads the gateway constant, Canal never reads the sidecar constant,
+#: and Ambient reads neither.
+READS = {"istio": ("istio_sidecar_l7_s",), "ambient": (),
+         "canal": ("canal_gateway_l7_s",)}
+
+
+def mesh_points(mesh_name: str, scales: Dict[str, float],
+                seed: int = 7) -> Tuple[TestbedPoint, TestbedPoint]:
+    """One mesh's light-load latency probe and CPU run, under
+    ``DEFAULT_COSTS`` with the constants it reads scaled by ``scales``."""
+    costs = replace(DEFAULT_COSTS, **{
+        name: getattr(DEFAULT_COSTS, name) * scales[name]
+        for name in READS[mesh_name]})
+    return (TestbedPoint(mesh_name, "closed",
+                         dict(connections=1, requests_per_connection=40,
+                              think_time_s=1.0), seed, costs),
+            TestbedPoint(mesh_name, "open",
+                         dict(rps=300.0, duration_s=1.5, connections=20),
+                         seed, costs))
 
 
 def sensitivity_cost_calibration(scales=(0.6, 1.0, 1.4),
                                  seed: int = 7) -> ExperimentResult:
-    """Perturb the Istio sidecar and Canal gateway L7 costs by ±40 %."""
+    """Perturb the Istio sidecar and Canal gateway L7 costs by ±40 %.
+
+    Each mesh runs under only the constants it reads (:data:`READS`),
+    so the nine cells share points, and each distinct point runs once.
+    """
     result = ExperimentResult(
         "sensitivity", "Headline ratios under calibration perturbation")
     table = Table("Ratios vs perturbation of the two key constants",
                   ["istio_l7_scale", "gateway_l7_scale",
                    "istio_over_canal_latency", "ambient_over_canal_latency",
                    "istio_over_canal_cpu", "ordering_holds"])
+    grid = [{"istio_sidecar_l7_s": istio_scale,
+             "canal_gateway_l7_s": gateway_scale}
+            for istio_scale in scales for gateway_scale in scales]
+    cells = [{mesh_name: mesh_points(mesh_name, cell, seed)
+              for mesh_name in READS} for cell in grid]
+    distinct = list(dict.fromkeys(
+        point for cell in cells for pair in cell.values() for point in pair))
+    runs = dict(zip(distinct, sweep_map(run_point, distinct)))
     orderings = []
-    for istio_scale in scales:
-        for gateway_scale in scales:
-            costs = replace(
-                DEFAULT_COSTS,
-                istio_sidecar_l7_s=DEFAULT_COSTS.istio_sidecar_l7_s
-                * istio_scale,
-                canal_gateway_l7_s=DEFAULT_COSTS.canal_gateway_l7_s
-                * gateway_scale)
-            measured = _measure(costs)
-            latency_ratio = (measured["istio_latency"]
-                             / measured["canal_latency"])
-            ambient_ratio = (measured["ambient_latency"]
-                             / measured["canal_latency"])
-            cpu_ratio = measured["istio_cpu"] / measured["canal_cpu"]
-            ordering = (measured["canal_latency"]
-                        < measured["ambient_latency"]
-                        < measured["istio_latency"]
-                        and measured["canal_cpu"] < measured["ambient_cpu"]
-                        < measured["istio_cpu"])
-            orderings.append(ordering)
-            table.add_row(istio_scale, gateway_scale, latency_ratio,
-                          ambient_ratio, cpu_ratio, ordering)
+    for cell, points in zip(grid, cells):
+        latency = {mesh_name: runs[probe].report.latency.mean
+                   for mesh_name, (probe, _load) in points.items()}
+        cpu = {mesh_name: runs[load].user_cpu_s
+               for mesh_name, (_probe, load) in points.items()}
+        ordering = (latency["canal"] < latency["ambient"]
+                    < latency["istio"]
+                    and cpu["canal"] < cpu["ambient"] < cpu["istio"])
+        orderings.append(ordering)
+        table.add_row(cell["istio_sidecar_l7_s"],
+                      cell["canal_gateway_l7_s"],
+                      latency["istio"] / latency["canal"],
+                      latency["ambient"] / latency["canal"],
+                      cpu["istio"] / cpu["canal"], ordering)
     result.tables.append(table)
     result.findings["ordering_holds_everywhere"] = float(all(orderings))
     ratios = table.column("istio_over_canal_latency")

@@ -22,7 +22,7 @@ from ..runtime.sweep import sweep_map
 from ..simcore import Simulator, Summary
 from ..workloads import growth_trend, update_frequency_for_cluster
 from .base import ExperimentResult, Series, Table
-from .testbed import build_testbed
+from .testbed import TestbedPoint, run_point
 
 __all__ = [
     "table1_sidecar_resources",
@@ -267,19 +267,6 @@ def fig4_controller_cpu(cluster_sizes: Optional[List[int]] = None,
 # Fig 5 — CPU usage of Istio and Ambient
 # --------------------------------------------------------------------------
 
-def _fig5_point(spec: Tuple[str, float, int, float]) -> float:
-    """One (mesh, rps) testbed run → user-cluster proxy cores."""
-    from ..workloads import OpenLoopDriver
-
-    mesh_name, rps, seed, duration_s = spec
-    run = build_testbed(mesh_name, seed=seed)
-    driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod,
-                            "svc1", rps=rps, duration_s=duration_s,
-                            connections=50)
-    run.run_driver(driver)
-    return run.mesh.user_cpu_seconds() / duration_s
-
-
 def fig5_istio_ambient_cpu(rps_levels: Optional[List[float]] = None,
                            seed: int = 7,
                            duration_s: float = 2.0) -> ExperimentResult:
@@ -291,15 +278,18 @@ def fig5_istio_ambient_cpu(rps_levels: Optional[List[float]] = None,
     result = ExperimentResult("fig5", "CPU usage of Istio and Ambient")
     levels = rps_levels or [200, 500, 1000]
     meshes = ("istio", "ambient")
-    points = sweep_map(_fig5_point,
-                       [(mesh_name, rps, seed, duration_s)
-                        for mesh_name in meshes for rps in levels])
+    points = [TestbedPoint(mesh_name, "open",
+                           dict(rps=rps, duration_s=duration_s,
+                                connections=50), seed)
+              for mesh_name in meshes for rps in levels]
+    cores = [point_run.user_cpu_s / duration_s
+             for point_run in sweep_map(run_point, points)]
     for index, mesh_name in enumerate(meshes):
         series = Series(f"{mesh_name}_user_cpu_cores", x_label="rps",
                         y_label="cores")
-        for rps, cores in zip(
-                levels, points[index * len(levels):(index + 1) * len(levels)]):
-            series.add(rps, cores)
+        for rps, user in zip(
+                levels, cores[index * len(levels):(index + 1) * len(levels)]):
+            series.add(rps, user)
         result.series.append(series)
     istio = result.series_named("istio_user_cpu_cores")
     ambient = result.series_named("ambient_user_cpu_cores")

@@ -1,13 +1,17 @@
-"""Shared testbed construction (§5.1) and measurement helpers.
+"""Shared testbed construction (§5.1) and testbed load runs as data.
 
 The paper's testbed: one master + two worker nodes, 15 pods per worker,
 3 services; 8 cores / 16 threads. Every comparison experiment builds
-this identical layout per architecture.
+this identical layout per architecture. A load run on it is a
+:class:`TestbedPoint`, which :func:`run_point`, the one stateless
+engine, runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Type
+import time
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 from ..core import CanalMesh, ProxylessCanalMesh
 from ..k8s import Cluster
@@ -16,10 +20,11 @@ from ..mesh.base import ServiceMesh
 from ..netsim import Topology
 from ..runtime.sweep import sweep_imap
 from ..simcore import Simulator
-from ..workloads import ClosedLoopDriver, LoadReport, OpenLoopDriver
+from ..workloads import (ClosedLoopDriver, LoadReport, OpenLoopDriver,
+                         ShortFlowDriver)
 
-__all__ = ["TestbedRun", "build_testbed", "light_load_latency",
-           "latency_at_rps", "find_knee_rps", "MESH_CLASSES"]
+__all__ = ["TestbedRun", "TestbedPoint", "PointRun", "build_testbed",
+           "run_point", "find_knee_rps", "MESH_CLASSES", "DRIVERS"]
 
 #: Every architecture, keyed by its ``ServiceMesh.name``.
 MESH_CLASSES = {
@@ -27,6 +32,10 @@ MESH_CLASSES = {
     for mesh_cls in (NoMesh, IstioMesh, AmbientMesh, CanalMesh,
                      ProxylessCanalMesh)
 }
+
+#: The load drivers a :class:`TestbedPoint` names.
+DRIVERS = {"closed": ClosedLoopDriver, "open": OpenLoopDriver,
+           "short": ShortFlowDriver}
 
 #: The §5.1 testbed shape.
 SERVICES = 3
@@ -52,6 +61,42 @@ class TestbedRun:
         return process.value
 
 
+@dataclass(frozen=True)
+class TestbedPoint:
+    """One testbed load run as data. Hashable and picklable: equal
+    points are the same run, so an exhibit runs each distinct point
+    once. ``params`` (the driver's kwargs) and ``mesh_kwargs`` may be
+    given as dicts; they are kept as sorted ``(name, value)`` items."""
+
+    mesh: str
+    driver: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+    seed: int = 7
+    costs: MeshCostModel = DEFAULT_COSTS
+    mesh_kwargs: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self):
+        for name, known in (("mesh", MESH_CLASSES), ("driver", DRIVERS)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"known: {sorted(known)}")
+        for name in ("params", "mesh_kwargs"):
+            items = sorted(dict(getattr(self, name)).items())
+            object.__setattr__(self, name, tuple(items))
+
+
+@dataclass
+class PointRun:
+    """What one :func:`run_point` measured; ``events`` counts agenda
+    entries (``Simulator._sequence``)."""
+
+    report: LoadReport
+    user_cpu_s: float
+    infra_cpu_s: float
+    wall_s: float
+    events: int
+
+
 def build_testbed(mesh_name: str, seed: int = 7,
                   costs: MeshCostModel = DEFAULT_COSTS,
                   mesh_kwargs: Optional[dict] = None) -> TestbedRun:
@@ -70,41 +115,18 @@ def build_testbed(mesh_name: str, seed: int = 7,
     return TestbedRun(sim, cluster, mesh)
 
 
-def light_load_latency(mesh_name: str, seed: int = 7,
-                       costs: MeshCostModel = DEFAULT_COSTS,
-                       requests: int = 100,
-                       mesh_kwargs: Optional[dict] = None) -> LoadReport:
-    """Fig 10's probe: 1 thread, 1 connection, 1 request per second."""
-    run = build_testbed(mesh_name, seed=seed, costs=costs,
-                        mesh_kwargs=mesh_kwargs)
-    driver = ClosedLoopDriver(run.sim, run.mesh, run.client_pod, "svc1",
-                              connections=1,
-                              requests_per_connection=requests,
-                              think_time_s=1.0)
-    return run.run_driver(driver)
-
-
-def latency_at_rps(mesh_name: str, rps: float, duration_s: float = 3.0,
-                   seed: int = 7, costs: MeshCostModel = DEFAULT_COSTS,
-                   connections: int = 100,
-                   mesh_kwargs: Optional[dict] = None
-                   ) -> Tuple[LoadReport, TestbedRun]:
-    """Fig 11's probe: open-loop offered load over 100 connections."""
-    run = build_testbed(mesh_name, seed=seed, costs=costs,
-                        mesh_kwargs=mesh_kwargs)
-    driver = OpenLoopDriver(run.sim, run.mesh, run.client_pod, "svc1",
-                            rps=rps, duration_s=duration_s,
-                            connections=connections)
+def run_point(point: TestbedPoint) -> PointRun:
+    """Build ``point``'s testbed and drive its load (stateless and
+    module-level: sweeps pickle it)."""
+    started = time.perf_counter()  # simlint: ignore[DET001] run metadata
+    run = build_testbed(point.mesh, seed=point.seed, costs=point.costs,
+                        mesh_kwargs=dict(point.mesh_kwargs))
+    driver = DRIVERS[point.driver](run.sim, run.mesh, run.client_pod,
+                                   "svc1", **dict(point.params))
     report = run.run_driver(driver)
-    return report, run
-
-
-def _knee_point(spec: Tuple[str, float, float, int, MeshCostModel]) -> float:
-    """One RPS grid point → P99 latency (module-level: sweeps pickle it)."""
-    mesh_name, rps, duration_s, seed, costs = spec
-    report, _run = latency_at_rps(mesh_name, rps, duration_s=duration_s,
-                                  seed=seed, costs=costs)
-    return report.latency.percentile(99)
+    wall_s = time.perf_counter() - started  # simlint: ignore[DET001] wall time
+    return PointRun(report, run.mesh.user_cpu_seconds(),
+                    run.mesh.infra_cpu_seconds(), wall_s, run.sim._sequence)
 
 
 def find_knee_rps(mesh_name: str, rps_grid: List[float],
@@ -115,16 +137,20 @@ def find_knee_rps(mesh_name: str, rps_grid: List[float],
     the last RPS before P99 exceeds ``spike_multiplier`` × its
     light-load value.
 
-    Grid points run through the ambient sweep executor. Consumption is
-    ordered and stops past the spike, so the returned curve is
-    byte-identical at any ``--jobs`` level (a serial executor also skips
-    *computing* the points past the spike).
+    Grid points (open loop over 100 connections) run through the ambient
+    sweep executor. Consumption is ordered and stops past the spike, so
+    the returned curve is byte-identical at any ``--jobs`` level (a
+    serial executor also skips *computing* the points past the spike).
     """
     curve: List[Tuple[float, float]] = []
     base_p99: Optional[float] = None
     knee = rps_grid[0]
-    specs = [(mesh_name, rps, duration_s, seed, costs) for rps in rps_grid]
-    for rps, p99 in zip(rps_grid, sweep_imap(_knee_point, specs)):
+    points = [TestbedPoint(mesh_name, "open",
+                           dict(rps=rps, duration_s=duration_s,
+                                connections=100), seed, costs)
+              for rps in rps_grid]
+    for rps, point_run in zip(rps_grid, sweep_imap(run_point, points)):
+        p99 = point_run.report.latency.percentile(99)
         curve.append((rps, p99))
         if base_p99 is None:
             base_p99 = p99

@@ -12,8 +12,12 @@ Exhibit code does not thread an executor through every call — it maps
 through the *ambient* executor::
 
     from repro.runtime import sweep_imap
-    for rps, p99 in zip(grid, sweep_imap(_knee_point, specs)):
+    for rps, point_run in zip(grid, sweep_imap(run_point, points)):
         ...
+
+Testbed load runs map ``experiments.testbed.run_point`` over
+``TestbedPoint`` values: one frozen point type and one stateless engine
+for every closed-loop, open-loop and short-flow run.
 
 The default ambient executor is serial (zero overhead, lazy ``imap`` so
 early-exit sweeps stop computing). ``python -m repro.experiments

@@ -119,6 +119,16 @@ class TestFluidLoad:
         shares = [b.service_rps(sid) for b in carriers]
         assert all(s == pytest.approx(10_000.0) for s in shares)
 
+    def test_underflowing_share_places_no_load(self, sim):
+        # 5e-324 over four carriers rounds to a zero share per backend.
+        gateway, services = make_gateway(sim)
+        sid = services[0].service_id
+        gateway.set_service_load(sid, 5e-324)
+        for backend in gateway.all_backends:
+            assert backend.service_rps(sid) == 0.0
+            assert all(sid not in replica.assigned_rps
+                       for replica in backend.replicas)
+
     def test_negative_load_rejected(self, sim):
         gateway, services = make_gateway(sim)
         with pytest.raises(ValueError):

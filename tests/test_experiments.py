@@ -4,10 +4,16 @@ The per-exhibit tests check an exhibit's rows of the claims ledger
 (``tests/test_claims.py``), which holds every band; none is written here.
 """
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments import EXPERIMENTS, run
+from repro.experiments import EXPERIMENTS, appendix, run, sensitivity, testbed
 from repro.experiments.base import ExperimentResult, Series, Table
+from repro.experiments.testbed import PointRun, run_point
+from repro.mesh import DEFAULT_COSTS
+from repro.workloads import LoadReport
 
 from .test_claims import assert_claims
 
@@ -148,3 +154,70 @@ class TestAppendixExhibits:
 
     def test_fig29_30_bands(self):
         assert_claims("fig29_30")
+
+
+def _measured(point_run):
+    """Everything a point run measured except its wall time."""
+    report = point_run.report
+    return (report.latency.values, report.statuses, report.offered,
+            report.completed, report.duration_s, point_run.user_cpu_s,
+            point_run.infra_cpu_s, point_run.events)
+
+
+class TestTestbedPoints:
+    def test_points_are_hashable_picklable_data(self):
+        point = testbed.TestbedPoint(
+            "canal", "short", {"rps": 10.0, "duration_s": 1.0},
+            mesh_kwargs={"onnode_cores_per_node": 1,
+                         "crypto_offload": "remote"})
+        same = testbed.TestbedPoint(
+            "canal", "short", (("duration_s", 1.0), ("rps", 10.0)),
+            mesh_kwargs=(("crypto_offload", "remote"),
+                         ("onnode_cores_per_node", 1)))
+        assert point == same and hash(point) == hash(same)
+        assert pickle.loads(pickle.dumps(point)) == point
+        assert point != replace(point, seed=8)
+
+    @pytest.mark.parametrize("field, value", [("mesh", "linkerd"),
+                                              ("driver", "burst")])
+    def test_unknown_mesh_or_driver_rejected(self, field, value):
+        kwargs = {"mesh": "canal", "driver": "closed", field: value}
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            testbed.TestbedPoint(**kwargs)
+
+    def test_run_point_is_stateless(self):
+        point = testbed.TestbedPoint("istio", "open",
+                                     {"rps": 200.0, "duration_s": 0.2})
+        first, second = run_point(point), run_point(point)
+        assert _measured(first) == _measured(second)
+        assert first.report.completed > 0 and first.events > 0
+
+    @pytest.mark.parametrize("mesh_name", sensitivity.READS)
+    def test_each_mesh_reads_only_its_own_constant(self, mesh_name):
+        """``sensitivity`` runs each mesh under only the constants it
+        reads; perturbing the other one too must not change a bit."""
+        scales = {"istio_sidecar_l7_s": 0.6, "canal_gateway_l7_s": 1.4}
+        both = replace(DEFAULT_COSTS, **{
+            name: getattr(DEFAULT_COSTS, name) * scale
+            for name, scale in scales.items()})
+        for point in sensitivity.mesh_points(mesh_name, scales):
+            assert (_measured(run_point(replace(point, costs=both)))
+                    == _measured(run_point(point)))
+
+    @pytest.mark.parametrize("module, exhibit, runs", [
+        (sensitivity, "sensitivity_cost_calibration", 14),
+        (appendix, "fig27_28_offload_performance", 10),
+    ])
+    def test_each_distinct_point_runs_once(self, monkeypatch, module,
+                                           exhibit, runs):
+        points = []
+
+        def counting_run_point(point):
+            points.append(point)
+            report = LoadReport(completed=1, duration_s=1.0)
+            report.latency.add(1e-3)
+            return PointRun(report, 1.0, 1.0, 0.0, 0)
+
+        monkeypatch.setattr(module, "run_point", counting_run_point)
+        getattr(module, exhibit)()
+        assert len(points) == len(set(points)) == runs

@@ -34,6 +34,11 @@ class TestSampleServiceTime:
         with pytest.raises(ValueError):
             sample_service_time(random.Random(0), -1.0, 0.5)
 
+    def test_negative_sigma_rejected(self):
+        import random
+        with pytest.raises(ValueError, match="sigma"):
+            sample_service_time(random.Random(0), 1e-3, -0.5)
+
     @pytest.mark.parametrize("mean_s, sigma, field", [
         (float("nan"), 0.5, "mean_s"),
         (float("inf"), 0.5, "mean_s"),
