@@ -111,7 +111,8 @@ class KeyServer:
     def serve(self, requester: str, token: str, identity: str) -> Event:
         """Perform one asymmetric op for a verified requester.
 
-        The event fires when the op leaves the accelerator; network and
+        The event fires when the op leaves the accelerator; a batched
+        engine hands every op of one batch the same event. Network and
         RPC costs are the :class:`RemoteKeyEngine`'s business. The
         transient plaintext key exists only within the op (not stored).
         """
@@ -154,8 +155,10 @@ class RemoteKeyEngine:
 
         Three agenda callbacks, no process: the request reaches the
         server after half the RTT, the server's op fires, and the reply
-        is scheduled half the RTT plus the RPC overhead later. If the
-        server refuses the op (down, or the channel fails
+        is scheduled half the RTT plus the RPC overhead later. Ops that
+        share a batch share its event; ``_arrive`` subscribes in the
+        step it submits, so their replies go out in submit order. If
+        the server refuses the op (down, or the channel fails
         verification), the event fails with the server's error.
         """
         done = self.sim.event()

@@ -53,9 +53,9 @@ class OnNodeProxy:
         ``parent_id``, carrying the per-pod byte labels.
         """
         cost = self.data_path_cost_s(bytes_out + bytes_in)
-        yield from self.tier.work(cost, trace=trace, parent_id=parent_id,
-                                  name="onnode-l4", layer="l4", pod=pod,
-                                  bytes_out=bytes_out, bytes_in=bytes_in)
+        yield self.tier.work(cost, trace=trace, parent_id=parent_id,
+                             name="onnode-l4", layer="l4", pod=pod,
+                             bytes_out=bytes_out, bytes_in=bytes_in)
         self.record_flow(pod, service, bytes_out, bytes_in)
 
     def record_flow(self, pod: str, service: str, bytes_out: int,
@@ -72,5 +72,5 @@ class OnNodeProxy:
     def handshake_work(self):
         """Process generator: the non-asymmetric part of connection setup
         (TCP accept + TLS record machinery + session install)."""
-        yield from self.tier.work(self.costs.handshake_base_s
-                                  + self.costs.connection_setup_s)
+        yield self.tier.work(self.costs.handshake_base_s
+                             + self.costs.connection_setup_s)

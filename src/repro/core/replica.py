@@ -127,7 +127,7 @@ class Replica:
                                    self.config.request_cost_s * weight,
                                    self.config.request_cost_sigma)
         start = self.sim.now
-        yield from self.cpu.execute(cost)
+        yield self.cpu.run(cost)
         if trace is not None:
             trace.add("replica-exec", "l7", start, self.sim.now,
                       parent_id=parent_id, source=f"replica/{self.name}",
@@ -193,6 +193,14 @@ class Replica:
         return True
 
     def remove_sessions(self, count: int) -> None:
+        """Free session-table entries.
+
+        Removing more than are held floors at 0: ``MeshGateway.close_flow``
+        closes flows on a replica whose :meth:`fail` already zeroed the
+        table.
+        """
+        if count < 0:
+            raise ValueError(f"negative session count {count}")
         self.sessions_used = max(0, self.sessions_used - count)
 
     def session_utilization(self) -> float:

@@ -2,7 +2,8 @@
 
 All engines share one interface — :meth:`submit` returns an event that
 fires when one asymmetric operation completes — so the mTLS handshake,
-the on-node proxy, and the remote key server can swap them freely.
+the on-node proxy, and the remote key server can swap them freely. The
+batched engine returns the same event for every op of one batch.
 
 The batched engine reproduces the paper's Appendix C finding (Fig 25):
 AVX-512 processes 8 operations per batch and waits up to a configurable
@@ -14,7 +15,15 @@ The batcher runs on agenda callbacks (``Simulator.call_later``), not
 processes. The flush timer is cancelled by an epoch that every flush
 bumps: a timer that fires under an older epoch does nothing. A batch
 without a CPU completes through one callback; with a CPU (the local
-engine) it stays a process around ``CpuResource.execute``.
+engine) a zero-delay call puts it on ``CpuResource.run``, and it
+completes in a callback on that event, after the core is given back.
+
+One batch, one event: all ops of a batch share the event ``submit``
+returns, and a completion succeeds it once. Its waiters wake in the
+order they registered on it. That is submit order as long as every
+caller registers in the step it submits, as every caller does:
+``RemoteKeyEngine._arrive`` adds its callback, ``all_of`` subscribes,
+or a process yields the event, each right after ``submit`` returns.
 
 The deadline-slot rule: the timer is armed through a zero-delay call
 after the batch's first submit, not at the submit itself. Its deadline
@@ -26,7 +35,7 @@ directly would flush such a batch one op short.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from ..obs.runtime import get_telemetry
 from ..simcore import CpuResource, Event, Simulator
@@ -56,7 +65,7 @@ class SoftwareAsymEngine:
 
     def _run(self):
         if self.cpu is not None:
-            yield from self.cpu.execute(self.op_cost_s)
+            yield self.cpu.run(self.op_cost_s)
         else:
             yield self.sim.timeout(self.op_cost_s)
         self.operations += 1
@@ -87,7 +96,9 @@ class BatchedAccelerator:
         self.flush_timeout_s = flush_timeout_s
         self.cpu = cpu
         self.name = name
-        self._pending: List[Event] = []
+        #: Ops in the open batch, which all wait on ``_batch``.
+        self._pending = 0
+        self._batch: Optional[Event] = None
         #: Bumped by every flush; a flush timer armed under an older
         #: epoch fires as a no-op.
         self._epoch = 0
@@ -96,14 +107,17 @@ class BatchedAccelerator:
         self.full_batches = 0
 
     def submit(self) -> Event:
-        """Queue one asymmetric op; fires when its batch completes."""
-        done = self.sim.event()
-        self._pending.append(done)
-        if len(self._pending) >= self.batch_size:
+        """Queue one asymmetric op; returns its batch's event, which
+        fires with the completion time when the batch completes."""
+        if self._pending == 0:
+            self._batch = self.sim.event()
+        batch = self._batch
+        self._pending += 1
+        if self._pending >= self.batch_size:
             self._flush()
-        elif len(self._pending) == 1:
+        elif self._pending == 1:
             self.sim.call_later(0.0, self._arm, self._epoch)
-        return done
+        return batch
 
     def _arm(self, epoch: int) -> None:
         # One zero-delay step after the first submit: the deadline-slot
@@ -117,41 +131,37 @@ class BatchedAccelerator:
 
     def _flush(self) -> None:
         self._epoch += 1
-        batch = self._pending[:self.batch_size]
-        del self._pending[:len(batch)]
+        size = self._pending
+        batch = (self._batch, size)
+        self._batch = None
+        self._pending = 0
+        full = size == self.batch_size
         self.batches += 1
-        if len(batch) == self.batch_size:
+        if full:
             self.full_batches += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.inc("crypto_batches_total", engine=self.name,
-                          full=str(len(batch) == self.batch_size).lower())
-            telemetry.observe("crypto_batch_fill", len(batch),
+                          full=str(full).lower())
+            telemetry.observe("crypto_batch_fill", size,
                               buckets=tuple(range(1, self.batch_size + 1)),
                               engine=self.name)
         if self.cpu is not None:
-            self.sim.process(self._run_on_cpu(batch), name="asym-batch")
+            self.sim.call_later(0.0, self._run_on_cpu, batch)
         else:
             self.sim.call_later(self.costs.asym_accelerated_s,
                                 self._complete, batch)
-        if self._pending:
-            # Left-over ops start a fresh wait window.
-            if len(self._pending) >= self.batch_size:
-                self._flush()
-            else:
-                self.sim.call_later(0.0, self._arm, self._epoch)
 
-    def _run_on_cpu(self, batch: List[Event]):
-        yield from self.cpu.execute(self.costs.asym_accelerated_s)
-        self._complete(batch)
+    def _run_on_cpu(self, batch: Tuple[Event, int]) -> None:
+        self.cpu.run(self.costs.asym_accelerated_s).callbacks.append(
+            lambda _cpu_done: self._complete(batch))
 
-    def _complete(self, batch: List[Event]) -> None:
-        self.operations += len(batch)
-        get_telemetry().inc("crypto_asym_ops_total", amount=len(batch),
+    def _complete(self, batch: Tuple[Event, int]) -> None:
+        done, size = batch
+        self.operations += size
+        get_telemetry().inc("crypto_asym_ops_total", amount=size,
                             engine=self.name)
-        now = self.sim.now
-        for done in batch:
-            done.succeed(now)
+        done.succeed(self.sim.now)
 
     @property
     def fill_ratio(self) -> float:

@@ -135,7 +135,7 @@ def _fig2_point(spec: Tuple[float, int, float, float, int, float]
     def one():
         start = sim.now
         cost = sample_service_time(sim.rng, mean_cost, sigma)
-        yield from tier.work(cost)
+        yield tier.work(cost)
         latencies.add(sim.now - start)
 
     def arrivals(rate=target_util * capacity):

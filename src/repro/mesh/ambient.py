@@ -90,7 +90,7 @@ class AmbientMesh(SoftwareMtlsMesh):
         ztunnel_cost = (self.costs.ambient_ztunnel_l4_s
                         + self.costs.symmetric_cost(request.total_bytes))
 
-        yield from self._tier_for(client_pod).work(
+        yield self._tier_for(client_pod).work(
             ztunnel_cost, trace=handle, name="ztunnel-l4",
             pod=client_pod.name, bytes_out=request.body_bytes,
             bytes_in=request.response_bytes)
@@ -101,14 +101,14 @@ class AmbientMesh(SoftwareMtlsMesh):
             if not self.authorize(connection.service, request):
                 return self._respond(403, start, connection, handle)
             assert self._waypoint_pool is not None
-            yield from self._waypoint_pool.work(sample_service_time(
+            yield self._waypoint_pool.work(sample_service_time(
                 self.sim.rng, self.costs.ambient_waypoint_l7_s,
                 self.costs.ambient_l7_sigma), trace=handle,
                 name="waypoint-l7", layer="l7")
             self.waypoint_requests[connection.service] = (
                 self.waypoint_requests.get(connection.service, 0) + 1)
         yield self.sim.timeout(connection.one_way_s)
-        yield from self._tier_for(server_pod).work(
+        yield self._tier_for(server_pod).work(
             ztunnel_cost, trace=handle, name="ztunnel-l4",
             pod=server_pod.name, bytes_out=request.response_bytes,
             bytes_in=request.body_bytes)

@@ -194,8 +194,8 @@ class ControlPlane:
         start = self.sim.now
         build_s = target.config_bytes * costs.build_cpu_per_byte_s
         push_s = target.config_bytes * costs.push_cpu_per_byte_s
-        yield from self.controller_cpu.execute(build_s)
-        yield from self.controller_cpu.execute(push_s)
+        yield self.controller_cpu.run(build_s)
+        yield self.controller_cpu.run(push_s)
         yield from self.southbound.transfer(target.config_bytes)
         with self._distributor.request() as claim:
             yield claim

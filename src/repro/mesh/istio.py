@@ -79,8 +79,8 @@ class SoftwareMtlsMesh(ServiceMesh):
             f"spiffe://{server_pod.tenant}/{server_pod.name}",
             server_pod.tenant, self.sim.now + 86400.0)
         setup = self.costs.handshake_base_s + self.costs.connection_setup_s
-        yield from client_tier.work(setup)
-        yield from server_tier.work(setup)
+        yield client_tier.work(setup)
+        yield server_tier.work(setup)
         result = yield from mtls_handshake(
             self.sim, self.ca, client_cert, server_cert,
             self._engines[client_pod.node_name],
@@ -153,7 +153,7 @@ class IstioMesh(SoftwareMtlsMesh):
         # Client sidecar: redirect out + L7 + encrypt. Both sidecar
         # passes are full L7 proxies, so their spans land in the l7
         # layer (the sidecar has no split l4/l7 like Canal).
-        yield from self._tier_for(client_pod).work(
+        yield self._tier_for(client_pod).work(
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=client_pod.name, bytes_out=request.body_bytes,
             bytes_in=request.response_bytes)
@@ -161,7 +161,7 @@ class IstioMesh(SoftwareMtlsMesh):
         # Server sidecar: decrypt + L7 + authorization + redirect in.
         if not self.authorize(connection.service, request):
             return self._respond(403, start, connection, handle)
-        yield from self._tier_for(server_pod).work(
+        yield self._tier_for(server_pod).work(
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=server_pod.name, bytes_out=request.response_bytes,
             bytes_in=request.body_bytes)

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from ..crypto.tls import MtlsSession
 from ..obs.runtime import get_telemetry
-from ..simcore import CpuResource, Simulator
+from ..simcore import CpuResource, Event, Simulator
 
 __all__ = ["ProxyTier", "Connection"]
 
@@ -32,13 +32,16 @@ class ProxyTier:
 
     def work(self, cpu_seconds: float, trace=None, parent_id: int = 1,
              name: str = "proxy-work", layer: str = "l4", pod: str = "",
-             bytes_out: int = 0, bytes_in: int = 0):
-        """Process generator: hold one core for ``cpu_seconds``.
+             bytes_out: int = 0, bytes_in: int = 0) -> Event:
+        """Hold one core for ``cpu_seconds``; returns the event the
+        work ends on (see :meth:`CpuResource.run`).
 
         With a ``trace`` (an :class:`repro.obs.trace.TraceHandle`), the
         whole occupancy — queueing for a core *plus* execution — is
         recorded as one span under ``parent_id``, so tier contention is
-        visible in the per-layer latency waterfall.
+        visible in the per-layer latency waterfall. The span is added
+        by a callback on the event, after the core is given back and
+        before the caller resumes.
         """
         if cpu_seconds < 0:
             raise ValueError(f"negative work: {cpu_seconds}")
@@ -55,15 +58,17 @@ class ProxyTier:
                                      tier=self.name))
             metrics[1].inc()
             metrics[2].observe(cpu_seconds)
-        if trace is None:
-            yield from self.cpu.execute(cpu_seconds)
-            return None
-        start = self.sim.now
-        yield from self.cpu.execute(cpu_seconds)
-        return trace.add(name, layer, start, self.sim.now,
-                         parent_id=parent_id, source=self.name, pod=pod,
-                         bytes_out=bytes_out, bytes_in=bytes_in,
-                         cpu_s=cpu_seconds)
+        done = self.cpu.run(cpu_seconds)
+        if trace is not None:
+            start = self.sim.now
+
+            def add_span(_done: Event) -> None:
+                trace.add(name, layer, start, self.sim.now,
+                          parent_id=parent_id, source=self.name, pod=pod,
+                          bytes_out=bytes_out, bytes_in=bytes_in,
+                          cpu_s=cpu_seconds)
+            done.callbacks.append(add_span)
+        return done
 
 
 @dataclass

@@ -3,19 +3,21 @@
 Two building blocks cover everything the mesh models need:
 
 * :class:`Resource` — a counting semaphore with a FIFO wait queue, used
-  for anything with bounded concurrency.
-* :class:`CpuResource` — a multi-core CPU that additionally tracks its
-  busy-time integral, so experiments can report the CPU seconds a tier
-  consumed. Proxy and gateway latency knees in the paper's figures
-  emerge from queueing on these.
+  for anything with bounded concurrency (a link's channel, the control
+  plane's distributor).
+* :class:`CpuResource` — a multi-core CPU whose unit of work is one
+  service time. :meth:`CpuResource.run` returns the event its service
+  ends on, and the CPU tracks its busy-time integral, so experiments
+  can report the CPU seconds a tier consumed. Proxy and gateway latency
+  knees in the paper's figures emerge from queueing on these.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Tuple
 
-from .events import Event
+from .events import PENDING, Event, Timeout
 from .sim import Simulator
 
 __all__ = ["Request", "Resource", "CpuResource"]
@@ -26,9 +28,11 @@ class Request(Event):
 
     Supports use as a context manager so model code can write::
 
-        with cpu.request() as claim:
+        with channel.request() as claim:
             yield claim
-            yield sim.timeout(service_time)
+            yield sim.timeout(hold_time)
+
+    A CPU hands out no claims: :meth:`CpuResource.run` is its one entry.
     """
 
     __slots__ = ("resource",)
@@ -82,7 +86,6 @@ class Resource:
         """Return a slot (or cancel a queued claim). Idempotent."""
         if claim in self.users:
             self.users.remove(claim)
-            self._on_change()
             while self.queue and len(self.users) < self.capacity:
                 self._grant(self.queue.popleft())
         elif claim in self.queue:
@@ -90,59 +93,112 @@ class Resource:
 
     def _grant(self, claim: Request) -> None:
         self.users.append(claim)
-        self._on_change()
         claim.succeed(claim)
 
-    def _on_change(self) -> None:
-        """Hook for subclasses observing occupancy transitions."""
 
-
-class CpuResource(Resource):
+class CpuResource:
     """A multi-core CPU with busy-time accounting.
 
-    ``cores`` maps to :attr:`capacity`. Each held slot is one busy core.
-    The busy-time integral gives the core-seconds consumed, which the
-    paper's resource figures report.
+    Work is a service time on one core: :meth:`run` returns the event
+    that fires when it ends. The CPU keeps a busy-core count and a FIFO
+    of ``(event, service_time)`` waiting for a core, so an op allocates
+    one event and no claim. The busy-time integral gives the
+    core-seconds consumed, which the paper's resource figures report.
+
+    Agenda entries, which keep a claim-per-op CPU's ``(when, seq)``
+    order: work that finds a free core takes it at once and pushes only
+    its completion. Queued work that is handed a core starts through a
+    zero-delay direct call, which pushes its completion: two entries,
+    grant then end. The core is given back by a callback registered
+    when the event is made, so it runs before any waiter resumes.
     """
 
     def __init__(self, sim: Simulator, cores: int = 1, name: str = "cpu"):
-        super().__init__(sim, capacity=cores)
+        if cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores}")
+        self.sim = sim
+        self.cores = cores
         self.name = name
+        self._busy = 0
+        self._queue: Deque[Tuple[Event, float]] = deque()
         self._busy_integral = 0.0
         self._last_change = sim.now
-        self._level_since_last = 0
+        # Bound once: every op registers it on its completion event.
+        self._finish_cb = self._finish
 
-    def _on_change(self) -> None:
-        now = self.sim.now
-        # in_use has already been updated by the caller; integrate the
-        # occupancy that held from the previous transition until now.
-        # We therefore integrate *before* recording the new level, using
-        # the level stored at the last transition.
-        self._busy_integral += self._level_since_last * (now - self._last_change)
-        self._last_change = now
-        self._level_since_last = self.in_use
+    @property
+    def in_use(self) -> int:
+        """Number of busy cores."""
+        return self._busy
+
+    @property
+    def queue_length(self) -> int:
+        """Number of work items waiting for a core."""
+        return len(self._queue)
 
     def busy_time(self) -> float:
         """Total core-seconds consumed since creation (up to now)."""
-        return self._busy_integral + self._level_since_last * (
+        return self._busy_integral + self._busy * (
             self.sim.now - self._last_change)
 
-    def execute(self, service_time: float):
-        """Process generator: occupy one core for ``service_time``.
+    def run(self, service_time: float) -> Event:
+        """Occupy one core for ``service_time``; returns the event that
+        fires when the work ends (value ``None``)."""
+        if self._busy < self.cores:
+            # Validates the delay before the core is taken.
+            done = Timeout(self.sim, service_time)
+            now = self.sim.now
+            self._busy_integral += self._busy * (now - self._last_change)
+            self._last_change = now
+            self._busy += 1
+        else:
+            if not service_time >= 0:  # also rejects NaN
+                raise ValueError(
+                    f"service time must be >= 0, got {service_time!r}")
+            done = Event(self.sim)
+            self._queue.append((done, service_time))
+        done.callbacks.append(self._finish_cb)
+        return done
 
-        A free core is taken at once, with no agenda entry; only a claim
-        that has to queue waits on an event. The core (or the queue
-        slot) is given back however the generator ends, interrupts
-        included.
-        """
-        claim = Request(self)
+    def _start(self, item: Tuple[Event, float]) -> None:
+        done, service_time = item
+        if done.callbacks is None:
+            return  # cancelled between its grant and its start
+        done.succeed(None, service_time)
+
+    def _finish(self, _done: Event) -> None:
+        now = self.sim.now
+        self._busy_integral += self._busy * (now - self._last_change)
+        self._last_change = now
+        if self._queue:
+            # Hand-off: the core passes straight on, the level holds.
+            self.sim._schedule_call(self._start, self._queue.popleft())
+        else:
+            self._busy -= 1
+
+    def _cancel(self, done: Event) -> None:
+        """Withdraw work whose waiter has gone, freeing its core now."""
+        callbacks = done.callbacks
+        if callbacks is None:
+            return  # already ended (or already cancelled)
+        if done._value is PENDING:
+            for item in self._queue:
+                if item[0] is done:
+                    self._queue.remove(item)
+                    return
+            # Granted a core, start call still pending: make it a no-op.
+            done.callbacks = None
+        else:
+            # In service: its completion still fires, but frees nothing.
+            callbacks.remove(self._finish_cb)
+        self._finish(done)
+
+    def execute(self, service_time: float):
+        """Process generator over :meth:`run`: occupy one core for
+        ``service_time``. If the generator ends early, interrupts
+        included, the queue slot or the core is given back at once."""
+        done = self.run(service_time)
         try:
-            if len(self.users) < self.capacity:
-                self.users.append(claim)
-                self._on_change()
-            else:
-                self.queue.append(claim)
-                yield claim
-            yield self.sim.timeout(service_time)
+            yield done
         finally:
-            self.release(claim)
+            self._cancel(done)

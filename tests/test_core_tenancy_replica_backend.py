@@ -101,6 +101,22 @@ class TestReplica:
         assert not replica.add_sessions(20)
         assert replica.session_utilization() == pytest.approx(0.9)
 
+    def test_negative_session_removal_rejected(self, sim):
+        replica = Replica(sim, "r1", "az1",
+                          ReplicaConfig(session_capacity=100))
+        assert replica.add_sessions(100)
+        with pytest.raises(ValueError, match="negative session count -5"):
+            replica.remove_sessions(-5)
+        assert replica.sessions_used == 100
+
+    def test_session_removal_floors_at_zero_after_a_crash(self, sim):
+        replica = Replica(sim, "r1", "az1",
+                          ReplicaConfig(session_capacity=100))
+        replica.add_sessions(3)
+        assert replica.fail() == 3
+        replica.remove_sessions(1)  # a flow the crash already dropped
+        assert replica.sessions_used == 0
+
     def test_session_imbalance_premise(self, sim):
         """§3.2 Issue #4: sessions exhaust while CPU sits near 20 %."""
         replica = Replica(sim, "r1", "az1",

@@ -157,10 +157,45 @@ class TestBatchedAccelerator:
         events = [accelerator.submit() for _ in range(8)]
         sim.run()
         # One timer arm (stale by the time it fires, so it pushes no
-        # timer), one batch completion and one entry per op.
-        assert sim._sequence == 10
+        # timer), one batch completion and one event the ops share.
+        assert sim._sequence == 3
         assert [done.value for done in events] == [
             DEFAULT_CRYPTO_COSTS.asym_accelerated_s] * 8
+        assert all(done is events[0] for done in events)
+
+    def test_batch_waiters_wake_in_submit_order(self, sim):
+        """The ops of one batch share an event, and waiters that yield
+        it in the step they submit wake in submit order, each at the
+        batch's completion time."""
+        accelerator = BatchedAccelerator(sim)
+        woken = []
+
+        def client(name):
+            value = yield accelerator.submit()
+            woken.append((name, value, sim.now))
+
+        for name in range(8):
+            sim.process(client(name))
+        sim.run()
+        end = DEFAULT_CRYPTO_COSTS.asym_accelerated_s
+        assert woken == [(name, end, end) for name in range(8)]
+
+    def test_batch_on_a_cpu_frees_the_core_before_waking(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        accelerator = BatchedAccelerator(sim, batch_size=2, cpu=cpu)
+        seen = []
+
+        def client():
+            yield accelerator.submit()
+            seen.append((sim.now, cpu.in_use))
+
+        sim.process(client())
+        sim.process(client())
+        sim.run()
+        end = DEFAULT_CRYPTO_COSTS.asym_accelerated_s
+        assert seen == [(end, 0), (end, 0)]
+        assert cpu.busy_time() == pytest.approx(end)
+        assert accelerator.operations == 2 and accelerator.full_batches == 1
 
     def test_timer_flushed_batch_agenda_entries(self, sim):
         accelerator = BatchedAccelerator(sim)

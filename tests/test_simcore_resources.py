@@ -141,6 +141,86 @@ class TestCpuResource:
         # Only the service timeout: the grant itself is synchronous.
         assert pushed == [1]
 
+    def test_queued_run_pushes_two_agenda_entries(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        cpu.run(1.0)  # holds the core for [0, 1)
+        before = sim._sequence
+        queued = cpu.run(2.0)
+        assert sim._sequence == before  # queueing pushes nothing
+        sim.run()
+        # The grant at t=1, then the completion at t=3; the holder's
+        # completion was pushed before ``before``.
+        assert sim._sequence - before == 2
+        assert queued.processed and sim.now == pytest.approx(3.0)
+        assert cpu.busy_time() == pytest.approx(3.0)
+
+    def test_run_frees_the_core_before_the_waiter_resumes(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        seen = []
+
+        def job():
+            yield cpu.run(1.0)
+            seen.append((cpu.in_use, cpu.queue_length))
+
+        sim.process(job())
+        sim.run()
+        assert seen == [(0, 0)]
+
+    def test_run_rejects_bad_service_time_on_a_busy_cpu(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        cpu.run(1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                cpu.run(bad)
+        assert cpu.in_use == 1 and cpu.queue_length == 0
+
+    @pytest.mark.parametrize("queued_on", ["run", "execute"])
+    def test_timeout_pushed_before_start_wins_the_tie(self, sim, queued_on):
+        """Queued work pushes its completion from its start call, one
+        zero-delay step after the grant. A timeout pushed between the
+        two, ending at the same instant, fires first."""
+        cpu = CpuResource(sim, cores=1)
+        log = []
+
+        def holder():
+            yield from cpu.execute(1.0)
+            # Runs after the core passed to the queued job (its start
+            # call is pushed) and before that call runs.
+            sim.timeout(2.0).add_callback(
+                lambda _event: log.append(("timeout", sim.now)))
+
+        def queued():
+            if queued_on == "run":
+                yield cpu.run(2.0)
+            else:
+                yield from cpu.execute(2.0)
+            log.append(("queued", sim.now))
+
+        sim.process(holder())
+        sim.process(queued())
+        sim.run()
+        assert log == [("timeout", 3.0), ("queued", 3.0)]
+
+    def test_interrupt_between_grant_and_start_passes_the_core_on(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        log = []
+        sim.process(self._logged_job(sim, cpu, log, "a", 1.0))
+        granted = sim.process(self._logged_job(sim, cpu, log, "b", 1.0))
+        sim.process(self._logged_job(sim, cpu, log, "c", 1.0))
+
+        def interrupter():
+            yield sim.timeout(1.0)
+            # a's completion has run: b holds the core, start pending.
+            assert cpu.in_use == 1 and cpu.queue_length == 1
+            granted.interrupt("cancel")
+
+        sim.process(interrupter())
+        sim.run()
+        assert log == [("a", "done", 1.0), ("b", "interrupted", 1.0),
+                       ("c", "done", 2.0)]
+        assert cpu.in_use == 0 and cpu.queue_length == 0
+        assert cpu.busy_time() == pytest.approx(2.0)
+
     @staticmethod
     def _logged_job(sim, cpu, log, name, service_time):
         try:
