@@ -20,6 +20,7 @@ from ..simcore import Simulator
 from ..simcore.rng import lognormal_from_median
 from .backend import Backend
 from .gateway import MeshGateway
+from .replica import require_at_least
 
 __all__ = ["ScalingTimings", "ScalingEvent", "ScalingEngine"]
 
@@ -76,6 +77,8 @@ class ScalingEngine:
         #: Precise scaling sizes the operation: backends are added until
         #: the service's hottest backend is predicted below this level.
         self.target_water = target_water
+        require_at_least(self, "reuse_water_threshold", 0.0)
+        require_at_least(self, "target_water", 0.0)
         self.max_extensions = max_extensions
         self.events: List[ScalingEvent] = []
         self._in_flight: set = set()

@@ -25,9 +25,9 @@ Runs go through ``repro.runtime``:
   byte-identical to a serial run.
 * Finished exhibits are cached under ``--cache-dir`` (default
   ``.repro-cache/``, or ``$REPRO_CACHE_DIR``), keyed by the exhibit id,
-  the cost-model fingerprint, and the source hash of the exhibit's
-  import closure — touching a module only invalidates the exhibits
-  that (transitively) import it. ``--no-cache`` bypasses the cache.
+  the cost-model fingerprint, and one hash over every ``repro`` source
+  file — touching any module invalidates every exhibit.
+  ``--no-cache`` bypasses the cache.
 
 With ``--report <dir>``, every exhibit run executes with an enabled
 telemetry registry and a sampled per-layer wall split (the event loop

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from ..core.replica import require_at_least
 from ..core.scaling import ScalingTimings
 from ..simcore import Simulator
 from ..simcore.rng import lognormal_from_median
@@ -74,6 +75,10 @@ class FleetScaler:
         #: on the still-hot water would thrash (the paper's monitor
         #: evaluates on a minutes-scale window for the same reason).
         self.cooldown_s = cooldown_s
+        require_at_least(self, "reuse_water_threshold", 0.0)
+        require_at_least(self, "cooldown_s", 0.0)
+        if target_water is not None:
+            require_at_least(self, "target_water", 0.0)
         self.events: List[FleetScalingEvent] = []
         self._in_flight: Set[int] = set()
         self._settling: List[FleetScalingEvent] = []

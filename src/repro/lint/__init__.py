@@ -1,7 +1,7 @@
 """simlint — AST-based determinism & sim-safety linter.
 
 The repository's correctness claims (byte-identical sweeps at any
-``--jobs`` level, sound cache keys from a static import closure, every
+``--jobs`` level, sound cache keys from statically imported code, every
 stochastic draw through a seeded rng) are conventions, not syntax; this
 package turns them into machine-checked rules::
 

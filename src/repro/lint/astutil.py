@@ -1,16 +1,12 @@
-"""Shared AST utilities: module discovery, imports, name resolution.
+"""AST utilities for the simlint analyzer (:mod:`repro.lint`): module
+discovery, imports, name resolution.
 
-Two consumers with the same needs live in this repository:
-
-* the result cache (:mod:`repro.runtime.cache`) hashes an exhibit's
-  *static import closure* — it must find every module under ``repro``
-  and extract its intra-package imports without executing anything;
-* the simlint analyzer (:mod:`repro.lint`) walks the same files and
-  additionally needs import-alias tables to resolve calls like
-  ``perf_counter()`` back to ``time.perf_counter``.
+simlint walks every file under a package, extracts its imports without
+executing anything, and builds import-alias tables to resolve calls
+like ``perf_counter()`` back to ``time.perf_counter``.
 
 Everything here is purely syntactic (one :func:`ast.parse` per file, no
-imports executed), so both consumers stay deterministic and cheap.
+imports executed), so the analyzer stays deterministic and cheap.
 Imports are found by one walk over statement blocks
 (:func:`import_statements`); only a file that spells ``__import__``
 gets a walk over its expressions.

@@ -14,9 +14,9 @@ is structurally exposed to):
   sweep executor cannot cross a process boundary (the fig17 bug class).
 * **SIM001** — sim-process generators must not block the worker
   (``time.sleep``, real I/O) or return before they can ever yield.
-* **CACHE001** — dynamic imports inside ``repro.experiments`` are
-  invisible to the cache's static import-closure walker, making cache
-  keys unsound.
+* **CACHE001** — dynamic imports inside ``repro.experiments`` can load
+  code the result cache's key does not hash, making cache keys
+  unsound.
 * **LAYER001** — an import whose target ranks *higher* than the
   importer in the declared layer DAG (:data:`LAYERS`) is an upward
   dependency.
@@ -475,16 +475,23 @@ class BlockingSimProcessRule(Rule):
 
 @register
 class DynamicImportRule(Rule):
-    """CACHE001: dynamic imports the cache's closure walker cannot see."""
+    """CACHE001: dynamic imports hide what an exhibit depends on.
+
+    The result cache keys every exhibit on one hash of the ``repro``
+    package's source files. A static import names a module that hash
+    covers; ``importlib``/``__import__`` can name one computed at run
+    time, from anywhere, and a cache entry would not go stale when it
+    changes.
+    """
 
     id = "CACHE001"
     severity = "error"
     summary = ("dynamic import (importlib / __import__) in a "
                "repro.experiments module — cache keys become unsound")
-    fix_hint = ("use a static import so the result cache's AST closure "
-                "walker can fingerprint the dependency")
+    fix_hint = ("use a static import of a repro module, whose source "
+                "the result cache's package hash covers")
 
-    #: Packages whose modules feed the result cache's import closure.
+    #: Packages whose modules every cached exhibit result depends on.
     #: ``repro.faults`` is included because chaos-aware exhibits import
     #: it — a dynamic import there would hide fault-subsystem changes
     #: from every chaos exhibit's cache key. ``repro.obs.trace`` is in

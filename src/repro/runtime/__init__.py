@@ -4,8 +4,8 @@
 (RPS grids, seeds, mesh variants) fan out over a ``multiprocessing``
 pool with deterministic, point-ordered results (:mod:`.sweep`);
 finished exhibits land in a content-addressed on-disk cache keyed by
-exhibit id + config fingerprint + the source hash of the exhibit's
-import closure (:mod:`.cache`); and the CLI drives both through one
+exhibit id + config fingerprint + one hash over the whole ``repro``
+package's source (:mod:`.cache`); and the CLI drives both through one
 picklable entry point (:mod:`.driver`).
 
 This package sits *above* ``repro.simcore`` and ``repro.experiments``
@@ -18,7 +18,6 @@ from .cache import (
     ResultCache,
     cached_run,
     exhibit_fingerprint,
-    module_closure,
 )
 from .driver import ExhibitRun, RunSpec, run_exhibit
 from .sweep import (
@@ -41,7 +40,6 @@ __all__ = [
     "cached_run",
     "default_jobs",
     "exhibit_fingerprint",
-    "module_closure",
     "run_exhibit",
     "set_executor",
     "sweep_imap",

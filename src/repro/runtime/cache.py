@@ -1,22 +1,17 @@
 """Content-addressed on-disk cache for experiment results.
 
-Re-running ``python -m repro.experiments all`` after touching one module
-should only recompute the exhibits that can *see* that module. The
-cache key for an exhibit is therefore::
+The cache key for an exhibit is::
 
-    sha256(exp_id, cache format, python major.minor,
+    sha256(cache format, python major.minor, exp_id,
            cost-model fingerprint,
-           source hash of every repro module the exhibit's module
-           transitively imports)
+           one SHA-256 over every source file of the repro package)
 
-The import closure comes from a static :mod:`ast` parse of every file in
-the ``repro`` package (intra-package ``import``/``from`` statements,
-including relative ones, found by one walk over statement blocks), not
-from ``sys.modules`` — so the fingerprint is stable, cheap (~one parse
-per file, computed once per process), and
-conservative: editing ``mesh/proxy.py`` invalidates the testbed
-exhibits that reach it but leaves, say, ``fig3``'s pure-workload cache
-entry warm.
+Every exhibit imports nearly the whole package (``repro.experiments``
+imports every exhibit module), so the package digest is the exhibit's
+code: any edit to a ``repro`` file, however it is imported, invalidates
+every entry. The digest covers each file's path relative to the package
+and its bytes, in sorted path order, so a rename changes it too. It is
+computed once per process (a few milliseconds) and memoized.
 
 Entries are pickled :class:`~repro.experiments.base.ExperimentResult`
 objects named ``<exp_id>.<digest>.pkl``; a stale digest simply never
@@ -32,119 +27,57 @@ import os
 import pickle
 import sys
 import tempfile
-import warnings
-from typing import Dict, List, Optional, Set, Tuple
-
-from ..lint.astutil import (
-    dynamic_import_lines,
-    import_statements,
-    iter_module_files,
-    module_imports,
-    parse_file,
-)
+from typing import Optional
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "cached_run",
-    "closure_dynamic_imports",
     "exhibit_fingerprint",
-    "module_closure",
+    "package_digest",
 ]
 
 #: Bump when the pickle payload or key recipe changes shape.
-_CACHE_FORMAT = 4
+_CACHE_FORMAT = 5
 
 #: Default cache location; overridable per call or via the environment.
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 
 
-# -- static import graph over the repro package -----------------------------
-
-def _package_root() -> str:
-    import repro
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
-_graph_cache: Optional[Tuple[Dict[str, str], Dict[str, Set[str]],
-                             Dict[str, List[int]]]] = None
-
-
-def _module_graph() -> Tuple[Dict[str, str], Dict[str, Set[str]],
-                             Dict[str, List[int]]]:
-    """(module -> file, module -> imports, module -> dynamic-import
-    lines), memoized. The AST walking lives in :mod:`repro.lint.astutil`
-    (shared with the simlint analyzer)."""
-    global _graph_cache
-    if _graph_cache is None:
-        files = dict(iter_module_files(_package_root()))
-        known = set(files)
-        graph: Dict[str, Set[str]] = {}
-        dynamic: Dict[str, List[int]] = {}
-        for module, path in files.items():
-            source, tree = parse_file(path)
-            if tree is None:  # pragma: no cover - repo code always parses
-                graph[module] = set()
-                continue
-            imports = import_statements(tree)
-            graph[module] = module_imports(
-                imports, module, path.endswith("__init__.py"), known)
-            lines = dynamic_import_lines(tree, imports, source)
-            if lines:
-                dynamic[module] = lines
-        # A package module stands for its __init__; importing it sees
-        # everything the __init__ re-exports (already in its edges).
-        _graph_cache = (files, graph, dynamic)
-    return _graph_cache
-
-
-def module_closure(module: str) -> List[str]:
-    """``module`` plus every repro module it transitively imports."""
-    files, graph, _dynamic = _module_graph()
-    if module not in files:
-        raise KeyError(f"unknown repro module {module!r}")
-    seen: Set[str] = set()
-    stack = [module]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(graph.get(current, ()))
-        # Importing repro.foo.bar implicitly executes repro.foo/__init__.
-        parent = current.rpartition(".")[0]
-        if parent and parent in files:
-            stack.append(parent)
-    return sorted(seen)
-
-
-def closure_dynamic_imports(module: str) -> Dict[str, List[int]]:
-    """Dynamic imports reachable from ``module``'s import closure.
-
-    Maps each offending module in the closure to the line numbers of its
-    ``importlib``/``__import__`` usage. A non-empty result means the
-    static closure under-approximates the exhibit's real dependencies,
-    so its fingerprint — and any cache entry keyed on it — is unsound
-    (simlint rule CACHE001 flags the same sites at lint time).
-    """
-    _files, _graph, dynamic = _module_graph()
-    return {m: dynamic[m] for m in module_closure(module) if m in dynamic}
-
-
-_source_hashes: Dict[str, str] = {}
-
-
-def _source_hash(module: str) -> str:
-    digest = _source_hashes.get(module)
-    if digest is None:
-        files, _graph, _dynamic = _module_graph()
-        with open(files[module], "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        _source_hashes[module] = digest
-    return digest
-
-
 # -- fingerprints -----------------------------------------------------------
+
+def package_digest(root: str) -> str:
+    """SHA-256 over every ``.py`` file under ``root``: each file's
+    ``/``-separated path relative to ``root``, its length and its bytes,
+    in sorted path order."""
+    paths = []
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in filenames:
+            if filename.endswith(".py"):
+                relative = os.path.relpath(os.path.join(dirpath, filename),
+                                           root)
+                paths.append(relative.replace(os.sep, "/"))
+    hasher = hashlib.sha256()
+    for relative in sorted(paths):
+        with open(os.path.join(root, relative), "rb") as handle:
+            source = handle.read()
+        hasher.update(f"{relative}:{len(source)}\n".encode())
+        hasher.update(source)
+    return hasher.hexdigest()
+
+
+_repro_digest: Optional[str] = None
+
+
+def _source_digest() -> str:
+    """:func:`package_digest` of the ``repro`` package, once per process."""
+    global _repro_digest
+    if _repro_digest is None:
+        import repro
+        _repro_digest = package_digest(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+    return _repro_digest
+
 
 def _cost_fingerprint() -> str:
     """The default cost model, pinned into every key.
@@ -160,16 +93,13 @@ def _cost_fingerprint() -> str:
 
 def exhibit_fingerprint(exp_id: str) -> str:
     """Digest identifying one exhibit's inputs: id + code + config."""
-    from ..experiments import EXPERIMENTS
-    function = EXPERIMENTS[exp_id]
     hasher = hashlib.sha256()
     hasher.update(f"format={_CACHE_FORMAT}\n".encode())
     hasher.update(f"python={sys.version_info[0]}.{sys.version_info[1]}\n"
                   .encode())
     hasher.update(f"exp_id={exp_id}\n".encode())
     hasher.update(f"costs={_cost_fingerprint()}\n".encode())
-    for module in module_closure(function.__module__):
-        hasher.update(f"{module}={_source_hash(module)}\n".encode())
+    hasher.update(f"repro={_source_digest()}\n".encode())
     return hasher.hexdigest()
 
 
@@ -186,13 +116,15 @@ class ResultCache:
 
     def load(self, exp_id: str):
         """The cached result for the exhibit's current inputs, or None."""
+        from ..experiments.base import ExperimentResult
         path = self._path(exp_id, exhibit_fingerprint(exp_id))
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
+                result = pickle.load(handle)
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
                 AttributeError, ImportError):
             return None  # miss — including unreadable/stale payloads
+        return result if isinstance(result, ExperimentResult) else None
 
     def store(self, exp_id: str, result) -> str:
         """Atomically persist ``result``; returns the entry path."""
@@ -218,22 +150,8 @@ def cached_run(exp_id: str, cache_dir: Optional[str] = None,
 
     Returns ``(result, hit)``. ``refresh`` skips the read (but still
     stores), for runs that must actually execute — e.g. ``--report``.
-
-    Exhibits whose import closure contains dynamic imports (CACHE001)
-    bypass the cache entirely: the fingerprint cannot see what they
-    load, so an entry could go stale without its key changing.
     """
-    from ..experiments import EXPERIMENTS, run
-    dynamic = closure_dynamic_imports(EXPERIMENTS[exp_id].__module__)
-    if dynamic:
-        sites = "; ".join(
-            f"{module}:{','.join(map(str, lines))}"
-            for module, lines in sorted(dynamic.items()))
-        warnings.warn(
-            f"result cache disabled for {exp_id!r}: dynamic imports in "
-            f"its import closure make the cache key unsound ({sites})",
-            RuntimeWarning, stacklevel=2)
-        return run(exp_id), False
+    from ..experiments import run
     cache = ResultCache(cache_dir)
     if not refresh:
         hit = cache.load(exp_id)

@@ -1,5 +1,7 @@
 """Tests for precise scaling (Reuse/New) and sandbox migration."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -125,6 +127,14 @@ class TestScalingEngine:
         candidate = engine.find_reusable_backend(sid)
         assert candidate is not None
         assert candidate.water_level() <= warm.water_level()
+
+    @pytest.mark.parametrize("name", ["reuse_water_threshold",
+                                      "target_water"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_parameter_rejected_by_name(self, sim, name, value):
+        gateway, _services = make_gateway(sim)
+        with pytest.raises(ValueError, match=name):
+            ScalingEngine(sim, gateway, **{name: value})
 
 
 class TestSandboxManager:

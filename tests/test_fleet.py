@@ -341,6 +341,15 @@ class TestFleetScaler:
         # per service (plus nothing re-triggered after it).
         assert all(count == 1 for count in per_service.values())
 
+    @pytest.mark.parametrize("name", ["reuse_water_threshold",
+                                      "target_water", "cooldown_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+    def test_bad_parameter_rejected_by_name(self, name, value):
+        sim, config, demand, model = small_world()
+        with pytest.raises(ValueError, match=name):
+            FleetScaler(sim, model, **{name: value})
+        assert model.scaler is None
+
 
 class TestFleetFaultEngine:
     def plan(self):

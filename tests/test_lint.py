@@ -6,7 +6,6 @@ import json
 import os
 import textwrap
 import time
-import warnings
 
 import pytest
 
@@ -512,33 +511,6 @@ class TestStatementImportScan:
 
 
 class TestCacheHardening:
-    def test_real_exhibits_have_no_dynamic_imports(self):
-        assert runtime_cache.closure_dynamic_imports(
-            "repro.experiments.cloud_ops") == {}
-
-    def test_closure_dynamic_imports_detects(self, monkeypatch):
-        files = {"repro": "a", "repro.x": "b", "repro.y": "c"}
-        graph = {"repro": set(), "repro.x": {"repro.y"}, "repro.y": set()}
-        dynamic = {"repro.y": [10]}
-        monkeypatch.setattr(runtime_cache, "_graph_cache",
-                            (files, graph, dynamic))
-        assert runtime_cache.closure_dynamic_imports("repro.x") == {
-            "repro.y": [10]}
-        assert runtime_cache.closure_dynamic_imports("repro") == {}
-
-    def test_cached_run_skips_unsound_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            runtime_cache, "closure_dynamic_imports",
-            lambda module: {"repro.experiments.fake": [3]})
-        cache_dir = tmp_path / "cache"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result, hit = runtime_cache.cached_run(
-                "fig17", cache_dir=str(cache_dir))
-        assert not hit and result is not None
-        assert any("cache disabled" in str(w.message) for w in caught)
-        assert not cache_dir.exists()  # nothing read or written
-
     def test_cached_run_sound_closure_still_caches(self, tmp_path):
         _first, hit1 = runtime_cache.cached_run(
             "fig17", cache_dir=str(tmp_path))

@@ -2,13 +2,19 @@
 and the exhibit CLI."""
 
 import multiprocessing
+import os
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments import EXPERIMENTS, exhibit_ids
 from repro.obs import get_telemetry, use_telemetry
 from repro.experiments.__main__ import main as cli_main
+from repro.runtime import cache as cache_module
 from repro.runtime import (
     ResultCache,
     RunSpec,
@@ -16,7 +22,6 @@ from repro.runtime import (
     SweepPointError,
     cached_run,
     exhibit_fingerprint,
-    module_closure,
     run_exhibit,
     sweep_imap,
     sweep_map,
@@ -157,17 +162,26 @@ class TestResultCache:
             repro.mesh.DEFAULT_COSTS, istio_sidecar_l7_s=1e-3))
         assert exhibit_fingerprint("fig2") != before
 
-    def test_closure_includes_own_and_simcore_modules(self):
-        closure = module_closure("repro.experiments.cloud_ops")
-        assert "repro.experiments.cloud_ops" in closure
-        assert "repro.simcore.sim" in closure
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cached_run("fig17", cache_dir=str(tmp_path))
         for entry in tmp_path.iterdir():
             entry.write_bytes(b"not a pickle")
         assert cache.load("fig17") is None
+
+    def test_unsupported_pickle_protocol_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cached_run("fig17", cache_dir=str(tmp_path))
+        for entry in tmp_path.iterdir():
+            entry.write_bytes(b"\x80\x10")
+        assert cache.load("fig17") is None
+
+    def test_payload_that_is_not_a_result_is_a_miss(self, tmp_path):
+        cached_run("fig17", cache_dir=str(tmp_path))
+        for entry in tmp_path.iterdir():
+            entry.write_bytes(pickle.dumps(1))
+        result, hit = cached_run("fig17", cache_dir=str(tmp_path))
+        assert not hit and result.exp_id == "fig17"
 
     def test_run_exhibit_reports_cache_hit(self, tmp_path):
         spec = RunSpec("fig17", cache_dir=str(tmp_path))
@@ -205,6 +219,73 @@ class TestResultCache:
         # The surviving entry is valid and loadable.
         cached = ResultCache(cache_dir).load("fig17")
         assert cached is not None and cached.exp_id == "fig17"
+
+
+REPRO_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
+
+
+class TestPackageKey:
+    """The cache key hashes every ``repro`` source file, by path and
+    bytes, once per process."""
+
+    @pytest.fixture
+    def package_copy(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(REPRO_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def test_editing_any_file_changes_the_digest(self, package_copy):
+        before = cache_module.package_digest(str(package_copy))
+        sources = sorted(package_copy.rglob("*.py"))
+        assert len(sources) > 100
+        assert package_copy / "lint" / "cli.py" in sources
+        for path in sources:
+            original = path.read_bytes()
+            path.write_bytes(original + b"\n")
+            assert cache_module.package_digest(str(package_copy)) != before, \
+                path
+            path.write_bytes(original)
+        assert cache_module.package_digest(str(package_copy)) == before
+
+    def test_renaming_a_file_changes_the_digest(self, package_copy):
+        before = cache_module.package_digest(str(package_copy))
+        cli = package_copy / "lint" / "cli.py"
+        cli.rename(package_copy / "lint" / "cli2.py")
+        assert cache_module.package_digest(str(package_copy)) != before
+
+    def test_bytecode_does_not_change_the_digest(self, package_copy):
+        before = cache_module.package_digest(str(package_copy))
+        cache_dir = package_copy / "lint" / "__pycache__"
+        cache_dir.mkdir()
+        (cache_dir / "cli.cpython-311.pyc").write_bytes(b"\0")
+        assert cache_module.package_digest(str(package_copy)) == before
+
+    def test_fingerprint_folds_in_the_package_digest(self, monkeypatch):
+        assert cache_module._source_digest() == \
+            cache_module.package_digest(REPRO_ROOT)
+        before = {exp_id: exhibit_fingerprint(exp_id)
+                  for exp_id in EXPERIMENTS}
+        monkeypatch.setattr(cache_module, "_repro_digest", "0" * 64)
+        assert all(exhibit_fingerprint(exp_id) != digest
+                   for exp_id, digest in before.items())
+
+    def test_key_is_stable_across_hash_seed_and_cwd(self, tmp_path):
+        exp_ids = sorted(EXPERIMENTS)
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(REPRO_ROOT),
+                        os.environ.get("PYTHONPATH")) if p)
+        script = ("import sys\n"
+                  "from repro.runtime import exhibit_fingerprint\n"
+                  "for exp_id in sys.argv[1:]:\n"
+                  "    print(exhibit_fingerprint(exp_id))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *exp_ids], cwd=str(tmp_path),
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [
+            exhibit_fingerprint(exp_id) for exp_id in exp_ids]
 
 
 class TestCLI:
