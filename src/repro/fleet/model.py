@@ -31,7 +31,6 @@ simulator's seeded RNG, so a fleet run is a pure function of
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Callable, List, Optional
 
 from ..faults.audit import InvariantViolation
@@ -100,8 +99,12 @@ class FleetModel:
         self.topology = FleetTopology(config, sim.rng)
         n_backends = self.topology.n_backends
         #: Expected concurrent sessions per (service, shard slot).
-        self.slot_sessions: List[array] = [
-            array("d", [0.0] * len(shard)) for shard in self.topology.shards]
+        self.slot_sessions: List[List[float]] = [
+            [0.0] * len(shard) for shard in self.topology.shards]
+        #: Each service's slot total as the last flow step left it: the
+        #: next step's ``before``. ``None`` where a write between steps
+        #: (``_clear_slot``, ``_append_slot``, the warm start) dropped it.
+        self._slot_totals: List[Optional[float]] = [None] * config.services
         #: Reverse index: backend -> [(service, slot), ...].
         self._services_on: List[List] = [[] for _ in range(n_backends)]
         for service, shard in enumerate(self.topology.shards):
@@ -109,8 +112,6 @@ class FleetModel:
                 self._services_on[backend].append((service, slot))
         #: Query-of-death multiplier on a service's request weight.
         self.qod_factor = [1.0] * config.services
-        #: Global capacity multiplier (rolling upgrades shrink it).
-        self.capacity_factor = 1.0
         #: Optional demand modulation hook ``fn(service, t) -> factor``.
         self.demand_scale: Optional[Callable[[int, float], float]] = None
         self._weights = [config.service_weight(s)
@@ -119,7 +120,10 @@ class FleetModel:
         self.metrics = FleetMetrics()
         self.scaler = None          # a FleetScaler attaches itself
         self.backend_water = [0.0] * n_backends
-        self.backend_sessions = [0.0] * n_backends
+        self._loads = [0.0] * n_backends
+        #: Set by the flow step, which leaves the loads to
+        #: :attr:`backend_sessions` to fold on read.
+        self._loads_stale = False
         #: Per-backend arrival weight, ``max(floor, 1 - water)``; refreshed
         #: with the water levels in :meth:`_level_water`.
         self._headroom = [1.0] * n_backends
@@ -136,19 +140,27 @@ class FleetModel:
         self._decay = math.exp(-config.dt_s / self._theta)
         self._tick_index = 0
         self._horizon_s = 0.0
+        self._started = False
         #: Availability accumulated between metric samples.
         self._window_attempted = 0.0
         self._window_admitted = 0.0
 
     # -- lifecycle ---------------------------------------------------------
     def start(self, horizon_s: float) -> None:
-        """Schedule flow updates up to ``horizon_s`` on the agenda."""
+        """Schedule flow updates up to ``horizon_s`` on the agenda.
+
+        A model runs once: a second call would seed the equilibrium
+        again and start a second chain of flow steps."""
+        if self._started:
+            raise RuntimeError("FleetModel.start() was already called; "
+                               "a model runs once")
         if not math.isfinite(horizon_s):
             raise ValueError(f"horizon_s must be finite, got {horizon_s}")
         if horizon_s < self.config.dt_s:
             raise ValueError(
                 f"horizon {horizon_s}s is shorter than one flow step "
                 f"({self.config.dt_s}s)")
+        self._started = True
         self._horizon_s = horizon_s
         self._seed_equilibrium()
         self._aggregate()
@@ -158,6 +170,7 @@ class FleetModel:
     def _seed_equilibrium(self) -> None:
         """Start at the demand's equilibrium instead of an empty fleet."""
         target = self.demand.target_sessions(self.sim.now)
+        self._slot_totals = [None] * self.config.services
         for service, sessions in enumerate(self.slot_sessions):
             scaled = target
             if self.demand_scale is not None:
@@ -228,12 +241,18 @@ class FleetModel:
         """Advance every slot one flow step and fold it into its backend.
 
         One pass per service decays each slot, adds its inflow, totals
-        the populations before and after, and adds the new population
-        to its backend's load and water. The fold is :meth:`_aggregate`'s,
-        in the same service-major, slot-minor order, so the water levels
-        are bit-identical to running that after the step. Nothing reads
+        the populations after the step and adds each slot's CPU-seconds
+        to its backend's water. The fold is :meth:`_aggregate`'s, in the
+        same service-major, slot-minor order, so the water levels are
+        bit-identical to running that after the step. Nothing reads
         water during the step: the arrival split reads ``_headroom``,
-        which only :meth:`_level_water` writes, after the pass."""
+        which only :meth:`_level_water` writes, after the pass.
+
+        The total before the step is the one the previous step carried
+        (the same fold over the same stored values); a service whose
+        carried total was dropped folds its slots afresh. Session loads
+        are not folded here: :attr:`backend_sessions` folds them when
+        read."""
         decay = self._decay
         inflow_unit = self._theta * (1.0 - decay)
         base_rate = self.demand.arrival_rate(t0)
@@ -242,10 +261,11 @@ class FleetModel:
         headroom = self._headroom
         get_headroom = headroom.__getitem__
         water = self.backend_water
-        loads = self.backend_sessions
-        zeros = [0.0] * len(water)
-        water[:] = zeros
-        loads[:] = zeros
+        water[:] = [0.0] * len(water)
+        self._loads_stale = True
+        totals = self._slot_totals
+        weights = [base * qod
+                   for base, qod in zip(self._weights, self.qod_factor)]
         cost = self.config.request_cost_s * self.demand.session_rps
         counters = self.counters
         attempted = counters.attempted
@@ -254,9 +274,8 @@ class FleetModel:
         departed = counters.departed
         window_attempted = self._window_attempted
         window_admitted = self._window_admitted
-        for service, (sessions, shard, base, qod) in enumerate(zip(
-                self.slot_sessions, self.topology.shards, self._weights,
-                self.qod_factor)):
+        for service, (sessions, shard, weight) in enumerate(zip(
+                self.slot_sessions, self.topology.shards, weights)):
             rate = base_rate
             if scale_fn is not None:
                 rate = base_rate * scale_fn(service, t0)
@@ -266,40 +285,37 @@ class FleetModel:
             healthy = healthy_index[service]
             if healthy is None:
                 healthy = self._healthy_slots(service)
-            weight = base * qod
-            before = 0.0
+            before = totals[service]
+            if before is None:
+                before = _total(sessions)
             after = 0.0
+            # Slots are never negative here, so a slot at +0.0 adds +0.0
+            # to folds that start at +0.0: no guard is needed for exact
+            # agreement with _aggregate, which skips such slots.
             if len(healthy) == len(shard):
                 share = (rate * inflow_unit / sum(map(get_headroom, shard))
                          if shard else 0.0)
                 for slot, backend in enumerate(shard):
-                    n = sessions[slot]
-                    before += n
-                    n = n * decay + share * headroom[backend]
+                    n = sessions[slot] * decay + share * headroom[backend]
                     sessions[slot] = n
                     after += n
-                    if n > 0.0:
-                        loads[backend] += n
-                        water[backend] += n * weight * cost
+                    water[backend] += n * weight * cost
             else:
                 # Align weights to slots; a down slot (None) gets no inflow.
                 live = self._slot_weights(service, healthy)
                 share = rate * inflow_unit / sum(live) if live else 0.0
-                weights = [None] * len(shard)
+                slot_weights = [None] * len(shard)
                 for slot, slot_weight in zip(healthy, live):
-                    weights[slot] = slot_weight
+                    slot_weights[slot] = slot_weight
                 for slot, backend in enumerate(shard):
-                    n = sessions[slot]
-                    before += n
-                    n *= decay
-                    slot_weight = weights[slot]
+                    n = sessions[slot] * decay
+                    slot_weight = slot_weights[slot]
                     if slot_weight is not None:
                         n += share * slot_weight
                     sessions[slot] = n
                     after += n
-                    if n > 0.0:
-                        loads[backend] += n
-                        water[backend] += n * weight * cost
+                    water[backend] += n * weight * cost
+            totals[service] = after
             if healthy:
                 admitted += offered
                 window_admitted += offered
@@ -315,17 +331,35 @@ class FleetModel:
         self._window_admitted = window_admitted
         self._level_water()
 
-    def _aggregate(self) -> None:
-        """Fold slot populations into per-backend water levels.
+    @property
+    def backend_sessions(self) -> List[float]:
+        """Concurrent sessions per backend, folded service-major and
+        slot-minor like the water levels. Only the latency proxy reads
+        it, once per sample, so a flow step leaves it stale and it is
+        folded here instead of on every step."""
+        if self._loads_stale:
+            loads = self._loads
+            loads[:] = [0.0] * len(self.backend_water)
+            for sessions, shard in zip(self.slot_sessions,
+                                       self.topology.shards):
+                for n, backend in zip(sessions, shard):
+                    if n > 0.0:
+                        loads[backend] += n
+            self._loads_stale = False
+        return self._loads
 
-        The flow step folds as it advances; this standalone fold serves
-        the callers between steps whose changes move water: ``start``,
-        the fault methods and the QoD methods."""
+    def _aggregate(self) -> None:
+        """Fold slot populations into per-backend loads and water levels.
+
+        The flow step folds water as it advances; this standalone fold
+        serves the callers between steps whose changes move water:
+        ``start``, the fault methods and the QoD methods."""
         water = self.backend_water
-        loads = self.backend_sessions
+        loads = self._loads
         zeros = [0.0] * len(water)
         water[:] = zeros
         loads[:] = zeros
+        self._loads_stale = False
         cost = self.config.request_cost_s * self.demand.session_rps
         for sessions, shard, base, qod in zip(
                 self.slot_sessions, self.topology.shards, self._weights,
@@ -341,21 +375,16 @@ class FleetModel:
     def _level_water(self) -> None:
         """Turn folded CPU-seconds into water levels and headroom."""
         topology = self.topology
-        water = self.backend_water
-        cores = self.config.cores_per_replica * self.capacity_factor
-        headroom = self._headroom
+        cores = self.config.cores_per_replica
         floor = self._MIN_HEADROOM
-        for b, (replicas, up) in enumerate(
-                zip(topology.healthy_replicas, topology.backend_up)):
-            level = water[b]
-            capacity = replicas * cores if up else 0.0
-            if capacity > 0.0:
-                level /= capacity
-                water[b] = level
-            elif level > 0.0:
-                level = water[b] = _WATER_SATURATED
-            spare = 1.0 - level
-            headroom[b] = spare if spare > floor else floor
+        water = self.backend_water
+        water[:] = [
+            level / (replicas * cores) if up and replicas > 0
+            else _WATER_SATURATED if level > 0.0 else level
+            for level, replicas, up in zip(
+                water, topology.healthy_replicas, topology.backend_up)]
+        self._headroom[:] = [spare if (spare := 1.0 - level) > floor
+                             else floor for level in water]
 
     # -- sampling ----------------------------------------------------------
     def _sample(self, now: float) -> None:
@@ -513,12 +542,13 @@ class FleetModel:
         sessions = self.slot_sessions[service]
         dropped = sessions[slot]
         sessions[slot] = 0.0
+        self._slot_totals[service] = None
         return dropped
 
     # -- growth (the scaler extends shards through these) ------------------
     def on_backend_added(self, backend: int) -> None:
         self.backend_water.append(0.0)
-        self.backend_sessions.append(0.0)
+        self._loads.append(0.0)
         self._headroom.append(1.0)
         self._services_on.append([])
 
@@ -546,6 +576,7 @@ class FleetModel:
 
     def _append_slot(self, service: int) -> None:
         self.slot_sessions[service].append(0.0)
+        self._slot_totals[service] = None
 
     # -- views & invariants ------------------------------------------------
     def active_sessions(self) -> float:
@@ -558,6 +589,7 @@ class FleetModel:
         return counters.admitted / counters.attempted
 
     def hottest_water(self, service: int) -> float:
+        self._check_service(service)
         return max((self.backend_water[b]
                     for b in self.topology.shards[service]), default=0.0)
 

@@ -90,12 +90,13 @@ class FleetScaler:
         self._check_settled()
         model = self.model
         threshold = model.config.safety_threshold
-        water = model.backend_water
-        up = model.topology.backend_up
         now = self.sim.now
-        for backend in range(len(water)):
-            if not up[backend] or water[backend] <= threshold:
-                continue
+        # Triggering changes no water level or up flag, so the hot
+        # backends can be listed before any of them triggers.
+        hot = [backend for backend, (level, up) in enumerate(zip(
+                   model.backend_water, model.topology.backend_up))
+               if up and level > threshold]
+        for backend in hot:
             service = self._hottest_service_on(backend)
             if service is None or service in self._in_flight:
                 continue
@@ -111,11 +112,14 @@ class FleetScaler:
             target = self.model.config.safety_threshold
         # One hottest-water evaluation per distinct service, not per
         # pending event — settle checks run every flow step.
+        water = self.model.backend_water
+        shards = self.model.topology.shards
         hottest: Dict[int, float] = {}
         for event in self._settling:
             service = event.service_id
             if service not in hottest:
-                hottest[service] = self.model.hottest_water(service)
+                hottest[service] = max(map(water.__getitem__,
+                                           shards[service]))
         still: List[FleetScalingEvent] = []
         for event in self._settling:
             if hottest[event.service_id] <= target:
@@ -160,18 +164,19 @@ class FleetScaler:
         """Coldest healthy backend in the hot AZ not already in the shard."""
         model = self.model
         topology = model.topology
-        az = topology.az_of[hot_backend]
-        shard = set(topology.shards[service])
+        shard = topology.shards[service]
+        up = topology.backend_up
+        replicas = topology.healthy_replicas
+        water = model.backend_water
         best: Optional[int] = None
         best_water = self.reuse_water_threshold
-        for backend in topology.backends_in_az(az):
-            if backend in shard or not topology.backend_up[backend]:
-                continue
-            if topology.healthy_replicas[backend] < 1:
-                continue
-            water = model.backend_water[backend]
-            if water < best_water:
-                best_water = water
+        # Water first: it rules out most of the AZ, and the conditions
+        # are pure, so their order does not change the pick.
+        for backend in topology.backends_in_az(topology.az_of[hot_backend]):
+            level = water[backend]
+            if (level < best_water and up[backend] and replicas[backend] >= 1
+                    and backend not in shard):
+                best_water = level
                 best = backend
         return best
 

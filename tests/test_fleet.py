@@ -194,6 +194,8 @@ BAD_INPUTS = [
     ("extend_service", (12, 0), "service"),
     ("extend_service", (0, -1), "backend"),
     ("extend_service", (0, 24), "backend"),
+    ("hottest_water", (-1,), "service"),
+    ("hottest_water", (12,), "service"),
 ]
 
 
@@ -203,6 +205,17 @@ class TestFleetModel:
         sim, config, demand, model = small_world()
         with pytest.raises(ValueError, match=f"^{name} "):
             getattr(model, method)(*args)
+
+    def test_start_runs_once(self):
+        sim, config, demand, model = small_world()
+        model.start(10.0)
+        attempted = model.counters.attempted
+        with pytest.raises(RuntimeError, match="already called"):
+            model.start(10.0)
+        # The refused call seeded nothing and started no second chain.
+        assert model.counters.attempted == attempted
+        sim.run(until=10.0)
+        assert model._tick_index == 10
 
     def test_warm_start_holds_equilibrium(self):
         sim, config, demand, model = small_world()
@@ -493,6 +506,74 @@ class TestHealthIndex:
             sim, config, demand, model = small_world(
                 cls=model_cls, services=6, backends_per_az=12,
                 rps=110.0 * scale, sessions=600.0 / scale)
+            scaler = FleetScaler(sim, model)
+            FleetFaultEngine(sim, model).arm(plan)
+            model.start(1200.0)
+            sim.run(until=1200.0)
+            counters = model.counters
+            runs.append((
+                counters.attempted, counters.admitted, counters.rejected,
+                counters.departed, counters.disrupted,
+                counters.config_pushes,
+                [list(series.values) for series in model.metrics.all_series()],
+                len(scaler.events)))
+        assert runs[0] == runs[1]
+        assert runs[0][4] > 0.0, "the plan must disrupt sessions"
+        assert runs[0][-1] > 0, "the scaler must grow shards"
+
+
+def left_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestCarriedTotals:
+    """Each service's slot total, carried from one flow step to the
+    next, must be the fold a fresh step would compute."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(HEALTH_OPS),
+                              st.integers(0, 10_000),
+                              st.integers(0, 10_000)),
+                    max_size=30))
+    # A crash between steps writes slots that a step has totalled.
+    @example([("step", 0, 0), ("crash_backend", 0, 0), ("step", 0, 0)])
+    def test_carried_totals_match_a_fresh_fold(self, ops):
+        sim, config, demand, model = small_world(
+            services=6, backends_per_az=4, sessions=30.0)
+        model.start(1e6)
+        for op, a, b in ops:
+            apply_health_op(model, op, a, b)
+            for service, sessions in enumerate(model.slot_sessions):
+                carried = model._slot_totals[service]
+                if op == "step":
+                    assert carried is not None, service
+                if carried is not None:
+                    assert carried.hex() == left_fold(sessions).hex(), (
+                        op, service)
+
+    def test_dropping_the_totals_every_tick_changes_nothing(self):
+        class Uncarried(FleetModel):
+            def _tick(self, arg):
+                self._slot_totals = [None] * len(self._slot_totals)
+                super()._tick(arg)
+
+        plan = FaultPlan.of(
+            Fault(kind="az_crash", at=300.0, target="az:1",
+                  duration_s=200.0),
+            Fault(kind="backend_crash", at=600.0,
+                  target="service:2/backend:0", duration_s=150.0),
+            Fault(kind="replica_crash", at=700.0,
+                  target="service:0/backend:1/replica:0",
+                  duration_s=100.0),
+        )
+        runs = []
+        for model_cls in (FleetModel, Uncarried):
+            sim, config, demand, model = small_world(
+                cls=model_cls, services=6, backends_per_az=12, rps=110.0,
+                sessions=600.0)
             scaler = FleetScaler(sim, model)
             FleetFaultEngine(sim, model).arm(plan)
             model.start(1200.0)
