@@ -1,11 +1,11 @@
 """simlint — AST-based determinism & sim-safety linter.
 
 The repository's correctness claims (byte-identical sweeps at any
-``--jobs`` level, sound cache keys from statically imported code, every
-stochastic draw through a seeded rng) are conventions, not syntax; this
-package turns them into machine-checked rules::
+``--jobs`` level, every stochastic draw through a seeded rng, imports
+that follow the layer DAG) are conventions, not syntax; this package
+turns them into machine-checked rules::
 
-    python -m repro.lint src tests            # lint, exit 1 on findings
+    python -m repro.lint                      # lint, exit 1 on findings
     python -m repro.lint --list-rules         # the rule catalog
     python -m repro.lint --format json src    # machine-readable report
 

@@ -3,9 +3,8 @@
 Exit codes: 0 clean, 1 findings, 2 usage error. ``--format json``
 emits a machine-readable report (CI uploads it as an artifact);
 ``--output`` additionally writes the report to a file so the exit code
-still gates the job. The content-hash incremental cache
-(``--cache-dir``, disable with ``--no-cache``) keeps warm re-runs
-O(changed files).
+still gates the job. A path that does not exist, an unknown rule id,
+or a ``--select``/``--ignore`` that names no rule id is a usage error.
 
 An accepted finding is suppressed where it stands, with a
 ``# simlint: ignore[RULE]`` comment on its line; there is no
@@ -25,40 +24,41 @@ from .runner import collect_files, lint_files, select_rules
 
 __all__ = ["main"]
 
+#: What a bare ``python -m repro.lint`` lints, where present: the
+#: directories CI's lint job names.
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+
+
+def _rule_ids(value: str) -> List[str]:
+    ids = [part.strip() for part in value.split(",") if part.strip()]
+    if not ids:
+        raise argparse.ArgumentTypeError("names no rule id")
+    return ids
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="simlint: determinism & sim-safety static analysis.")
     parser.add_argument("paths", nargs="*", metavar="path",
-                        help="files or directories to lint "
-                             "(default: src and tests if present)")
+                        help="files or directories to lint (default: "
+                             "whichever of %s exist)"
+                             % ", ".join(DEFAULT_PATHS))
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="also write the report to FILE")
     parser.add_argument("--select", metavar="RULE,...", default=None,
-                        help="only run these rule ids")
+                        type=_rule_ids, help="only run these rule ids")
     parser.add_argument("--ignore", metavar="RULE,...", default=None,
-                        help="skip these rule ids")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="incremental cache directory "
-                             "(default: .repro-cache/simlint)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
+                        type=_rule_ids, help="skip these rule ids")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
 
 
-def _split_ids(value: Optional[str]) -> Optional[List[str]]:
-    if value is None:
-        return None
-    return [part.strip() for part in value.split(",") if part.strip()]
-
-
 def _default_paths() -> List[str]:
-    paths = [p for p in ("src", "tests") if os.path.isdir(p)]
+    paths = [p for p in DEFAULT_PATHS if os.path.isdir(p)]
     return paths or ["."]
 
 
@@ -94,15 +94,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        rules = select_rules(_split_ids(options.select),
-                             _split_ids(options.ignore))
+        rules = select_rules(options.select, options.ignore)
         files = collect_files(options.paths or _default_paths())
     except (KeyError, FileNotFoundError) as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2
 
-    findings = lint_files(files, rules=rules, cache_dir=options.cache_dir,
-                          use_cache=not options.no_cache)
+    findings = lint_files(files, rules=rules)
 
     if options.format == "json":
         report = _render_json(findings, len(files))

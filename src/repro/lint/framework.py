@@ -1,7 +1,8 @@
 """simlint rule framework: findings, suppressions, rule registry.
 
-A *rule* is a small AST pass with an id (``DET001``), a severity, and a
-fix hint; it yields :class:`Finding`s against one :class:`ModuleSource`.
+A *rule* is a small pass over one parsed file with an id (``DET001``),
+a severity, and a fix hint; it yields :class:`Finding`s against one
+:class:`ModuleSource`.
 Rules register themselves via the :func:`register` decorator and the
 runner instantiates every registered rule unless ``--select``/
 ``--ignore`` narrows the set.
@@ -28,6 +29,7 @@ from .astutil import (
     collect_aliases,
     import_statements,
     module_name_for_path,
+    resolve_call_name,
 )
 
 __all__ = [
@@ -75,8 +77,18 @@ class Finding:
         return text
 
 
+#: Nodes that open a scope for :attr:`ModuleSource.owners`.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
 class ModuleSource:
-    """One parsed file plus everything rules need to inspect it."""
+    """One file, parsed once and walked once, plus everything rules need.
+
+    The walk records :attr:`nodes` (every node, in :func:`ast.walk`
+    order), :attr:`parents` (node -> parent node) and :attr:`owners`
+    (node -> the nearest function or lambda strictly above it, None at
+    module level). Rules read these instead of walking the tree again.
+    """
 
     def __init__(self, path: str, source: Optional[bytes] = None,
                  module: Optional[str] = None):
@@ -95,12 +107,17 @@ class ModuleSource:
         except SyntaxError as exc:
             self.tree = None
             self.syntax_error = f"{exc.msg} (line {exc.lineno})"
-        #: Every import statement (:func:`import_statements`), shared by
-        #: the alias table and the rules that inspect imports.
-        self.imports: List[ImportNode] = (
-            import_statements(self.tree) if self.tree is not None else [])
-        self.aliases: Dict[str, str] = collect_aliases(self.tree,
-                                                       self.imports)
+        self.nodes: List[ast.AST] = []
+        self.parents: Dict[ast.AST, ast.AST] = {}
+        self.owners: Dict[ast.AST, Optional[ast.AST]] = {}
+        if self.tree is not None:
+            self._walk(self.tree)
+        self.imports: List[ImportNode] = import_statements(self.nodes)
+        self.aliases: Dict[str, str] = collect_aliases(self.imports)
+        #: Every call, in walk order, with its alias-resolved target name.
+        self.call_names: Dict[ast.Call, Optional[str]] = {
+            node: resolve_call_name(node.func, self.aliases)
+            for node in self.nodes if isinstance(node, ast.Call)}
         self.skip_file = bool(_SKIP_FILE_RE.search(self.text))
         #: line number -> None (suppress all) or the suppressed rule ids.
         self.suppressions: Dict[int, Optional[FrozenSet[str]]] = {}
@@ -114,6 +131,24 @@ class ModuleSource:
             else:
                 self.suppressions[lineno] = frozenset(
                     r.strip() for r in rules.split(",") if r.strip())
+
+    def _walk(self, tree: ast.AST) -> None:
+        """Breadth first, like :func:`ast.walk`: the list grows as the
+        loop reads it. The fields are read inline, as
+        :func:`ast.iter_child_nodes` reads them, without its generator."""
+        nodes, parents, owners = self.nodes, self.parents, self.owners
+        nodes.append(tree)
+        owners[tree] = None
+        for node in nodes:
+            owner = node if isinstance(node, _SCOPES) else owners[node]
+            for field in node._fields:
+                value = getattr(node, field, None)
+                children = value if isinstance(value, list) else (value,)
+                for child in children:
+                    if isinstance(child, ast.AST):
+                        parents[child] = node
+                        owners[child] = owner
+                        nodes.append(child)
 
     def _line_suppresses(self, lineno: int, rule_id: str) -> bool:
         if lineno not in self.suppressions:
@@ -162,20 +197,14 @@ class ProjectIndex:
         return name in cls._SET_ANNOTATIONS
 
     @classmethod
-    def set_attributes_of(cls, tree: ast.AST) -> Set[str]:
-        """Attribute names annotated ``Set``/``FrozenSet`` in one tree."""
-        return {node.target.attr for node in ast.walk(tree)
-                if isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Attribute)
-                and cls._is_set_annotation(node.annotation)}
-
-    @classmethod
     def build(cls, modules: Iterable["ModuleSource"]) -> "ProjectIndex":
-        index = cls()
-        for module in modules:
-            if module.tree is not None:
-                index.set_attributes |= cls.set_attributes_of(module.tree)
-        return index
+        """The index over ``modules``' attributes annotated
+        ``Set``/``FrozenSet``."""
+        return cls(node.target.attr
+                   for module in modules for node in module.nodes
+                   if isinstance(node, ast.AnnAssign)
+                   and isinstance(node.target, ast.Attribute)
+                   and cls._is_set_annotation(node.annotation))
 
 
 class Rule:

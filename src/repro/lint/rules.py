@@ -14,14 +14,13 @@ is structurally exposed to):
   sweep executor cannot cross a process boundary (the fig17 bug class).
 * **SIM001** — sim-process generators must not block the worker
   (``time.sleep``, real I/O) or return before they can ever yield.
-* **CACHE001** — dynamic imports inside ``repro.experiments`` can load
-  code the result cache's key does not hash, making cache keys
-  unsound.
 * **LAYER001** — an import whose target ranks *higher* than the
   importer in the declared layer DAG (:data:`LAYERS`) is an upward
   dependency.
 
-Every rule sees one file at a time. The only cross-file fact is
+Every rule sees one file at a time, through the node list, parent map,
+owner map and call names its :class:`~repro.lint.framework.ModuleSource`
+recorded in one walk. The only cross-file fact is
 :class:`~repro.lint.framework.ProjectIndex`'s set-annotated attribute
 names (DET003). Hash-order bugs that travel through helper calls are
 left to the runtime equivalence harness (``tests/test_equivalence.py``),
@@ -31,14 +30,12 @@ which runs each exhibit under two hash seeds and compares the output.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .astutil import dynamic_import_lines, resolve_call_name
 from .framework import Finding, ModuleSource, ProjectIndex, Rule, register
 
 __all__ = [
     "BlockingSimProcessRule",
-    "DynamicImportRule",
     "LAYERS",
     "LayeringRule",
     "UnorderedIterationRule",
@@ -49,24 +46,8 @@ __all__ = [
 ]
 
 
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _walk_own(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested functions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_YIELDS = (ast.Yield, ast.YieldFrom)
 
 
 @register
@@ -121,12 +102,9 @@ class WallClockRule(Rule):
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None or self._allowlisted(module.module):
+        if self._allowlisted(module.module):
             return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call_name(node.func, module.aliases)
+        for node, name in module.call_names.items():
             if name in self._CALLS:
                 yield self.finding(
                     module, node,
@@ -156,12 +134,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call_name(node.func, module.aliases)
+        for node, name in module.call_names.items():
             if name is None:
                 continue
             if name == "random.Random":
@@ -221,7 +194,7 @@ class UnorderedIterationRule(Rule):
                 and parent.func.id in self._ORDER_INSENSITIVE
                 and any(node is arg for arg in parent.args))
 
-    def _local_set_names(self, tree: ast.AST) -> Set[str]:
+    def _local_set_names(self, module: ModuleSource) -> Set[str]:
         """Names assigned a set-typed expression anywhere in the file.
 
         Deliberately flow-insensitive: if *any* assignment binds the
@@ -230,7 +203,7 @@ class UnorderedIterationRule(Rule):
         another; suppress the rare false positive.)
         """
         names: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in module.nodes:
             value = None
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
@@ -271,16 +244,13 @@ class UnorderedIterationRule(Rule):
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        tree = module.tree
-        parents = _parent_map(tree)
-        local_sets = frozenset(self._local_set_names(tree))
+        parents = module.parents
+        local_sets = frozenset(self._local_set_names(module))
 
         def set_iteration(iter_node: ast.AST) -> bool:
             return self._is_set_expr(iter_node, local_sets, project)
 
-        for node in ast.walk(tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and set_iteration(node.iter):
                 yield self.finding(
                     module, node.iter,
@@ -310,7 +280,7 @@ class UnorderedIterationRule(Rule):
                         "dict.popitem() removes an arbitrary entry; pop a "
                         "specific key or use an ordered strategy")
                 else:
-                    name = resolve_call_name(node.func, module.aliases)
+                    name = module.call_names[node]
                     if name in self._LISTING_CALLS:
                         parent = parents.get(node)
                         sorted_wrapped = (
@@ -346,20 +316,12 @@ class UnpicklableSweepTargetRule(Rule):
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
         # Names of functions defined *inside* another function: passing
         # one to a pool sink means pickling a closure cell.
-        nested_defs: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in _walk_own(node):
-                    if isinstance(inner, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef)):
-                        nested_defs.add(inner.name)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        nested_defs = {node.name for node in module.nodes
+                       if isinstance(node, _FUNCTIONS)
+                       and module.owners[node] is not None}
+        for node in module.call_names:
             sink = self._sink_name(node.func)
             if sink is None or not node.args:
                 continue
@@ -403,66 +365,63 @@ class BlockingSimProcessRule(Rule):
     _SIM_ATTRS = frozenset({"timeout", "process", "event", "work",
                             "all_of", "any_of", "wait"})
 
-    def _is_sim_generator(self, fn: ast.AST) -> bool:
-        """A generator whose yields interact with a simulator.
-
-        Heuristic: some ``yield``/``yield from`` value mentions a name
-        or attribute called ``sim``, or calls one of the simulator verbs
-        (``timeout``/``process``/``work``/...).
-        """
-        for node in _walk_own(fn):
-            if not isinstance(node, (ast.Yield, ast.YieldFrom)):
-                continue
-            value = node.value
-            if value is None:
-                continue
-            for sub in ast.walk(value):
-                if isinstance(sub, ast.Name) and sub.id == "sim":
-                    return True
-                if isinstance(sub, ast.Attribute) and (
-                        sub.attr == "sim" or
-                        sub.attr in self._SIM_ATTRS):
-                    return True
-        return False
+    def _mentions_sim(self, node: ast.AST) -> bool:
+        """A name or attribute called ``sim``, or a simulator verb
+        (``timeout``/``process``/``work``/...)."""
+        if isinstance(node, ast.Name):
+            return node.id == "sim"
+        return isinstance(node, ast.Attribute) and (
+            node.attr == "sim" or node.attr in self._SIM_ATTRS)
 
     @staticmethod
-    def _contains_yield(node: ast.AST) -> bool:
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        for sub in _walk_own(node):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                return True
-        return False
+    def _body_index(fn: ast.AST, node: ast.AST,
+                    parents: Dict[ast.AST, ast.AST]) -> int:
+        """Index of the statement in ``fn.body`` that holds ``node``;
+        ``len(fn.body)`` for a node outside the body (a decorator)."""
+        while parents[node] is not fn:
+            node = parents[node]
+        for index, statement in enumerate(fn.body):
+            if statement is node:
+                return index
+        return len(fn.body)
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        for fn in ast.walk(module.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owners, parents = module.owners, module.parents
+        #: function -> the yields in its own body (not in nested ones)
+        own_yields: Dict[ast.AST, List[ast.AST]] = {}
+        # A sim process is a generator with a yield whose value mentions
+        # the simulator.
+        sim_processes: Set[ast.AST] = set()
+        for node in module.nodes:
+            if isinstance(node, _YIELDS):
+                if isinstance(owners[node], _FUNCTIONS):
+                    own_yields.setdefault(owners[node], []).append(node)
+            elif self._mentions_sim(node):
+                above = parents.get(node)
+                while above is not None and not isinstance(above, ast.stmt):
+                    if isinstance(above, _YIELDS) and \
+                            isinstance(owners[above], _FUNCTIONS):
+                        sim_processes.add(owners[above])
+                    above = parents.get(above)
+        # Blocking calls anywhere in the generator body.
+        for node, name in module.call_names.items():
+            fn = owners[node]
+            if name in self._BLOCKING_CALLS and fn in sim_processes:
+                yield self.finding(
+                    module, node,
+                    f"{name}() inside sim process {fn.name!r} "
+                    f"blocks the event loop for real wall time")
+        # An *unconditional* top-level return-with-value before the
+        # first yield: the generator finishes on its very first resume,
+        # so every yield below is dead code. (Conditional early returns
+        # are fine — Process delivers StopIteration values correctly.)
+        for fn, yields in own_yields.items():
+            if fn not in sim_processes:
                 continue
-            if not any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                       for n in _walk_own(fn)):
-                continue
-            if not self._is_sim_generator(fn):
-                continue
-            # Blocking calls anywhere in the generator body.
-            for node in _walk_own(fn):
-                if isinstance(node, ast.Call):
-                    name = resolve_call_name(node.func, module.aliases)
-                    if name in self._BLOCKING_CALLS:
-                        yield self.finding(
-                            module, node,
-                            f"{name}() inside sim process {fn.name!r} "
-                            f"blocks the event loop for real wall time")
-            # An *unconditional* top-level return-with-value before the
-            # first yield: the generator finishes on its very first
-            # resume, so every yield below is dead code. (Conditional
-            # early returns are fine — Process delivers StopIteration
-            # values correctly.)
-            for statement in fn.body:
-                if self._contains_yield(statement):
-                    break
+            first = min(self._body_index(fn, node, parents)
+                        for node in yields)
+            for statement in fn.body[:first]:
                 if isinstance(statement, ast.Return) and \
                         statement.value is not None:
                     yield self.finding(
@@ -471,71 +430,6 @@ class BlockingSimProcessRule(Rule):
                         f"before its first yield; the yields below are "
                         f"unreachable")
                     break
-
-
-@register
-class DynamicImportRule(Rule):
-    """CACHE001: dynamic imports hide what an exhibit depends on.
-
-    The result cache keys every exhibit on one hash of the ``repro``
-    package's source files. A static import names a module that hash
-    covers; ``importlib``/``__import__`` can name one computed at run
-    time, from anywhere, and a cache entry would not go stale when it
-    changes.
-    """
-
-    id = "CACHE001"
-    severity = "error"
-    summary = ("dynamic import (importlib / __import__) in a "
-               "repro.experiments module — cache keys become unsound")
-    fix_hint = ("use a static import of a repro module, whose source "
-                "the result cache's package hash covers")
-
-    #: Packages whose modules every cached exhibit result depends on.
-    #: ``repro.faults`` is included because chaos-aware exhibits import
-    #: it — a dynamic import there would hide fault-subsystem changes
-    #: from every chaos exhibit's cache key. ``repro.obs.trace`` is in
-    #: for the same reason: the trace_breakdown exhibit's findings are
-    #: a function of the tracer's sampling and analytics code.
-    #: ``repro.simcore`` is in because *every* exhibit's cache entry is
-    #: a function of the simulation kernel (the event loop included):
-    #: a dynamic import there would hide engine changes from every
-    #: cache key in the repository. ``repro.fleet`` is in because the
-    #: fleet_* exhibit family's results are a function of the fluid
-    #: tier's physics. ``repro.resilience`` is in because installed
-    #: policies (breaker trips and retry jitter) steer every protected
-    #: exhibit's output the same way the fault plans do.
-    default_packages: Tuple[str, ...] = ("repro.experiments",
-                                         "repro.faults",
-                                         "repro.fleet",
-                                         "repro.obs.trace",
-                                         "repro.resilience",
-                                         "repro.simcore")
-
-    def __init__(self, packages: Optional[Tuple[str, ...]] = None):
-        self.packages = self.default_packages if packages is None \
-            else packages
-
-    def _applies(self, module: Optional[str]) -> bool:
-        if not module:
-            return False
-        return any(module == prefix or module.startswith(prefix + ".")
-                   for prefix in self.packages)
-
-    def check(self, module: ModuleSource,
-              project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None or not self._applies(module.module):
-            return
-        for lineno in dynamic_import_lines(module.tree, module.imports,
-                                           module.source):
-            yield Finding(
-                rule=self.id, severity=self.severity, path=module.path,
-                line=lineno, col=1,
-                message=("dynamic import is invisible to the result "
-                         "cache's static import-closure walker; the "
-                         "exhibit's cache key will not change when the "
-                         "imported module does"),
-                fix_hint=self.fix_hint)
 
 
 #: The declared architecture layer DAG, most-specific prefix wins.
@@ -635,8 +529,6 @@ class LayeringRule(Rule):
 
     def check(self, module: ModuleSource,
               project: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
         importer_rank = layer_rank(module.module)
         if importer_rank is None:
             return

@@ -27,7 +27,7 @@ from ..k8s import Cluster
 from ..netsim import Link
 from ..obs.runtime import get_telemetry
 from ..obs.trace import get_tracer
-from ..simcore import CpuResource, Resource, Simulator
+from ..simcore import CpuResource, Simulator
 
 __all__ = [
     "ControlPlaneCosts",
@@ -115,7 +115,7 @@ class ControlPlane:
             sim, bandwidth_bps=1e9, latency_s=1e-3, name="southbound")
         self.controller_cpu = CpuResource(sim, cores=controller_cores,
                                           name="controller")
-        self._distributor = Resource(sim, capacity=1)
+        self._distributor = CpuResource(sim, cores=1, name="distributor")
         self.updates_pushed = 0
         self.bytes_pushed_total = 0
 
@@ -197,9 +197,7 @@ class ControlPlane:
         yield self.controller_cpu.run(build_s)
         yield self.controller_cpu.run(push_s)
         yield from self.southbound.transfer(target.config_bytes)
-        with self._distributor.request() as claim:
-            yield claim
-            yield self.sim.timeout(costs.distribution_ack_s)
+        yield self._distributor.run(costs.distribution_ack_s)
         yield self.sim.timeout(target.apply_s)
         report.total_bytes += target.config_bytes
         report.build_cpu_s += build_s

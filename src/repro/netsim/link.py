@@ -3,14 +3,14 @@
 The paper's southbound-overhead analysis (§2.1) hinges on serialized
 configuration pushes saturating a shared link (their customer's 100 Mbps
 VPN peaked at 120 Mbps of update traffic). A :class:`Link` serializes
-transfers through a capacity-1 resource, so concurrent pushes queue and
+transfers through a one-core FIFO server, so concurrent pushes queue and
 completion time grows with total bytes — exactly the effect measured in
 Figs 4, 14, and 15.
 """
 
 from __future__ import annotations
 
-from ..simcore import Resource, Simulator
+from ..simcore import CpuResource, Simulator
 
 __all__ = ["Link"]
 
@@ -29,7 +29,7 @@ class Link:
         self.latency_s = latency_s
         self.name = name
         self.bytes_carried = 0
-        self._channel = Resource(sim, capacity=1)
+        self._channel = CpuResource(sim, cores=1, name=name)
 
     def serialization_delay(self, nbytes: int) -> float:
         """Time to clock ``nbytes`` onto the wire."""
@@ -43,8 +43,6 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        with self._channel.request() as claim:
-            yield claim
-            yield self.sim.timeout(self.serialization_delay(nbytes))
+        yield self._channel.run(self.serialization_delay(nbytes))
         self.bytes_carried += nbytes
         yield self.sim.timeout(self.latency_s)

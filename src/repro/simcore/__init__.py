@@ -17,7 +17,7 @@ from .events import (
     Timeout,
 )
 from .metrics import Summary, TimeSeries, cdf, percentile
-from .resources import CpuResource, Request, Resource
+from .resources import CpuResource
 from .rng import derived_stream
 from .sim import Simulator
 
@@ -28,8 +28,6 @@ __all__ = [
     "Interrupt",
     "PENDING",
     "Process",
-    "Request",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Summary",

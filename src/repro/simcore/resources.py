@@ -1,99 +1,23 @@
-"""Shared, capacity-limited resources for simulation processes.
+"""The one capacity-limited resource simulation processes share.
 
-Two building blocks cover everything the mesh models need:
-
-* :class:`Resource` — a counting semaphore with a FIFO wait queue, used
-  for anything with bounded concurrency (a link's channel, the control
-  plane's distributor).
-* :class:`CpuResource` — a multi-core CPU whose unit of work is one
-  service time. :meth:`CpuResource.run` returns the event its service
-  ends on, and the CPU tracks its busy-time integral, so experiments
-  can report the CPU seconds a tier consumed. Proxy and gateway latency
-  knees in the paper's figures emerge from queueing on these.
+:class:`CpuResource` is a multi-core server whose unit of work is one
+service time. :meth:`CpuResource.run` returns the event its service
+ends on, and the server tracks its busy-time integral, so experiments
+can report the CPU seconds a tier consumed. Proxy and gateway latency
+knees in the paper's figures emerge from queueing on these. With one
+core it is a FIFO server: a link's channel, the control plane's
+distributor.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import Deque, Tuple
 
 from .events import PENDING, Event, Timeout
 from .sim import Simulator
 
-__all__ = ["Request", "Resource", "CpuResource"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
-
-    Supports use as a context manager so model code can write::
-
-        with channel.request() as claim:
-            yield claim
-            yield sim.timeout(hold_time)
-
-    A CPU hands out no claims: :meth:`CpuResource.run` is its one entry.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """A counting semaphore with FIFO granting.
-
-    ``capacity`` slots may be held simultaneously; further requests queue
-    in arrival order.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.users: List[Request] = []
-        self.queue: Deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return len(self.users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self.queue)
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires once the slot is held."""
-        claim = Request(self)
-        if len(self.users) < self.capacity:
-            self._grant(claim)
-        else:
-            self.queue.append(claim)
-        return claim
-
-    def release(self, claim: Request) -> None:
-        """Return a slot (or cancel a queued claim). Idempotent."""
-        if claim in self.users:
-            self.users.remove(claim)
-            while self.queue and len(self.users) < self.capacity:
-                self._grant(self.queue.popleft())
-        elif claim in self.queue:
-            self.queue.remove(claim)
-
-    def _grant(self, claim: Request) -> None:
-        self.users.append(claim)
-        claim.succeed(claim)
+__all__ = ["CpuResource"]
 
 
 class CpuResource:

@@ -2,11 +2,11 @@
 
 Pins the fluid tier's determinism contract: ``repro.fleet`` sits at
 rank 2 in the layer DAG and is *not* on the DET001 allowlist, so
-wall-clock reads, unseeded RNG, dynamic imports (its modules feed the
-fleet exhibits' cache keys), and upward imports must all fire here.
+wall-clock reads, unseeded RNG and upward imports must all fire here,
+while a plain stdlib import stays clean.
 """
 
-import importlib  # CACHE001 positive: line 9
+import os  # negative: no rule fires
 import random
 import time
 
@@ -22,8 +22,8 @@ def bad_unseeded_rng():
     return random.random()  # DET002 positive: line 22
 
 
-def bad_dynamic_physics(name):
-    return importlib.import_module(name)  # (CACHE001 flags line 9)
+def fine_stdlib_use(name):
+    return os.path.join("fleet", name)
 
 
 def use_upward():

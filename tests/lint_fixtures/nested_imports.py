@@ -1,7 +1,7 @@
-"""Import-scan fixture: imports nested in every kind of statement block.
+"""Walk fixture: imports nested in every kind of statement block.
 
-Parsed, never imported. The statement-level scan must find the same
-imports and dynamic-import lines as a walk over every node.
+Parsed, never imported. ``ModuleSource``'s one walk must find every
+import, in :func:`ast.walk` order, and each node's enclosing function.
 """
 
 import json
@@ -26,7 +26,7 @@ class Holder:
     from repro.k8s import objects
 
     def method(self):
-        import importlib  # dynamic: line 29
+        import importlib
         return importlib.import_module("repro.fleet")
 
 
@@ -42,12 +42,12 @@ def load(name):
         from repro import workloads
     while False:
         import repro.crypto
-    return [__import__(name).x for _ in (handle, astutil)]  # line 45
+    return [__import__(name).x for _ in (handle, astutil)]
 
 
 def lazy():
     async def inner():
         async with lazy() as ctx:
-            from importlib import util  # dynamic: line 51
+            from importlib import util
         return ctx, util
-    return inner, (lambda: __import__("repro.kernel"))  # line 53
+    return inner, (lambda: __import__("repro.kernel"))

@@ -3,18 +3,18 @@
 Pins the new package's lint contract: ``repro.resilience`` sits at
 rank 1 in the layer DAG (a mechanism layer, peer of ``repro.core`` /
 ``repro.mesh``) and its modules steer every protected exhibit's
-output, so dynamic imports (CACHE001) and upward imports into the
-fault/experiment layers (LAYER001) must all fire here.
+output, so upward imports into the fault/experiment layers (LAYER001)
+must fire here, while a plain stdlib import stays clean.
 """
 
-import importlib  # CACHE001 positive: line 10
+import os  # negative: no rule fires
 
 from repro.faults.plan import FaultPlan  # LAYER001 positive: line 12
 from repro.experiments.base import Series  # LAYER001 positive: line 13
 
 
-def bad_dynamic_policy(name):
-    return importlib.import_module(name)  # (CACHE001 flags line 10)
+def fine_stdlib_use(name):
+    return os.path.join("resilience", name)
 
 
 def use_upward():

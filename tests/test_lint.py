@@ -1,11 +1,9 @@
-"""simlint: rule fixtures, framework behavior, CLI, lint cache, cache
-hardening."""
+"""simlint: rule fixtures, framework behavior, the one-walk module
+record, CLI."""
 
 import ast
 import json
 import os
-import textwrap
-import time
 
 import pytest
 
@@ -21,17 +19,12 @@ from repro.lint import (
 )
 from repro.lint.astutil import (
     collect_aliases,
-    dynamic_import_lines,
     import_statements,
-    iter_module_files,
-    module_imports,
     module_name_for_path,
-    parse_file,
     resolve_call_name,
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.rules import layer_rank
-from repro.runtime import cache as runtime_cache
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "lint_fixtures")
@@ -79,11 +72,6 @@ class TestDet001WallClock:
         found = [f for f in rule.check(source_module, ProjectIndex())
                  if not source_module.is_suppressed(f.line, f.rule)]
         assert [f.line for f in found] == [9, 13, 17]
-
-    def test_trace_module_in_src_is_clean(self):
-        trace = os.path.join(SRC_REPRO, "obs", "trace.py")
-        found = [f for f in lint_files([trace]) if f.rule == "DET001"]
-        assert found == []  # denylisted, and actually wall-clock free
 
 
 class TestDet002Random:
@@ -152,38 +140,18 @@ class TestSim001BlockingProcess:
         found = findings_for("sim001_blocking.py", "SIM001")
         assert not any(23 <= f.line <= 27 for f in found)
 
-
-class TestCache001DynamicImports:
-    def test_positive_lines_with_experiments_module(self):
-        found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="repro.experiments.fixture")
-        assert [f.line for f in found] == [7, 15]
-
-    def test_rule_only_applies_to_experiments_package(self):
-        found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="tests.lint_fixtures.cache001_dynamic")
-        assert found == []
-
-    def test_rule_covers_faults_package(self):
-        # Chaos-aware exhibits import repro.faults on the cached path,
-        # so its modules get the same dynamic-import scrutiny.
-        found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="repro.faults.fixture")
-        assert [f.line for f in found] == [7, 15]
-
-    def test_rule_covers_trace_module(self):
-        # Traces ride the cached result too (an exhibit's ``traces``),
-        # so repro.obs.trace gets the same scrutiny.
-        found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="repro.obs.trace")
-        assert [f.line for f in found] == [7, 15]
-
-    def test_rule_covers_simcore_package(self):
-        # Every exhibit's cache key is a function of the simulation
-        # kernel, so the event loop gets the same scrutiny.
-        found = findings_for("cache001_dynamic.py", "CACHE001",
-                             module="repro.simcore.sim")
-        assert [f.line for f in found] == [7, 15]
+    def test_nested_generator_is_not_the_first_yield(self, tmp_path):
+        # The yields that count are the process's own: a nested
+        # generator's yield does not suspend the process.
+        target = tmp_path / "nested.py"
+        target.write_text(
+            "def process(sim):\n"
+            "    def inner():\n"
+            "        yield 1\n"
+            "    return inner\n"
+            "    yield sim.timeout(1.0)\n")
+        found = lint_files([str(target)], rules=[get_rule("SIM001")])
+        assert [f.line for f in found] == [4]
 
 
 class TestFleetLintCoverage:
@@ -198,39 +166,6 @@ class TestFleetLintCoverage:
         found = findings_for("fleet_violations.py", "DET002",
                              module="repro.fleet.fixture")
         assert [f.line for f in found] == [22]
-
-    def test_dynamic_import_fires_in_fleet(self):
-        # fleet modules feed the fleet_* exhibits' cache keys, so
-        # CACHE001's package list includes them.
-        found = findings_for("fleet_violations.py", "CACHE001",
-                             module="repro.fleet.fixture")
-        assert [f.line for f in found] == [9]
-
-    def test_fleet_package_in_src_is_clean(self):
-        fleet_dir = os.path.join(SRC_REPRO, "fleet")
-        files = [os.path.join(fleet_dir, name)
-                 for name in sorted(os.listdir(fleet_dir))
-                 if name.endswith(".py")]
-        assert len(files) >= 8
-        assert lint_files(files) == []
-
-
-class TestResilienceLintCoverage:
-    """Installed policies steer every protected exhibit's output, so
-    ``repro.resilience`` gets the cached-path determinism scrutiny."""
-
-    def test_dynamic_import_fires_in_resilience(self):
-        found = findings_for("resilience_violations.py", "CACHE001",
-                             module="repro.resilience.fixture")
-        assert [f.line for f in found] == [10]
-
-    def test_resilience_package_in_src_is_clean(self):
-        resilience_dir = os.path.join(SRC_REPRO, "resilience")
-        files = [os.path.join(resilience_dir, name)
-                 for name in sorted(os.listdir(resilience_dir))
-                 if name.endswith(".py")]
-        assert len(files) >= 4
-        assert lint_files(files) == []
 
 
 class TestLayer001Fixture:
@@ -374,6 +309,29 @@ class TestCLI:
     def test_missing_path_exits_two(self, capsys):
         assert lint_main(["does/not/exist.txt"]) == 2
 
+    def test_missing_py_file_is_a_usage_error(self, capsys):
+        # Exit 1 means findings; a mistyped path must not read as one.
+        assert lint_main(["nosuch.py"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nosuch.py" in err
+
+    @pytest.mark.parametrize("argv", [["--select", ""], ["--select", ","],
+                                      ["--ignore", ","]])
+    def test_option_naming_no_rule_is_a_usage_error(self, argv, capsys):
+        assert lint_main(argv + [fixture("det001_wallclock.py")]) == 2
+
+    def test_bare_run_lints_every_ci_directory(self, tmp_path, monkeypatch,
+                                              capsys):
+        for directory in ("src", "tests", "benchmarks", "examples"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "stamp.py").write_text(
+                "import time\nnow = time.time()\n")
+        monkeypatch.chdir(tmp_path)
+        assert lint_main([]) == 1
+        out = capsys.readouterr().out
+        assert "4 finding(s) in 4 file(s)" in out
+        assert os.path.join("examples", "stamp.py") in out
+
     def test_clean_tree_exits_zero(self, capsys):
         assert lint_main([fixture("layer001_clean.py")]) == 0
 
@@ -392,199 +350,45 @@ class TestAstutil:
             "import time\n"
             "from datetime import datetime as dt\n"
             "from time import perf_counter\n")
-        aliases = collect_aliases(tree)
+        aliases = collect_aliases(import_statements(ast_mod.walk(tree)))
         assert aliases["dt"] == "datetime.datetime"
         assert aliases["perf_counter"] == "time.perf_counter"
         call = ast_mod.parse("dt.now()").body[0].value
         assert resolve_call_name(call.func, aliases) == \
             "datetime.datetime.now"
 
-    def test_dynamic_import_lines(self):
-        import ast as ast_mod
-        tree = ast_mod.parse("import importlib\n"
-                             "x = 1\n"
-                             "mod = __import__('os')\n")
-        assert dynamic_import_lines(tree) == [1, 3]
 
+class TestOneWalk:
+    """Each file is parsed once and walked once; rules read the walk."""
 
-def two_walk_module_imports(tree, module, is_package, known):
-    """The import-closure edges as a walk over every node finds them."""
-    package_parts = module.split(".")
-    if not is_package:
-        package_parts = package_parts[:-1]
-    found = set()
-
-    def resolve(name):
-        parts = name.split(".")
-        while parts:
-            if ".".join(parts) in known:
-                found.add(".".join(parts))
-                return
-            parts = parts[:-1]
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                resolve(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            prefix = ".".join(
-                package_parts[:len(package_parts) - node.level + 1]) \
-                if node.level else ""
-            base_name = ".".join(
-                p for p in (prefix, node.module or "") if p)
-            if base_name:
-                resolve(base_name)
-            for alias in node.names:
-                if base_name:
-                    resolve(f"{base_name}.{alias.name}")
-                elif node.level == 0:
-                    resolve(alias.name)
-    found.discard(module)
-    return found
-
-
-def two_walk_dynamic_lines(tree):
-    """Dynamic-import lines as a second walk over every node finds them."""
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(a.name.split(".")[0] == "importlib" for a in node.names):
-                lines.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and \
-                    (node.module or "").split(".")[0] == "importlib":
-                lines.add(node.lineno)
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and \
-                    node.func.id == "__import__":
-                lines.add(node.lineno)
-    return sorted(lines)
-
-
-def statement_scan(tree, source, module, is_package, known):
-    imports = import_statements(tree)
-    return (module_imports(imports, module, is_package, known),
-            dynamic_import_lines(tree, imports, source))
-
-
-class TestStatementImportScan:
-    """One walk over statement blocks finds what two whole-tree walks
-    found: the cache key's import edges and CACHE001's lines."""
-
-    def _check(self, path, module, known):
-        source, tree = parse_file(path)
-        is_package = path.endswith("__init__.py")
-        scanned = statement_scan(tree, source, module, is_package, known)
-        assert scanned == (
-            two_walk_module_imports(tree, module, is_package, known),
-            two_walk_dynamic_lines(tree)), module
-        # Same nodes in ast.walk's order, so alias tables keep their
-        # last-import-wins result.
-        assert import_statements(tree) == [
+    def test_nodes_parents_and_owners(self):
+        module = ModuleSource(fixture("nested_imports.py"))
+        tree = module.tree
+        assert module.nodes == list(ast.walk(tree))
+        # Imports from every statement block, in ast.walk order, so a
+        # later alias still overrides an earlier one.
+        assert module.imports == [
             node for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))], module
-        return scanned
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert len(module.imports) == 16
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        for node in module.nodes[1:]:
+            parent = module.parents[node]
+            assert any(child is node
+                       for child in ast.iter_child_nodes(parent))
+            while parent is not None and not isinstance(parent, functions):
+                parent = module.parents.get(parent)
+            assert module.owners[node] is parent
 
-    def test_matches_two_walks_over_every_repro_file(self):
-        files = dict(iter_module_files(SRC_REPRO))
-        assert len(files) > 100
-        for module, path in files.items():
-            self._check(path, module, set(files))
+    def test_a_run_parses_each_file_once(self, monkeypatch):
+        files = collect_files([os.path.join(SRC_REPRO, "lint"), FIXTURES])
+        parsed = []
+        real_parse = ast.parse
 
-    def test_nested_blocks_fixture(self):
-        known = set(dict(iter_module_files(SRC_REPRO)))
-        edges, lines = self._check(fixture("nested_imports.py"),
-                                   "repro.experiments.nested", known)
-        assert lines == [29, 45, 51, 53]
-        assert {"repro.core.backend", "repro.k8s.cluster",
-                "repro.mesh.istio", "repro.netsim.dns", "repro.simcore",
-                "repro.obs.trace", "repro.k8s.objects",
-                "repro.lint.astutil", "repro.faults.plan",
-                "repro.runtime.cache", "repro.workloads",
-                "repro.crypto"} <= edges
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
 
-    def test_expression_walk_only_when_source_spells_dunder_import(self):
-        tree = ast.parse("import importlib\nx = __import__('os')\n")
-        assert dynamic_import_lines(tree, source=b"import importlib\n") \
-            == [1]
-        assert dynamic_import_lines(tree) == [1, 2]
-
-
-class TestCacheHardening:
-    def test_cached_run_sound_closure_still_caches(self, tmp_path):
-        _first, hit1 = runtime_cache.cached_run(
-            "fig17", cache_dir=str(tmp_path))
-        _second, hit2 = runtime_cache.cached_run(
-            "fig17", cache_dir=str(tmp_path))
-        assert (hit1, hit2) == (False, True)
-
-
-TAINTED = b'import time\n\n\ndef stamp():\n    return time.time()\n'
-CLEAN = b'def stamp():\n    return 0.0\n'
-
-
-class TestIncrementalCache:
-    def test_edit_invalidates_cached_findings(self, tmp_path):
-        target = tmp_path / "thing.py"
-        target.write_bytes(TAINTED)
-        cache_dir = str(tmp_path / "cache")
-        first = lint_files([str(target)], cache_dir=cache_dir)
-        assert [f.rule for f in first] == ["DET001"]
-
-        # Unchanged file: warm run returns identical findings.
-        warm = lint_files([str(target)], cache_dir=cache_dir)
-        assert [(f.path, f.line, f.col, f.rule, f.message) for f in warm] == \
-            [(f.path, f.line, f.col, f.rule, f.message) for f in first]
-
-        # Editing the file must bust the content-hash key.
-        target.write_bytes(CLEAN)
-        assert lint_files([str(target)], cache_dir=cache_dir) == []
-
-    def test_neighbor_edit_invalidates_program_context(self, tmp_path):
-        # Findings keys include a digest of the set-attribute table:
-        # adding a Set-annotated attribute in module B changes module
-        # A's verdict.
-        consumer = tmp_path / "consumer.py"
-        consumer.write_bytes(textwrap.dedent("""
-            def order(gateway):
-                return [s for s in gateway.services]
-            """).encode("utf-8"))
-        owner = tmp_path / "owner.py"
-        owner.write_bytes(b"class Gateway:\n    pass\n")
-        cache_dir = str(tmp_path / "cache")
-        files = [str(consumer), str(owner)]
-        assert lint_files(files, cache_dir=cache_dir) == []
-
-        owner.write_bytes(textwrap.dedent("""
-            from typing import Set
-
-
-            class Gateway:
-                def __init__(self):
-                    self.services: Set[str] = set()
-            """).encode("utf-8"))
-        found = lint_files(files, cache_dir=cache_dir)
-        assert [f.rule for f in found] == ["DET003"]
-        assert found[0].path == str(consumer)
-
-    def test_warm_run_is_at_least_3x_faster(self, tmp_path):
-        lint_pkg = os.path.normpath(
-            os.path.join(HERE, "..", "src", "repro", "lint"))
-        files = [
-            os.path.join(lint_pkg, name)
-            for name in sorted(os.listdir(lint_pkg))
-            if name.endswith(".py")]
-        cache_dir = str(tmp_path / "cache")
-
-        start = time.perf_counter()  # simlint: ignore[DET001]
-        cold = lint_files(files, cache_dir=cache_dir)
-        cold_elapsed = time.perf_counter() - start  # simlint: ignore[DET001]
-
-        start = time.perf_counter()  # simlint: ignore[DET001]
-        warm = lint_files(files, cache_dir=cache_dir)
-        warm_elapsed = time.perf_counter() - start  # simlint: ignore[DET001]
-
-        assert [(f.path, f.line, f.rule) for f in warm] == \
-            [(f.path, f.line, f.rule) for f in cold]
-        assert warm_elapsed * 3 <= cold_elapsed, (
-            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s")
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        lint_files(files)
+        assert sorted(parsed) == sorted(files)

@@ -1,64 +1,13 @@
-"""Tests for resources: semaphores and CPU accounting."""
+"""Tests for the CPU resource: queueing and busy-time accounting."""
 
 import pytest
 
-from repro.simcore import CpuResource, Interrupt, Resource, Simulator
+from repro.simcore import CpuResource, Interrupt, Simulator
 
 
 @pytest.fixture
 def sim():
     return Simulator(seed=0)
-
-
-class TestResource:
-    def test_capacity_validated(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_grants_up_to_capacity(self, sim):
-        resource = Resource(sim, capacity=2)
-        first = resource.request()
-        second = resource.request()
-        third = resource.request()
-        sim.run()
-        assert first.processed and second.processed
-        assert not third.triggered
-        assert resource.queue_length == 1
-
-    def test_release_grants_next_in_fifo_order(self, sim):
-        resource = Resource(sim, capacity=1)
-        order = []
-
-        def worker(name, hold):
-            with resource.request() as claim:
-                yield claim
-                order.append(name)
-                yield sim.timeout(hold)
-
-        sim.process(worker("a", 1.0))
-        sim.process(worker("b", 1.0))
-        sim.process(worker("c", 1.0))
-        sim.run()
-        assert order == ["a", "b", "c"]
-        assert sim.now == 3.0
-
-    def test_release_is_idempotent(self, sim):
-        resource = Resource(sim, capacity=1)
-        claim = resource.request()
-        sim.run()
-        resource.release(claim)
-        resource.release(claim)
-        assert resource.in_use == 0
-
-    def test_cancel_queued_request(self, sim):
-        resource = Resource(sim, capacity=1)
-        held = resource.request()
-        queued = resource.request()
-        sim.run()
-        resource.release(queued)  # cancel while still waiting
-        resource.release(held)
-        assert resource.in_use == 0
-        assert resource.queue_length == 0
 
 
 class TestCpuResource:
