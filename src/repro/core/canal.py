@@ -249,7 +249,7 @@ class CanalMesh(GatewayMesh):
         mirroring ``crypto.tls.mtls_handshake``'s decomposition.
         """
         start = self.sim.now
-        yield from proxy.handshake_work()
+        yield proxy.handshake_work()
         setup_end = self.sim.now
         both = self.sim.all_of([proxy.asym_engine.submit(),
                                 self._gateway_engine.submit()])

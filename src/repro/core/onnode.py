@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..mesh.costs import DEFAULT_COSTS, MeshCostModel
 from ..mesh.proxy import ProxyTier
 from ..obs.runtime import get_telemetry
-from ..simcore import Simulator
+from ..simcore import Event, Simulator
 
 __all__ = ["OnNodeProxy"]
 
@@ -69,8 +69,9 @@ class OnNodeProxy:
                           amount=bytes_out + bytes_in,
                           node=self.node_name, pod=pod)
 
-    def handshake_work(self):
-        """Process generator: the non-asymmetric part of connection setup
-        (TCP accept + TLS record machinery + session install)."""
-        yield self.tier.work(self.costs.handshake_base_s
-                             + self.costs.connection_setup_s)
+    def handshake_work(self) -> Event:
+        """The non-asymmetric part of connection setup (TCP accept + TLS
+        record machinery + session install); returns the event its
+        :meth:`ProxyTier.work` ends on."""
+        return self.tier.work(self.costs.handshake_base_s
+                              + self.costs.connection_setup_s)

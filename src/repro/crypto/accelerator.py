@@ -11,12 +11,13 @@ timeout (minimum 1 ms) for the batch to fill, so with fewer than 8
 concurrent new connections, operations eat the flush timeout and
 performance drops below plain software on the same CPU.
 
-The batcher runs on agenda callbacks (``Simulator.call_later``), not
-processes. The flush timer is cancelled by an epoch that every flush
-bumps: a timer that fires under an older epoch does nothing. A batch
-without a CPU completes through one callback; with a CPU (the local
-engine) a zero-delay call puts it on ``CpuResource.run``, and it
-completes in a callback on that event, after the core is given back.
+Both engines run on agenda callbacks (``Simulator.call_later``), not
+processes. The batcher's flush timer is cancelled by an epoch that
+every flush bumps: a timer that fires under an older epoch does
+nothing. A batch without a CPU completes through one callback; with a
+CPU (the local engine) a zero-delay call puts it on
+``CpuResource.run``, and it completes in a callback on that event,
+after the core is given back.
 
 One batch, one event: all ops of a batch share the event ``submit``
 returns, and a completion succeeds it once. Its waiters wake in the
@@ -35,6 +36,7 @@ directly would flush such a batch one op short.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from ..obs.runtime import get_telemetry
@@ -60,17 +62,30 @@ class SoftwareAsymEngine:
         return self.costs.asym_software_s(self.new_cpu)
 
     def submit(self) -> Event:
-        """One asymmetric operation; fires when the computation ends."""
-        return self.sim.process(self._run(), name="sw-asym")
+        """One asymmetric operation; returns the event that fires with
+        the completion time when the computation ends.
 
-    def _run(self):
+        No process: the op starts in a zero-delay slot, where a
+        process's bootstrap entry would be, and ends in a callback on
+        its CPU (or timeout) event. The returned event takes an agenda
+        entry only if something waits on it by then
+        (:meth:`Event.settle`), so the agenda is a process's.
+        """
+        done = self.sim.event()
+        self.sim.call_later(0.0, self._start, done)
+        return done
+
+    def _start(self, done: Event) -> None:
         if self.cpu is not None:
-            yield self.cpu.run(self.op_cost_s)
+            work = self.cpu.run(self.op_cost_s)
         else:
-            yield self.sim.timeout(self.op_cost_s)
+            work = self.sim.timeout(self.op_cost_s)
+        work.callbacks.append(partial(self._finish, done))
+
+    def _finish(self, done: Event, _work: Event) -> None:
         self.operations += 1
         get_telemetry().inc("crypto_asym_ops_total", engine="software")
-        return self.sim.now
+        done.settle(self.sim.now)
 
 
 class BatchedAccelerator:

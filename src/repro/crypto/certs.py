@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 __all__ = ["Certificate", "CertificateAuthority", "PrivateKey"]
 
@@ -36,6 +37,18 @@ class PrivateKey:
         return cls(owner=owner, secret_hex=digest)
 
 
+def _payload(identity: str, tenant: str, issuer: str,
+             not_after: float) -> bytes:
+    return f"{identity}|{tenant}|{issuer}|{not_after}".encode()
+
+
+def _require_finite(name: str, value: float) -> None:
+    # ``now > nan`` is False, so a NaN expiry would never expire and a
+    # NaN clock would pass every expiry check.
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite time, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A signed binding of a workload identity to its tenant."""
@@ -47,18 +60,29 @@ class Certificate:
     signature: str
 
     def payload(self) -> bytes:
-        return f"{self.identity}|{self.tenant}|{self.issuer}|{self.not_after}".encode()
+        return _payload(self.identity, self.tenant, self.issuer,
+                        self.not_after)
 
 
 class CertificateAuthority:
-    """Issues and verifies workload certificates for one trust domain."""
+    """Issues and verifies workload certificates for one trust domain.
+
+    ``_issued`` maps each identity to its current certificate and the
+    secret generation that signed it. It is also the workload
+    certificate cache (:meth:`workload_certificate`), and it lets
+    :meth:`verify` skip the HMAC for exactly that object: a certificate
+    that *is* the current record, signed under the current generation,
+    was signed by this CA with the current secret. Anything else — a
+    forgery, an equal-field copy, an older or pre-rotation certificate
+    — is checked by HMAC.
+    """
 
     def __init__(self, name: str, seed: str = "ca-secret"):
         self.name = name
         self._seed = seed
         self._generation = 0
         self._secret = self._derive_secret()
-        self._issued: Dict[str, Certificate] = {}
+        self._issued: Dict[str, Tuple[Certificate, int]] = {}
 
     def _derive_secret(self) -> bytes:
         material = f"ca:{self.name}:{self._seed}"
@@ -88,38 +112,63 @@ class CertificateAuthority:
         """Re-issue every outstanding certificate under the current
         secret (the recovery half of a rotation), valid until
         ``not_after``. Returns identity → fresh certificate."""
+        _require_finite("not_after", not_after)
         reissued: Dict[str, Certificate] = {}
         for identity in sorted(self._issued):
-            cert = self._issued[identity]
+            cert = self._issued[identity][0]
             reissued[identity] = self.issue(identity, cert.tenant, not_after)
         return reissued
 
     def issue(self, identity: str, tenant: str,
               not_after: float) -> Certificate:
         """Issue a certificate valid until simulated time ``not_after``."""
-        unsigned = Certificate(identity=identity, tenant=tenant,
-                               issuer=self.name, not_after=not_after,
-                               signature="")
-        cert = Certificate(identity=identity, tenant=tenant,
-                           issuer=self.name, not_after=not_after,
-                           signature=self._sign(unsigned.payload()))
-        self._issued[identity] = cert
+        _require_finite("not_after", not_after)
+        cert = Certificate(
+            identity=identity, tenant=tenant, issuer=self.name,
+            not_after=not_after,
+            signature=self._sign(_payload(identity, tenant, self.name,
+                                          not_after)))
+        self._issued[identity] = (cert, self._generation)
         return cert
 
+    def workload_certificate(self, identity: str, tenant: str, now: float,
+                             ttl_s: float) -> Certificate:
+        """The certificate a workload presents at ``now``.
+
+        Issued once per identity, as an SDS-delivered SVID is, and
+        reused while it is unexpired and signed under the current
+        secret. After expiry or a rotation it is re-issued, valid for
+        ``ttl_s`` from ``now``.
+        """
+        record = self._issued.get(identity)
+        if record is not None:
+            cert, generation = record
+            if generation == self._generation and now <= cert.not_after:
+                return cert
+        return self.issue(identity, tenant, now + ttl_s)
+
     def verify(self, cert: Certificate, now: float) -> bool:
-        """Check issuer, signature, and expiry."""
+        """Check issuer, expiry, and signature."""
+        _require_finite("now", now)
         if cert.issuer != self.name:
             return False
         if now > cert.not_after:
             return False
+        record = self._issued.get(cert.identity)
+        if (record is not None and record[0] is cert
+                and record[1] == self._generation):
+            return True
         expected = self._sign(cert.payload())
-        return hmac.compare_digest(expected, cert.signature)
+        # As bytes: ``compare_digest`` rejects non-ASCII str operands.
+        return hmac.compare_digest(expected.encode(),
+                                   cert.signature.encode())
 
     def revoke(self, identity: str) -> None:
         self._issued.pop(identity, None)
 
     def issued_for(self, identity: str) -> Optional[Certificate]:
-        return self._issued.get(identity)
+        record = self._issued.get(identity)
+        return None if record is None else record[0]
 
     @property
     def issued_count(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..crypto import (
+    Certificate,
     CertificateAuthority,
     SoftwareAsymEngine,
     mtls_handshake,
@@ -30,6 +31,9 @@ __all__ = ["IstioMesh"]
 #: Default sidecar resource request, matching Table 1's production
 #: averages (~100 millicores and ~340 MB per pod).
 SIDECAR_RESOURCES = ResourceRequest(cpu_millicores=100, memory_mb=340)
+
+#: Lifetime of a workload certificate: Istio's default SVID TTL (24 h).
+WORKLOAD_CERT_TTL_S = 86400.0
 
 
 class SoftwareMtlsMesh(ServiceMesh):
@@ -63,6 +67,13 @@ class SoftwareMtlsMesh(ServiceMesh):
             raise MeshError(f"pod {pod.name} is on an unmanaged node")
         return tier
 
+    def _workload_cert(self, pod: Pod) -> Certificate:
+        """The pod's certificate, issued once and reused by every
+        connection (re-issued after expiry or a CA rotation)."""
+        return self.ca.workload_certificate(
+            f"spiffe://{pod.tenant}/{pod.name}", pod.tenant, self.sim.now,
+            WORKLOAD_CERT_TTL_S)
+
     def _mtls_connect(self, client_pod: Pod, service: str):
         """Pick an endpoint and run the mTLS handshake between the two
         pods' node pools; the connection prices its one-way hop once."""
@@ -72,12 +83,8 @@ class SoftwareMtlsMesh(ServiceMesh):
         trace_sink = [] if get_tracer() is not None else None
         one_way = self.latency_model.one_way(
             self._location_of(client_pod), self._location_of(server_pod))
-        client_cert = self.ca.issue(
-            f"spiffe://{client_pod.tenant}/{client_pod.name}",
-            client_pod.tenant, self.sim.now + 86400.0)
-        server_cert = self.ca.issue(
-            f"spiffe://{server_pod.tenant}/{server_pod.name}",
-            server_pod.tenant, self.sim.now + 86400.0)
+        client_cert = self._workload_cert(client_pod)
+        server_cert = self._workload_cert(server_pod)
         setup = self.costs.handshake_base_s + self.costs.connection_setup_s
         yield client_tier.work(setup)
         yield server_tier.work(setup)

@@ -25,6 +25,8 @@ a direct call at the current time. A process with a waiter still ends
 through its own entry, so the waiter wakes in that entry's ``(when,
 seq)`` slot; a process that *fails* always keeps its entry, so
 ``Simulator.run`` raises an unhandled failure at the same point.
+:meth:`Event.settle` is that rule for any event, so callback-driven
+model code (``SoftwareAsymEngine``) ends an op the way a process would.
 
 Hot-path notes
 --------------
@@ -169,6 +171,24 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def settle(self, value: Any = None) -> None:
+        """Succeed with ``value``, taking an agenda entry only if
+        something waits.
+
+        With no callback registered the event is processed at once: a
+        later ``yield``, ``add_callback`` or ``all_of`` gets a direct
+        call at its current time. A waiter wakes in the entry that
+        ``succeed`` pushes, as it always would. A process ends this way.
+        """
+        if self.callbacks:
+            self.succeed(value)
+            return
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event is processed.
 
@@ -281,14 +301,7 @@ class Process(Event):
                 event._defused = True
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            if self.callbacks:
-                self.succeed(stop.value)
-            else:
-                # Nothing waits: processed at once, with no agenda
-                # entry. A later subscriber gets a direct call.
-                self._ok = True
-                self._value = stop.value
-                self.callbacks = None
+            self.settle(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)

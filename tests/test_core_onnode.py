@@ -70,8 +70,9 @@ class TestObservability:
 
 class TestHandshakeWork:
     def test_handshake_charges_setup_costs(self, sim, proxy):
-        sim.process(proxy.handshake_work())
+        done = proxy.handshake_work()
         sim.run()
+        assert done.processed
         expected = (DEFAULT_COSTS.handshake_base_s
                     + DEFAULT_COSTS.connection_setup_s)
         assert proxy.tier.cpu.busy_time() == pytest.approx(expected)

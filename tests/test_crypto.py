@@ -11,7 +11,7 @@ from repro.crypto import (
     SoftwareAsymEngine,
     mtls_handshake,
 )
-from repro.simcore import CpuResource, Simulator
+from repro.simcore import CpuResource, Process, Simulator
 
 
 @pytest.fixture
@@ -52,6 +52,60 @@ class TestCertificates:
         b = PrivateKey.generate("o", "seed")
         assert a.secret_hex == b.secret_hex
 
+    def test_non_finite_expiry_rejected(self):
+        """``now > nan`` is False: a NaN expiry would never expire."""
+        for not_after in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not_after"):
+                self.ca.issue("id", "t1", not_after)
+            with pytest.raises(ValueError, match="not_after"):
+                self.ca.reissue_all(not_after)
+        assert self.ca.issued_count == 0
+
+    def test_non_finite_clock_rejected(self):
+        cert = self.ca.issue("id", "t1", not_after=10.0)
+        for now in (float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="now"):
+                self.ca.verify(cert, now)
+
+    def test_non_ascii_forged_signature_rejected(self):
+        from dataclasses import replace
+        cert = self.ca.issue("id", "t1", not_after=100.0)
+        assert not self.ca.verify(replace(cert, signature="é" * 64), 0.0)
+
+    def test_rotation_orphans_the_current_certificate(self):
+        cert = self.ca.issue("id", "t1", not_after=100.0)
+        assert self.ca.verify(cert, now=0.0)
+        self.ca.rotate_secret()
+        assert self.ca.issued_for("id") is cert
+        assert not self.ca.verify(cert, now=0.0)
+
+    def test_equal_field_copy_is_checked_by_signature(self):
+        from dataclasses import replace
+        cert = self.ca.issue("id", "t1", not_after=100.0)
+        assert not self.ca.verify(replace(cert, signature="0" * 64), 0.0)
+        assert self.ca.verify(replace(cert), 0.0)
+
+    def test_reissued_certificates_verify(self):
+        old = [self.ca.issue(name, "t1", not_after=100.0)
+               for name in ("a", "b")]
+        self.ca.rotate_secret()
+        reissued = self.ca.reissue_all(not_after=200.0)
+        assert sorted(reissued) == ["a", "b"]
+        assert all(self.ca.verify(cert, now=150.0)
+                   for cert in reissued.values())
+        assert not any(self.ca.verify(cert, now=50.0) for cert in old)
+
+    def test_workload_certificate_reused_until_expiry_or_rotation(self):
+        cert = self.ca.workload_certificate("id", "t1", now=0.0, ttl_s=10.0)
+        assert cert.not_after == 10.0
+        assert self.ca.workload_certificate("id", "t1", 10.0, 10.0) is cert
+        renewed = self.ca.workload_certificate("id", "t1", 10.5, 10.0)
+        assert renewed is not cert and renewed.not_after == 20.5
+        self.ca.rotate_secret()
+        rotated = self.ca.workload_certificate("id", "t1", 11.0, 10.0)
+        assert rotated is not renewed
+        assert self.ca.verify(rotated, now=11.0)
+
     def test_issued_registry(self):
         self.ca.issue("id", "t1", not_after=1.0)
         assert self.ca.issued_count == 1
@@ -81,6 +135,28 @@ class TestSoftwareAsymEngine:
         # Two ops serialized on one core.
         assert sim.now == pytest.approx(2 * engine.op_cost_s)
         assert cpu.busy_time() == pytest.approx(2 * engine.op_cost_s)
+
+    def test_unwatched_op_agenda_entries(self, sim):
+        engine = SoftwareAsymEngine(sim, new_cpu=True)
+        done = engine.submit()
+        sim.run()
+        # The start slot and the op's timeout; nothing waited, so the
+        # op ends without an entry of its own.
+        assert sim._sequence == 2
+        assert done.processed and done.value == engine.op_cost_s
+        assert engine.operations == 1
+
+    def test_watched_op_agenda_entries(self, sim):
+        cpu = CpuResource(sim, cores=1)
+        engine = SoftwareAsymEngine(sim, new_cpu=True, cpu=cpu)
+        done = engine.submit()
+        seen = []
+        done.add_callback(lambda event: seen.append((sim.now, event.value)))
+        sim.run()
+        # The start slot, the core's work and the op's end entry.
+        assert sim._sequence == 3
+        assert seen == [(engine.op_cost_s, engine.op_cost_s)]
+        assert not isinstance(done, Process)
 
 
 class TestBatchedAccelerator:

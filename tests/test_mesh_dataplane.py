@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import CertificateAuthority
 from repro.experiments.testbed import build_testbed
 from repro.k8s import ResourceRequest
 from repro.mesh import (
@@ -101,6 +102,53 @@ class TestIstioDataplane:
         run = build_testbed("istio")
         connection, _resp = run_one_request(run)
         assert connection.session is not None
+
+
+def _one_endpoint_service(run, name="solo"):
+    run.cluster.create_deployment(name, replicas=1, labels={"app": name})
+    run.cluster.create_service(name, selector={"app": name})
+    return name
+
+
+def _count_signatures(monkeypatch):
+    signed = [0]
+    sign = CertificateAuthority._sign
+
+    def counting_sign(self, payload):
+        signed[0] += 1
+        return sign(self, payload)
+
+    monkeypatch.setattr(CertificateAuthority, "_sign", counting_sign)
+    return signed
+
+
+class TestWorkloadCertificates:
+    """Each pod's certificate is issued once and reused by every
+    connection, as an SDS-delivered SVID is."""
+
+    def test_short_flows_between_one_pod_pair_sign_two_certs(
+            self, monkeypatch):
+        run = build_testbed("istio")
+        service = _one_endpoint_service(run)
+        signed = _count_signatures(monkeypatch)
+        for _ in range(20):
+            _conn, response = run_one_request(run, service)
+            assert response.ok
+        assert signed[0] == 2
+
+    def test_rotation_reissues_on_the_next_connection(self, monkeypatch):
+        run = build_testbed("istio")
+        service = _one_endpoint_service(run)
+        run_one_request(run, service)
+        client_id = f"spiffe://{run.client_pod.tenant}/{run.client_pod.name}"
+        before = run.mesh.ca.issued_for(client_id)
+        run.mesh.ca.rotate_secret()
+        assert not run.mesh.ca.verify(before, run.sim.now)
+        signed = _count_signatures(monkeypatch)
+        connection, response = run_one_request(run, service)
+        assert response.ok and connection.session is not None
+        assert signed[0] == 2
+        assert run.mesh.ca.issued_for(client_id) is not before
 
 
 class TestAmbientDataplane:

@@ -69,6 +69,35 @@ class TestEvent:
         sim.run()
         assert seen == ["early"]
 
+    def test_settle_unwatched_takes_no_entry(self, sim):
+        event = sim.event()
+        event.settle("done")
+        assert event.processed and event.value == "done"
+        assert sim._sequence == 0
+        seen = []
+        event.add_callback(lambda ev: seen.append((sim.now, ev.value)))
+        sim.run()
+        assert seen == [(0.0, "done")]
+
+    def test_settle_watched_takes_an_entry(self, sim):
+        event = sim.event()
+        seen = []
+        event.add_callback(lambda ev: seen.append(ev.value))
+        event.settle("done")
+        assert event.triggered and not event.processed
+        assert sim._sequence == 1
+        sim.run()
+        assert seen == ["done"]
+
+    def test_settle_twice_raises(self, sim):
+        for watched in (False, True):
+            event = sim.event()
+            if watched:
+                event.add_callback(lambda ev: None)
+            event.settle()
+            with pytest.raises(SimulationError):
+                event.settle()
+
     def test_uncaught_failure_raises_at_run(self, sim):
         event = sim.event()
         event.fail(RuntimeError("unhandled"))

@@ -146,9 +146,9 @@ class TestSimulationCost:
     CEILINGS = {(OpenLoopDriver, "canal"): (7700.0, 10.0, 1.2),
                 (OpenLoopDriver, "istio"): (1000.0, 7.5, 1.2),
                 (OpenLoopDriver, "ambient"): (4200.0, 10.2, 1.2),
-                (ShortFlowDriver, "canal"): (200.0, 26.0, 5.2),
-                (ShortFlowDriver, "istio"): (200.0, 19.0, 3.2),
-                (ShortFlowDriver, "ambient"): (200.0, 22.8, 3.2)}
+                (ShortFlowDriver, "canal"): (200.0, 26.0, 1.2),
+                (ShortFlowDriver, "istio"): (200.0, 19.0, 1.2),
+                (ShortFlowDriver, "ambient"): (200.0, 22.8, 1.2)}
 
     def test_request_path_stays_cheap_to_simulate(self, monkeypatch):
         constructed = [0]
