@@ -24,7 +24,6 @@ from ..mesh.http import HttpRequest
 from ..mesh.proxy import Connection, ProxyTier
 from ..netsim import FiveTuple, ResolutionError
 from ..obs.trace import get_tracer
-from ..resilience import CircuitOpenError
 from ..simcore import Simulator
 from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
 from .key_server import FallbackEngine, KeyServerFleet
@@ -291,35 +290,17 @@ class CanalMesh(GatewayMesh):
         if not self.authorize(connection.service, request):
             return self._respond(403, start, connection, handle)
 
-        policies = self.gateway.resilience
         yield from client_proxy.process_message(
             client_pod.name, connection.service,
             request.body_bytes, request.response_bytes, trace=handle)
         yield self.sim.timeout(hop)
-        retry = policies.retry if policies is not None else None
-        if retry is not None:
-            retry.note_first_attempt()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                result = yield from self.gateway.process_request(
-                    service_id, flow, is_syn=connection.requests_sent == 0,
-                    client_az=connection.meta["client_az"], trace=handle,
-                    route_cache=connection.meta)
-                break
-            except CircuitOpenError:
-                # Fast fail: no retries against an open breaker.
-                return self._respond(503, start, connection, handle,
-                                     breaker="open", attempts=attempt)
-            except (NoBackendAvailable, ResolutionError):
-                if retry is None:
-                    return self._respond(503, start, connection, handle)
-                if not retry.should_retry(attempt):
-                    return self._respond(503, start, connection, handle,
-                                         attempts=attempt)
-                policies.note_retry(service_id)
-                yield self.sim.timeout(retry.backoff_s(attempt))
+        try:
+            result = yield from self.gateway.process_request(
+                service_id, flow, is_syn=connection.requests_sent == 0,
+                client_az=connection.meta["client_az"], trace=handle,
+                route_cache=connection.meta)
+        except (NoBackendAvailable, ResolutionError):
+            return self._respond(503, start, connection, handle)
         # The hop on to the server node, plus one intra-gateway hop per
         # redirection hop in the replica chain.
         yield self.sim.timeout((result.redirection_hops + 1) * hop)

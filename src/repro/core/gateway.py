@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..netsim import AzAwareResolver, FiveTuple, ResolutionError
+from ..netsim import AzAwareResolver, FiveTuple
 from ..obs.runtime import get_telemetry
-from ..resilience import CircuitOpenError, ResiliencePolicies
+from ..resilience import ResiliencePolicies
 from ..simcore import Simulator
 from .backend import Backend
 from .redirector import DeliveryResult, DisaggregatedLB
@@ -89,14 +89,14 @@ class MeshGateway:
         #: Services currently quarantined (their load leaves the shared
         #: backends; see sandbox.py).
         self.sandboxed: Dict[int, Backend] = {}
-        #: Installed resilience policy set (None = unprotected; every
-        #: consultation below guards on this so unprotected runs are
-        #: byte-identical with the pre-resilience gateway).
+        #: Installed resilience policy set (None = unprotected). Only
+        #: the query-of-death cascade (``FailureInjector``) and the
+        #: invariant auditor read it; the request path never does.
         self.resilience: Optional[ResiliencePolicies] = None
         self._backend_counter = 0
 
     def install_resilience(self, policies: ResiliencePolicies) -> None:
-        """Attach a policy set to every later dispatch."""
+        """Attach a breaker set that contains query-of-death cascades."""
         self.resilience = policies
 
     # -- deployment -----------------------------------------------------------
@@ -387,47 +387,29 @@ class MeshGateway:
         child span. ``route_cache`` is passed on to :meth:`deliver`.
         """
         start = self.sim.now
-        policies = self.resilience
-        if policies is not None and not policies.allow_dispatch(
-                service_id, self.sim.now):
-            raise CircuitOpenError(
-                f"service {service_id}'s circuit breaker is "
-                f"{policies.breaker_state(service_id)}")
         l7_id = trace.reserve_id() if trace is not None else 0
-        try:
-            result = self.deliver(service_id, flow, is_syn, client_az,
-                                  route_cache)
-            if result.is_new_flow:
-                self._track_session(result.replica)
-        except (NoBackendAvailable, ResolutionError):
-            # Both shapes of "nothing to dispatch to" feed the breaker.
-            if policies is not None:
-                policies.record_dispatch(service_id, self.sim.now,
-                                         ok=False)
-            raise
+        result = self.deliver(service_id, flow, is_syn, client_az,
+                              route_cache)
+        if result.is_new_flow:
+            self._track_session(service_id, flow, result.replica)
         service = self.registry.services.get(service_id)
         weight = service.request_weight if service is not None else 1.0
         yield from result.replica.process_request(weight, trace=trace,
                                                   parent_id=l7_id)
-        if policies is not None:
-            policies.record_dispatch(service_id, self.sim.now, ok=True)
         get_telemetry().inc("gateway_requests_total",
                             service=str(service_id),
                             replica=result.replica.name)
         if trace is not None:
-            annotations = dict(
-                replica=result.replica.name,
-                redirection_hops=result.redirection_hops,
-                new_flow=result.is_new_flow)
-            if policies is not None:
-                annotations["breaker"] = policies.breaker_state(service_id)
             trace.add("gateway-l7", "l7", start, self.sim.now,
                       parent_id=parent_id, span_id=l7_id,
                       source=f"gateway/{result.replica.name}",
-                      **annotations)
+                      replica=result.replica.name,
+                      redirection_hops=result.redirection_hops,
+                      new_flow=result.is_new_flow)
         return result
 
-    def _track_session(self, replica: Replica) -> None:
+    def _track_session(self, service_id: int, flow: FiveTuple,
+                       replica: Replica) -> None:
         """Account the SmartNIC session entry of one new flow (§3.2).
 
         Every user flow is one entry, so the table can fill while CPU
@@ -436,6 +418,9 @@ class MeshGateway:
         and by :mod:`repro.core.economics`' ``tunneling`` switch.
         """
         if not replica.add_sessions(1):
+            # A refused flow leaves no owner in the LB: closing its
+            # connection must not free another flow's entry.
+            self._release_flow(service_id, flow)
             get_telemetry().inc("gateway_session_exhaustion_total",
                                 replica=replica.name)
             raise NoBackendAvailable(
@@ -444,15 +429,21 @@ class MeshGateway:
 
     def close_flow(self, service_id: int, flow: FiveTuple) -> None:
         """Tear down one user flow's state (connection close)."""
+        owner = self._release_flow(service_id, flow)
+        if owner is not None:
+            owner.remove_sessions(1)
+
+    def _release_flow(self, service_id: int,
+                      flow: FiveTuple) -> Optional[Replica]:
+        """Drop the flow's LB entry; return the replica that owned it."""
         for (sid, _az), lb in self.service_lbs.items():
             if sid != service_id:
                 continue
             owner = lb.flows.owner(flow)
-            if owner is None:
-                continue
-            lb.close_flow(flow)
-            lb.replica(owner).remove_sessions(1)
-            return
+            if owner is not None:
+                lb.close_flow(flow)
+                return lb.replica(owner)
+        return None
 
     # -- monitoring views --------------------------------------------------------------
     def water_levels(self) -> Dict[str, float]:

@@ -44,9 +44,7 @@ from ..faults import Fault, FaultEngine, FaultPlan
 from ..resilience import (
     QOD_FAILURES_PER_CRASH,
     BreakerConfig,
-    ResilienceConfig,
     ResiliencePolicies,
-    RetryConfig,
     contained_cascade_depth,
     retry_storm_arrivals,
 )
@@ -66,11 +64,10 @@ _BREAKER = BreakerConfig(window_s=30.0, min_requests=4,
                          failure_threshold=0.5, open_duration_s=30.0,
                          close_after=2)
 
-#: Retry shape for the storm analysis: first reconnect 10 s out, so a
-#: synchronized population is one 10 s spike and a jittered one
+#: Backoff before the first reconnect in the storm analysis: a
+#: synchronized population is one spike 10 s out, and a jittered one
 #: spreads over the whole span.
-_STORM_BASE = RetryConfig(max_attempts=3, base_backoff_s=10.0,
-                          multiplier=2.0, max_backoff_s=60.0, jitter=0.0)
+_STORM_BACKOFF_S = 10.0
 
 
 def resilience_plan() -> FaultPlan:
@@ -103,10 +100,7 @@ def _chaos_run(seed: int, plan_json: str,
     gateway, services = build_production_gateway(
         sim, backends_per_az=6, services=6)
     if protected:
-        policies = ResiliencePolicies(
-            ResilienceConfig(breaker=_BREAKER),
-            seed=seed, name="fig8-resilience")
-        gateway.install_resilience(policies)
+        gateway.install_resilience(ResiliencePolicies(_BREAKER))
     for service in services:
         gateway.set_service_sessions(service.service_id, 12_000)
         gateway.set_service_load(service.service_id, 20_000.0)
@@ -158,12 +152,8 @@ def _chaos_run(seed: int, plan_json: str,
 def _storm_run(seed: int, sessions: int,
                jitter: float) -> Dict[str, object]:
     """Reconnect-arrival histogram for one jitter setting."""
-    config = RetryConfig(max_attempts=_STORM_BASE.max_attempts,
-                         base_backoff_s=_STORM_BASE.base_backoff_s,
-                         multiplier=_STORM_BASE.multiplier,
-                         max_backoff_s=_STORM_BASE.max_backoff_s,
-                         jitter=jitter)
-    buckets = retry_storm_arrivals(sessions, config, seed=seed)
+    buckets = retry_storm_arrivals(sessions, _STORM_BACKOFF_S, jitter,
+                                   seed=seed)
     return {"buckets": buckets, "peak": max(buckets) if buckets else 0,
             "total": sum(buckets)}
 

@@ -37,12 +37,8 @@ it agrees with what the bookkeeping claims. The catalog:
     (closed→open, open→half_open, half_open→closed/open) and
     transition times never regress — a breaker that "recovers"
     without passing through half-open is a mesh bug.
-``retry-amplification``
-    Recorded retries never exceed ``first_attempts × (max_attempts
-    − 1)`` — the configured amplification cap; more means the retry
-    loop leaked attempts past its budget.
 
-The resilience checks run only when the gateway has a policy set
+The resilience check runs only when the gateway has a policy set
 installed (``gateway.resilience``), so unprotected runs audit
 exactly what they did before.
 
@@ -217,7 +213,7 @@ class InvariantAuditor:
         return 1
 
     def _check_resilience(self, context: str) -> int:
-        """Breaker state-machine legality + retry amplification cap."""
+        """Breaker state-machine legality."""
         policies = self.gateway.resilience
         for service_id in sorted(policies.breakers):
             breaker = policies.breakers[service_id]
@@ -225,16 +221,7 @@ class InvariantAuditor:
                 breaker.audit_transitions()
             except BreakerIllegalTransition as exc:
                 self._violate("breaker-legality", str(exc), context)
-        if policies.retry is not None:
-            retry = policies.retry
-            bound = retry.amplification_bound()
-            if retry.retries > bound:
-                self._violate(
-                    "retry-amplification",
-                    f"{retry.retries} retries exceed the cap of {bound} "
-                    f"({retry.first_attempts} first attempts × "
-                    f"{retry.max_retries} max retries)", context)
-        return 2
+        return 1
 
     # -- telemetry / control-plane invariants --------------------------------
     def _check_counters_monotone(self, context: str) -> int:

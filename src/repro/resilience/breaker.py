@@ -27,6 +27,7 @@ times): no randomness, no wall clock.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Tuple
@@ -76,17 +77,19 @@ class BreakerConfig:
     close_after: int = 2
 
     def __post_init__(self):
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
+        # Non-finite times are refused: a NaN cooldown would hold an
+        # opened breaker open forever.
+        for name in ("window_s", "open_duration_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value}")
         if self.min_requests < 1:
             raise ValueError(
                 f"min_requests must be >= 1, got {self.min_requests}")
         if not 0.0 < self.failure_threshold <= 1.0:
             raise ValueError(f"failure_threshold must be in (0, 1], "
                              f"got {self.failure_threshold}")
-        if self.open_duration_s <= 0:
-            raise ValueError(
-                f"open_duration_s must be > 0, got {self.open_duration_s}")
         if self.close_after < 1:
             raise ValueError(
                 f"close_after must be >= 1, got {self.close_after}")

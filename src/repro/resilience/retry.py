@@ -1,141 +1,46 @@
-"""Retry with exponential backoff and deterministic jitter.
+"""Reconnect arrivals after a mass disconnect, with backoff jitter.
 
-Naked retries turn a partial outage into a total one: every client
-that lost a session to an AZ crash retries at the same instant, and
-the synchronized spike re-crashes whatever survived (§7's retry-storm
-failure mode). The fix is two-part: *cap* the amplification (a hard
-attempt budget, audited by the invariant auditor) and *de-synchronize*
-the schedule (full jitter on an exponential backoff).
-
-Jitter must be random across clients but **deterministic across
-runs** — so it is drawn from a dedicated stream derived from the
-simulation seed (:func:`repro.simcore.rng.derived_stream`), never from
-``sim.rng``. Consuming the model's own stream here would change every
-downstream sample whenever a retry policy toggles, the same hazard the
-tracing sampler documents. Draw order is simulation event order, which
-the agenda already fixes, so protected runs stay byte-identical at any
-``--jobs`` level.
+Every client that lost a session to an AZ crash reconnecting at the
+same instant is §7's retry storm; jitter de-synchronizes it. Jitter is
+drawn from a stream derived from the seed
+(:func:`repro.simcore.rng.derived_stream`), never ``sim.rng``, so it
+cannot shift the model's own samples.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import List, Optional
+import math
+from typing import List
 
 from ..simcore.rng import derived_stream
 
-__all__ = ["RetryConfig", "RetryPolicy", "retry_storm_arrivals"]
+__all__ = ["retry_storm_arrivals"]
 
 
-@dataclass(frozen=True)
-class RetryConfig:
-    """Backoff shape of one retry policy."""
+def retry_storm_arrivals(sessions: int, base_backoff_s: float,
+                         jitter: float, seed: object = 0,
+                         bucket_s: float = 1.0) -> List[int]:
+    """Reconnect arrivals per ``bucket_s`` window after a disconnect.
 
-    #: Total attempts including the first (3 = first try + 2 retries).
-    max_attempts: int = 3
-    #: Backoff before the first retry, seconds.
-    base_backoff_s: float = 0.5
-    #: Exponential growth factor per subsequent retry.
-    multiplier: float = 2.0
-    #: Ceiling on any single backoff, seconds.
-    max_backoff_s: float = 30.0
-    #: Jitter fraction in [0, 1]: each backoff is scaled by a factor
-    #: drawn uniformly from [1 - jitter, 1]. 1.0 is AWS-style "full
-    #: jitter"; 0.0 reproduces the synchronized (storm-prone) schedule.
-    jitter: float = 1.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_s <= 0:
-            raise ValueError(
-                f"base_backoff_s must be > 0, got {self.base_backoff_s}")
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_backoff_s < self.base_backoff_s:
-            raise ValueError("max_backoff_s must be >= base_backoff_s")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-
-class RetryPolicy:
-    """Produces backoff delays from a dedicated seeded jitter stream."""
-
-    def __init__(self, config: RetryConfig = RetryConfig(),
-                 seed: object = 0, label: str = "repro.resilience.retry",
-                 stream: Optional[random.Random] = None):
-        self.config = config
-        self._stream = (stream if stream is not None
-                        else derived_stream(seed, label))
-        self.first_attempts = 0
-        self.retries = 0
-
-    @property
-    def max_retries(self) -> int:
-        """Retries allowed after the first attempt."""
-        return self.config.max_attempts - 1
-
-    def should_retry(self, attempt: int) -> bool:
-        """May attempt number ``attempt`` (1-based) be retried?"""
-        if attempt < 1:
-            raise ValueError(f"attempt numbers are 1-based, got {attempt}")
-        return attempt < self.config.max_attempts
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before retrying after failed attempt ``attempt``.
-
-        Consumes exactly one jitter draw per call (even at jitter=0)
-        so schedules with and without jitter stay draw-aligned.
-        """
-        if not self.should_retry(attempt):
-            raise ValueError(
-                f"attempt {attempt} exhausted the budget of "
-                f"{self.config.max_attempts}")
-        config = self.config
-        nominal = min(config.max_backoff_s,
-                      config.base_backoff_s
-                      * config.multiplier ** (attempt - 1))
-        draw = self._stream.random()
-        return nominal * (1.0 - config.jitter * draw)
-
-    # -- amplification accounting (audited) ----------------------------------
-    def note_first_attempt(self) -> None:
-        self.first_attempts += 1
-
-    def note_retry(self) -> None:
-        self.retries += 1
-
-    def amplification_bound(self) -> int:
-        """Most retries the recorded first attempts may legally spawn."""
-        return self.first_attempts * self.max_retries
-
-
-def retry_storm_arrivals(sessions: int, config: RetryConfig,
-                         seed: object = 0, bucket_s: float = 1.0,
-                         label: str = "repro.resilience.retry-storm"
-                         ) -> List[int]:
-    """Reconnect arrivals per time bucket after a mass disconnect.
-
-    The aggregate (fluid-tier) analogue of ``sessions`` disrupted
-    clients each scheduling their first reconnect through a
-    :class:`RetryPolicy`: returns a histogram of arrivals per
-    ``bucket_s`` window, starting at the disconnect instant. With
-    ``jitter=0`` every client lands in the same bucket — the
-    synchronized retry storm; with full jitter the same population
-    spreads over the whole backoff span. O(sessions), no simulator
-    needed, so fleet-scale runs can price a retry storm analytically.
+    Each of ``sessions`` clients reconnects ``base_backoff_s * (1 -
+    jitter * u)`` seconds out, one draw ``u`` per client even at
+    ``jitter=0``. At ``jitter=0`` the whole population lands in one
+    bucket, the synchronized storm; at ``1.0`` it spreads over the
+    backoff span. O(sessions) and no simulator, so fleet-tier runs can
+    price a storm analytically.
     """
     if sessions < 0:
         raise ValueError(f"negative session count {sessions}")
-    if bucket_s <= 0:
-        raise ValueError(f"bucket_s must be > 0, got {bucket_s}")
-    policy = RetryPolicy(config, seed=seed, label=label)
+    for name, value in (("base_backoff_s", base_backoff_s),
+                        ("bucket_s", bucket_s)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not 0.0 <= jitter <= 1.0:
+        raise ValueError(f"jitter must be in [0, 1], got {jitter}")
+    stream = derived_stream(seed, "repro.resilience.retry-storm")
     buckets: List[int] = []
     for _ in range(sessions):
-        delay = policy.backoff_s(1)
+        delay = base_backoff_s * (1.0 - jitter * stream.random())
         index = int(delay / bucket_s)
         if index >= len(buckets):
             buckets.extend([0] * (index - len(buckets) + 1))

@@ -263,6 +263,37 @@ class TestDesDataplane:
                                 route_cache={})
         assert again.replica.name == first.replica.name
 
+    def test_flow_refused_for_a_full_session_table_leaves_no_owner(self, sim):
+        config = GatewayConfig(
+            replicas_per_backend=1, backends_per_service_per_az=1,
+            azs_per_service=1,
+            replica=ReplicaConfig(cores=1, request_cost_s=100e-6,
+                                  request_cost_sigma=0.0,
+                                  session_capacity=1))
+        gateway = MeshGateway(sim, config)
+        gateway.deploy_initial(["az1"], 1)
+        tenant = gateway.registry.add_tenant("t1")
+        service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
+        gateway.register_service(service)
+        sid = service.service_id
+        first, second = (FiveTuple("10.0.0.1", port, "10.9.9.9", 443)
+                         for port in (1001, 1002))
+        served = sim.process(gateway.process_request(
+            sid, first, is_syn=True, client_az="az1", route_cache={}))
+        sim.run()
+        replica = served.value.replica
+        assert replica.sessions_used == 1
+        with pytest.raises(NoBackendAvailable, match="session table"):
+            next(gateway.process_request(
+                sid, second, is_syn=True, client_az="az1", route_cache={}))
+        assert gateway.service_lbs[(sid, "az1")].flows.owner(second) is None
+        # Closing the refused flow frees nothing; the served one still
+        # holds its entry until it closes.
+        gateway.close_flow(sid, second)
+        assert replica.sessions_used == 1
+        gateway.close_flow(sid, first)
+        assert replica.sessions_used == 0
+
     def test_water_levels_view(self, sim):
         gateway, services = make_gateway(sim)
         levels = gateway.water_levels()

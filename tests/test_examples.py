@@ -1,11 +1,15 @@
-"""Every script in ``examples/`` runs to completion.
+"""Every script in ``examples/`` runs to completion, and every Python
+block in the docs names only what ``repro`` exports.
 
-Each runs in a fresh interpreter, with ``src`` on ``PYTHONPATH``, and
-must exit 0.
+Each script runs in a fresh interpreter, with ``src`` on
+``PYTHONPATH``, and must exit 0.
 """
 
+import ast
 import glob
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -30,3 +34,33 @@ def test_example_runs(script):
     assert proc.returncode == 0, (
         f"{os.path.basename(script)} exited {proc.returncode}:\n"
         f"{proc.stderr[-2000:]}")
+
+
+#: Docs whose ```` ```python ```` blocks must stay in step with the code.
+DOCS = ("README.md", "DESIGN.md")
+
+
+def _python_blocks(doc):
+    with open(os.path.join(ROOT, doc), encoding="utf-8") as handle:
+        text = handle.read()
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+def test_doc_python_blocks_import_what_repro_exports():
+    blocks = 0
+    for doc in DOCS:
+        for number, block in enumerate(_python_blocks(doc), 1):
+            blocks += 1
+            where = f"{doc} python block {number}"
+            tree = ast.parse(block, filename=where)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module.split(".")[0] == "repro"):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    assert (hasattr(module, alias.name)
+                            or importlib.util.find_spec(name)), (
+                        f"{where} imports {name}, which does not exist")
+    assert blocks >= 7

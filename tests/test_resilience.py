@@ -1,9 +1,9 @@
-"""Tests for ``repro.resilience``: the circuit breaker and retry
-policy, their chaos coverage (each under at least one armed FaultPlan
-with zero invariant violations), the equivalence of an installed but
-idle policy set with none, the auditor checks, and exhibit
-determinism."""
+"""Tests for ``repro.resilience``: the circuit breaker, the retry-storm
+histogram, the breaker's containment of a query-of-death under an
+armed FaultPlan, the request path's indifference to an installed
+policy set, the auditor check, and exhibit determinism."""
 
+import math
 import pickle
 
 import pytest
@@ -16,18 +16,14 @@ from repro.experiments.resilience import (
     resilience_plan,
 )
 from repro.experiments.testbed import build_testbed
-from repro.faults import Fault, FaultEngine, FaultPlan, InvariantAuditor, \
-    InvariantViolation
+from repro.faults import InvariantAuditor, InvariantViolation
 from repro.mesh import HttpRequest
 from repro.resilience import (
     QOD_FAILURES_PER_CRASH,
     BreakerConfig,
     BreakerIllegalTransition,
     CircuitBreaker,
-    ResilienceConfig,
     ResiliencePolicies,
-    RetryConfig,
-    RetryPolicy,
     contained_cascade_depth,
     retry_storm_arrivals,
 )
@@ -121,9 +117,13 @@ class TestCircuitBreaker:
         {"failure_threshold": 1.5},
         {"open_duration_s": -1.0},
         {"close_after": 0},
+        {"window_s": math.nan},
+        {"open_duration_s": math.nan},
+        {"window_s": math.inf},
+        {"open_duration_s": math.inf},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             BreakerConfig(**kwargs)
 
     def test_contained_cascade_depth(self):
@@ -140,138 +140,128 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# unit: retry policy
+# unit: the retry-backoff schedule, as retry_storm_arrivals draws it
 # ---------------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_jitter_free_schedule_is_exact(self):
-        policy = RetryPolicy(RetryConfig(
-            max_attempts=4, base_backoff_s=0.5, multiplier=2.0,
-            max_backoff_s=1.5, jitter=0.0))
-        assert policy.backoff_s(1) == pytest.approx(0.5)
-        assert policy.backoff_s(2) == pytest.approx(1.0)
-        assert policy.backoff_s(3) == pytest.approx(1.5)  # capped
+class _FixedStream:
+    """Stands in for the storm's jitter stream: hands out fixed draws
+    in turn and counts them."""
 
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(RetryConfig(jitter=1.0), seed=7)
-        for attempt in (1, 2):
-            delay = policy.backoff_s(attempt)
-            assert 0.0 <= delay <= 0.5 * 2.0 ** (attempt - 1)
+    DRAWS = (0.1, 0.4, 0.6, 0.9)
+
+    def __init__(self):
+        self.taken = 0
+
+    def random(self):
+        draw = self.DRAWS[self.taken % len(self.DRAWS)]
+        self.taken += 1
+        return draw
+
+
+@pytest.fixture
+def fixed_stream(monkeypatch):
+    stream = _FixedStream()
+
+    def derived_stream(seed, label):
+        assert label == "repro.resilience.retry-storm"
+        return stream
+
+    monkeypatch.setattr("repro.resilience.retry.derived_stream",
+                        derived_stream)
+    return stream
+
+
+class TestRetryPolicy:
+    """The backoff schedule: ``base * (1 - jitter * u)``, one draw ``u``
+    per session from the seeded storm stream."""
+
+    def test_jitter_free_schedule_is_exact(self):
+        for base in (0.5, 1.0, 10.0):
+            buckets = retry_storm_arrivals(7, base, 0.0, bucket_s=0.25)
+            assert buckets == [0] * int(base / 0.25) + [7]
+
+    def test_jitter_stays_within_band(self, fixed_stream):
+        # Draws 0.1/0.4/0.6/0.9 on a 1 s base, in 0.25 s buckets.
+        assert retry_storm_arrivals(4, 1.0, 1.0, bucket_s=0.25) \
+            == [1, 1, 1, 1]  # 0.9, 0.6, 0.4, 0.1 s
+        assert retry_storm_arrivals(4, 1.0, 0.5, bucket_s=0.25) \
+            == [0, 0, 2, 2]  # 0.95, 0.8, 0.7, 0.55 s
 
     def test_same_seed_same_schedule(self):
-        config = RetryConfig(jitter=1.0)
-        first = RetryPolicy(config, seed=11)
-        second = RetryPolicy(config, seed=11)
-        assert [first.backoff_s(1) for _ in range(5)] \
-            == [second.backoff_s(1) for _ in range(5)]
-        other = RetryPolicy(config, seed=12)
-        assert first.backoff_s(1) != other.backoff_s(1)
+        first = retry_storm_arrivals(200, 10.0, 1.0, seed=11)
+        assert retry_storm_arrivals(200, 10.0, 1.0, seed=11) == first
+        assert retry_storm_arrivals(200, 10.0, 1.0, seed=12) != first
+        # Half jitter keeps every delay in [base / 2, base].
+        half = retry_storm_arrivals(200, 10.0, 0.5, seed=11, bucket_s=5.0)
+        assert half[0] == 0 and sum(half) == 200
 
-    def test_jitter_zero_still_consumes_a_draw(self):
+    def test_jitter_zero_still_consumes_a_draw(self, fixed_stream):
         """Draw alignment: toggling jitter must not shift the stream."""
-        plain = RetryPolicy(RetryConfig(jitter=0.0), seed=3)
-        jittered = RetryPolicy(RetryConfig(jitter=1.0), seed=3)
-        plain.backoff_s(1)
-        jittered.backoff_s(1)
-        # Both consumed exactly one draw: their next draws agree.
-        assert plain._stream.random() == jittered._stream.random()
-
-    def test_attempt_budget(self):
-        policy = RetryPolicy(RetryConfig(max_attempts=3))
-        assert policy.max_retries == 2
-        assert policy.should_retry(1)
-        assert policy.should_retry(2)
-        assert not policy.should_retry(3)
-        with pytest.raises(ValueError):
-            policy.should_retry(0)
-        with pytest.raises(ValueError):
-            policy.backoff_s(3)
-
-    def test_amplification_accounting(self):
-        policy = RetryPolicy(RetryConfig(max_attempts=3))
-        for _ in range(4):
-            policy.note_first_attempt()
-        policy.note_retry()
-        assert policy.first_attempts == 4
-        assert policy.retries == 1
-        assert policy.amplification_bound() == 8
+        assert retry_storm_arrivals(4, 1.0, 0.0, bucket_s=0.25) \
+            == [0, 0, 0, 0, 4]
+        assert fixed_stream.taken == 4
+        retry_storm_arrivals(4, 1.0, 1.0, bucket_s=0.25)
+        assert fixed_stream.taken == 8
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
+        {"base_backoff_s": math.nan},
         {"base_backoff_s": 0.0},
-        {"multiplier": 0.5},
-        {"max_backoff_s": 0.1},
+        {"base_backoff_s": math.inf},
+        {"bucket_s": math.nan},
         {"jitter": 1.1},
+        {"bucket_s": math.inf},
+        {"jitter": math.nan},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryConfig(**kwargs)
+        args = {"base_backoff_s": 10.0, "jitter": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            retry_storm_arrivals(10, **args)
 
     def test_storm_synchronized_is_one_spike(self):
-        config = RetryConfig(base_backoff_s=10.0, jitter=0.0)
-        buckets = retry_storm_arrivals(500, config, seed=5)
+        buckets = retry_storm_arrivals(500, 10.0, 0.0, seed=5)
         assert buckets[10] == 500
         assert sum(buckets) == 500
 
     def test_storm_jitter_spreads_population(self):
-        config = RetryConfig(base_backoff_s=10.0, jitter=1.0)
-        buckets = retry_storm_arrivals(500, config, seed=5)
+        buckets = retry_storm_arrivals(500, 10.0, 1.0, seed=5)
         assert sum(buckets) == 500
         assert max(buckets) < 500
         assert sum(1 for count in buckets if count) > 1
 
     def test_storm_edge_cases(self):
-        assert retry_storm_arrivals(0, RetryConfig()) == []
-        with pytest.raises(ValueError):
-            retry_storm_arrivals(-1, RetryConfig())
-        with pytest.raises(ValueError):
-            retry_storm_arrivals(1, RetryConfig(), bucket_s=0.0)
+        assert retry_storm_arrivals(0, 0.5, 1.0) == []
+        with pytest.raises(ValueError, match="session count"):
+            retry_storm_arrivals(-1, 0.5, 1.0)
+        with pytest.raises(ValueError, match="bucket_s"):
+            retry_storm_arrivals(1, 0.5, 1.0, bucket_s=0.0)
 
 
 # ---------------------------------------------------------------------------
 # unit: the composed policy set
 # ---------------------------------------------------------------------------
 class TestResiliencePolicies:
-    def test_everything_off_is_pass_through(self):
-        policies = ResiliencePolicies(ResilienceConfig())
-        assert policies.breaker_for(1) is None
-        assert policies.allow_dispatch(1, 0.0)
-        policies.record_dispatch(1, 0.0, ok=False)  # no breaker: no-op
-        assert policies.breakers == {}
-        assert policies.retry is None
-        assert policies.stats() == {"breakers": {}}
-
     def test_breakers_are_lazy_and_per_service(self):
-        policies = ResiliencePolicies(ResilienceConfig(
-            breaker=BreakerConfig(min_requests=1)))
+        policies = ResiliencePolicies(BreakerConfig(min_requests=1))
         assert policies.breakers == {}
         policies.record_dispatch(7, 0.0, ok=False)
         policies.record_dispatch(9, 0.0, ok=True)
         assert sorted(policies.breakers) == [7, 9]
-        assert policies.breaker_state(7) == "open"
-        assert policies.breaker_state(9) == "closed"
-        assert policies.breaker_state(999) == "closed"  # never dispatched
+        assert policies.breakers[7].state == "open"
+        assert policies.breakers[9].state == "closed"
+        assert not policies.allow_dispatch(7, 0.0)
+        assert policies.allow_dispatch(9, 0.0)
 
     def test_stats_snapshot_is_picklable(self):
-        policies = ResiliencePolicies(ResilienceConfig(
-            breaker=BreakerConfig(min_requests=1),
-            retry=RetryConfig()))
+        policies = ResiliencePolicies(BreakerConfig(min_requests=1))
         policies.record_dispatch(1, 0.0, ok=False)
         stats = pickle.loads(pickle.dumps(policies.stats()))
-        assert sorted(stats) == ["breakers", "retry"]
+        assert sorted(stats) == ["breakers"]
         assert stats["breakers"][1]["state"] == "open"
-        assert stats["retry"]["retries"] == 0
+        assert stats["breakers"][1]["times_opened"] == 1
 
 
 # ---------------------------------------------------------------------------
-# chaos coverage: each policy under an armed FaultPlan, zero violations
+# the request path: an installed policy set is never consulted
 # ---------------------------------------------------------------------------
-def _protected_testbed(config, seed=7):
-    run = build_testbed("canal", seed=seed)
-    policies = ResiliencePolicies(config, seed=seed, name="testbed")
-    run.mesh.gateway.install_resilience(policies)
-    return run, policies
-
-
 def _request_at(run, at, responses, service="svc1"):
     mesh, sim = run.mesh, run.sim
 
@@ -287,81 +277,6 @@ def _request_at(run, at, responses, service="svc1"):
     run.sim.process(scenario())
 
 
-class TestChaosUnderPolicy:
-    """Each mechanism rides through a real armed FaultPlan and the
-    invariant auditor (including the two new resilience checks) stays
-    clean."""
-
-    def test_breaker_full_lifecycle_under_backend_crash(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            breaker=BreakerConfig(window_s=30.0, min_requests=1,
-                                  failure_threshold=0.5,
-                                  open_duration_s=3.0, close_after=1)))
-        engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="backend_crash", at=0.5, target="service:1/backend:0",
-            duration_s=5.0)))
-        responses = {}
-        _request_at(run, 1.0, responses)   # fails: trips the breaker
-        _request_at(run, 2.0, responses)   # fast-failed while open
-        _request_at(run, 6.0, responses)   # probe after heal: closes
-        run.sim.run()
-        sid = run.mesh.tenant_service("svc1").service_id
-        breaker = policies.breakers[sid]
-        assert responses[1.0].status == 503
-        assert responses[2.0].status == 503
-        assert responses[6.0].ok
-        assert breaker.state == "closed"
-        assert breaker.times_opened == 1
-        assert breaker.fast_failures >= 1
-        assert [(f, t) for _t, f, t, _r in breaker.transitions] == [
-            ("closed", "open"), ("open", "half_open"),
-            ("half_open", "closed")]
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
-
-    def test_retry_rides_out_a_crash_window(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            retry=RetryConfig(max_attempts=3, base_backoff_s=1.0,
-                              multiplier=2.0, max_backoff_s=4.0,
-                              jitter=0.0)))
-        engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="backend_crash", at=0.5, target="service:1/backend:0",
-            duration_s=1.0)))
-        responses = {}
-        # First attempt at t=1.0 lands in the outage; the 1 s backoff
-        # (jitter 0) lands the retry after the t=1.5 recovery.
-        _request_at(run, 1.0, responses)
-        run.sim.run()
-        assert responses[1.0].ok
-        assert policies.retry.first_attempts == 1
-        assert policies.retry.retries == 1
-        assert policies.retry.retries <= policies.retry.amplification_bound()
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
-
-    def test_retry_budget_exhausts_into_503(self):
-        run, policies = _protected_testbed(ResilienceConfig(
-            retry=RetryConfig(max_attempts=2, base_backoff_s=0.5,
-                              multiplier=2.0, max_backoff_s=4.0,
-                              jitter=0.0)))
-        engine = FaultEngine(run.sim, gateway=run.mesh.gateway)
-        engine.arm(FaultPlan.of(Fault(
-            kind="backend_crash", at=0.5, target="service:1/backend:0",
-            duration_s=30.0)))
-        responses = {}
-        _request_at(run, 1.0, responses)
-        run.sim.run()
-        assert responses[1.0].status == 503
-        assert policies.retry.retries == 1  # budget: one retry, then give up
-        assert engine.auditor.check("final") > 0
-        assert engine.auditor.violations == []
-
-
-# ---------------------------------------------------------------------------
-# equivalence: an installed policy set that never acts moves nothing
-# ---------------------------------------------------------------------------
 def _request_outcomes(policies, requests=30):
     """Send ``requests`` overlapping requests through the fault-free
     Canal testbed; return each one's ``(status, latency_s, served_by)``
@@ -381,23 +296,14 @@ def _request_outcomes(policies, requests=30):
 class TestIdlePoliciesLeaveModelUnchanged:
     def test_request_outcomes_identical_with_and_without_policies(self):
         bare = _request_outcomes(None)
-        empty = _request_outcomes(ResiliencePolicies(ResilienceConfig()))
-        idle = ResiliencePolicies(
-            ResilienceConfig(breaker=BreakerConfig(), retry=RetryConfig()),
-            seed=11, name="testbed")
-        armed = _request_outcomes(idle)
+        policies = ResiliencePolicies(BreakerConfig())
+        installed = _request_outcomes(policies)
         assert len(bare) == 30
         assert {status for status, _latency, _by in bare} == {200}
         assert len({by for _status, _latency, by in bare}) > 1
-        assert empty == bare
-        assert armed == bare
-        # The armed set really sat on the request path, and never acted.
-        stats = idle.stats()
-        assert stats["retry"]["first_attempts"] == 30
-        assert stats["retry"]["retries"] == 0
-        assert len(stats["breakers"]) == 2
-        assert all(breaker["times_opened"] == 0
-                   for breaker in stats["breakers"].values())
+        assert installed == bare
+        # Requests neither gate on nor feed a breaker: none is created.
+        assert policies.breakers == {}
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +355,7 @@ class TestBreakerContainment:
 
 
 # ---------------------------------------------------------------------------
-# auditor: the two new invariants actually fire
+# auditor: the breaker-legality invariant actually fires
 # ---------------------------------------------------------------------------
 def _policed_gateway():
     sim = Simulator(3)
@@ -463,8 +369,7 @@ def _policed_gateway():
     tenant = gateway.registry.add_tenant("t1")
     service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
     gateway.register_service(service)
-    policies = ResiliencePolicies(ResilienceConfig(
-        breaker=BreakerConfig(), retry=RetryConfig()))
+    policies = ResiliencePolicies(BreakerConfig())
     gateway.install_resilience(policies)
     return gateway, policies, service.service_id
 
@@ -485,23 +390,13 @@ class TestAuditorResilienceChecks:
         with pytest.raises(InvariantViolation, match="breaker-legality"):
             auditor.check("forged-edge")
 
-    def test_retry_amplification_cap_is_a_violation(self):
-        gateway, policies, _sid = _policed_gateway()
-        policies.retry.note_first_attempt()
-        policies.retry.retries = 7  # bound is 1 x 2 = 2
-        auditor = InvariantAuditor(gateway=gateway,
-                                   raise_on_violation=False)
-        auditor.check("amplified")
-        assert [v.invariant for v in auditor.violations] \
-            == ["retry-amplification"]
-
     def test_unprotected_gateway_skips_resilience_checks(self):
         gateway, _policies, _sid = _policed_gateway()
         gateway.resilience = None
         baseline = InvariantAuditor(gateway=gateway).check("bare")
         gateway2, _p, _s = _policed_gateway()
         assert InvariantAuditor(gateway=gateway2).check("policed") \
-            == baseline + 2
+            == baseline + 1
 
 
 # ---------------------------------------------------------------------------
