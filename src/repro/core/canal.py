@@ -292,24 +292,22 @@ class CanalMesh(GatewayMesh):
 
         yield from client_proxy.process_message(
             client_pod.name, connection.service,
-            request.body_bytes, request.response_bytes, trace=handle)
-        yield self.sim.timeout(hop)
+            request.body_bytes, request.response_bytes, trace=handle,
+            after_s=hop)
         try:
+            # Then the hop on to the server node, plus one intra-gateway
+            # hop per redirection hop in the replica chain.
             result = yield from self.gateway.process_request(
                 service_id, flow, is_syn=connection.requests_sent == 0,
                 client_az=connection.meta["client_az"], trace=handle,
-                route_cache=connection.meta)
+                route_cache=connection.meta, hop_s=hop, onward_hops=1)
         except (NoBackendAvailable, ResolutionError):
             return self._respond(503, start, connection, handle)
-        # The hop on to the server node, plus one intra-gateway hop per
-        # redirection hop in the replica chain.
-        yield self.sim.timeout((result.redirection_hops + 1) * hop)
-        yield from server_proxy.process_message(
+        # Then the app, and the response back through the gateway.
+        app_start = yield from server_proxy.process_message(
             server_pod.name, connection.service,
-            request.response_bytes, request.body_bytes, trace=handle)
-        # The app, then the response back through the gateway.
-        app_start = self.sim.now
-        yield self.sim.timeout(self.costs.app_service_time_s + 2 * hop)
+            request.response_bytes, request.body_bytes, trace=handle,
+            after_s=self.costs.app_service_time_s + 2 * hop)
         if handle is not None:
             handle.add("app-exec", "app", app_start,
                        app_start + self.costs.app_service_time_s,

@@ -378,8 +378,14 @@ class MeshGateway:
 
     def process_request(self, service_id: int, flow: FiveTuple,
                         is_syn: bool, client_az: str, route_cache: dict,
-                        trace=None, parent_id: int = 1):
+                        trace=None, parent_id: int = 1, hop_s: float = 0.0,
+                        onward_hops: int = 0, onward_s: float = 0.0):
         """Process generator: deliver + execute one request's L7 work.
+
+        The replica's work and the fixed delay after it are one wait:
+        one ``hop_s`` per redirection hop in the replica chain, plus
+        ``onward_hops`` more, plus ``onward_s``. The caller names the
+        terms; the chain's length is known only here, at delivery.
 
         With a ``trace`` handle, the whole gateway pass becomes an
         ``l7`` span under ``parent_id`` — annotated with the LB pick
@@ -394,13 +400,15 @@ class MeshGateway:
             self._track_session(service_id, flow, result.replica)
         service = self.registry.services.get(service_id)
         weight = service.request_weight if service is not None else 1.0
-        yield from result.replica.process_request(weight, trace=trace,
-                                                  parent_id=l7_id)
+        end = yield from result.replica.process_request(
+            weight, trace=trace, parent_id=l7_id,
+            after_s=((result.redirection_hops + onward_hops) * hop_s
+                     + onward_s))
         get_telemetry().inc("gateway_requests_total",
                             service=str(service_id),
                             replica=result.replica.name)
         if trace is not None:
-            trace.add("gateway-l7", "l7", start, self.sim.now,
+            trace.add("gateway-l7", "l7", start, end,
                       parent_id=parent_id, span_id=l7_id,
                       source=f"gateway/{result.replica.name}",
                       replica=result.replica.name,

@@ -46,17 +46,22 @@ class OnNodeProxy:
                 + self.costs.symmetric_cost(nbytes))
 
     def process_message(self, pod: str, service: str, bytes_out: int,
-                        bytes_in: int, trace=None, parent_id: int = 1):
-        """Process generator: redirect + L4 + crypto + observability.
+                        bytes_in: int, trace=None, parent_id: int = 1,
+                        after_s: float = 0.0):
+        """Process generator: redirect + L4 + crypto + observability,
+        then ``after_s`` of fixed delay in the same wait; returns the
+        time the pass ended.
 
         With a ``trace`` handle, the pass becomes an ``l4`` span under
         ``parent_id``, carrying the per-pod byte labels.
         """
         cost = self.data_path_cost_s(bytes_out + bytes_in)
-        yield self.tier.work(cost, trace=trace, parent_id=parent_id,
-                             name="onnode-l4", layer="l4", pod=pod,
-                             bytes_out=bytes_out, bytes_in=bytes_in)
+        end = yield self.tier.work(cost, trace=trace, parent_id=parent_id,
+                                   name="onnode-l4", layer="l4", pod=pod,
+                                   bytes_out=bytes_out, bytes_in=bytes_in,
+                                   after_s=after_s)
         self.record_flow(pod, service, bytes_out, bytes_in)
+        return end
 
     def record_flow(self, pod: str, service: str, bytes_out: int,
                     bytes_in: int) -> None:

@@ -188,18 +188,17 @@ class ProxylessCanalMesh(GatewayMesh):
 
         yield self.sim.timeout(hop)
         try:
+            # Then one intra-gateway hop per redirection hop in the
+            # replica chain, the hop on to the server app, the app, and
+            # the response back through the gateway.
             result = yield from self.gateway.process_request(
                 connection.meta["service_id"], connection.meta["flow"],
                 is_syn=connection.requests_sent == 0,
                 client_az=connection.meta["client_az"], trace=handle,
-                route_cache=connection.meta)
+                route_cache=connection.meta, hop_s=hop, onward_hops=3,
+                onward_s=self.costs.app_service_time_s)
         except (NoBackendAvailable, ResolutionError):
             return self._respond(503, start, connection, handle)
-        # One intra-gateway hop per redirection hop in the replica chain,
-        # the hop on to the server app, the app, then the response back
-        # through the gateway.
-        yield self.sim.timeout((result.redirection_hops + 3) * hop
-                               + self.costs.app_service_time_s)
         return self._respond(200, start, connection, handle,
                              served_by=result.replica.name)
 

@@ -116,8 +116,10 @@ class Replica:
         return self._cpu
 
     def process_request(self, weight: float = 1.0, trace=None,
-                        parent_id: int = 1):
-        """Process generator: execute one L7 request on this replica.
+                        parent_id: int = 1, after_s: float = 0.0):
+        """Process generator: execute one L7 request on this replica,
+        then ``after_s`` of fixed delay in the same wait; returns the
+        time the execution ended.
 
         With a ``trace`` handle, the replica's CPU occupancy (queueing
         included) becomes an ``l7`` span under ``parent_id``.
@@ -127,11 +129,12 @@ class Replica:
                                    self.config.request_cost_s * weight,
                                    self.config.request_cost_sigma)
         start = self.sim.now
-        yield self.cpu.run(cost)
+        end = yield self.cpu.run(cost, after_s)
         if trace is not None:
-            trace.add("replica-exec", "l7", start, self.sim.now,
+            trace.add("replica-exec", "l7", start, end,
                       parent_id=parent_id, source=f"replica/{self.name}",
                       cpu_s=cost)
+        return end
 
     # -- fluid mode -----------------------------------------------------------
     def set_service_rps(self, service_id: int, rps: float,

@@ -17,7 +17,7 @@ every flush bumps: a timer that fires under an older epoch does
 nothing. A batch without a CPU completes through one callback; with a
 CPU (the local engine) a zero-delay call puts it on
 ``CpuResource.run``, and it completes in a callback on that event,
-after the core is given back.
+which fires when the CPU work ends.
 
 One batch, one event: all ops of a batch share the event ``submit``
 returns, and a completion succeeds it once. Its waiters wake in the

@@ -90,31 +90,33 @@ class AmbientMesh(SoftwareMtlsMesh):
         ztunnel_cost = (self.costs.ambient_ztunnel_l4_s
                         + self.costs.symmetric_cost(request.total_bytes))
 
+        # One intermediate hop to the waypoint (placed on a cluster
+        # node, so an intra-AZ hop) and one onwards to the server; an
+        # L4-only service goes straight to the server.
+        l7 = self.l7_enabled(connection.service)
         yield self._tier_for(client_pod).work(
             ztunnel_cost, trace=handle, name="ztunnel-l4",
             pod=client_pod.name, bytes_out=request.body_bytes,
-            bytes_in=request.response_bytes)
-        if self.l7_enabled(connection.service):
-            # One intermediate hop to the waypoint (placed on a cluster
-            # node, so an intra-AZ hop) and one onwards to the server.
-            yield self.sim.timeout(self.latency_model.intra_az)
+            bytes_in=request.response_bytes,
+            after_s=(self.latency_model.intra_az if l7
+                     else connection.one_way_s))
+        if l7:
             if not self.authorize(connection.service, request):
                 return self._respond(403, start, connection, handle)
             assert self._waypoint_pool is not None
             yield self._waypoint_pool.work(sample_service_time(
                 self.sim.rng, self.costs.ambient_waypoint_l7_s,
                 self.costs.ambient_l7_sigma), trace=handle,
-                name="waypoint-l7", layer="l7")
+                name="waypoint-l7", layer="l7",
+                after_s=connection.one_way_s)
             self.waypoint_requests[connection.service] = (
                 self.waypoint_requests.get(connection.service, 0) + 1)
-        yield self.sim.timeout(connection.one_way_s)
+        # Then the app, and the response hop.
         yield self._tier_for(server_pod).work(
             ztunnel_cost, trace=handle, name="ztunnel-l4",
             pod=server_pod.name, bytes_out=request.response_bytes,
-            bytes_in=request.body_bytes)
-        # The app, then the response hop.
-        yield self.sim.timeout(self.costs.app_service_time_s
-                               + connection.one_way_s)
+            bytes_in=request.body_bytes,
+            after_s=self.costs.app_service_time_s + connection.one_way_s)
         return self._respond(200, start, connection, handle,
                              served_by=server_pod.name)
 

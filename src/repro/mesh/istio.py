@@ -157,27 +157,25 @@ class IstioMesh(SoftwareMtlsMesh):
                 self.sim.rng, self.costs.istio_sidecar_l7_s,
                 self.costs.istio_l7_sigma)
 
-        # Client sidecar: redirect out + L7 + encrypt. Both sidecar
-        # passes are full L7 proxies, so their spans land in the l7
-        # layer (the sidecar has no split l4/l7 like Canal).
+        # Client sidecar: redirect out + L7 + encrypt, then the hop.
+        # Both sidecar passes are full L7 proxies, so their spans land
+        # in the l7 layer (the sidecar has no split l4/l7 like Canal).
         yield self._tier_for(client_pod).work(
             side_cost(), trace=handle, name="sidecar-l7", layer="l7",
             pod=client_pod.name, bytes_out=request.body_bytes,
-            bytes_in=request.response_bytes)
-        yield self.sim.timeout(connection.one_way_s)
+            bytes_in=request.response_bytes,
+            after_s=connection.one_way_s)
         # Server sidecar: decrypt + L7 + authorization + redirect in.
         if not self.authorize(connection.service, request):
             return self._respond(403, start, connection, handle)
-        yield self._tier_for(server_pod).work(
-            side_cost(), trace=handle, name="sidecar-l7", layer="l7",
-            pod=server_pod.name, bytes_out=request.response_bytes,
-            bytes_in=request.body_bytes)
-        # The application itself, then the response network hop
+        # Then the application itself, and the response network hop
         # (response-side proxy work is folded into the per-side cost
         # above).
-        app_start = self.sim.now
-        yield self.sim.timeout(self.costs.app_service_time_s
-                               + connection.one_way_s)
+        app_start = yield self._tier_for(server_pod).work(
+            side_cost(), trace=handle, name="sidecar-l7", layer="l7",
+            pod=server_pod.name, bytes_out=request.response_bytes,
+            bytes_in=request.body_bytes,
+            after_s=self.costs.app_service_time_s + connection.one_way_s)
         if handle is not None:
             handle.add("app-exec", "app", app_start,
                        app_start + self.costs.app_service_time_s,

@@ -32,19 +32,20 @@ class ProxyTier:
 
     def work(self, cpu_seconds: float, trace=None, parent_id: int = 1,
              name: str = "proxy-work", layer: str = "l4", pod: str = "",
-             bytes_out: int = 0, bytes_in: int = 0) -> Event:
-        """Hold one core for ``cpu_seconds``; returns the event the
-        work ends on (see :meth:`CpuResource.run`).
+             bytes_out: int = 0, bytes_in: int = 0,
+             after_s: float = 0.0) -> Event:
+        """Hold one core for ``cpu_seconds``; returns the event that
+        fires ``after_s`` after the work ends, valued with the time it
+        ended (see :meth:`CpuResource.run`).
 
         With a ``trace`` (an :class:`repro.obs.trace.TraceHandle`), the
         whole occupancy — queueing for a core *plus* execution — is
         recorded as one span under ``parent_id``, so tier contention is
-        visible in the per-layer latency waterfall. The span is added
-        by a callback on the event, after the core is given back and
-        before the caller resumes.
+        visible in the per-layer latency waterfall. The span ends when
+        the work does, and is added by a callback on the event, before
+        the caller resumes.
         """
-        if cpu_seconds < 0:
-            raise ValueError(f"negative work: {cpu_seconds}")
+        done = self.cpu.run(cpu_seconds, after_s)
         self.requests_processed += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
@@ -58,12 +59,11 @@ class ProxyTier:
                                      tier=self.name))
             metrics[1].inc()
             metrics[2].observe(cpu_seconds)
-        done = self.cpu.run(cpu_seconds)
         if trace is not None:
             start = self.sim.now
 
-            def add_span(_done: Event) -> None:
-                trace.add(name, layer, start, self.sim.now,
+            def add_span(event: Event) -> None:
+                trace.add(name, layer, start, event.value,
                           parent_id=parent_id, source=self.name, pod=pod,
                           bytes_out=bytes_out, bytes_in=bytes_in,
                           cpu_s=cpu_seconds)

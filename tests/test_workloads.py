@@ -133,22 +133,23 @@ class TestSimulationCost:
     and a free core is taken without an agenda entry, so each request
     is one process. A process nothing waits on ends without an entry,
     and the drivers join by count, not over every request's process.
-    Back-to-back fixed delays share one timeout. Re-spawning any
-    sub-step adds about two entries and one process per request, and
-    splitting a merged timeout adds one entry; either trips these
-    ceilings.
+    Back-to-back fixed delays share one timeout, and CPU work shares
+    one wait with the fixed delay after it, queued or not. Re-spawning
+    any sub-step adds about two entries and one process per request,
+    and splitting a merged timeout or wait adds one entry; either trips
+    these ceilings.
     """
 
     #: (driver, mesh) -> (offered rps, max events per request, max
     #: processes per request). The open-loop rates are the e2e
     #: datapath's (~70% of each knee); short flows run at the e2e
     #: shortflow rate, each with a fresh mTLS handshake.
-    CEILINGS = {(OpenLoopDriver, "canal"): (7700.0, 10.0, 1.2),
-                (OpenLoopDriver, "istio"): (1000.0, 7.5, 1.2),
-                (OpenLoopDriver, "ambient"): (4200.0, 10.2, 1.2),
-                (ShortFlowDriver, "canal"): (200.0, 26.0, 1.2),
-                (ShortFlowDriver, "istio"): (200.0, 19.0, 1.2),
-                (ShortFlowDriver, "ambient"): (200.0, 22.8, 1.2)}
+    CEILINGS = {(OpenLoopDriver, "canal"): (7700.0, 5.7, 1.2),
+                (OpenLoopDriver, "istio"): (1000.0, 4.7, 1.2),
+                (OpenLoopDriver, "ambient"): (4200.0, 5.7, 1.2),
+                (ShortFlowDriver, "canal"): (200.0, 16.5, 1.2),
+                (ShortFlowDriver, "istio"): (200.0, 15.5, 1.2),
+                (ShortFlowDriver, "ambient"): (200.0, 16.5, 1.2)}
 
     def test_request_path_stays_cheap_to_simulate(self, monkeypatch):
         constructed = [0]
