@@ -10,22 +10,19 @@ sessions pinned while steering new ones away.
 Run:  python examples/failure_drill.py
 """
 
-from repro.core import (
-    DisaggregatedLB,
-    FailureInjector,
-    Replica,
-    availability_report,
-)
+from repro.core import DisaggregatedLB, Replica
 from repro.core.replica import ReplicaConfig
 from repro.experiments.cloud_ops import build_production_gateway
+from repro.faults import Fault, FaultEngine, FaultPlan
 from repro.netsim import FiveTuple
 from repro.simcore import Simulator
 
 
 def summarize(gateway, label):
-    report = availability_report(gateway)
-    down = [sid for sid, up in report.items() if not up]
-    print(f"  [{label}] services up: {sum(report.values())}/{len(report)}"
+    down = [sid for sid in gateway.service_backends
+            if gateway.service_outage(sid)]
+    total = len(gateway.service_backends)
+    print(f"  [{label}] services up: {total - len(down)}/{total}"
           + (f"  DOWN: {down}" if down else ""))
 
 
@@ -36,7 +33,6 @@ def hierarchy_drill() -> None:
         sim, azs=3, backends_per_az=6, services=10)
     for service in services:
         gateway.set_service_load(service.service_id, 20_000.0)
-    injector = FailureInjector(sim, gateway)
     victim_service = services[0]
     victim_backends = gateway.service_backends[victim_service.service_id]
     print(f"service under test: {victim_service.qualified_name} on "
@@ -44,32 +40,35 @@ def hierarchy_drill() -> None:
 
     replica = victim_backends[0].replicas[0]
     replica.add_sessions(5_000)
-    event = injector.fail_replica(victim_backends[0].name, replica.name)
+    disrupted = gateway.fail_replica(victim_backends[0].name, replica.name)
     print(f"\nlevel 1 — replica {replica.name} fails "
-          f"({event.sessions_disrupted} sessions briefly disrupted, "
+          f"({disrupted} sessions briefly disrupted, "
           f"re-established on siblings)")
     summarize(gateway, "replica down")
 
-    injector.fail_backend(victim_backends[0].name)
+    gateway.fail_backend(victim_backends[0].name)
     print(f"\nlevel 2 — backend {victim_backends[0].name} fails entirely")
     summarize(gateway, "backend down")
 
-    injector.fail_az("az1")
+    gateway.fail_az("az1")
     print("\nlevel 3 — all of az1 goes dark (power outage)")
     summarize(gateway, "az1 down")
     record = gateway.dns.resolve(
         f"svc-{victim_service.service_id}.mesh.gateway", client_az="az1")
     print(f"  DNS for an az1 client now resolves to: {record.az}")
-    injector.recover_az("az1")
-    injector.recover_backend(victim_backends[0].name)
+    gateway.recover_az("az1")
+    gateway.recover_backend(victim_backends[0].name)
 
     print("\nquery of death — every backend of the victim service dies:")
-    injector.query_of_death(victim_service.service_id)
+    FaultEngine(sim, gateway=gateway).arm(FaultPlan.of(Fault(
+        kind="query_of_death", at=sim.now,
+        target=str(victim_service.service_id))))
+    sim.run()
     summarize(gateway, "query of death")
-    report = availability_report(gateway)
-    survivors = sum(1 for sid, up in report.items()
-                    if up and sid != victim_service.service_id)
-    print(f"  shuffle sharding kept {survivors} of {len(report) - 1} "
+    survivors = sum(1 for sid in gateway.service_backends
+                    if sid != victim_service.service_id
+                    and not gateway.service_outage(sid))
+    print(f"  shuffle sharding kept {survivors} of {len(services) - 1} "
           f"other services fully available")
 
 

@@ -25,7 +25,6 @@ from .economics import (
     cost_reduction,
     deployment_footprint,
 )
-from .failure import FailureEvent, FailureInjector, availability_report
 from .gateway import GatewayConfig, MeshGateway, NoBackendAvailable
 from .healthcheck import (
     HealthCheckPlan,
@@ -78,8 +77,6 @@ __all__ = [
     "Eni",
     "EniLimitExceeded",
     "EniRegistry",
-    "FailureEvent",
-    "FailureInjector",
     "FallbackEngine",
     "FlowStore",
     "GatewayConfig",
@@ -118,7 +115,6 @@ __all__ = [
     "TenantRegistry",
     "TenantService",
     "VmFootprint",
-    "availability_report",
     "classify",
     "cost_reduction",
     "deployment_footprint",

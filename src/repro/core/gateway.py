@@ -90,9 +90,12 @@ class MeshGateway:
         #: backends; see sandbox.py).
         self.sandboxed: Dict[int, Backend] = {}
         #: Installed resilience policy set (None = unprotected). Only
-        #: the query-of-death cascade (``FailureInjector``) and the
-        #: invariant auditor read it; the request path never does.
+        #: the fault engine's query-of-death cascade and the invariant
+        #: auditor read it; the request path never does.
         self.resilience: Optional[ResiliencePolicies] = None
+        #: (service, flow) → incarnation of the replica that took the
+        #: flow's session entry: a close frees only that entry.
+        self._flow_incarnations: Dict[Tuple[int, FiveTuple], int] = {}
         self._backend_counter = 0
 
     def install_resilience(self, policies: ResiliencePolicies) -> None:
@@ -285,42 +288,61 @@ class MeshGateway:
             self.set_service_sessions(service_id, sessions)
 
     # -- failure handling -------------------------------------------------------------
-    def fail_backend(self, name: str) -> None:
-        backend = self.backend_by_name(name)
-        backend.fail_all()
-        self._update_dns_health(backend.az)
+    # Each ``fail_*`` returns the sessions it disrupted, counted before
+    # the crash: a replica's session table dies with the VM. A target
+    # already down holds none, so re-failing it disrupts 0.
+    def fail_replica(self, backend_name: str, replica_name: str) -> int:
+        backend = self.backend_by_name(backend_name)
+        disrupted = backend.replica_by_name(replica_name).sessions_used
+        backend.fail_replica(replica_name)
+        self.update_dns_health(backend.az)
         self.refresh_loads()
+        return disrupted
+
+    def recover_replica(self, backend_name: str, replica_name: str) -> None:
+        backend = self.backend_by_name(backend_name)
+        backend.recover_replica(replica_name)
+        self.update_dns_health(backend.az)
+        self.refresh_loads()
+
+    def fail_backend(self, name: str) -> int:
+        backend = self.backend_by_name(name)
+        disrupted = sum(r.sessions_used for r in backend.replicas)
+        backend.fail_all()
+        self.update_dns_health(backend.az)
+        self.refresh_loads()
+        return disrupted
 
     def recover_backend(self, name: str) -> None:
         backend = self.backend_by_name(name)
         backend.recover_all()
-        self._update_dns_health(backend.az)
+        self.update_dns_health(backend.az)
         self.refresh_loads()
 
-    def fail_az(self, az: str) -> None:
+    def fail_az(self, az: str) -> int:
         """Power outage: every backend in the AZ goes down (§4.2)."""
-        for backend in self.backends_by_az.get(az, ()):
+        backends = self.backends_by_az.get(az, ())
+        disrupted = sum(r.sessions_used for b in backends
+                        for r in b.replicas)
+        for backend in backends:
             backend.fail_all()
-        self._update_dns_health(az)
+        self.update_dns_health(az)
         self.refresh_loads()
+        return disrupted
 
     def recover_az(self, az: str) -> None:
         for backend in self.backends_by_az.get(az, ()):
             backend.recover_all()
-        self._update_dns_health(az)
+        self.update_dns_health(az)
         self.refresh_loads()
 
     def update_dns_health(self, az: str) -> None:
         """Re-derive per-service DNS health for one AZ.
 
-        Needed whenever replica health changes *below* the
-        backend-level failure API (e.g. replica-scoped fault
-        injection): an AZ whose last replica dies must stop resolving,
-        and one whose first replica returns must resolve again.
+        Every health change calls this, replica-scoped ones included:
+        an AZ whose last replica dies must stop resolving, and one whose
+        first replica returns must resolve again.
         """
-        self._update_dns_health(az)
-
-    def _update_dns_health(self, az: str) -> None:
         for service_id, backends in self.service_backends.items():
             az_backends = [b for b in backends if b.az == az]
             if not az_backends:
@@ -434,11 +456,18 @@ class MeshGateway:
             raise NoBackendAvailable(
                 f"replica {replica.name}'s session table is exhausted "
                 f"({replica.config.session_capacity} entries) — scale out")
+        self._flow_incarnations[(service_id, flow)] = replica.incarnation
 
     def close_flow(self, service_id: int, flow: FiveTuple) -> None:
-        """Tear down one user flow's state (connection close)."""
+        """Tear down one user flow's state (connection close).
+
+        The flow's session entry is freed only if its owner has not
+        crashed since taking it: a crash already dropped it, and a
+        recovered replica's entries belong to later flows.
+        """
         owner = self._release_flow(service_id, flow)
-        if owner is not None:
+        taken = self._flow_incarnations.pop((service_id, flow), None)
+        if owner is not None and taken == owner.incarnation:
             owner.remove_sessions(1)
 
     def _release_flow(self, service_id: int,

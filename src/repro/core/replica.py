@@ -93,6 +93,9 @@ class Replica:
         self._water: Optional[float] = None
         # Session accounting (underlay sessions on the SmartNIC).
         self.sessions_used = 0
+        #: Crashes so far: a session entry taken before the latest one
+        #: died with it.
+        self.incarnation = 0
         self.requests_served = 0
         self._cpu: Optional[CpuResource] = None
 
@@ -196,15 +199,13 @@ class Replica:
         return True
 
     def remove_sessions(self, count: int) -> None:
-        """Free session-table entries.
-
-        Removing more than are held floors at 0: ``MeshGateway.close_flow``
-        closes flows on a replica whose :meth:`fail` already zeroed the
-        table.
-        """
+        """Free session-table entries; freeing more than are held raises."""
         if count < 0:
             raise ValueError(f"negative session count {count}")
-        self.sessions_used = max(0, self.sessions_used - count)
+        if count > self.sessions_used:
+            raise ValueError(f"replica {self.name} frees {count} sessions "
+                             f"but holds {self.sessions_used}")
+        self.sessions_used -= count
 
     def session_utilization(self) -> float:
         return self.sessions_used / self.config.session_capacity
@@ -217,6 +218,7 @@ class Replica:
         disrupted = self.sessions_used
         self.healthy = False
         self.sessions_used = 0
+        self.incarnation += 1
         return disrupted
 
     def recover(self) -> None:

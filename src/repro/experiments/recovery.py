@@ -119,7 +119,7 @@ def _fig8_seed_run(spec: Tuple[int, str]) -> Dict[str, object]:
         "timeline": list(engine.timeline),
         "checks": auditor.checks_run,
         "violations": len(auditor.violations),
-        "disrupted": engine.injector.disrupted_by_scope(),
+        "disrupted": dict(engine.disrupted),
         "victims": {
             "replica": service_ids[0],
             "backend": service_ids[1],

@@ -108,12 +108,12 @@ def _chaos_run(seed: int, plan_json: str,
     engine.arm(plan)
 
     service_ids = sorted(gateway.service_backends)
-    qod_fault = next(f for f in plan.faults
-                     if f.kind == "query_of_death")
     qod_victim = service_ids[2]
+    victim_backends = gateway.service_backends[qod_victim]
     horizon = int(plan.horizon() + _TAIL_S)
     availability: List[float] = []
     victim_up: List[int] = []
+    victim_down: List[int] = []
     peers_up: List[int] = []
 
     def sample():
@@ -122,6 +122,8 @@ def _chaos_run(seed: int, plan_json: str,
                   for sid in service_ids}
             availability.append(sum(up.values()) / len(service_ids))
             victim_up.append(up[qod_victim])
+            victim_down.append(sum(not backend.is_healthy
+                                   for backend in victim_backends))
             peers_up.append(min(bit for sid, bit in up.items()
                                 if sid != qod_victim))
             yield sim.timeout(1.0)
@@ -129,19 +131,18 @@ def _chaos_run(seed: int, plan_json: str,
     sim.process(sample(), name="sampler")
     sim.run(until=horizon + 1.5)
 
-    crashed_in_qod = [event.target for event in engine.injector.events
-                      if event.scope == "backend"
-                      and event.failed_at == qod_fault.at]
     auditor = engine.auditor
     out: Dict[str, object] = {
         "availability": availability,
         "victim_up": victim_up,
         "peers_up": peers_up,
-        "qod_backends_crashed": len(crashed_in_qod),
-        "victim_backends": len(gateway.service_backends[qod_victim]),
+        # The cascade is the only fault open in the QoD window.
+        "qod_backends_crashed": max(_in_window(victim_down,
+                                               *_qod_window(plan))),
+        "victim_backends": len(victim_backends),
         "checks": auditor.checks_run,
         "violations": len(auditor.violations),
-        "disrupted": engine.injector.disrupted_by_scope(),
+        "disrupted": dict(engine.disrupted),
         "timeline": list(engine.timeline),
     }
     if protected:

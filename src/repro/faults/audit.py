@@ -16,7 +16,7 @@ it agrees with what the bookkeeping claims. The catalog:
     the assigned total, and — when any backend is available — fall
     short only by integer-division slack (< one share per target).
 ``availability-consistency``
-    ``availability_report`` equals availability re-derived from
+    ``MeshGateway.service_outage`` agrees with availability re-derived from
     backend/replica health (including the sandbox override); no
     service is marked up with zero live backends.
 ``dns-consistency``

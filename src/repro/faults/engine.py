@@ -2,12 +2,20 @@
 
 :meth:`FaultEngine.arm` walks a :class:`~repro.faults.plan.FaultPlan`
 and schedules one direct call per injection (and one per recovery,
-when the fault has a ``duration_s``) on the simulator's agenda via the
-allocation-free ``_schedule_call`` path. Everything after that is
+when the fault has a ``duration_s``) on the simulator's agenda through
+:meth:`~repro.simcore.Simulator.call_later`. Everything after that is
 ordinary discrete-event execution: faults fire at exact virtual times,
 tie-broken by plan order through the agenda's monotone sequence
 numbers, so a plan's effect is a pure function of (plan, seed) —
 independent of wall clock, worker count, or process interleaving.
+
+Injections and recoveries call the wired components directly: the
+gateway's ``fail_*``/``recover_*`` methods, which return the sessions a
+crash disrupted, and the CA. The query-of-death cascade lives here,
+its one caller. ``disrupted`` tallies the disrupted sessions per scope
+(``"replica"``, ``"backend"``, ``"az"``; the cascade's crashes count
+under ``"backend"``). A target already down holds no sessions, so
+overlapping faults never count a session twice.
 
 After every injection and recovery the engine appends an entry to its
 ``timeline``, the run's one fault record: sweep points return it,
@@ -30,8 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.failure import FailureInjector
 from ..obs.runtime import get_telemetry
+from ..resilience import QOD_FAILURES_PER_CRASH
 from ..simcore import Simulator
 from .audit import InvariantAuditor
 from .plan import Fault, FaultPlan, FaultPlanError
@@ -66,17 +74,17 @@ class FaultEngine:
         self.gateway = gateway
         self.controlplane = controlplane
         self.ca = ca
-        self.injector = (FailureInjector(sim, gateway)
-                         if gateway is not None else None)
         self.auditor = InvariantAuditor(gateway=gateway,
                                         controlplane=controlplane)
         #: Chronological record of every injection/recovery.
         self.timeline: List[Dict[str, object]] = []
-        self.armed_faults = 0
+        #: Sessions disrupted so far, per fault scope.
+        self.disrupted: Dict[str, int] = {}
 
     # -- arming --------------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
-        """Check every fault, then schedule them all; returns how many."""
+        """Check every fault, then schedule them all; returns the number
+        of faults this call armed."""
         for fault in plan.faults:
             component = _REQUIRES[fault.kind]
             if getattr(self, component) is None:
@@ -94,12 +102,11 @@ class FaultEngine:
             self._resolve(fault)
         for fault in plan.faults:
             delay = fault.at - self.sim.now
-            self.sim._schedule_call(self._fire, fault, delay)
+            self.sim.call_later(delay, self._fire, fault)
             if fault.duration_s is not None:
-                self.sim._schedule_call(self._heal, fault,
-                                        delay + fault.duration_s)
-            self.armed_faults += 1
-        return self.armed_faults
+                self.sim.call_later(delay + fault.duration_s, self._heal,
+                                    fault)
+        return len(plan.faults)
 
     # -- target resolution ---------------------------------------------------
     def _resolve(self, fault: Fault) -> None:
@@ -189,22 +196,23 @@ class FaultEngine:
 
     def _inject(self, fault: Fault) -> str:
         kind = fault.kind
+        gateway = self.gateway
         if kind == "replica_crash":
             backend_name, replica_name = self._resolve_replica(fault)
-            event = self.injector.fail_replica(backend_name, replica_name)
-            return f"{replica_name} ({event.sessions_disrupted} sessions)"
+            disrupted = self._tally("replica", gateway.fail_replica(
+                backend_name, replica_name))
+            return f"{replica_name} ({disrupted} sessions)"
         if kind == "backend_crash":
             name = self._resolve_backend(fault.target)
-            event = self.injector.fail_backend(name)
-            return f"{name} ({event.sessions_disrupted} sessions)"
+            disrupted = self._tally("backend", gateway.fail_backend(name))
+            return f"{name} ({disrupted} sessions)"
         if kind == "az_crash":
-            event = self.injector.fail_az(fault.target)
-            return f"{fault.target} ({event.sessions_disrupted} sessions)"
+            disrupted = self._tally("az", gateway.fail_az(fault.target))
+            return f"{fault.target} ({disrupted} sessions)"
         if kind == "query_of_death":
             service_id = self._resolve_service(fault.target)
-            events = self.injector.query_of_death(service_id)
-            return (f"service {service_id} "
-                    f"({len(events)} backends cascaded)")
+            crashed = self._query_of_death(service_id)
+            return f"service {service_id} ({crashed} backends cascaded)"
         if kind == "cert_rotation_failure":
             generation = self.ca.rotate_secret()
             return f"CA secret rotated to gen{generation}, certs orphaned"
@@ -212,25 +220,54 @@ class FaultEngine:
 
     def _recover(self, fault: Fault) -> str:
         kind = fault.kind
+        gateway = self.gateway
         if kind == "replica_crash":
             backend_name, replica_name = self._resolve_replica(fault)
-            self.injector.recover_replica(backend_name, replica_name)
+            gateway.recover_replica(backend_name, replica_name)
             return replica_name
         if kind == "backend_crash":
             name = self._resolve_backend(fault.target)
-            self.injector.recover_backend(name)
+            gateway.recover_backend(name)
             return name
         if kind == "az_crash":
-            self.injector.recover_az(fault.target)
+            gateway.recover_az(fault.target)
             return fault.target
         if kind == "query_of_death":
             service_id = self._resolve_service(fault.target)
-            self.injector.recover_service(service_id)
+            for backend in list(gateway.service_backends[service_id]):
+                gateway.recover_backend(backend.name)
             return f"service {service_id}"
         if kind == "cert_rotation_failure":
             reissued = self.ca.reissue_all(self.sim.now + _REISSUE_TTL_S)
             return f"{len(reissued)} certs reissued"
         raise FaultPlanError(f"unhandled fault kind {kind!r}")
+
+    def _query_of_death(self, service_id: int) -> int:
+        """Crash the service's backends one by one; returns how many.
+
+        With resilience policies installed on the gateway, the cascade
+        is *contained*: each poisoned backend's death feeds the
+        service's circuit breaker as windowed dispatch failures, and
+        the cascade halts as soon as the breaker opens — the poison
+        query stops being forwarded, so the remaining backends live.
+        """
+        policies = self.gateway.resilience
+        crashed = 0
+        for backend in list(self.gateway.service_backends[service_id]):
+            if policies is not None and not policies.allow_dispatch(
+                    service_id, self.sim.now):
+                break
+            self._tally("backend", self.gateway.fail_backend(backend.name))
+            crashed += 1
+            if policies is not None:
+                policies.record_dispatch(
+                    service_id, self.sim.now, ok=False,
+                    count=QOD_FAILURES_PER_CRASH)
+        return crashed
+
+    def _tally(self, scope: str, disrupted: int) -> int:
+        self.disrupted[scope] = self.disrupted.get(scope, 0) + disrupted
+        return disrupted
 
     def _note(self, action: str, fault: Fault, detail: str) -> None:
         entry = {"t": self.sim.now, "action": action, "kind": fault.kind,

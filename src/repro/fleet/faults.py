@@ -56,7 +56,8 @@ class FleetFaultEngine:
 
     # -- compilation -------------------------------------------------------
     def arm(self, plan: FaultPlan) -> int:
-        """Schedule every fault (and recovery); returns entries armed."""
+        """Check every fault, then schedule it and its recovery; returns
+        the number of faults this call armed."""
         faults = plan.faults
         for fault in faults:
             if fault.kind not in FLEET_FAULT_KINDS:
@@ -69,16 +70,13 @@ class FleetFaultEngine:
                 raise FaultPlanError(
                     f"{fault.kind} at t={fault.at} is in the past "
                     f"(now={self.sim.now})")
-        armed = 0
         for fault in faults:
             self.sim.call_later(fault.at - self.sim.now, self._fire, fault)
-            armed += 1
             if fault.duration_s is not None:
                 self.sim.call_later(
                     fault.at + fault.duration_s - self.sim.now,
                     self._heal, fault)
-                armed += 1
-        return armed
+        return len(faults)
 
     # -- target resolution -------------------------------------------------
     def _resolve(self, fault: Fault) -> int:

@@ -4,7 +4,7 @@
   a rolling error rate. :class:`ResiliencePolicies` (``policy.py``)
   holds one per service on a gateway, and a query-of-death cascade
   halts once its service's breaker opens
-  (``FailureInjector.query_of_death``), so the service keeps the
+  (``FaultEngine._query_of_death``), so the service keeps the
   backends it can still reach (§7's blast radius). The request path
   never consults it.
 * :func:`retry_storm_arrivals` (``retry.py``) — the reconnect

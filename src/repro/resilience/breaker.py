@@ -206,8 +206,8 @@ class CircuitBreaker:
 
 
 #: Windowed failures one crashed backend feeds its service's breaker
-#: during a query-of-death cascade: the DES injector
-#: (``FailureInjector.query_of_death``) records this many dispatch
+#: during a query-of-death cascade: the DES fault engine
+#: (``FaultEngine._query_of_death``) records this many dispatch
 #: errors per poisoned backend, and :func:`contained_cascade_depth`
 #: must be given the same count to predict the cascade's depth.
 QOD_FAILURES_PER_CRASH = 3

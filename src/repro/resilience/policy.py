@@ -2,9 +2,10 @@
 
 :class:`ResiliencePolicies` attaches through
 ``MeshGateway.install_resilience`` (``None`` by default) and creates
-each service's breaker on first use. Only the query-of-death cascade
-in ``core.failure`` and the invariant auditor read it, both guarded on
-it, so unprotected runs are byte-identical with this package imported.
+each service's breaker on first use. Only the fault engine's
+query-of-death cascade and the invariant auditor read it, both guarded
+on it, so unprotected runs are byte-identical with this package
+imported.
 Breaker outcomes land in ``resilience_breaker_*`` telemetry.
 """
 

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    FailureInjector,
-    GatewayConfig,
-    MeshGateway,
-    availability_report,
-)
+from repro.core import GatewayConfig, MeshGateway
 from repro.core.replica import ReplicaConfig
+from repro.faults import Fault, FaultEngine, FaultPlan
 from repro.simcore import Simulator
 
 
@@ -30,99 +26,110 @@ def make_gateway(sim, services=5, backends_per_az=6):
     return gateway, out
 
 
+def services_up(gateway, services):
+    return [not gateway.service_outage(s.service_id) for s in services]
+
+
 @pytest.fixture
 def sim():
     return Simulator(33)
 
 
-class TestFailureInjector:
-    def test_replica_failure_recorded_with_sessions(self, sim):
+class TestFaultInjection:
+    def test_replica_failure_returns_disrupted_sessions(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
         backend = gateway.all_backends[0]
         backend.replicas[0].add_sessions(1234)
-        event = injector.fail_replica(backend.name,
-                                      backend.replicas[0].name)
-        assert event.sessions_disrupted == 1234
+        assert gateway.fail_replica(backend.name,
+                                    backend.replicas[0].name) == 1234
         assert backend.replicas[0].sessions_used == 0
 
-    def test_replica_recovery_marks_event(self, sim):
+    def test_replica_recovery_recorded_in_timeline(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
         backend = gateway.all_backends[0]
-        injector.fail_replica(backend.name, backend.replicas[0].name)
-        injector.recover_replica(backend.name, backend.replicas[0].name)
-        assert injector.events[0].recovered_at is not None
+        replica = backend.replicas[0]
+        engine = FaultEngine(sim, gateway=gateway)
+        engine.arm(FaultPlan.of(Fault(
+            kind="replica_crash", at=1.0, target=replica.name,
+            backend=backend.name, duration_s=2.0)))
+        sim.run(until=2.0)
+        assert not replica.healthy
+        sim.run(until=4.0)
+        assert replica.healthy
+        assert [(e["t"], e["action"]) for e in engine.timeline] == \
+            [(1.0, "inject"), (3.0, "recover")]
 
     def test_replica_failure_keeps_service_up(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
         sid = services[0].service_id
         backend = gateway.service_backends[sid][0]
-        injector.fail_replica(backend.name, backend.replicas[0].name)
-        assert availability_report(gateway)[sid]
+        gateway.fail_replica(backend.name, backend.replicas[0].name)
+        assert not gateway.service_outage(sid)
 
     def test_backend_failure_keeps_service_up(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
         sid = services[0].service_id
-        injector.fail_backend(gateway.service_backends[sid][0].name)
-        assert availability_report(gateway)[sid]
+        gateway.fail_backend(gateway.service_backends[sid][0].name)
+        assert not gateway.service_outage(sid)
 
     def test_az_failure_keeps_services_up(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
-        injector.fail_az("az1")
-        report = availability_report(gateway)
-        assert all(report.values())
-        injector.recover_az("az1")
+        gateway.fail_az("az1")
+        assert all(services_up(gateway, services))
+        gateway.recover_az("az1")
 
     def test_query_of_death_isolated_by_sharding(self, sim):
         """The Fig 8 scenario: one service's entire combination dies;
         the others stay up."""
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
+        engine = FaultEngine(sim, gateway=gateway)
+        engine.arm(FaultPlan.of(Fault(kind="query_of_death", at=1.0,
+                                      target="service:0")))
+        sim.run(until=2.0)
         victim = services[0].service_id
-        events = injector.query_of_death(victim)
-        assert len(events) == len(gateway.service_backends[victim])
-        report = availability_report(gateway)
-        assert not report[victim]
-        for other in services[1:]:
-            assert report[other.service_id]
+        backends = gateway.service_backends[victim]
+        assert not any(backend.is_healthy for backend in backends)
+        assert engine.timeline[0]["detail"] == (
+            f"service {victim} ({len(backends)} backends cascaded)")
+        up = services_up(gateway, services)
+        assert not up[0]
+        assert all(up[1:])
 
-    def test_double_failure_is_idempotent(self, sim):
-        """Failing an already-failed target returns the open event
-        unchanged — disrupted sessions are never counted twice."""
+    def test_double_failure_counts_once(self, sim):
+        """Failing a target that is already down disrupts nothing: its
+        sessions died with the first crash and are never counted twice."""
         gateway, services = make_gateway(sim)
         for service in services:
             gateway.set_service_sessions(service.service_id, 10_000)
-        injector = FailureInjector(sim, gateway)
-        backend = gateway.all_backends[0]
+        backend = gateway.service_backends[services[0].service_id][0]
+        assert gateway.fail_backend(backend.name) > 0
+        assert gateway.fail_backend(backend.name) == 0
 
-        first = injector.fail_backend(backend.name)
-        again = injector.fail_backend(backend.name)
-        assert again is first
-        assert len(injector.events) == 1
+        other = next(b for b in gateway.all_backends
+                     if b.is_healthy and b.replicas[0].sessions_used)
+        replica = other.replicas[0]
+        assert gateway.fail_replica(other.name, replica.name) > 0
+        assert gateway.fail_replica(other.name, replica.name) == 0
 
-        replica = backend.replicas[0]
-        r1 = injector.fail_replica(backend.name, replica.name)
-        r2 = injector.fail_replica(backend.name, replica.name)
-        assert r2 is r1
-
-        az1 = injector.fail_az("az1")
-        az_before = az1.sessions_disrupted
-        assert injector.fail_az("az1") is az1
-        assert az1.sessions_disrupted == az_before
-        assert injector.disrupted_by_scope()["az"] == az_before
+        az_before = sum(r.sessions_used
+                        for b in gateway.backends_by_az["az1"]
+                        for r in b.replicas)
+        engine = FaultEngine(sim, gateway=gateway)
+        engine.arm(FaultPlan.of(
+            Fault(kind="az_crash", at=1.0, target="az1"),
+            Fault(kind="az_crash", at=2.0, target="az1")))
+        sim.run(until=3.0)
+        assert az_before > 0
+        assert engine.disrupted == {"az": az_before}
+        assert engine.timeline[1]["detail"] == "az1 (0 sessions)"
 
     def test_replica_failure_refreshes_dns_health(self, sim):
         """Killing every replica of an AZ one by one (below the
         backend-level API) must still take that AZ out of DNS."""
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
         for backend in gateway.backends_by_az["az1"]:
             for replica in backend.replicas:
-                injector.fail_replica(backend.name, replica.name)
+                gateway.fail_replica(backend.name, replica.name)
         sid = services[0].service_id
         name = gateway._dns_name(sid)
         az1_records = [record for record in gateway.dns.endpoints(name)
@@ -132,42 +139,39 @@ class TestFailureInjector:
         # backends brings its AZ record back.
         backend = next(b for b in gateway.service_backends[sid]
                        if b.az == "az1")
-        injector.recover_replica(backend.name, backend.replicas[0].name)
+        gateway.recover_replica(backend.name, backend.replicas[0].name)
         az1_records = [record for record in gateway.dns.endpoints(name)
                        if record.az == "az1"]
         assert any(r.healthy for r in az1_records)
 
     def test_query_of_death_cascade_then_service_recovery(self, sim):
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
-        victim = services[0].service_id
-        injector.query_of_death(victim)
-        assert not availability_report(gateway)[victim]
-        injector.recover_service(victim)
-        report = availability_report(gateway)
-        assert report[victim]
-        assert all(report.values())
-        assert all(event.recovered_at is not None
-                   for event in injector.events)
+        engine = FaultEngine(sim, gateway=gateway)
+        engine.arm(FaultPlan.of(Fault(kind="query_of_death", at=1.0,
+                                      target="service:0", duration_s=5.0)))
+        sim.run(until=2.0)
+        assert not services_up(gateway, services)[0]
+        sim.run(until=7.0)
+        assert all(services_up(gateway, services))
+        assert [(e["t"], e["action"]) for e in engine.timeline] == \
+            [(1.0, "inject"), (6.0, "recover")]
 
     def test_availability_under_partial_az_recovery(self, sim):
         """AZ comes back backend by backend: services flip up as soon
         as any of their backends lives, not when the whole AZ does."""
         gateway, services = make_gateway(sim)
-        injector = FailureInjector(sim, gateway)
-        injector.fail_az("az1")
-        injector.fail_az("az2")  # total outage
-        report = availability_report(gateway)
-        assert not any(report.values())
+        gateway.fail_az("az1")
+        gateway.fail_az("az2")  # total outage
+        assert not any(services_up(gateway, services))
         recovered = set()
         for backend in gateway.backends_by_az["az1"]:
             gateway.recover_backend(backend.name)
             recovered.add(backend.name)
-            report = availability_report(gateway)
             for service in services:
                 has_live = any(b.name in recovered
                                for b in gateway.service_backends[
                                    service.service_id])
-                assert report[service.service_id] == has_live
+                up = not gateway.service_outage(service.service_id)
+                assert up == has_live
         # One whole AZ back → every service is reachable again.
-        assert all(availability_report(gateway).values())
+        assert all(services_up(gateway, services))

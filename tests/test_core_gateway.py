@@ -30,6 +30,22 @@ def make_gateway(sim, azs=2, backends_per_az=4, services=4):
     return gateway, tenant_services
 
 
+def one_replica_gateway(sim, session_capacity=100_000):
+    """One service on one backend of one replica; → (gateway, sid)."""
+    config = GatewayConfig(
+        replicas_per_backend=1, backends_per_service_per_az=1,
+        azs_per_service=1,
+        replica=ReplicaConfig(cores=1, request_cost_s=100e-6,
+                              request_cost_sigma=0.0,
+                              session_capacity=session_capacity))
+    gateway = MeshGateway(sim, config)
+    gateway.deploy_initial(["az1"], 1)
+    tenant = gateway.registry.add_tenant("t1")
+    service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
+    gateway.register_service(service)
+    return gateway, service.service_id
+
+
 @pytest.fixture
 def sim():
     return Simulator(3)
@@ -264,18 +280,7 @@ class TestDesDataplane:
         assert again.replica.name == first.replica.name
 
     def test_flow_refused_for_a_full_session_table_leaves_no_owner(self, sim):
-        config = GatewayConfig(
-            replicas_per_backend=1, backends_per_service_per_az=1,
-            azs_per_service=1,
-            replica=ReplicaConfig(cores=1, request_cost_s=100e-6,
-                                  request_cost_sigma=0.0,
-                                  session_capacity=1))
-        gateway = MeshGateway(sim, config)
-        gateway.deploy_initial(["az1"], 1)
-        tenant = gateway.registry.add_tenant("t1")
-        service = gateway.registry.add_service(tenant, "web", "10.0.0.1")
-        gateway.register_service(service)
-        sid = service.service_id
+        gateway, sid = one_replica_gateway(sim, session_capacity=1)
         first, second = (FiveTuple("10.0.0.1", port, "10.9.9.9", 443)
                          for port in (1001, 1002))
         served = sim.process(gateway.process_request(
@@ -292,6 +297,30 @@ class TestDesDataplane:
         gateway.close_flow(sid, second)
         assert replica.sessions_used == 1
         gateway.close_flow(sid, first)
+        assert replica.sessions_used == 0
+
+    def test_flow_from_before_a_crash_frees_no_later_entry(self, sim):
+        """A crash drops its replica's session entries: closing a flow
+        it served before the crash must not free the entry of a flow
+        served after recovery."""
+        gateway, sid = one_replica_gateway(sim)
+        (backend,) = gateway.service_backends[sid]
+        first, second = (FiveTuple("10.0.0.1", port, "10.9.9.9", 443)
+                         for port in (1001, 1002))
+        served = sim.process(gateway.process_request(
+            sid, first, is_syn=True, client_az="az1", route_cache={}))
+        sim.run()
+        replica = served.value.replica
+        gateway.fail_backend(backend.name)
+        assert replica.sessions_used == 0
+        gateway.recover_backend(backend.name)
+        sim.process(gateway.process_request(
+            sid, second, is_syn=True, client_az="az1", route_cache={}))
+        sim.run()
+        assert replica.sessions_used == 1
+        gateway.close_flow(sid, first)
+        assert replica.sessions_used == 1
+        gateway.close_flow(sid, second)
         assert replica.sessions_used == 0
 
     def test_water_levels_view(self, sim):

@@ -109,12 +109,13 @@ class TestReplica:
             replica.remove_sessions(-5)
         assert replica.sessions_used == 100
 
-    def test_session_removal_floors_at_zero_after_a_crash(self, sim):
+    def test_session_over_free_after_a_crash_raises(self, sim):
         replica = Replica(sim, "r1", "az1",
                           ReplicaConfig(session_capacity=100))
         replica.add_sessions(3)
         assert replica.fail() == 3
-        replica.remove_sessions(1)  # a flow the crash already dropped
+        with pytest.raises(ValueError, match="frees 1 sessions but holds 0"):
+            replica.remove_sessions(1)  # a flow the crash already dropped
         assert replica.sessions_used == 0
 
     def test_session_imbalance_premise(self, sim):

@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FailureInjector, availability_report
 from repro.experiments.cloud_ops import build_production_gateway
 from repro.experiments.recovery import _fig8_seed_run, fig8_plan
 from repro.faults import (
@@ -168,7 +167,8 @@ class TestFaultEngine:
                                   target="service:0", param=3.0))
         with pytest.raises(FaultPlanError, match="takes no param"):
             engine.arm(plan)
-        assert engine.armed_faults == 0
+        sim.run(until=10.0)
+        assert engine.timeline == []
 
     def test_arm_rejects_faults_in_the_past(self):
         sim, gateway, _ = make_chaos_gateway()
@@ -189,7 +189,6 @@ class TestFaultEngine:
             Fault(kind="az_crash", at=20.0, target="az1"), fault)
         with pytest.raises(error, match=match):
             engine.arm(plan)
-        assert engine.armed_faults == 0
         assert sim._heap == agenda
         sim.run(until=40.0)
         assert engine.timeline == []
@@ -244,17 +243,18 @@ class TestFaultEngine:
         victim = sorted(gateway.service_backends)[0]
         backend = gateway.service_backends[victim][0]
         assert not backend.replicas[0].healthy
-        assert availability_report(gateway)[victim]  # sibling replica holds
+        assert not gateway.service_outage(victim)  # sibling replica holds
         sim.run(until=20.0)
         assert backend.replicas[0].healthy
 
     def test_az_crash_survived_and_timeline_recorded(self):
         sim, gateway, _ = make_chaos_gateway()
         engine = FaultEngine(sim, gateway=gateway)
-        engine.arm(FaultPlan.of(
+        armed = engine.arm(FaultPlan.of(
             Fault(kind="az_crash", at=5.0, target="az1", duration_s=10.0)))
+        assert armed == 1
         sim.run(until=6.0)
-        assert all(availability_report(gateway).values())
+        assert not any(map(gateway.service_outage, gateway.service_backends))
         sim.run(until=20.0)
         assert [(e["t"], e["action"]) for e in engine.timeline] == \
             [(5.0, "inject"), (15.0, "recover")]
@@ -269,11 +269,11 @@ class TestFaultEngine:
                   duration_s=10.0)))
         sim.run(until=6.0)
         victim = sorted(gateway.service_backends)[2]
-        report = availability_report(gateway)
-        assert not report[victim]
-        assert all(up for sid, up in report.items() if sid != victim)
+        assert gateway.service_outage(victim)
+        assert not any(gateway.service_outage(sid)
+                       for sid in gateway.service_backends if sid != victim)
         sim.run(until=20.0)
-        assert all(availability_report(gateway).values())
+        assert not any(map(gateway.service_outage, gateway.service_backends))
 
     def test_overlapping_faults_do_not_double_count(self):
         """AZ crash with a backend crash inside it: the backend's
@@ -287,7 +287,7 @@ class TestFaultEngine:
             Fault(kind="backend_crash", at=10.0, target=backend.name,
                   duration_s=5.0)))
         sim.run(until=30.0)
-        disrupted = engine.injector.disrupted_by_scope()
+        disrupted = engine.disrupted
         assert disrupted.get("backend", 0) == 0  # already down with the AZ
         assert disrupted["az"] >= before
 

@@ -380,7 +380,7 @@ class TestFleetFaultEngine:
     def test_plan_fires_and_heals(self):
         sim, config, demand, model = small_world()
         engine = FleetFaultEngine(sim, model)
-        engine.arm(self.plan())
+        assert engine.arm(self.plan()) == 4  # faults, not agenda entries
         model.start(300.0)
         sim.run(until=300.0)
         actions = [(entry["action"], entry["kind"])

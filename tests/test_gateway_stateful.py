@@ -104,21 +104,20 @@ class GatewayMachine(RuleBasedStateMachine):
         return backend, backend.replicas[replica_index % len(backend.replicas)]
 
     def _replica_health_changed(self, backend):
-        """What a replica-scoped fault does after the backend call."""
+        """What the gateway's replica fault methods do after the
+        backend call."""
         self.gateway.update_dns_health(backend.az)
         self.gateway.refresh_loads()
 
     @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2))
     def fail_replica(self, backend_index, replica_index):
         backend, replica = self._replica(backend_index, replica_index)
-        backend.fail_replica(replica.name)
-        self._replica_health_changed(backend)
+        self.gateway.fail_replica(backend.name, replica.name)
 
     @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2))
     def recover_replica(self, backend_index, replica_index):
         backend, replica = self._replica(backend_index, replica_index)
-        backend.recover_replica(replica.name)
-        self._replica_health_changed(backend)
+        self.gateway.recover_replica(backend.name, replica.name)
 
     @rule(backend_index=st.integers(0, 9))
     def add_replica(self, backend_index):

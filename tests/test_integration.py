@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     AnomalySignals,
-    FailureInjector,
     GatewayMonitor,
     RapidResponder,
     SandboxManager,
