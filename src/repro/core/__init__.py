@@ -60,7 +60,7 @@ from .replica import Replica, ReplicaConfig
 from .sandbox import MigrationRecord, SandboxManager
 from .scaling import ScalingEngine, ScalingEvent, ScalingTimings
 from .session_aggregation import SessionAggregator
-from .sharding import ShardingError, ShuffleSharder
+from .sharding import ShardingError, ShardStats, place_shard, shard_stats
 from .tenancy import Tenant, TenantRegistry, TenantService
 
 __all__ = [
@@ -108,8 +108,8 @@ __all__ = [
     "ScalingTimings",
     "ServicePlacement",
     "SessionAggregator",
+    "ShardStats",
     "ShardingError",
-    "ShuffleSharder",
     "Tenant",
     "UpgradeReport",
     "TenantRegistry",
@@ -120,4 +120,6 @@ __all__ = [
     "deployment_footprint",
     "hwhm_window",
     "pearson",
+    "place_shard",
+    "shard_stats",
 ]

@@ -15,7 +15,7 @@ One logical gateway per region serves every tenant's services:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..netsim import AzAwareResolver, FiveTuple
 from ..obs.runtime import get_telemetry
@@ -29,7 +29,7 @@ from .replica import (
     require_at_least,
     require_finite_rps,
 )
-from .sharding import ShardingError, ShuffleSharder
+from .sharding import ShardingError, place_shard
 from .tenancy import TenantRegistry, TenantService
 
 __all__ = ["GatewayConfig", "MeshGateway", "NoBackendAvailable"]
@@ -74,10 +74,6 @@ class MeshGateway:
         self.config = config
         self.registry = registry or TenantRegistry()
         self.dns = dns or AzAwareResolver(rng=sim.rng)
-        self.sharder = ShuffleSharder(
-            sim.rng,
-            backends_per_service_per_az=config.backends_per_service_per_az,
-            azs_per_service=config.azs_per_service)
         self.backends_by_az: Dict[str, List[Backend]] = {}
         self.service_backends: Dict[int, List[Backend]] = {}
         self.service_lbs: Dict[Tuple[int, str], DisaggregatedLB] = {}
@@ -96,6 +92,8 @@ class MeshGateway:
         #: (service, flow) → incarnation of the replica that took the
         #: flow's session entry: a close frees only that entry.
         self._flow_incarnations: Dict[Tuple[int, FiveTuple], int] = {}
+        #: Every registered service's initial shuffle-shard combination.
+        self._combinations: Set[FrozenSet[Backend]] = set()
         self._backend_counter = 0
 
     def install_resilience(self, policies: ResiliencePolicies) -> None:
@@ -136,8 +134,7 @@ class MeshGateway:
             raise ValueError(
                 f"service {service.qualified_name} already registered")
         try:
-            backends = self.sharder.assign(service.service_id,
-                                           self.backends_by_az)
+            backends = self._place_shard()
         except ShardingError:
             # Combination space exhausted: grow the smallest AZ pools
             # and retry once. Only the smallest pools — growing every
@@ -149,8 +146,7 @@ class MeshGateway:
                 if len(self.backends_by_az[az]) == smallest:
                     self.deploy_backend(az)
             try:
-                backends = self.sharder.assign(service.service_id,
-                                               self.backends_by_az)
+                backends = self._place_shard()
             except ShardingError as exc:
                 raise ShardingError(
                     f"cannot place service {service.qualified_name}: "
@@ -167,6 +163,15 @@ class MeshGateway:
             self.dns.register(self._dns_name(service.service_id),
                               address=f"vip-{service.service_id}-{az}", az=az)
         return backends
+
+    def _place_shard(self) -> List[Backend]:
+        # Live AZ load: filler services install onto backends directly.
+        pools = list(self.backends_by_az.values())
+        load = [sum(len(b.configured_services) for b in pool)
+                for pool in pools]
+        return place_shard(self.sim.rng, pools, load,
+                           self.config.backends_per_service_per_az,
+                           self.config.azs_per_service, self._combinations)
 
     def _dns_name(self, service_id: int) -> str:
         return f"svc-{service_id}.mesh.gateway"

@@ -9,6 +9,12 @@ Two strategies, tried in order:
 * **New** — deploy a fresh backend (VM creation, image load, network
   setup, registration with the resource pool) and extend onto it.
   Slow: P50 ≈ 17 min.
+
+Reuse searches every AZ the service spans and keeps extending until
+the service's hottest backend is under ``target_water``. The fleet
+tier's :class:`repro.fleet.scaling.FleetScaler` runs the same two
+strategies but narrower: it searches only the hot backend's AZ and
+extends once per operation.
 """
 
 from __future__ import annotations

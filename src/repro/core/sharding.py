@@ -5,114 +5,105 @@ combination of backends, so that even if *all* backends of one service
 die (e.g. a query of death takes them down one by one), every other
 service still has at least one backend outside the blast radius —
 because no two services share their entire combination.
+
+Both tiers place and measure through the two functions here: the
+testbed gateway over ``Backend`` pools, the fleet topology over
+backend indices.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
-from typing import Dict, List, Set, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
+from typing import (Callable, Dict, FrozenSet, Hashable, List, Sequence, Set,
+                    TypeVar)
 
-from .backend import Backend
+__all__ = ["ShardStats", "ShardingError", "place_shard", "shard_stats"]
 
-__all__ = ["ShuffleSharder", "ShardingError"]
+T = TypeVar("T", bound=Hashable)
+
+#: Draws per service before its combination space counts as exhausted.
+MAX_ATTEMPTS = 200
 
 
 class ShardingError(RuntimeError):
     """Not enough backends to honor the sharding constraints."""
 
 
-class ShuffleSharder:
-    """Assigns services unique shuffle-shard backend combinations."""
+def place_shard(rng: random.Random, pools: Sequence[Sequence[T]],
+                az_load: Sequence[int], per_az: int, azs_per_service: int,
+                used: Set[FrozenSet[T]]) -> List[T]:
+    """Draw one service's combination and add it to ``used``.
 
-    def __init__(self, rng: random.Random, backends_per_service_per_az: int = 2,
-                 azs_per_service: int = 2, max_attempts: int = 200):
-        if backends_per_service_per_az < 1:
-            raise ValueError("need at least one backend per AZ per service")
-        if azs_per_service < 1:
-            raise ValueError("need at least one AZ per service")
-        self.rng = rng
-        self.backends_per_service_per_az = backends_per_service_per_az
-        self.azs_per_service = azs_per_service
-        self.max_attempts = max_attempts
-        self._assigned: Dict[int, Tuple[str, ...]] = {}
-        self._used_combinations: Set[Tuple[str, ...]] = set()
-
-    def assign(self, service_id: int,
-               backends_by_az: Dict[str, List[Backend]]) -> List[Backend]:
-        """Choose a unique backend combination for one service.
-
-        AZs are chosen to spread configured-service counts; within each
-        chosen AZ, ``backends_per_service_per_az`` backends are drawn at
-        random, re-drawing until the full combination is unique.
-        """
-        if service_id in self._assigned:
-            raise ValueError(f"service {service_id} already sharded")
-        azs = self._pick_azs(backends_by_az)
-        for _attempt in range(self.max_attempts):
-            chosen: List[Backend] = []
-            for az in azs:
-                pool = backends_by_az[az]
-                if len(pool) < self.backends_per_service_per_az:
-                    raise ShardingError(
-                        f"AZ {az} has {len(pool)} backends, need "
-                        f"{self.backends_per_service_per_az}")
-                chosen.extend(self.rng.sample(
-                    pool, self.backends_per_service_per_az))
-            key = tuple(sorted(backend.name for backend in chosen))
-            if key not in self._used_combinations:
-                self._used_combinations.add(key)
-                self._assigned[service_id] = key
-                return chosen
+    ``pools`` holds each AZ's backends in AZ index order. The
+    ``azs_per_service`` AZs with the least ``az_load`` are chosen, ties
+    to the lower index; ``per_az`` backends are sampled from each, and
+    the whole combination is redrawn until it is not in ``used``.
+    """
+    if len(pools) < azs_per_service:
         raise ShardingError(
-            f"could not find a unique combination for service {service_id} "
-            f"after {self.max_attempts} attempts — add backends")
+            f"need {azs_per_service} AZs, have {len(pools)}")
+    ranked = sorted(range(len(pools)), key=lambda az: (az_load[az], az))
+    azs = ranked[:azs_per_service]
+    for _attempt in range(MAX_ATTEMPTS):
+        chosen: List[T] = []
+        for az in azs:
+            pool = pools[az]
+            if len(pool) < per_az:
+                raise ShardingError(
+                    f"AZ {az} has {len(pool)} backends, need {per_az}")
+            chosen.extend(rng.sample(pool, per_az))
+        key = frozenset(chosen)
+        if key not in used:
+            used.add(key)
+            return chosen
+    raise ShardingError(
+        f"could not find a unique combination after {MAX_ATTEMPTS} "
+        "attempts — add backends")
 
-    def _pick_azs(self, backends_by_az: Dict[str, List[Backend]]) -> List[str]:
-        if len(backends_by_az) < self.azs_per_service:
-            raise ShardingError(
-                f"need {self.azs_per_service} AZs, have {len(backends_by_az)}")
-        # Spread: prefer the AZs whose backends currently carry the
-        # fewest service configurations.
-        def az_load(az: str) -> int:
-            return sum(len(b.configured_services) for b in backends_by_az[az])
-        ordered = sorted(backends_by_az, key=az_load)
-        return ordered[:self.azs_per_service]
 
-    def release(self, service_id: int) -> None:
-        key = self._assigned.pop(service_id, None)
-        if key is not None:
-            self._used_combinations.discard(key)
+@dataclass(frozen=True)
+class ShardStats:
+    """Aggregate isolation properties of a shard assignment (Fig 19)."""
 
-    # -- isolation properties (Fig 19's guarantees) -------------------------
-    def max_pairwise_overlap(self) -> int:
-        """Largest backend overlap between any two services."""
-        worst = 0
-        combos = list(self._assigned.values())
-        for a, b in itertools.combinations(combos, 2):
-            worst = max(worst, len(set(a) & set(b)))
-        return worst
+    fully_overlapping_pairs: int
+    max_pairwise_overlap: int
+    #: min over services of (shard size - worst overlap with any
+    #: other service): backends a service keeps if the most-
+    #: overlapping peer's entire combination fails.
+    min_survivor_backends: int
+    multi_az_services: int
 
-    def fully_overlapping_pairs(self) -> int:
-        """Pairs of services sharing an identical combination (must be 0)."""
-        combos = list(self._assigned.values())
-        return sum(1 for a, b in itertools.combinations(combos, 2)
-                   if set(a) == set(b))
 
-    def survivors_if_combination_fails(self, service_id: int) -> Dict[int, int]:
-        """For each *other* service: backends it keeps if this service's
-        entire combination goes down. Shuffle sharding guarantees every
-        value is >= 1."""
-        doomed = set(self._assigned[service_id])
-        return {other: len(set(combo) - doomed)
-                for other, combo in self._assigned.items()
-                if other != service_id}
+def shard_stats(shards: Sequence[Sequence[T]],
+                az_of: Callable[[T], Hashable]) -> ShardStats:
+    """Isolation statistics of ``shards`` (one backend list per service).
 
-    @staticmethod
-    def combinations_available(backends: int, per_service: int) -> int:
-        """How many distinct combinations a pool supports (per AZ)."""
-        return math.comb(backends, per_service)
-
-    def __len__(self) -> int:
-        return len(self._assigned)
+    Counts backend co-occurrence rather than intersecting all pairs:
+    O(backends x services_per_backend^2) instead of O(services^2), which
+    is what makes the 2000-service blast-radius exhibit run in seconds.
+    """
+    services_on: Dict[T, List[int]] = {}
+    for service, shard in enumerate(shards):
+        for backend in shard:
+            services_on.setdefault(backend, []).append(service)
+    pair_overlap = Counter(pair for members in services_on.values()
+                           for pair in combinations(members, 2))
+    worst_of = [0] * len(shards)
+    for (a, b), overlap in pair_overlap.items():
+        if overlap > worst_of[a]:
+            worst_of[a] = overlap
+        if overlap > worst_of[b]:
+            worst_of[b] = overlap
+    return ShardStats(
+        fully_overlapping_pairs=sum(
+            1 for (a, b), overlap in pair_overlap.items()
+            if overlap == len(shards[a]) == len(shards[b])),
+        max_pairwise_overlap=max(pair_overlap.values(), default=0),
+        min_survivor_backends=min(
+            (len(shard) - worst for shard, worst in zip(shards, worst_of)),
+            default=0),
+        multi_az_services=sum(
+            1 for shard in shards if len({az_of(b) for b in shard}) > 1))

@@ -17,6 +17,7 @@ measures the paper-relevant metric with and without it:
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Dict, List
 
 from ..core import (
@@ -28,7 +29,8 @@ from ..core import (
     ScalingEngine,
     ScalingTimings,
     SessionAggregator,
-    ShuffleSharder,
+    place_shard,
+    shard_stats,
 )
 from ..core.healthcheck import HealthCheckPlan
 from ..core.replica import ReplicaConfig
@@ -96,22 +98,21 @@ def ablation_shuffle_sharding(services: int = 24, backends_per_az: int = 6,
             losses.append(lost)
         return sum(losses) / len(losses)
 
-    # Shuffle sharding.
-    sharder = ShuffleSharder(random.Random(seed),
-                             backends_per_service_per_az=2,
-                             azs_per_service=2)
-    pools = {az: [Backend(sim, f"{az}-b{i}", az)
-                  for i in range(backends_per_az)]
-             for az in ("az1", "az2")}
-    for service_id in range(services):
-        for backend in sharder.assign(service_id, pools):
-            backend.install_service(service_id)
-
-    shuffled_collateral = 0.0
-    for service_id in range(services):
-        survivors = sharder.survivors_if_combination_fails(service_id)
-        shuffled_collateral += sum(1 for v in survivors.values() if v == 0)
-    shuffled_collateral /= services
+    # Shuffle sharding. Every service spans both AZs, so their loads
+    # never differ and the AZ order is the pools' order.
+    rng = random.Random(seed)
+    pools = [[Backend(sim, f"{az}-b{i}", az) for i in range(backends_per_az)]
+             for az in ("az1", "az2")]
+    used: set = set()
+    shards = [place_shard(rng, pools, (0, 0), per_az=2, azs_per_service=2,
+                          used=used)
+              for _service in range(services)]
+    # A service co-fails when its whole shard lies inside the victim's.
+    # Every shard here has four backends, so only an equal shard does,
+    # and each fully overlapping pair co-fails once from either side.
+    shuffled_collateral = (
+        2 * shard_stats(shards, attrgetter("az")).fully_overlapping_pairs
+        / services)
 
     table = Table("Mean co-failing services per total service failure",
                   ["placement", "collateral_services"])

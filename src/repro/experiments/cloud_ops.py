@@ -12,6 +12,7 @@ RCA, scaling, migration — execute as DES processes.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core import (
@@ -24,6 +25,7 @@ from ..core import (
     ScalingEngine,
     ScalingTimings,
     TenantService,
+    shard_stats,
 )
 from ..core.replica import ReplicaConfig
 from ..runtime.sweep import sweep_map
@@ -385,20 +387,20 @@ def fig19_shuffle_sharding(services: int = 20, seed: int = 43
         sim, azs=3, backends_per_az=6, services=services)
     table = Table("Service backend combinations",
                   ["service", "backends", "azs"])
-    for service in tenant_services:
-        backends = gateway.service_backends[service.service_id]
+    shards = [gateway.service_backends[service.service_id]
+              for service in tenant_services]
+    for service, backends in zip(tenant_services, shards):
         table.add_row(service.qualified_name,
                       ",".join(sorted(b.name for b in backends)),
                       len({b.az for b in backends}))
     result.tables.append(table)
-    sharder = gateway.sharder
+    stats = shard_stats(shards, attrgetter("az"))
     result.findings["fully_overlapping_pairs"] = float(
-        sharder.fully_overlapping_pairs())
+        stats.fully_overlapping_pairs)
     result.findings["max_pairwise_overlap"] = float(
-        sharder.max_pairwise_overlap())
-    survivors = [min(sharder.survivors_if_combination_fails(
-        s.service_id).values()) for s in tenant_services]
-    result.findings["min_survivor_backends"] = float(min(survivors))
+        stats.max_pairwise_overlap)
+    result.findings["min_survivor_backends"] = float(
+        stats.min_survivor_backends)
     result.notes.append(
         "paper: no complete overlap between any two services' backend "
         "combinations; every service keeps healthy backends if another "

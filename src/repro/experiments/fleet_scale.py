@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.sharding import shard_stats
 from ..faults.plan import Fault, FaultPlan
 from ..fleet import (FleetConfig, FleetDemand, FleetFaultEngine, FleetModel,
                      FleetScaler)
@@ -104,11 +105,12 @@ def _fleet_region_run(spec: Dict[str, object]) -> Dict[str, object]:
     model.publish_telemetry()
     metrics = model.metrics
     counters = model.counters
-    stats = model.topology.shard_stats()
+    topology = model.topology
+    stats = shard_stats(topology.shards, topology.az_of.__getitem__)
     out: Dict[str, object] = {
         "region": spec.get("region", "region-1"),
-        "replicas": model.topology.replicas_provisioned(),
-        "backends": model.topology.n_backends,
+        "replicas": topology.replicas_provisioned(),
+        "backends": topology.n_backends,
         "availability": model.overall_availability(),
         "peak_sessions": max(metrics.active_sessions.values),
         "final_sessions": model.active_sessions(),

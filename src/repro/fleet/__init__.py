@@ -10,8 +10,8 @@ flows:
 * :mod:`.config` — topology shape + analytic demand, with every cost
   rate derived from the same ``GatewayConfig``/``ReplicaConfig`` the
   testbed tier uses (one source of truth, no constant drift);
-* :mod:`.topology` — entity-array backends/AZs and shuffle-shard
-  assignment mirroring ``repro.core.sharding`` semantics;
+* :mod:`.topology` — entity-array backends/AZs, shuffle-sharded by
+  the testbed's own ``repro.core.sharding.place_shard``;
 * :mod:`.queueing` — O(1) mean-field M/M/c latency proxies shared by
   both tiers;
 * :mod:`.model` — the fluid session-flow integrator, stepped as
@@ -35,7 +35,7 @@ from .queueing import (mm_c_wait_s, sojourn_mean_s, sojourn_p99_s,
                        weighted_percentile)
 from .reference import SessionDES, poisson
 from .scaling import FleetScaler, FleetScalingEvent
-from .topology import FleetTopology, ShardStats
+from .topology import FleetTopology
 from .validate import (DEFAULT_SCENARIOS, Tolerances, ValidationReport,
                        ValidationScenario, check_tiers, compare_tiers,
                        run_tier, run_validation)
@@ -53,7 +53,6 @@ __all__ = [
     "FleetScalingEvent",
     "FleetTopology",
     "SessionDES",
-    "ShardStats",
     "Tolerances",
     "ValidationReport",
     "ValidationScenario",

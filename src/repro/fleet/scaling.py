@@ -1,12 +1,17 @@
 """Aggregate Reuse-vs-New scaling on the fluid fleet.
 
-Mirrors :class:`repro.core.scaling.ScalingEngine` semantics — trip on
+The strategy is :class:`repro.core.scaling.ScalingEngine`'s — trip on
 water above the safety threshold, prefer *reusing* a cold backend
-already deployed in the hot AZ, fall back to deploying a *new* one,
-with lognormal execution times anchored on the paper's Table 4 — but
-drives the fluid model's entity arrays instead of per-replica objects,
-and uses ``Simulator.call_later`` instead of a generator process so a
-10k-replica region never materializes a scaling coroutine.
+already deployed, fall back to deploying a *new* one, with lognormal
+execution times anchored on the paper's Table 4 — but each operation
+is narrower. The testbed engine searches every AZ the service spans
+for a Reuse candidate and keeps extending until the service's hottest
+backend is under its target water; this scaler searches only the hot
+backend's AZ and extends the shard once, then waits out a per-service
+cooldown. It drives the fluid model's entity arrays instead of
+per-replica objects, and uses ``Simulator.call_later`` instead of a
+generator process so a 10k-replica region never materializes a
+scaling coroutine.
 
 Completion extends the service's shuffle-shard combination, which the
 model translates into (a) a new zero-population slot that the next

@@ -272,6 +272,12 @@ def row_failure(row, result: ExperimentResult):
     """``None`` when the row's finding lies in its band, else a message."""
     exhibit, finding, lo, hi, paper, anchored = row
     numerator, _, denominator = finding.partition("/")
+    missing = [key for key in (numerator, denominator)
+               if key and key not in result.findings]
+    if missing:
+        return (f"{row_id(row)} missing from findings "
+                f"({', '.join(missing)}); paper: {paper}; "
+                f"{'anchored' if anchored else 'emergent'}")
     value = result.findings[numerator]
     if denominator:
         value /= result.findings[denominator]
@@ -328,3 +334,19 @@ class TestLedger:
         assert message == ("fig10:istio_over_canal = 1.4 outside (1.4, 2.2); "
                            "paper: 1.7x; emergent")
         assert row_failure(rows["ambient_over_canal"], fake) is None
+
+    def test_missing_finding_fails_with_the_row_named(self):
+        """An exhibit run that never reached a finding (case2 off its
+        default seed has no migration) fails its row, not the checker."""
+        fake = ExperimentResult("case2", "fake")
+        fake.findings.update(scaling_events=2.0, lossless_migrations=0.0)
+        rows = {row[1]: row for row in CLAIMS if row[0] == "case2"}
+        assert row_failure(rows["sessions_reset"], fake) == (
+            "case2:sessions_reset missing from findings (sessions_reset); "
+            "paper: no sessions reset; emergent")
+        ratio, = (row for row in CLAIMS
+                  if row[:2] == ("fig18", "total_reuse/total_new"))
+        fake.findings.update(total_reuse=30.0)
+        assert row_failure(ratio, fake) == (
+            "fig18:total_reuse/total_new missing from findings "
+            "(total_new); paper: Reuse far more often than New; emergent")

@@ -1,23 +1,50 @@
 """Tests for shuffle sharding."""
 
 import random
+from operator import attrgetter
 
 import pytest
 
-from repro.core import Backend, ShardingError, ShuffleSharder
+from repro.core import (
+    Backend,
+    GatewayConfig,
+    MeshGateway,
+    ShardingError,
+    place_shard,
+    shard_stats,
+)
+from repro.fleet import FleetConfig, FleetTopology
 from repro.simcore import Simulator
 
 
 def make_pools(sim, azs=2, per_az=6):
-    pools = {}
+    pools = []
     counter = 0
     for az_index in range(azs):
         az = f"az{az_index + 1}"
-        pools[az] = []
+        pools.append([])
         for _ in range(per_az):
             counter += 1
-            pools[az].append(Backend(sim, f"b{counter}", az))
+            pools[-1].append(Backend(sim, f"b{counter}", az))
     return pools
+
+
+def live_load(pools):
+    return [sum(len(b.configured_services) for b in pool) for pool in pools]
+
+
+def place_services(rng, pools, count, per_az=2, azs_per_service=2):
+    """Place ``count`` services the way the gateway does, installing
+    each so the next placement sees the live AZ load."""
+    used = set()
+    shards = []
+    for service_id in range(count):
+        shard = place_shard(rng, pools, live_load(pools), per_az,
+                            azs_per_service, used)
+        for backend in shard:
+            backend.install_service(service_id)
+        shards.append(shard)
+    return shards
 
 
 @pytest.fixture
@@ -26,89 +53,110 @@ def sim():
 
 
 class TestShuffleSharder:
+    """``place_shard`` and ``shard_stats``, the one placement and the
+    one isolation count both tiers use."""
+
     def test_assigns_requested_shape(self, sim):
-        sharder = ShuffleSharder(random.Random(0),
-                                 backends_per_service_per_az=2,
-                                 azs_per_service=2)
-        pools = make_pools(sim)
-        backends = sharder.assign(1, pools)
+        backends = place_shard(random.Random(0), make_pools(sim), [0, 0],
+                               per_az=2, azs_per_service=2, used=set())
         assert len(backends) == 4
         assert len({b.az for b in backends}) == 2
 
     def test_combinations_are_unique(self, sim):
-        sharder = ShuffleSharder(random.Random(0))
         pools = make_pools(sim, azs=2, per_az=8)
-        for service_id in range(20):
-            for backend in sharder.assign(service_id, pools):
-                backend.install_service(service_id)
-        assert sharder.fully_overlapping_pairs() == 0
+        shards = place_services(random.Random(0), pools, 20)
+        assert shard_stats(shards, attrgetter("az")) \
+            .fully_overlapping_pairs == 0
 
     def test_duplicate_assignment_rejected(self, sim):
-        sharder = ShuffleSharder(random.Random(0))
-        pools = make_pools(sim)
-        sharder.assign(1, pools)
-        with pytest.raises(ValueError):
-            sharder.assign(1, pools)
+        """Service ids live in the gateway now: a second registration
+        of one service is refused there."""
+        gateway = MeshGateway(sim)
+        gateway.deploy_initial(["az1", "az2"], 6)
+        tenant = gateway.registry.add_tenant("t")
+        service = gateway.registry.add_service(tenant, "s0", "10.0.1.1")
+        gateway.register_service(service)
+        with pytest.raises(ValueError, match="already registered"):
+            gateway.register_service(service)
 
     def test_survivors_guarantee(self, sim):
         """If one service's whole combination dies, every other service
         keeps at least one backend — the isolation property of Fig 19."""
-        sharder = ShuffleSharder(random.Random(1))
-        pools = make_pools(sim, azs=3, per_az=6)
-        for service_id in range(15):
-            for backend in sharder.assign(service_id, pools):
-                backend.install_service(service_id)
-        for service_id in range(15):
-            survivors = sharder.survivors_if_combination_fails(service_id)
-            assert min(survivors.values()) >= 1
+        shards = place_services(random.Random(1),
+                                make_pools(sim, azs=3, per_az=6), 15)
+        assert shard_stats(shards, attrgetter("az")) \
+            .min_survivor_backends >= 1
 
     def test_too_few_azs_raises(self, sim):
-        sharder = ShuffleSharder(random.Random(0), azs_per_service=3)
-        with pytest.raises(ShardingError):
-            sharder.assign(1, make_pools(sim, azs=2))
+        with pytest.raises(ShardingError, match="need 3 AZs, have 2"):
+            place_shard(random.Random(0), make_pools(sim, azs=2), [0, 0],
+                        per_az=2, azs_per_service=3, used=set())
 
     def test_too_few_backends_raises(self, sim):
-        sharder = ShuffleSharder(random.Random(0),
-                                 backends_per_service_per_az=4,
-                                 azs_per_service=1)
-        with pytest.raises(ShardingError):
-            sharder.assign(1, make_pools(sim, azs=1, per_az=2))
+        with pytest.raises(ShardingError, match="has 2 backends, need 4"):
+            place_shard(random.Random(0), make_pools(sim, azs=1, per_az=2),
+                        [0], per_az=4, azs_per_service=1, used=set())
 
     def test_exhaustion_raises_sharding_error(self, sim):
         # C(2,2) = 1 combination per AZ; the second service cannot get
         # a unique one.
-        sharder = ShuffleSharder(random.Random(0),
-                                 backends_per_service_per_az=2,
-                                 azs_per_service=1, max_attempts=20)
         pools = make_pools(sim, azs=1, per_az=2)
-        sharder.assign(1, pools)
-        with pytest.raises(ShardingError):
-            sharder.assign(2, pools)
-
-    def test_release_frees_combination(self, sim):
-        sharder = ShuffleSharder(random.Random(0),
-                                 backends_per_service_per_az=2,
-                                 azs_per_service=1)
-        pools = make_pools(sim, azs=1, per_az=2)
-        sharder.assign(1, pools)
-        sharder.release(1)
-        sharder.assign(2, pools)  # reuses the freed combination
-        assert len(sharder) == 1
+        used = set()
+        place_shard(random.Random(0), pools, [0], 2, 1, used)
+        with pytest.raises(ShardingError, match="add backends"):
+            place_shard(random.Random(0), pools, [0], 2, 1, used)
 
     def test_az_spread_prefers_lighter_azs(self, sim):
-        sharder = ShuffleSharder(random.Random(0), azs_per_service=1)
         pools = make_pools(sim, azs=2, per_az=4)
         # Preload az1 with configured services.
-        for backend in pools["az1"]:
+        for backend in pools[0]:
             backend.install_service(999)
-        backends = sharder.assign(1, pools)
+        backends = place_shard(random.Random(0), pools, live_load(pools),
+                               per_az=2, azs_per_service=1, used=set())
         assert all(b.az == "az2" for b in backends)
 
-    def test_combination_count_helper(self):
-        assert ShuffleSharder.combinations_available(6, 2) == 15
-
     def test_invalid_parameters(self):
+        """The placement has no checks of its own: both tiers' configs
+        reject a shape with no backend or no AZ per service."""
         with pytest.raises(ValueError):
-            ShuffleSharder(random.Random(0), backends_per_service_per_az=0)
+            GatewayConfig(backends_per_service_per_az=0)
         with pytest.raises(ValueError):
-            ShuffleSharder(random.Random(0), azs_per_service=0)
+            GatewayConfig(azs_per_service=0)
+
+
+class TestOnePlacementAcrossTiers:
+    """A testbed gateway and a fleet topology at one seed and pool shape
+    choose the same combinations, draw for draw: the gateway's live
+    configured-service load and the fleet's per-service counter agree."""
+
+    @pytest.mark.parametrize("azs,backends_per_az,services,seed", [
+        (2, 6, 30, 0),
+        (3, 6, 20, 43),
+        (3, 8, 60, 7),
+        (4, 5, 40, 11),
+    ])
+    def test_gateway_and_fleet_name_the_same_combinations(
+            self, azs, backends_per_az, services, seed):
+        gateway = MeshGateway(Simulator(seed), GatewayConfig())
+        gateway.deploy_initial([f"az{i + 1}" for i in range(azs)],
+                               backends_per_az)
+        tenant = gateway.registry.add_tenant("t")
+        placed = []
+        for index in range(services):
+            service = gateway.registry.add_service(
+                tenant, f"s{index}", f"10.0.1.{index + 1}")
+            placed.append(gateway.register_service(service))
+        # Both tiers number a backend by (AZ index, position in its pool).
+        slot = {backend: (az, position)
+                for az, pool in enumerate(gateway.backends_by_az.values())
+                for position, backend in enumerate(pool)}
+        topology = FleetTopology(
+            FleetConfig(azs=azs, backends_per_az=backends_per_az,
+                        services=services),
+            Simulator(seed).rng)
+        fleet_slot = {backend: (az, position)
+                      for az in range(azs)
+                      for position, backend in enumerate(
+                          topology.backends_in_az(az))}
+        assert [[slot[b] for b in shard] for shard in placed] \
+            == [[fleet_slot[b] for b in shard] for shard in topology.shards]

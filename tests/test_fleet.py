@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core import ShardingError, shard_stats
 from repro.faults.engine import FaultTargetError
 from repro.faults.plan import Fault, FaultPlan
 from repro.fleet import (
@@ -105,7 +106,7 @@ class TestFleetTopology:
         topology = FleetTopology(config, sim.rng)
         combos = {tuple(sorted(shard)) for shard in topology.shards}
         assert len(combos) == 24
-        stats = topology.shard_stats()
+        stats = shard_stats(topology.shards, topology.az_of.__getitem__)
         assert stats.fully_overlapping_pairs == 0
         assert stats.multi_az_services == 24
 
@@ -127,6 +128,13 @@ class TestFleetTopology:
         existing = topology.shards[0][0]
         with pytest.raises(ValueError):
             topology.extend_shard(0, existing)
+
+    def test_too_few_combinations_raises_sharding_error(self):
+        # Two backends per AZ hold C(2,2)^2 = 1 combination: the second
+        # service cannot get a unique one.
+        config = FleetConfig(azs=2, backends_per_az=2, services=2)
+        with pytest.raises(ShardingError, match="add backends"):
+            FleetTopology(config, Simulator(seed=7).rng)
 
 
 class TestQueueing:

@@ -1,13 +1,17 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+import itertools
 import random
+from operator import attrgetter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import BucketTable, DisaggregatedLB, Replica, ShuffleSharder
+from repro.core import (BucketTable, DisaggregatedLB, GatewayConfig, Replica,
+                        ShardingError, place_shard, shard_stats)
 from repro.core.backend import Backend
 from repro.core.healthcheck import HealthCheckPlan, ServicePlacement
 from repro.core.replica import ReplicaConfig
+from repro.fleet import FleetConfig, FleetTopology
 from repro.kernel import NagleConfig, batch_factor
 from repro.netsim import Cidr, EcmpRouter, FiveTuple, int_to_ip, ip_to_int
 from repro.simcore import Simulator, percentile
@@ -126,6 +130,32 @@ class TestRedirectorProperties:
             assert lb.deliver(fresh, is_syn=True).replica.name != victim
 
 
+def all_pairs_stats(shards):
+    """Brute-force isolation statistics by all-pairs set intersection,
+    the reference ``shard_stats``'s co-occurrence counting must match:
+    (fully overlapping pairs, max pairwise overlap, min survivors)."""
+    sets = [set(shard) for shard in shards]
+    pairs = list(itertools.combinations(sets, 2))
+    full = sum(1 for a, b in pairs if a == b)
+    worst = max((len(a & b) for a, b in pairs), default=0)
+    # Backends each other service keeps when one service's whole
+    # combination fails.
+    survivors = min(len(other - doomed)
+                    for i, doomed in enumerate(sets)
+                    for j, other in enumerate(sets) if i != j)
+    return full, worst, survivors
+
+
+@st.composite
+def fleet_shapes(draw):
+    """(azs, backends/AZ, services, backends/service/AZ, AZs/service)."""
+    azs = draw(st.integers(min_value=1, max_value=4))
+    backends_per_az = draw(st.integers(min_value=2, max_value=8))
+    return (azs, backends_per_az, draw(st.integers(min_value=2, max_value=40)),
+            draw(st.integers(min_value=1, max_value=min(3, backends_per_az))),
+            draw(st.integers(min_value=1, max_value=azs)))
+
+
 class TestShuffleShardingProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
@@ -134,22 +164,44 @@ class TestShuffleShardingProperties:
     def test_no_two_services_share_combination(self, seed, per_az,
                                                service_count):
         sim = Simulator(seed)
-        sharder = ShuffleSharder(random.Random(seed),
-                                 backends_per_service_per_az=2,
-                                 azs_per_service=2)
-        pools = {az: [Backend(sim, f"{az}-b{i}", az)
-                      for i in range(per_az)]
-                 for az in ("az1", "az2")}
+        rng = random.Random(seed)
+        pools = [[Backend(sim, f"{az}-b{i}", az) for i in range(per_az)]
+                 for az in ("az1", "az2")]
         import math
         capacity = math.comb(per_az, 2) ** 2
-        count = min(service_count, capacity)
-        for service_id in range(count):
-            for backend in sharder.assign(service_id, pools):
-                backend.install_service(service_id)
-        assert sharder.fully_overlapping_pairs() == 0
-        for service_id in range(count):
-            survivors = sharder.survivors_if_combination_fails(service_id)
-            assert all(v >= 1 for v in survivors.values())
+        used = set()
+        shards = [place_shard(rng, pools, (0, 0), 2, 2, used)
+                  for _ in range(min(service_count, capacity))]
+        stats = shard_stats(shards, attrgetter("az"))
+        assert stats.fully_overlapping_pairs == 0
+        assert stats.min_survivor_backends >= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), fleet_shapes(),
+           st.integers(min_value=0, max_value=30))
+    def test_shard_stats_matches_all_pairs_reference(self, seed, shape,
+                                                     extensions):
+        azs, backends_per_az, services, per_az, azs_per_service = shape
+        config = FleetConfig(
+            azs=azs, backends_per_az=backends_per_az, services=services,
+            gateway=GatewayConfig(backends_per_service_per_az=per_az,
+                                  azs_per_service=azs_per_service))
+        rng = random.Random(seed)
+        try:
+            topology = FleetTopology(config, rng)
+        except ShardingError:
+            assume(False)
+        # Grow some shards (the scaler's Reuse/New) so sizes differ.
+        for _ in range(extensions):
+            service = rng.randrange(services)
+            spare = [b for b in range(topology.n_backends)
+                     if b not in topology.shards[service]]
+            if spare:
+                topology.extend_shard(service, rng.choice(spare))
+        stats = shard_stats(topology.shards, topology.az_of.__getitem__)
+        assert (stats.fully_overlapping_pairs, stats.max_pairwise_overlap,
+                stats.min_survivor_backends) \
+            == all_pairs_stats(topology.shards)
 
 
 class TestBackendProperties:
