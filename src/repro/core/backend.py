@@ -3,8 +3,8 @@
 §4.2: "a backend is composed of multiple replicas, sharing the same set
 of configurations". Hierarchical failure recovery means:
 
-* replica failure — flows re-spread across the backend's surviving
-  replicas (brief disruption, sessions rebuilt);
+* replica failure — the backend's surviving replicas carry its load
+  (its water level rises; brief disruption, sessions rebuilt);
 * backend failure — the service falls back to its *other* backends
   (shuffle-shard combination, possibly in other AZs);
 * AZ failure — DNS resolves to backends in surviving AZs.
@@ -23,8 +23,12 @@ __all__ = ["Backend"]
 class Backend:
     """A group of replica VMs behind one share of the gateway VIP.
 
-    The healthy-replica list is cached; a replica's ``healthy`` setter
-    and :meth:`add_replica` drop it (:meth:`forget_health`).
+    In fluid mode the backend is the only owner of load: it keeps each
+    service's offered RPS and weight, and :meth:`water_level` divides
+    them over its healthy replicas. The healthy-replica list and the
+    water level are cached. A replica's ``healthy`` setter drops both
+    (:meth:`forget_health`); :meth:`place_load` and :meth:`drop_load`
+    drop the water level.
     """
 
     def __init__(self, sim: Simulator, name: str, az: str,
@@ -41,6 +45,7 @@ class Backend:
             for i in range(replicas)
         ]
         self._healthy: Optional[List[Replica]] = None
+        self._water: Optional[float] = None
         #: Services configured on this backend (service_id set).
         self.configured_services: Set[int] = set()
         #: Fluid-mode per-service RPS offered to this backend.
@@ -60,8 +65,10 @@ class Backend:
         return healthy
 
     def forget_health(self) -> None:
-        """Drop the cached healthy list (a replica's health changed)."""
+        """Drop the cached healthy list and water level (a replica's
+        health changed)."""
         self._healthy = None
+        self._water = None
 
     def healthy_replicas(self) -> List[Replica]:
         return list(self._healthy_list())
@@ -75,35 +82,23 @@ class Backend:
         """A backend is up while at least one replica is up."""
         return bool(self._healthy_list())
 
-    def add_replica(self) -> Replica:
-        replica = Replica(self.sim, f"{self.name}-r{len(self.replicas) + 1}",
-                          self.az, self.replica_config, self)
-        self.replicas.append(replica)
-        self.forget_health()
-        self._redistribute()
-        return replica
-
     def fail_replica(self, name: str) -> Replica:
         replica = self.replica_by_name(name)
         replica.fail()
-        self._redistribute()
         return replica
 
     def recover_replica(self, name: str) -> Replica:
         replica = self.replica_by_name(name)
         replica.recover()
-        self._redistribute()
         return replica
 
     def fail_all(self) -> None:
         for replica in self.replicas:
             replica.fail()
-        self._redistribute()
 
     def recover_all(self) -> None:
         for replica in self.replicas:
             replica.recover()
-        self._redistribute()
 
     def replica_by_name(self, name: str) -> Replica:
         for replica in self.replicas:
@@ -143,48 +138,39 @@ class Backend:
         a hosted service and a finite ``rps > 0``."""
         self._service_rps[service_id] = rps
         self._service_weight[service_id] = weight
-        healthy = self._healthy_list()
-        if healthy:
-            share = rps / len(healthy)
-            for replica in healthy:
-                replica.place_rps(service_id, share * weight)
+        self._water = None
 
     def drop_load(self, service_id: int) -> None:
         """Remove one service's load from this backend."""
         if self._service_rps.pop(service_id, None) is None:
-            return  # no replica carries a service the backend does not
-        self._service_weight.pop(service_id, None)
-        for replica in self.replicas:
-            replica.clear_service(service_id)
-
-    def _redistribute(self) -> None:
-        """Spread offered load evenly over healthy replicas.
-
-        Health and replica-set changes call this. ``offer_load`` and
-        ``remove_service`` touch only their service's entry, so every
-        healthy replica's ``assigned_rps`` keeps exactly the keys of
-        ``_service_rps``, in its order, as this method would give.
-        """
-        healthy = self._healthy_list()
-        for replica in self.replicas:
-            replica.clear_load()
-        if not healthy:
             return
-        for service_id, rps in self._service_rps.items():
-            share = rps / len(healthy)
-            weight = self._service_weight.get(service_id, 1.0)
-            for replica in healthy:
-                replica.place_rps(service_id, share * weight)
+        del self._service_weight[service_id]
+        self._water = None
 
     def service_rps(self, service_id: int) -> float:
         return self._service_rps.get(service_id, 0.0)
 
     def water_level(self) -> float:
-        """Backend CPU utilization = mean over healthy replicas."""
-        healthy = self._healthy_list()
-        if not healthy:
-            return 0.0
-        return sum(r.water_level() for r in healthy) / len(healthy)
+        """CPU utilization of each healthy replica, clamped to 1.0.
+
+        Every service's RPS is split evenly over the healthy replicas
+        and weighted; one replica's weighted sum over its capacity is
+        the level (0.0 with no healthy replica).
+        """
+        level = self._water
+        if level is None:
+            healthy = self._healthy_list()
+            if not healthy:
+                level = 0.0
+            else:
+                count = len(healthy)
+                weight = self._service_weight
+                offered = sum(rps / count * weight[service_id]
+                              for service_id, rps
+                              in self._service_rps.items())
+                level = min(1.0, offered / healthy[0].capacity_rps)
+            self._water = level
+        return level
 
     def top_services(self, count: int = 5) -> Dict[int, float]:
         """Heaviest services by offered RPS on this backend."""
@@ -223,22 +209,16 @@ class Backend:
                         key=lambda item: item[1], reverse=True)
         return dict(ranked[:count])
 
-    def set_sessions(self, total_sessions: int) -> None:
-        """Fluid-mode helper: pin this backend's *total* session count
-        (spread evenly over healthy replicas), service-agnostic."""
-        if total_sessions < 0:
-            raise ValueError(f"negative session count {total_sessions}")
+    def _sync_replica_sessions(self) -> None:
+        """Spread the backend's total session count evenly over its
+        healthy replicas' session tables."""
         healthy = self._healthy_list()
         if not healthy:
             return
-        share = total_sessions // len(healthy)
+        share = sum(self._service_sessions.values()) // len(healthy)
         for replica in healthy:
             replica.sessions_used = min(share,
                                         replica.config.session_capacity)
-
-    def _sync_replica_sessions(self) -> None:
-        total = sum(self._service_sessions.values())
-        self.set_sessions(total)
 
     # -- DES mode --------------------------------------------------------------------
     def pick_replica(self, flow_hash: int) -> Optional[Replica]:

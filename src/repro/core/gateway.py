@@ -226,8 +226,14 @@ class MeshGateway:
             self.set_service_sessions(service_id, sessions)
 
     # -- fluid-mode load -----------------------------------------------------------
+    def _require_registered(self, service_id: int) -> None:
+        if service_id not in self.service_backends:
+            raise KeyError(f"service {service_id} is not registered")
+
     def set_service_load(self, service_id: int, rps: float) -> None:
-        """Assign a service's current offered RPS and spread it."""
+        """Assign a registered service's current offered RPS and spread
+        it."""
+        self._require_registered(service_id)
         require_finite_rps(rps)
         if rps < 0:
             raise ValueError(f"negative rps {rps}")
@@ -271,7 +277,9 @@ class MeshGateway:
             backend.place_load(service_id, share, weight)
 
     def set_service_sessions(self, service_id: int, sessions: int) -> None:
-        """Assign a service's concurrent session count and spread it."""
+        """Assign a registered service's concurrent session count and
+        spread it."""
+        self._require_registered(service_id)
         if sessions < 0:
             raise ValueError(f"negative session count {sessions}")
         self.service_sessions[service_id] = sessions

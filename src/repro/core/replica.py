@@ -1,13 +1,12 @@
 """Gateway replicas: the VMs that execute mesh-gateway processing.
 
 A replica is one VM (§4.2: "a replica is a VM while a backend is a
-group of VMs"). It supports two complementary execution modes:
-
-* **DES mode** — a :class:`~repro.simcore.CpuResource` processes
-  individual requests (used by the testbed-scale experiments);
-* **fluid mode** — per-service offered RPS is assigned analytically and
-  the water level is computed as demand/capacity (used by the
-  production-scale experiments, Figs 16–20).
+group of VMs"). In DES mode a :class:`~repro.simcore.CpuResource`
+processes individual requests (the testbed-scale experiments). Fluid
+mode (the production-scale experiments, Figs 16–20) keeps no load on
+the replica: its backend owns each service's offered RPS and computes
+the water level from its healthy-replica count, and the replica only
+supplies its :attr:`~Replica.capacity_rps`.
 
 Session accounting models the SmartNIC constraint of §3.2 Issue #4: a
 bounded session table that typically exhausts while CPU sits at ~20 %.
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..mesh.costs import sample_service_time
 from ..simcore import CpuResource, Simulator
@@ -69,10 +68,8 @@ class ReplicaConfig:
 class Replica:
     """One gateway VM.
 
-    The replica is the only writer of its ``assigned_rps`` and keeps
-    its fluid water level cached until one of its load methods drops
-    it. Setting ``healthy`` tells the owning backend (if any) to drop
-    its cached healthy-replica list.
+    Setting ``healthy`` tells the owning backend (if any) to drop its
+    cached healthy-replica list and water level.
     """
 
     def __init__(self, sim: Simulator, name: str, az: str,
@@ -87,10 +84,6 @@ class Replica:
         #: Set when the replica is draining (scheduled to go offline):
         #: it still serves existing flows but must not accept new ones.
         self.draining = False
-        # Fluid-mode state: offered load per service id, and the water
-        # level it gives (None until read after a write).
-        self.assigned_rps: Dict[int, float] = {}
-        self._water: Optional[float] = None
         # Session accounting (underlay sessions on the SmartNIC).
         self.sessions_used = 0
         #: Crashes so far: a session entry taken before the latest one
@@ -139,54 +132,10 @@ class Replica:
                       cpu_s=cost)
         return end
 
-    # -- fluid mode -----------------------------------------------------------
-    def set_service_rps(self, service_id: int, rps: float,
-                        weight: float = 1.0) -> None:
-        """Assign offered load (already weighted RPS) for one service."""
-        require_finite_rps(rps)
-        if rps < 0:
-            raise ValueError(f"negative rps {rps}")
-        if rps == 0:
-            self.clear_service(service_id)
-        else:
-            self.place_rps(service_id, rps * weight)
-
-    def place_rps(self, service_id: int, rps: float) -> None:
-        """Assign already-weighted, already-checked load (a backend's
-        spread of a validated offer)."""
-        self.assigned_rps[service_id] = rps
-        self._water = None
-
-    def clear_service(self, service_id: int) -> None:
-        if self.assigned_rps.pop(service_id, None) is not None:
-            self._water = None
-
-    def clear_load(self) -> None:
-        """Drop every service's load (before a backend re-spread)."""
-        self.assigned_rps.clear()
-        self._water = None
-
-    @property
-    def offered_rps(self) -> float:
-        return sum(self.assigned_rps.values())
-
     @property
     def capacity_rps(self) -> float:
+        """Fluid-mode requests per second this VM can execute."""
         return self.config.cores / self.config.request_cost_s
-
-    def water_level(self) -> float:
-        """CPU utilization in fluid mode, clamped to 1.0."""
-        level = self._water
-        if level is None:
-            level = self._water = min(1.0,
-                                      self.offered_rps / self.capacity_rps)
-        return level
-
-    def top_services(self, count: int = 5) -> Dict[int, float]:
-        """The heaviest services on this replica (RCA's sampling input)."""
-        ranked = sorted(self.assigned_rps.items(),
-                        key=lambda item: item[1], reverse=True)
-        return dict(ranked[:count])
 
     # -- sessions -----------------------------------------------------------------
     def add_sessions(self, count: int) -> bool:
@@ -227,4 +176,4 @@ class Replica:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Replica {self.name} az={self.az} "
-                f"healthy={self.healthy} load={self.offered_rps:.0f}rps>")
+                f"healthy={self.healthy} sessions={self.sessions_used}>")

@@ -82,12 +82,11 @@ class SandboxManager:
         return backends[0].az
 
     def _current_sessions(self, service_id: int) -> int:
-        total = 0
-        for backend in self.gateway.service_backends.get(service_id, ()):
-            for replica in backend.healthy_replicas():
-                if service_id in replica.assigned_rps:
-                    total += replica.sessions_used
-        return total
+        """The service's own sessions on its backends (not its
+        co-tenants', which share the replicas' session tables)."""
+        return sum(backend.service_sessions(service_id)
+                   for backend in self.gateway.service_backends.get(
+                       service_id, ()))
 
     # -- migrations --------------------------------------------------------------
     def migrate_lossy(self, service_id: int):

@@ -66,19 +66,17 @@ class RollingUpgrade:
             for replica in list(backend.replicas):
                 if not replica.healthy:
                     continue
-                yield from self._upgrade_replica(backend, replica,
-                                                 version, report)
+                yield from self._upgrade_replica(replica, version, report)
         report.finished_at = self.sim.now
         return report
 
-    def _upgrade_replica(self, backend, replica: Replica, version: str,
+    def _upgrade_replica(self, replica: Replica, version: str,
                          report: UpgradeReport):
         # Drain: stop accepting new flows, let existing ones age out.
         replica.draining = True
         yield self.sim.timeout(self.drain_s)
         # Swap: the replica is briefly out of the healthy set.
         replica.fail()
-        backend._redistribute()
         self.gateway.refresh_loads()
         outage_before = self._services_down()
         yield self.sim.timeout(self.swap_s)
@@ -86,7 +84,6 @@ class RollingUpgrade:
             report.outage_seconds += self.swap_s * len(outage_before)
         replica.version = version  # type: ignore[attr-defined]
         replica.recover()
-        backend._redistribute()
         self.gateway.refresh_loads()
         yield self.sim.timeout(self.rejoin_s)
         report.replicas_upgraded += 1

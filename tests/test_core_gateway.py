@@ -142,8 +142,18 @@ class TestFluidLoad:
         gateway.set_service_load(sid, 5e-324)
         for backend in gateway.all_backends:
             assert backend.service_rps(sid) == 0.0
-            assert all(sid not in replica.assigned_rps
-                       for replica in backend.replicas)
+            assert sid not in backend.top_services(
+                len(backend.configured_services))
+            assert backend.water_level() == 0.0
+
+    def test_unregistered_service_load_rejected(self, sim):
+        gateway, _services = make_gateway(sim)
+        with pytest.raises(KeyError, match="service 999 is not registered"):
+            gateway.set_service_load(999, 1_000.0)
+        with pytest.raises(KeyError, match="service 999 is not registered"):
+            gateway.set_service_sessions(999, 10)
+        assert 999 not in gateway.service_rps
+        assert 999 not in gateway.service_sessions
 
     def test_negative_load_rejected(self, sim):
         gateway, services = make_gateway(sim)

@@ -1,5 +1,6 @@
 """Tests for precise scaling (Reuse/New) and sandbox migration."""
 
+import itertools
 import math
 
 import pytest
@@ -143,15 +144,30 @@ class TestSandboxManager:
         sandbox = SandboxManager(sim, gateway)
         sid = services[0].service_id
         gateway.set_service_load(sid, 30_000.0)
-        for backend in gateway.service_backends[sid]:
-            for replica in backend.replicas:
-                replica.add_sessions(500)
+        gateway.set_service_sessions(sid, 2_000)
         process = sim.process(sandbox.migrate_lossy(sid))
         sim.run()
         record = process.value
         assert record.mode == "lossy"
-        assert record.sessions_reset > 0
+        assert record.sessions_reset == 2_000
         assert record.duration_s < 30.0  # "within seconds"
+
+    def test_lossy_reset_counts_only_the_migrated_service(self, sim):
+        """Co-tenants' sessions share the replicas' tables but are not
+        reset: only the migrated service's own sessions count."""
+        gateway, services = make_gateway(sim)
+        sandbox = SandboxManager(sim, gateway)
+        a, b = next(
+            (a.service_id, b.service_id)
+            for a, b in itertools.combinations(services, 2)
+            if set(gateway.service_backends[a.service_id])
+            & set(gateway.service_backends[b.service_id]))
+        for sid, sessions in ((a, 400), (b, 4_000)):
+            gateway.set_service_load(sid, 10_000.0)
+            gateway.set_service_sessions(sid, sessions)
+        process = sim.process(sandbox.migrate_lossy(a))
+        sim.run()
+        assert process.value.sessions_reset == 400
 
     def test_lossless_migration_resets_nothing(self, sim):
         gateway, services = make_gateway(sim)

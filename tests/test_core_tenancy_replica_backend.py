@@ -62,36 +62,49 @@ class TestTenantRegistry:
         assert len(registry.services_of("t1")) == 1
 
 
+def one_replica_backend(sim, services=(1,), **config):
+    """A backend of one replica VM hosting ``services``: the replica's
+    fluid-mode numbers, which its backend owns."""
+    backend = Backend(sim, "b1", "az1", replicas=1,
+                      replica_config=ReplicaConfig(**config))
+    for service_id in services:
+        backend.install_service(service_id)
+    return backend
+
+
 class TestReplica:
+    """One VM. Its fluid-mode load lives on its backend, so the fluid
+    cases run on a one-replica backend."""
+
     def test_fluid_water_level(self, sim):
-        replica = Replica(sim, "r1", "az1",
-                          ReplicaConfig(cores=8, request_cost_s=100e-6))
-        replica.set_service_rps(1, 40_000.0)
-        assert replica.water_level() == pytest.approx(0.5)
+        backend = one_replica_backend(sim, cores=8, request_cost_s=100e-6)
+        backend.offer_load(1, 40_000.0)
+        assert backend.water_level() == pytest.approx(0.5)
 
     def test_water_level_clamped(self, sim):
-        replica = Replica(sim, "r1", "az1",
-                          ReplicaConfig(cores=1, request_cost_s=1e-3))
-        replica.set_service_rps(1, 10_000.0)
-        assert replica.water_level() == 1.0
+        backend = one_replica_backend(sim, cores=1, request_cost_s=1e-3)
+        backend.offer_load(1, 10_000.0)
+        assert backend.water_level() == 1.0
 
     def test_weighted_rps(self, sim):
-        replica = Replica(sim, "r1", "az1")
-        replica.set_service_rps(1, 100.0, weight=3.0)
-        assert replica.offered_rps == pytest.approx(300.0)
+        backend = one_replica_backend(sim, cores=8, request_cost_s=100e-6)
+        backend.offer_load(1, 100.0, weight=3.0)
+        assert backend.water_level() == pytest.approx(300.0 / 80_000.0)
 
     def test_zero_rps_clears_entry(self, sim):
-        replica = Replica(sim, "r1", "az1")
-        replica.set_service_rps(1, 100.0)
-        replica.set_service_rps(1, 0.0)
-        assert 1 not in replica.assigned_rps
+        backend = one_replica_backend(sim)
+        backend.offer_load(1, 100.0)
+        backend.offer_load(1, 0.0)
+        assert backend.service_rps(1) == 0.0
+        assert backend.top_services() == {}
+        assert backend.water_level() == 0.0
 
     def test_top_services_ranked(self, sim):
-        replica = Replica(sim, "r1", "az1")
-        replica.set_service_rps(1, 100.0)
-        replica.set_service_rps(2, 900.0)
-        replica.set_service_rps(3, 500.0)
-        top = list(replica.top_services(2))
+        backend = one_replica_backend(sim, services=(1, 2, 3))
+        backend.offer_load(1, 100.0)
+        backend.offer_load(2, 900.0)
+        backend.offer_load(3, 500.0)
+        top = list(backend.top_services(2))
         assert top == [2, 3]
 
     def test_session_table_bounded(self, sim):
@@ -120,13 +133,13 @@ class TestReplica:
 
     def test_session_imbalance_premise(self, sim):
         """§3.2 Issue #4: sessions exhaust while CPU sits near 20 %."""
-        replica = Replica(sim, "r1", "az1",
-                          ReplicaConfig(cores=8, request_cost_s=100e-6,
-                                        session_capacity=100_000))
-        replica.set_service_rps(1, 16_000.0)       # 20 % CPU
-        replica.add_sessions(90_000)               # 90 % sessions
-        assert replica.water_level() == pytest.approx(0.2)
-        assert replica.session_utilization() == pytest.approx(0.9)
+        backend = one_replica_backend(sim, cores=8, request_cost_s=100e-6,
+                                      session_capacity=100_000)
+        backend.offer_load(1, 16_000.0)            # 20 % CPU
+        backend.offer_sessions(1, 90_000)          # 90 % sessions
+        assert backend.water_level() == pytest.approx(0.2)
+        assert backend.replicas[0].session_utilization() \
+            == pytest.approx(0.9)
 
     def test_des_request_processing(self, sim):
         config = ReplicaConfig(cores=1, request_cost_s=1e-3,
@@ -160,8 +173,6 @@ class TestBackend:
         backend = self._backend(sim)
         backend.install_service(1)
         backend.offer_load(1, 80_000.0)
-        waters = [r.water_level() for r in backend.replicas]
-        assert waters[0] == pytest.approx(waters[1])
         assert backend.water_level() == pytest.approx(0.5)
 
     def test_offer_load_requires_configuration(self, sim):
@@ -174,10 +185,9 @@ class TestBackend:
         backend = self._backend(sim)
         backend.install_service(1)
         backend.offer_load(1, 40_000.0)
-        before = backend.replicas[0].water_level()
+        before = backend.water_level()
         backend.fail_replica("b1-r2")
-        after = backend.replicas[0].water_level()
-        assert after == pytest.approx(2 * before)
+        assert backend.water_level() == 2 * before
         assert backend.is_healthy
 
     def test_all_replicas_down_means_backend_down(self, sim):
@@ -190,19 +200,10 @@ class TestBackend:
         backend = self._backend(sim)
         backend.install_service(1)
         backend.offer_load(1, 40_000.0)
+        before = backend.water_level()
         backend.fail_replica("b1-r1")
         backend.recover_replica("b1-r1")
-        waters = [r.water_level() for r in backend.replicas]
-        assert waters[0] == pytest.approx(waters[1])
-
-    def test_add_replica_lowers_per_replica_load(self, sim):
-        backend = self._backend(sim)
-        backend.install_service(1)
-        backend.offer_load(1, 80_000.0)
-        before = backend.replicas[0].water_level()
-        backend.add_replica()
-        after = backend.replicas[0].water_level()
-        assert after < before
+        assert backend.water_level() == before
 
     def test_top_services(self, sim):
         backend = self._backend(sim)
@@ -256,55 +257,60 @@ class TestBackend:
         assert backend.water_level() == 0.0
 
 
-class TestReplicaRpsValidation:
-    @pytest.mark.parametrize("rps", NON_FINITE)
-    def test_set_service_rps_rejects_non_finite(self, sim, rps):
-        replica = Replica(sim, "r1", "az1")
-        with pytest.raises(ValueError, match="rps"):
-            replica.set_service_rps(1, rps)
-        assert replica.assigned_rps == {}
-
-
-#: Operations the in-place load property applies, each as
-#: (name, service id, rps, weight); offers are drawn three times as
-#: often, so updates of a service that is not the newest are common.
+#: Operations the water-level property applies, each as (name, index,
+#: rps, weight); offers are drawn three times as often, so updates of a
+#: service that is not the newest are common. ``crash`` and ``restart``
+#: flip a replica's health below the backend's API, as the rolling
+#: upgrade does.
 LOAD_OPS = ("offer", "offer", "offer", "remove", "fail", "recover",
-            "add_replica")
+            "crash", "restart")
 
 
-def assigned_after_full_respread(backend):
-    """Each replica's (service, rps) pairs, in key order, as a full
-    ``_redistribute()`` leaves them (run on the live backend: it is
-    idempotent, so the next operation starts from the same state)."""
-    backend._redistribute()
-    return [list(r.assigned_rps.items()) for r in backend.replicas]
+def uncached_water(backend, offered):
+    """The water level folded from scratch: ``offered`` maps each
+    loaded service to its (rps, weight), in the order the services were
+    first offered since they were last removed."""
+    healthy = [r for r in backend.replicas if r.healthy]
+    if not healthy:
+        return 0.0
+    config = backend.replica_config
+    carried = sum(rps / len(healthy) * weight
+                  for rps, weight in offered.values())
+    return min(1.0, carried / (config.cores / config.request_cost_s))
 
 
-class TestInPlaceLoad:
+class TestWaterLevel:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4),
            st.lists(st.tuples(st.sampled_from(LOAD_OPS),
                               st.integers(0, 3),
-                              st.floats(0, 1e6),
+                              st.floats(0, 1e5),
                               st.sampled_from([1.0, 0.5, 3.0])),
                     max_size=40))
-    def test_matches_full_respread(self, replicas, ops):
+    def test_cached_level_matches_uncached_fold(self, replicas, ops):
+        # One replica's capacity is ~69.6k rps: levels land on both
+        # sides of the clamp.
         backend = Backend(Simulator(0), "b", "az1", replicas=replicas)
-        for op, service_id, rps, weight in ops:
-            names = [r.name for r in backend.replicas]
+        offered = {}
+        for op, index, rps, weight in ops:
+            replica = backend.replicas[index % replicas]
             if op == "offer":
-                backend.install_service(service_id)
-                backend.offer_load(service_id, rps, weight)
+                backend.install_service(index)
+                backend.offer_load(index, rps, weight)
+                if rps > 0:
+                    offered[index] = (rps, weight)
+                else:
+                    offered.pop(index, None)
             elif op == "remove":
-                backend.remove_service(service_id)
+                backend.remove_service(index)
+                offered.pop(index, None)
             elif op == "fail":
-                backend.fail_replica(names[service_id % len(names)])
+                backend.fail_replica(replica.name)
             elif op == "recover":
-                backend.recover_replica(names[service_id % len(names)])
+                backend.recover_replica(replica.name)
+            elif op == "crash":
+                replica.fail()
             else:
-                backend.add_replica()
-            in_place = [list(r.assigned_rps.items())
-                        for r in backend.replicas]
-            offered = [r.offered_rps for r in backend.replicas]
-            assert in_place == assigned_after_full_respread(backend), op
-            assert offered == [r.offered_rps for r in backend.replicas]
+                replica.recover()
+            assert backend.water_level() == uncached_water(backend,
+                                                           offered), op

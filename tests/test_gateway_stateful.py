@@ -9,8 +9,6 @@ paper's availability story rests on:
   service has a healthy carrier;
 * availability: a service is in outage only when *every* carrier
   backend is down;
-* replica-level balance: every healthy replica of a backend carries the
-  same share;
 * cache coherence: every cached fluid-mode read (healthy replicas,
   health, water levels, capacity, session occupancy) equals its
   from-scratch formula exactly, whichever path changed health or load;
@@ -119,13 +117,6 @@ class GatewayMachine(RuleBasedStateMachine):
         backend, replica = self._replica(backend_index, replica_index)
         self.gateway.recover_replica(backend.name, replica.name)
 
-    @rule(backend_index=st.integers(0, 9))
-    def add_replica(self, backend_index):
-        backends = self.gateway.all_backends
-        backend = backends[backend_index % len(backends)]
-        backend.add_replica()
-        self._replica_health_changed(backend)
-
     @rule(backend_index=st.integers(0, 9), replica_index=st.integers(0, 2),
           healthy=st.booleans())
     def set_replica_health(self, backend_index, replica_index, healthy):
@@ -177,17 +168,6 @@ class GatewayMachine(RuleBasedStateMachine):
             assert self.gateway.service_outage(sid) == (not any_up)
 
     @invariant()
-    def replicas_balanced_within_backend(self):
-        for backend in getattr(self, "gateway",
-                               type("x", (), {"all_backends": []})) \
-                .all_backends:
-            healthy = backend.healthy_replicas()
-            if len(healthy) < 2:
-                continue
-            loads = [r.offered_rps for r in healthy]
-            assert max(loads) - min(loads) < 1e-6 * max(1.0, max(loads))
-
-    @invariant()
     def cached_reads_match_formulas(self):
         if not hasattr(self, "gateway"):
             return
@@ -195,19 +175,20 @@ class GatewayMachine(RuleBasedStateMachine):
         for backend in (self.gateway.all_backends
                         + list(self.gateway.sandboxed.values())):
             healthy = [r for r in backend.replicas if r.healthy]
-            levels = {}
-            for replica in backend.replicas:
-                capacity = (replica.config.cores
-                            / replica.config.request_cost_s)
-                levels[replica.name] = min(
-                    1.0, sum(replica.assigned_rps.values()) / capacity)
-                assert replica.water_level() == levels[replica.name]
-                for service_id in replica.assigned_rps:
-                    assert backend.service_rps(service_id) > 0
+            # The backend's services in the order they were placed.
+            loads = list(backend._service_rps.items())
+            for service_id, rps in loads:
+                assert rps > 0 and backend.hosts_service(service_id)
             assert backend.healthy_replicas() == healthy
             assert backend.is_healthy == bool(healthy)
             if healthy:
-                water = sum(levels[r.name] for r in healthy) / len(healthy)
+                config = backend.replica_config
+                weight = self.gateway.registry.services
+                carried = sum(rps / len(healthy)
+                              * weight[service_id].request_weight
+                              for service_id, rps in loads)
+                water = min(1.0,
+                            carried / (config.cores / config.request_cost_s))
                 sessions = sum(
                     r.sessions_used / r.config.session_capacity
                     for r in healthy) / len(healthy)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import itertools
+import math
 import random
 from operator import attrgetter
 
@@ -216,9 +217,13 @@ class TestBackendProperties:
         for service_id, rps in enumerate(loads):
             backend.install_service(service_id)
             backend.offer_load(service_id, rps)
-        carried = sum(r.offered_rps for r in backend.replicas)
-        assert carried == sum(rps for rps in loads if rps > 0) \
-            or abs(carried - sum(loads)) < 1e-6
+        carried = sum(backend.service_rps(service_id)
+                      for service_id in range(len(loads)))
+        assert carried == sum(rps for rps in loads if rps > 0)
+        # Each of the replicas carries 1/replica_count of it.
+        assert math.isclose(backend.water_level(),
+                            min(1.0, carried / backend.capacity_rps()),
+                            rel_tol=1e-12)
 
 
 class TestHealthCheckProperties:
