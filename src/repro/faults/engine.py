@@ -1,29 +1,32 @@
-"""The fault engine: compiles a FaultPlan onto a simulator agenda.
+"""The fault engines: compile a FaultPlan onto a simulator agenda.
 
-:meth:`FaultEngine.arm` walks a :class:`~repro.faults.plan.FaultPlan`
-and schedules one direct call per injection (and one per recovery,
-when the fault has a ``duration_s``) on the simulator's agenda through
-:meth:`~repro.simcore.Simulator.call_later`. Everything after that is
-ordinary discrete-event execution: faults fire at exact virtual times,
-tie-broken by plan order through the agenda's monotone sequence
-numbers, so a plan's effect is a pure function of (plan, seed) —
-independent of wall clock, worker count, or process interleaving.
+Both tiers run a :class:`~repro.faults.plan.FaultPlan` through one
+loop, :class:`_FaultEngineBase`: :meth:`~_FaultEngineBase.arm` checks
+every fault, then schedules one direct call per injection (and one per
+recovery, when the fault has a ``duration_s``) on the simulator's
+agenda. Everything after that is ordinary discrete-event execution:
+faults fire at exact virtual times, tie-broken by plan order through
+the agenda's monotone sequence numbers, so a plan's effect is a pure
+function of (plan, seed) — independent of wall clock, worker count, or
+process interleaving. After every injection and recovery the loop
+appends an entry to the engine's ``timeline``, the run's one fault
+record: sweep points return it, exhibits put it in their result's
+``faults``, and ``--report`` writes it to all three JSON artifacts at
+any ``--jobs``. It also bumps the ``faults_injected_total`` /
+``faults_recovered_total`` telemetry counters and runs the tier's
+invariant audit, so a conservation bug surfaces at the exact step that
+introduced it. The fluid tier's engine is
+:class:`~repro.fleet.faults.FleetFaultEngine`.
 
-Injections and recoveries call the wired components directly: the
-gateway's ``fail_*``/``recover_*`` methods, which return the sessions a
-crash disrupted, and the CA. The query-of-death cascade lives here,
-its one caller. ``disrupted`` tallies the disrupted sessions per scope
-(``"replica"``, ``"backend"``, ``"az"``; the cascade's crashes count
-under ``"backend"``). A target already down holds no sessions, so
-overlapping faults never count a session twice.
-
-After every injection and recovery the engine appends an entry to its
-``timeline``, the run's one fault record: sweep points return it,
-exhibits put it in their result's ``faults``, and ``--report`` writes
-it to all three JSON artifacts at any ``--jobs``. It also bumps the
-``faults_injected_total`` / ``faults_recovered_total`` telemetry
-counters, and runs the :class:`~repro.faults.audit.InvariantAuditor`
-so a conservation bug surfaces at the exact step that introduced it.
+:class:`FaultEngine` is the testbed's. Injections and recoveries call
+the wired components directly: the gateway's ``fail_*``/``recover_*``
+methods, which return the sessions a crash disrupted, and the CA. The
+query-of-death cascade lives here, its one caller. ``disrupted``
+tallies the disrupted sessions per scope (``"replica"``,
+``"backend"``, ``"az"``; the cascade's crashes count under
+``"backend"``). A target already down holds no sessions, so
+overlapping faults never count a session twice. Its audit is the
+:class:`~repro.faults.audit.InvariantAuditor`.
 
 Wiring is by component: pass ``gateway`` and/or ``ca`` as the plan's
 fault kinds need them (``controlplane`` only adds its counters to the
@@ -36,7 +39,7 @@ cannot resolve. Targets are resolved again when each fault fires.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..obs.runtime import get_telemetry
 from ..resilience import QOD_FAILURES_PER_CRASH
@@ -49,6 +52,54 @@ __all__ = ["FaultEngine", "FaultTargetError"]
 
 class FaultTargetError(FaultPlanError):
     """A fault's target could not be resolved against the topology."""
+
+
+class _FaultEngineBase:
+    """The arm/fire/heal/note loop both tiers' engines share; a tier
+    supplies ``_inject``/``_recover`` (each returning the timeline
+    detail) and ``_audit(context)``, and may extend ``_check``."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        #: Chronological record of every injection/recovery.
+        self.timeline: List[Dict[str, object]] = []
+
+    def arm(self, plan: FaultPlan) -> int:
+        """Check every fault, then schedule them all; returns the number
+        of faults this call armed."""
+        for fault in plan.faults:
+            self._check(fault)
+        for fault in plan.faults:
+            delay = fault.at - self.sim.now
+            steps = [(delay, self._fire)]
+            if fault.duration_s is not None:
+                steps.append((delay + fault.duration_s, self._heal))
+            for when, step in steps:
+                self.sim.call_later(when, step, fault)
+        return len(plan.faults)
+
+    def _check(self, fault: Fault) -> None:
+        """Raise unless ``fault`` can be armed; a tier extends this with
+        its own checks and calls it where a past ``at`` should fail."""
+        if fault.at < self.sim.now:
+            raise FaultPlanError(
+                f"{fault.kind} at t={fault.at} is in the past "
+                f"(sim.now={self.sim.now})")
+
+    def _fire(self, fault: Fault) -> None:
+        self._note("inject", fault, self._inject(fault))
+
+    def _heal(self, fault: Fault) -> None:
+        self._note("recover", fault, self._recover(fault))
+
+    def _note(self, action: str, fault: Fault, detail: str) -> None:
+        entry = {"t": self.sim.now, "action": action, "kind": fault.kind,
+                 "target": fault.target, "detail": detail}
+        self.timeline.append(entry)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.inc(f"faults_{action}ed_total", kind=fault.kind)
+        self._audit(f"{action}:{fault.kind}:{fault.target or '-'}")
 
 
 #: Component each fault kind needs wired into the engine.
@@ -65,182 +116,143 @@ _REQUIRES = {
 _REISSUE_TTL_S = 1e6
 
 
-class FaultEngine:
+class FaultEngine(_FaultEngineBase):
     """Executes fault plans against the wired components."""
 
     def __init__(self, sim: Simulator, gateway=None, controlplane=None,
                  ca=None):
-        self.sim = sim
+        super().__init__(sim)
         self.gateway = gateway
         self.controlplane = controlplane
         self.ca = ca
         self.auditor = InvariantAuditor(gateway=gateway,
                                         controlplane=controlplane)
-        #: Chronological record of every injection/recovery.
-        self.timeline: List[Dict[str, object]] = []
         #: Sessions disrupted so far, per fault scope.
         self.disrupted: Dict[str, int] = {}
 
-    # -- arming --------------------------------------------------------------
-    def arm(self, plan: FaultPlan) -> int:
-        """Check every fault, then schedule them all; returns the number
-        of faults this call armed."""
-        for fault in plan.faults:
-            component = _REQUIRES[fault.kind]
-            if getattr(self, component) is None:
-                raise FaultPlanError(
-                    f"{fault.kind} needs a {component!r} wired into the "
-                    f"FaultEngine")
-            if fault.param:
-                raise FaultPlanError(
-                    f"{fault.kind}: the FaultEngine takes no param "
-                    f"(got {fault.param})")
-            if fault.at < self.sim.now:
-                raise FaultPlanError(
-                    f"{fault.kind} at t={fault.at} is in the past "
-                    f"(sim.now={self.sim.now})")
-            self._resolve(fault)
-        for fault in plan.faults:
-            delay = fault.at - self.sim.now
-            self.sim.call_later(delay, self._fire, fault)
-            if fault.duration_s is not None:
-                self.sim.call_later(delay + fault.duration_s, self._heal,
-                                    fault)
-        return len(plan.faults)
+    def _check(self, fault: Fault) -> None:
+        component = _REQUIRES[fault.kind]
+        if getattr(self, component) is None:
+            raise FaultPlanError(
+                f"{fault.kind} needs a {component!r} wired into the "
+                f"FaultEngine")
+        if fault.param:
+            raise FaultPlanError(
+                f"{fault.kind}: the FaultEngine takes no param "
+                f"(got {fault.param})")
+        super()._check(fault)
+        self._target(fault)
 
     # -- target resolution ---------------------------------------------------
-    def _resolve(self, fault: Fault) -> None:
-        """Raise :class:`FaultTargetError` unless ``fault``'s target
-        names a component the gateway has now."""
+    def _target(self, fault: Fault):
+        """What ``fault`` acts on now: ``(backend, replica)``, a
+        backend, an AZ name or a service id; raises
+        :class:`FaultTargetError` if the gateway has no such thing."""
         kind = fault.kind
         if kind == "replica_crash":
-            self._resolve_replica(fault)
-        elif kind == "backend_crash":
-            self._resolve_backend(fault.target)
-        elif kind == "az_crash":
+            return self._replica(fault.target)
+        if kind == "backend_crash":
+            return self._backend(fault.target)
+        if kind == "az_crash":
             if fault.target not in self.gateway.backends_by_az:
                 raise FaultTargetError(
                     f"{fault.target}: the gateway has no AZ of that name")
-        elif kind == "query_of_death":
-            self._resolve_service(fault.target)
+            return fault.target
+        if kind == "query_of_death":
+            return self._service(fault.target)
+        return None
 
-    def _service_ids(self) -> List[int]:
-        return sorted(self.gateway.service_backends)
-
-    def _resolve_service(self, token: str) -> int:
-        services = self._service_ids()
-        if token.startswith("service:"):
-            index = _index(token, "service")
-            if index >= len(services):
-                raise FaultTargetError(
-                    f"{token}: only {len(services)} services registered")
-            return services[index]
+    def _service(self, target: str) -> int:
+        """``service:i`` or a literal service id → service id."""
+        services = sorted(self.gateway.service_backends)
+        if target.startswith("service:"):
+            (index,) = _parse_path(target, 1)
+            return _pick(services, index, target, "the gateway", "services")
         try:
-            service_id = int(token)
+            service_id = int(target)
         except ValueError:
             raise FaultTargetError(
                 f"service target must be 'service:<i>' or a service id, "
-                f"got {token!r}") from None
+                f"got {target!r}") from None
         if service_id not in services:
-            raise FaultTargetError(f"{token}: no service with that id")
+            raise FaultTargetError(f"{target}: no service with that id")
         return service_id
 
-    def _backend(self, name: str):
-        try:
-            return self.gateway.backend_by_name(name)
-        except KeyError:
-            raise FaultTargetError(
-                f"{name}: the gateway has no backend of that name") from None
-
-    def _resolve_backend(self, target: str) -> str:
-        """``service:i/backend:j`` or a literal name → backend name."""
+    def _backend(self, target: str):
+        """``service:i/backend:j`` or a literal backend name."""
         if "/" not in target:
-            return self._backend(target).name
-        service_token, backend_token = target.split("/", 1)
-        service_id = self._resolve_service(service_token)
-        backends = self.gateway.service_backends[service_id]
-        index = _index(backend_token, "backend")
-        if index >= len(backends):
-            raise FaultTargetError(
-                f"{target}: service {service_id} has only "
-                f"{len(backends)} backends")
-        return backends[index].name
-
-    def _resolve_replica(self, fault: Fault):
-        """→ (backend_name, replica_name) for a replica_crash fault."""
-        if "/" not in fault.target:
-            backend = self._backend(fault.backend)
-            if fault.target not in {r.name for r in backend.replicas}:
+            try:
+                return self.gateway.backend_by_name(target)
+            except KeyError:
                 raise FaultTargetError(
-                    f"{fault.target}: backend {backend.name} has no "
-                    f"replica of that name")
-            return backend.name, fault.target
-        prefix, replica_token = fault.target.rsplit("/", 1)
-        backend_name = self._resolve_backend(prefix)
-        backend = self._backend(backend_name)
-        index = _index(replica_token, "replica")
-        if index >= len(backend.replicas):
+                    f"{target}: the gateway has no backend of that "
+                    f"name") from None
+        return self._backend_at(target, *_parse_path(target, 2))
+
+    def _backend_at(self, target: str, service: int, backend: int):
+        service_id = _pick(sorted(self.gateway.service_backends), service,
+                           target, "the gateway", "services")
+        return _pick(self.gateway.service_backends[service_id], backend,
+                     target, f"service {service_id}", "backends")
+
+    def _replica(self, target: str):
+        """``service:i/backend:j/replica:k`` or a literal replica name
+        (unique across the gateway) → ``(backend, replica)``."""
+        if "/" not in target:
+            for backend in self.gateway.all_backends:
+                for replica in backend.replicas:
+                    if replica.name == target:
+                        return backend, replica
             raise FaultTargetError(
-                f"{fault.target}: backend {backend_name} has only "
-                f"{len(backend.replicas)} replicas")
-        return backend_name, backend.replicas[index].name
+                f"{target}: the gateway has no replica of that name")
+        service, backend, replica = _parse_path(target, 3)
+        backend = self._backend_at(target, service, backend)
+        return backend, _pick(backend.replicas, replica, target,
+                              f"backend {backend.name}", "replicas")
 
     # -- firing --------------------------------------------------------------
-    def _fire(self, fault: Fault) -> None:
-        detail = self._inject(fault)
-        self._note("inject", fault, detail)
-
-    def _heal(self, fault: Fault) -> None:
-        detail = self._recover(fault)
-        self._note("recover", fault, detail)
-
     def _inject(self, fault: Fault) -> str:
         kind = fault.kind
         gateway = self.gateway
+        target = self._target(fault)
         if kind == "replica_crash":
-            backend_name, replica_name = self._resolve_replica(fault)
+            backend, replica = target
             disrupted = self._tally("replica", gateway.fail_replica(
-                backend_name, replica_name))
-            return f"{replica_name} ({disrupted} sessions)"
+                backend.name, replica.name))
+            return f"{replica.name} ({disrupted} sessions)"
         if kind == "backend_crash":
-            name = self._resolve_backend(fault.target)
-            disrupted = self._tally("backend", gateway.fail_backend(name))
-            return f"{name} ({disrupted} sessions)"
+            disrupted = self._tally("backend",
+                                    gateway.fail_backend(target.name))
+            return f"{target.name} ({disrupted} sessions)"
         if kind == "az_crash":
-            disrupted = self._tally("az", gateway.fail_az(fault.target))
-            return f"{fault.target} ({disrupted} sessions)"
+            disrupted = self._tally("az", gateway.fail_az(target))
+            return f"{target} ({disrupted} sessions)"
         if kind == "query_of_death":
-            service_id = self._resolve_service(fault.target)
-            crashed = self._query_of_death(service_id)
-            return f"service {service_id} ({crashed} backends cascaded)"
-        if kind == "cert_rotation_failure":
-            generation = self.ca.rotate_secret()
-            return f"CA secret rotated to gen{generation}, certs orphaned"
-        raise FaultPlanError(f"unhandled fault kind {kind!r}")
+            crashed = self._query_of_death(target)
+            return f"service {target} ({crashed} backends cascaded)"
+        generation = self.ca.rotate_secret()
+        return f"CA secret rotated to gen{generation}, certs orphaned"
 
     def _recover(self, fault: Fault) -> str:
         kind = fault.kind
         gateway = self.gateway
+        target = self._target(fault)
         if kind == "replica_crash":
-            backend_name, replica_name = self._resolve_replica(fault)
-            gateway.recover_replica(backend_name, replica_name)
-            return replica_name
+            backend, replica = target
+            gateway.recover_replica(backend.name, replica.name)
+            return replica.name
         if kind == "backend_crash":
-            name = self._resolve_backend(fault.target)
-            gateway.recover_backend(name)
-            return name
+            gateway.recover_backend(target.name)
+            return target.name
         if kind == "az_crash":
-            gateway.recover_az(fault.target)
-            return fault.target
+            gateway.recover_az(target)
+            return target
         if kind == "query_of_death":
-            service_id = self._resolve_service(fault.target)
-            for backend in list(gateway.service_backends[service_id]):
+            for backend in list(gateway.service_backends[target]):
                 gateway.recover_backend(backend.name)
-            return f"service {service_id}"
-        if kind == "cert_rotation_failure":
-            reissued = self.ca.reissue_all(self.sim.now + _REISSUE_TTL_S)
-            return f"{len(reissued)} certs reissued"
-        raise FaultPlanError(f"unhandled fault kind {kind!r}")
+            return f"service {target}"
+        reissued = self.ca.reissue_all(self.sim.now + _REISSUE_TTL_S)
+        return f"{len(reissued)} certs reissued"
 
     def _query_of_death(self, service_id: int) -> int:
         """Crash the service's backends one by one; returns how many.
@@ -269,15 +281,32 @@ class FaultEngine:
         self.disrupted[scope] = self.disrupted.get(scope, 0) + disrupted
         return disrupted
 
-    def _note(self, action: str, fault: Fault, detail: str) -> None:
-        entry = {"t": self.sim.now, "action": action, "kind": fault.kind,
-                 "target": fault.target, "detail": detail}
-        self.timeline.append(entry)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.inc(f"faults_{action}ed_total", kind=fault.kind)
-        self.auditor.check(
-            context=f"{action}:{fault.kind}:{fault.target or '-'}")
+    def _audit(self, context: str) -> None:
+        self.auditor.check(context=context)
+
+
+#: The levels of a symbolic target path, outermost first.
+_LEVELS = ("service", "backend", "replica")
+
+
+def _parse_path(target: str, depth: int) -> List[int]:
+    """``service:i[/backend:j[/replica:k]]``, exactly ``depth`` levels
+    deep → its indices."""
+    tokens = target.split("/")
+    if len(tokens) != depth:
+        form = "/".join(f"{label}:<index>" for label in _LEVELS[:depth])
+        raise FaultTargetError(f"expected a {form} target, got {target!r}")
+    return [_index(token, label) for token, label in zip(tokens, _LEVELS)]
+
+
+def _pick(items: Sequence, index: int, target: str, owner: str,
+         noun: str):
+    """``items[index]``, or a :class:`FaultTargetError` naming
+    ``target`` when ``owner`` has fewer ``noun``."""
+    if index >= len(items):
+        raise FaultTargetError(
+            f"{target}: {owner} has only {len(items)} {noun}")
+    return items[index]
 
 
 def _index(token: str, label: str) -> int:

@@ -13,11 +13,12 @@ be committed next to an exhibit or diffed across runs;
 :meth:`FaultPlan.canonical` is the sorted, whitespace-free encoding
 that carries a plan into pooled sweep workers.
 
-Targets may be literal object names (``backend-3``, ``az2``) or
-*symbolic* paths. The engine checks each one against the gateway
-topology when it arms the plan, so a plan naming a component that does
-not exist is rejected before anything is scheduled, and resolves it
-again when the fault fires::
+Targets may be literal object names (``backend-3``, ``az2``, and on
+the testbed a replica's ``backend-3-r1``) or *symbolic* paths. The
+engine checks each one against its tier's topology when it arms the
+plan, so a plan naming a component that does not exist is rejected
+before anything is scheduled, and resolves it again when the fault
+fires::
 
     service:0                    # the first registered service
     service:0/backend:1          # its second shuffle-shard backend
@@ -51,7 +52,8 @@ FAULT_KINDS = (
     "cert_rotation_failure",
 )
 
-#: Kinds that need a target; the rest act on a singleton component.
+#: Kinds that need a target; the rest act on a singleton component and
+#: take none.
 _TARGETED_KINDS = ("replica_crash", "backend_crash", "az_crash",
                    "query_of_death")
 
@@ -70,10 +72,6 @@ class Fault:
     kind: str
     at: float = 0.0
     target: str = ""
-    #: Owning backend for ``replica_crash`` with a literal replica name
-    #: (symbolic ``service:i/backend:j/replica:k`` targets carry the
-    #: backend in the path instead).
-    backend: str = ""
     duration_s: Optional[float] = None
     param: float = 0.0
 
@@ -97,6 +95,9 @@ class Fault:
                 f"{self.duration_s}")
         if self.kind in _TARGETED_KINDS and not self.target:
             raise FaultPlanError(f"{self.kind} needs a target")
+        if self.kind not in _TARGETED_KINDS and self.target:
+            raise FaultPlanError(
+                f"{self.kind} takes no target (got {self.target!r})")
         if self.param < 0:
             raise FaultPlanError(
                 f"{self.kind}: param must be >= 0, got {self.param}")
@@ -104,19 +105,11 @@ class Fault:
             raise FaultPlanError(
                 f"{self.kind} takes no param (got {self.param}); only "
                 f"query_of_death has a magnitude")
-        if (self.kind == "replica_crash" and not self.backend
-                and "/" not in self.target):
-            raise FaultPlanError(
-                "replica_crash with a literal replica name needs its "
-                "owning 'backend'; or use a symbolic "
-                "service:i/backend:j/replica:k target")
 
     def to_json(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind, "at": self.at}
         if self.target:
             out["target"] = self.target
-        if self.backend:
-            out["backend"] = self.backend
         if self.duration_s is not None:
             out["duration_s"] = self.duration_s
         if self.param:
@@ -127,7 +120,7 @@ class Fault:
     def from_json(cls, payload: object) -> "Fault":
         if not isinstance(payload, dict):
             raise FaultPlanError("each fault must be a JSON object")
-        known = ("kind", "at", "target", "backend", "duration_s", "param")
+        known = ("kind", "at", "target", "duration_s", "param")
         unknown = sorted(k for k in payload if k not in known)
         if unknown:
             raise FaultPlanError(
@@ -137,15 +130,14 @@ class Fault:
             raise FaultPlanError("fault 'kind' must be a string")
         at = _number(payload.get("at", 0.0), "at")
         target = payload.get("target", "")
-        backend = payload.get("backend", "")
-        if not isinstance(target, str) or not isinstance(backend, str):
-            raise FaultPlanError("'target' and 'backend' must be strings")
+        if not isinstance(target, str):
+            raise FaultPlanError("fault 'target' must be a string")
         duration = payload.get("duration_s")
         if duration is not None:
             duration = _number(duration, "duration_s")
         param = _number(payload.get("param", 0.0), "param")
-        return cls(kind=kind, at=at, target=target, backend=backend,
-                   duration_s=duration, param=param)
+        return cls(kind=kind, at=at, target=target, duration_s=duration,
+                   param=param)
 
 
 def _number(value: object, name: str) -> float:

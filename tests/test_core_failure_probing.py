@@ -46,12 +46,11 @@ class TestFaultInjection:
 
     def test_replica_recovery_recorded_in_timeline(self, sim):
         gateway, services = make_gateway(sim)
-        backend = gateway.all_backends[0]
-        replica = backend.replicas[0]
+        replica = gateway.all_backends[0].replicas[0]
         engine = FaultEngine(sim, gateway=gateway)
         engine.arm(FaultPlan.of(Fault(
             kind="replica_crash", at=1.0, target=replica.name,
-            backend=backend.name, duration_s=2.0)))
+            duration_s=2.0)))
         sim.run(until=2.0)
         assert not replica.healthy
         sim.run(until=4.0)

@@ -18,6 +18,8 @@ from repro.faults import (
     InvariantAuditor,
     InvariantViolation,
 )
+from repro.fleet import (FleetConfig, FleetDemand, FleetFaultEngine,
+                         FleetModel)
 from repro.simcore import Simulator
 
 
@@ -93,13 +95,24 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="takes no param"):
             Fault.from_json({"kind": kind, "target": target, "param": 2.0})
 
-    def test_literal_replica_needs_owning_backend(self):
-        with pytest.raises(FaultPlanError, match="owning 'backend'"):
-            Fault(kind="replica_crash", target="backend-3-r1")
-        # Either form of ownership is fine.
-        Fault(kind="replica_crash", target="backend-3-r1",
-              backend="backend-3")
+    def test_literal_replica_needs_no_owner(self):
+        """A replica name is unique, so the plan does not state its
+        backend; a symbolic path carries the backend in the path."""
+        Fault(kind="replica_crash", target="backend-3-r1")
         Fault(kind="replica_crash", target="service:0/backend:0/replica:0")
+
+    def test_untargeted_kind_rejects_a_target(self):
+        with pytest.raises(FaultPlanError, match="takes no target"):
+            Fault(kind="cert_rotation_failure", target="service:0/backend:9")
+        with pytest.raises(FaultPlanError, match="takes no target"):
+            Fault.from_json({"kind": "cert_rotation_failure",
+                             "target": "service:0/backend:9"})
+
+    def test_backend_field_is_gone(self):
+        with pytest.raises(FaultPlanError, match="unknown fault field"):
+            Fault.from_json({"kind": "replica_crash",
+                             "target": "service:0/backend:0/replica:0",
+                             "backend": "backend-999"})
 
     def test_unknown_json_field_rejected(self):
         with pytest.raises(FaultPlanError, match="unknown fault field"):
@@ -170,14 +183,6 @@ class TestFaultEngine:
         sim.run(until=10.0)
         assert engine.timeline == []
 
-    def test_arm_rejects_faults_in_the_past(self):
-        sim, gateway, _ = make_chaos_gateway()
-        sim.run(until=10.0)
-        engine = FaultEngine(sim, gateway=gateway)
-        with pytest.raises(FaultPlanError, match="in the past"):
-            engine.arm(FaultPlan.of(
-                Fault(kind="az_crash", at=5.0, target="az1")))
-
     @staticmethod
     def _assert_rejected(fault, match, error=FaultTargetError):
         """``arm`` raises ``error`` and schedules nothing."""
@@ -217,6 +222,11 @@ class TestFaultEngine:
         self._assert_rejected(
             Fault(kind="replica_crash", at=30.0,
                   target="service:0/backend:0/replica:99"), "replica:99")
+
+    def test_unknown_literal_replica_rejected_at_arm(self):
+        self._assert_rejected(
+            Fault(kind="replica_crash", at=30.0, target="backend-999-r1"),
+            "backend-999-r1")
 
     def test_unknown_literal_backend_rejected_at_arm(self):
         self._assert_rejected(
@@ -312,6 +322,96 @@ class TestFaultEngine:
         assert not ca.verify(cert, now=sim.now)
         sim.run(until=5.0)
         assert ca.verify(ca.issued_for("spiffe://t/s"), now=sim.now)
+
+
+def _recording(monkeypatch, owner, name):
+    """Wrap ``owner.name`` (an audit call) to record its contexts."""
+    contexts = []
+    check = getattr(owner, name)
+
+    def record(context=""):
+        contexts.append(context)
+        return check(context=context)
+
+    monkeypatch.setattr(owner, name, record)
+    return contexts
+
+
+def _testbed_tier(monkeypatch):
+    sim, gateway, _ = make_chaos_gateway()
+    engine = FaultEngine(sim, gateway=gateway)
+    return sim, engine, _recording(monkeypatch, engine.auditor, "check")
+
+
+def _fleet_tier(monkeypatch):
+    sim = Simulator(7)
+    model = FleetModel(sim, FleetConfig(azs=3, backends_per_az=8,
+                                        services=12, sample_every=1),
+                       FleetDemand(mean_sessions=200.0, session_rps=2.0))
+    model.start(60.0)
+    engine = FleetFaultEngine(sim, model)
+    return sim, engine, _recording(monkeypatch, model, "check_invariants")
+
+
+#: Faults with the same meaning on both tiers: symbolic paths and a
+#: literal AZ name, every topology kind.
+_SHARED_PLAN = FaultPlan.of(
+    Fault(kind="backend_crash", at=5.0, target="service:0/backend:0",
+          duration_s=10.0),
+    Fault(kind="replica_crash", at=7.0,
+          target="service:1/backend:0/replica:0", duration_s=5.0),
+    Fault(kind="az_crash", at=20.0, target="az1", duration_s=5.0),
+    Fault(kind="query_of_death", at=30.0, target="service:2",
+          duration_s=5.0))
+
+
+@pytest.mark.parametrize("tier", [_testbed_tier, _fleet_tier],
+                         ids=["testbed", "fleet"])
+class TestOneEngineContract:
+    """Both tiers' engines run one arm/fire/heal/note loop."""
+
+    def test_arm_returns_the_fault_count(self, tier, monkeypatch):
+        sim, engine, _ = tier(monkeypatch)
+        assert engine.arm(_SHARED_PLAN) == 4
+        sim.run(until=60.0)
+        assert len(engine.timeline) == 8
+
+    def test_one_bad_fault_schedules_nothing(self, tier, monkeypatch):
+        sim, engine, audits = tier(monkeypatch)
+        agenda = list(sim._heap)
+        plan = FaultPlan(_SHARED_PLAN.faults + (Fault(
+            kind="backend_crash", at=40.0, target="service:99/backend:0"),))
+        with pytest.raises(FaultTargetError, match="service:99"):
+            engine.arm(plan)
+        assert sim._heap == agenda
+        sim.run(until=60.0)
+        assert engine.timeline == []
+        assert audits == []
+
+    def test_past_fault_rejected(self, tier, monkeypatch):
+        sim, engine, _ = tier(monkeypatch)
+        sim.run(until=10.0)
+        with pytest.raises(FaultPlanError, match="in the past"):
+            engine.arm(_SHARED_PLAN)
+
+    def test_timeline_entries_and_one_audit_per_step(self, tier,
+                                                     monkeypatch):
+        sim, engine, audits = tier(monkeypatch)
+        engine.arm(_SHARED_PLAN)
+        sim.run(until=60.0)
+        assert [(e["t"], e["action"], e["kind"]) for e in engine.timeline] \
+            == [(5.0, "inject", "backend_crash"),
+                (7.0, "inject", "replica_crash"),
+                (12.0, "recover", "replica_crash"),
+                (15.0, "recover", "backend_crash"),
+                (20.0, "inject", "az_crash"),
+                (25.0, "recover", "az_crash"),
+                (30.0, "inject", "query_of_death"),
+                (35.0, "recover", "query_of_death")]
+        for entry in engine.timeline:
+            assert set(entry) == {"t", "action", "kind", "target", "detail"}
+        assert audits == [f"{e['action']}:{e['kind']}:{e['target']}"
+                          for e in engine.timeline]
 
 
 class TestDeterminism:

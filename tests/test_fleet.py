@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ShardingError, shard_stats
 from repro.faults.engine import FaultTargetError
-from repro.faults.plan import Fault, FaultPlan
+from repro.faults.plan import Fault, FaultPlan, FaultPlanError
 from repro.fleet import (
     FLEET_FAULT_KINDS,
     FleetConfig,
@@ -405,9 +405,9 @@ class TestFleetFaultEngine:
     def test_unknown_kind_rejected_at_arm_time(self):
         sim, config, demand, model = small_world()
         engine = FleetFaultEngine(sim, model)
-        with pytest.raises(ValueError):
+        with pytest.raises(FaultPlanError, match="no fleet-tier analogue"):
             engine.arm(FaultPlan.of(
-                Fault(kind="meteor_strike", at=1.0, target="az:1")))
+                Fault(kind="cert_rotation_failure", at=1.0)))
 
     def test_bad_target_rejected_at_arm_time(self):
         sim, config, demand, model = small_world()
@@ -415,6 +415,15 @@ class TestFleetFaultEngine:
         with pytest.raises(FaultTargetError):
             engine.arm(FaultPlan.of(
                 Fault(kind="az_crash", at=1.0, target="az:99")))
+
+    def test_literal_replica_name_rejected(self):
+        """Fleet replicas have no names: only the symbolic path works."""
+        sim, config, demand, model = small_world()
+        engine = FleetFaultEngine(sim, model)
+        with pytest.raises(FaultTargetError, match="no-such-replica"):
+            engine.arm(FaultPlan.of(
+                Fault(kind="replica_crash", at=5.0,
+                      target="no-such-replica")))
 
     def test_kinds_tuple_is_the_contract(self):
         assert set(FLEET_FAULT_KINDS) == {
