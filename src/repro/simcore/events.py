@@ -252,13 +252,20 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, sim: "Simulator", generator, name: str = ""):
-        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        sim._schedule_call(self._resume, _INIT)
+        # The bootstrap is pushed here, as ``Timeout`` pushes itself:
+        # every offered request spawns one process.
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now, sim._sequence, self._resume, _INIT))
 
     @property
     def is_alive(self) -> bool:

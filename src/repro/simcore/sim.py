@@ -80,8 +80,10 @@ class Simulator:
         :class:`Event` is created, nothing can be waited on, and the
         loop invokes ``call(arg)`` directly when the entry fires. This
         is the right primitive for fixed-step model updates (the fluid
-        tier in ``repro.fleet`` schedules every flow step through it)
-        and other fire-and-forget callbacks: entries are plain 4-tuples
+        tier in ``repro.fleet`` schedules every flow step through it),
+        for chains of arrivals (the open-loop and short-flow drivers in
+        ``repro.workloads`` schedule each next request through it) and
+        other fire-and-forget callbacks: entries are plain 4-tuples
         that the loop dispatches without touching any Event.
 
         Callbacks fire in ``(when, seq)`` order like everything else;
@@ -98,7 +100,13 @@ class Simulator:
         replaces such a process and must keep its tie-breaks arms the
         timer through a ``call_later(0.0, …)`` first.
         """
-        self._schedule_call(call, arg, delay)
+        # Pushed here rather than via ``_schedule_call``: every arrival
+        # takes this path, so it is as hot as ``Timeout``.
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        self._sequence += 1
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, call, arg))
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:

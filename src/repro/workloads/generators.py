@@ -11,6 +11,16 @@ Two driver shapes cover every testbed experiment:
 Both record latency and status into summaries; ``ShortFlowDriver``
 opens a fresh connection per request for the HTTPS handshake
 experiments (Figs 25, 27, 28).
+
+The open-loop and short-flow drivers share one arrival chain
+(``_DriverBase._offer``): each arrival is one ``Simulator.call_later``
+entry whose callback counts the request, spawns its process, draws
+the next exponential gap and schedules the next arrival. The driver's
+own process is resumed a fixed number of times per run, not once per
+request: it waits on one event, which the first arrival at or past
+the end succeeds, and then joins the requests still in flight. Every
+``sim.rng`` draw comes in the order a per-arrival timeout loop would
+make it, so a seed replays the same schedule.
 """
 
 from __future__ import annotations
@@ -26,6 +36,15 @@ from ..simcore import Event, Simulator, Summary
 
 __all__ = ["LoadReport", "OpenLoopDriver", "ClosedLoopDriver",
            "ShortFlowDriver", "default_request_factory"]
+
+
+def _require_count(owner, name: str, low: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``owner.name`` is an
+    int (not a bool) ``>= low``."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{type(owner).__name__}.{name} must be an int "
+                         f">= {low}, got {value!r}")
 
 
 def default_request_factory() -> HttpRequest:
@@ -72,6 +91,10 @@ class _DriverBase:
         #: Set once arrivals end with requests still in flight; the last
         #: completion succeeds it (see :meth:`_join`).
         self._joined: Optional[Event] = None
+        #: The arrival chain's horizon and the event its last arrival
+        #: succeeds (see :meth:`_offer`).
+        self._end = 0.0
+        self._arrivals_ended: Optional[Event] = None
 
     def _one_request(self, connection):
         request = self.request_factory()
@@ -95,6 +118,40 @@ class _DriverBase:
             self._joined = self.sim.event()
             yield self._joined
 
+    def _offer(self):
+        """Offer Poisson arrivals at ``self.rps`` for ``self.duration_s``
+        from now, wait for the last completion, and return the report.
+
+        Arrivals run on the agenda as :meth:`_arrive` calls, so this
+        generator resumes once when they end and once more if requests
+        are still in flight then.
+        """
+        sim = self.sim
+        start = sim.now
+        self._end = start + self.duration_s
+        self._arrivals_ended = sim.event()
+        sim.call_later(sim.rng.expovariate(self.rps), self._arrive)
+        yield self._arrivals_ended
+        yield from self._join()
+        self.report.duration_s = sim.now - start
+        return self.report
+
+    def _arrive(self, _arg) -> None:
+        """One arrival: count it, spawn it, schedule the next one. The
+        first arrival at or past the end spawns nothing and ends the
+        chain."""
+        sim = self.sim
+        if sim.now >= self._end:
+            self._arrivals_ended.succeed()
+            return
+        self.report.offered += 1
+        self._spawn()
+        sim.call_later(sim.rng.expovariate(self.rps), self._arrive)
+
+    def _spawn(self) -> None:
+        """Start the process of one offered request."""
+        raise NotImplementedError
+
 
 class OpenLoopDriver(_DriverBase):
     """Poisson arrivals at a fixed mean rate over a pool of persistent
@@ -110,29 +167,24 @@ class OpenLoopDriver(_DriverBase):
         self.connections = connections
         require_at_least(self, "rps", 0, inclusive=False)
         require_at_least(self, "duration_s", 0, inclusive=False)
-        require_at_least(self, "connections", 1)
+        _require_count(self, "connections", 1)
+        self._pool: list = []
+        self._index = 0
 
     def run(self):
         """Process generator: open connections, offer load, finish."""
-        pool = []
         for _ in range(self.connections):
             connection = yield from self.mesh.open_connection(
                 self.client_pod, self.service)
-            pool.append(connection)
-        start = self.sim.now
-        end = start + self.duration_s
-        index = 0
-        while self.sim.now < end:
-            yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
-            if self.sim.now >= end:
-                break
-            connection = pool[index % len(pool)]
-            index += 1
-            self.report.offered += 1
-            self.sim.process(self._one_request(connection), name="req")
-        yield from self._join()
-        self.report.duration_s = self.sim.now - start
-        return self.report
+            self._pool.append(connection)
+        return (yield from self._offer())
+
+    def _spawn(self) -> None:
+        """A request on the next pooled connection, round robin."""
+        pool = self._pool
+        connection = pool[self._index % len(pool)]
+        self._index += 1
+        self.sim.process(self._one_request(connection), name="req")
 
 
 class ClosedLoopDriver(_DriverBase):
@@ -151,8 +203,8 @@ class ClosedLoopDriver(_DriverBase):
         self.connections = connections
         self.requests_per_connection = requests_per_connection
         self.think_time_s = think_time_s
-        require_at_least(self, "connections", 1)
-        require_at_least(self, "requests_per_connection", 0)
+        _require_count(self, "connections", 1)
+        _require_count(self, "requests_per_connection", 0)
         require_at_least(self, "think_time_s", 0)
 
     def run(self):
@@ -186,17 +238,11 @@ class ShortFlowDriver(_DriverBase):
         require_at_least(self, "duration_s", 0, inclusive=False)
 
     def run(self):
-        start = self.sim.now
-        end = start + self.duration_s
-        while self.sim.now < end:
-            yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
-            if self.sim.now >= end:
-                break
-            self.report.offered += 1
-            self.sim.process(self._flow(), name="flow")
-        yield from self._join()
-        self.report.duration_s = self.sim.now - start
-        return self.report
+        """Process generator: offer flows, finish."""
+        return (yield from self._offer())
+
+    def _spawn(self) -> None:
+        self.sim.process(self._flow(), name="flow")
 
     def _flow(self):
         opened_at = self.sim.now

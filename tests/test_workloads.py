@@ -101,6 +101,18 @@ class TestDrivers:
         (ClosedLoopDriver, {"think_time_s": -1.0}, "think_time_s"),
         (ClosedLoopDriver, {"think_time_s": float("nan")}, "think_time_s"),
         (ClosedLoopDriver, {"think_time_s": float("inf")}, "think_time_s"),
+        # Counts are ints: a fractional or bool count is rejected by name,
+        # not floored, taken as 1, or left to fail inside ``sim.run``.
+        (OpenLoopDriver, {"rps": 10.0, "duration_s": 1.0,
+                          "connections": 2.5}, "connections"),
+        (OpenLoopDriver, {"rps": 10.0, "duration_s": 1.0,
+                          "connections": True}, "connections"),
+        (ClosedLoopDriver, {"connections": 2.5}, "connections"),
+        (ClosedLoopDriver, {"connections": True}, "connections"),
+        (ClosedLoopDriver, {"requests_per_connection": 2.5},
+         "requests_per_connection"),
+        (ClosedLoopDriver, {"requests_per_connection": False},
+         "requests_per_connection"),
     ])
     def test_bad_input_rejected_by_name(self, driver, kwargs, field):
         run = build_testbed("no-mesh")
@@ -124,6 +136,147 @@ class TestDrivers:
         report = run.run_driver(driver)
         report.statuses.append(503)
         assert report.error_count == 1
+
+
+class _LoopOpenLoopDriver(OpenLoopDriver):
+    """Reference: the open loop as one timeout and one resume of the
+    driver's process per arrival, as it was before the arrival chain."""
+
+    def run(self):
+        pool = []
+        for _ in range(self.connections):
+            connection = yield from self.mesh.open_connection(
+                self.client_pod, self.service)
+            pool.append(connection)
+        start = self.sim.now
+        end = start + self.duration_s
+        index = 0
+        while self.sim.now < end:
+            yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
+            if self.sim.now >= end:
+                break
+            connection = pool[index % len(pool)]
+            index += 1
+            self.report.offered += 1
+            self.sim.process(self._one_request(connection), name="req")
+        yield from self._join()
+        self.report.duration_s = self.sim.now - start
+        return self.report
+
+
+class _LoopShortFlowDriver(ShortFlowDriver):
+    """Reference: short flows as one timeout and one resume of the
+    driver's process per arrival."""
+
+    def run(self):
+        start = self.sim.now
+        end = start + self.duration_s
+        while self.sim.now < end:
+            yield self.sim.timeout(self.sim.rng.expovariate(self.rps))
+            if self.sim.now >= end:
+                break
+            self.report.offered += 1
+            self.sim.process(self._flow(), name="flow")
+        yield from self._join()
+        self.report.duration_s = self.sim.now - start
+        return self.report
+
+
+class _CountingRun:
+    """Wraps a driver's ``run()`` generator and counts its resumes."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.resumes = 0
+
+    def send(self, value):
+        self.resumes += 1
+        return self.generator.send(value)
+
+    def throw(self, exception):
+        self.resumes += 1
+        return self.generator.throw(exception)
+
+    def close(self):
+        self.generator.close()
+
+
+def _drive(driver_cls, mesh, seed, rps, duration_s):
+    """One run of ``driver_cls`` on a fresh testbed: (report, final
+    ``sim.now``, agenda entries the run took)."""
+    run = build_testbed(mesh, seed=seed)
+    kwargs = ({"connections": 10}
+              if issubclass(driver_cls, OpenLoopDriver) else {})
+    driver = driver_cls(run.sim, run.mesh, run.client_pod, "svc1",
+                        rps=rps, duration_s=duration_s, **kwargs)
+    sequence = run.sim._sequence
+    report = run.run_driver(driver)
+    return report, run.sim.now, run.sim._sequence - sequence
+
+
+def _outcome(report, now):
+    return (list(report.latency.values), report.statuses, report.offered,
+            report.completed, report.duration_s, now)
+
+
+class TestArrivalChain:
+    """The open-loop and short-flow drivers offer each arrival as one
+    agenda call, not a resume of the driver's process. The schedule
+    must be the per-arrival loop's, draw for draw."""
+
+    #: Offered load for the ``load`` case: about 200 arrivals.
+    RPS = {"no-mesh": 4000.0, "istio": 1000.0, "ambient": 4000.0,
+           "canal": 4000.0}
+
+    @pytest.mark.parametrize("case", ["none", "one", "load"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("mesh", ["no-mesh", "istio", "ambient",
+                                      "canal"])
+    @pytest.mark.parametrize("chain, loop", [
+        pytest.param(OpenLoopDriver, _LoopOpenLoopDriver, id="open"),
+        pytest.param(ShortFlowDriver, _LoopShortFlowDriver, id="short")])
+    def test_same_report_as_the_per_arrival_loop(self, chain, loop, mesh,
+                                                 seed, case):
+        rps, duration_s = 100.0, 1e-6
+        if case == "one":
+            # Just past the first arrival, which the zero-arrival run
+            # reports as its duration.
+            first, _now, _entries = _drive(loop, mesh, seed, rps, duration_s)
+            duration_s = first.duration_s * (1 + 1e-6)
+        elif case == "load":
+            rps = self.RPS[mesh]
+            duration_s = 200 / rps
+        expected, loop_now, loop_entries = _drive(loop, mesh, seed, rps,
+                                                  duration_s)
+        got, now, entries = _drive(chain, mesh, seed, rps, duration_s)
+        assert _outcome(got, now) == _outcome(expected, loop_now)
+        assert {"none": 0, "one": 1}.get(case, got.offered) <= got.offered
+        assert got.offered <= {"none": 0, "one": 2}.get(case, got.offered)
+        if case == "load":
+            assert got.offered > 100
+        # One entry ends the chain; the join may save one.
+        assert loop_entries <= entries <= loop_entries + 1
+
+    @pytest.mark.parametrize("driver_cls", [OpenLoopDriver, ShortFlowDriver])
+    def test_arrivals_do_not_resume_the_driver(self, driver_cls):
+        """The driver's process resumes as often for 500 arrivals as for
+        5, give or take the one wait that joins requests still in
+        flight."""
+        resumes, offered = [], []
+        for duration_s in (0.01, 1.0):
+            run = build_testbed("canal", seed=7)
+            kwargs = ({"connections": 10}
+                      if driver_cls is OpenLoopDriver else {})
+            driver = driver_cls(run.sim, run.mesh, run.client_pod, "svc1",
+                                rps=500.0, duration_s=duration_s, **kwargs)
+            body = _CountingRun(driver.run())
+            process = run.sim.process(body, name="driver")
+            run.sim.run()
+            assert process.value is driver.report
+            resumes.append(body.resumes)
+            offered.append(driver.report.offered)
+        assert offered[0] < 10 and offered[1] > 400, offered
+        assert abs(resumes[1] - resumes[0]) <= 1, (resumes, offered)
 
 
 class TestSimulationCost:
