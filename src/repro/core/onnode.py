@@ -38,12 +38,13 @@ class OnNodeProxy:
         self.tier = ProxyTier(sim, cores=cores, name=f"onnode@{node_name}")
         #: Asym engine installed by CanalMesh (remote/local/software).
         self.asym_engine = None
+        #: eBPF hand-off plus L4 work: the message-independent cost.
+        self._fixed_cost_s = (costs.ebpf_redirect_cpu_s()
+                              + costs.canal_onnode_l4_s)
 
     def data_path_cost_s(self, nbytes: int) -> float:
         """CPU of moving one message through the on-node proxy."""
-        return (self.costs.ebpf_redirect_cpu_s()
-                + self.costs.canal_onnode_l4_s
-                + self.costs.symmetric_cost(nbytes))
+        return self._fixed_cost_s + self.costs.symmetric_cost(nbytes)
 
     def process_message(self, pod: str, service: str, bytes_out: int,
                         bytes_in: int, trace=None, parent_id: int = 1,

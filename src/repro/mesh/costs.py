@@ -29,9 +29,9 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
+from math import inf, isfinite, log
 
 from ..crypto.primitives import CryptoCosts, DEFAULT_CRYPTO_COSTS
 from ..kernel.costs import KernelCosts
@@ -47,13 +47,18 @@ def sample_service_time(rng: random.Random, mean_s: float,
     with complex filter chains has heavy-tailed per-request costs (which
     is what makes its latency spike far below full utilization — Fig 2),
     while an optimized single-purpose engine is near-deterministic.
-    ``sigma=0`` returns the mean exactly, and a zero mean returns
-    ``0.0``; neither draws from ``rng``. A negative ``mean_s`` or
-    ``sigma`` raises ``ValueError``.
+    Inputs both positive and finite (every request path) cost one chained
+    comparison and one ``rng.lognormvariate``. Otherwise ``sigma=0``
+    returns the mean exactly and a zero mean returns ``0.0``, neither
+    drawing from ``rng``; a negative or non-finite ``mean_s`` or
+    ``sigma`` raises ``ValueError`` naming it.
     """
-    if not math.isfinite(mean_s):
+    if 0.0 < mean_s < inf and 0.0 < sigma < inf:
+        # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); solve for mu.
+        return rng.lognormvariate(log(mean_s) - sigma * sigma / 2.0, sigma)
+    if not isfinite(mean_s):
         raise ValueError(f"mean_s must be finite, got {mean_s!r}")
-    if not math.isfinite(sigma):
+    if not isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if mean_s < 0:
         raise ValueError(f"mean_s must be >= 0, got {mean_s!r}")
@@ -61,11 +66,7 @@ def sample_service_time(rng: random.Random, mean_s: float,
         raise ValueError(f"sigma must be >= 0, got {sigma!r}")
     if mean_s == 0:
         return 0.0
-    if sigma == 0:
-        return mean_s
-    # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); solve for mu.
-    mu = math.log(mean_s) - sigma * sigma / 2.0
-    return rng.lognormvariate(mu, sigma)
+    return mean_s  # sigma == 0
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpRequest:
-    """One L7 request as seen by a mesh proxy."""
+    """One L7 request as seen by a mesh proxy; frozen, because a load
+    driver sends one object for every request it offers."""
 
     method: str = "GET"
     path: str = "/"
@@ -37,8 +38,11 @@ class HttpRequest:
     source_identity: str = ""
 
     def __post_init__(self) -> None:
-        if self.body_bytes < 0 or self.response_bytes < 0:
-            raise ValueError("negative message size")
+        for name in ("body_bytes", "response_bytes"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:  # no bool, no float
+                raise ValueError(f"HttpRequest.{name} must be an int "
+                                 f">= 0, got {value!r}")
 
     @property
     def total_bytes(self) -> int:

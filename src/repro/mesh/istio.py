@@ -119,6 +119,8 @@ class IstioMesh(SoftwareMtlsMesh):
         self.sidecar_cores_per_node = sidecar_cores_per_node
         self.sidecar_resources = sidecar_resources
         self.sidecars_injected = 0
+        #: One sidecar pass's two iptables hand-offs, request-independent.
+        self._redirect_cpu_s = 2 * costs.iptables_redirect_cpu_s()
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, cluster: Cluster) -> None:
@@ -149,19 +151,17 @@ class IstioMesh(SoftwareMtlsMesh):
         if server_pod is None:
             return self._respond(503, start, connection, handle)
 
-        fixed_cost = (2 * self.costs.iptables_redirect_cpu_s()
-                      + self.costs.symmetric_cost(request.total_bytes))
-
-        def side_cost() -> float:
-            return fixed_cost + sample_service_time(
-                self.sim.rng, self.costs.istio_sidecar_l7_s,
-                self.costs.istio_l7_sigma)
+        costs = self.costs
+        fixed_cost = self._redirect_cpu_s + costs.symmetric_cost(
+            request.total_bytes)
 
         # Client sidecar: redirect out + L7 + encrypt, then the hop.
         # Both sidecar passes are full L7 proxies, so their spans land
         # in the l7 layer (the sidecar has no split l4/l7 like Canal).
         yield self._tier_for(client_pod).work(
-            side_cost(), trace=handle, name="sidecar-l7", layer="l7",
+            fixed_cost + sample_service_time(
+                self.sim.rng, costs.istio_sidecar_l7_s, costs.istio_l7_sigma),
+            trace=handle, name="sidecar-l7", layer="l7",
             pod=client_pod.name, bytes_out=request.body_bytes,
             bytes_in=request.response_bytes,
             after_s=connection.one_way_s)
@@ -172,13 +172,15 @@ class IstioMesh(SoftwareMtlsMesh):
         # (response-side proxy work is folded into the per-side cost
         # above).
         app_start = yield self._tier_for(server_pod).work(
-            side_cost(), trace=handle, name="sidecar-l7", layer="l7",
+            fixed_cost + sample_service_time(
+                self.sim.rng, costs.istio_sidecar_l7_s, costs.istio_l7_sigma),
+            trace=handle, name="sidecar-l7", layer="l7",
             pod=server_pod.name, bytes_out=request.response_bytes,
             bytes_in=request.body_bytes,
-            after_s=self.costs.app_service_time_s + connection.one_way_s)
+            after_s=costs.app_service_time_s + connection.one_way_s)
         if handle is not None:
             handle.add("app-exec", "app", app_start,
-                       app_start + self.costs.app_service_time_s,
+                       app_start + costs.app_service_time_s,
                        source=f"app/{server_pod.name}",
                        pod=server_pod.name)
         return self._respond(200, start, connection, handle,

@@ -69,6 +69,8 @@ class _Pending:
 
 PENDING = _Pending()
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised when the simulation itself is misused (not model failures)."""
@@ -221,8 +223,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value

@@ -119,7 +119,10 @@ class TimeSeries:
         self.values: List[float] = []
 
     def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
+        if not math.isfinite(time):
+            raise ValueError(f"time series {self.name!r} needs finite "
+                             f"times, got {time!r}")
+        if self.times and not time >= self.times[-1]:  # NaN-proof
             raise ValueError(
                 f"time series {self.name!r} must be recorded in order")
         self.times.append(time)

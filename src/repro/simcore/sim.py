@@ -25,7 +25,7 @@ import heapq
 import random
 from typing import Any, Generator, Optional
 
-from .events import AllOf, Event, Process, Timeout
+from .events import _INF, AllOf, Event, Process, Timeout
 
 __all__ = ["Simulator"]
 
@@ -57,21 +57,17 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        # ``not >=`` (rather than ``< 0``) also rejects NaN, which would
-        # otherwise corrupt the heap order and silently drop events.
-        if not delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        # Rejects NaN (heap corruption) and inf (the clock stuck at inf).
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._sequence += 1
         heapq.heappush(self._heap,
                        (self.now + delay, self._sequence, None, event))
 
-    def _schedule_call(self, call, event: Any, delay: float = 0.0) -> None:
-        """Schedule ``call(event)`` — no Event allocated, nothing drained."""
-        if not delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+    def _schedule_call(self, call, event: Any) -> None:
+        """Schedule ``call(event)`` now: no Event allocated, none drained."""
         self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, self._sequence, call, event))
+        heapq.heappush(self._heap, (self.now, self._sequence, call, event))
 
     def call_later(self, delay: float, call, arg: Any = None) -> None:
         """Schedule ``call(arg)`` at ``now + delay`` on the direct-call path.
@@ -102,8 +98,8 @@ class Simulator:
         """
         # Pushed here rather than via ``_schedule_call``: every arrival
         # takes this path, so it is as hot as ``Timeout``.
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._sequence += 1
         heapq.heappush(self._heap,
                        (self.now + delay, self._sequence, call, arg))
@@ -134,13 +130,13 @@ class Simulator:
         windows line up with experiment horizons.
         """
         if until is not None:
-            if until != until:
-                raise ValueError(f"until must be a time, got {until!r}")
+            if not -_INF < until < _INF:  # also rejects NaN
+                raise ValueError(f"until must be a finite time, got {until!r}")
             if until < self.now:
                 raise ValueError(
                     f"until={until} is in the past (now={self.now})")
         heap = self._heap
-        limit = float("inf") if until is None else until
+        limit = _INF if until is None else until
         pop = heapq.heappop
         while heap and heap[0][0] <= limit:
             when, _seq, call, event = pop(heap)

@@ -5,7 +5,6 @@ from .generators import (
     LoadReport,
     OpenLoopDriver,
     ShortFlowDriver,
-    default_request_factory,
 )
 from .traces import (
     attack_trace,
@@ -23,7 +22,6 @@ __all__ = [
     "OpenLoopDriver",
     "ShortFlowDriver",
     "attack_trace",
-    "default_request_factory",
     "diurnal_profile",
     "flat_profile",
     "growth_trend",

@@ -21,12 +21,15 @@ request: it waits on one event, which the first arrival at or past
 the end succeeds, and then joins the requests still in flight. Every
 ``sim.rng`` draw comes in the order a per-arrival timeout loop would
 make it, so a seed replays the same schedule.
+
+Each driver builds its one wrk-style request at construction and sends
+that same frozen ``HttpRequest`` for every request it offers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.replica import require_at_least
 from ..k8s import Pod
@@ -35,7 +38,7 @@ from ..mesh.http import HttpRequest
 from ..simcore import Event, Simulator, Summary
 
 __all__ = ["LoadReport", "OpenLoopDriver", "ClosedLoopDriver",
-           "ShortFlowDriver", "default_request_factory"]
+           "ShortFlowDriver"]
 
 
 def _require_count(owner, name: str, low: int) -> None:
@@ -45,12 +48,6 @@ def _require_count(owner, name: str, low: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"{type(owner).__name__}.{name} must be an int "
                          f">= {low}, got {value!r}")
-
-
-def default_request_factory() -> HttpRequest:
-    """The testbed's wrk-style request: small body, 1 KB response."""
-    return HttpRequest(method="GET", path="/", body_bytes=128,
-                       response_bytes=1024)
 
 
 @dataclass
@@ -80,13 +77,14 @@ class LoadReport:
 
 class _DriverBase:
     def __init__(self, sim: Simulator, mesh: ServiceMesh, client_pod: Pod,
-                 service: str,
-                 request_factory: Callable[[], HttpRequest] = None):
+                 service: str):
         self.sim = sim
         self.mesh = mesh
         self.client_pod = client_pod
         self.service = service
-        self.request_factory = request_factory or default_request_factory
+        #: Small body, 1 KB response; shared by every offered request.
+        self.request = HttpRequest(method="GET", path="/", body_bytes=128,
+                                   response_bytes=1024)
         self.report = LoadReport()
         #: Set once arrivals end with requests still in flight; the last
         #: completion succeeds it (see :meth:`_join`).
@@ -97,8 +95,7 @@ class _DriverBase:
         self._arrivals_ended: Optional[Event] = None
 
     def _one_request(self, connection):
-        request = self.request_factory()
-        response = yield from self.mesh.request(connection, request)
+        response = yield from self.mesh.request(connection, self.request)
         self._record(response.status, response.latency_s)
         return response
 
@@ -159,9 +156,8 @@ class OpenLoopDriver(_DriverBase):
 
     def __init__(self, sim: Simulator, mesh: ServiceMesh, client_pod: Pod,
                  service: str, rps: float, duration_s: float,
-                 connections: int = 100,
-                 request_factory: Callable[[], HttpRequest] = None):
-        super().__init__(sim, mesh, client_pod, service, request_factory)
+                 connections: int = 100):
+        super().__init__(sim, mesh, client_pod, service)
         self.rps = rps
         self.duration_s = duration_s
         self.connections = connections
@@ -197,9 +193,8 @@ class ClosedLoopDriver(_DriverBase):
     def __init__(self, sim: Simulator, mesh: ServiceMesh, client_pod: Pod,
                  service: str, connections: int = 1,
                  requests_per_connection: int = 100,
-                 think_time_s: float = 0.0,
-                 request_factory: Callable[[], HttpRequest] = None):
-        super().__init__(sim, mesh, client_pod, service, request_factory)
+                 think_time_s: float = 0.0):
+        super().__init__(sim, mesh, client_pod, service)
         self.connections = connections
         self.requests_per_connection = requests_per_connection
         self.think_time_s = think_time_s
@@ -229,9 +224,8 @@ class ShortFlowDriver(_DriverBase):
     """A new connection (and handshake) per request — HTTPS short flows."""
 
     def __init__(self, sim: Simulator, mesh: ServiceMesh, client_pod: Pod,
-                 service: str, rps: float, duration_s: float,
-                 request_factory: Callable[[], HttpRequest] = None):
-        super().__init__(sim, mesh, client_pod, service, request_factory)
+                 service: str, rps: float, duration_s: float):
+        super().__init__(sim, mesh, client_pod, service)
         self.rps = rps
         self.duration_s = duration_s
         require_at_least(self, "rps", 0, inclusive=False)
@@ -248,7 +242,6 @@ class ShortFlowDriver(_DriverBase):
         opened_at = self.sim.now
         connection = yield from self.mesh.open_connection(
             self.client_pod, self.service)
-        request = self.request_factory()
-        response = yield from self.mesh.request(connection, request)
+        response = yield from self.mesh.request(connection, self.request)
         # Short-flow latency includes the handshake.
         self._record(response.status, self.sim.now - opened_at)

@@ -1,4 +1,4 @@
-"""Tests for L7 routing and zero-trust policy objects."""
+"""Tests for L7 requests, routing and zero-trust policy objects."""
 
 import random
 
@@ -19,6 +19,28 @@ from repro.mesh import (
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+class TestHttpRequest:
+    @pytest.mark.parametrize("field, value", [
+        ("body_bytes", -1),
+        ("response_bytes", -1),
+        # Sizes are ints: NaN once failed only inside ``CpuResource.run``,
+        # and a bool counted as 1 byte.
+        ("body_bytes", float("nan")),
+        ("body_bytes", 128.0),
+        ("body_bytes", True),
+        ("response_bytes", float("inf")),
+        ("response_bytes", False),
+        ("response_bytes", "1024"),
+    ])
+    def test_bad_size_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"^HttpRequest\.{field} must be an int"):
+            HttpRequest(**{field: value})
+
+    def test_zero_sizes_accepted(self):
+        assert HttpRequest(body_bytes=0, response_bytes=0).total_bytes == 0
 
 
 class TestHttpMatch:

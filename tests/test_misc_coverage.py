@@ -1,6 +1,10 @@
 """Coverage for smaller surfaces: cost sampling, simulator edges,
 gateway sessions, monitor session series, and the experiments CLI."""
 
+import math
+import random
+import re
+
 import pytest
 
 from repro.experiments.__main__ import main as experiments_cli
@@ -58,6 +62,54 @@ class TestSampleServiceTime:
         rng = random.Random(0)
         state = rng.getstate()
         assert sample_service_time(rng, 0.0, sigma) == 0.0
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("mean_s", [5e-324, 1e-300, 1e-6, 80e-6, 1e-3,
+                                        1.0, 1e6, 1e300])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-9, 0.35, 0.9, 1.3, 3.0])
+    def test_in_range_draw_is_one_lognormvariate(self, mean_s, sigma):
+        """Positive finite inputs draw exactly what the standard
+        library's lognormal gives for the mean-preserving ``mu``."""
+        rng = random.Random(17)
+        clone = random.Random(0)
+        clone.setstate(rng.getstate())
+        for _ in range(20):
+            expected = clone.lognormvariate(
+                math.log(mean_s) - sigma * sigma / 2.0, sigma)
+            assert sample_service_time(rng, mean_s, sigma) == expected
+        assert rng.getstate() == clone.getstate()
+
+    @pytest.mark.parametrize("mean_s, sigma, result", [
+        (0.0, 0.0, 0.0),
+        (0.0, 1.3, 0.0),
+        (-0.0, 0.5, 0.0),
+        (1e-3, 0.0, 1e-3),
+        (1e300, 0.0, 1e300),
+        (5e-324, 0.0, 5e-324),
+        (-1.0, 0.5, "mean_s must be >= 0, got -1.0"),
+        (-1.0, -0.5, "mean_s must be >= 0, got -1.0"),
+        (1e-3, -0.5, "sigma must be >= 0, got -0.5"),
+        (0.0, -0.0001, "sigma must be >= 0, got -0.0001"),
+        (float("nan"), -1.0, "mean_s must be finite, got nan"),
+        (float("-inf"), 0.5, "mean_s must be finite, got -inf"),
+        (float("nan"), float("nan"), "mean_s must be finite, got nan"),
+        (0.0, float("inf"), "sigma must be finite, got inf"),
+        (-1.0, float("inf"), "sigma must be finite, got inf"),
+        (1e-3, float("nan"), "sigma must be finite, got nan"),
+    ])
+    def test_out_of_range_results_and_messages(self, mean_s, sigma, result):
+        """Off the one-comparison path: a zero mean or sigma returns
+        without drawing, anything else raises naming the first bad
+        input, in the order the checks always ran."""
+        rng = random.Random(0)
+        state = rng.getstate()
+        if isinstance(result, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(result)}$"):
+                sample_service_time(rng, mean_s, sigma)
+        else:
+            value = sample_service_time(rng, mean_s, sigma)
+            assert value == result
+            assert math.copysign(1.0, value) == math.copysign(1.0, result)
         assert rng.getstate() == state
 
 

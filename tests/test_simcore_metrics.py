@@ -87,6 +87,21 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series.record(0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        # A NaN time once passed ``t < last`` and then let any later
+        # time in: [1.0, nan, 0.5].
+        series = TimeSeries("water")
+        series.record(1.0, 0.0)
+        with pytest.raises(ValueError, match=r"time series 'water'"):
+            series.record(bad, 0.0)
+        with pytest.raises(ValueError, match="in order"):
+            series.record(0.5, 0.0)
+        series.record(1.0, 1.0)
+        assert series.times == [1.0, 1.0]
+        assert series.values == [0.0, 1.0]
+
 
 class TestSummaryEdgeCases:
     def test_empty_percentile_raises(self):

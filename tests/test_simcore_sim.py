@@ -8,6 +8,7 @@ import pytest
 from repro.simcore import Simulator, Timeout
 
 NAN = float("nan")
+INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,11 @@ class TestNanRejected:
         sim = Simulator(seed=0)
         fired = []
         schedule(sim, 3.0, fired)
-        with pytest.raises(ValueError, match="nan"):
-            schedule(sim, NAN, fired)
+        # +inf too: it would move the clock to inf, and every later
+        # ``now + delay`` and latency with it.
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match=repr(bad)):
+                schedule(sim, bad, fired)
         schedule(sim, 1.0, fired)
         schedule(sim, 2.0, fired)
         sim.run()
@@ -134,8 +138,9 @@ class TestNanRejected:
     def test_nan_until_rejected(self):
         sim = Simulator(seed=0)
         sim.timeout(1.0)
-        with pytest.raises(ValueError, match="nan"):
-            sim.run(until=NAN)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match=repr(bad)):
+                sim.run(until=bad)
         assert sim.now == 0.0
         sim.run()
         assert sim.now == 1.0

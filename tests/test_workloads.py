@@ -1,11 +1,13 @@
 """Tests for load drivers and trace generators."""
 
+import dataclasses
 import gc
 import random
 
 import pytest
 
 from repro.experiments.testbed import build_testbed
+from repro.mesh import HttpRequest
 from repro.simcore import events
 from repro.workloads import (
     ClosedLoopDriver,
@@ -127,6 +129,33 @@ class TestDrivers:
                                   think_time_s=0.0)
         report = run.run_driver(driver)
         assert report.offered == report.completed == 0
+
+    @pytest.mark.parametrize("mesh", ["no-mesh", "istio", "canal"])
+    @pytest.mark.parametrize("driver_cls, kwargs", [
+        (OpenLoopDriver, {"rps": 500.0, "duration_s": 0.05,
+                          "connections": 3}),
+        (ClosedLoopDriver, {"connections": 2, "requests_per_connection": 5}),
+        (ShortFlowDriver, {"rps": 500.0, "duration_s": 0.05}),
+    ], ids=["open", "closed", "short"])
+    def test_every_request_sends_the_drivers_one_request(
+            self, driver_cls, kwargs, mesh):
+        run = build_testbed(mesh, seed=7)
+        driver = driver_cls(run.sim, run.mesh, run.client_pod, "svc1",
+                            **kwargs)
+        sent, mesh_request = [], run.mesh.request
+
+        def spy(connection, request):
+            sent.append(request)
+            return mesh_request(connection, request)
+
+        run.mesh.request = spy
+        report = run.run_driver(driver)
+        assert len(sent) == report.offered == report.completed > 5
+        assert all(request is driver.request for request in sent)
+        assert driver.request == HttpRequest(
+            method="GET", path="/", body_bytes=128, response_bytes=1024)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            driver.request.body_bytes = 0
 
     def test_error_count(self):
         run = build_testbed("no-mesh")
